@@ -15,16 +15,11 @@ Gates (vs ci/hotpath_baseline.json, captured at iters=2):
    back (allocation counts are deterministic for a fixed workload;
    wall-clock is hardware-dependent and reported but NOT gated);
 4. the §3.3 idle-channel tax under `PollPolicy::Parking` is exactly
-   zero — virtual time is deterministic, so equality cannot flake;
-5. the Ticketed execution sweep reported a wall-clock for every worker
-   budget in the baseline's "workers" list (the bench itself asserts
-   the virtual results are bit-identical to Seed before printing);
-6. wall-clock ORDERING gates on the ticketed sweep (absolute wall is
-   machine-dependent and stays ungated, but ratios on the same box in
-   the same process are robust): every budget >= 2 must be at least as
-   fast as Seed, and the largest budget must be strictly faster than
-   Ticketed@1 — the gate that the awake-worker spin budget actually
-   buys cheaper handoffs rather than just burning the timeslice.
+   zero — virtual time is deterministic, so equality cannot flake.
+
+The bench also re-runs the storm once under `ExecPolicy::Ticketed` and
+asserts its virtual end times against Seed; that wall-clock is printed
+by the bench and not read here.
 """
 
 import json
@@ -82,34 +77,6 @@ def main() -> int:
             f"wall_ms {summary.get('wall_ms')} / events_per_sec "
             f"{summary.get('events_per_sec')} (informational, not gated)"
         )
-
-        ticketed = summary.get("ticketed_wall_ms", {})
-        budgets = baseline.get("workers", [])
-        missing = [w for w in budgets if str(w) not in ticketed]
-        if missing:
-            failures.append(
-                f"ticketed sweep missing worker budgets {missing} "
-                f"(baseline pins {budgets}; bench output has {sorted(ticketed)})"
-            )
-        elif budgets:
-            seed_wall = summary.get("wall_ms", 0.0)
-            for w in budgets:
-                t = ticketed[str(w)]
-                tag = "" if w < 2 or t <= seed_wall else " SLOWER THAN SEED"
-                print(f"ticketed@{w} wall_ms {t} (seed {seed_wall}){tag}")
-                if w >= 2 and t > seed_wall:
-                    failures.append(
-                        f"Ticketed@{w} ({t}ms) slower than Seed ({seed_wall}ms): "
-                        "targeted wakes + spinning should never lose to the "
-                        "notify_all broadcast at budget >= 2"
-                    )
-            lo, hi = min(budgets), max(budgets)
-            if hi > lo and ticketed[str(hi)] >= ticketed[str(lo)]:
-                failures.append(
-                    f"Ticketed@{hi} ({ticketed[str(hi)]}ms) not faster than "
-                    f"Ticketed@{lo} ({ticketed[str(lo)]}ms): the spin budget "
-                    "is not converting handoffs into yield-hits"
-                )
 
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

@@ -24,19 +24,66 @@ Two modes:
     timings legitimately change once traffic spreads across lanes —
     correctness there is the test suite's job, not this gate's).
 
-The bench binary list is shared with ``check_workers.py``.
+Every figure the benches print is *virtual* time or an exact count, so
+an empty diff means the same scheduling decisions. Two exceptions:
+``hotpath`` reports HOST wall-clock alongside its deterministic fields
+(lines carrying a wall figure are dropped from both sides before the
+diff), and ``trace`` also writes a Chrome trace JSON (the two exports
+are compared byte for byte). The ``all`` aggregator is skipped (it
+re-runs the figure benches this script already sweeps).
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from check_workers import BINS, run_bin  # noqa: E402
-
 BASELINE = Path(__file__).resolve().parent / "vci_baseline.json"
+
+# (binary, extra args) — iteration counts kept small: determinism does
+# not depend on them.
+BINS = [
+    ("fig6", ["1"]),
+    ("fig7", ["1"]),
+    ("fig8", ["1"]),
+    ("fig9", ["1"]),
+    ("table1", ["1"]),
+    ("table2", ["1"]),
+    ("overhead", ["1"]),
+    ("collectives", ["1"]),
+    ("degraded", ["1"]),
+    ("forwarding", ["1"]),
+    ("multirail", ["1"]),
+    ("hotpath", ["1"]),
+    ("trace", ["2"]),  # --chrome <file> appended per run
+]
+
+# Host wall-clock leaks in hotpath's output; every such line carries one
+# of these markers (the ticketed sweep table, the hotpath: summary line,
+# and the JSON footer). Everything else the benches print is virtual.
+WALL_LINE = re.compile(r"wall_ms|events_per_sec|speedup|Ticketed@|\bSeed\s+[\d.]+\s+1\.00\b")
+
+
+def run_bin(bindir: Path, name: str, args: list[str], chrome: Path | None) -> str:
+    """Run one bench bin with no MPICH_VCIS override; its deterministic stdout."""
+    env = dict(os.environ)
+    env.pop("MPICH_VCIS", None)
+    cmd = [str(bindir / name), *args]
+    if chrome is not None:
+        cmd += ["--chrome", str(chrome)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    out = proc.stdout
+    if name == "hotpath":
+        out = "\n".join(l for l in out.splitlines() if not WALL_LINE.search(l))
+    elif name == "trace":
+        # The bin echoes the --chrome path, which this script varies per
+        # run; the files themselves are compared byte for byte instead.
+        out = "\n".join(l for l in out.splitlines() if not l.startswith("[chrome]"))
+    return out
 
 
 def gate(out_path: str) -> int:
@@ -94,7 +141,6 @@ def env_sweep(vcis: str) -> int:
                 continue
             chrome = tmp / f"{name}-v{vcis}.json" if name == "trace" else None
             env = dict(os.environ)
-            env.pop("MPICH_WORKERS", None)
             env["MPICH_VCIS"] = vcis
             cmd = [str(bindir / name), *args]
             if chrome is not None:
@@ -109,11 +155,9 @@ def env_sweep(vcis: str) -> int:
             if vcis == "1":
                 # MPICH_VCIS=1 must be a byte-perfect no-op.
                 base_chrome = tmp / f"{name}-base.json" if name == "trace" else None
-                base_out = run_bin(bindir, name, args, None, base_chrome)
+                base_out = run_bin(bindir, name, args, base_chrome)
                 vci_out = proc.stdout
                 if name == "hotpath":
-                    from check_workers import WALL_LINE
-
                     vci_out = "\n".join(
                         l for l in vci_out.splitlines() if not WALL_LINE.search(l)
                     )

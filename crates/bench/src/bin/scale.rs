@@ -6,9 +6,9 @@
 //! per second, and PEAK committed memory per rank.
 //!
 //! Big worlds run the scale configuration: fused progress (one polling
-//! thread per rank over a wait-any endpoint set), compact raw-pthread
-//! stacks, and the ticketed kernel — 8192 ranks ≈ 16.4k OS threads,
-//! which only fits the default `vm.max_map_count` on compact stacks.
+//! thread per rank over a wait-any endpoint set) — 8192 ranks ≈ 16.4k
+//! simulated threads, two kernel mappings per fiber stack, which fits
+//! the default `vm.max_map_count`.
 //!
 //! Two gates ride on the output (`ci/check_scale.py`):
 //! * the timer-wheel scheduler must beat the O(threads) linear scan by
@@ -131,13 +131,12 @@ impl Row {
     }
 }
 
-/// The scale configuration: ticketed kernel (targeted wakes), fused
-/// progress (one poller per rank), compact 256 KiB pthread stacks.
+/// The scale configuration: fused progress (one poller per rank).
 /// `scan` swaps the timer-wheel scheduler for the O(threads) linear
 /// scan — the honest baseline the wheel's speedup gate measures
 /// against.
 fn scale_config(scan: bool) -> WorldConfig {
-    let mut cost = CostModel::calibrated().with_compact_stacks(256 * 1024);
+    let mut cost = CostModel::calibrated();
     if scan {
         cost = cost.with_sched_scan();
     }
@@ -292,7 +291,7 @@ fn main() {
         return;
     }
     let mode = if quick { "quick" } else { "full" };
-    println!("== scale sweep ({mode}) — fused progress + compact stacks + ticketed kernel ==");
+    println!("== scale sweep ({mode}) — fused progress ==");
 
     // Sweep shapes. fat_tree(k) has k³/4 hosts: 128, 1024, 8192.
     // dragonfly(a,p,h) has (a·h+1)·a·p hosts: 72, 544, 2112.

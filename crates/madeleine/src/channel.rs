@@ -1028,6 +1028,11 @@ impl PackingConnection {
 
 impl Drop for PackingConnection {
     fn drop(&mut self) {
+        // The flag is the OS thread's, shared by every simulated thread
+        // (fiber) on it: true here means this thread *or another one
+        // suspended mid-unwind* is panicking. Never false while this one
+        // unwinds, so the check cannot double-panic; at worst it stays
+        // silent in a run that is already failing.
         if !self.finished && !std::thread::panicking() {
             panic!(
                 "PackingConnection to rank {} dropped without mad_end_packing",
@@ -1135,6 +1140,7 @@ impl UnpackingConnection {
 
 impl Drop for UnpackingConnection {
     fn drop(&mut self) {
+        // See `PackingConnection::drop` for what the flag means on fibers.
         if !self.finished && !std::thread::panicking() {
             panic!(
                 "UnpackingConnection from rank {} dropped without mad_end_unpacking",

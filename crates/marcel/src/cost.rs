@@ -35,29 +35,17 @@ pub enum PollPolicy {
     Parking,
 }
 
-/// How the kernel drives its sequencer → workers → committer pipeline.
-///
-/// Under `Seed`, every scheduling handoff parks the outgoing OS thread
-/// on one shared condvar and wakes *every* parked thread (`notify_all`)
-/// so the committed one can resume — the pre-knob behaviour, kept
-/// bit-identical. Under `Ticketed`, the committer wakes exactly the
-/// thread it committed (per-thread condvars) and keeps up to `workers`
-/// recently-descheduled threads spinning at their gates so a handoff
-/// that lands on a spinner costs a `yield` instead of a futex
-/// wake/wait pair. The sequencing decisions — and therefore every
-/// virtual-time result, trace, and metric — are identical under both
-/// policies; only host wall-clock changes.
+/// Execution-policy label of a kernel. Both values run the same
+/// hand-off — a userland switch to the committed fiber — so the choice
+/// changes nothing, on either clock. The type survives as API: world
+/// configurations name it (`vcis > 1` asks for `Ticketed`) and journals
+/// print it; `workers` is recorded and otherwise ignored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecPolicy {
-    /// Shared-condvar handoffs, `notify_all` wakes (paper-faithful
-    /// single-runner kernel; bit-identical default).
     #[default]
     Seed,
-    /// Targeted wakes plus a pool of up to `workers` gate-spinning
-    /// threads. `workers = 1` is targeted wakes only.
     Ticketed {
-        /// Awake-worker budget: how many descheduled threads may spin
-        /// at their gates instead of parking.
+        /// Inert: fibers leave no worker pool to size.
         workers: usize,
     },
 }
@@ -87,8 +75,7 @@ pub struct CostModel {
     /// Under [`PollPolicy::Parking`]: consecutive empty detections after
     /// which an idle channel is parked out of the polling cycle.
     pub park_after: u32,
-    /// How scheduling handoffs are executed on the host (see
-    /// [`ExecPolicy`]). Never affects virtual-time results.
+    /// Inert label (see [`ExecPolicy`]).
     pub exec_policy: ExecPolicy,
     /// Root seed for the deterministic per-ticket seeds the sequencer
     /// assigns (see [`crate::exec::ticket_seed`]).
@@ -103,19 +90,6 @@ pub struct CostModel {
     /// scan on every decision and assert they agree. Only meaningful
     /// under [`SchedIndex::Wheel`].
     pub sched_xcheck: bool,
-    /// Stack size in bytes for the backing OS threads, spawned through
-    /// the compact raw-`pthread` path instead of `std::thread`. `None`
-    /// (the default) keeps `std::thread` with its default stack.
-    ///
-    /// A `std` thread costs ~4 kernel memory mappings (stack + guard +
-    /// sigaltstack + TLS), so `vm.max_map_count` (65530 by default)
-    /// caps a simulation near 16k threads regardless of stack size.
-    /// The compact path skips the sigaltstack and spawns detached
-    /// (~2 mappings), roughly doubling the ceiling — which is what an
-    /// 8k-rank world with two threads per rank needs. Never affects
-    /// virtual-time results; simulated code must not rely on deep
-    /// recursion when this is small.
-    pub compact_stack: Option<usize>,
 }
 
 impl CostModel {
@@ -134,7 +108,6 @@ impl CostModel {
             exec_seed: 0,
             sched_index: SchedIndex::Wheel,
             sched_xcheck: false,
-            compact_stack: None,
         }
     }
 
@@ -155,7 +128,6 @@ impl CostModel {
             exec_seed: 0,
             sched_index: SchedIndex::Wheel,
             sched_xcheck: false,
-            compact_stack: None,
         }
     }
 
@@ -173,13 +145,9 @@ impl CostModel {
         self
     }
 
-    /// Ticketed variant of `self`: targeted wakes with an awake-worker
-    /// budget of `workers` (see [`ExecPolicy`]). Virtual-time results
-    /// are bit-identical to the `Seed` policy.
+    /// `self` labelled [`ExecPolicy::Ticketed`] (inert).
     pub fn with_ticketed(mut self, workers: usize) -> Self {
-        self.exec_policy = ExecPolicy::Ticketed {
-            workers: workers.max(1),
-        };
+        self.exec_policy = ExecPolicy::Ticketed { workers };
         self
     }
 
@@ -196,14 +164,6 @@ impl CostModel {
     pub fn with_sched_xcheck(mut self) -> Self {
         self.sched_index = SchedIndex::Wheel;
         self.sched_xcheck = true;
-        self
-    }
-
-    /// Compact-stack variant of `self`: backing OS threads are raw
-    /// detached pthreads with `bytes`-sized stacks (clamped up to the
-    /// platform minimum). See [`CostModel::compact_stack`].
-    pub fn with_compact_stacks(mut self, bytes: usize) -> Self {
-        self.compact_stack = Some(bytes);
         self
     }
 
@@ -259,12 +219,6 @@ mod tests {
         assert_eq!(
             CostModel::free().with_ticketed(4).exec_policy,
             ExecPolicy::Ticketed { workers: 4 }
-        );
-        // A zero worker budget is clamped to 1 (the committer always
-        // needs at least the committed thread awake).
-        assert_eq!(
-            CostModel::free().with_ticketed(0).exec_policy,
-            ExecPolicy::Ticketed { workers: 1 }
         );
     }
 

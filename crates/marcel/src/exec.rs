@@ -1,17 +1,16 @@
-//! Ticketed execution: deterministic per-ticket seeds and the host-side
-//! tuning constants of the sequencer → workers → committer pipeline.
+//! Ticketed execution: the deterministic per-ticket seeds of the
+//! sequencer → committer pipeline.
 //!
-//! The kernel's scheduler is split into three roles (see
-//! `kernel.rs`): a **sequencer** that snapshots the ready set and picks
-//! the next thread, stamping the decision with a monotonically
-//! increasing *ticket* and a seed derived from `(exec_seed, ticket,
-//! thread id)`; a pool of **workers** — the simulated threads
-//! themselves, which compute user code between kernel operations and,
-//! under [`crate::cost::ExecPolicy::Ticketed`], may stay awake spinning
-//! at their gates; and a **committer** that applies each pick in strict
-//! ticket order after re-validating the scheduling invariant against
-//! the live world, falling back to serial re-sequencing (counted in the
-//! `exec/fallback` metric) when validation fails.
+//! The kernel's scheduler has two roles (see `kernel.rs`): a
+//! **sequencer** that picks the next thread from the ready set and
+//! stamps the decision with a monotonically increasing *ticket* and a
+//! seed derived from `(exec_seed, ticket, thread id)`; and a
+//! **committer** that applies each pick in strict ticket order after
+//! re-validating the scheduling invariant against the live world,
+//! falling back to serial re-sequencing (counted in the `exec/fallback`
+//! metric) when validation fails. The simulated threads themselves —
+//! fibers on one OS thread — run user code between kernel operations;
+//! a commit ends with a userland switch to the committed fiber.
 //!
 //! The seed derivation mirrors `simnet::rng`'s message-identity scheme
 //! (`splitmix64` over inputs spread by the SplitMix64 golden gamma) so
@@ -47,64 +46,6 @@ fn splitmix64(x: u64) -> u64 {
 /// with `%`.
 pub fn ticket_seed(exec_seed: u64, ticket: u64, thread_id: u64) -> u64 {
     splitmix64(exec_seed ^ ticket.wrapping_mul(GOLDEN_GAMMA) ^ thread_id)
-}
-
-/// How many `sched_yield` rounds a descheduled worker spins at its gate
-/// (watching the committer's running-thread hint) before parking on its
-/// condvar. A hit saves a futex wake/wait round-trip; a miss costs the
-/// yields.
-///
-/// The budget is gated on the hit-rate being worth paying for. With at
-/// most `workers` spinners among `live` threads, the chance that the
-/// committer's next pick is one of the spinners falls off as the world
-/// grows — and on a single-core host a spinner can only observe the
-/// hint flip after an involuntary preemption, so every yield there is a
-/// syscall stolen from the one thread doing real work (measured as a
-/// double-digit percentage of big-world wall time). Small worlds keep
-/// the full budget even on one core: with tens of threads the next pick
-/// frequently *is* a spinner, and the converted handoffs are what make
-/// larger worker budgets faster than `Ticketed { workers: 1 }`.
-pub(crate) fn spin_budget(live: usize) -> u32 {
-    /// Above this many live threads, a single-core host stops spinning:
-    /// the hit-rate (≤ workers/live) no longer covers the yield tax.
-    const SPIN_SMALL_WORLD: usize = 128;
-    static MULTICORE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    let multicore =
-        *MULTICORE.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from) > 1);
-    if multicore || live <= SPIN_SMALL_WORLD {
-        200
-    } else {
-        0
-    }
-}
-
-/// Per-process private futex hash slots claimed at kernel construction
-/// (Linux ≥ 6.16, `PR_FUTEX_HASH`). The kernel's default table is
-/// sized by CPU count, not thread count: a big world parks thousands
-/// of per-thread condvars into a handful of buckets and every
-/// park/wake walks an O(threads / buckets) collision chain *inside the
-/// kernel* — measured at ~6 ns per parked thread per scheduling
-/// decision, which at 8k ranks (16k OS threads) is ~100 µs of syscall
-/// time per context switch, dwarfing the switch itself. 16 Ki slots
-/// keep chains O(1) up to the 8k-rank design point for ~1 MiB of
-/// kernel memory. Best effort: unsupported kernels just keep their
-/// default table.
-pub(crate) fn claim_futex_hash_slots() {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::raw::{c_int, c_ulong};
-        use std::sync::Once;
-        extern "C" {
-            fn prctl(option: c_int, a2: c_ulong, a3: c_ulong, a4: c_ulong, a5: c_ulong) -> c_int;
-        }
-        const PR_FUTEX_HASH: c_int = 78;
-        const PR_FUTEX_HASH_SET_SLOTS: c_ulong = 1;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| unsafe {
-            // Result deliberately ignored: pre-6.16 kernels EINVAL.
-            prctl(PR_FUTEX_HASH, PR_FUTEX_HASH_SET_SLOTS, 16384, 0, 0);
-        });
-    }
 }
 
 #[cfg(test)]

@@ -2,24 +2,28 @@
 //!
 //! # Execution model
 //!
-//! Every simulated ("Marcel") thread is backed by a real OS thread, but
-//! **exactly one simulated thread executes at a time**. Whenever the
-//! running thread performs a kernel operation (advance, yield, semaphore
-//! op, poll, spawn, join, exit) the kernel re-evaluates which thread should
-//! run next: the runnable thread with the smallest `(virtual time, thread
-//! id)` pair. Between kernel operations a thread only touches its own
-//! data, so this total order of kernel operations by virtual time yields a
+//! Every simulated ("Marcel") thread is a user-level thread: a stackful
+//! fiber (module `fiber`) that runs on the OS thread that called
+//! [`Kernel::run`], and **exactly one simulated thread executes at a
+//! time**. Whenever the running thread performs a kernel operation
+//! (advance, yield, semaphore op, poll, spawn, join, exit) the kernel
+//! re-evaluates which thread should run next: the runnable thread with
+//! the smallest `(virtual time, thread id)` pair. If that is another
+//! thread, the running fiber releases the scheduler lock, switches to it
+//! in userland and re-takes the lock when it is itself committed again.
+//! Between kernel operations a thread only touches its own data, so this
+//! total order of kernel operations by virtual time yields a
 //! *deterministic, causally consistent* simulation: the same program
 //! produces the same virtual-time trace on every run.
 //!
-//! # Why real threads and not an event loop
+//! # Why stacks and not an event loop
 //!
 //! The system under reproduction (MPICH/Madeleine, §4.2.3 of the paper) is
 //! written in blocking style: polling threads block in
 //! `mad_begin_unpacking`, the MPI control thread blocks on a rendezvous
-//! semaphore, `MPI_Isend` spawns a worker thread. Backing simulated
-//! threads with real stacks lets the reproduction keep exactly that
-//! structure instead of inverting it into state machines.
+//! semaphore, `MPI_Isend` spawns a worker thread. Giving every simulated
+//! thread a real stack lets the reproduction keep exactly that structure
+//! instead of inverting it into state machines.
 //!
 //! # Polling model
 //!
@@ -36,13 +40,14 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
-use crate::cost::{CostModel, ExecPolicy};
-use crate::exec::{spin_budget, ticket_seed};
+use crate::cost::CostModel;
+use crate::exec::ticket_seed;
+use crate::fiber::{Prev, Stack, Suspended};
 use crate::obs::{Event, EventSink, Metrics};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
 use crate::wheel::{SchedIndex, TimerWheel};
@@ -145,14 +150,10 @@ pub(crate) struct ThreadSlot {
     /// Which source's post/close woke this thread from a poll wait
     /// (`PollSet::wait` uses it to attribute the message).
     pub(crate) woke_source: Option<usize>,
-    /// Per-thread condvar for targeted committer wakes under
-    /// [`ExecPolicy::Ticketed`] (waits on the scheduler mutex, like the
-    /// shared condvar). Unused under `Seed`.
-    pub(crate) cv: Arc<Condvar>,
-    /// Whether the backing OS thread is parked on `cv` (needs a notify)
-    /// as opposed to spinning at its gate or running. Only maintained
-    /// under `Ticketed`.
-    pub(crate) parked: bool,
+    /// What the thread runs, until its first dispatch takes it.
+    pub(crate) body: Option<Body>,
+    /// The thread's saved context while it is started and not running.
+    pub(crate) fiber: Option<Suspended>,
     /// Ticket of the scheduling decision that last committed this
     /// thread to run.
     pub(crate) ticket: u64,
@@ -160,6 +161,11 @@ pub(crate) struct ThreadSlot {
     /// [`crate::exec::ticket_seed`]).
     pub(crate) seed: u64,
 }
+
+/// A simulated thread's whole life: runs the user closure under
+/// `catch_unwind`, stores its result and returns the panic message, if
+/// any.
+pub(crate) type Body = Box<dyn FnOnce() -> Option<String> + Send>;
 
 pub(crate) struct SemState {
     pub(crate) count: u64,
@@ -283,9 +289,13 @@ pub(crate) struct Sched {
     /// Next trace-event commit sequence number (see
     /// [`TraceEvent::ticket`]).
     pub(crate) record_seq: u64,
-    /// How many descheduled workers currently spin at their gates
-    /// (bounded by the `Ticketed` worker budget).
-    pub(crate) spinners: usize,
+    /// [`Kernel::run`]'s own context while fibers run.
+    root: Option<Suspended>,
+    /// Who is switching away right now (`None`: the root), so the
+    /// context it resumes knows where to file the saved context.
+    leaving: Option<Tid>,
+    /// Stacks of finished fibers, reused by the next thread to start.
+    stacks: Vec<Stack>,
     /// Incremental drain target for the trace / decision buffers (see
     /// [`crate::obs::EventSink`]); `None` (the default) buffers per
     /// episode exactly as before.
@@ -369,6 +379,19 @@ impl Sched {
         }
     }
 
+    /// Incoming side of a context switch: file what the switch handed
+    /// over — the previous context under whoever was leaving, or a
+    /// finished fiber's stack in the cache.
+    pub(crate) fn arrive(&mut self, prev: Prev) {
+        match prev {
+            Prev::Suspended(ctx) => match self.leaving.take() {
+                Some(t) => self.threads[t.0].fiber = Some(ctx),
+                None => self.root = Some(ctx),
+            },
+            Prev::Exited(stack) => self.stacks.push(stack),
+        }
+    }
+
     fn dump(&self) -> String {
         let mut out = String::new();
         for (i, t) in self.threads.iter().enumerate() {
@@ -388,7 +411,6 @@ impl Sched {
 
 pub(crate) struct Shared {
     pub(crate) state: Mutex<Sched>,
-    pub(crate) cv: Condvar,
     pub(crate) cost: CostModel,
     /// The kernel's metrics registry (see [`crate::obs`]): always on,
     /// never touches virtual time.
@@ -396,12 +418,6 @@ pub(crate) struct Shared {
     /// Fast tracing-enabled check for [`crate::obs::emit`] — avoids the
     /// scheduler lock on the (default) disabled path.
     pub(crate) trace_on: AtomicBool,
-    /// Lock-free mirror of `Sched::running` (`usize::MAX` = none) so
-    /// `Ticketed` gate-spinners can watch for their turn without
-    /// contending on the scheduler mutex.
-    pub(crate) running_hint: AtomicUsize,
-    /// Set on abort/deadlock so gate-spinners stop yielding promptly.
-    pub(crate) halted: AtomicBool,
     /// Test hook (see [`Kernel::force_commit_fallback`]): number of
     /// upcoming commits whose re-validation is forced to fail, driving
     /// them down the serial fallback path.
@@ -531,8 +547,8 @@ impl Shared {
     /// the scheduling invariant against the live world first, falling
     /// back to serial re-sequencing (counted in `exec/fallback`) when
     /// the pick no longer matches; then perform the wake-up semantics
-    /// and hand the run token to the chosen thread. Returns the tid
-    /// actually committed.
+    /// and give the run token to the chosen thread (the caller then
+    /// switches to it). Returns the tid actually committed.
     fn commit_pick(&self, sched: &mut Sched, pick: Pick) -> Tid {
         let forced = self
             .force_fallback
@@ -596,63 +612,30 @@ impl Shared {
         slot.ticket = pick.ticket;
         slot.seed = pick.seed;
         sched.running = Some(next);
-        self.running_hint.store(next.0, Ordering::Release);
-        match self.cost.exec_policy {
-            // Seed: one shared condvar, wake everyone so the right
-            // thread resumes (paper-faithful, bit-identical baseline).
-            ExecPolicy::Seed => self.cv.notify_all(),
-            // Ticketed: wake exactly the committed thread — and only if
-            // it is actually parked; a gate-spinner sees the
-            // running-hint store without any syscall.
-            ExecPolicy::Ticketed { .. } => {
-                if sched.threads[next.0].parked {
-                    sched.threads[next.0].cv.notify_one();
-                }
-            }
-        }
         next
     }
 
-    /// Schedule the next thread after the current one stopped running
-    /// (blocked or exited). Declares a deadlock when no thread can ever
-    /// run again.
-    pub(crate) fn dispatch(&self, sched: &mut Sched) {
+    /// Commit the next thread after the current one stopped running
+    /// (blocked or exited). With nothing left to commit the run token
+    /// goes back to [`Kernel::run`]: normal termination when no thread
+    /// is live, a deadlock otherwise.
+    fn dispatch(&self, sched: &mut Sched) {
         sched.running = None;
-        self.running_hint.store(usize::MAX, Ordering::Release);
         if let Some(pick) = self.sequence(sched) {
             self.commit_pick(sched, pick);
-            return;
-        }
-        if sched.live == 0 {
-            // Normal termination: wake `run()`.
-            self.cv.notify_all();
-            return;
-        }
-        let msg = format!(
-            "no runnable thread among {} live:\n{}",
-            sched.live,
-            sched.dump()
-        );
-        sched.deadlock = Some(msg);
-        self.halt(sched);
-    }
-
-    /// Wake every parked OS thread after an abort or deadlock so each
-    /// can observe the terminal state (and `Kernel::run` can report it).
-    fn halt(&self, sched: &mut Sched) {
-        self.halted.store(true, Ordering::Release);
-        self.cv.notify_all();
-        if matches!(self.cost.exec_policy, ExecPolicy::Ticketed { .. }) {
-            for t in &sched.threads {
-                t.cv.notify_all();
-            }
+        } else if sched.live > 0 {
+            sched.deadlock = Some(format!(
+                "no runnable thread among {} live:\n{}",
+                sched.live,
+                sched.dump()
+            ));
         }
     }
 
     /// Re-evaluate scheduling at the end of a kernel operation performed
     /// by the running thread `me`. If another thread now has a smaller
     /// scheduling key, switch to it and park until rescheduled.
-    pub(crate) fn reschedule(&self, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
+    pub(crate) fn reschedule(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
         debug_assert!(matches!(sched.threads[me.0].state, TState::Running));
         sched.threads[me.0].state = TState::Ready;
         let due = sched.threads[me.0].vtime;
@@ -660,15 +643,18 @@ impl Shared {
         let pick = self
             .sequence(sched)
             .expect("running thread is always a candidate");
-        let next = self.commit_pick(sched, pick);
-        if next != me {
-            self.wait_until_running(sched, me);
-        }
+        self.commit_pick(sched, pick);
+        self.wait_until_running(sched, me);
     }
 
     /// Block the running thread `me` with `state` and run something else.
     /// Returns once `me` is scheduled again.
-    pub(crate) fn block(&self, sched: &mut MutexGuard<'_, Sched>, me: Tid, state: TState) {
+    pub(crate) fn block(
+        self: &Arc<Self>,
+        sched: &mut MutexGuard<'_, Sched>,
+        me: Tid,
+        state: TState,
+    ) {
         // Sleepers and timed waiters stay schedulable (due at their
         // wake/deadline); other blocked states leave the index.
         let due = match state {
@@ -711,91 +697,83 @@ impl Shared {
         sched.wheel.upsert(target.0, due.0);
     }
 
-    /// The worker's gate: park the calling OS thread until its simulated
-    /// thread is committed. On abort/deadlock the OS thread parks
-    /// forever (the simulation is unrecoverable; `Kernel::run` reports
-    /// the error).
-    ///
-    /// Under `Seed` every waiter sleeps on the one shared condvar and
-    /// is woken by the committer's `notify_all`. Under `Ticketed`, up
-    /// to `workers` threads first spin at the gate — yielding the
-    /// timeslice, watching the lock-free running hint — so a handoff
-    /// that lands on a spinner costs no futex round-trip; the rest (and
-    /// spinners whose budget expires) park on their per-thread condvar
-    /// for a targeted wake.
-    pub(crate) fn wait_until_running(&self, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
-        let workers = match self.cost.exec_policy {
-            ExecPolicy::Seed => None,
-            ExecPolicy::Ticketed { workers } => Some(workers.max(1)),
+    /// The context of whoever holds the run token now: the committed
+    /// thread's — laid out on a cached or fresh stack if this is its
+    /// first dispatch — or [`Kernel::run`]'s once nothing is committed.
+    fn committed_context(self: &Arc<Self>, sched: &mut Sched) -> Suspended {
+        let Some(next) = sched.running else {
+            return sched
+                .root
+                .take()
+                .expect("run() is suspended while fibers run");
         };
-        let Some(workers) = workers else {
-            loop {
-                if sched.abort.is_some() || sched.deadlock.is_some() {
-                    loop {
-                        self.cv.wait(sched);
-                    }
-                }
-                if sched.running == Some(me) {
-                    return;
-                }
-                self.cv.wait(sched);
-            }
-        };
-        if sched.spinners < workers && sched.abort.is_none() && sched.deadlock.is_none() {
-            sched.spinners += 1;
-            let mut budget = spin_budget(sched.live);
-            while budget > 0
-                && !self.halted.load(Ordering::Acquire)
-                && self.running_hint.load(Ordering::Acquire) != me.0
-            {
-                MutexGuard::unlocked(sched, std::thread::yield_now);
-                budget -= 1;
-            }
-            sched.spinners -= 1;
+        if let Some(ctx) = sched.threads[next.0].fiber.take() {
+            return ctx;
         }
-        loop {
-            if sched.abort.is_some() || sched.deadlock.is_some() {
-                loop {
-                    self.cv.wait(sched);
-                }
-            }
-            if sched.running == Some(me) {
-                return;
-            }
-            let cv = sched.threads[me.0].cv.clone();
-            sched.threads[me.0].parked = true;
-            cv.wait(sched);
-            sched.threads[me.0].parked = false;
+        // A starting fiber finds its identity where a resumed one left
+        // its own: in the thread-local the switching context vacated.
+        crate::thread::set_current(Some((self.clone(), next)));
+        let stack = sched.stacks.pop().unwrap_or_else(Stack::map);
+        Suspended::new(stack, crate::thread::fiber_main)
+    }
+
+    /// The hand-off: unlock the world, switch to the committed context,
+    /// and relock once some context switches back to `me` (`None`: the
+    /// root) — for a thread, when it is committed again; for the root,
+    /// when the run is over. On abort or deadlock the root is resumed
+    /// instead and the calling fiber is abandoned where it stands.
+    fn switch_away(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Option<Tid>) {
+        let target = self.committed_context(sched);
+        sched.leaving = me;
+        let prev = MutexGuard::unlocked(sched, || target.resume());
+        sched.arrive(prev);
+    }
+
+    /// Park the descheduled thread `me` until it is committed again —
+    /// at once when the commit that descheduled it picked it again (a
+    /// sleeper that is itself the next thread due).
+    fn wait_until_running(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
+        if sched.running != Some(me) {
+            self.switch_away(sched, Some(me));
         }
+        debug_assert!(sched.running == Some(me));
     }
 
     /// Bookkeeping when a simulated thread finishes (normally or by
-    /// panic). Wakes joiners and schedules the next thread.
-    pub(crate) fn thread_exit(&self, me: Tid, panic_msg: Option<String>) {
-        let mut sched = self.state.lock();
-        let vtime = sched.threads[me.0].vtime;
-        sched.record(me, || Event::Exit);
-        sched.threads[me.0].state = TState::Done;
-        sched.live -= 1;
-        let joiners = std::mem::take(&mut sched.threads[me.0].joiners);
-        let wake_at = vtime + self.cost.wake;
-        for j in joiners {
-            Self::make_ready(&mut sched, j, wake_at);
-        }
-        if let Some(msg) = panic_msg {
-            sched.abort = Some(msg);
-            self.halt(&mut sched);
-            return;
-        }
-        self.dispatch(&mut sched);
+    /// panic): wake joiners, then leave its fiber for good — to the next
+    /// committed thread, or to [`Kernel::run`] when the run is over or
+    /// `panic_msg` aborts it. Consumes the caller's kernel handle: the
+    /// frames below the final switch are never unwound, so everything
+    /// they own is dropped before it.
+    pub(crate) fn thread_exit(this: Arc<Shared>, me: Tid, panic_msg: Option<String>) -> ! {
+        let target = {
+            let mut sched = this.state.lock();
+            let vtime = sched.threads[me.0].vtime;
+            sched.record(me, || Event::Exit);
+            sched.threads[me.0].state = TState::Done;
+            sched.live -= 1;
+            let joiners = std::mem::take(&mut sched.threads[me.0].joiners);
+            let wake_at = vtime + this.cost.wake;
+            for j in joiners {
+                Self::make_ready(&mut sched, j, wake_at);
+            }
+            if panic_msg.is_some() {
+                sched.abort = panic_msg;
+                sched.running = None;
+            } else {
+                this.dispatch(&mut sched);
+            }
+            this.committed_context(&mut sched)
+        };
+        drop(this);
+        target.resume_final()
     }
 
     /// Committer-order gate for kernel operations: lock the world and
     /// assert the calling thread holds the run token. Every kernel
     /// operation a simulated thread performs enters the serialized op
-    /// stream through here — between operations a worker only touches
-    /// its own data, which is what keeps ticketed execution
-    /// bit-identical to serial execution.
+    /// stream through here — between operations a thread only touches
+    /// its own data.
     pub(crate) fn enter(&self, me: Tid) -> MutexGuard<'_, Sched> {
         let sched = self.state.lock();
         debug_assert!(
@@ -845,16 +823,10 @@ pub struct Kernel {
 impl Kernel {
     /// Create a kernel with the given cost model.
     ///
-    /// `MPICH_SCHED=scan|wheel` overrides the scheduler index,
-    /// `MPICH_SCHED_XCHECK=1` arms the wheel-vs-scan cross-check, and
-    /// `MPICH_COMPACT_STACKS=<KB>` moves backing OS threads onto raw
-    /// detached pthreads with that stack size — host-side knobs (like
-    /// `MPICH_WORKERS`) that can never change virtual-time results.
+    /// `MPICH_SCHED=scan|wheel` overrides the scheduler index and
+    /// `MPICH_SCHED_XCHECK=1` arms the wheel-vs-scan cross-check —
+    /// host-side knobs that can never change virtual-time results.
     pub fn new(mut cost: CostModel) -> Self {
-        // Host-side: size the process's private futex hash for
-        // thousands of parked worker gates (see
-        // [`crate::exec::claim_futex_hash_slots`]).
-        crate::exec::claim_futex_hash_slots();
         match std::env::var("MPICH_SCHED").as_deref() {
             Ok("scan") => cost.sched_index = SchedIndex::Scan,
             Ok("wheel") => cost.sched_index = SchedIndex::Wheel,
@@ -863,14 +835,6 @@ impl Kernel {
         if std::env::var("MPICH_SCHED_XCHECK").as_deref() == Ok("1") {
             cost.sched_index = SchedIndex::Wheel;
             cost.sched_xcheck = true;
-        }
-        // MPICH_COMPACT_STACKS=<KB> switches the backing OS threads to
-        // the raw detached-pthread path with small stacks — another
-        // host-side knob: OS thread plumbing never touches virtual time.
-        if let Ok(kb) = std::env::var("MPICH_COMPACT_STACKS") {
-            if let Ok(kb) = kb.parse::<usize>() {
-                cost.compact_stack = Some(kb * 1024);
-            }
         }
         let wheel = TimerWheel::new(cost.sched_index == SchedIndex::Wheel, cost.sched_xcheck);
         Kernel {
@@ -891,17 +855,16 @@ impl Kernel {
                     decisions: None,
                     next_ticket: 0,
                     record_seq: 0,
-                    spinners: 0,
+                    root: None,
+                    leaving: None,
+                    stacks: Vec::new(),
                     sink: None,
                     sink_chunk: 0,
                     stream_hwm: 0,
                 }),
-                cv: Condvar::new(),
                 cost,
                 metrics: Arc::new(Metrics::new()),
                 trace_on: AtomicBool::new(false),
-                running_hint: AtomicUsize::new(usize::MAX),
-                halted: AtomicBool::new(false),
                 force_fallback: AtomicU32::new(0),
             }),
         }
@@ -1053,9 +1016,13 @@ impl Kernel {
         crate::thread::spawn_inner(&self.shared, name.into(), VirtualTime::ZERO, f)
     }
 
-    /// Run the simulation to completion. Returns an error on deadlock or
-    /// when a simulated thread panics (in which case remaining parked OS
-    /// threads are leaked — the simulation is unrecoverable).
+    /// Run the simulation to completion on the calling OS thread.
+    /// Returns an error on deadlock or when a simulated thread panics;
+    /// the fibers still suspended then are abandoned — their stacks are
+    /// unmapped here, their frames never unwound (what those own leaks).
+    ///
+    /// May be called from inside a simulated thread of another kernel:
+    /// the caller's ambient identity is set aside for the duration.
     pub fn run(&self) -> Result<(), SimError> {
         let mut sched = self.shared.state.lock();
         assert!(!sched.started, "Kernel::run called twice");
@@ -1063,18 +1030,23 @@ impl Kernel {
         if sched.live > 0 {
             self.shared.dispatch(&mut sched);
         }
-        loop {
-            if let Some(msg) = &sched.abort {
-                return Err(SimError::ThreadPanicked(msg.clone()));
-            }
-            if let Some(msg) = &sched.deadlock {
-                return Err(SimError::Deadlock(msg.clone()));
-            }
-            if sched.live == 0 {
-                return Ok(());
-            }
-            self.shared.cv.wait(&mut sched);
+        if sched.running.is_some() {
+            let outer = crate::thread::set_current(None);
+            self.shared.switch_away(&mut sched, None);
+            crate::thread::set_current(outer);
         }
+        sched.stacks.clear();
+        for t in &mut sched.threads {
+            t.fiber = None;
+            t.body = None;
+        }
+        if let Some(msg) = &sched.abort {
+            return Err(SimError::ThreadPanicked(msg.clone()));
+        }
+        if let Some(msg) = &sched.deadlock {
+            return Err(SimError::Deadlock(msg.clone()));
+        }
+        Ok(())
     }
 
     /// Force the next `n` committer re-validations to fail, driving
@@ -1212,28 +1184,8 @@ mod tests {
 
     #[test]
     fn trace_is_deterministic_across_runs() {
-        fn run_once() -> Vec<TraceEvent> {
-            let k = Kernel::new(CostModel::calibrated());
-            k.enable_trace();
-            let sem = Semaphore::new(&k, 0);
-            let sem2 = sem.clone();
-            k.spawn("producer", move || {
-                for _ in 0..10 {
-                    thread::advance(VirtualDuration::from_micros(7));
-                    sem2.release();
-                }
-            });
-            k.spawn("consumer", move || {
-                for _ in 0..10 {
-                    sem.acquire();
-                    thread::advance(VirtualDuration::from_micros(2));
-                }
-            });
-            k.run().unwrap();
-            k.take_trace()
-        }
-        let a = run_once();
-        let b = run_once();
+        let (a, _, _) = handshake_trace(CostModel::calibrated(), 0);
+        let (b, _, _) = handshake_trace(CostModel::calibrated(), 0);
         assert!(!a.is_empty());
         assert_eq!(a, b);
         // The trace is typed now: the producer/consumer handshake shows
@@ -1274,10 +1226,9 @@ mod tests {
         assert_eq!(k.end_time(), VirtualTime(90_000));
     }
 
-    fn handshake_trace(cost: CostModel) -> (Vec<TraceEvent>, VirtualTime, u64) {
-        let k = Kernel::new(cost);
-        k.enable_trace();
-        let sem = Semaphore::new(&k, 0);
+    /// Run a ten-round producer/consumer semaphore handshake on `k`.
+    fn handshake(k: &Kernel) {
+        let sem = Semaphore::new(k, 0);
         let sem2 = sem.clone();
         k.spawn("producer", move || {
             for _ in 0..10 {
@@ -1292,50 +1243,27 @@ mod tests {
             }
         });
         k.run().unwrap();
+    }
+
+    /// The handshake's trace, end time and fallback count with the first
+    /// `force` commits forced down the fallback path.
+    fn handshake_trace(cost: CostModel, force: u32) -> (Vec<TraceEvent>, VirtualTime, u64) {
+        let k = Kernel::new(cost);
+        k.enable_trace();
+        k.force_commit_fallback(force);
+        handshake(&k);
         let fallbacks = k.metrics().snapshot().counter("exec/fallback");
         (k.take_trace(), k.end_time(), fallbacks)
     }
 
     #[test]
     fn ticketed_is_bit_identical_to_seed() {
-        let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated());
+        let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated(), 0);
         assert!(!seed_trace.is_empty());
-        for workers in [1, 2, 4, 8] {
-            let (trace, end, fallbacks) =
-                handshake_trace(CostModel::calibrated().with_ticketed(workers));
-            assert_eq!(trace, seed_trace, "trace diverged at workers={workers}");
-            assert_eq!(end, seed_end, "end time diverged at workers={workers}");
-            assert_eq!(fallbacks, 0);
-        }
-    }
-
-    #[test]
-    fn committer_fallback_reexecutes_serially() {
-        // Force the first few commits to fail re-validation: the
-        // committer must fall back to serial re-sequencing, count each
-        // fallback, and still produce a bit-identical run.
-        let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated());
-        let k = Kernel::new(CostModel::calibrated().with_ticketed(2));
-        k.enable_trace();
-        k.force_commit_fallback(3);
-        let sem = Semaphore::new(&k, 0);
-        let sem2 = sem.clone();
-        k.spawn("producer", move || {
-            for _ in 0..10 {
-                thread::advance(VirtualDuration::from_micros(7));
-                sem2.release();
-            }
-        });
-        k.spawn("consumer", move || {
-            for _ in 0..10 {
-                sem.acquire();
-                thread::advance(VirtualDuration::from_micros(2));
-            }
-        });
-        k.run().unwrap();
-        assert_eq!(k.metrics().snapshot().counter("exec/fallback"), 3);
-        assert_eq!(k.take_trace(), seed_trace);
-        assert_eq!(k.end_time(), seed_end);
+        let (trace, end, fallbacks) = handshake_trace(CostModel::calibrated().with_ticketed(4), 0);
+        assert_eq!(trace, seed_trace);
+        assert_eq!(end, seed_end);
+        assert_eq!(fallbacks, 0);
     }
 
     #[test]
@@ -1353,8 +1281,20 @@ mod tests {
     }
 
     #[test]
+    fn committer_fallback_reexecutes_serially() {
+        // Force the first few commits to fail re-validation: the
+        // committer must fall back to serial re-sequencing, count each
+        // fallback, and still produce a bit-identical run.
+        let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated(), 0);
+        let (trace, end, fallbacks) = handshake_trace(CostModel::calibrated().with_ticketed(2), 3);
+        assert_eq!(fallbacks, 3);
+        assert_eq!(trace, seed_trace);
+        assert_eq!(end, seed_end);
+    }
+
+    #[test]
     fn trace_tickets_are_strictly_increasing() {
-        let (trace, _, _) = handshake_trace(CostModel::calibrated());
+        let (trace, _, _) = handshake_trace(CostModel::calibrated(), 0);
         for pair in trace.windows(2) {
             assert!(pair[0].ticket < pair[1].ticket);
         }
@@ -1363,24 +1303,8 @@ mod tests {
     fn handshake_decisions(cost: CostModel, force: u32) -> Vec<Decision> {
         let k = Kernel::new(cost);
         k.enable_decision_log();
-        if force > 0 {
-            k.force_commit_fallback(force);
-        }
-        let sem = Semaphore::new(&k, 0);
-        let sem2 = sem.clone();
-        k.spawn("producer", move || {
-            for _ in 0..10 {
-                thread::advance(VirtualDuration::from_micros(7));
-                sem2.release();
-            }
-        });
-        k.spawn("consumer", move || {
-            for _ in 0..10 {
-                sem.acquire();
-                thread::advance(VirtualDuration::from_micros(2));
-            }
-        });
-        k.run().unwrap();
+        k.force_commit_fallback(force);
+        handshake(&k);
         k.take_decisions()
     }
 

@@ -40,6 +40,7 @@
 
 pub mod cost;
 pub mod exec;
+mod fiber;
 pub mod kernel;
 pub mod obs;
 pub mod poll;

@@ -48,6 +48,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::kernel::{Decision, TraceEvent};
+use crate::thread::try_with_current;
 use crate::time::{VirtualDuration, VirtualTime};
 
 /// Which layer of the stack emitted an event.
@@ -646,22 +647,23 @@ pub trait EventSink: Send {
 
 /// Record a trace event for the calling simulated thread. The closure
 /// only runs when tracing is enabled; outside a simulated thread this is
-/// a no-op. Never advances virtual time.
+/// a no-op. Never advances virtual time. `f` runs under the scheduler
+/// lock and must only build the event, not call back into marcel.
 pub fn emit(f: impl FnOnce() -> Event) {
-    let Some((shared, me)) = crate::thread::try_current() else {
-        return;
-    };
-    if !shared.trace_on.load(Ordering::Relaxed) {
-        return;
-    }
-    let mut sched = shared.state.lock();
-    sched.record(me, f);
+    try_with_current(|shared, me| {
+        if shared.trace_on.load(Ordering::Relaxed) {
+            shared.state.lock().record(me, f);
+        }
+    });
 }
 
 /// Run `f` against the kernel's metrics registry; `None` outside a
 /// simulated thread.
 pub fn with_metrics<R>(f: impl FnOnce(&Metrics) -> R) -> Option<R> {
-    crate::thread::try_current().map(|(shared, _)| f(&shared.metrics))
+    // `f` is caller code and may use the ambient API, so it runs after
+    // the identity is back in place, on a handle of its own.
+    let metrics = try_with_current(|shared, _| shared.metrics.clone())?;
+    Some(f(&metrics))
 }
 
 /// Ambient [`Metrics::counter_add`].
@@ -705,18 +707,19 @@ impl ActiveSpan {
 /// selects the histogram (`span/<kind>/<label>`) — by convention the
 /// protocol name. `None` outside a simulated thread.
 pub fn span_begin(kind: SpanKind, label: &'static str) -> Option<ActiveSpan> {
-    let (shared, me) = crate::thread::try_current()?;
-    let mut sched = shared.state.lock();
-    let begin = sched.threads[me.index()].vtime;
-    let id = shared.metrics.next_span_id();
-    if shared.trace_on.load(Ordering::Relaxed) {
-        sched.record(me, || Event::SpanBegin { id, kind, label });
-    }
-    Some(ActiveSpan {
-        id,
-        kind,
-        label,
-        begin,
+    try_with_current(|shared, me| {
+        let mut sched = shared.state.lock();
+        let begin = sched.threads[me.index()].vtime;
+        let id = shared.metrics.next_span_id();
+        if shared.trace_on.load(Ordering::Relaxed) {
+            sched.record(me, || Event::SpanBegin { id, kind, label });
+        }
+        ActiveSpan {
+            id,
+            kind,
+            label,
+            begin,
+        }
     })
 }
 
@@ -735,29 +738,15 @@ pub fn span_begin_at(
 /// Interned `span/<kind>/<label>` histogram key. Both components are
 /// `&'static str`, so the key space is bounded (kinds × static
 /// labels); interning keeps [`span_end`] free of a per-call `format!`
-/// on the hot path.
-///
-/// The intern table is *sharded*: each `(kind, label)` pair hashes to
-/// one of [`KEY_SHARDS`] independent non-poisoning mutexes, so worker
-/// threads recording spans concurrently under
-/// [`crate::cost::ExecPolicy::Ticketed`] never serialize on one global
-/// lock (and a panicking worker can never poison the cache for the
-/// others). The emitted key bytes are unchanged.
-const KEY_SHARDS: usize = 16;
-
+/// on the hot path. One process-wide table: a kernel's threads share
+/// an OS thread, so only worlds run side by side ever meet on its
+/// (non-poisoning) lock.
 fn span_key(kind: SpanKind, label: &'static str) -> &'static str {
-    use std::collections::hash_map::DefaultHasher;
-    use std::collections::HashMap;
-    use std::hash::{BuildHasher, BuildHasherDefault};
-    use std::sync::OnceLock;
-    type Shard = Mutex<HashMap<(&'static str, &'static str), &'static str>>;
-    static SHARDS: OnceLock<Vec<Shard>> = OnceLock::new();
-    let shards = SHARDS.get_or_init(|| (0..KEY_SHARDS).map(|_| Shard::default()).collect());
-    let pair = (kind.name(), label);
-    let hash = BuildHasherDefault::<DefaultHasher>::default().hash_one(pair);
-    let mut shard = shards[hash as usize % KEY_SHARDS].lock();
-    shard
-        .entry(pair)
+    type Table = std::collections::HashMap<(&'static str, &'static str), &'static str>;
+    static KEYS: std::sync::OnceLock<Mutex<Table>> = std::sync::OnceLock::new();
+    KEYS.get_or_init(Mutex::default)
+        .lock()
+        .entry((kind.name(), label))
         .or_insert_with(|| Box::leak(format!("span/{}/{label}", kind.name()).into_boxed_str()))
 }
 
@@ -765,22 +754,21 @@ fn span_key(kind: SpanKind, label: &'static str) -> &'static str {
 /// the `Option` from [`span_begin`] so call sites stay unconditional.
 pub fn span_end(span: Option<ActiveSpan>) {
     let Some(span) = span else { return };
-    let Some((shared, me)) = crate::thread::try_current() else {
-        return;
-    };
-    let end = {
-        let mut sched = shared.state.lock();
-        let end = sched.threads[me.index()].vtime;
-        if shared.trace_on.load(Ordering::Relaxed) {
-            let (id, kind, label) = (span.id, span.kind, span.label);
-            sched.record(me, || Event::SpanEnd { id, kind, label });
-        }
-        end
-    };
-    shared.metrics.observe_ns(
-        span_key(span.kind, span.label),
-        end.saturating_since(span.begin).as_nanos(),
-    );
+    try_with_current(|shared, me| {
+        let end = {
+            let mut sched = shared.state.lock();
+            let end = sched.threads[me.index()].vtime;
+            if shared.trace_on.load(Ordering::Relaxed) {
+                let (id, kind, label) = (span.id, span.kind, span.label);
+                sched.record(me, || Event::SpanEnd { id, kind, label });
+            }
+            end
+        };
+        shared.metrics.observe_ns(
+            span_key(span.kind, span.label),
+            end.saturating_since(span.begin).as_nanos(),
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -836,9 +824,8 @@ pub struct ThreadMeta {
 /// `tid`.
 ///
 /// Events are emitted in commit order (a stable sort on
-/// [`TraceEvent::ticket`]), so a buffer handed over out of order — e.g.
-/// merged from per-worker buffers — exports byte-identically to the
-/// canonical in-order trace. Virtual time is *not* the sort key: the
+/// [`TraceEvent::ticket`]), so a buffer handed over out of order
+/// exports byte-identically to the canonical in-order trace. Virtual time is *not* the sort key: the
 /// canonical trace is legitimately non-monotone in `ts` (a semaphore
 /// release records the wake at the releaser's clock), and reordering by
 /// time would change the output for already-ordered traces.
@@ -1036,6 +1023,24 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("a/x"));
         assert!(text.contains("histograms"));
+    }
+
+    #[test]
+    fn with_metrics_closure_may_use_the_ambient_api() {
+        assert!(with_metrics(|_| ()).is_none());
+        let k = crate::Kernel::new(crate::CostModel::free());
+        k.spawn("t", || {
+            crate::advance(VirtualDuration::from_micros(3));
+            let seen = with_metrics(|m| {
+                counter_add("nested", 1);
+                m.counter_add("outer", 1);
+                crate::now()
+            });
+            assert_eq!(seen, Some(crate::now()));
+        });
+        k.run().unwrap();
+        let s = k.metrics().snapshot();
+        assert_eq!((s.counter("nested"), s.counter("outer")), (1, 1));
     }
 
     #[test]

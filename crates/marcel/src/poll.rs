@@ -27,7 +27,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::kernel::{Kernel, ProcId, Shared, SourceId, SourceState, TState};
-use crate::thread::current;
+use crate::thread::with_current;
 use crate::time::{VirtualDuration, VirtualTime};
 
 /// A message received from a poll source: the wire arrival time and the
@@ -66,8 +66,7 @@ impl<T: Send + 'static> PollSource<T> {
 
     /// Create on the current simulated thread's kernel.
     pub fn current(proc: ProcId, poll_cost: VirtualDuration) -> Self {
-        let (shared, _) = current();
-        Self::with_shared(shared, proc, poll_cost)
+        Self::with_shared(with_current(|shared, _| shared.clone()), proc, poll_cost)
     }
 
     fn with_shared(shared: Arc<Shared>, proc: ProcId, poll_cost: VirtualDuration) -> Self {
@@ -141,155 +140,159 @@ impl<T: Send + 'static> PollSource<T> {
     /// `arrival`. Must be called from a simulated thread. Messages are
     /// delivered in `(arrival, post order)` order.
     pub fn post(&self, arrival: VirtualTime, payload: T) {
-        let (shared, me) = current();
-        debug_assert!(
-            Arc::ptr_eq(&shared, &self.shared),
-            "source used across kernels"
-        );
-        let mut sched = shared.enter(me);
-        assert!(
-            !sched.sources[self.id.0].closed,
-            "post on closed poll source #{}",
-            self.id.0
-        );
-        // The first post aimed at a parked source re-arms it *before* the
-        // detection cycle is computed: the re-armed channel's own poll is
-        // what will find the message, so it rejoins the loop immediately.
-        if shared.cost.poll_policy == crate::cost::PollPolicy::Parking {
-            let s = &mut sched.sources[self.id.0];
-            s.parked = false;
-            s.empty_polls = 0;
-        }
-        let seq = sched.post_seq;
-        sched.post_seq += 1;
-        // Insert sorted by (arrival, seq): scan from the back, since
-        // arrivals are mostly monotone.
-        {
-            let queue = &mut sched.sources[self.id.0].queue;
-            let pos = queue
-                .iter()
-                .rposition(|(a, s, _)| (*a, *s) <= (arrival, seq))
-                .map(|p| p + 1)
-                .unwrap_or(0);
-            queue.insert(pos, (arrival, seq, Box::new(payload)));
-        }
-        if let Some(w) = sched.sources[self.id.0].waiter.take() {
-            // A set-waiter is registered on several sources; the first
-            // wake wins and the sibling registrations must be forgotten
-            // before the thread can run (a second post would otherwise
-            // wake an already-ready thread and lose its payload).
-            Shared::clear_poll_set(&mut sched, w);
-            let proc = sched.sources[self.id.0].proc;
-            let cycle = shared
-                .cost
-                .scaled_cycle(Shared::polling_cycle(&sched, proc));
-            let (head_arrival, _, head) = sched.sources[self.id.0]
-                .queue
-                .pop_front()
-                .expect("just inserted");
-            let blocked_at = sched.threads[w.0].vtime;
-            let notice = std::cmp::max(head_arrival, blocked_at) + cycle;
-            sched.threads[w.0].wake_payload = Some(Box::new(Polled {
-                arrival: head_arrival,
-                payload: *head.downcast::<T>().expect("poll source type confusion"),
-            }));
-            sched.threads[w.0].woke_source = Some(self.id.0);
-            Shared::make_ready(&mut sched, w, notice);
-            sched.record(me, || crate::obs::Event::PollWake { source: self.id.0 });
-            shared.note_detection(&mut sched, proc, self.id);
-        }
-        shared.reschedule(&mut sched, me);
+        with_current(|shared, me| {
+            debug_assert!(
+                Arc::ptr_eq(shared, &self.shared),
+                "source used across kernels"
+            );
+            let mut sched = shared.enter(me);
+            assert!(
+                !sched.sources[self.id.0].closed,
+                "post on closed poll source #{}",
+                self.id.0
+            );
+            // The first post aimed at a parked source re-arms it *before* the
+            // detection cycle is computed: the re-armed channel's own poll is
+            // what will find the message, so it rejoins the loop immediately.
+            if shared.cost.poll_policy == crate::cost::PollPolicy::Parking {
+                let s = &mut sched.sources[self.id.0];
+                s.parked = false;
+                s.empty_polls = 0;
+            }
+            let seq = sched.post_seq;
+            sched.post_seq += 1;
+            // Insert sorted by (arrival, seq): scan from the back, since
+            // arrivals are mostly monotone.
+            {
+                let queue = &mut sched.sources[self.id.0].queue;
+                let pos = queue
+                    .iter()
+                    .rposition(|(a, s, _)| (*a, *s) <= (arrival, seq))
+                    .map(|p| p + 1)
+                    .unwrap_or(0);
+                queue.insert(pos, (arrival, seq, Box::new(payload)));
+            }
+            if let Some(w) = sched.sources[self.id.0].waiter.take() {
+                // A set-waiter is registered on several sources; the first
+                // wake wins and the sibling registrations must be forgotten
+                // before the thread can run (a second post would otherwise
+                // wake an already-ready thread and lose its payload).
+                Shared::clear_poll_set(&mut sched, w);
+                let proc = sched.sources[self.id.0].proc;
+                let cycle = shared
+                    .cost
+                    .scaled_cycle(Shared::polling_cycle(&sched, proc));
+                let (head_arrival, _, head) = sched.sources[self.id.0]
+                    .queue
+                    .pop_front()
+                    .expect("just inserted");
+                let blocked_at = sched.threads[w.0].vtime;
+                let notice = std::cmp::max(head_arrival, blocked_at) + cycle;
+                sched.threads[w.0].wake_payload = Some(Box::new(Polled {
+                    arrival: head_arrival,
+                    payload: *head.downcast::<T>().expect("poll source type confusion"),
+                }));
+                sched.threads[w.0].woke_source = Some(self.id.0);
+                Shared::make_ready(&mut sched, w, notice);
+                sched.record(me, || crate::obs::Event::PollWake { source: self.id.0 });
+                shared.note_detection(&mut sched, proc, self.id);
+            }
+            shared.reschedule(&mut sched, me);
+        })
     }
 
     /// Block until a message is noticed by the polling loop; returns
     /// `None` once the source is closed and drained. The caller's clock
     /// advances to the notice time.
     pub fn poll_wait(&self) -> Option<Polled<T>> {
-        let (shared, me) = current();
-        let mut sched = shared.enter(me);
-        sched.sources[self.id.0].attached = true;
-        let proc = sched.sources[self.id.0].proc;
-        if let Some((arrival, _, payload)) = sched.sources[self.id.0].queue.pop_front() {
-            let cycle = shared
-                .cost
-                .scaled_cycle(Shared::polling_cycle(&sched, proc));
-            let slot = &mut sched.threads[me.0];
-            let notice = std::cmp::max(arrival, slot.vtime) + cycle;
-            slot.vtime = notice;
-            sched.record(me, || crate::obs::Event::PollQueued { source: self.id.0 });
-            shared.note_detection(&mut sched, proc, self.id);
-            shared.reschedule(&mut sched, me);
-            return Some(Polled {
-                arrival,
-                payload: *payload.downcast::<T>().expect("poll source type confusion"),
-            });
-        }
-        if sched.sources[self.id.0].closed {
-            shared.reschedule(&mut sched, me);
-            return None;
-        }
-        assert!(
-            sched.sources[self.id.0].waiter.is_none(),
-            "two threads poll-waiting on source #{}",
-            self.id.0
-        );
-        sched.sources[self.id.0].waiter = Some(me);
-        shared.block(&mut sched, me, TState::BlockedPoll(self.id));
-        // Woken either by a post (payload present) or by close (absent).
-        sched.record(me, || crate::obs::Event::PollWaited { source: self.id.0 });
-        let payload = sched.threads[me.0].wake_payload.take();
-        drop(sched);
-        payload.map(|p| {
-            *p.downcast::<Polled<T>>()
-                .expect("poll source type confusion")
+        with_current(|shared, me| {
+            let mut sched = shared.enter(me);
+            sched.sources[self.id.0].attached = true;
+            let proc = sched.sources[self.id.0].proc;
+            if let Some((arrival, _, payload)) = sched.sources[self.id.0].queue.pop_front() {
+                let cycle = shared
+                    .cost
+                    .scaled_cycle(Shared::polling_cycle(&sched, proc));
+                let slot = &mut sched.threads[me.0];
+                let notice = std::cmp::max(arrival, slot.vtime) + cycle;
+                slot.vtime = notice;
+                sched.record(me, || crate::obs::Event::PollQueued { source: self.id.0 });
+                shared.note_detection(&mut sched, proc, self.id);
+                shared.reschedule(&mut sched, me);
+                return Some(Polled {
+                    arrival,
+                    payload: *payload.downcast::<T>().expect("poll source type confusion"),
+                });
+            }
+            if sched.sources[self.id.0].closed {
+                shared.reschedule(&mut sched, me);
+                return None;
+            }
+            assert!(
+                sched.sources[self.id.0].waiter.is_none(),
+                "two threads poll-waiting on source #{}",
+                self.id.0
+            );
+            sched.sources[self.id.0].waiter = Some(me);
+            shared.block(&mut sched, me, TState::BlockedPoll(self.id));
+            // Woken either by a post (payload present) or by close (absent).
+            sched.record(me, || crate::obs::Event::PollWaited { source: self.id.0 });
+            let payload = sched.threads[me.0].wake_payload.take();
+            drop(sched);
+            payload.map(|p| {
+                *p.downcast::<Polled<T>>()
+                    .expect("poll source type confusion")
+            })
         })
     }
 
     /// One explicit poll attempt: charges this source's own poll cost and
     /// returns a message only if one had arrived by the (charged) clock.
     pub fn try_poll(&self) -> Option<Polled<T>> {
-        let (shared, me) = current();
-        let mut sched = shared.enter(me);
-        let cost = sched.sources[self.id.0].poll_cost;
-        if shared.cost.poll_policy == crate::cost::PollPolicy::Parking {
-            // An explicit poll is this channel's own thread doing work:
-            // it is evidently not idle, so re-arm it.
-            let s = &mut sched.sources[self.id.0];
-            s.parked = false;
-            s.empty_polls = 0;
-        }
-        sched.threads[me.0].vtime += cost;
-        let now = sched.threads[me.0].vtime;
-        let due = sched.sources[self.id.0]
-            .queue
-            .front()
-            .is_some_and(|(a, _, _)| *a <= now);
-        let result = if due {
-            let (arrival, _, payload) = sched.sources[self.id.0].queue.pop_front().unwrap();
-            Some(Polled {
-                arrival,
-                payload: *payload.downcast::<T>().expect("poll source type confusion"),
-            })
-        } else {
-            None
-        };
-        shared.reschedule(&mut sched, me);
-        result
+        with_current(|shared, me| {
+            let mut sched = shared.enter(me);
+            let cost = sched.sources[self.id.0].poll_cost;
+            if shared.cost.poll_policy == crate::cost::PollPolicy::Parking {
+                // An explicit poll is this channel's own thread doing work:
+                // it is evidently not idle, so re-arm it.
+                let s = &mut sched.sources[self.id.0];
+                s.parked = false;
+                s.empty_polls = 0;
+            }
+            sched.threads[me.0].vtime += cost;
+            let now = sched.threads[me.0].vtime;
+            let due = sched.sources[self.id.0]
+                .queue
+                .front()
+                .is_some_and(|(a, _, _)| *a <= now);
+            let result = if due {
+                let (arrival, _, payload) = sched.sources[self.id.0].queue.pop_front().unwrap();
+                Some(Polled {
+                    arrival,
+                    payload: *payload.downcast::<T>().expect("poll source type confusion"),
+                })
+            } else {
+                None
+            };
+            shared.reschedule(&mut sched, me);
+            result
+        })
     }
 
     /// Close the source: the blocked poller (if any) wakes with `None`,
     /// and future `poll_wait`s return `None` once the queue drains.
     pub fn close(&self) {
-        let (shared, me) = current();
-        let mut sched = shared.enter(me);
-        sched.sources[self.id.0].closed = true;
-        if let Some(w) = sched.sources[self.id.0].waiter.take() {
-            Shared::clear_poll_set(&mut sched, w);
-            sched.threads[w.0].woke_source = Some(self.id.0);
-            let at = sched.threads[me.0].vtime + shared.cost.wake;
-            Shared::make_ready(&mut sched, w, at);
-        }
-        shared.reschedule(&mut sched, me);
+        with_current(|shared, me| {
+            let mut sched = shared.enter(me);
+            sched.sources[self.id.0].closed = true;
+            if let Some(w) = sched.sources[self.id.0].waiter.take() {
+                Shared::clear_poll_set(&mut sched, w);
+                sched.threads[w.0].woke_source = Some(self.id.0);
+                let at = sched.threads[me.0].vtime + shared.cost.wake;
+                Shared::make_ready(&mut sched, w, at);
+            }
+            shared.reschedule(&mut sched, me);
+        })
     }
 
     /// Number of queued (arrived or in-flight) messages.
@@ -302,7 +305,7 @@ impl<T: Send + 'static> PollSource<T> {
 /// polling thread services every member, instead of one thread per
 /// source. This is the fused-progress model large worlds need — an
 /// 8k-rank fat-tree world has three channels per rank, and a thread
-/// per (channel, vci) source exhausts the OS thread/mapping budget.
+/// per (channel, vci) source exhausts the process's mapping budget.
 ///
 /// The detection-delay model is unchanged: members stay attached, so a
 /// notice still pays the full factorized polling cycle of the process.
@@ -337,96 +340,97 @@ impl<T: Send + 'static> PollSet<T> {
     /// closed and drained. The caller's clock advances to the notice
     /// time, exactly as in [`PollSource::poll_wait`].
     pub fn wait(&self) -> Option<(usize, Polled<T>)> {
-        let (shared, me) = current();
-        debug_assert!(
-            Arc::ptr_eq(&shared, &self.shared),
-            "poll set used across kernels"
-        );
-        loop {
-            let mut sched = shared.enter(me);
-            for &id in &self.ids {
-                sched.sources[id.0].attached = true;
-            }
-            // Earliest queued message across members (same key a
-            // single source orders its own queue by).
-            let next = self
-                .ids
-                .iter()
-                .enumerate()
-                .filter_map(|(i, id)| {
-                    let (a, s, _) = sched.sources[id.0].queue.front()?;
-                    Some((*a, *s, i))
-                })
-                .min();
-            if let Some((_, _, idx)) = next {
-                let id = self.ids[idx];
-                let proc = sched.sources[id.0].proc;
-                let (arrival, _, payload) =
-                    sched.sources[id.0].queue.pop_front().expect("just seen");
-                let cycle = shared
-                    .cost
-                    .scaled_cycle(Shared::polling_cycle(&sched, proc));
-                let slot = &mut sched.threads[me.0];
-                let notice = std::cmp::max(arrival, slot.vtime) + cycle;
-                slot.vtime = notice;
-                sched.record(me, || crate::obs::Event::PollQueued { source: id.0 });
-                shared.note_detection(&mut sched, proc, id);
-                shared.reschedule(&mut sched, me);
-                return Some((
-                    idx,
-                    Polled {
-                        arrival,
-                        payload: *payload.downcast::<T>().expect("poll source type confusion"),
-                    },
-                ));
-            }
-            if self.ids.iter().all(|id| sched.sources[id.0].closed) {
-                shared.reschedule(&mut sched, me);
-                return None;
-            }
-            // Register as the waiter of every open member; the first
-            // post (or close) wins and clears the rest (see
-            // `Shared::clear_poll_set`).
-            let mut registered = Vec::with_capacity(self.ids.len());
-            for &id in &self.ids {
-                let s = &mut sched.sources[id.0];
-                if s.closed {
-                    continue;
+        with_current(|shared, me| {
+            debug_assert!(
+                Arc::ptr_eq(shared, &self.shared),
+                "poll set used across kernels"
+            );
+            loop {
+                let mut sched = shared.enter(me);
+                for &id in &self.ids {
+                    sched.sources[id.0].attached = true;
                 }
-                assert!(
-                    s.waiter.is_none(),
-                    "two threads poll-waiting on source #{}",
-                    id.0
-                );
-                s.waiter = Some(me);
-                registered.push(id);
-            }
-            let lead = registered[0];
-            sched.threads[me.0].poll_set = registered;
-            sched.threads[me.0].woke_source = None;
-            shared.block(&mut sched, me, TState::BlockedPoll(lead));
-            sched.record(me, || crate::obs::Event::PollWaited { source: lead.0 });
-            let woke = sched.threads[me.0].woke_source.take();
-            let payload = sched.threads[me.0].wake_payload.take();
-            drop(sched);
-            match payload {
-                Some(p) => {
-                    let idx = self
-                        .ids
-                        .iter()
-                        .position(|id| Some(id.0) == woke)
-                        .expect("woken by a member source");
+                // Earliest queued message across members (same key a
+                // single source orders its own queue by).
+                let next = self
+                    .ids
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, id)| {
+                        let (a, s, _) = sched.sources[id.0].queue.front()?;
+                        Some((*a, *s, i))
+                    })
+                    .min();
+                if let Some((_, _, idx)) = next {
+                    let id = self.ids[idx];
+                    let proc = sched.sources[id.0].proc;
+                    let (arrival, _, payload) =
+                        sched.sources[id.0].queue.pop_front().expect("just seen");
+                    let cycle = shared
+                        .cost
+                        .scaled_cycle(Shared::polling_cycle(&sched, proc));
+                    let slot = &mut sched.threads[me.0];
+                    let notice = std::cmp::max(arrival, slot.vtime) + cycle;
+                    slot.vtime = notice;
+                    sched.record(me, || crate::obs::Event::PollQueued { source: id.0 });
+                    shared.note_detection(&mut sched, proc, id);
+                    shared.reschedule(&mut sched, me);
                     return Some((
                         idx,
-                        *p.downcast::<Polled<T>>()
-                            .expect("poll source type confusion"),
+                        Polled {
+                            arrival,
+                            payload: *payload.downcast::<T>().expect("poll source type confusion"),
+                        },
                     ));
                 }
-                // A member closed: re-evaluate (other members may still
-                // be open, or everything is drained now).
-                None => continue,
+                if self.ids.iter().all(|id| sched.sources[id.0].closed) {
+                    shared.reschedule(&mut sched, me);
+                    return None;
+                }
+                // Register as the waiter of every open member; the first
+                // post (or close) wins and clears the rest (see
+                // `Shared::clear_poll_set`).
+                let mut registered = Vec::with_capacity(self.ids.len());
+                for &id in &self.ids {
+                    let s = &mut sched.sources[id.0];
+                    if s.closed {
+                        continue;
+                    }
+                    assert!(
+                        s.waiter.is_none(),
+                        "two threads poll-waiting on source #{}",
+                        id.0
+                    );
+                    s.waiter = Some(me);
+                    registered.push(id);
+                }
+                let lead = registered[0];
+                sched.threads[me.0].poll_set = registered;
+                sched.threads[me.0].woke_source = None;
+                shared.block(&mut sched, me, TState::BlockedPoll(lead));
+                sched.record(me, || crate::obs::Event::PollWaited { source: lead.0 });
+                let woke = sched.threads[me.0].woke_source.take();
+                let payload = sched.threads[me.0].wake_payload.take();
+                drop(sched);
+                match payload {
+                    Some(p) => {
+                        let idx = self
+                            .ids
+                            .iter()
+                            .position(|id| Some(id.0) == woke)
+                            .expect("woken by a member source");
+                        return Some((
+                            idx,
+                            *p.downcast::<Polled<T>>()
+                                .expect("poll source type confusion"),
+                        ));
+                    }
+                    // A member closed: re-evaluate (other members may still
+                    // be open, or everything is drained now).
+                    None => continue,
+                }
             }
-        }
+        })
     }
 
     /// Member count.

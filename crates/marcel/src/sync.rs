@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex as RealMutex;
 
 use crate::kernel::{Kernel, SemId, SemState, Shared, TState};
-use crate::thread::current;
+use crate::thread::with_current;
 use crate::time::VirtualDuration;
 
 /// A counting semaphore with FIFO waiter wake-up (deterministic).
@@ -33,8 +33,7 @@ impl Semaphore {
 
     /// Create a semaphore on the *current* simulated thread's kernel.
     pub fn current(initial: u64) -> Self {
-        let (shared, _) = current();
-        Self::with_shared(shared, initial)
+        Self::with_shared(with_current(|shared, _| shared.clone()), initial)
     }
 
     fn with_shared(shared: Arc<Shared>, initial: u64) -> Self {
@@ -53,23 +52,24 @@ impl Semaphore {
     /// P operation: decrement, blocking in virtual time while the count
     /// is zero.
     pub fn acquire(&self) {
-        let (shared, me) = current();
-        debug_assert!(
-            Arc::ptr_eq(&shared, &self.shared),
-            "semaphore used across kernels"
-        );
-        let mut sched = shared.enter(me);
-        let op = shared.cost.sem_op;
-        sched.threads[me.0].vtime += op;
-        let sem = &mut sched.sems[self.id.0];
-        if sem.count > 0 {
-            sem.count -= 1;
-            shared.reschedule(&mut sched, me);
-        } else {
-            sem.waiters.push_back(me);
-            sched.record(me, || crate::obs::Event::SemBlock { sem: self.id.0 });
-            shared.block(&mut sched, me, TState::BlockedSem(self.id));
-        }
+        with_current(|shared, me| {
+            debug_assert!(
+                Arc::ptr_eq(shared, &self.shared),
+                "semaphore used across kernels"
+            );
+            let mut sched = shared.enter(me);
+            let op = shared.cost.sem_op;
+            sched.threads[me.0].vtime += op;
+            let sem = &mut sched.sems[self.id.0];
+            if sem.count > 0 {
+                sem.count -= 1;
+                shared.reschedule(&mut sched, me);
+            } else {
+                sem.waiters.push_back(me);
+                sched.record(me, || crate::obs::Event::SemBlock { sem: self.id.0 });
+                shared.block(&mut sched, me, TState::BlockedSem(self.id));
+            }
+        })
     }
 
     /// P operation with a virtual-time deadline: blocks until a release
@@ -82,76 +82,79 @@ impl Semaphore {
     /// inside the scheduler commit, so the two outcomes can never both
     /// happen.
     pub fn acquire_timeout(&self, timeout: VirtualDuration) -> bool {
-        let (shared, me) = current();
-        debug_assert!(
-            Arc::ptr_eq(&shared, &self.shared),
-            "semaphore used across kernels"
-        );
-        let mut sched = shared.enter(me);
-        let op = shared.cost.sem_op;
-        sched.threads[me.0].vtime += op;
-        let sem = &mut sched.sems[self.id.0];
-        if sem.count > 0 {
-            sem.count -= 1;
-            shared.reschedule(&mut sched, me);
-            return true;
-        }
-        let deadline = sched.threads[me.0].vtime + timeout;
-        sched.sems[self.id.0].waiters.push_back(me);
-        sched.record(me, || crate::obs::Event::SemBlockTimeout {
-            sem: self.id.0,
-            deadline,
-        });
-        shared.block(&mut sched, me, TState::BlockedSemTimeout(self.id, deadline));
-        // Resumed: a release left a grant marker; a timeout did not.
-        sched.threads[me.0].wake_payload.take().is_some()
+        with_current(|shared, me| {
+            debug_assert!(
+                Arc::ptr_eq(shared, &self.shared),
+                "semaphore used across kernels"
+            );
+            let mut sched = shared.enter(me);
+            let op = shared.cost.sem_op;
+            sched.threads[me.0].vtime += op;
+            let sem = &mut sched.sems[self.id.0];
+            if sem.count > 0 {
+                sem.count -= 1;
+                shared.reschedule(&mut sched, me);
+                return true;
+            }
+            let deadline = sched.threads[me.0].vtime + timeout;
+            sched.sems[self.id.0].waiters.push_back(me);
+            sched.record(me, || crate::obs::Event::SemBlockTimeout {
+                sem: self.id.0,
+                deadline,
+            });
+            shared.block(&mut sched, me, TState::BlockedSemTimeout(self.id, deadline));
+            // Resumed: a release left a grant marker; a timeout did not.
+            sched.threads[me.0].wake_payload.take().is_some()
+        })
     }
 
     /// Non-blocking P: returns whether the count was successfully taken.
     pub fn try_acquire(&self) -> bool {
-        let (shared, me) = current();
-        let mut sched = shared.enter(me);
-        let op = shared.cost.sem_op;
-        sched.threads[me.0].vtime += op;
-        let sem = &mut sched.sems[self.id.0];
-        let got = if sem.count > 0 {
-            sem.count -= 1;
-            true
-        } else {
-            false
-        };
-        shared.reschedule(&mut sched, me);
-        got
+        with_current(|shared, me| {
+            let mut sched = shared.enter(me);
+            let op = shared.cost.sem_op;
+            sched.threads[me.0].vtime += op;
+            let sem = &mut sched.sems[self.id.0];
+            let got = if sem.count > 0 {
+                sem.count -= 1;
+                true
+            } else {
+                false
+            };
+            shared.reschedule(&mut sched, me);
+            got
+        })
     }
 
     /// V operation: wake the longest-blocked waiter (handoff semantics)
     /// or increment the count.
     pub fn release(&self) {
-        let (shared, me) = current();
-        let mut sched = shared.enter(me);
-        let cost = &shared.cost;
-        let (op, wake, ctx) = (cost.sem_op, cost.wake, cost.ctx_switch);
-        sched.threads[me.0].vtime += op;
-        let releaser_clock = sched.threads[me.0].vtime;
-        let sem = &mut sched.sems[self.id.0];
-        if let Some(w) = sem.waiters.pop_front() {
-            // The woken thread becomes runnable after the cross-thread
-            // wake latency plus a context switch to it.
-            let at = releaser_clock + wake + ctx;
-            // A timed waiter needs a grant marker so it can tell this
-            // wake-up apart from its own deadline firing.
-            if matches!(sched.threads[w.0].state, TState::BlockedSemTimeout(_, _)) {
-                sched.threads[w.0].wake_payload = Some(Box::new(()));
+        with_current(|shared, me| {
+            let mut sched = shared.enter(me);
+            let cost = &shared.cost;
+            let (op, wake, ctx) = (cost.sem_op, cost.wake, cost.ctx_switch);
+            sched.threads[me.0].vtime += op;
+            let releaser_clock = sched.threads[me.0].vtime;
+            let sem = &mut sched.sems[self.id.0];
+            if let Some(w) = sem.waiters.pop_front() {
+                // The woken thread becomes runnable after the cross-thread
+                // wake latency plus a context switch to it.
+                let at = releaser_clock + wake + ctx;
+                // A timed waiter needs a grant marker so it can tell this
+                // wake-up apart from its own deadline firing.
+                if matches!(sched.threads[w.0].state, TState::BlockedSemTimeout(_, _)) {
+                    sched.threads[w.0].wake_payload = Some(Box::new(()));
+                }
+                Shared::make_ready(&mut sched, w, at);
+                sched.record(me, || crate::obs::Event::SemWake {
+                    sem: self.id.0,
+                    woken: w.0,
+                });
+            } else {
+                sem.count += 1;
             }
-            Shared::make_ready(&mut sched, w, at);
-            sched.record(me, || crate::obs::Event::SemWake {
-                sem: self.id.0,
-                woken: w.0,
-            });
-        } else {
-            sem.count += 1;
-        }
-        shared.reschedule(&mut sched, me);
+            shared.reschedule(&mut sched, me);
+        })
     }
 
     /// Current count (diagnostics only; racy in the usual semaphore way).

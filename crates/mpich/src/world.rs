@@ -74,17 +74,10 @@ pub struct WorldConfig {
     /// re-arms it on the next incoming message. Copied into
     /// `cost_model.poll_policy` when the world starts.
     pub poll: PollPolicy,
-    /// How the kernel executes scheduling handoffs on the host (the
-    /// execution analogue of [`poll`](Self::poll)): `Seed` (the
-    /// default) uses the shared-condvar broadcast kernel; `Ticketed`
-    /// uses targeted per-thread wakes plus an awake-worker budget.
-    /// Virtual-time results, traces, and metrics are bit-identical
-    /// under both — only host wall-clock changes. Copied into
-    /// `cost_model.exec_policy` when the world starts; the
-    /// `MPICH_WORKERS` environment variable (`0` = Seed, `N ≥ 1` =
-    /// `Ticketed { workers: N }`) overrides it, which is how the CI
-    /// determinism matrix sweeps worker counts over unmodified
-    /// benchmark binaries.
+    /// Execution-policy label, copied into `cost_model.exec_policy`
+    /// when the world starts. Inert since simulated threads became
+    /// fibers — `Seed` and `Ticketed` run the same userland hand-off —
+    /// and kept because `vcis > 1` validation and journals name it.
     pub exec: ExecPolicy,
     /// Capture a quiescent [`WorldCapture`] (kernel clocks + ticket
     /// cursor, per-channel sequencing state, per-rank engine depths)
@@ -476,20 +469,6 @@ where
     let mut cost_model = config.cost_model.clone();
     cost_model.poll_policy = config.poll;
     cost_model.exec_policy = config.exec;
-    // `MPICH_WORKERS` sweeps the execution policy over unmodified
-    // binaries (the CI determinism matrix): `0` forces `Seed`, `N ≥ 1`
-    // forces `Ticketed { workers: N }`; unset/unparsable leaves the
-    // configured policy alone.
-    if let Some(workers) = std::env::var("MPICH_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        cost_model.exec_policy = if workers == 0 {
-            ExecPolicy::Seed
-        } else {
-            ExecPolicy::Ticketed { workers }
-        };
-    }
     // `MPICH_VCIS=N` sweeps the VCI lane count over unmodified binaries
     // (the CI scaling matrix). A multi-lane world needs the ticketed
     // kernel (the builder enforces the same rule for configured lane
@@ -576,10 +555,10 @@ where
         RemoteDeviceKind::ChMad(cfg) => {
             let mut cfg = cfg.clone();
             // MPICH_FUSED_PROGRESS=1 fuses each rank's polling threads
-            // into one (see `ChMadConfig::fused_progress`). Unlike
-            // MPICH_WORKERS this changes thread structure and hence
-            // virtual-time interleavings — it is a scale knob for big
-            // worlds, not a determinism-preserving host knob.
+            // into one (see `ChMadConfig::fused_progress`). This
+            // changes thread structure and hence virtual-time
+            // interleavings — it is a scale knob for big worlds, not a
+            // determinism-preserving host knob.
             if std::env::var("MPICH_FUSED_PROGRESS")
                 .as_deref()
                 .map(str::trim)

@@ -7,10 +7,9 @@
 //!   and exact timings), never semantics.
 //! * A fused world is deterministic: repeated runs agree bit for bit,
 //!   results and virtual end times.
-//! * Fused progress composes with multi-VCI lanes and with the compact
-//!   OS-thread spawn path — the combination an 8k-rank world runs on.
+//! * Fused progress composes with multi-VCI lanes — the combination an
+//!   8k-rank world runs on.
 
-use marcel::CostModel;
 use mpich::{run_world, ExecPolicy, Placement, ReduceOp, WorldConfig};
 use simnet::Topology;
 
@@ -72,12 +71,11 @@ fn fused_world_is_deterministic() {
 }
 
 /// The 8k-rank configuration in miniature: fused progress + multi-VCI
-/// lanes + compact raw-pthread stacks on a fat-tree, all at once.
+/// lanes on a fat-tree, both at once.
 #[test]
-fn fused_composes_with_vcis_and_compact_stacks() {
+fn fused_composes_with_vcis() {
     let config = || {
         WorldConfig::builder()
-            .cost_model(CostModel::calibrated().with_compact_stacks(256 * 1024))
             .vcis(2)
             .exec(ExecPolicy::Ticketed { workers: 2 })
             .fused_progress(true)
@@ -85,7 +83,7 @@ fn fused_composes_with_vcis_and_compact_stacks() {
     };
     let a = run(Topology::fat_tree(4), config());
     let b = run(Topology::fat_tree(4), config());
-    assert_eq!(a, b, "fused + vcis + compact stacks must be deterministic");
+    assert_eq!(a, b, "fused + vcis must be deterministic");
     // And semantically equal to the classic model.
     let classic = run(Topology::fat_tree(4), WorldConfig::default());
     let digests = |v: &[(u64, u64)]| v.iter().map(|(d, _)| *d).collect::<Vec<_>>();

@@ -1,9 +1,11 @@
 //! Stress and property tests of the marcel kernel itself: scheduling
 //! order, poll-source semantics and synchronization primitives under
-//! randomized (seeded) workloads.
+//! randomized (seeded) workloads, and the lifetime rules of the fibers
+//! simulated threads run on.
 
 use marcel::{
-    CostModel, Kernel, PollSource, ProcId, Semaphore, SimMutex, VirtualDuration, VirtualTime,
+    CostModel, Kernel, PollSource, ProcId, Semaphore, SimError, SimMutex, TraceEvent,
+    VirtualDuration, VirtualTime,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -89,6 +91,226 @@ fn mutex_critical_sections_never_overlap_in_virtual_time() {
     for w in spans.windows(2) {
         assert!(w[0].1 <= w[1].0, "critical sections overlap: {w:?}");
     }
+}
+
+/// One `/proc/self/status` field, in KiB.
+fn proc_status_kib(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with(field))
+        .expect("field present");
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+/// Number of memory mappings of this process.
+fn mappings() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("procfs")
+        .lines()
+        .count()
+}
+
+/// A producer/consumer handshake with a worker spawned inside the
+/// simulation: its trace and end time are the "standalone result" the
+/// concurrency and nesting tests compare against.
+fn handshake() -> (Vec<TraceEvent>, VirtualTime) {
+    let k = Kernel::new(CostModel::calibrated());
+    k.enable_trace();
+    let sem = Semaphore::new(&k, 0);
+    let tx = sem.clone();
+    k.spawn("producer", move || {
+        for _ in 0..50 {
+            marcel::advance(VirtualDuration::from_micros(7));
+            tx.release();
+        }
+    });
+    k.spawn("consumer", move || {
+        let helper = marcel::spawn("helper", || marcel::sleep(VirtualDuration::from_micros(40)));
+        for _ in 0..50 {
+            sem.acquire();
+            marcel::advance(VirtualDuration::from_micros(2));
+        }
+        helper.join();
+    });
+    k.run().unwrap();
+    (k.take_trace(), k.end_time())
+}
+
+#[test]
+fn fiber_frames_release_what_they_captured() {
+    // (a) The fiber entry drops closure, result and kernel handle before
+    // its final switch: nothing a thread captured outlives `run()`.
+    let k = Kernel::new(CostModel::calibrated());
+    let token = Arc::new(());
+    let (root_weak, child_weak) = (Arc::downgrade(&token), Arc::downgrade(&token));
+    let result = k.spawn("root", move || {
+        let for_child = token.clone();
+        let child = marcel::spawn("child", move || {
+            marcel::advance(VirtualDuration::from_micros(3));
+            drop(for_child);
+        });
+        marcel::advance(VirtualDuration::from_micros(1));
+        child.join();
+        token
+    });
+    k.run().unwrap();
+    assert_eq!(root_weak.strong_count(), 1, "only the result slot holds it");
+    drop(result);
+    assert!(child_weak.upgrade().is_none());
+}
+
+#[test]
+fn sequential_kernels_leave_rss_flat() {
+    // (a) 2 000 kernels of 8 threads each, one after another on this OS
+    // thread. A leaked stack alone would keep >= one touched page per
+    // thread resident: 64 MiB over the run.
+    let one = || {
+        let k = Kernel::new(CostModel::calibrated());
+        let sem = Semaphore::new(&k, 0);
+        for i in 0..8u64 {
+            let sem = sem.clone();
+            k.spawn(format!("t{i}"), move || {
+                marcel::advance(VirtualDuration::from_nanos(100 + i));
+                if i == 7 {
+                    (0..7).for_each(|_| sem.release());
+                } else {
+                    sem.acquire();
+                }
+            });
+        }
+        k.run().unwrap();
+    };
+    (0..200).for_each(|_| one());
+    let before = proc_status_kib("VmRSS:");
+    (0..2000).for_each(|_| one());
+    let grown = proc_status_kib("VmRSS:").saturating_sub(before);
+    assert!(
+        grown < 16 * 1024,
+        "VmRSS grew {grown} KiB over 2000 kernels"
+    );
+}
+
+#[test]
+fn failed_runs_unmap_their_fibers_and_leave_the_os_thread_usable() {
+    // (b) Deadlocked and aborted kernels abandon suspended fibers; their
+    // stacks (two mappings each) must be gone when `run()` returns.
+    let failing = |panic: bool| {
+        let k = Kernel::new(CostModel::calibrated());
+        let never = Semaphore::new(&k, 0);
+        for i in 0..8 {
+            let never = never.clone();
+            k.spawn(format!("stuck{i}"), move || {
+                marcel::advance(VirtualDuration::from_micros(1));
+                never.acquire();
+            });
+        }
+        if panic {
+            k.spawn("boom", || {
+                marcel::advance(VirtualDuration::from_micros(5));
+                panic!("intentional");
+            });
+        }
+        k.run()
+    };
+    assert!(matches!(failing(false), Err(SimError::Deadlock(_))));
+    assert!(matches!(failing(true), Err(SimError::ThreadPanicked(_))));
+    let before = mappings();
+    for round in 0..100 {
+        assert!(failing(round % 2 == 0).is_err());
+    }
+    let grown = mappings().saturating_sub(before);
+    assert!(
+        grown < 100,
+        "{grown} mappings left behind by 800 abandoned fibers"
+    );
+    // A fresh kernel runs on the same OS thread afterwards.
+    assert!(!std::thread::panicking());
+    assert!(!marcel::in_simulation());
+    let (trace, _) = handshake();
+    assert!(!trace.is_empty());
+}
+
+#[test]
+fn panic_inside_a_critical_section_is_reported_not_fatal() {
+    // (c) The panicking thread's guard is dropped *during unwinding*:
+    // the release is a kernel operation (10 us here) that moves the
+    // holder's clock from 60 to 70 us, past `early`'s wake-up at 65, so
+    // it switches fibers while the OS thread's panic count is raised.
+    // The unwinding fiber must be resumed, finish unwinding and abort
+    // the run — without a double panic taking the process down.
+    let mut cost = CostModel::free();
+    cost.sem_op = VirtualDuration::from_micros(10);
+    let k = Kernel::new(cost);
+    let m = SimMutex::new(&k, 0u32);
+    let (m_holder, m_waiter) = (m.clone(), m.clone());
+    let early_saw = Arc::new(parking_lot::Mutex::new(None));
+    let seen = early_saw.clone();
+    k.spawn("holder", move || {
+        let mut g = m_holder.lock();
+        *g += 1;
+        marcel::advance(VirtualDuration::from_micros(50));
+        panic!("died holding the lock");
+    });
+    k.spawn("waiter", move || {
+        marcel::advance(VirtualDuration::from_micros(1));
+        *m_waiter.lock() += 1;
+    });
+    k.spawn("early", move || {
+        marcel::sleep(VirtualDuration::from_micros(65));
+        *seen.lock() = Some(std::thread::panicking());
+        marcel::advance(VirtualDuration::from_micros(100));
+    });
+    match k.run() {
+        Err(SimError::ThreadPanicked(msg)) => assert!(msg.contains("died holding the lock")),
+        other => panic!("expected the holder's panic, got {other:?}"),
+    }
+    // `early` ran inside the holder's unwinding, where the per-OS-thread
+    // panic flag is a superset of "this simulated thread is unwinding".
+    assert_eq!(*early_saw.lock(), Some(true));
+    assert!(!std::thread::panicking(), "panic count is balanced again");
+    assert_eq!(m.read_quiesced(|v| *v), 1);
+}
+
+#[test]
+fn concurrent_kernels_on_two_os_threads_match_standalone() {
+    // (d) Fibers of different kernels never mix: each kernel's fibers
+    // live on the OS thread that runs it.
+    let alone = handshake();
+    let start = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let run = || {
+            start.wait();
+            (0..20).map(|_| handshake()).collect::<Vec<_>>()
+        };
+        let (a, b) = (s.spawn(run), s.spawn(run));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(a.iter().chain(&b).all(|r| *r == alone));
+}
+
+#[test]
+fn nested_kernel_run_restores_the_outer_identity() {
+    // (d) `Kernel::run` from inside a simulated thread: the inner kernel
+    // gives its standalone result and the outer thread carries on as
+    // itself afterwards.
+    let alone = handshake();
+    let k = Kernel::new(CostModel::calibrated());
+    let h = k.spawn("outer", move || {
+        marcel::advance(VirtualDuration::from_micros(5));
+        let inner = handshake();
+        assert!(marcel::in_simulation());
+        assert_eq!(marcel::name(), "outer");
+        marcel::advance(VirtualDuration::from_micros(5));
+        (inner, marcel::now())
+    });
+    k.spawn("bystander", || {
+        marcel::advance(VirtualDuration::from_micros(7))
+    });
+    k.run().unwrap();
+    let (inner, outer_now) = h.join_outcome().unwrap();
+    assert_eq!(inner, alone);
+    assert_eq!(outer_now, VirtualTime(10_000));
 }
 
 proptest! {

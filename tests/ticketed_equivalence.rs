@@ -3,18 +3,18 @@
 // shims keep working until they are removed.
 #![allow(deprecated)]
 
-//! Seed ↔ Ticketed equivalence: the whole point of the ticketed
-//! sequencer → workers → committer pipeline is that it changes HOST
-//! execution only. These tests run the same worlds under
-//! `ExecPolicy::Seed` and `ExecPolicy::Ticketed { workers }` for
-//! budgets {1, 2, 4, 8} and assert that everything observable from
-//! inside the simulation is bit-identical: per-rank results, the
-//! virtual end time, the full kernel trace (event for event, ticket
-//! for ticket), the metrics snapshot, and the exported Chrome JSON
-//! bytes — across random world seeds and under active fault plans
-//! (loss + down windows + degraded rails), where retransmission
-//! timers give the scheduler far more interleaving opportunities
-//! than a clean run.
+//! Seed ↔ Ticketed equivalence: `ExecPolicy` is an inert label since
+//! simulated threads became fibers — both values run one hand-off —
+//! and these tests keep it that way. They run the same worlds under
+//! `ExecPolicy::Seed` and `ExecPolicy::Ticketed` and assert that
+//! everything observable from inside the simulation is bit-identical:
+//! per-rank results, the virtual end time, the full kernel trace (event
+//! for event, ticket for ticket), the metrics snapshot, and the
+//! exported Chrome JSON bytes — across random world seeds and under
+//! active fault plans (loss + down windows + degraded rails), where
+//! retransmission timers give the scheduler far more interleaving
+//! opportunities than a clean run. Each pair is also a replay check:
+//! two runs of one world must agree on all of it.
 //!
 //! The committer-fallback test forces re-validation failures through
 //! the test-only hook and asserts the serial re-execution path still
@@ -27,14 +27,6 @@ use marcel::{
 use mpich::{run_world_full, thread_metas, Placement, ReduceOp, WorldConfig};
 use proptest::prelude::*;
 use simnet::{FaultPlan, Protocol, Topology};
-
-/// `MPICH_WORKERS` would override every policy this suite deliberately
-/// sets (that is its job); scrub it once so the sweep compares what it
-/// claims to compare even when the suite runs inside a CI matrix leg.
-fn scrub_env() {
-    static SCRUB: std::sync::Once = std::sync::Once::new();
-    SCRUB.call_once(|| std::env::remove_var("MPICH_WORKERS"));
-}
 
 /// Everything observable from inside the simulation after a world run.
 #[derive(PartialEq, Debug)]
@@ -143,37 +135,19 @@ fn plan_from(seed: u64) -> FaultPlan {
 }
 
 fn assert_equivalent(world_seed: u64, fault: Option<FaultPlan>) {
-    scrub_env();
     let seed_run = world_run(ExecPolicy::Seed, world_seed, fault.clone());
     assert!(!seed_run.trace.is_empty(), "trace must be recorded");
-    for workers in [1usize, 2, 4, 8] {
-        let t = world_run(ExecPolicy::Ticketed { workers }, world_seed, fault.clone());
-        assert_eq!(
-            t.results, seed_run.results,
-            "results diverged at workers={workers}"
-        );
-        assert_eq!(
-            t.end, seed_run.end,
-            "end time diverged at workers={workers}"
-        );
-        assert_eq!(
-            t.trace, seed_run.trace,
-            "trace diverged at workers={workers}"
-        );
-        assert_eq!(
-            t.metrics, seed_run.metrics,
-            "metrics diverged at workers={workers}"
-        );
-        assert_eq!(
-            t.chrome, seed_run.chrome,
-            "chrome export diverged at workers={workers}"
-        );
-        assert_eq!(
-            t.metrics.counter("exec/fallback"),
-            0,
-            "a serial world must never fail committer re-validation"
-        );
-    }
+    let t = world_run(ExecPolicy::Ticketed { workers: 2 }, world_seed, fault);
+    assert_eq!(t.results, seed_run.results, "results diverged");
+    assert_eq!(t.end, seed_run.end, "end time diverged");
+    assert_eq!(t.trace, seed_run.trace, "trace diverged");
+    assert_eq!(t.metrics, seed_run.metrics, "metrics diverged");
+    assert_eq!(t.chrome, seed_run.chrome, "chrome export diverged");
+    assert_eq!(
+        t.metrics.counter("exec/fallback"),
+        0,
+        "a serial world must never fail committer re-validation"
+    );
 }
 
 #[test]
@@ -184,40 +158,21 @@ fn clean_world_is_bit_identical_across_policies() {
 /// Wheel ↔ scan equivalence: the timer wheel must reproduce the seed
 /// linear scan's decision stream bit for bit — same trace (event for
 /// event, ticket for ticket), same results, same end time, same
-/// metrics — across exec policies and worker budgets. One run per
-/// budget also arms the in-kernel cross-check, which asserts
+/// metrics. A third run arms the in-kernel cross-check, which asserts
 /// wheel == scan at every single `best_candidate` call.
 fn assert_wheel_matches_scan(world_seed: u64, fault: Option<FaultPlan>) {
-    scrub_env();
     let scan = world_run_on(ExecPolicy::Seed, world_seed, fault.clone(), Index::Scan);
     assert!(!scan.trace.is_empty(), "trace must be recorded");
-    for workers in [1usize, 2, 4] {
-        let exec = ExecPolicy::Ticketed { workers };
-        let wheel = world_run_on(exec, world_seed, fault.clone(), Index::Wheel);
-        assert_eq!(
-            wheel.results, scan.results,
-            "wheel results diverged from scan at workers={workers}"
-        );
-        assert_eq!(
-            wheel.end, scan.end,
-            "wheel end time diverged from scan at workers={workers}"
-        );
-        assert_eq!(
-            wheel.trace, scan.trace,
-            "wheel decision stream diverged from scan at workers={workers}"
-        );
-        assert_eq!(
-            wheel.metrics, scan.metrics,
-            "wheel metrics diverged from scan at workers={workers}"
-        );
-        // The cross-check run panics inside the kernel on the first
-        // divergent decision; completing at all is the assertion.
-        let xcheck = world_run_on(exec, world_seed, fault.clone(), Index::Xcheck);
-        assert_eq!(
-            xcheck.trace, scan.trace,
-            "cross-checked wheel diverged from scan at workers={workers}"
-        );
-    }
+    let exec = ExecPolicy::Ticketed { workers: 2 };
+    let wheel = world_run_on(exec, world_seed, fault.clone(), Index::Wheel);
+    assert_eq!(wheel.results, scan.results, "wheel results diverged");
+    assert_eq!(wheel.end, scan.end, "wheel end time diverged");
+    assert_eq!(wheel.trace, scan.trace, "wheel decision stream diverged");
+    assert_eq!(wheel.metrics, scan.metrics, "wheel metrics diverged");
+    // The cross-check run panics inside the kernel on the first
+    // divergent decision; completing at all is the assertion.
+    let xcheck = world_run_on(exec, world_seed, fault, Index::Xcheck);
+    assert_eq!(xcheck.trace, scan.trace, "cross-checked wheel diverged");
 }
 
 #[test]
@@ -238,7 +193,7 @@ proptest! {
 
     /// Random survivable fault plans: retransmit timers, down windows
     /// and loss streams stress the scheduler's timed-wait paths, the
-    /// hardest case for a handoff-mechanics refactor.
+    /// hardest case for the hand-off.
     #[test]
     fn faulted_worlds_are_bit_identical(case_seed in 0u64..u64::MAX) {
         let plan = plan_from(case_seed);
@@ -271,7 +226,6 @@ proptest! {
 /// (same trace, same end time), with every forced failure counted.
 #[test]
 fn committer_fallback_reproduces_the_seed_schedule() {
-    scrub_env();
     let run = |exec: ExecPolicy, forced: u32| {
         let mut cost = CostModel::calibrated();
         cost.exec_policy = exec;
