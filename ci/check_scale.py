@@ -14,14 +14,7 @@ Gates (vs ci/scale_baseline.json, keyed by the sweep's mode line):
    count — virtual time is deterministic, so the global dispatch-ticket
    count for a fixed workload cannot flake, and a change means the
    workload changed (re-baseline deliberately or find the regression);
-3. the timer-wheel scheduler beats the O(threads) linear scan on
-   events/sec by at least the per-mode floor on the threaded-rank
-   compare workload (full mode: >= 5x at the ~4k-rank dragonfly; quick
-   mode compares at 1k ranks where the thread count — and so the scan's
-   per-decision cost — is smaller, hence a lower floor). Wall-clock is
-   machine-dependent, but the two legs run the identical workload in
-   the same process on the same box, so the RATIO is robust;
-4. peak committed memory per rank stays flat — within 10% — from the
+3. peak committed memory per rank stays flat — within 10% — from the
    second-largest to the largest fat-tree (1k -> 8k ranks in full
    mode): the lazy per-peer state promise that per-rank state is
    O(active pairs), not O(world).
@@ -79,29 +72,7 @@ def main() -> int:
         else:
             print(f"{name}: {row['events']} events (exact)")
 
-    # 3: wheel vs scan.
-    sched = summary.get("sched", {})
-    floor = baseline["min_sched_speedup"]
-    speedup = sched.get("speedup", 0.0)
-    if sched.get("ranks") != baseline["sched_ranks"]:
-        failures.append(
-            f"sched compare ran at {sched.get('ranks')} ranks, baseline "
-            f"pins {baseline['sched_ranks']}"
-        )
-    if speedup < floor:
-        failures.append(
-            f"wheel only {speedup:.2f}x the linear scan at "
-            f"{sched.get('ranks')} ranks (floor {floor}x): the scheduler "
-            "index is not carrying the world size"
-        )
-    else:
-        print(
-            f"wheel {speedup:.2f}x >= {floor}x over linear scan at "
-            f"{sched.get('ranks')} ranks "
-            f"(wheel {sched.get('wheel_eps')}/s, scan {sched.get('scan_eps')}/s)"
-        )
-
-    # 4: memory flatness under lazy per-peer state.
+    # 3: memory flatness under lazy per-peer state.
     mem = summary.get("mem", {})
     growth = mem.get("growth", float("inf"))
     ceiling = baseline["max_mem_growth"]

@@ -11,8 +11,8 @@
 //! the default `vm.max_map_count`.
 //!
 //! Two gates ride on the output (`ci/check_scale.py`):
-//! * the timer-wheel scheduler must beat the O(threads) linear scan by
-//!   ≥ 5× on events/sec at the ~4k-rank point;
+//! * every row's scheduling-event count must equal the committed
+//!   baseline exactly;
 //! * peak memory per rank must stay flat (within tolerance) from 1k to
 //!   8k ranks — the lazy per-peer state promise: O(active pairs), not
 //!   O(n²).
@@ -27,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
-use marcel::{CostModel, ExecPolicy};
+use marcel::ExecPolicy;
 use mpich::{run_world, Placement, ReduceOp, WorldConfig};
 use simnet::Topology;
 
@@ -70,12 +70,6 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 enum Coll {
     Allreduce,
     Alltoall,
-    /// The scheduler-compare workload: 4 worker threads per rank each
-    /// driving a tagged ring exchange, plus the rank's allreduce — the
-    /// multithreaded-rank (threads-per-VCI) pattern. Any O(threads)
-    /// scheduler pays for every live thread on every decision, so this
-    /// is the load the wheel-vs-scan gate is judged on.
-    Threaded,
 }
 
 impl Coll {
@@ -83,7 +77,6 @@ impl Coll {
         match self {
             Coll::Allreduce => "allreduce",
             Coll::Alltoall => "alltoall",
-            Coll::Threaded => "threaded-allreduce",
         }
     }
 }
@@ -132,16 +125,8 @@ impl Row {
 }
 
 /// The scale configuration: fused progress (one poller per rank).
-/// `scan` swaps the timer-wheel scheduler for the O(threads) linear
-/// scan — the honest baseline the wheel's speedup gate measures
-/// against.
-fn scale_config(scan: bool) -> WorldConfig {
-    let mut cost = CostModel::calibrated();
-    if scan {
-        cost = cost.with_sched_scan();
-    }
+fn scale_config() -> WorldConfig {
     WorldConfig::builder()
-        .cost_model(cost)
         .exec(ExecPolicy::Ticketed { workers: 2 })
         .fused_progress(true)
         .build()
@@ -149,15 +134,15 @@ fn scale_config(scan: bool) -> WorldConfig {
 
 /// Run `coll` once on `topology` and measure the window. `events` is
 /// the kernel's last dispatch ticket — the global count of scheduling
-/// decisions, the unit of work both scheduler indexes are judged on.
-fn measure(topo: String, topology: Topology, coll: Coll, scan: bool) -> Row {
+/// decisions.
+fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
     let live_start = LIVE.load(Ordering::Relaxed);
     PEAK.store(live_start, Ordering::Relaxed);
     let t0 = Instant::now();
     let tickets = run_world(
         topology,
         Placement::OneRankPerNode,
-        scale_config(scan),
+        scale_config(),
         move |comm| {
             let me = comm.rank();
             let n = comm.size();
@@ -174,31 +159,6 @@ fn measure(topo: String, topology: Topology, coll: Coll, scan: bool) -> Row {
                     let got = comm.alltoall(parts).unwrap();
                     for (s, part) in got.iter().enumerate() {
                         assert_eq!(part[..], [(s ^ me) as u8, s as u8]);
-                    }
-                }
-                Coll::Threaded => {
-                    // Small eager sends buffer, so ring send-then-recv
-                    // cannot deadlock.
-                    let workers: Vec<_> = (0..4usize)
-                        .map(|t| {
-                            let comm = comm.clone();
-                            marcel::spawn(format!("rank{me}-w{t}"), move || {
-                                let payload = vec![me as u8; 8];
-                                let tag = t as i32;
-                                comm.endpoint().send(&payload, (me + 1) % n, tag).unwrap();
-                                let src = (me + n - 1) % n;
-                                let (data, _) = comm
-                                    .endpoint()
-                                    .recv::<bytes::Bytes>(8, Some(src), Some(tag))
-                                    .unwrap();
-                                assert_eq!(data[0], src as u8);
-                            })
-                        })
-                        .collect();
-                    let sum = comm.allreduce(&[me as i64 + 1], ReduceOp::Sum);
-                    assert_eq!(sum[0] as usize, n * (n + 1) / 2);
-                    for w in workers {
-                        w.join();
                     }
                 }
             }
@@ -219,9 +179,9 @@ fn measure(topo: String, topology: Topology, coll: Coll, scan: bool) -> Row {
     }
 }
 
-fn run_case(topo: &str, topology: Topology, coll: Coll, scan: bool) -> Row {
+fn run_case(topo: &str, topology: Topology, coll: Coll) -> Row {
     let ranks = topology.nodes().len();
-    let mut row = measure(topo.to_string(), topology, coll, scan);
+    let mut row = measure(topo.to_string(), topology, coll);
     row.ranks = ranks;
     row.print();
     row
@@ -245,7 +205,7 @@ fn main() {
                 let tickets = run_world(
                     Topology::fat_tree(k),
                     Placement::OneRankPerNode,
-                    scale_config(false),
+                    scale_config(),
                     |comm| {
                         comm.barrier();
                         marcel::dispatch_ticket()
@@ -263,31 +223,6 @@ fn main() {
                 );
             }
         }
-        return;
-    }
-    if std::env::args().any(|a| a == "--sched-probe") {
-        // Isolated wheel-vs-scan compare at the full-mode shape,
-        // without running the whole sweep first.
-        let wheel = run_case(
-            "dragonfly(8,8,8)",
-            Topology::dragonfly(8, 8, 8),
-            Coll::Threaded,
-            false,
-        );
-        let scan = run_case(
-            "dragonfly(8,8,8)",
-            Topology::dragonfly(8, 8, 8),
-            Coll::Threaded,
-            true,
-        );
-        assert_eq!(wheel.events, scan.events);
-        println!(
-            "sched-probe: ranks={} wheel_s={:.2} scan_s={:.2} speedup={:.2}",
-            wheel.ranks,
-            wheel.wall_s,
-            scan.wall_s,
-            scan.wall_s / wheel.wall_s
-        );
         return;
     }
     let mode = if quick { "quick" } else { "full" };
@@ -308,7 +243,6 @@ fn main() {
             &format!("fat_tree({k})"),
             Topology::fat_tree(k),
             Coll::Allreduce,
-            false,
         ));
     }
     for &(a, p, h) in fly {
@@ -316,7 +250,6 @@ fn main() {
             &format!("dragonfly({a},{p},{h})"),
             Topology::dragonfly(a, p, h),
             Coll::Allreduce,
-            false,
         ));
     }
     // Alltoall is quadratic in messages: capped at the small shapes
@@ -326,40 +259,12 @@ fn main() {
         "fat_tree(8)",
         Topology::fat_tree(8),
         Coll::Alltoall,
-        false,
     ));
     rows.push(run_case(
         "dragonfly(4,2,2)",
         Topology::dragonfly(4, 2, 2),
         Coll::Alltoall,
-        false,
     ));
-
-    // Wheel vs linear scan on the same workload: the wheel finds the
-    // minimum scheduling key in O(levels); the scan walks every live
-    // thread per decision, which at thousands of ranks is the
-    // difference the 5× gate enforces. Quick mode compares at 1k
-    // ranks, full mode at the ~4k-rank dragonfly.
-    let (xtopo, xtopology) = if quick {
-        ("fat_tree(16)", Topology::fat_tree(16))
-    } else {
-        ("dragonfly(8,8,8)", Topology::dragonfly(8, 8, 8))
-    };
-    println!("== wheel vs scan — threaded allreduce on {xtopo} ==");
-    let wheel = run_case(xtopo, xtopology.clone(), Coll::Threaded, false);
-    let scan = run_case(xtopo, xtopology, Coll::Threaded, true);
-    assert_eq!(
-        wheel.events, scan.events,
-        "wheel and scan must make identical scheduling decisions"
-    );
-    let speedup = scan.wall_s / wheel.wall_s;
-    println!(
-        "scale-sched: ranks={} wheel_eps={:.0} scan_eps={:.0} speedup={:.2}",
-        wheel.ranks,
-        wheel.eps(),
-        scan.eps(),
-        speedup
-    );
 
     // Memory-flatness pair: the largest two fat-trees in the sweep
     // (1k → 8k ranks in full mode). Lazy per-peer state means peak
@@ -380,12 +285,8 @@ fn main() {
 
     let rows_json: Vec<String> = rows.iter().map(Row::json).collect();
     println!(
-        "{{\"mode\":\"{mode}\",\"rows\":[{}],\"sched\":{{\"ranks\":{},\"wheel_eps\":{:.0},\"scan_eps\":{:.0},\"speedup\":{:.3}}},\"mem\":{{\"ranks_small\":{},\"kib_small\":{:.2},\"ranks_big\":{},\"kib_big\":{:.2},\"growth\":{:.4}}}}}",
+        "{{\"mode\":\"{mode}\",\"rows\":[{}],\"mem\":{{\"ranks_small\":{},\"kib_small\":{:.2},\"ranks_big\":{},\"kib_big\":{:.2},\"growth\":{:.4}}}}}",
         rows_json.join(","),
-        wheel.ranks,
-        wheel.eps(),
-        scan.eps(),
-        speedup,
         small.ranks,
         small.kib_per_rank(),
         big.ranks,

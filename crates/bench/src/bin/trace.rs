@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use mpich::{run_world_full, thread_metas, Placement, WorldConfig};
+use mpich::{run_world_report, thread_metas, Placement, WorldConfig};
 use simnet::{Protocol, Topology};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let chrome_path = path_flag("--chrome");
     let out_path = path_flag("--out");
     let cfg = WorldConfig::builder().trace(true).build();
-    let (_, kernel, session) = run_world_full(
+    let report = run_world_report(
         Topology::single_network(2, Protocol::Sisci),
         Placement::OneRankPerNode,
         cfg,
@@ -47,6 +47,7 @@ fn main() {
         },
     )
     .expect("trace world completes");
+    let kernel = &report.kernel;
     let trace = kernel.take_trace();
     let mode = if bytes > Protocol::Sisci.switch_point() {
         "rendezvous (REQUEST -> OK_TO_SEND -> DATA, Fig. 4b)"
@@ -81,7 +82,7 @@ fn main() {
         eprintln!("[out] {path}");
     }
     if let Some(path) = chrome_path {
-        let metas = thread_metas(&kernel, &session);
+        let metas = thread_metas(kernel, &report.session);
         let json = marcel::chrome_trace_json(&trace, &metas);
         std::fs::write(&path, json).expect("write chrome trace");
         println!("[chrome] {path} (open in Perfetto or chrome://tracing)");

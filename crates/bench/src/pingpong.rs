@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use madeleine::{FaultCounters, ReceiveMode, SendMode, Session};
 use marcel::{CostModel, Kernel, MetricsSnapshot, VirtualDuration};
-use mpich::{run_world_full, Placement, WorldConfig};
+use mpich::{run_world, run_world_report, Placement, WorldConfig};
 use simnet::{Protocol, Topology};
 
 /// A measured series: (message size, one-way time).
@@ -54,51 +54,51 @@ pub fn mpi_pingpong_session(
     iters: usize,
 ) -> (Series, std::sync::Arc<Session>) {
     let sizes: Vec<usize> = sizes.to_vec();
-    let (results, _kernel, session) =
-        run_world_full(topology, Placement::OneRankPerNode, config, move |comm| {
-            assert!(comm.size() >= 2, "ping-pong needs two ranks");
-            if comm.rank() == 0 {
-                let mut out = Series::new();
-                for &n in &sizes {
-                    let data = vec![0u8; n];
+    let report = run_world_report(topology, Placement::OneRankPerNode, config, move |comm| {
+        assert!(comm.size() >= 2, "ping-pong needs two ranks");
+        if comm.rank() == 0 {
+            let mut out = Series::new();
+            for &n in &sizes {
+                let data = vec![0u8; n];
+                comm.endpoint().send(&data, 1, 0).unwrap();
+                comm.endpoint()
+                    .recv::<Vec<u8>>(n, Some(1), Some(0))
+                    .unwrap();
+                let t0 = marcel::now();
+                for _ in 0..iters {
                     comm.endpoint().send(&data, 1, 0).unwrap();
-                    comm.endpoint()
+                    let (back, _) = comm
+                        .endpoint()
                         .recv::<Vec<u8>>(n, Some(1), Some(0))
                         .unwrap();
-                    let t0 = marcel::now();
-                    for _ in 0..iters {
-                        comm.endpoint().send(&data, 1, 0).unwrap();
-                        let (back, _) = comm
-                            .endpoint()
-                            .recv::<Vec<u8>>(n, Some(1), Some(0))
-                            .unwrap();
-                        assert_eq!(back.len(), n);
-                    }
-                    out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
+                    assert_eq!(back.len(), n);
                 }
-                Some(out)
-            } else if comm.rank() == 1 {
-                for &n in &sizes {
-                    for _ in 0..iters + 1 {
-                        let (data, _) = comm
-                            .endpoint()
-                            .recv::<Vec<u8>>(n, Some(0), Some(0))
-                            .unwrap();
-                        comm.endpoint().send(&data, 0, 0).unwrap();
-                    }
-                }
-                None
-            } else {
-                None
+                out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
             }
-        })
-        .expect("ping-pong world failed");
-    let series = results
+            Some(out)
+        } else if comm.rank() == 1 {
+            for &n in &sizes {
+                for _ in 0..iters + 1 {
+                    let (data, _) = comm
+                        .endpoint()
+                        .recv::<Vec<u8>>(n, Some(0), Some(0))
+                        .unwrap();
+                    comm.endpoint().send(&data, 0, 0).unwrap();
+                }
+            }
+            None
+        } else {
+            None
+        }
+    })
+    .expect("ping-pong world failed");
+    let series = report
+        .results
         .into_iter()
         .flatten()
         .next()
         .expect("rank 0 produced the series");
-    (series, session)
+    (series, report.session)
 }
 
 /// Like [`mpi_pingpong`], additionally returning the metrics-registry
@@ -116,53 +116,52 @@ pub fn mpi_pingpong_metrics(
     iters: usize,
 ) -> (Series, MetricsSnapshot) {
     let sizes: Vec<usize> = sizes.to_vec();
-    let (results, _kernel, _session) =
-        run_world_full(topology, Placement::OneRankPerNode, config, move |comm| {
-            assert!(comm.size() >= 2, "ping-pong needs two ranks");
-            if comm.rank() == 0 {
-                let mut out = Series::new();
-                for &n in &sizes {
-                    let data = vec![0u8; n];
+    let results = run_world(topology, Placement::OneRankPerNode, config, move |comm| {
+        assert!(comm.size() >= 2, "ping-pong needs two ranks");
+        if comm.rank() == 0 {
+            let mut out = Series::new();
+            for &n in &sizes {
+                let data = vec![0u8; n];
+                comm.endpoint().send(&data, 1, 0).unwrap();
+                comm.endpoint()
+                    .recv::<Vec<u8>>(n, Some(1), Some(0))
+                    .unwrap();
+                marcel::obs::reset_metrics();
+                let t0 = marcel::now();
+                for _ in 0..iters {
                     comm.endpoint().send(&data, 1, 0).unwrap();
-                    comm.endpoint()
+                    let (back, _) = comm
+                        .endpoint()
                         .recv::<Vec<u8>>(n, Some(1), Some(0))
                         .unwrap();
-                    marcel::obs::reset_metrics();
-                    let t0 = marcel::now();
-                    for _ in 0..iters {
-                        comm.endpoint().send(&data, 1, 0).unwrap();
-                        let (back, _) = comm
-                            .endpoint()
-                            .recv::<Vec<u8>>(n, Some(1), Some(0))
-                            .unwrap();
-                        assert_eq!(back.len(), n);
-                    }
-                    out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
+                    assert_eq!(back.len(), n);
                 }
-                let snap = marcel::obs::with_metrics(|m| m.snapshot()).unwrap_or_default();
-                // Release rank 1 only after the snapshot: its Finalize
-                // traffic must not leak into the measured histograms.
-                comm.endpoint().send(&[0u8], 1, 1).unwrap();
-                Some((out, snap))
-            } else if comm.rank() == 1 {
-                for &n in &sizes {
-                    for _ in 0..iters + 1 {
-                        let (data, _) = comm
-                            .endpoint()
-                            .recv::<Vec<u8>>(n, Some(0), Some(0))
-                            .unwrap();
-                        comm.endpoint().send(&data, 0, 0).unwrap();
-                    }
-                }
-                comm.endpoint()
-                    .recv::<Vec<u8>>(1, Some(0), Some(1))
-                    .unwrap();
-                None
-            } else {
-                None
+                out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
             }
-        })
-        .expect("ping-pong world failed");
+            let snap = marcel::obs::with_metrics(|m| m.snapshot()).unwrap_or_default();
+            // Release rank 1 only after the snapshot: its Finalize
+            // traffic must not leak into the measured histograms.
+            comm.endpoint().send(&[0u8], 1, 1).unwrap();
+            Some((out, snap))
+        } else if comm.rank() == 1 {
+            for &n in &sizes {
+                for _ in 0..iters + 1 {
+                    let (data, _) = comm
+                        .endpoint()
+                        .recv::<Vec<u8>>(n, Some(0), Some(0))
+                        .unwrap();
+                    comm.endpoint().send(&data, 0, 0).unwrap();
+                }
+            }
+            comm.endpoint()
+                .recv::<Vec<u8>>(1, Some(0), Some(1))
+                .unwrap();
+            None
+        } else {
+            None
+        }
+    })
+    .expect("ping-pong world failed");
     results
         .into_iter()
         .flatten()

@@ -53,9 +53,9 @@ pub struct SoakConfig {
     /// Record per-ticket committer decisions in episode records (the
     /// bisect substrate; costs journal bytes, never virtual time).
     pub record_decisions: bool,
-    /// Force the first N committer picks of *every* episode down the
-    /// serial fallback path (0 = never) — plants a known divergence for
-    /// the bisect acceptance test without changing any result byte.
+    /// Mark the first N scheduling decisions of *every* episode
+    /// `fallback` (0 = none) — plants a known divergence for the bisect
+    /// acceptance test without changing any result byte.
     pub force_fallback: u32,
     /// Streaming flight recorder: when > 0, every episode runs with
     /// tracing on and an incremental [`marcel::EventSink`] that flushes

@@ -359,7 +359,6 @@ fn run_episode(
     }
     let world = WorldConfig::builder()
         .trace(trace)
-        .capture(true)
         .decisions(config.record_decisions)
         .force_fallback(config.force_fallback)
         .exec(if config.workers == 0 {
@@ -384,34 +383,34 @@ fn run_episode(
     // from r-1, folding every received byte into a digest. Payloads stay
     // below the eager switch point, so sends complete without waiting on
     // the receiver and the even/odd phase order can never deadlock.
-    let (results, kernel, session, capture) =
-        mpich::run_world_captured(topology, Placement::OneRankPerNode, world, move |comm| {
-            let me = comm.rank();
-            let n = comm.size();
-            let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
-            let mut digest = splitmix64(me as u64 ^ 0x5249_4E47); // "RING"
-            for i in 0..rounds {
-                let msg: Vec<u8> = (0..bytes).map(|k| payload_byte(me, i, k)).collect();
-                if me % 2 == 0 {
-                    comm.endpoint().send(&msg, next, i as i32).unwrap();
-                    let (got, _) = comm
-                        .endpoint()
-                        .recv::<Vec<u8>>(bytes, Some(prev), Some(i as i32))
-                        .unwrap();
-                    digest = splitmix64(digest ^ crc64(&got));
-                } else {
-                    let (got, _) = comm
-                        .endpoint()
-                        .recv::<Vec<u8>>(bytes, Some(prev), Some(i as i32))
-                        .unwrap();
-                    digest = splitmix64(digest ^ crc64(&got));
-                    comm.endpoint().send(&msg, next, i as i32).unwrap();
-                }
+    let report = mpich::run_world_report(topology, Placement::OneRankPerNode, world, move |comm| {
+        let me = comm.rank();
+        let n = comm.size();
+        let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+        let mut digest = splitmix64(me as u64 ^ 0x5249_4E47); // "RING"
+        for i in 0..rounds {
+            let msg: Vec<u8> = (0..bytes).map(|k| payload_byte(me, i, k)).collect();
+            if me % 2 == 0 {
+                comm.endpoint().send(&msg, next, i as i32).unwrap();
+                let (got, _) = comm
+                    .endpoint()
+                    .recv::<Vec<u8>>(bytes, Some(prev), Some(i as i32))
+                    .unwrap();
+                digest = splitmix64(digest ^ crc64(&got));
+            } else {
+                let (got, _) = comm
+                    .endpoint()
+                    .recv::<Vec<u8>>(bytes, Some(prev), Some(i as i32))
+                    .unwrap();
+                digest = splitmix64(digest ^ crc64(&got));
+                comm.endpoint().send(&msg, next, i as i32).unwrap();
             }
-            digest
-        })
-        .expect("soak episode deadlocked");
-    let capture = capture.expect("capture enabled");
+        }
+        digest
+    })
+    .expect("soak episode deadlocked");
+    let capture = report.capture();
+    let (results, kernel, session) = (report.results, report.kernel, report.session);
 
     let mut result_digest = splitmix64(episode_seed);
     for r in &results {

@@ -14,7 +14,6 @@
 //! no kernel crossing).
 
 use crate::time::VirtualDuration;
-pub use crate::wheel::SchedIndex;
 
 /// Idle-channel handling in the factorized polling loop (§3.3).
 ///
@@ -38,8 +37,8 @@ pub enum PollPolicy {
 /// Execution-policy label of a kernel. Both values run the same
 /// hand-off — a userland switch to the committed fiber — so the choice
 /// changes nothing, on either clock. The type survives as API: world
-/// configurations name it (`vcis > 1` asks for `Ticketed`) and journals
-/// print it; `workers` is recorded and otherwise ignored.
+/// configurations name it and journals print it; `workers` is recorded
+/// and otherwise ignored.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecPolicy {
     #[default]
@@ -77,18 +76,12 @@ pub struct CostModel {
     pub park_after: u32,
     /// Inert label (see [`ExecPolicy`]).
     pub exec_policy: ExecPolicy,
-    /// Root seed for the deterministic per-ticket seeds the sequencer
+    /// Root seed for the deterministic per-ticket seeds the kernel
     /// assigns (see [`crate::exec::ticket_seed`]).
     pub exec_seed: u64,
-    /// How the sequencer locates the minimum scheduling key: the
-    /// hierarchical timer wheel (O(levels) per decision, the default)
-    /// or the seed linear scan (O(threads), the reference). The wheel
-    /// has an exact-min guarantee, so results are bit-identical either
-    /// way; only host wall-clock changes.
-    pub sched_index: SchedIndex,
-    /// Debug cross-check: compute both the wheel peek and the linear
-    /// scan on every decision and assert they agree. Only meaningful
-    /// under [`SchedIndex::Wheel`].
+    /// Debug cross-check: on every scheduling decision also compute the
+    /// minimum key with an O(threads) linear scan and assert the timer
+    /// wheel's peek agrees.
     pub sched_xcheck: bool,
 }
 
@@ -106,7 +99,6 @@ impl CostModel {
             park_after: 8,
             exec_policy: ExecPolicy::Seed,
             exec_seed: 0,
-            sched_index: SchedIndex::Wheel,
             sched_xcheck: false,
         }
     }
@@ -126,7 +118,6 @@ impl CostModel {
             park_after: 8,
             exec_policy: ExecPolicy::Seed,
             exec_seed: 0,
-            sched_index: SchedIndex::Wheel,
             sched_xcheck: false,
         }
     }
@@ -151,18 +142,9 @@ impl CostModel {
         self
     }
 
-    /// Linear-scan variant of `self` (see [`SchedIndex`]): the seed
-    /// O(threads) reference scheduler, kept as the honest baseline for
-    /// the wheel's speedup measurements and the cross-check oracle.
-    pub fn with_sched_scan(mut self) -> Self {
-        self.sched_index = SchedIndex::Scan;
-        self
-    }
-
     /// Cross-checking variant of `self`: every scheduling decision runs
     /// both the wheel peek and the linear scan and asserts they agree.
     pub fn with_sched_xcheck(mut self) -> Self {
-        self.sched_index = SchedIndex::Wheel;
         self.sched_xcheck = true;
         self
     }

@@ -1,16 +1,13 @@
 //! Ticketed execution: the deterministic per-ticket seeds of the
-//! sequencer → committer pipeline.
+//! kernel's scheduling step.
 //!
-//! The kernel's scheduler has two roles (see `kernel.rs`): a
-//! **sequencer** that picks the next thread from the ready set and
-//! stamps the decision with a monotonically increasing *ticket* and a
-//! seed derived from `(exec_seed, ticket, thread id)`; and a
-//! **committer** that applies each pick in strict ticket order after
-//! re-validating the scheduling invariant against the live world,
-//! falling back to serial re-sequencing (counted in the `exec/fallback`
-//! metric) when validation fails. The simulated threads themselves —
-//! fibers on one OS thread — run user code between kernel operations;
-//! a commit ends with a userland switch to the committed fiber.
+//! Every scheduling decision (see `kernel.rs`) picks the next thread
+//! from the ready set, stamps it with a monotonically increasing
+//! *ticket* and a seed derived from `(exec_seed, ticket, thread id)`,
+//! and commits it in that same step — strict ticket order by
+//! construction. The simulated threads themselves — fibers on one OS
+//! thread — run user code between kernel operations; a commit ends with
+//! a userland switch to the committed fiber.
 //!
 //! The seed derivation mirrors `simnet::rng`'s message-identity scheme
 //! (`splitmix64` over inputs spread by the SplitMix64 golden gamma) so
@@ -32,7 +29,7 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The deterministic seed the sequencer assigns to scheduling ticket
+/// The deterministic seed the kernel assigns to scheduling ticket
 /// `ticket` committed to thread `thread_id`:
 ///
 /// ```text

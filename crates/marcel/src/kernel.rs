@@ -40,7 +40,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -50,7 +50,7 @@ use crate::exec::ticket_seed;
 use crate::fiber::{Prev, Stack, Suspended};
 use crate::obs::{Event, EventSink, Metrics};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
-use crate::wheel::{SchedIndex, TimerWheel};
+use crate::wheel::TimerWheel;
 
 /// Identifier of a simulated thread.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -222,12 +222,12 @@ pub struct TraceEvent {
 /// One committed scheduling decision, as recorded by the optional
 /// decision log ([`Kernel::enable_decision_log`]): the monotonic
 /// ticket, the thread it committed, the virtual time of its scheduling
-/// key, and whether the commit went down the serial fallback path.
+/// key, and whether the ticket carries the planted fallback marker.
 ///
 /// The decision stream is the journal subsystem's finest-grained
 /// divergence probe: two runs that produce bit-identical results and
-/// traces can still differ here (e.g. a forced committer fallback flips
-/// `fallback` at exactly the forced tickets), which is what lets
+/// traces can still differ here ([`Kernel::force_commit_fallback`]
+/// flips `fallback` at exactly the marked tickets), which is what lets
 /// `bisect` pinpoint the first divergent ticket. Recording is pure
 /// host-side bookkeeping — it never advances virtual time — and costs
 /// one `Option` check per commit when disabled.
@@ -239,27 +239,19 @@ pub struct Decision {
     pub tid: usize,
     /// Virtual time of the committed scheduling key.
     pub at: VirtualTime,
-    /// Whether re-validation failed (or was forced to fail) and the
-    /// decision was re-sequenced serially.
+    /// Planted marker: true for exactly the tickets
+    /// [`Kernel::force_commit_fallback`] budgeted, false otherwise. It
+    /// changes nothing else about the commit.
     pub fallback: bool,
     /// Trace-event commit cursor ([`Sched::record_seq`]) at the instant
     /// this decision committed: the number of trace events recorded
     /// strictly before it. Bridges the two ticket domains — scheduling
     /// tickets (this log) and trace tickets ([`TraceEvent::ticket`]) —
     /// so replay tooling can slice the event stream to the window
-    /// around any decision. Deterministic under every exec policy
-    /// because both sequences advance under the scheduler lock in
-    /// commit order. Zero whenever tracing is off.
+    /// around any decision. Deterministic because both sequences
+    /// advance under the scheduler lock in commit order. Zero whenever
+    /// tracing is off.
     pub events_before: u64,
-}
-
-/// A sequencing decision: which thread runs next, the scheduling key it
-/// was picked at (re-validated by the committer), and the `(ticket,
-/// seed)` pair stamped on it.
-pub(crate) struct Pick {
-    pub(crate) key: SchedKey,
-    pub(crate) ticket: u64,
-    pub(crate) seed: u64,
 }
 
 pub(crate) struct Sched {
@@ -277,15 +269,18 @@ pub(crate) struct Sched {
     /// the world — O(proc sources) per detection instead of O(total).
     pub(crate) proc_sources: Vec<Vec<usize>>,
     /// Timer-wheel index over the schedulable set (see
-    /// [`crate::wheel`]); inert under [`SchedIndex::Scan`].
+    /// [`crate::wheel`]).
     pub(crate) wheel: TimerWheel,
     pub(crate) post_seq: u64,
     pub(crate) trace: Option<Vec<TraceEvent>>,
     /// Committed scheduling decisions (see [`Decision`]); `None` when
     /// the decision log is disabled (the default).
     pub(crate) decisions: Option<Vec<Decision>>,
-    /// Next scheduling ticket the sequencer will issue.
+    /// Next scheduling ticket [`Shared::commit_next`] will issue.
     pub(crate) next_ticket: u64,
+    /// Upcoming commits still to be marked `fallback` (see
+    /// [`Kernel::force_commit_fallback`]).
+    force_fallback: u32,
     /// Next trace-event commit sequence number (see
     /// [`TraceEvent::ticket`]).
     pub(crate) record_seq: u64,
@@ -418,10 +413,6 @@ pub(crate) struct Shared {
     /// Fast tracing-enabled check for [`crate::obs::emit`] — avoids the
     /// scheduler lock on the (default) disabled path.
     pub(crate) trace_on: AtomicBool,
-    /// Test hook (see [`Kernel::force_commit_fallback`]): number of
-    /// upcoming commits whose re-validation is forced to fail, driving
-    /// them down the serial fallback path.
-    pub(crate) force_fallback: AtomicU32,
 }
 
 impl Shared {
@@ -487,32 +478,27 @@ impl Shared {
     /// The scheduling key of every runnable thread: Ready threads are
     /// due at their clock, Sleepers at their wake time, timed semaphore
     /// waiters at their deadline. Returns the minimum, or `None` when
-    /// nothing can run.
-    ///
-    /// Under [`SchedIndex::Wheel`] (the default) this is an O(levels)
-    /// peek of the timer wheel, which carries an exact-min guarantee —
-    /// bit-identical to the scan. Under [`SchedIndex::Scan`] (and in
-    /// cross-check mode) it is the seed O(threads) linear scan.
-    fn best_candidate(sched: &Sched) -> Option<SchedKey> {
-        if sched.wheel.enabled() {
-            let peeked = sched.wheel.peek().map(|(at, tid)| SchedKey {
-                at: VirtualTime(at),
-                tid,
-            });
-            if sched.wheel.xcheck() {
-                let scanned = Self::scan_candidate(sched);
-                assert_eq!(
-                    peeked, scanned,
-                    "timer wheel diverged from the linear-scan reference"
-                );
-            }
-            peeked
-        } else {
-            Self::scan_candidate(sched)
+    /// nothing can run — an O(levels) peek of the timer wheel, which
+    /// carries an exact-min guarantee. Under
+    /// [`CostModel::with_sched_xcheck`] every peek is checked against
+    /// the linear scan the wheel replaced.
+    fn best_candidate(&self, sched: &Sched) -> Option<SchedKey> {
+        let peeked = sched.wheel.peek().map(|(at, tid)| SchedKey {
+            at: VirtualTime(at),
+            tid,
+        });
+        if self.cost.sched_xcheck {
+            assert_eq!(
+                peeked,
+                Self::scan_candidate(sched),
+                "timer wheel diverged from the linear-scan reference"
+            );
         }
+        peeked
     }
 
-    /// The seed linear-scan reference for [`Shared::best_candidate`].
+    /// The O(threads) linear-scan reference for
+    /// [`Shared::best_candidate`].
     fn scan_candidate(sched: &Sched) -> Option<SchedKey> {
         let mut best: Option<SchedKey> = None;
         for (i, t) in sched.threads.iter().enumerate() {
@@ -532,65 +518,41 @@ impl Shared {
         best
     }
 
-    /// **Sequencer**: snapshot the ready set, pick the thread with the
-    /// smallest scheduling key, and stamp the decision with the next
-    /// monotonic ticket and its deterministic seed.
-    fn sequence(&self, sched: &mut Sched) -> Option<Pick> {
-        let key = Self::best_candidate(sched)?;
+    /// The one scheduling step: pick the thread with the smallest
+    /// scheduling key, stamp the decision with the next monotonic
+    /// ticket and its deterministic seed, log it, perform the wake-up
+    /// semantics and give the run token to the chosen thread (the
+    /// caller then switches to it). `false` when nothing can run.
+    fn commit_next(&self, sched: &mut Sched) -> bool {
+        let Some(key) = self.best_candidate(sched) else {
+            return false;
+        };
         let ticket = sched.next_ticket;
         sched.next_ticket += 1;
-        let seed = ticket_seed(self.cost.exec_seed, ticket, key.tid as u64);
-        Some(Pick { key, ticket, seed })
-    }
-
-    /// **Committer**: apply `pick` in strict ticket order — re-validate
-    /// the scheduling invariant against the live world first, falling
-    /// back to serial re-sequencing (counted in `exec/fallback`) when
-    /// the pick no longer matches; then perform the wake-up semantics
-    /// and give the run token to the chosen thread (the caller then
-    /// switches to it). Returns the tid actually committed.
-    fn commit_pick(&self, sched: &mut Sched, pick: Pick) -> Tid {
-        let forced = self
-            .force_fallback
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        let fell_back = forced || Self::best_candidate(sched) != Some(pick.key);
-        let pick = if fell_back {
-            // The world changed between sequencing and commit (or a
-            // test forced this path): re-run the sequencing decision
-            // serially against the live world, reusing the ticket so
-            // the ticket stream stays gapless.
+        let fallback = sched.force_fallback > 0;
+        if fallback {
+            sched.force_fallback -= 1;
             self.metrics.counter_add("exec/fallback", 1);
-            let key = Self::best_candidate(sched)
-                .expect("fallback re-validation found no runnable thread");
-            Pick {
-                key,
-                ticket: pick.ticket,
-                seed: ticket_seed(self.cost.exec_seed, pick.ticket, key.tid as u64),
-            }
-        } else {
-            pick
-        };
+        }
         if let Some(log) = sched.decisions.as_mut() {
-            let events_before = sched.record_seq;
             log.push(Decision {
-                ticket: pick.ticket,
-                tid: pick.key.tid,
-                at: pick.key.at,
-                fallback: fell_back,
-                events_before,
+                ticket,
+                tid: key.tid,
+                at: key.at,
+                fallback,
+                events_before: sched.record_seq,
             });
             if sched.sink.is_some() {
                 sched.note_stream_buffered();
                 sched.drain_decisions_if_due();
             }
         }
-        let next = Tid(pick.key.tid);
+        let next = Tid(key.tid);
         // The committed thread leaves the schedulable set; the wheel
         // cursor advances to the committed key — the monotone low-water
         // mark every future insert is at or above.
         sched.wheel.remove(next.0);
-        sched.wheel.advance_to(pick.key.at.0);
+        sched.wheel.advance_to(key.at.0);
         let wake = match sched.threads[next.0].state {
             TState::Sleeping(wake) => Some((None, wake)),
             // Scheduled *at the deadline*: the wait timed out. Leave the
@@ -609,10 +571,10 @@ impl Shared {
         }
         let slot = &mut sched.threads[next.0];
         slot.state = TState::Running;
-        slot.ticket = pick.ticket;
-        slot.seed = pick.seed;
+        slot.ticket = ticket;
+        slot.seed = ticket_seed(self.cost.exec_seed, ticket, key.tid as u64);
         sched.running = Some(next);
-        next
+        true
     }
 
     /// Commit the next thread after the current one stopped running
@@ -621,9 +583,7 @@ impl Shared {
     /// is live, a deadlock otherwise.
     fn dispatch(&self, sched: &mut Sched) {
         sched.running = None;
-        if let Some(pick) = self.sequence(sched) {
-            self.commit_pick(sched, pick);
-        } else if sched.live > 0 {
+        if !self.commit_next(sched) && sched.live > 0 {
             sched.deadlock = Some(format!(
                 "no runnable thread among {} live:\n{}",
                 sched.live,
@@ -640,10 +600,8 @@ impl Shared {
         sched.threads[me.0].state = TState::Ready;
         let due = sched.threads[me.0].vtime;
         sched.wheel.upsert(me.0, due.0);
-        let pick = self
-            .sequence(sched)
-            .expect("running thread is always a candidate");
-        self.commit_pick(sched, pick);
+        let committed = self.commit_next(sched);
+        assert!(committed, "running thread is always a candidate");
         self.wait_until_running(sched, me);
     }
 
@@ -822,21 +780,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Create a kernel with the given cost model.
-    ///
-    /// `MPICH_SCHED=scan|wheel` overrides the scheduler index and
-    /// `MPICH_SCHED_XCHECK=1` arms the wheel-vs-scan cross-check —
-    /// host-side knobs that can never change virtual-time results.
-    pub fn new(mut cost: CostModel) -> Self {
-        match std::env::var("MPICH_SCHED").as_deref() {
-            Ok("scan") => cost.sched_index = SchedIndex::Scan,
-            Ok("wheel") => cost.sched_index = SchedIndex::Wheel,
-            _ => {}
-        }
-        if std::env::var("MPICH_SCHED_XCHECK").as_deref() == Ok("1") {
-            cost.sched_index = SchedIndex::Wheel;
-            cost.sched_xcheck = true;
-        }
-        let wheel = TimerWheel::new(cost.sched_index == SchedIndex::Wheel, cost.sched_xcheck);
+    pub fn new(cost: CostModel) -> Self {
         Kernel {
             shared: Arc::new(Shared {
                 state: Mutex::new(Sched {
@@ -849,11 +793,12 @@ impl Kernel {
                     sems: Vec::new(),
                     sources: Vec::new(),
                     proc_sources: Vec::new(),
-                    wheel,
+                    wheel: TimerWheel::new(),
                     post_seq: 0,
                     trace: None,
                     decisions: None,
                     next_ticket: 0,
+                    force_fallback: 0,
                     record_seq: 0,
                     root: None,
                     leaving: None,
@@ -865,7 +810,6 @@ impl Kernel {
                 cost,
                 metrics: Arc::new(Metrics::new()),
                 trace_on: AtomicBool::new(false),
-                force_fallback: AtomicU32::new(0),
             }),
         }
     }
@@ -1049,14 +993,13 @@ impl Kernel {
         Ok(())
     }
 
-    /// Force the next `n` committer re-validations to fail, driving
-    /// them down the serial fallback path (counted in the
-    /// `exec/fallback` metric). Test hook: the fallback re-runs the
-    /// sequencing decision against the live world, so results stay
-    /// bit-identical.
+    /// Mark the next `n` commits `fallback` in the decision log and
+    /// count them in the `exec/fallback` metric; nothing else about
+    /// them changes. Test hook: plants a known first divergent ticket
+    /// for the journal's bisect.
     #[doc(hidden)]
     pub fn force_commit_fallback(&self, n: u32) {
-        self.shared.force_fallback.store(n, Ordering::Relaxed);
+        self.shared.state.lock().force_fallback = n;
     }
 
     /// Capture the kernel's scheduling state for the durable journal:

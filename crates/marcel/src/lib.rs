@@ -49,7 +49,7 @@ pub mod thread;
 pub mod time;
 pub mod wheel;
 
-pub use cost::{CostModel, ExecPolicy, PollPolicy, SchedIndex};
+pub use cost::{CostModel, ExecPolicy, PollPolicy};
 pub use exec::ticket_seed;
 pub use kernel::{Decision, Kernel, KernelCapture, ProcId, SimError, ThreadCapture, TraceEvent};
 pub use obs::{

@@ -21,10 +21,10 @@ pub struct VirtualTime(pub u64);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualDuration(pub u64);
 
-/// The total scheduling order used by the kernel's sequencer: the thread
-/// due earliest on the virtual clock runs first, with the thread id
+/// The total scheduling order used by the kernel: the thread due
+/// earliest on the virtual clock runs first, with the thread id
 /// breaking ties. The derived lexicographic `Ord` *is* the scheduling
-/// contract — the committer re-validates picks against it.
+/// contract.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub(crate) struct SchedKey {
     /// Virtual time at which the thread is due (its clock for Ready

@@ -1,14 +1,13 @@
 //! Hierarchical timer wheel over scheduling keys.
 //!
-//! The sequencer's contract is "run the thread with the smallest
-//! `SchedKey { at, tid }`". The seed implementation recomputes that
-//! minimum with a linear scan over every thread slot on every scheduling
-//! decision — O(threads) per decision, which dominates once worlds reach
-//! thousands of ranks (each with a main thread and per-channel polling
-//! threads). This module indexes the schedulable set in a hierarchical
-//! timer wheel with an **exact-min** `peek`, so a decision costs
-//! O(levels) instead of O(threads) while returning bit-for-bit the same
-//! key the scan would.
+//! The scheduler's contract is "run the thread with the smallest
+//! `SchedKey { at, tid }`". Recomputing that minimum with a linear scan
+//! over every thread slot costs O(threads) per decision, which
+//! dominates once worlds reach thousands of ranks (each with a main
+//! thread and per-channel polling threads). This module indexes the
+//! schedulable set in a hierarchical timer wheel with an **exact-min**
+//! `peek`, so a decision costs O(levels) instead of O(threads) while
+//! returning bit-for-bit the same key the scan would.
 //!
 //! # Structure
 //!
@@ -55,19 +54,6 @@ const SLOTS: usize = 1 << BITS;
 /// Levels needed to cover a u64 at 6 bits per level.
 const LEVELS: usize = 64usize.div_ceil(BITS);
 const DIGIT_MASK: u64 = (SLOTS - 1) as u64;
-
-/// How the kernel locates the minimum scheduling key (see
-/// [`crate::cost::CostModel::sched_index`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedIndex {
-    /// Hierarchical timer wheel: O(levels) per decision, exact-min,
-    /// bit-identical to the scan. The default.
-    #[default]
-    Wheel,
-    /// The seed O(threads) linear scan (reference implementation; also
-    /// the honest baseline for the wheel's speedup measurements).
-    Scan,
-}
 
 /// One wheel bucket: keys kept sorted ascending in a Vec, with a
 /// consumed-prefix offset (`head`) marking keys already removed from
@@ -144,13 +130,6 @@ impl Slot {
 /// (at their clock), `Sleeping` (at their wake time), or
 /// `BlockedSemTimeout` (at their deadline).
 pub(crate) struct TimerWheel {
-    /// `false` under [`SchedIndex::Scan`]: every operation is a no-op
-    /// and the kernel keeps scanning, so the baseline pays zero wheel
-    /// maintenance.
-    enabled: bool,
-    /// Cross-check mode: the kernel computes both the wheel peek and
-    /// the linear scan on every decision and asserts they agree.
-    xcheck: bool,
     /// `at` of the last committed scheduling decision. Monotone; every
     /// indexed key is `>= cursor`.
     cursor: u64,
@@ -166,30 +145,14 @@ pub(crate) struct TimerWheel {
 }
 
 impl TimerWheel {
-    pub(crate) fn new(enabled: bool, xcheck: bool) -> Self {
+    pub(crate) fn new() -> Self {
         TimerWheel {
-            enabled,
-            xcheck,
             cursor: 0,
-            slots: if enabled {
-                (0..LEVELS * SLOTS).map(|_| Slot::default()).collect()
-            } else {
-                Vec::new()
-            },
+            slots: (0..LEVELS * SLOTS).map(|_| Slot::default()).collect(),
             occupied: [0; LEVELS],
             levels: 0,
             pos: Vec::new(),
         }
-    }
-
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    #[inline]
-    pub(crate) fn xcheck(&self) -> bool {
-        self.xcheck
     }
 
     /// Level and slot a key files under relative to the current cursor.
@@ -231,9 +194,6 @@ impl TimerWheel {
     /// whether the thread was already schedulable (e.g. a semaphore
     /// release re-keys a timed waiter from its deadline to its wake).
     pub(crate) fn upsert(&mut self, tid: usize, at: u64) {
-        if !self.enabled {
-            return;
-        }
         debug_assert!(
             at >= self.cursor,
             "wheel insert below cursor: at={at} cursor={}",
@@ -254,9 +214,6 @@ impl TimerWheel {
     /// Remove thread `tid` from the index (it stopped being
     /// schedulable: committed to run, or exited). No-op if absent.
     pub(crate) fn remove(&mut self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         if let Some(Some((l, s, at))) = self.pos.get(tid).copied() {
             self.take(tid, l as usize, s as usize, at);
             self.pos[tid] = None;
@@ -279,7 +236,7 @@ impl TimerWheel {
     /// have re-leveled (see module docs). Called after the committed
     /// thread is removed, so every remaining key is `>= at`.
     pub(crate) fn advance_to(&mut self, at: u64) {
-        if !self.enabled || at <= self.cursor {
+        if at <= self.cursor {
             return;
         }
         let diff = self.cursor ^ at;
@@ -333,23 +290,13 @@ mod tests {
 
     #[test]
     fn empty_wheel_peeks_none() {
-        let w = TimerWheel::new(true, false);
+        let w = TimerWheel::new();
         assert_eq!(w.peek(), None);
-    }
-
-    #[test]
-    fn disabled_wheel_is_inert() {
-        let mut w = TimerWheel::new(false, false);
-        w.upsert(0, 5);
-        w.advance_to(10);
-        w.remove(0);
-        assert_eq!(w.peek(), None);
-        assert!(w.slots.is_empty());
     }
 
     #[test]
     fn min_of_small_set_with_tie_break() {
-        let mut w = TimerWheel::new(true, false);
+        let mut w = TimerWheel::new();
         w.upsert(3, 100);
         w.upsert(1, 100);
         w.upsert(2, 50);
@@ -361,7 +308,7 @@ mod tests {
 
     #[test]
     fn upsert_rekeys() {
-        let mut w = TimerWheel::new(true, false);
+        let mut w = TimerWheel::new();
         w.upsert(0, 1_000_000);
         w.upsert(1, 2_000_000);
         assert_eq!(w.peek(), Some((1_000_000, 0)));
@@ -372,7 +319,7 @@ mod tests {
 
     #[test]
     fn advance_refiles_across_level_boundary() {
-        let mut w = TimerWheel::new(true, false);
+        let mut w = TimerWheel::new();
         // cursor 0: both keys file at a high level.
         w.upsert(0, 0x40_0000);
         w.upsert(1, 0x40_0001);
@@ -396,7 +343,7 @@ mod tests {
             state >> 16
         };
         let n = 200;
-        let mut w = TimerWheel::new(true, false);
+        let mut w = TimerWheel::new();
         let mut shadow = Shadow { due: vec![None; n] };
         // Everyone starts at zero (the kernel's startup shape).
         for tid in 0..n {
@@ -440,7 +387,7 @@ mod tests {
 
     #[test]
     fn huge_jumps_and_top_levels() {
-        let mut w = TimerWheel::new(true, false);
+        let mut w = TimerWheel::new();
         w.upsert(0, u64::MAX);
         w.upsert(1, u64::MAX - 1);
         w.upsert(2, 0);

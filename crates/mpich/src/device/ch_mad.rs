@@ -546,8 +546,7 @@ impl ChMad {
             let ep = &set.endpoints()[idx];
             let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
             let label = ep.channel().protocol().name();
-            if !self.handle_message(rank, ep.vci(), conn, engine, eager_copy_ns, label)
-                && live[idx]
+            if !self.handle_message(rank, ep.vci(), conn, engine, eager_copy_ns, label) && live[idx]
             {
                 live[idx] = false;
                 alive -= 1;

@@ -67,6 +67,6 @@ pub use request::{wait_all, wait_any, Request};
 pub use types::{Envelope, MatchSpec, Status, Tag};
 pub use vci::vci_for;
 pub use world::{
-    run_world, run_world_captured, run_world_full, run_world_kernel, thread_metas, ConfigError,
-    Placement, RemoteDeviceKind, StreamHook, WorldCapture, WorldConfig, WorldConfigBuilder,
+    run_world, run_world_report, thread_metas, ConfigError, Placement, RemoteDeviceKind,
+    StreamHook, WorldCapture, WorldConfig, WorldConfigBuilder, WorldReport,
 };

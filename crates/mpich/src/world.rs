@@ -50,7 +50,7 @@ pub struct WorldConfig {
     /// (the §6 future-work forwarding extension; ch_mad only).
     pub forwarding: bool,
     /// Record the kernel's deterministic event trace (retrieve it with
-    /// `Kernel::take_trace` after `run_world_kernel`; export it with
+    /// `Kernel::take_trace` off [`WorldReport::kernel`]; export it with
     /// [`marcel::chrome_trace_json`] and [`thread_metas`]). Tracing
     /// never advances virtual time, so enabling it cannot change
     /// results, end times, or any benchmark output. The metrics
@@ -75,40 +75,31 @@ pub struct WorldConfig {
     /// `cost_model.poll_policy` when the world starts.
     pub poll: PollPolicy,
     /// Execution-policy label, copied into `cost_model.exec_policy`
-    /// when the world starts. Inert since simulated threads became
-    /// fibers — `Seed` and `Ticketed` run the same userland hand-off —
-    /// and kept because `vcis > 1` validation and journals name it.
+    /// when the world starts. Inert — `Seed` and `Ticketed` run the
+    /// same userland hand-off — and kept because journals name it.
     pub exec: ExecPolicy,
-    /// Capture a quiescent [`WorldCapture`] (kernel clocks + ticket
-    /// cursor, per-channel sequencing state, per-rank engine depths)
-    /// after the run finishes — what the durable journal stores in its
-    /// world snapshots. Pure host-side reads after `Kernel::run`
-    /// returned, so enabling it cannot change results (use
-    /// [`run_world_captured`] to retrieve it).
-    pub capture: bool,
-    /// Record the committer's decision log ([`marcel::Decision`] per
+    /// Record the kernel's decision log ([`marcel::Decision`] per
     /// committed ticket; retrieve with `Kernel::take_decisions` after
     /// the run). Like tracing it never advances virtual time. The
     /// journal records these streams so divergence bisect can name the
     /// exact first ticket where two campaigns differ.
     pub decisions: bool,
-    /// Force the first N committer picks down the serial re-sequencing
-    /// fallback path (0 = never). Results, traces and metrics stay
-    /// bit-identical — only the decision log's fallback flags change —
-    /// which is how the journal's bisect acceptance test plants a known
-    /// first divergent ticket. The `MPICH_FORCE_FALLBACK` environment
-    /// variable overrides it for unmodified binaries.
+    /// Mark the first N scheduling decisions `fallback` in the decision
+    /// log (0 = none; see `Kernel::force_commit_fallback`). Results and
+    /// traces stay bit-identical — only those flags and the
+    /// `exec/fallback` counter change — which is how the journal's
+    /// bisect acceptance test plants a known first divergent ticket.
     pub force_fallback: u32,
     /// Stream the trace/decision buffers out of the kernel in bounded
     /// chunks instead of accumulating them for the whole run: when set,
     /// the hook's sink is installed via [`marcel::Kernel::set_event_sink`]
     /// (after `trace`/`decisions` are enabled — streaming drains those
     /// buffers, it does not replace them) and finalized with
-    /// `Kernel::finish_event_sink` as soon as the kernel quiesces,
-    /// *before* the capture/metrics reads, so the sink's
-    /// `journal.stream.hwm` gauge lands in the run's metrics snapshot.
-    /// The sink receives host-side copies under the scheduler lock and
-    /// never advances virtual time, so streaming cannot change results.
+    /// `Kernel::finish_event_sink` as soon as the kernel quiesces, so
+    /// the sink's `journal.stream.hwm` gauge lands in the run's metrics
+    /// snapshot. The sink receives host-side copies under the scheduler
+    /// lock and never advances virtual time, so streaming cannot change
+    /// results.
     pub stream: Option<StreamHook>,
     /// Number of VCIs (virtual communication interfaces) per rank: the
     /// matching engine is sharded into `vcis` independent stores and
@@ -117,14 +108,11 @@ pub struct WorldConfig {
     /// a deterministic `(communicator context, tag)` hash routing each
     /// stream to one lane — disjoint streams touch disjoint locks and
     /// queues (the MPI+threads VCI design; see DESIGN §13). `1` (the
-    /// default) is bit-identical to the pre-VCI stack. Values above 1
-    /// require [`ExecPolicy::Ticketed`] (enforced by the builder). The
-    /// `MPICH_VCIS` environment variable overrides it for unmodified
-    /// binaries, which is how the CI scaling matrix sweeps lane counts.
+    /// default) is bit-identical to the pre-VCI stack.
     pub vcis: usize,
 }
 
-/// Factory for the event sink [`run_world_captured`] installs when
+/// Factory for the event sink [`run_world_report`] installs when
 /// [`WorldConfig::stream`] is set: `chunk` is the drain threshold in
 /// buffered records, `make` builds the sink (e.g. a journal
 /// `StreamRecorder` forwarder).
@@ -145,8 +133,8 @@ impl std::fmt::Debug for StreamHook {
 /// Quiescent post-run snapshot of the whole world, one layer each:
 /// marcel ([`marcel::KernelCapture`]), madeleine
 /// ([`madeleine::SessionCapture`]) and the per-rank mpich engines
-/// ([`crate::engine::EngineCapture`]). Assembled by
-/// [`run_world_captured`] when [`WorldConfig::capture`] is set.
+/// ([`crate::engine::EngineCapture`]) — what the durable journal stores
+/// in its world snapshots. Assembled by [`WorldReport::capture`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WorldCapture {
     pub kernel: marcel::KernelCapture,
@@ -190,7 +178,6 @@ impl Default for WorldConfig {
             coll: CollPolicy::Seed,
             poll: PollPolicy::Seed,
             exec: ExecPolicy::Seed,
-            capture: false,
             decisions: false,
             force_fallback: 0,
             stream: None,
@@ -201,8 +188,8 @@ impl Default for WorldConfig {
 
 impl WorldConfig {
     /// Start building a configuration from the defaults. The builder
-    /// validates cross-knob constraints (`vcis ≥ 1`, `vcis > 1` needs
-    /// the ticketed kernel, forwarding needs ch_mad) when it finishes.
+    /// validates cross-knob constraints (`vcis ≥ 1`, forwarding needs
+    /// ch_mad) when it finishes.
     pub fn builder() -> WorldConfigBuilder {
         WorldConfigBuilder {
             cfg: WorldConfig::default(),
@@ -231,10 +218,6 @@ impl WorldConfig {
 pub enum ConfigError {
     /// `vcis = 0`: a world needs at least one communication lane.
     ZeroVcis,
-    /// `vcis > 1` without [`ExecPolicy::Ticketed`]: multi-VCI worlds
-    /// run their per-lane polling threads through the ticketed kernel
-    /// so replay, the journal and bisect keep working unchanged.
-    VcisNeedTicketed { vcis: usize },
     /// Gateway forwarding configured with a remote device other than
     /// ch_mad.
     ForwardingNeedsChMad,
@@ -244,11 +227,6 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroVcis => write!(f, "vcis must be at least 1"),
-            ConfigError::VcisNeedTicketed { vcis } => write!(
-                f,
-                "vcis = {vcis} requires ExecPolicy::Ticketed (e.g. \
-                 .exec(ExecPolicy::Ticketed {{ workers: 2 }}))"
-            ),
             ConfigError::ForwardingNeedsChMad => {
                 write!(f, "forwarding requires the ch_mad remote device")
             }
@@ -263,12 +241,9 @@ impl std::error::Error for ConfigError {}
 /// at world-start time.
 ///
 /// ```
-/// use mpich::{ExecPolicy, WorldConfig};
+/// use mpich::WorldConfig;
 ///
-/// let config = WorldConfig::builder()
-///     .vcis(4)
-///     .exec(ExecPolicy::Ticketed { workers: 2 })
-///     .build();
+/// let config = WorldConfig::builder().vcis(4).build();
 /// assert_eq!(config.vcis, 4);
 /// assert!(WorldConfig::builder().vcis(0).try_build().is_err());
 /// ```
@@ -318,11 +293,6 @@ impl WorldConfigBuilder {
         self
     }
 
-    pub fn capture(mut self, v: bool) -> Self {
-        self.cfg.capture = v;
-        self
-    }
-
     pub fn decisions(mut self, v: bool) -> Self {
         self.cfg.decisions = v;
         self
@@ -358,11 +328,6 @@ impl WorldConfigBuilder {
         if self.cfg.vcis == 0 {
             return Err(ConfigError::ZeroVcis);
         }
-        if self.cfg.vcis > 1 && !matches!(self.cfg.exec, ExecPolicy::Ticketed { .. }) {
-            return Err(ConfigError::VcisNeedTicketed {
-                vcis: self.cfg.vcis,
-            });
-        }
         if self.cfg.forwarding && !matches!(self.cfg.remote, RemoteDeviceKind::ChMad(_)) {
             return Err(ConfigError::ForwardingNeedsChMad);
         }
@@ -378,6 +343,28 @@ impl WorldConfigBuilder {
     }
 }
 
+/// Everything a finished world run yields: per-rank results in rank
+/// order, the drained kernel (end time, trace, decisions, metrics) and
+/// the shared Madeleine session (reliability counters).
+pub struct WorldReport<T> {
+    pub results: Vec<T>,
+    pub kernel: Kernel,
+    pub session: Arc<madeleine::Session>,
+    engines: Vec<Arc<Engine>>,
+}
+
+impl<T> WorldReport<T> {
+    /// The quiescent [`WorldCapture`] of the finished world. Pure
+    /// host-side reads, so taking it cannot change anything.
+    pub fn capture(&self) -> WorldCapture {
+        WorldCapture {
+            kernel: self.kernel.capture(),
+            session: self.session.capture(),
+            engines: self.engines.iter().map(|e| e.capture()).collect(),
+        }
+    }
+}
+
 /// Run an MPI program: spawn one main thread per rank executing `f` with
 /// that rank's `MPI_COMM_WORLD`, then run the simulation to completion.
 /// Returns the per-rank results in rank order.
@@ -390,7 +377,7 @@ impl WorldConfigBuilder {
 ///     Topology::single_network(4, Protocol::Tcp),
 ///     Placement::OneRankPerNode,
 ///     WorldConfig::default(),
-///     |comm| comm.allreduce_vec(&[comm.rank() as i64], mpich::ReduceOp::Sum)[0],
+///     |comm| comm.allreduce(&[comm.rank() as i64], mpich::ReduceOp::Sum)[0],
 /// )
 /// .unwrap();
 /// assert_eq!(results, vec![6, 6, 6, 6]);
@@ -405,63 +392,16 @@ where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Send + Sync + 'static,
 {
-    let (results, _) = run_world_kernel(topology, placement, config, f)?;
-    Ok(results)
+    run_world_report(topology, placement, config, f).map(|r| r.results)
 }
 
-/// Like [`run_world`], additionally returning the kernel (for end-time
-/// or trace inspection).
-pub fn run_world_kernel<T, F>(
+/// [`run_world`], returning the whole [`WorldReport`].
+pub fn run_world_report<T, F>(
     topology: Topology,
     placement: Placement,
     config: WorldConfig,
     f: F,
-) -> Result<(Vec<T>, Kernel), SimError>
-where
-    T: Send + 'static,
-    F: Fn(&Communicator) -> T + Send + Sync + 'static,
-{
-    let (results, kernel, _) = run_world_full(topology, placement, config, f)?;
-    Ok((results, kernel))
-}
-
-/// Like [`run_world_kernel`], additionally returning the Madeleine
-/// session — fault-injection tests and benches read the reliability
-/// counters ([`madeleine::Session::fault_counters`],
-/// [`madeleine::Session::failovers`]) off it after the run.
-pub fn run_world_full<T, F>(
-    topology: Topology,
-    placement: Placement,
-    config: WorldConfig,
-    f: F,
-) -> Result<(Vec<T>, Kernel, Arc<madeleine::Session>), SimError>
-where
-    T: Send + 'static,
-    F: Fn(&Communicator) -> T + Send + Sync + 'static,
-{
-    let (results, kernel, session, _) = run_world_captured(topology, placement, config, f)?;
-    Ok((results, kernel, session))
-}
-
-/// Everything a captured world run yields: per-rank results, the
-/// drained kernel, the shared session, and (when
-/// [`WorldConfig::capture`] is set) the quiescent [`WorldCapture`].
-pub type CapturedWorld<T> = (
-    Vec<T>,
-    Kernel,
-    Arc<madeleine::Session>,
-    Option<WorldCapture>,
-);
-
-/// Like [`run_world_full`], additionally returning the quiescent
-/// [`WorldCapture`] when [`WorldConfig::capture`] is set (`None`
-/// otherwise) — the journal's snapshot source.
-pub fn run_world_captured<T, F>(
-    topology: Topology,
-    placement: Placement,
-    config: WorldConfig,
-    f: F,
-) -> Result<CapturedWorld<T>, SimError>
+) -> Result<WorldReport<T>, SimError>
 where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Send + Sync + 'static,
@@ -469,19 +409,7 @@ where
     let mut cost_model = config.cost_model.clone();
     cost_model.poll_policy = config.poll;
     cost_model.exec_policy = config.exec;
-    // `MPICH_VCIS=N` sweeps the VCI lane count over unmodified binaries
-    // (the CI scaling matrix). A multi-lane world needs the ticketed
-    // kernel (the builder enforces the same rule for configured lane
-    // counts), so the env override auto-upgrades a Seed execution
-    // policy rather than aborting a binary that never asked for lanes.
-    let vcis = std::env::var("MPICH_VCIS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(config.vcis)
-        .max(1);
-    if vcis > 1 && !matches!(cost_model.exec_policy, ExecPolicy::Ticketed { .. }) {
-        cost_model.exec_policy = ExecPolicy::Ticketed { workers: 2 };
-    }
+    let vcis = config.vcis.max(1);
     let kernel = Kernel::new(cost_model);
     if config.trace {
         kernel.enable_trace();
@@ -492,18 +420,7 @@ where
     if let Some(hook) = &config.stream {
         kernel.set_event_sink((hook.make)(), hook.chunk);
     }
-    // `MPICH_FORCE_FALLBACK=N` forces the first `N` committer picks down
-    // the serial re-sequencing fallback path (results stay bit-identical;
-    // only the decision log's fallback flags differ). The journal's
-    // divergence-bisect CI leg uses it to plant a known first divergent
-    // ticket into an otherwise identical campaign.
-    let forced = std::env::var("MPICH_FORCE_FALLBACK")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(config.force_fallback);
-    if forced > 0 {
-        kernel.force_commit_fallback(forced);
-    }
+    kernel.force_commit_fallback(config.force_fallback);
     let node_model = topology.node_model().clone();
     // Fast-island structure for the collective engine, captured before
     // the topology moves into the session builder. `cluster_levels` is
@@ -552,28 +469,13 @@ where
     let rank_node: Vec<usize> = (0..n).map(|r| session.node_of(r).0).collect();
 
     let remote: Arc<dyn Device> = match &config.remote {
-        RemoteDeviceKind::ChMad(cfg) => {
-            let mut cfg = cfg.clone();
-            // MPICH_FUSED_PROGRESS=1 fuses each rank's polling threads
-            // into one (see `ChMadConfig::fused_progress`). This
-            // changes thread structure and hence virtual-time
-            // interleavings — it is a scale knob for big worlds, not a
-            // determinism-preserving host knob.
-            if std::env::var("MPICH_FUSED_PROGRESS")
-                .as_deref()
-                .map(str::trim)
-                == Ok("1")
-            {
-                cfg.fused_progress = true;
-            }
-            ChMad::new(
-                &kernel,
-                session.clone(),
-                engines.clone(),
-                config.adi.clone(),
-                cfg,
-            )
-        }
+        RemoteDeviceKind::ChMad(cfg) => ChMad::new(
+            &kernel,
+            session.clone(),
+            engines.clone(),
+            config.adi.clone(),
+            cfg.clone(),
+        ),
         RemoteDeviceKind::ChP4(costs) => ChP4::new(&kernel, engines.clone(), costs.clone()),
     };
     let devices = Arc::new(DeviceSet {
@@ -641,16 +543,16 @@ where
     }
     kernel.run()?;
     // Flush the last partial chunk through the sink and publish the
-    // stream high-water-mark gauge before the capture/metrics reads.
+    // stream high-water-mark gauge before anyone reads the metrics.
     kernel.finish_event_sink();
     let results = handles
         .into_iter()
         .map(|h| h.join_outcome().expect("rank finished without a result"))
         .collect();
-    let capture = config.capture.then(|| WorldCapture {
-        kernel: kernel.capture(),
-        session: session.capture(),
-        engines: engines.iter().map(|e| e.capture()).collect(),
-    });
-    Ok((results, kernel, session, capture))
+    Ok(WorldReport {
+        results,
+        kernel,
+        session,
+        engines,
+    })
 }

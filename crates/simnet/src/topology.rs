@@ -266,7 +266,10 @@ impl Topology {
     ///
     /// [`cluster_levels`]: Topology::cluster_levels
     pub fn fat_tree(k: usize) -> Self {
-        assert!(k >= 4 && k.is_multiple_of(2), "fat_tree requires even k >= 4");
+        assert!(
+            k >= 4 && k.is_multiple_of(2),
+            "fat_tree requires even k >= 4"
+        );
         let (pods, edges, leaf) = (k, k / 2, k / 2);
         let mut t = Topology::new();
         let mut all = Vec::with_capacity(pods * edges * leaf);

@@ -8,7 +8,7 @@
 //! cargo run --example heterogeneous_cluster
 //! ```
 
-use mpich::{run_world_kernel, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world_report, Placement, ReduceOp, WorldConfig};
 use simnet::{NodeId, Topology};
 
 const CELLS_PER_RANK: usize = 4096;
@@ -26,7 +26,7 @@ fn main() {
         println!("  ranks {a}-{b}: {}", topology.network(best).model.name);
     }
 
-    let (results, kernel) = run_world_kernel(
+    let report = run_world_report(
         topology,
         Placement::OneRankPerNode,
         WorldConfig::default(),
@@ -86,10 +86,10 @@ fn main() {
     .expect("jacobi world runs");
 
     println!("\nrank  local-heat  final-residual");
-    for (me, heat, residual) in &results {
+    for (me, heat, residual) in &report.results {
         println!("{me:>4}  {heat:>10.4}  {residual:>14.6}");
     }
-    let residuals: Vec<f64> = results.iter().map(|(_, _, r)| *r).collect();
+    let residuals: Vec<f64> = report.results.iter().map(|(_, _, r)| *r).collect();
     assert!(
         residuals.windows(2).all(|w| w[0] == w[1]),
         "allreduce agreement"
@@ -97,6 +97,6 @@ fn main() {
     println!(
         "\n{} Jacobi iterations across 2 clusters took {:.3} ms of virtual time",
         ITERATIONS,
-        kernel.end_time().as_secs_f64() * 1e3
+        report.kernel.end_time().as_secs_f64() * 1e3
     );
 }

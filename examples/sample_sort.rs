@@ -6,7 +6,7 @@
 //! cargo run --example sample_sort
 //! ```
 
-use mpich::{run_world_kernel, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world_report, Placement, ReduceOp, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::Topology;
@@ -14,7 +14,7 @@ use simnet::Topology;
 const KEYS_PER_RANK: usize = 20_000;
 
 fn main() {
-    let (results, kernel) = run_world_kernel(
+    let report = run_world_report(
         Topology::meta_cluster(2),
         Placement::OneRankPerCpu, // 8 ranks
         WorldConfig::default(),
@@ -84,15 +84,19 @@ fn main() {
     .expect("sample sort completes");
 
     println!("rank  keys-after-exchange  globally-sorted");
-    for (r, (len, sorted, _)) in results.iter().enumerate() {
+    for (r, (len, sorted, _)) in report.results.iter().enumerate() {
         println!("{r:>4}  {len:>19}  {sorted}");
     }
-    let total: i64 = results[0].2;
-    assert_eq!(total as usize, KEYS_PER_RANK * results.len(), "no key lost");
-    assert!(results.iter().all(|(_, sorted, _)| *sorted));
+    let total: i64 = report.results[0].2;
+    assert_eq!(
+        total as usize,
+        KEYS_PER_RANK * report.results.len(),
+        "no key lost"
+    );
+    assert!(report.results.iter().all(|(_, sorted, _)| *sorted));
     println!(
         "\nsorted {} keys across 8 ranks / 3 networks in {:.3} ms of virtual time",
         total,
-        kernel.end_time().as_secs_f64() * 1e3
+        report.kernel.end_time().as_secs_f64() * 1e3
     );
 }

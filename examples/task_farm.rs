@@ -9,7 +9,7 @@
 //! cargo run --example task_farm
 //! ```
 
-use mpich::{run_world_kernel, Placement, WorldConfig};
+use mpich::{run_world_report, Placement, WorldConfig};
 use simnet::Topology;
 
 const UNITS: usize = 60;
@@ -20,7 +20,7 @@ const TAG_STOP: i32 = 3;
 fn main() {
     // Master on an SCI-cluster node; workers spread across both
     // clusters (SCI neighbours + Myrinet nodes across TCP).
-    let (results, kernel) = run_world_kernel(
+    let report = run_world_report(
         Topology::meta_cluster(3),
         Placement::OneRankPerNode,
         WorldConfig::default(),
@@ -89,7 +89,7 @@ fn main() {
     )
     .expect("task farm completes");
 
-    let per_worker = &results[0];
+    let per_worker = &report.results[0];
     println!("units completed per worker (master view):");
     let mut total = 0;
     for (w, count) in per_worker.iter().enumerate().skip(1) {
@@ -103,7 +103,7 @@ fn main() {
     }
     assert_eq!(total, UNITS);
     // Workers' own counts must agree with the master's bookkeeping.
-    for (w, counts) in results.iter().enumerate().skip(1) {
+    for (w, counts) in report.results.iter().enumerate().skip(1) {
         assert_eq!(counts[0], per_worker[w], "worker {w} disagrees");
     }
     let sci: usize = per_worker[1..=2].iter().sum();
@@ -111,7 +111,7 @@ fn main() {
     println!("\nSCI-cluster workers: {sci} units; cross-cluster (TCP) workers: {far} units");
     println!(
         "total virtual time: {:.3} ms",
-        kernel.end_time().as_secs_f64() * 1e3
+        report.kernel.end_time().as_secs_f64() * 1e3
     );
     println!(
         "\nlow-latency workers get more units: {}",

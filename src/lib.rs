@@ -18,7 +18,7 @@
 //!     Topology::meta_cluster(2),
 //!     Placement::OneRankPerNode,
 //!     WorldConfig::default(),
-//!     |comm| comm.allreduce_vec(&[comm.rank() as i64], ReduceOp::Sum)[0],
+//!     |comm| comm.allreduce(&[comm.rank() as i64], ReduceOp::Sum)[0],
 //! )
 //! .unwrap();
 //! assert!(results.iter().all(|&s| s == 6));
@@ -34,8 +34,8 @@ pub use simnet;
 pub mod prelude {
     pub use marcel::{CostModel, Kernel, VirtualDuration, VirtualTime};
     pub use mpich::{
-        run_world, run_world_kernel, BaseType, CartComm, ChMadConfig, Communicator, Datatype,
-        Placement, ReduceOp, RemoteDeviceKind, Request, Status, WorldConfig,
+        run_world, run_world_report, BaseType, CartComm, ChMadConfig, Communicator, Datatype,
+        Placement, ReduceOp, RemoteDeviceKind, Request, Status, WorldConfig, WorldReport,
     };
     pub use simnet::{NodeId, Protocol, Topology};
 }

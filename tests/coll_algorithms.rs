@@ -359,13 +359,14 @@ fn float_allreduce_is_deterministic_per_algorithm() {
 
 #[test]
 fn adaptive_runs_hierarchical_on_the_meta_cluster() {
-    let (_, kernel) = mpich::run_world_kernel(
+    let kernel = mpich::run_world_report(
         Topology::meta_cluster(3),
         Placement::OneRankPerNode,
         cfg(CollPolicy::Adaptive),
         |comm| comm.allreduce(&[comm.rank() as i64], ReduceOp::Sum),
     )
-    .expect("world completes");
+    .expect("world completes")
+    .kernel;
     let snap = kernel.metrics().snapshot();
     assert_eq!(
         snap.counter("coll.allreduce.hierarchical"),
@@ -377,7 +378,7 @@ fn adaptive_runs_hierarchical_on_the_meta_cluster() {
 
 #[test]
 fn fixed_policy_forces_the_requested_algorithm() {
-    let (_, kernel) = mpich::run_world_kernel(
+    let kernel = mpich::run_world_report(
         flat(4),
         Placement::OneRankPerNode,
         cfg(CollPolicy::Fixed(CollAlgorithm::Rabenseifner)),
@@ -386,14 +387,15 @@ fn fixed_policy_forces_the_requested_algorithm() {
             comm.allreduce(&vals, ReduceOp::Sum)
         },
     )
-    .expect("world completes");
+    .expect("world completes")
+    .kernel;
     let snap = kernel.metrics().snapshot();
     assert_eq!(snap.counter("coll.allreduce.rabenseifner"), 4);
 }
 
 #[test]
 fn seed_policy_never_leaves_binomial() {
-    let (_, kernel) = mpich::run_world_kernel(
+    let kernel = mpich::run_world_report(
         Topology::meta_cluster(2),
         Placement::OneRankPerCpu,
         WorldConfig::default(),
@@ -402,7 +404,8 @@ fn seed_policy_never_leaves_binomial() {
             comm.allgather(&[comm.rank() as u64]);
         },
     )
-    .expect("world completes");
+    .expect("world completes")
+    .kernel;
     let snap = kernel.metrics().snapshot();
     for (name, _) in snap.counters_with_prefix("coll.") {
         assert!(
@@ -571,13 +574,14 @@ fn multi_level_collectives_match_seed_on_a_dragonfly() {
 /// agrees.
 #[test]
 fn adaptive_runs_hierarchical_on_a_fat_tree() {
-    let (_, kernel) = mpich::run_world_kernel(
+    let kernel = mpich::run_world_report(
         Topology::fat_tree(4),
         Placement::OneRankPerNode,
         cfg(CollPolicy::Adaptive),
         |comm| comm.allreduce(&[comm.rank() as i64], ReduceOp::Sum),
     )
-    .expect("world completes");
+    .expect("world completes")
+    .kernel;
     let snap = kernel.metrics().snapshot();
     assert_eq!(
         snap.counter("coll.allreduce.hierarchical"),

@@ -8,13 +8,13 @@
 //! bit-identical results, virtual end times, and traces — including
 //! under randomized (but seeded) traffic.
 
-use mpich::{run_world_kernel, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world_report, Placement, ReduceOp, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{Protocol, Topology};
 
 fn stress_run(seed: u64) -> (Vec<u64>, marcel::VirtualTime) {
-    let (results, kernel) = run_world_kernel(
+    let report = run_world_report(
         Topology::meta_cluster(2),
         Placement::OneRankPerCpu, // 8 ranks
         WorldConfig::default(),
@@ -69,7 +69,7 @@ fn stress_run(seed: u64) -> (Vec<u64>, marcel::VirtualTime) {
         },
     )
     .expect("stress world completes");
-    (results, kernel.end_time())
+    (report.results, report.kernel.end_time())
 }
 
 #[test]
@@ -92,7 +92,7 @@ fn different_seeds_change_the_schedule() {
 #[test]
 fn kernel_trace_is_reproducible_for_a_world() {
     let run = || {
-        let (_, kernel) = run_world_kernel(
+        let kernel = run_world_report(
             Topology::single_network(3, Protocol::Sisci),
             Placement::OneRankPerNode,
             WorldConfig::default(),
@@ -101,7 +101,8 @@ fn kernel_trace_is_reproducible_for_a_world() {
                 comm.allreduce_vec(&[x], ReduceOp::Max)
             },
         )
-        .unwrap();
+        .unwrap()
+        .kernel;
         kernel.end_time()
     };
     assert_eq!(run(), run());
@@ -111,7 +112,7 @@ fn kernel_trace_is_reproducible_for_a_world() {
 fn pingpong_time_is_independent_of_unrelated_history() {
     // A steady-state property: the k-th and (k+5)-th ping-pong of the
     // same size cost the same (no hidden drift in the simulation).
-    let results = run_world_kernel(
+    let results = run_world_report(
         Topology::single_network(2, Protocol::Bip),
         Placement::OneRankPerNode,
         WorldConfig::default(),
@@ -135,7 +136,7 @@ fn pingpong_time_is_independent_of_unrelated_history() {
         },
     )
     .unwrap()
-    .0;
+    .results;
     let times = &results[0];
     // Skip the first (cold floors); the rest must be identical.
     assert!(
@@ -147,7 +148,7 @@ fn pingpong_time_is_independent_of_unrelated_history() {
 #[test]
 fn world_trace_capture() {
     let cfg = WorldConfig::builder().trace(true).build();
-    let (_, kernel) = run_world_kernel(
+    let kernel = run_world_report(
         Topology::single_network(2, Protocol::Bip),
         Placement::OneRankPerNode,
         cfg,
@@ -159,7 +160,8 @@ fn world_trace_capture() {
             }
         },
     )
-    .unwrap();
+    .unwrap()
+    .kernel;
     let trace = kernel.take_trace();
     assert!(!trace.is_empty(), "trace must record events");
     // Spawns of both rank mains and their pollers are recorded.
@@ -171,7 +173,7 @@ fn world_trace_capture() {
     // Events are recorded in a deterministic order: re-run matches.
     let rerun = {
         let cfg = WorldConfig::builder().trace(true).build();
-        let (_, kernel) = run_world_kernel(
+        let kernel = run_world_report(
             Topology::single_network(2, Protocol::Bip),
             Placement::OneRankPerNode,
             cfg,
@@ -183,7 +185,8 @@ fn world_trace_capture() {
                 }
             },
         )
-        .unwrap();
+        .unwrap()
+        .kernel;
         kernel.take_trace()
     };
     assert_eq!(trace, rerun);

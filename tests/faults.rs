@@ -16,7 +16,7 @@ use bytes::Bytes;
 use madeleine::SessionBuilder;
 use marcel::{CostModel, Kernel, VirtualDuration, VirtualTime};
 use mpich::{
-    run_world, run_world_full, AdiCosts, ChMad, ChMadConfig, Device, Engine, Envelope, Placement,
+    run_world, run_world_report, AdiCosts, ChMad, ChMadConfig, Device, Engine, Envelope, Placement,
     PolicyMode, RemoteDeviceKind, WorldConfig,
 };
 use proptest::prelude::*;
@@ -153,19 +153,23 @@ fn rail_hard_down_mid_stream_fails_over() {
         .build();
     const N: usize = 4 << 20;
     const MSGS: usize = 2;
-    let (results, _kernel, session) =
-        run_world_full(t, Placement::OneRankPerNode, config, move |comm| {
-            if comm.rank() == 0 {
-                for i in 0..MSGS {
-                    comm.send(&payload(0, i, N), 1, i as i32);
-                }
-                true
-            } else {
-                (0..MSGS).all(|i| comm.recv(N, Some(0), Some(i as i32)).0 == payload(0, i, N))
+    let report = run_world_report(t, Placement::OneRankPerNode, config, move |comm| {
+        if comm.rank() == 0 {
+            for i in 0..MSGS {
+                comm.send(&payload(0, i, N), 1, i as i32);
             }
-        })
-        .expect("failover world failed to complete");
-    assert_eq!(results, vec![true, true], "payloads survived the failover");
+            true
+        } else {
+            (0..MSGS).all(|i| comm.recv(N, Some(0), Some(i as i32)).0 == payload(0, i, N))
+        }
+    })
+    .expect("failover world failed to complete");
+    assert_eq!(
+        report.results,
+        vec![true, true],
+        "payloads survived the failover"
+    );
+    let session = report.session;
     assert!(
         session.failovers() >= 1,
         "expected at least one rail failover, got {}",
@@ -194,7 +198,7 @@ fn faulted_runs_are_seed_deterministic() {
             .with_ack_loss(0.25)
             .with_down(VirtualTime(100_000), VirtualTime(400_000));
         let sizes: Vec<usize> = SIZES.to_vec();
-        let (results, kernel, session) = run_world_full(
+        let report = run_world_report(
             multirail(Some(plan)),
             Placement::OneRankPerNode,
             WorldConfig::default(),
@@ -216,11 +220,11 @@ fn faulted_runs_are_seed_deterministic() {
         )
         .expect("deterministic faulted world failed");
         (
-            results,
-            kernel.end_time(),
-            session.fault_counters(),
-            session.failovers(),
-            session.rndv_reissues(),
+            report.results,
+            report.kernel.end_time(),
+            report.session.fault_counters(),
+            report.session.failovers(),
+            report.session.rndv_reissues(),
         )
     };
     assert_eq!(run(), run());

@@ -7,7 +7,7 @@
 //! every MPI semantic must survive arbitrary arrival-time perturbation,
 //! and the simulation must stay reproducible.
 
-use mpich::{run_world, run_world_kernel, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world, run_world_report, Placement, ReduceOp, WorldConfig};
 use simnet::{Protocol, Topology};
 
 /// 2-node SCI topology whose link stretches arrivals by up to
@@ -97,7 +97,7 @@ fn rendezvous_handshake_survives_jitter() {
 #[test]
 fn jittered_runs_are_still_deterministic() {
     let run = || {
-        let (results, kernel) = run_world_kernel(
+        let report = run_world_report(
             jittery(4, 80_000, 99),
             Placement::OneRankPerNode,
             WorldConfig::default(),
@@ -111,7 +111,7 @@ fn jittered_runs_are_still_deterministic() {
             },
         )
         .unwrap();
-        (results, kernel.end_time())
+        (report.results, report.kernel.end_time())
     };
     assert_eq!(run(), run());
 }
@@ -119,7 +119,7 @@ fn jittered_runs_are_still_deterministic() {
 #[test]
 fn jitter_actually_changes_timing() {
     let time = |amplitude: u64| {
-        let (_, kernel) = run_world_kernel(
+        let kernel = run_world_report(
             jittery(2, amplitude, 5),
             Placement::OneRankPerNode,
             WorldConfig::default(),
@@ -133,7 +133,8 @@ fn jitter_actually_changes_timing() {
                 }
             },
         )
-        .unwrap();
+        .unwrap()
+        .kernel;
         kernel.end_time()
     };
     assert!(time(100_000) > time(0), "jitter must be observable");

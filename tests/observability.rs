@@ -10,7 +10,7 @@
 //! tracing off must not perturb the simulation at all.
 
 use marcel::{validate_spans, MetricsSnapshot, TraceEvent, VirtualTime};
-use mpich::{run_world_full, Placement, WorldConfig};
+use mpich::{run_world_report, Placement, WorldConfig};
 use simnet::{FaultPlan, Protocol, Topology};
 
 /// Sizes straddling the SCI eager→rendezvous switch so both transfer
@@ -21,7 +21,7 @@ const SIZES: [usize; 3] = [4, 4 * 1024, 40 * 1024];
 /// can extract from it.
 fn traced_run(trace: bool) -> (Vec<u64>, VirtualTime, Vec<TraceEvent>, MetricsSnapshot) {
     let cfg = WorldConfig::builder().trace(trace).build();
-    let (results, kernel, _session) = run_world_full(
+    let report = run_world_report(
         Topology::single_network(2, Protocol::Sisci),
         Placement::OneRankPerNode,
         cfg,
@@ -41,8 +41,14 @@ fn traced_run(trace: bool) -> (Vec<u64>, VirtualTime, Vec<TraceEvent>, MetricsSn
         },
     )
     .expect("traced world completes");
+    let kernel = report.kernel;
     let snapshot = kernel.metrics().snapshot();
-    (results, kernel.end_time(), kernel.take_trace(), snapshot)
+    (
+        report.results,
+        kernel.end_time(),
+        kernel.take_trace(),
+        snapshot,
+    )
 }
 
 /// The typed trace and the metrics snapshot are part of the
@@ -98,7 +104,7 @@ fn retransmits_match_injected_losses() {
     let a = t.add_node("a", 1);
     let b = t.add_node("b", 1);
     t.add_network_with_fault(Protocol::Bip, FaultPlan::new(0xF00D).with_loss(0.3), [a, b]);
-    let (_, kernel, session) = run_world_full(
+    let report = run_world_report(
         t,
         Placement::OneRankPerNode,
         WorldConfig::default(),
@@ -113,6 +119,7 @@ fn retransmits_match_injected_losses() {
         },
     )
     .expect("lossy world completes");
+    let (kernel, session) = (report.kernel, report.session);
     let c = session.fault_counters();
     assert!(c.drops > 0, "the plan injected no losses: {c:?}");
     assert_eq!(
@@ -158,7 +165,7 @@ fn tracing_disabled_is_zero_cost() {
 #[test]
 fn chrome_trace_export_is_well_formed() {
     let cfg = WorldConfig::builder().trace(true).build();
-    let (_, kernel, session) = run_world_full(
+    let report = run_world_report(
         Topology::single_network(2, Protocol::Sisci),
         Placement::OneRankPerNode,
         cfg,
@@ -171,8 +178,8 @@ fn chrome_trace_export_is_well_formed() {
         },
     )
     .expect("chrome world completes");
-    let trace = kernel.take_trace();
-    let metas = mpich::thread_metas(&kernel, &session);
+    let trace = report.kernel.take_trace();
+    let metas = mpich::thread_metas(&report.kernel, &report.session);
     let json = marcel::chrome_trace_json(&trace, &metas);
     // The "JSON array format" Perfetto and chrome://tracing load.
     assert!(json.starts_with('[') && json.trim_end().ends_with(']'));

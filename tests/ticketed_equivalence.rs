@@ -16,15 +16,15 @@
 //! opportunities than a clean run. Each pair is also a replay check:
 //! two runs of one world must agree on all of it.
 //!
-//! The committer-fallback test forces re-validation failures through
-//! the test-only hook and asserts the serial re-execution path still
-//! reproduces the Seed run exactly.
+//! The committer-fallback test marks commits through the test-only
+//! hook and asserts the marked run still reproduces the Seed run
+//! exactly.
 
 use marcel::{
     chrome_trace_json, CostModel, ExecPolicy, Kernel, MetricsSnapshot, TraceEvent, VirtualDuration,
     VirtualTime,
 };
-use mpich::{run_world_full, thread_metas, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world_report, thread_metas, Placement, ReduceOp, WorldConfig};
 use proptest::prelude::*;
 use simnet::{FaultPlan, Protocol, Topology};
 
@@ -38,30 +38,21 @@ struct Artifacts {
     chrome: String,
 }
 
-/// Which scheduler index the kernel runs the world on (see
-/// `marcel::cost::SchedIndex`): the timer wheel (production default),
-/// the seed O(threads) linear scan it must be bit-identical to, or the
-/// wheel with the per-decision cross-check armed — which asserts
-/// wheel == scan at *every* `best_candidate` call inside the kernel.
-#[derive(Clone, Copy)]
-enum Index {
-    Wheel,
-    Scan,
-    Xcheck,
-}
-
 /// A 4-rank ring exchange with seed-dependent payload sizes straddling
 /// the eager→rendezvous switch, finished with an allreduce, over an
 /// optionally faulted SCI network.
 fn world_run(exec: ExecPolicy, world_seed: u64, fault: Option<FaultPlan>) -> Artifacts {
-    world_run_on(exec, world_seed, fault, Index::Wheel)
+    world_run_on(exec, world_seed, fault, false)
 }
 
+/// [`world_run`], with `xcheck` arming the kernel's per-decision
+/// cross-check — which asserts wheel == linear scan at *every*
+/// scheduling decision.
 fn world_run_on(
     exec: ExecPolicy,
     world_seed: u64,
     fault: Option<FaultPlan>,
-    index: Index,
+    xcheck: bool,
 ) -> Artifacts {
     let mut t = Topology::new();
     let a = t.add_node("a", 2);
@@ -76,48 +67,46 @@ fn world_run_on(
     }
     let mut cost_model = CostModel::calibrated();
     cost_model.exec_seed = world_seed;
-    cost_model = match index {
-        Index::Wheel => cost_model,
-        Index::Scan => cost_model.with_sched_scan(),
-        Index::Xcheck => cost_model.with_sched_xcheck(),
-    };
+    if xcheck {
+        cost_model = cost_model.with_sched_xcheck();
+    }
     let config = WorldConfig::builder()
         .cost_model(cost_model)
         .trace(true)
         .exec(exec)
         .build();
-    let (results, kernel, session) =
-        run_world_full(t, Placement::OneRankPerCpu, config, move |comm| {
-            let me = comm.rank();
-            let n = comm.size();
-            let mut checksum = 0u64;
-            for round in 0..3u64 {
-                // Message size is a pure function of (world_seed, sender,
-                // round): 1 B .. ~12 KB, both sides of SCI's 8 KB switch.
-                let size = |src: usize| {
-                    (simnet::rng::message_hash(world_seed, round, src) % 12_000 + 1) as usize
-                };
-                let payload = vec![me as u8 ^ round as u8; size(me)];
-                let dst = (me + 1) % n;
-                let src = (me + n - 1) % n;
-                let send = comm.isend(payload, dst, round as i32);
-                let (data, status) = comm.recv_bytes(size(src), Some(src), Some(round as i32));
-                send.wait_send();
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(status.len as u64)
-                    .wrapping_add(data.iter().map(|&b| b as u64).sum::<u64>());
-                // Fold in the ticketed dispatch identity of this moment:
-                // equal across policies iff the schedules are equal.
-                checksum ^= marcel::dispatch_seed();
-            }
-            comm.allreduce_vec(&[checksum], ReduceOp::Sum)[0]
-        })
-        .expect("world completes under every exec policy");
+    let report = run_world_report(t, Placement::OneRankPerCpu, config, move |comm| {
+        let me = comm.rank();
+        let n = comm.size();
+        let mut checksum = 0u64;
+        for round in 0..3u64 {
+            // Message size is a pure function of (world_seed, sender,
+            // round): 1 B .. ~12 KB, both sides of SCI's 8 KB switch.
+            let size = |src: usize| {
+                (simnet::rng::message_hash(world_seed, round, src) % 12_000 + 1) as usize
+            };
+            let payload = vec![me as u8 ^ round as u8; size(me)];
+            let dst = (me + 1) % n;
+            let src = (me + n - 1) % n;
+            let send = comm.isend(payload, dst, round as i32);
+            let (data, status) = comm.recv_bytes(size(src), Some(src), Some(round as i32));
+            send.wait_send();
+            checksum = checksum
+                .wrapping_mul(31)
+                .wrapping_add(status.len as u64)
+                .wrapping_add(data.iter().map(|&b| b as u64).sum::<u64>());
+            // Fold in the ticketed dispatch identity of this moment:
+            // equal across policies iff the schedules are equal.
+            checksum ^= marcel::dispatch_seed();
+        }
+        comm.allreduce_vec(&[checksum], ReduceOp::Sum)[0]
+    })
+    .expect("world completes under every exec policy");
+    let kernel = report.kernel;
     let trace = kernel.take_trace();
-    let chrome = chrome_trace_json(&trace, &thread_metas(&kernel, &session));
+    let chrome = chrome_trace_json(&trace, &thread_metas(&kernel, &report.session));
     Artifacts {
-        results,
+        results: report.results,
         end: kernel.end_time(),
         trace,
         metrics: kernel.metrics().snapshot(),
@@ -146,7 +135,7 @@ fn assert_equivalent(world_seed: u64, fault: Option<FaultPlan>) {
     assert_eq!(
         t.metrics.counter("exec/fallback"),
         0,
-        "a serial world must never fail committer re-validation"
+        "no commit is marked fallback unless a test asks for it"
     );
 }
 
@@ -155,24 +144,17 @@ fn clean_world_is_bit_identical_across_policies() {
     assert_equivalent(0xC0FFEE, None);
 }
 
-/// Wheel ↔ scan equivalence: the timer wheel must reproduce the seed
-/// linear scan's decision stream bit for bit — same trace (event for
-/// event, ticket for ticket), same results, same end time, same
-/// metrics. A third run arms the in-kernel cross-check, which asserts
-/// wheel == scan at every single `best_candidate` call.
+/// Wheel ↔ scan equivalence: a run with the in-kernel cross-check armed
+/// panics on the first decision where the timer wheel's peek differs
+/// from the linear scan, so completing at all is the assertion — and
+/// the check itself must be invisible: same trace (event for event,
+/// ticket for ticket), results, end time and metrics as the plain run.
 fn assert_wheel_matches_scan(world_seed: u64, fault: Option<FaultPlan>) {
-    let scan = world_run_on(ExecPolicy::Seed, world_seed, fault.clone(), Index::Scan);
-    assert!(!scan.trace.is_empty(), "trace must be recorded");
     let exec = ExecPolicy::Ticketed { workers: 2 };
-    let wheel = world_run_on(exec, world_seed, fault.clone(), Index::Wheel);
-    assert_eq!(wheel.results, scan.results, "wheel results diverged");
-    assert_eq!(wheel.end, scan.end, "wheel end time diverged");
-    assert_eq!(wheel.trace, scan.trace, "wheel decision stream diverged");
-    assert_eq!(wheel.metrics, scan.metrics, "wheel metrics diverged");
-    // The cross-check run panics inside the kernel on the first
-    // divergent decision; completing at all is the assertion.
-    let xcheck = world_run_on(exec, world_seed, fault, Index::Xcheck);
-    assert_eq!(xcheck.trace, scan.trace, "cross-checked wheel diverged");
+    let wheel = world_run(exec, world_seed, fault.clone());
+    assert!(!wheel.trace.is_empty(), "trace must be recorded");
+    let xcheck = world_run_on(exec, world_seed, fault, true);
+    assert!(xcheck == wheel, "cross-checked wheel diverged");
 }
 
 #[test]
@@ -201,9 +183,9 @@ proptest! {
         assert_equivalent(case_seed, Some(plan));
     }
 
-    /// Random world seeds: the wheel's decision stream must match the
-    /// linear scan's bit for bit whatever the payload-size-driven
-    /// schedule looks like.
+    /// Random world seeds: the wheel must agree with the linear scan
+    /// at every decision whatever the payload-size-driven schedule
+    /// looks like.
     #[test]
     fn wheel_matches_scan_on_random_worlds(world_seed in 0u64..u64::MAX) {
         assert_wheel_matches_scan(world_seed, None);
@@ -221,9 +203,9 @@ proptest! {
     }
 }
 
-/// Forced committer re-validation failure: the fallback path must
-/// re-sequence serially and still reproduce the Seed schedule exactly
-/// (same trace, same end time), with every forced failure counted.
+/// Forced committer fallback: the marked commits must still reproduce
+/// the Seed schedule exactly (same trace, same end time), with every
+/// one of them counted.
 #[test]
 fn committer_fallback_reproduces_the_seed_schedule() {
     let run = |exec: ExecPolicy, forced: u32| {
@@ -254,7 +236,7 @@ fn committer_fallback_reproduces_the_seed_schedule() {
     let (seed_trace, seed_end, seed_falls) = run(ExecPolicy::Seed, 0);
     assert_eq!(seed_falls, 0);
     let (t_trace, t_end, t_falls) = run(ExecPolicy::Ticketed { workers: 4 }, 5);
-    assert_eq!(t_falls, 5, "every forced failure takes the fallback path");
+    assert_eq!(t_falls, 5, "every forced fallback is counted");
     assert_eq!(
         t_trace, seed_trace,
         "fallback must replay the Seed schedule"
