@@ -17,7 +17,13 @@ Gates (vs ci/scale_baseline.json, keyed by the sweep's mode line):
 3. peak committed memory per rank stays flat — within 10% — from the
    second-largest to the largest fat-tree (1k -> 8k ranks in full
    mode): the lazy per-peer state promise that per-rank state is
-   O(active pairs), not O(world).
+   O(active pairs), not O(world);
+4. bytes requested from the allocator per scheduling event stay flat —
+   within 25% — from the smallest to the largest fat-tree of the run
+   (128 -> 1k ranks quick, 128 -> 8k full): host work per message must
+   not depend on the world's size. Counted, not timed, so the box's
+   speed does not enter; a per-message scan of a world-sized table
+   shows up as ~8x per 8x ranks.
 """
 
 import json
@@ -87,6 +93,23 @@ def main() -> int:
             f"memory per rank {mem.get('kib_small')} KiB @ "
             f"{mem.get('ranks_small')} -> {mem.get('kib_big')} KiB @ "
             f"{mem.get('ranks_big')} ranks: growth {growth:.3f}x <= {ceiling}x"
+        )
+
+    # 4: allocator traffic per event independent of the world's size.
+    alloc = summary.get("alloc", {})
+    growth = alloc.get("growth", float("inf"))
+    ceiling = baseline["max_alloc_growth"]
+    if growth > ceiling:
+        failures.append(
+            f"allocated bytes per event grew {growth:.3f}x from "
+            f"{alloc.get('ranks_small')} to {alloc.get('ranks_big')} ranks "
+            f"(ceiling {ceiling}x): per-message work scales with the world"
+        )
+    else:
+        print(
+            f"allocated bytes per event {alloc.get('bytes_small')} @ "
+            f"{alloc.get('ranks_small')} -> {alloc.get('bytes_big')} @ "
+            f"{alloc.get('ranks_big')} ranks: growth {growth:.3f}x <= {ceiling}x"
         )
 
     for f in failures:

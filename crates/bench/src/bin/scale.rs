@@ -10,15 +10,18 @@
 //! simulated threads, two kernel mappings per fiber stack, which fits
 //! the default `vm.max_map_count`.
 //!
-//! Two gates ride on the output (`ci/check_scale.py`):
+//! Three gates ride on the output (`ci/check_scale.py`):
 //! * every row's scheduling-event count must equal the committed
 //!   baseline exactly;
 //! * peak memory per rank must stay flat (within tolerance) from 1k to
 //!   8k ranks — the lazy per-peer state promise: O(active pairs), not
-//!   O(n²).
+//!   O(n²);
+//! * bytes requested from the allocator per scheduling event must stay
+//!   flat from the smallest to the largest fat-tree — host work per
+//!   message independent of the world's size, counted rather than timed.
 //!
 //! Output is line-oriented:
-//!   `scale: topo=<t> ranks=<n> coll=<c> wall_ms=<w> events=<e> events_per_sec=<r> peak_mib=<m> peak_kib_per_rank=<k>`
+//!   `scale: topo=<t> ranks=<n> coll=<c> wall_ms=<w> events=<e> events_per_sec=<r> peak_mib=<m> peak_kib_per_rank=<k> alloc_bytes_per_event=<b>`
 //! plus a JSON summary on the final line.
 //!
 //! `cargo run -p bench --bin scale --release [-- --quick]`
@@ -40,11 +43,13 @@ struct PeakAlloc;
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static MAX_ALLOC: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for PeakAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         MAX_ALLOC.fetch_max(layout.size() as u64, Ordering::Relaxed);
         let live = LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed) + layout.size() as i64;
         PEAK.fetch_max(live, Ordering::Relaxed);
@@ -56,6 +61,7 @@ unsafe impl GlobalAlloc for PeakAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         let delta = new_size as i64 - layout.size() as i64;
         let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
         PEAK.fetch_max(live, Ordering::Relaxed);
@@ -88,6 +94,8 @@ struct Row {
     wall_s: f64,
     events: u64,
     peak_bytes: i64,
+    /// Bytes requested from the allocator over the whole world.
+    alloc_bytes: u64,
 }
 
 impl Row {
@@ -97,9 +105,12 @@ impl Row {
     fn kib_per_rank(&self) -> f64 {
         self.peak_bytes as f64 / 1024.0 / self.ranks as f64
     }
+    fn alloc_bytes_per_event(&self) -> f64 {
+        self.alloc_bytes as f64 / self.events as f64
+    }
     fn print(&self) {
         println!(
-            "scale: topo={} ranks={} coll={} wall_ms={:.0} events={} events_per_sec={:.0} peak_mib={:.1} peak_kib_per_rank={:.1}",
+            "scale: topo={} ranks={} coll={} wall_ms={:.0} events={} events_per_sec={:.0} peak_mib={:.1} peak_kib_per_rank={:.1} alloc_bytes_per_event={:.0}",
             self.topo,
             self.ranks,
             self.coll,
@@ -108,11 +119,12 @@ impl Row {
             self.eps(),
             self.peak_bytes as f64 / (1024.0 * 1024.0),
             self.kib_per_rank(),
+            self.alloc_bytes_per_event(),
         );
     }
     fn json(&self) -> String {
         format!(
-            "{{\"topo\":\"{}\",\"ranks\":{},\"coll\":\"{}\",\"wall_ms\":{:.1},\"events\":{},\"events_per_sec\":{:.0},\"peak_kib_per_rank\":{:.2}}}",
+            "{{\"topo\":\"{}\",\"ranks\":{},\"coll\":\"{}\",\"wall_ms\":{:.1},\"events\":{},\"events_per_sec\":{:.0},\"peak_kib_per_rank\":{:.2},\"alloc_bytes_per_event\":{:.1}}}",
             self.topo,
             self.ranks,
             self.coll,
@@ -120,6 +132,7 @@ impl Row {
             self.events,
             self.eps(),
             self.kib_per_rank(),
+            self.alloc_bytes_per_event(),
         )
     }
 }
@@ -138,6 +151,7 @@ fn scale_config() -> WorldConfig {
 fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
     let live_start = LIVE.load(Ordering::Relaxed);
     PEAK.store(live_start, Ordering::Relaxed);
+    let bytes_start = ALLOC_BYTES.load(Ordering::Relaxed);
     let t0 = Instant::now();
     let tickets = run_world(
         topology,
@@ -176,6 +190,7 @@ fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
         wall_s,
         events,
         peak_bytes,
+        alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes_start,
     }
 }
 
@@ -274,6 +289,19 @@ fn main() {
         .filter(|r| r.topo.starts_with("fat_tree") && r.coll == "allreduce")
         .collect();
     let (small, big) = (pair[pair.len() - 2], pair[pair.len() - 1]);
+    // Allocation-flatness pair: the smallest and the largest fat-tree.
+    // Bytes requested per scheduling event must not grow with the world
+    // (a per-message scan of world-sized tables would show up here as
+    // one world-sized buffer per event).
+    let least = pair[0];
+    println!(
+        "scale-alloc: ranks_small={} bytes_small={:.0} ranks_big={} bytes_big={:.0} growth={:.3}",
+        least.ranks,
+        least.alloc_bytes_per_event(),
+        big.ranks,
+        big.alloc_bytes_per_event(),
+        big.alloc_bytes_per_event() / least.alloc_bytes_per_event()
+    );
     println!(
         "scale-mem: ranks_small={} kib_small={:.1} ranks_big={} kib_big={:.1} growth={:.3}",
         small.ranks,
@@ -285,12 +313,17 @@ fn main() {
 
     let rows_json: Vec<String> = rows.iter().map(Row::json).collect();
     println!(
-        "{{\"mode\":\"{mode}\",\"rows\":[{}],\"mem\":{{\"ranks_small\":{},\"kib_small\":{:.2},\"ranks_big\":{},\"kib_big\":{:.2},\"growth\":{:.4}}}}}",
+        "{{\"mode\":\"{mode}\",\"rows\":[{}],\"mem\":{{\"ranks_small\":{},\"kib_small\":{:.2},\"ranks_big\":{},\"kib_big\":{:.2},\"growth\":{:.4}}},\"alloc\":{{\"ranks_small\":{},\"bytes_small\":{:.1},\"ranks_big\":{},\"bytes_big\":{:.1},\"growth\":{:.4}}}}}",
         rows_json.join(","),
         small.ranks,
         small.kib_per_rank(),
         big.ranks,
         big.kib_per_rank(),
-        big.kib_per_rank() / small.kib_per_rank()
+        big.kib_per_rank() / small.kib_per_rank(),
+        least.ranks,
+        least.alloc_bytes_per_event(),
+        big.ranks,
+        big.alloc_bytes_per_event(),
+        big.alloc_bytes_per_event() / least.alloc_bytes_per_event()
     );
 }

@@ -448,8 +448,10 @@ impl Channel {
 
     /// Whether the ordered pair `(from, to)` exhausted its retransmit
     /// budget (see [`ChannelError::LinkDead`]). A dead pair stays dead.
+    /// Only the reliable sublayer declares pairs dead, so a channel
+    /// without a fault plan answers without taking the lock.
     pub fn is_dead_pair(&self, from: usize, to: usize) -> bool {
-        host_lock(&self.dead).contains(&(from, to))
+        self.fault.is_some() && host_lock(&self.dead).contains(&(from, to))
     }
 
     fn mark_dead(&self, from: usize, to: usize, vci: usize) {

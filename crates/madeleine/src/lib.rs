@@ -32,7 +32,7 @@ pub use channel::{
 pub use error::{ChannelError, MadError};
 pub use message::{Block, WireMessage};
 pub use modes::{ReceiveMode, SendMode};
-pub use session::{Session, SessionBuilder, SessionCapture};
+pub use session::{Rails, Session, SessionBuilder, SessionCapture};
 
 use marcel::VirtualDuration;
 

@@ -3,8 +3,10 @@
 //! allows several channels over the same protocol, e.g. to split the
 //! traffic of two software modules; §3.1).
 
+use std::cmp::{Ordering as CmpOrdering, Reverse};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use marcel::Kernel;
 use simnet::{NetworkId, NodeId, Protocol, Topology};
@@ -94,40 +96,75 @@ impl SessionBuilder {
                 return Err(MadError::RankOnUnknownNode { rank, node: node.0 });
             }
         }
-        let mut channels = Vec::new();
-        let mut network_channel = Vec::new();
-        for (i, net) in self.topology.networks().iter().enumerate() {
-            let members = member_ranks(&self.placement, &net.members);
-            let channel = Channel::new_vci(
-                kernel,
-                format!("{}#{}", net.protocol.name(), i),
-                net.protocol,
-                net.model.clone(),
-                net.fault.clone(),
-                members,
-                self.vcis,
-            );
-            network_channel.push(channels.len());
-            channels.push(channel);
-        }
-        for (net_id, name) in self.extra_channels {
-            let net = self.topology.network(net_id);
-            let members = member_ranks(&self.placement, &net.members);
-            channels.push(Channel::new_vci(
-                kernel,
-                name,
-                net.protocol,
-                net.model.clone(),
-                net.fault.clone(),
-                members,
-                self.vcis,
-            ));
-        }
+        let topology = self.topology;
+        let n_nodes = topology.nodes().len();
+        let node_ranks = Csr::build(
+            n_nodes,
+            self.placement
+                .iter()
+                .enumerate()
+                .map(|(rank, node)| (node.0, rank)),
+        );
+        // Primary channels first, in network order — the primary channel
+        // of network `i` is `channels[i]` — then the extras.
+        let specs: Vec<(NetworkId, String)> = topology
+            .networks()
+            .iter()
+            .enumerate()
+            .map(|(i, net)| (NetworkId(i), format!("{}#{}", net.protocol.name(), i)))
+            .chain(self.extra_channels)
+            .collect();
+        let channel_networks: Vec<NetworkId> = specs.iter().map(|(net, _)| *net).collect();
+        let channels: Vec<Arc<Channel>> = specs
+            .into_iter()
+            .map(|(net_id, name)| {
+                let net = topology.network(net_id);
+                let members = net.members.iter();
+                Channel::new_vci(
+                    kernel,
+                    name,
+                    net.protocol,
+                    net.model.clone(),
+                    net.fault.clone(),
+                    members.flat_map(|m| node_ranks.row(m.0).iter().copied()),
+                    self.vcis,
+                )
+            })
+            .collect();
+        let node_channels = Csr::build(
+            n_nodes,
+            channel_networks.iter().enumerate().flat_map(|(ci, net)| {
+                topology
+                    .network(*net)
+                    .members
+                    .iter()
+                    .map(move |m| (m.0, ci))
+            }),
+        );
+        let mut by_priority: Vec<usize> = (0..topology.networks().len()).collect();
+        by_priority.sort_by_key(|&net| rail_key(&channels, net));
+        let node_rails = Csr::build(
+            n_nodes,
+            by_priority.iter().flat_map(|&net| {
+                topology.networks()[net]
+                    .members
+                    .iter()
+                    .map(move |m| (m.0, net))
+            }),
+        );
+        let route_trees = if self.forwarding {
+            (0..n_nodes).map(|_| OnceLock::new()).collect()
+        } else {
+            Vec::new()
+        };
         Ok(Arc::new(Session {
-            topology: self.topology,
+            topology,
             placement: self.placement,
             channels,
-            network_channel,
+            node_ranks,
+            node_channels,
+            node_rails,
+            route_trees,
             forwarding: self.forwarding,
             vcis: self.vcis,
             failovers: AtomicU64::new(0),
@@ -136,13 +173,76 @@ impl SessionBuilder {
     }
 }
 
-fn member_ranks(placement: &[NodeId], members: &std::collections::BTreeSet<NodeId>) -> Vec<usize> {
-    placement
-        .iter()
-        .enumerate()
-        .filter(|(_, node)| members.contains(node))
-        .map(|(rank, _)| rank)
-        .collect()
+/// The order rails between two nodes are tried in: highest transfer
+/// priority first, then network id. `net` indexes the primary channels.
+fn rail_key(channels: &[Arc<Channel>], net: usize) -> (Reverse<u32>, usize) {
+    (Reverse(channels[net].protocol().transfer_priority()), net)
+}
+
+/// Compressed sparse rows: `row(k)` is every value filed under key `k`,
+/// in the order the pairs were produced. Two allocations whatever the
+/// number of keys.
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn build(keys: usize, pairs: impl Iterator<Item = (usize, usize)> + Clone) -> Csr {
+        let mut start = vec![0usize; keys + 1];
+        for (k, _) in pairs.clone() {
+            start[k + 1] += 1;
+        }
+        for k in 0..keys {
+            start[k + 1] += start[k];
+        }
+        let mut items = vec![0usize; start[keys]];
+        let mut fill = start.clone();
+        for (k, v) in pairs {
+            items[fill[k]] = v;
+            fill[k] += 1;
+        }
+        Csr { start, items }
+    }
+
+    fn row(&self, k: usize) -> &[usize] {
+        &self.items[self.start[k]..self.start[k + 1]]
+    }
+}
+
+/// The rails two ranks share, best first: an allocation-free merge of
+/// their nodes' rows of the session's `node_rails` table.
+#[derive(Clone)]
+pub struct Rails<'a> {
+    channels: &'a [Arc<Channel>],
+    xs: &'a [usize],
+    ys: &'a [usize],
+    /// Skip rails on which this rank pair is dead in either direction,
+    /// as of the moment the iterator reaches them.
+    live_for: Option<(usize, usize)>,
+}
+
+impl<'a> Iterator for Rails<'a> {
+    type Item = &'a Arc<Channel>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while let (Some(&x), Some(&y)) = (self.xs.first(), self.ys.first()) {
+            match rail_key(self.channels, x).cmp(&rail_key(self.channels, y)) {
+                CmpOrdering::Less => self.xs = &self.xs[1..],
+                CmpOrdering::Greater => self.ys = &self.ys[1..],
+                CmpOrdering::Equal => {
+                    self.xs = &self.xs[1..];
+                    self.ys = &self.ys[1..];
+                    let rail = &self.channels[x];
+                    match self.live_for {
+                        Some((a, b)) if rail.is_dead_pair(a, b) || rail.is_dead_pair(b, a) => {}
+                        _ => return Some(rail),
+                    }
+                }
+            }
+        }
+        None
+    }
 }
 
 /// Quiescent snapshot of a whole session's transport state: one
@@ -159,9 +259,23 @@ pub struct SessionCapture {
 pub struct Session {
     topology: Topology,
     placement: Vec<NodeId>,
+    /// Primary channels in network order (network `i` -> `channels[i]`),
+    /// then the extra channels.
     channels: Vec<Arc<Channel>>,
-    /// network index -> index into `channels` (the primary channel).
-    network_channel: Vec<usize>,
+    /// node -> ranks placed on it, ascending.
+    node_ranks: Csr,
+    /// node -> indices into `channels` of every channel its ranks are
+    /// members of, ascending.
+    node_channels: Csr,
+    /// node -> networks it is attached to, in [`rail_key`] order, so the
+    /// rails two nodes share are a merge of two rows.
+    node_rails: Csr,
+    /// Forwarding sessions only: per source node, the breadth-first
+    /// predecessor of every other node (see [`Session::route_tree`]),
+    /// built when a rank on the node first resolves a peer — O(nodes)
+    /// per node that ever sends. Empty otherwise: a validated
+    /// non-forwarding session is all-pairs direct and needs no routes.
+    route_trees: Vec<OnceLock<Vec<usize>>>,
     forwarding: bool,
     /// VCI lanes every channel was built with.
     vcis: usize,
@@ -193,13 +307,9 @@ impl Session {
         self.placement[rank]
     }
 
-    pub fn ranks_on_node(&self, node: NodeId) -> Vec<usize> {
-        self.placement
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n == node)
-            .map(|(r, _)| r)
-            .collect()
+    /// Ranks placed on `node`, ascending.
+    pub fn ranks_on_node(&self, node: NodeId) -> &[usize] {
+        self.node_ranks.row(node.0)
     }
 
     /// All channels (primary per-network channels first, then extras).
@@ -209,53 +319,53 @@ impl Session {
 
     /// The primary channel of a network.
     pub fn channel_for_network(&self, net: NetworkId) -> &Arc<Channel> {
-        &self.channels[self.network_channel[net.0]]
+        &self.channels[net.0]
     }
 
-    /// Channels whose membership includes `rank`.
-    pub fn channels_of_rank(&self, rank: usize) -> Vec<Arc<Channel>> {
-        self.channels
+    /// Channels whose membership includes `rank`, in channel order.
+    pub fn channels_of_rank(&self, rank: usize) -> impl Iterator<Item = &Arc<Channel>> + '_ {
+        self.node_channels
+            .row(self.node_of(rank).0)
             .iter()
-            .filter(|c| c.is_member(rank))
-            .cloned()
-            .collect()
+            .map(|&c| &self.channels[c])
     }
 
     /// Primary channels connecting two distinct ranks on different
     /// nodes, best (highest transfer priority) first.
-    pub fn channels_between(&self, a: usize, b: usize) -> Vec<Arc<Channel>> {
+    pub fn channels_between(&self, a: usize, b: usize) -> Rails<'_> {
         let (na, nb) = (self.node_of(a), self.node_of(b));
-        let mut out: Vec<Arc<Channel>> = self
-            .topology
-            .networks_between(na, nb)
-            .into_iter()
-            .map(|net| self.channel_for_network(net).clone())
-            .collect();
-        out.sort_by_key(|c| std::cmp::Reverse(c.protocol().transfer_priority()));
-        out
+        let row = |n: NodeId| self.node_rails.row(n.0);
+        Rails {
+            channels: &self.channels,
+            xs: if na == nb { &[] } else { row(na) },
+            ys: row(nb),
+            live_for: None,
+        }
     }
 
     /// Like [`Session::channels_between`], but excluding channels whose
     /// `(a, b)` pair was declared dead by the reliable sublayer — the
     /// surviving rails the `ch_mad` device re-resolves its protocol
-    /// policy against after a failure.
-    pub fn live_channels_between(&self, a: usize, b: usize) -> Vec<Arc<Channel>> {
-        self.channels_between(a, b)
-            .into_iter()
-            .filter(|c| !c.is_dead_pair(a, b) && !c.is_dead_pair(b, a))
-            .collect()
+    /// policy against after a failure. Liveness is read as the iterator
+    /// advances: clone it to look again later, collect it to pin a
+    /// point in virtual time.
+    pub fn live_channels_between(&self, a: usize, b: usize) -> Rails<'_> {
+        Rails {
+            live_for: Some((a, b)),
+            ..self.channels_between(a, b)
+        }
     }
 
     /// The preferred channel between two ranks (the `ch_mad` selection
     /// rule: the fastest network both nodes share).
-    pub fn best_channel_between(&self, a: usize, b: usize) -> Option<Arc<Channel>> {
-        self.channels_between(a, b).into_iter().next()
+    pub fn best_channel_between(&self, a: usize, b: usize) -> Option<&Arc<Channel>> {
+        self.channels_between(a, b).next()
     }
 
     /// Number of distinct direct rails (networks) connecting two ranks
     /// — the multi-rail condition for striped transfers.
     pub fn n_rails_between(&self, a: usize, b: usize) -> usize {
-        self.channels_between(a, b).len()
+        self.channels_between(a, b).count()
     }
 
     /// Endpoint of `rank` on the primary channel of `net` (VCI lane 0).
@@ -330,41 +440,84 @@ impl Session {
         self.forwarding
     }
 
-    /// The rank path from `a` to `b`: `[a, gateways..., b]`. One rank
-    /// per gateway node (the lowest-numbered rank hosted there, a
-    /// deterministic choice). `None` when the nodes are unreachable or
-    /// forwarding is disabled and the path is indirect.
-    pub fn route_between(&self, a: usize, b: usize) -> Option<Vec<usize>> {
-        let node_path = self.topology.node_route(self.node_of(a), self.node_of(b))?;
-        if node_path.len() > 2 && !self.forwarding {
-            return None;
-        }
-        let mut ranks = Vec::with_capacity(node_path.len());
-        ranks.push(a);
-        if node_path.len() > 2 {
-            for node in &node_path[1..node_path.len() - 1] {
-                let gateway = *self
-                    .ranks_on_node(*node)
-                    .first()
-                    .expect("gateway node hosts at least one rank");
-                ranks.push(gateway);
-            }
-        }
-        if b != a {
-            ranks.push(b);
-        }
-        Some(ranks)
+    /// The rank path from `a` to `b`: `a, gateways..., b`. One rank per
+    /// gateway node (the lowest-numbered rank hosted there, a
+    /// deterministic choice).
+    pub fn route_between(&self, a: usize, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let (na, nb) = (self.node_of(a), self.node_of(b));
+        let hops = self.hops(na, nb);
+        // Routes are a handful of hops: re-walking the tree per gateway
+        // keeps the forward-order view allocation-free.
+        let gateways = (1..hops).map(move |i| self.gateway(self.ancestor(na, nb, hops - i)));
+        std::iter::once(a)
+            .chain(gateways)
+            .chain((a != b).then_some(b))
     }
 
     /// The next hop from `from` toward `final_dst` plus whether that hop
-    /// is the final one. Panics when unreachable (callers validate at
-    /// session build).
+    /// is the final one.
     pub fn next_hop(&self, from: usize, final_dst: usize) -> (usize, bool) {
-        let route = self
-            .route_between(from, final_dst)
-            .unwrap_or_else(|| panic!("no route from rank {from} to rank {final_dst}"));
-        assert!(route.len() >= 2, "next_hop requires distinct ranks");
-        (route[1], route.len() == 2)
+        assert!(from != final_dst, "next_hop requires distinct ranks");
+        let (na, nb) = (self.node_of(from), self.node_of(final_dst));
+        match self.hops(na, nb) {
+            0 | 1 => (final_dst, true),
+            hops => (self.gateway(self.ancestor(na, nb, hops - 1)), false),
+        }
+    }
+
+    fn gateway(&self, node: NodeId) -> usize {
+        *self
+            .ranks_on_node(node)
+            .first()
+            .expect("gateway node hosts at least one rank")
+    }
+
+    /// Network hops on the route between two nodes. Session build
+    /// validated that every pair is direct, or (forwarding) reachable.
+    fn hops(&self, from: NodeId, to: NodeId) -> usize {
+        if from == to {
+            0
+        } else if !self.forwarding {
+            1
+        } else {
+            let prev = self.route_tree(from);
+            let mut hops = 1;
+            let mut cur = prev[to.0];
+            while cur != from.0 {
+                cur = prev[cur];
+                hops += 1;
+            }
+            hops
+        }
+    }
+
+    /// The node `steps` hops before `to` on the route from `from`.
+    fn ancestor(&self, from: NodeId, to: NodeId, steps: usize) -> NodeId {
+        let prev = self.route_tree(from);
+        NodeId((0..steps).fold(to.0, |cur, _| prev[cur]))
+    }
+
+    /// Breadth-first predecessor tree rooted at `from`, with the
+    /// tie-breaks of [`Topology::node_route`] (the reference the tests
+    /// compare against): a node's networks by priority then id — its
+    /// `node_rails` row — and a network's members by ascending node id.
+    fn route_tree(&self, from: NodeId) -> &[usize] {
+        self.route_trees[from.0].get_or_init(|| {
+            let mut prev = vec![usize::MAX; self.topology.nodes().len()];
+            prev[from.0] = from.0;
+            let mut frontier = VecDeque::from([from.0]);
+            while let Some(u) = frontier.pop_front() {
+                for &net in self.node_rails.row(u) {
+                    for m in &self.topology.networks()[net].members {
+                        if prev[m.0] == usize::MAX {
+                            prev[m.0] = u;
+                            frontier.push_back(m.0);
+                        }
+                    }
+                }
+            }
+            prev
+        })
     }
 }
 
@@ -433,7 +586,7 @@ mod tests {
             .unwrap();
         // 4 dual-CPU nodes -> 8 ranks.
         assert_eq!(s.n_ranks(), 8);
-        assert_eq!(s.ranks_on_node(NodeId(0)), vec![0, 1]);
+        assert_eq!(s.ranks_on_node(NodeId(0)), [0, 1]);
         assert_eq!(s.node_of(7), NodeId(3));
     }
 
@@ -503,14 +656,11 @@ mod forwarding_tests {
     fn route_uses_lowest_rank_gateway() {
         let k = Kernel::new(CostModel::free());
         let s = chain_session(&k);
-        assert_eq!(s.route_between(0, 3), Some(vec![0, 1, 3]));
-        assert_eq!(s.route_between(3, 0), Some(vec![3, 1, 0]));
-        assert_eq!(s.route_between(0, 2), Some(vec![0, 2]));
-        assert_eq!(
-            s.route_between(1, 2),
-            Some(vec![1, 2]),
-            "same node is direct"
-        );
+        let route = |a, b| s.route_between(a, b).collect::<Vec<_>>();
+        assert_eq!(route(0, 3), [0, 1, 3]);
+        assert_eq!(route(3, 0), [3, 1, 0]);
+        assert_eq!(route(0, 2), [0, 2]);
+        assert_eq!(route(1, 2), [1, 2], "same node is direct");
     }
 
     #[test]
@@ -528,6 +678,6 @@ mod forwarding_tests {
         let k = Kernel::new(CostModel::free());
         let s = Session::single_network(&k, 3, Protocol::Tcp);
         assert!(!s.forwarding_enabled());
-        assert_eq!(s.route_between(0, 2), Some(vec![0, 2]));
+        assert_eq!(s.route_between(0, 2).collect::<Vec<_>>(), [0, 2]);
     }
 }

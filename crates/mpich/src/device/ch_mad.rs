@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use madeleine::{
-    Channel, ChannelError, Endpoint, EndpointSet, ReceiveMode, SendMode, Session,
+    Channel, ChannelError, Endpoint, EndpointSet, Rails, ReceiveMode, SendMode, Session,
     UnpackingConnection,
 };
 use marcel::obs::{self, Event, SpanKind};
@@ -126,6 +126,19 @@ struct RankState {
     seen: SimMutex<HashMap<(usize, u64), RndvProgress>>,
 }
 
+/// Where packets from one rank toward `dst` go — read from the
+/// session's tables once per send and handed down to every packet of
+/// it. The route is fixed for the session's life; only rail liveness
+/// moves, and `rails` reads it afresh each time it is cloned and walked.
+struct Hop<'a> {
+    dst: usize,
+    /// `dst` itself, or the gateway rank one hop closer to it.
+    next: usize,
+    is_final: bool,
+    /// The surviving rails to `next`, fastest first.
+    rails: Rails<'a>,
+}
+
 pub struct ChMad {
     session: Arc<Session>,
     engines: Vec<Arc<Engine>>,
@@ -185,58 +198,57 @@ impl ChMad {
         &self.session
     }
 
-    /// The protocol the first hop toward `dst` will ride (the fastest
-    /// surviving rail), used both to resolve the per-channel protocol
-    /// policy and to label setup/handling spans. `None` means the hop
-    /// is node-local. The resolution excludes rails declared dead by
-    /// the reliable sublayer: after a failover the policy follows the
-    /// traffic to the surviving rail's protocol.
-    fn route_protocol(&self, from: usize, dst: usize) -> Option<simnet::Protocol> {
-        let (next, _) = self.session.next_hop(from, dst);
-        self.session
-            .live_channels_between(from, next)
-            .first()
-            .map(|c| c.protocol())
+    /// Resolve where `from`'s packets toward `dst` go: two table reads
+    /// in the session, no search and no allocation.
+    fn hop(&self, from: usize, dst: usize) -> Hop<'_> {
+        let (next, is_final) = self.session.next_hop(from, dst);
+        Hop {
+            dst,
+            next,
+            is_final,
+            rails: self.session.live_channels_between(from, next),
+        }
     }
 
-    /// Ship one ch_mad packet (header + optional body) toward
-    /// `final_dst`, wrapping it in a `MAD_FWD_PKT` when the next hop is
-    /// a gateway (§6 future-work extension).
+    /// Ship one ch_mad packet (header + optional body) along `hop`,
+    /// wrapping it in a `MAD_FWD_PKT` when the next hop is a gateway
+    /// (§6 future-work extension).
     ///
     /// Rails are tried in transfer-priority order among the surviving
     /// (non-dead) channels of the hop; a [`ChannelError::LinkDead`]
     /// fails the send over to the next rail. Only when every rail
     /// between the pair is dead does the device give up — that is an
     /// unsurvivable fault plan, outside the robustness contract.
-    fn send_packet(
-        &self,
-        from: usize,
-        final_dst: usize,
-        vci: usize,
-        header: Bytes,
-        body: Option<Bytes>,
-    ) {
-        let (next, is_final) = self.session.next_hop(from, final_dst);
-        let fwd = (!is_final).then(|| {
+    fn send_packet(&self, from: usize, hop: &Hop, vci: usize, header: Bytes, body: Option<Bytes>) {
+        let next = hop.next;
+        let fwd = (!hop.is_final).then(|| {
             Packet::Fwd {
-                final_dst: final_dst as u32,
+                final_dst: hop.dst as u32,
             }
             .encode()
         });
-        let rails = self.session.live_channels_between(from, next);
-        let n_rails = rails.len();
-        for (i, rail) in rails.iter().enumerate() {
-            if i == 0 {
-                let tag = rail.name_tag();
-                let bytes = header.len() + body.as_ref().map_or(0, |b| b.len());
-                obs::emit(move || Event::RailSelected {
-                    rank: from,
-                    dst: next,
-                    rail: tag,
-                    bytes,
-                });
-            }
-            match self.send_packet_on(
+        let mut live = hop.rails.clone();
+        let Some(mut rail) = live.next() else {
+            panic!("rank {from}: no live rail to rank {next}");
+        };
+        // The fallbacks are the rails alive now, before the first
+        // attempt spends virtual time. Only a rail with a fault plan
+        // can fail a send, so otherwise the list is never read.
+        let fallbacks: Vec<&Arc<Channel>> = match rail.fault() {
+            Some(_) => live.collect(),
+            None => Vec::new(),
+        };
+        let mut fallbacks = fallbacks.into_iter();
+        let tag = rail.name_tag();
+        let bytes = header.len() + body.as_ref().map_or(0, |b| b.len());
+        obs::emit(move || Event::RailSelected {
+            rank: from,
+            dst: next,
+            rail: tag,
+            bytes,
+        });
+        loop {
+            let Err(err) = self.send_packet_on(
                 rail,
                 from,
                 next,
@@ -244,27 +256,24 @@ impl ChMad {
                 fwd.clone(),
                 header.clone(),
                 body.clone(),
-            ) {
-                Ok(()) => return,
-                Err(err) => {
-                    self.session.note_failover();
-                    let from_tag = rail.name_tag();
-                    let to_tag = rails
-                        .get(i + 1)
-                        .map_or_else(|| Arc::from("none"), |r| r.name_tag());
-                    obs::emit(move || Event::RailFailover {
-                        rank: from,
-                        dst: next,
-                        from_rail: from_tag,
-                        to_rail: to_tag,
-                    });
-                    if i + 1 == n_rails {
-                        panic!("rank {from}: every rail to rank {next} is dead (last: {err})");
-                    }
-                }
+            ) else {
+                return;
+            };
+            self.session.note_failover();
+            let fallback = fallbacks.next();
+            let from_tag = rail.name_tag();
+            let to_tag = fallback.map_or_else(|| Arc::from("none"), |r| r.name_tag());
+            obs::emit(move || Event::RailFailover {
+                rank: from,
+                dst: next,
+                from_rail: from_tag,
+                to_rail: to_tag,
+            });
+            match fallback {
+                Some(r) => rail = r,
+                None => panic!("rank {from}: every rail to rank {next} is dead (last: {err})"),
             }
         }
-        panic!("rank {from}: no live rail to rank {next}");
     }
 
     /// Eager mode: one message, optimized for latency at the price of an
@@ -273,14 +282,14 @@ impl ChMad {
     fn send_eager(
         &self,
         from: usize,
-        dst: usize,
+        hop: &Hop,
         vci: usize,
         env: Envelope,
         data: Bytes,
         threshold: usize,
     ) {
         if self.config.split_short {
-            self.send_packet(from, dst, vci, Packet::Short { env }.encode(), Some(data));
+            self.send_packet(from, hop, vci, Packet::Short { env }.encode(), Some(data));
         } else {
             // Naive ADI short packet: header + MPID_PKT_MAX_DATA_SIZE
             // inline buffer, express in one piece. Everything beyond the
@@ -290,13 +299,14 @@ impl ChMad {
             buf.put_slice(&Packet::Short { env }.encode());
             buf.put_slice(&data);
             buf.resize(inline, 0);
-            self.send_packet(from, dst, vci, buf.freeze(), None);
+            self.send_packet(from, hop, vci, buf.freeze(), None);
         }
     }
 
     /// Rendezvous mode: synchronize with the receiver, then transfer the
     /// body zero-copy (paper Fig. 4b).
-    fn send_rndv(&self, from: usize, dst: usize, vci: usize, env: Envelope, data: Bytes) {
+    fn send_rndv(&self, from: usize, hop: &Hop, vci: usize, env: Envelope, data: Bytes) {
+        let dst = hop.dst;
         let (token, slot) = {
             let mut pending = self.ranks[from].pending.lock();
             let token = pending.next_token;
@@ -318,7 +328,7 @@ impl ChMad {
         }
         .encode();
         // 1) Request.
-        self.send_packet(from, dst, vci, request.clone(), None);
+        self.send_packet(from, hop, vci, request.clone(), None);
         // 2) Wait for Ok_To_Send: the receiver's sync_address. On a
         //    faulty session the wait carries a timeout: if no reply
         //    lands (the REQUEST or its OK_TO_SEND may be transiting a
@@ -333,7 +343,7 @@ impl ChMad {
                     break addr;
                 }
                 self.session.note_rndv_reissue();
-                self.send_packet(from, dst, vci, request.clone(), None);
+                self.send_packet(from, hop, vci, request.clone(), None);
                 // Exponential backoff, capped: a receiver may simply
                 // not have posted its receive yet, which is not an
                 // error — keep probing at a bounded rate.
@@ -343,11 +353,11 @@ impl ChMad {
             slot.take()
         };
         // 3) Data, straight to the rhandle — no intermediate copies.
-        let (_, direct) = self.session.next_hop(from, dst);
+        let direct = hop.is_final;
         if direct && self.policy.stripes() {
-            let rails = self.session.live_channels_between(from, dst);
+            let rails: Vec<&Arc<Channel>> = hop.rails.clone().collect();
             if rails.len() >= 2 && data.len() >= rails.len() {
-                self.send_rndv_striped(from, dst, vci, env, sync_address, data, &rails);
+                self.send_rndv_striped(from, hop, vci, env, sync_address, data, &rails);
                 return;
             }
         }
@@ -365,7 +375,7 @@ impl ChMad {
             let body = data.slice(offset..end);
             self.send_packet(
                 from,
-                dst,
+                hop,
                 vci,
                 Packet::Rndv {
                     env,
@@ -395,13 +405,14 @@ impl ChMad {
     fn send_rndv_striped(
         &self,
         from: usize,
-        dst: usize,
+        hop: &Hop,
         vci: usize,
         env: Envelope,
         sync_address: u64,
         data: Bytes,
-        rails: &[Arc<Channel>],
+        rails: &[&Arc<Channel>],
     ) {
+        let dst = hop.dst;
         let total = data.len() as u64;
         let weights: Vec<f64> = rails.iter().map(|c| c.stripe_weight()).collect();
         let weight_sum: f64 = weights.iter().sum();
@@ -443,7 +454,7 @@ impl ChMad {
                 // receiver's out-of-order chunk assembly does not care
                 // which wire a span rides.
                 self.session.note_failover();
-                self.send_packet(from, dst, vci, header, Some(body));
+                self.send_packet(from, hop, vci, header, Some(body));
             } else {
                 obs::counter_add(
                     &format!("rail/{}/striped_bytes", rail.name()),
@@ -678,7 +689,8 @@ impl ChMad {
                 // so a forwarded stream stays FIFO end to end.
                 let dev = self.clone();
                 marcel::spawn(format!("rank{rank}-fwd"), move || {
-                    dev.send_packet(rank, final_dst as usize, vci, inner, body);
+                    let hop = dev.hop(rank, final_dst as usize);
+                    dev.send_packet(rank, &hop, vci, inner, body);
                 });
                 true
             }
@@ -715,7 +727,7 @@ impl ChMad {
                 marcel::spawn(format!("rank{rank}-rndv-reack"), move || {
                     ack.send_packet(
                         rank,
-                        env.src,
+                        &ack.hop(rank, env.src),
                         vci,
                         Packet::SendOk {
                             sender_token,
@@ -742,7 +754,7 @@ impl ChMad {
                     marcel::spawn(format!("rank{rank}-rndv-ack"), move || {
                         ack.send_packet(
                             rank,
-                            env.src,
+                            &ack.hop(rank, env.src),
                             vci,
                             Packet::SendOk {
                                 sender_token,
@@ -782,7 +794,11 @@ impl Device for ChMad {
         lane: Option<usize>,
     ) {
         let vci = lane.unwrap_or_else(|| vci_for(env.context, env.tag, self.vcis));
-        let protocol = self.route_protocol(from, dst);
+        let hop = self.hop(from, dst);
+        // The fastest surviving rail of the hop resolves the per-channel
+        // protocol policy and labels the setup span: after a failover
+        // the policy follows the traffic to the surviving rail.
+        let protocol = hop.rails.clone().next().map(|c| c.protocol());
         let label = protocol.map_or("local", |p| p.name());
         let setup = obs::span_begin(SpanKind::Setup, label);
         marcel::advance(self.costs.send_setup);
@@ -793,13 +809,13 @@ impl Device for ChMad {
                 !sync || self.config.rendezvous,
                 "synchronous sends require the rendezvous mode"
             );
-            self.send_rndv(from, dst, vci, env, data);
+            self.send_rndv(from, &hop, vci, env, data);
         } else {
             assert!(
                 self.config.split_short || env.len <= threshold,
                 "eager message larger than the inline short buffer"
             );
-            self.send_eager(from, dst, vci, env, data, threshold);
+            self.send_eager(from, &hop, vci, env, data, threshold);
         }
     }
 

@@ -525,37 +525,8 @@ impl Topology {
         if a == b {
             return Some(vec![a]);
         }
-        let n = self.nodes.len();
-        // Neighbour lists, deterministically ordered: by protocol
-        // priority (descending) then node id (ascending).
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        visited[a.0] = true;
-        let mut frontier = std::collections::VecDeque::from([a]);
-        while let Some(u) = frontier.pop_front() {
-            let mut nets = self.networks_at(u);
-            nets.sort_by_key(|id| {
-                std::cmp::Reverse(self.networks[id.0].protocol.transfer_priority())
-            });
-            for net in nets {
-                let mut members: Vec<NodeId> =
-                    self.networks[net.0].members.iter().copied().collect();
-                members.sort_unstable();
-                for v in members {
-                    if !visited[v.0] {
-                        visited[v.0] = true;
-                        prev[v.0] = Some(u);
-                        frontier.push_back(v);
-                    }
-                }
-            }
-            if visited[b.0] {
-                break;
-            }
-        }
-        if !visited[b.0] {
-            return None;
-        }
+        let prev = self.bfs_tree(a, Some(b));
+        prev[b.0]?;
         let mut path = vec![b];
         let mut cur = b;
         while let Some(p) = prev[cur.0] {
@@ -567,18 +538,50 @@ impl Topology {
         Some(path)
     }
 
+    /// Breadth-first predecessor tree from `a` (`None` for `a` itself
+    /// and for unreached nodes), stopping once `until` has been reached.
+    /// A node's networks are expanded by protocol priority (descending,
+    /// then network id) and a network's members by ascending node id.
+    fn bfs_tree(&self, a: NodeId, until: Option<NodeId>) -> Vec<Option<NodeId>> {
+        let adj = self.adjacency();
+        let mut prev: Vec<Option<NodeId>> = vec![None; self.nodes.len()];
+        let mut nets: Vec<NetworkId> = Vec::new();
+        let mut frontier = std::collections::VecDeque::from([a]);
+        while let Some(u) = frontier.pop_front() {
+            nets.clear();
+            nets.extend_from_slice(&adj[u.0]);
+            nets.sort_by_key(|id| {
+                std::cmp::Reverse(self.networks[id.0].protocol.transfer_priority())
+            });
+            for net in &nets {
+                for &v in &self.networks[net.0].members {
+                    if v != a && prev[v.0].is_none() {
+                        prev[v.0] = Some(u);
+                        frontier.push_back(v);
+                    }
+                }
+            }
+            if until.is_some_and(|b| prev[b.0].is_some()) {
+                break;
+            }
+        }
+        prev
+    }
+
     /// Weaker validation for forwarding-enabled sessions (the extension
     /// implementing the paper's §6 future work): every node pair must be
     /// *reachable*, possibly through gateway nodes, rather than directly
     /// connected.
     pub fn validate_connected(&self) -> Result<(), TopologyError> {
         self.validate_networks()?;
-        for b in 1..self.nodes.len() {
-            if self.node_route(NodeId(0), NodeId(b)).is_none() {
-                return Err(TopologyError::Disconnected(NodeId(0), NodeId(b)));
-            }
+        if self.nodes.len() < 2 {
+            return Ok(());
         }
-        Ok(())
+        let prev = self.bfs_tree(NodeId(0), None);
+        match (1..self.nodes.len()).find(|&b| prev[b].is_none()) {
+            Some(b) => Err(TopologyError::Disconnected(NodeId(0), NodeId(b))),
+            None => Ok(()),
+        }
     }
 
     fn validate_networks(&self) -> Result<(), TopologyError> {
@@ -609,6 +612,15 @@ impl Topology {
         let adj = self.adjacency();
         let mut direct = vec![false; n];
         for (a, nets) in adj.iter().enumerate() {
+            // A network spanning every node (members are distinct and
+            // known) makes `a` direct to all of them: the usual shape,
+            // and what keeps this linear on big fat-trees.
+            if nets
+                .iter()
+                .any(|net| self.networks[net.0].members.len() == n)
+            {
+                continue;
+            }
             for d in direct.iter_mut() {
                 *d = false;
             }

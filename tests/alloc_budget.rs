@@ -1,0 +1,131 @@
+//! Counted regression gate for the send path's allocator traffic: what
+//! a message costs must not depend on how many ranks the world has.
+//!
+//! Both figures are counts from a counting global allocator, so they
+//! are exact for a fixed workload; the ceilings sit between the
+//! measured values (7.3 KB, 9.1 allocations) and the figures from when
+//! every packet ran a breadth-first search over the topology (234 KB,
+//! 33 allocations). One `#[test]`: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use mpich::{run_world, Placement, ReduceOp, WorldConfig};
+use simnet::{Protocol, Topology};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters
+// are plain statistics.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// (allocation calls, bytes requested) made while `f` ran.
+fn counted(f: impl FnOnce()) -> (u64, u64) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    f();
+    (
+        ALLOCS.load(Ordering::Relaxed) - before.0,
+        ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+/// The benchmark's `scale_allreduce` rep: a fresh 1024-rank fat-tree
+/// world, two allreduces and a barrier under fused progress.
+fn scale_world() {
+    let sums = run_world(
+        Topology::fat_tree(16),
+        Placement::OneRankPerNode,
+        WorldConfig::builder().fused_progress(true).build(),
+        |comm| {
+            let me = comm.rank() as i64;
+            let sum = comm.allreduce(&[me + 1], ReduceOp::Sum)[0];
+            let max = comm.allreduce(&[me], ReduceOp::Max)[0];
+            comm.barrier();
+            (sum, max)
+        },
+    )
+    .expect("scale world failed");
+    assert!(sums.iter().all(|&r| r == (1024 * 1025 / 2, 1023)));
+}
+
+const STORM_RANKS: usize = 8;
+const STORM_ROUNDS: usize = 16;
+
+/// The benchmark's `storm_small` rep: every rank bursts 16 B messages
+/// to every peer, then drains them in reverse order.
+fn storm_world() {
+    run_world(
+        Topology::single_network(STORM_RANKS, Protocol::Sisci),
+        Placement::OneRankPerNode,
+        WorldConfig::default(),
+        |comm| {
+            let (me, n) = (comm.rank(), comm.size());
+            let payload = [me as u8; 16];
+            for round in 0..STORM_ROUNDS {
+                for step in 1..n {
+                    comm.endpoint()
+                        .send(&payload[..], (me + step) % n, round as i32)
+                        .unwrap();
+                }
+            }
+            for round in (0..STORM_ROUNDS).rev() {
+                for step in (1..n).rev() {
+                    let src = (me + n - step) % n;
+                    let (data, _) = comm
+                        .endpoint()
+                        .recv::<bytes::Bytes>(16, Some(src), Some(round as i32))
+                        .unwrap();
+                    assert_eq!(data[..], [src as u8; 16]);
+                }
+            }
+        },
+    )
+    .expect("storm world failed");
+}
+
+#[test]
+fn per_message_allocations_do_not_grow_with_the_world() {
+    // Warm the process-wide caches (metric keys, buffer pool) first.
+    storm_world();
+    let (allocs, _) = counted(storm_world);
+    let messages = (STORM_RANKS * (STORM_RANKS - 1) * STORM_ROUNDS) as f64;
+    let per_message = allocs as f64 / messages;
+    assert!(
+        per_message <= 14.0,
+        "{per_message:.2} allocations per 16 B message (whole world / messages)"
+    );
+
+    let (_, bytes) = counted(scale_world);
+    let per_collective = bytes as f64 / (3.0 * 1024.0);
+    assert!(
+        per_collective < 10_000.0,
+        "{per_collective:.0} B allocated per rank-collective of a 1024-rank world"
+    );
+    println!("storm {per_message:.2} allocs/message, scale {per_collective:.0} B/rank-collective");
+}

@@ -130,12 +130,10 @@ proptest! {
     }
 }
 
-/// One rail of a dual-rail link goes hard down mid-stream: the first
-/// striped rendezvous uses both rails, then the Myrinet rail dies and
-/// the second transfer must detect the dead pair (retransmits
-/// exhausted), fail over, and complete on SCI alone.
-#[test]
-fn rail_hard_down_mid_stream_fails_over() {
+/// Two dual-CPU nodes joined by an SCI rail and a Myrinet rail that
+/// goes hard down for good at 2 ms (a hard-down window ignores the
+/// plan's seed: every attempt inside it drops).
+fn bip_dies_at_2ms() -> Topology {
     let mut t = Topology::new();
     let a = t.add_node("a", 2);
     let b = t.add_node("b", 2);
@@ -145,12 +143,25 @@ fn rail_hard_down_mid_stream_fails_over() {
         FaultPlan::new(fault_seed()).link_down_from(VirtualTime(2_000_000)),
         [a, b],
     );
-    let config = WorldConfig::builder()
-        .remote(RemoteDeviceKind::ChMad(ChMadConfig {
-            policy: PolicyMode::Striped,
-            ..ChMadConfig::default()
-        }))
-        .build();
+    t
+}
+
+/// A world whose `ch_mad` stripes rendezvous DATA across rails.
+fn striped() -> mpich::WorldConfigBuilder {
+    WorldConfig::builder().remote(RemoteDeviceKind::ChMad(ChMadConfig {
+        policy: PolicyMode::Striped,
+        ..ChMadConfig::default()
+    }))
+}
+
+/// One rail of a dual-rail link goes hard down mid-stream: the first
+/// striped rendezvous uses both rails, then the Myrinet rail dies and
+/// the second transfer must detect the dead pair (retransmits
+/// exhausted), fail over, and complete on SCI alone.
+#[test]
+fn rail_hard_down_mid_stream_fails_over() {
+    let t = bip_dies_at_2ms();
+    let config = striped().build();
     const N: usize = 4 << 20;
     const MSGS: usize = 2;
     let report = run_world_report(t, Placement::OneRankPerNode, config, move |comm| {
@@ -311,4 +322,61 @@ fn finalize_drains_in_flight_backlog() {
         (0..MSGS as i32).collect::<Vec<_>>(),
         "drained messages keep their send order"
     );
+}
+
+/// The session's live-rail view after a rail death, and the failover
+/// record that led to it. The Myrinet rail of a striped SCI+BIP link
+/// goes hard down while rank 0 streams to rank 2 (DATA one way,
+/// OK_TO_SEND the other): the rails resolved for that rank pair lose
+/// exactly the dead rail, every other pair across the same two nodes
+/// keeps both, and the `RailFailover` events are pinned, virtual times
+/// included, to what the per-packet topology search recorded before
+/// peer resolution moved into the session's tables.
+#[test]
+fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
+    let t = bip_dies_at_2ms();
+    let config = striped().trace(true).build();
+    const N: usize = 4 << 20;
+    // Ranks 0, 1 on node a; 2, 3 on node b.
+    let report = run_world_report(
+        t,
+        Placement::OneRankPerCpu,
+        config,
+        move |comm| match comm.rank() {
+            0 => (0..2).for_each(|i| comm.send(&payload(0, i, N), 2, i as i32)),
+            2 => (0..2).for_each(|i| {
+                assert_eq!(comm.recv(N, Some(0), Some(i as i32)).0, payload(0, i, N));
+            }),
+            _ => {}
+        },
+    )
+    .expect("failover world failed to complete");
+    let session = &report.session;
+    let names = |rails: madeleine::Rails| rails.map(|c| c.name().to_string()).collect::<Vec<_>>();
+    assert_eq!(names(session.channels_between(0, 2)), ["bip#1", "sisci#0"]);
+    assert_eq!(names(session.live_channels_between(0, 2)), ["sisci#0"]);
+    assert_eq!(names(session.live_channels_between(2, 0)), ["sisci#0"]);
+    for (x, y) in [(0, 3), (3, 0), (1, 2), (2, 1), (1, 3), (3, 1)] {
+        assert_eq!(
+            names(session.live_channels_between(x, y)),
+            ["bip#1", "sisci#0"],
+            "pair ({x}, {y}) never lost a rail"
+        );
+    }
+    let failovers: Vec<(u64, String)> = report
+        .kernel
+        .take_trace()
+        .into_iter()
+        .filter(|e| matches!(e.what, marcel::obs::Event::RailFailover { .. }))
+        .map(|e| (e.time.0, e.what.to_string()))
+        .collect();
+    let expected = [
+        (142_045_868, "rail failover #2->#0: bip#1 -> sisci#0"),
+        (151_366_960, "rail failover #0->#2: bip#1 -> sisci#0"),
+    ];
+    assert_eq!(failovers.len(), expected.len(), "{failovers:?}");
+    for ((time, what), (want_time, want_what)) in failovers.iter().zip(expected) {
+        assert_eq!((*time, what.as_str()), (want_time, want_what));
+    }
+    assert_eq!(session.failovers(), 2);
 }
