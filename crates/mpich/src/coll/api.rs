@@ -1,16 +1,14 @@
 //! The user-facing collective API and the dispatch into the algorithm
 //! catalog.
 //!
-//! Three layers of surface, thinnest first:
+//! Two layers:
 //!
 //! * **typed generics** ([`Communicator::bcast`], [`Communicator::reduce`],
-//!   …) — the primary API: one generic method per collective over any
-//!   [`MpiScalar`], returning [`CollError`] instead of panicking;
+//!   …) — the public API: one generic method per collective over any
+//!   [`MpiScalar`] (`u8` for raw bytes), returning [`CollError`]
+//!   instead of panicking where an argument can be wrong;
 //! * **`coll_*_bytes`** (crate-internal) — the byte-level engine entry
-//!   points the typed layer and the communicator-management code share;
-//! * **legacy `*_bytes` / `*_vec` wrappers** — the seed's original
-//!   panicking signatures, kept so existing callers compile unchanged.
-//!   Prefer the typed API in new code.
+//!   points the typed layer and the communicator-management code share.
 //!
 //! Every dispatched operation opens a [`SpanKind::Coll`] span labelled
 //! with the operation name and bumps a `coll.<op>.<algorithm>` counter,
@@ -435,7 +433,14 @@ impl Communicator {
                 if dst == 0 {
                     mine = chunk.to_vec();
                 } else {
-                    self.send_ctx(Bytes::copy_from_slice(chunk), dst, T_RSCAT, ctx);
+                    self.send_ctx_lane(
+                        Bytes::copy_from_slice(chunk),
+                        dst,
+                        T_RSCAT,
+                        ctx,
+                        false,
+                        None,
+                    );
                 }
             }
             mine
@@ -448,7 +453,7 @@ impl Communicator {
     }
 
     // ------------------------------------------------------------------
-    // Typed generic API — the primary surface.
+    // Typed generic API — the public surface.
     // ------------------------------------------------------------------
 
     /// `MPI_Barrier`: an empty reduce to rank 0 followed by a token
@@ -555,154 +560,5 @@ impl Communicator {
     ) -> Result<Vec<T>, CollError> {
         self.coll_reduce_scatter_bytes(to_bytes(contribution), block_elems, T::BASE, op)
             .map(|b| from_bytes(&b))
-    }
-
-    // ------------------------------------------------------------------
-    // Legacy byte/vec wrappers — the seed's panicking signatures, kept
-    // so existing callers compile unchanged. Prefer the typed API.
-    // ------------------------------------------------------------------
-
-    /// Pre-engine `MPI_Bcast` surface; panics where [`Communicator::bcast`]
-    /// returns an error.
-    #[deprecated(since = "0.9.0", note = "use `bcast` (typed, returns `CollError`)")]
-    pub fn bcast_bytes(&self, root: usize, data: Option<Vec<u8>>) -> Vec<u8> {
-        self.coll_bcast_bytes(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine typed broadcast; see [`Communicator::bcast`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `bcast` (returns `CollError` instead of panicking)"
-    )]
-    pub fn bcast_vec<T: MpiScalar>(&self, root: usize, data: Option<Vec<T>>) -> Vec<T> {
-        self.bcast(root, data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine `MPI_Reduce` surface; see [`Communicator::reduce`].
-    #[deprecated(since = "0.9.0", note = "use `reduce` (typed, returns `CollError`)")]
-    pub fn reduce_bytes(
-        &self,
-        root: usize,
-        contribution: Vec<u8>,
-        base: BaseType,
-        op: ReduceOp,
-    ) -> Option<Vec<u8>> {
-        self.coll_reduce_bytes(root, contribution, base, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine typed reduce; see [`Communicator::reduce`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `reduce` (returns `CollError` instead of panicking)"
-    )]
-    pub fn reduce_vec<T: MpiScalar>(
-        &self,
-        root: usize,
-        contribution: &[T],
-        op: ReduceOp,
-    ) -> Option<Vec<T>> {
-        self.reduce(root, contribution, op)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine `MPI_Allreduce` surface; see [`Communicator::allreduce`].
-    #[deprecated(since = "0.9.0", note = "use `allreduce` (typed)")]
-    pub fn allreduce_bytes(&self, contribution: Vec<u8>, base: BaseType, op: ReduceOp) -> Vec<u8> {
-        self.coll_allreduce_bytes(contribution, base, op)
-    }
-
-    /// Pre-engine typed allreduce; see [`Communicator::allreduce`].
-    #[deprecated(since = "0.9.0", note = "use `allreduce`")]
-    pub fn allreduce_vec<T: MpiScalar>(&self, contribution: &[T], op: ReduceOp) -> Vec<T> {
-        self.allreduce(contribution, op)
-    }
-
-    /// Pre-engine `MPI_Gather(v)` surface; see [`Communicator::gather`].
-    #[deprecated(since = "0.9.0", note = "use `gather` (typed, returns `CollError`)")]
-    pub fn gather_bytes(&self, root: usize, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        self.coll_gather_bytes(root, data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine typed gather; see [`Communicator::gather`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `gather` (returns `CollError` instead of panicking)"
-    )]
-    pub fn gather_vec<T: MpiScalar>(&self, root: usize, data: &[T]) -> Option<Vec<Vec<T>>> {
-        self.gather(root, data).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine `MPI_Scatter(v)` surface; see [`Communicator::scatter`].
-    #[deprecated(since = "0.9.0", note = "use `scatter` (typed, returns `CollError`)")]
-    pub fn scatter_bytes(&self, root: usize, parts: Option<Vec<Vec<u8>>>) -> Vec<u8> {
-        self.coll_scatter_bytes(root, parts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine `MPI_Allgather(v)` surface; see [`Communicator::allgather`].
-    #[deprecated(since = "0.9.0", note = "use `allgather` (typed)")]
-    pub fn allgather_bytes(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.coll_allgather_bytes(data)
-    }
-
-    /// Pre-engine typed allgather; see [`Communicator::allgather`].
-    #[deprecated(since = "0.9.0", note = "use `allgather`")]
-    pub fn allgather_vec<T: MpiScalar>(&self, data: &[T]) -> Vec<Vec<T>> {
-        self.allgather(data)
-    }
-
-    /// Pre-engine `MPI_Alltoall(v)` surface; see [`Communicator::alltoall`].
-    #[deprecated(since = "0.9.0", note = "use `alltoall` (typed, returns `CollError`)")]
-    pub fn alltoall_bytes(&self, parts: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        self.coll_alltoall_bytes(parts)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Pre-engine `MPI_Scan` surface; see [`Communicator::scan`].
-    #[deprecated(since = "0.9.0", note = "use `scan` (typed)")]
-    pub fn scan_bytes(&self, contribution: Vec<u8>, base: BaseType, op: ReduceOp) -> Vec<u8> {
-        self.coll_scan_bytes(contribution, base, op)
-    }
-
-    /// Pre-engine typed scan; see [`Communicator::scan`].
-    #[deprecated(since = "0.9.0", note = "use `scan`")]
-    pub fn scan_vec<T: MpiScalar>(&self, contribution: &[T], op: ReduceOp) -> Vec<T> {
-        self.scan(contribution, op)
-    }
-
-    /// Pre-engine `MPI_Exscan` surface; see [`Communicator::exscan`].
-    #[deprecated(since = "0.9.0", note = "use `exscan` (typed)")]
-    pub fn exscan_bytes(
-        &self,
-        contribution: Vec<u8>,
-        base: BaseType,
-        op: ReduceOp,
-    ) -> Option<Vec<u8>> {
-        self.coll_exscan_bytes(contribution, base, op)
-    }
-
-    /// Pre-engine typed exclusive scan; see [`Communicator::exscan`].
-    #[deprecated(since = "0.9.0", note = "use `exscan`")]
-    pub fn exscan_vec<T: MpiScalar>(&self, contribution: &[T], op: ReduceOp) -> Option<Vec<T>> {
-        self.exscan(contribution, op)
-    }
-
-    /// Pre-engine `MPI_Reduce_scatter_block` surface; see
-    /// [`Communicator::reduce_scatter`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `reduce_scatter` (returns `CollError` instead of panicking)"
-    )]
-    pub fn reduce_scatter_vec<T: MpiScalar>(
-        &self,
-        contribution: &[T],
-        block_elems: usize,
-        op: ReduceOp,
-    ) -> Vec<T> {
-        self.reduce_scatter(contribution, block_elems, op)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 }

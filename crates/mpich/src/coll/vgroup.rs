@@ -78,7 +78,8 @@ impl<'a> Vgroup<'a> {
 
     /// Blocking send to a virtual rank.
     pub fn send(&self, vdst: usize, tag: Tag, data: Bytes) {
-        self.comm.send_ctx(data, self.local(vdst), tag, self.ctx);
+        self.comm
+            .send_ctx_lane(data, self.local(vdst), tag, self.ctx, false, None);
     }
 
     /// Probed receive from a virtual rank (size learned from the probe,
@@ -103,7 +104,7 @@ impl<'a> Vgroup<'a> {
             marcel::spawn(
                 format!("rank{}-coll", self.comm.env().world_rank),
                 move || {
-                    comm.send_ctx(Bytes::from(data), dst_local, tag, ctx);
+                    comm.send_ctx_lane(Bytes::from(data), dst_local, tag, ctx, false, None);
                 },
             )
         };

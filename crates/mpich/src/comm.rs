@@ -6,16 +6,18 @@
 //! arguments and statuses are *communicator-local*; translation to
 //! world ranks happens here.
 //!
-//! # The endpoint surface
+//! # One surface
 //!
-//! The primary point-to-point API is [`Endpoint`], obtained from
+//! Point-to-point traffic goes through [`Endpoint`], obtained from
 //! [`Communicator::endpoint`] (or [`Communicator::endpoint_on`] to pin a
-//! VCI). One generic [`Endpoint::send`] replaces the seed's
-//! `send`/`send_bytes`/`send_slice`/`send_typed` family — the payload
-//! type picks the conversion through [`IntoPayload`], and every call
-//! returns `Result<_, CommError>` instead of panicking on bad ranks or
-//! mismatched lengths. The old `Communicator` methods remain as
-//! `#[deprecated]` shims with their original panicking semantics.
+//! VCI). One generic [`Endpoint::send`] takes any payload the
+//! [`IntoPayload`] conversion accepts, and every call returns
+//! `Result<_, CommError>` instead of panicking on bad ranks, short
+//! buffers or mismatched lengths. The `Communicator` itself keeps only
+//! the collectives (see [`crate::coll`]), communicator management,
+//! [`Communicator::irecv`] (whose raw [`Request`] feeds
+//! [`crate::wait_all`] / [`crate::wait_any`]) and the persistent
+//! `send_init` / `recv_init`.
 
 use std::sync::Arc;
 
@@ -45,6 +47,9 @@ pub enum CommError {
     TypedLengthMismatch { want: usize, got: usize },
     /// A payload's byte length is not a whole number of elements.
     ElementMisaligned { len: usize, elem: usize },
+    /// A datatype operation's user buffer is shorter than
+    /// `datatype.extent() * count` bytes.
+    BufferTooSmall { need: usize, got: usize },
     /// A protocol-level engine error surfaced through the API.
     Engine(EngineError),
 }
@@ -76,6 +81,9 @@ impl std::fmt::Display for CommError {
                     "payload of {len} bytes is not a whole number of {elem}-byte elements"
                 )
             }
+            CommError::BufferTooSmall { need, got } => {
+                write!(f, "user buffer of {got} bytes is too small: need {need}")
+            }
             CommError::Engine(e) => write!(f, "engine error: {e}"),
         }
     }
@@ -96,8 +104,8 @@ impl From<EngineError> for CommError {
     }
 }
 
-/// Anything an [`Endpoint`] can send: the one conversion point that
-/// collapses the seed's `send`/`send_bytes`/`send_slice` trio.
+/// Anything an [`Endpoint`] can send: the one conversion point between
+/// user data and the wire.
 ///
 /// Implemented for [`Bytes`] (zero host copy), `&Bytes`, and any slice,
 /// vector, or borrowed vector of an [`MpiScalar`] (including `u8`, so
@@ -144,7 +152,7 @@ impl<T: MpiScalar, const N: usize> IntoPayload for &[T; N] {
 }
 
 /// Anything an [`Endpoint`] can receive into: the typed counterpart of
-/// [`IntoPayload`], replacing `recv`/`recv_bytes`/`recv_vec`.
+/// [`IntoPayload`].
 ///
 /// `Bytes` keeps the refcounted wire buffer (zero copy); `Vec<T>`
 /// reinterprets it as scalars, failing with
@@ -267,24 +275,19 @@ impl Communicator {
     // collective layer).
     // ------------------------------------------------------------------
 
-    pub(crate) fn send_ctx(&self, data: Bytes, dst_local: usize, tag: Tag, context: u32) {
-        self.send_ctx_lane(data, dst_local, tag, context, false, None);
+    /// A matching spec for a communicator-local source on `context`.
+    fn spec(&self, src_local: Option<usize>, tag: Option<Tag>, context: u32) -> MatchSpec {
+        MatchSpec {
+            src: src_local.map(|l| self.world_of(l)),
+            tag,
+            context,
+        }
     }
 
-    pub(crate) fn send_ctx_mode(
-        &self,
-        data: Bytes,
-        dst_local: usize,
-        tag: Tag,
-        context: u32,
-        sync: bool,
-    ) {
-        self.send_ctx_lane(data, dst_local, tag, context, sync, None);
-    }
-
-    /// The one send path: every public surface funnels here. `lane` is
-    /// the endpoint's VCI hint — `None` lets the device derive the lane
-    /// from `(context, tag)`; devices without lanes ignore it entirely.
+    /// The one send path, called by [`Endpoint`], `isend_lane`, the
+    /// collective kernels' `Vgroup` and `reduce_scatter`. `lane` is the
+    /// endpoint's VCI hint — `None` lets the device derive the lane from
+    /// `(context, tag)`; devices without lanes ignore it entirely.
     pub(crate) fn send_ctx_lane(
         &self,
         data: Bytes,
@@ -306,10 +309,11 @@ impl Communicator {
         device.send_on_lane(from, dst, env, data, sync, lane);
     }
 
-    /// Non-blocking send worker shared by `isend`/`issend` and the
-    /// endpoint surface: spawns the blocking protocol on a helper
-    /// thread, as MPICH/Madeleine does (§4.2.3). Thread names match the
-    /// seed's (`-isend` / `-issend`) so captures stay bit-identical.
+    /// The one non-blocking send worker (`isend`, `issend`, `sendrecv`,
+    /// persistent sends): spawns the blocking protocol on a helper
+    /// thread named `rank<r>-<suffix>`, as MPICH/Madeleine does
+    /// (§4.2.3). Callers pass the seed's suffixes (`isend` / `issend` /
+    /// `psend`) so traces and journals stay bit-identical.
     pub(crate) fn isend_lane(
         &self,
         data: Bytes,
@@ -317,18 +321,14 @@ impl Communicator {
         tag: Tag,
         sync: bool,
         lane: Option<usize>,
+        suffix: &str,
     ) -> Request {
         let inner = ReqInner::new();
         let comm = self.clone();
         let my_world = self.env.world_rank;
         let req = inner.clone();
         let len = data.len();
-        let name = if sync {
-            format!("rank{my_world}-issend")
-        } else {
-            format!("rank{my_world}-isend")
-        };
-        marcel::spawn(name, move || {
+        marcel::spawn(format!("rank{my_world}-{suffix}"), move || {
             comm.send_ctx_lane(data, dst_local, tag, comm.context, sync, lane);
             req.complete(
                 None,
@@ -349,146 +349,11 @@ impl Communicator {
         tag: Option<Tag>,
         context: u32,
     ) -> Request {
-        let spec = MatchSpec {
-            src: src_local.map(|l| self.world_of(l)),
-            tag,
-            context,
-        };
         let inner = ReqInner::new();
-        self.env.engine.post_recv(spec, cap, inner.clone());
+        self.env
+            .engine
+            .post_recv(self.spec(src_local, tag, context), cap, inner.clone());
         Request::new(inner)
-    }
-
-    pub(crate) fn recv_ctx(
-        &self,
-        cap: usize,
-        src_local: Option<usize>,
-        tag: Option<Tag>,
-        context: u32,
-    ) -> (Vec<u8>, Status) {
-        let (data, status) = self.irecv_ctx(cap, src_local, tag, context).wait_data();
-        (data, self.localize(status))
-    }
-
-    // ------------------------------------------------------------------
-    // Public point-to-point API.
-    // ------------------------------------------------------------------
-
-    /// Blocking send (`MPI_Send`). Completes locally in eager mode; in
-    /// rendezvous mode it returns once the data is handed to the
-    /// receiver's buffer.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().send(data, dst, tag)?`")]
-    pub fn send(&self, data: &[u8], dst: usize, tag: Tag) {
-        self.send_ctx(Bytes::copy_from_slice(data), dst, tag, self.context);
-    }
-
-    /// Owned-buffer send, avoiding the host copy.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().send(data, dst, tag)?`")]
-    pub fn send_bytes(&self, data: Bytes, dst: usize, tag: Tag) {
-        self.send_ctx(data, dst, tag, self.context);
-    }
-
-    /// Synchronous send (`MPI_Ssend`): completes only once the matching
-    /// receive is posted — always takes the rendezvous path, whatever
-    /// the message size.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().ssend(data, dst, tag)?`")]
-    pub fn ssend(&self, data: &[u8], dst: usize, tag: Tag) {
-        self.send_ctx_mode(Bytes::copy_from_slice(data), dst, tag, self.context, true);
-    }
-
-    /// Non-blocking synchronous send (`MPI_Issend`).
-    #[deprecated(since = "0.9.0", note = "use `endpoint().issend(data, dst, tag)?`")]
-    pub fn issend(&self, data: Vec<u8>, dst: usize, tag: Tag) -> Request {
-        self.isend_lane(Bytes::from(data), dst, tag, true, None)
-    }
-
-    /// Non-blocking send (`MPI_Isend`): spawns a worker thread that runs
-    /// the blocking protocol, as MPICH/Madeleine does (§4.2.3).
-    #[deprecated(since = "0.9.0", note = "use `endpoint().isend(data, dst, tag)?`")]
-    pub fn isend(&self, data: Vec<u8>, dst: usize, tag: Tag) -> Request {
-        self.isend_lane(Bytes::from(data), dst, tag, false, None)
-    }
-
-    /// Blocking receive (`MPI_Recv`) of up to `cap` bytes. `None` source
-    /// or tag mean `MPI_ANY_SOURCE` / `MPI_ANY_TAG`.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().recv(cap, src, tag)?`")]
-    pub fn recv(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> (Vec<u8>, Status) {
-        self.recv_ctx(cap, src, tag, self.context)
-    }
-
-    /// Blocking receive returning the payload as a refcounted slice of
-    /// the wire buffer — the zero-copy counterpart of an owned-buffer
-    /// send for callers that don't need an owned `Vec`.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `endpoint().recv::<Bytes>(cap, src, tag)?`"
-    )]
-    pub fn recv_bytes(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> (Bytes, Status) {
-        let (data, status) = self.irecv_ctx(cap, src, tag, self.context).wait_bytes();
-        (
-            data.expect("receive request completed without data"),
-            self.localize(status),
-        )
-    }
-
-    /// Non-blocking receive (`MPI_Irecv`). Wrap the result status with
-    /// [`Communicator::localize_status`] if rank translation matters, or
-    /// use [`CommRequest`] via [`Communicator::irecv_local`].
-    pub fn irecv(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> Request {
-        self.irecv_ctx(cap, src, tag, self.context)
-    }
-
-    /// Non-blocking receive whose wait returns communicator-local
-    /// statuses.
-    pub fn irecv_local(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> CommRequest {
-        CommRequest {
-            inner: self.irecv(cap, src, tag),
-            group: self.group.clone(),
-        }
-    }
-
-    /// Translate a raw (world-rank) status to this communicator.
-    pub fn localize_status(&self, status: Status) -> Status {
-        self.localize(status)
-    }
-
-    /// `MPI_Sendrecv`: concurrent send and receive (deadlock-free even
-    /// against itself).
-    #[deprecated(since = "0.9.0", note = "use `endpoint().sendrecv(..)?`")]
-    pub fn sendrecv(
-        &self,
-        data: &[u8],
-        dst: usize,
-        send_tag: Tag,
-        cap: usize,
-        src: Option<usize>,
-        recv_tag: Option<Tag>,
-    ) -> (Vec<u8>, Status) {
-        let recv = self.irecv_ctx(cap, src, recv_tag, self.context);
-        let send = self.isend_lane(Bytes::copy_from_slice(data), dst, send_tag, false, None);
-        let (bytes, status) = recv.wait_data();
-        send.wait_send();
-        (bytes, self.localize(status))
-    }
-
-    /// Blocking probe (`MPI_Probe`).
-    pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> Status {
-        let spec = MatchSpec {
-            src: src.map(|l| self.world_of(l)),
-            tag,
-            context: self.context,
-        };
-        self.localize(self.env.engine.probe(spec))
-    }
-
-    /// Non-blocking probe (`MPI_Iprobe`).
-    pub fn iprobe(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Status> {
-        let spec = MatchSpec {
-            src: src.map(|l| self.world_of(l)),
-            tag,
-            context: self.context,
-        };
-        self.env.engine.iprobe(spec).map(|s| self.localize(s))
     }
 
     /// Probe, then receive exactly the probed message (helper used by
@@ -499,12 +364,10 @@ impl Communicator {
         tag: Option<Tag>,
         context: u32,
     ) -> (Vec<u8>, Status) {
-        let spec = MatchSpec {
-            src: src_local.map(|l| self.world_of(l)),
-            tag,
-            context,
-        };
-        let (st, handle) = self.env.engine.probe_handle(spec);
+        let (st, handle) = self
+            .env
+            .engine
+            .probe_handle(self.spec(src_local, tag, context));
         // Receive the probed message by handle — the probe already
         // located it, so no second queue lookup happens.
         let exact = MatchSpec {
@@ -521,78 +384,16 @@ impl Communicator {
     }
 
     // ------------------------------------------------------------------
-    // Typed convenience API (legacy shims — the endpoint surface's
-    // generic payloads subsume these).
+    // Request-based point-to-point (everything else lives on Endpoint).
     // ------------------------------------------------------------------
 
-    /// Send a scalar slice.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().send(data, dst, tag)?`")]
-    pub fn send_slice<T: MpiScalar>(&self, data: &[T], dst: usize, tag: Tag) {
-        self.send_ctx(Bytes::from(to_bytes(data)), dst, tag, self.context);
-    }
-
-    /// Receive exactly `count` scalars.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `endpoint().recv_count(count, src, tag)?`"
-    )]
-    pub fn recv_vec<T: MpiScalar>(
-        &self,
-        count: usize,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> (Vec<T>, Status) {
-        let (bytes, status) = self.recv_ctx(count * T::BASE.size(), src, tag, self.context);
-        assert_eq!(
-            bytes.len(),
-            count * T::BASE.size(),
-            "typed receive length mismatch"
-        );
-        (from_bytes(&bytes), status)
-    }
-
-    /// Non-blocking typed send.
-    #[deprecated(since = "0.9.0", note = "use `endpoint().isend(data, dst, tag)?`")]
-    pub fn isend_slice<T: MpiScalar>(&self, data: &[T], dst: usize, tag: Tag) -> Request {
-        self.isend_lane(Bytes::from(to_bytes(data)), dst, tag, false, None)
-    }
-
-    /// Send `count` instances of `datatype` from a raw user buffer,
-    /// packing non-contiguous layouts first (the MPICH datatype engine).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `endpoint().send_datatype(buf, datatype, count, dst, tag)?`"
-    )]
-    pub fn send_typed(&self, buf: &[u8], datatype: &Datatype, count: usize, dst: usize, tag: Tag) {
-        let payload = if datatype.is_contiguous() {
-            Bytes::copy_from_slice(&buf[..datatype.size() * count])
-        } else {
-            Bytes::from(datatype.pack(buf, count))
-        };
-        self.send_ctx(payload, dst, tag, self.context);
-    }
-
-    /// Receive `count` instances of `datatype` into a raw user buffer.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use `endpoint().recv_datatype(buf, datatype, count, src, tag)?`"
-    )]
-    pub fn recv_typed(
-        &self,
-        buf: &mut [u8],
-        datatype: &Datatype,
-        count: usize,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Status {
-        let (bytes, status) = self.recv_ctx(datatype.size() * count, src, tag, self.context);
-        assert_eq!(
-            bytes.len(),
-            datatype.size() * count,
-            "typed receive length mismatch"
-        );
-        datatype.unpack(buf, &bytes, count);
-        status
+    /// Non-blocking receive (`MPI_Irecv`) returning the raw [`Request`]
+    /// that [`crate::wait_all`] / [`crate::wait_any`] consume. Its
+    /// statuses carry *world* ranks (the same thing on the world
+    /// communicator); [`Endpoint::irecv`] returns communicator-local
+    /// ones and checks the source rank.
+    pub fn irecv(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> Request {
+        self.irecv_ctx(cap, src, tag, self.context)
     }
 
     /// `MPI_Send_init`: build a persistent send (see [`PersistentSend`]).
@@ -616,7 +417,7 @@ impl Communicator {
     }
 
     // ------------------------------------------------------------------
-    // Endpoints — the primary point-to-point surface.
+    // Endpoints — the point-to-point surface.
     // ------------------------------------------------------------------
 
     /// An [`Endpoint`] with no VCI pin: the device derives each
@@ -654,6 +455,11 @@ impl Communicator {
             return Err(CommError::RankOutOfRange { rank, size });
         }
         Ok(())
+    }
+
+    /// Bounds-check an optional (`None` = any) source rank.
+    fn check_src(&self, src: Option<usize>) -> Result<(), CommError> {
+        src.map_or(Ok(()), |s| self.check_rank(s))
     }
 
     // ------------------------------------------------------------------
@@ -757,12 +563,12 @@ impl Communicator {
 }
 
 /// A point-to-point handle on a communicator, optionally pinned to one
-/// VCI — the primary send/receive surface.
+/// VCI — the send/receive surface.
 ///
-/// One generic [`Endpoint::send`] subsumes the seed's
-/// `send`/`send_bytes`/`send_slice`/`send_typed` family: the payload
-/// type ([`IntoPayload`]) picks the conversion, and every operation
-/// returns `Result<_, CommError>` instead of panicking.
+/// One generic [`Endpoint::send`] covers raw bytes, owned [`Bytes`] and
+/// scalar slices alike: the payload type ([`IntoPayload`]) picks the
+/// conversion, and every operation returns `Result<_, CommError>`
+/// instead of panicking.
 ///
 /// ```
 /// # use mpich::{run_world, Placement, WorldConfig};
@@ -848,7 +654,7 @@ impl Endpoint {
         self.comm.check_rank(dst)?;
         Ok(self
             .comm
-            .isend_lane(data.into_payload(), dst, tag, false, self.vci))
+            .isend_lane(data.into_payload(), dst, tag, false, self.vci, "isend"))
     }
 
     /// Non-blocking synchronous send (`MPI_Issend`).
@@ -861,7 +667,7 @@ impl Endpoint {
         self.comm.check_rank(dst)?;
         Ok(self
             .comm
-            .isend_lane(data.into_payload(), dst, tag, true, self.vci))
+            .isend_lane(data.into_payload(), dst, tag, true, self.vci, "issend"))
     }
 
     /// Blocking receive (`MPI_Recv`) of up to `cap` bytes, converted to
@@ -876,9 +682,7 @@ impl Endpoint {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(R, Status), CommError> {
-        if let Some(s) = src {
-            self.comm.check_rank(s)?;
-        }
+        self.comm.check_src(src)?;
         let (data, status) = self
             .comm
             .irecv_ctx(cap, src, tag, self.comm.context)
@@ -915,9 +719,7 @@ impl Endpoint {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<CommRequest, CommError> {
-        if let Some(s) = src {
-            self.comm.check_rank(s)?;
-        }
+        self.comm.check_src(src)?;
         Ok(CommRequest {
             inner: self.comm.irecv_ctx(cap, src, tag, self.comm.context),
             group: self.comm.group.clone(),
@@ -936,13 +738,11 @@ impl Endpoint {
         recv_tag: Option<Tag>,
     ) -> Result<(R, Status), CommError> {
         self.comm.check_rank(dst)?;
-        if let Some(s) = src {
-            self.comm.check_rank(s)?;
-        }
+        self.comm.check_src(src)?;
         let recv = self.comm.irecv_ctx(cap, src, recv_tag, self.comm.context);
-        let send = self
-            .comm
-            .isend_lane(data.into_payload(), dst, send_tag, false, self.vci);
+        let send =
+            self.comm
+                .isend_lane(data.into_payload(), dst, send_tag, false, self.vci, "isend");
         let (bytes, status) = recv.wait_bytes();
         send.wait_send();
         let bytes = bytes.expect("receive request completed without data");
@@ -951,6 +751,8 @@ impl Endpoint {
 
     /// Send `count` instances of `datatype` from a raw user buffer,
     /// packing non-contiguous layouts first (the MPICH datatype engine).
+    /// `buf` must span `datatype.extent() * count` bytes, else
+    /// [`CommError::BufferTooSmall`].
     pub fn send_datatype(
         &self,
         buf: &[u8],
@@ -959,6 +761,7 @@ impl Endpoint {
         dst: usize,
         tag: Tag,
     ) -> Result<(), CommError> {
+        check_buffer(buf.len(), datatype, count)?;
         let payload = if datatype.is_contiguous() {
             Bytes::copy_from_slice(&buf[..datatype.size() * count])
         } else {
@@ -968,6 +771,9 @@ impl Endpoint {
     }
 
     /// Receive `count` instances of `datatype` into a raw user buffer.
+    /// A `buf` shorter than `datatype.extent() * count` bytes fails with
+    /// [`CommError::BufferTooSmall`] before the receive is posted, so no
+    /// message is consumed.
     pub fn recv_datatype(
         &self,
         buf: &mut [u8],
@@ -976,6 +782,7 @@ impl Endpoint {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<Status, CommError> {
+        check_buffer(buf.len(), datatype, count)?;
         let want = datatype.size() * count;
         let (bytes, status) = self.recv::<Bytes>(want, src, tag)?;
         if bytes.len() != want {
@@ -990,10 +797,9 @@ impl Endpoint {
 
     /// Blocking probe (`MPI_Probe`).
     pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> Result<Status, CommError> {
-        if let Some(s) = src {
-            self.comm.check_rank(s)?;
-        }
-        Ok(self.comm.probe(src, tag))
+        self.comm.check_src(src)?;
+        let comm = &self.comm;
+        Ok(comm.localize(comm.env.engine.probe(comm.spec(src, tag, comm.context))))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
@@ -1002,11 +808,20 @@ impl Endpoint {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<Option<Status>, CommError> {
-        if let Some(s) = src {
-            self.comm.check_rank(s)?;
-        }
-        Ok(self.comm.iprobe(src, tag))
+        self.comm.check_src(src)?;
+        let comm = &self.comm;
+        let spec = comm.spec(src, tag, comm.context);
+        Ok(comm.env.engine.iprobe(spec).map(|s| comm.localize(s)))
     }
+}
+
+/// A datatype operation's user buffer must span `count` extents.
+fn check_buffer(got: usize, datatype: &Datatype, count: usize) -> Result<(), CommError> {
+    let need = datatype.extent() * count;
+    if got < need {
+        return Err(CommError::BufferTooSmall { need, got });
+    }
+    Ok(())
 }
 
 /// A persistent send operation (`MPI_Send_init`): fix the message once,
@@ -1022,24 +837,8 @@ pub struct PersistentSend {
 impl PersistentSend {
     /// Launch one round; complete with `Request::wait`/`wait_send`.
     pub fn start(&self) -> Request {
-        let inner = ReqInner::new();
-        let comm = self.comm.clone();
-        let (data, dst, tag) = (self.data.clone(), self.dst, self.tag);
-        let my_world = comm.env.world_rank;
-        let req = inner.clone();
-        let len = data.len();
-        marcel::spawn(format!("rank{my_world}-psend"), move || {
-            comm.send_ctx(data, dst, tag, comm.context);
-            req.complete(
-                None,
-                Status {
-                    source: my_world,
-                    tag,
-                    len,
-                },
-            );
-        });
-        Request::new(inner)
+        self.comm
+            .isend_lane(self.data.clone(), self.dst, self.tag, false, None, "psend")
     }
 }
 
@@ -1054,7 +853,10 @@ pub struct PersistentRecv {
 impl PersistentRecv {
     /// Post one round; complete with [`CommRequest::wait_data`].
     pub fn start(&self) -> CommRequest {
-        self.comm.irecv_local(self.cap, self.src, self.tag)
+        CommRequest {
+            inner: self.comm.irecv(self.cap, self.src, self.tag),
+            group: self.comm.group.clone(),
+        }
     }
 }
 

@@ -65,7 +65,7 @@ fn main() {
                 // ---- worker ----
                 let mut handled = 0usize;
                 loop {
-                    let status = comm.probe(Some(0), None);
+                    let status = comm.endpoint().probe(Some(0), None).unwrap();
                     if status.tag == TAG_STOP {
                         comm.endpoint()
                             .recv::<Vec<u8>>(0, Some(0), Some(TAG_STOP))

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Cartesian topologies, the extended collectives (exscan,
 //! reduce_scatter), and their interaction with the heterogeneous
 //! cluster.
@@ -63,14 +58,17 @@ fn cart_halo_exchange_2d() {
     let results = world(6, |comm| {
         let cart = CartComm::create(comm, &[2, 3], &[true, true]);
         let (src, dst) = cart.shift(1, 1);
-        let (data, _) = comm.sendrecv(
-            &[comm.rank() as u8],
-            dst.unwrap(),
-            0,
-            8,
-            Some(src.unwrap()),
-            Some(0),
-        );
+        let (data, _) = comm
+            .endpoint()
+            .sendrecv::<_, Vec<u8>>(
+                &[comm.rank() as u8],
+                dst.unwrap(),
+                0,
+                8,
+                Some(src.unwrap()),
+                Some(0),
+            )
+            .unwrap();
         data[0] as usize
     });
     // Rank r=(i,j) receives from (i, j-1 mod 3).
@@ -81,7 +79,7 @@ fn cart_halo_exchange_2d() {
 fn exscan_prefaccording_to_spec() {
     let results = world(5, |comm| {
         let me = comm.rank() as i64 + 1;
-        comm.exscan_vec(&[me], ReduceOp::Sum)
+        comm.exscan(&[me], ReduceOp::Sum)
     });
     assert_eq!(results[0], None);
     assert_eq!(results[1], Some(vec![1]));
@@ -98,7 +96,8 @@ fn reduce_scatter_distributes_blocks() {
         // Contribution: element (r*2 + k) gets value me + 1 so the
         // reduction per element is sum(1..=n) = 10.
         let contribution: Vec<i64> = (0..n * 2).map(|i| (me + 1) * (i as i64 + 1)).collect();
-        comm.reduce_scatter_vec(&contribution, 2, ReduceOp::Sum)
+        comm.reduce_scatter(&contribution, 2, ReduceOp::Sum)
+            .unwrap()
     });
     // Sum over ranks of (me+1) = 10; element i of the reduction is
     // 10 * (i + 1). Rank r gets elements 2r, 2r+1.
@@ -120,14 +119,17 @@ fn balanced_dims_cover_meta_cluster() {
             let dims = CartComm::balanced_dims(comm.size(), 2);
             let cart = CartComm::create(comm, &dims, &[true, true]);
             let (src, dst) = cart.shift(0, 1);
-            let (data, _) = comm.sendrecv(
-                &mpich::to_bytes(&[comm.rank() as i64]),
-                dst.unwrap(),
-                0,
-                16,
-                Some(src.unwrap()),
-                Some(0),
-            );
+            let (data, _) = comm
+                .endpoint()
+                .sendrecv::<_, Vec<u8>>(
+                    &mpich::to_bytes(&[comm.rank() as i64]),
+                    dst.unwrap(),
+                    0,
+                    16,
+                    Some(src.unwrap()),
+                    Some(0),
+                )
+                .unwrap();
             mpich::from_bytes::<i64>(&data)[0]
         },
     )
@@ -142,8 +144,8 @@ fn balanced_dims_cover_meta_cluster() {
 fn exscan_and_scan_agree() {
     let results = world(6, |comm| {
         let me = [comm.rank() as i64 * 3 + 1];
-        let inclusive = comm.scan_vec(&me, ReduceOp::Sum)[0];
-        let exclusive = comm.exscan_vec(&me, ReduceOp::Sum).map(|v| v[0]);
+        let inclusive = comm.scan(&me, ReduceOp::Sum)[0];
+        let exclusive = comm.exscan(&me, ReduceOp::Sum).map(|v| v[0]);
         (inclusive, exclusive)
     });
     for (r, (incl, excl)) in results.iter().enumerate() {

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Algorithm-engine equivalence suite: every entry of the collective
 //! algorithm catalog (hierarchical, recursive-doubling, Rabenseifner,
 //! ring, scatter-gather) must produce byte-identical results to the
@@ -479,34 +474,6 @@ fn typed_api_reports_errors_instead_of_panicking() {
                 want: 16
             })
         );
-    }
-}
-
-/// The typed surface and the legacy byte wrappers agree (the wrappers
-/// are thin shims over the same dispatch).
-#[test]
-fn typed_and_legacy_surfaces_agree() {
-    let results = run_world(
-        split(5),
-        Placement::OneRankPerNode,
-        cfg(CollPolicy::Adaptive),
-        |comm| {
-            let me = comm.rank() as i64;
-            let typed = comm.allreduce(&[me, me * me], ReduceOp::Sum);
-            let legacy = comm.allreduce_vec(&[me, me * me], ReduceOp::Sum);
-            let typed_b = comm
-                .bcast::<i64>(1, (comm.rank() == 1).then(|| vec![42, 43]))
-                .expect("valid root");
-            let legacy_b = comm.bcast_vec::<i64>(1, (comm.rank() == 1).then(|| vec![42, 43]));
-            (typed, legacy, typed_b, legacy_b)
-        },
-    )
-    .expect("world completes");
-    for (typed, legacy, typed_b, legacy_b) in results {
-        assert_eq!(typed, legacy);
-        assert_eq!(typed, vec![10, 30]);
-        assert_eq!(typed_b, legacy_b);
-        assert_eq!(typed_b, vec![42, 43]);
     }
 }
 

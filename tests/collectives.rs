@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Collective operations across topologies, sizes, roots and devices,
 //! checked against sequential references.
 
@@ -58,7 +53,7 @@ fn bcast_from_every_root() {
     for root in 0..4 {
         let results = world(4, move |comm| {
             let data = (comm.rank() == root).then(|| vec![root as u8; 100]);
-            comm.bcast_bytes(root, data)
+            comm.bcast::<u8>(root, data).unwrap()
         });
         for r in results {
             assert_eq!(r, vec![root as u8; 100]);
@@ -71,7 +66,7 @@ fn bcast_non_power_of_two_and_large() {
     let results = world(7, |comm| {
         let payload: Option<Vec<u8>> =
             (comm.rank() == 3).then(|| (0..100_000).map(|i| (i % 251) as u8).collect());
-        comm.bcast_bytes(3, payload)
+        comm.bcast::<u8>(3, payload).unwrap()
     });
     assert_eq!(results.len(), 7);
     for r in &results {
@@ -85,7 +80,7 @@ fn reduce_sum_matches_reference() {
     let results = world(6, |comm| {
         let me = comm.rank() as i64;
         let contribution = vec![me, me * me, 1];
-        comm.reduce_vec(2, &contribution, ReduceOp::Sum)
+        comm.reduce(2, &contribution, ReduceOp::Sum).unwrap()
     });
     for (rank, r) in results.iter().enumerate() {
         if rank == 2 {
@@ -102,12 +97,12 @@ fn allreduce_all_ops() {
     let results = world(4, |comm| {
         let me = comm.rank() as i64 + 1; // 1..=4
         (
-            comm.allreduce_vec(&[me], ReduceOp::Sum)[0],
-            comm.allreduce_vec(&[me], ReduceOp::Prod)[0],
-            comm.allreduce_vec(&[me], ReduceOp::Min)[0],
-            comm.allreduce_vec(&[me], ReduceOp::Max)[0],
-            comm.allreduce_vec(&[me % 2], ReduceOp::Land)[0],
-            comm.allreduce_vec(&[me % 2], ReduceOp::Lor)[0],
+            comm.allreduce(&[me], ReduceOp::Sum)[0],
+            comm.allreduce(&[me], ReduceOp::Prod)[0],
+            comm.allreduce(&[me], ReduceOp::Min)[0],
+            comm.allreduce(&[me], ReduceOp::Max)[0],
+            comm.allreduce(&[me % 2], ReduceOp::Land)[0],
+            comm.allreduce(&[me % 2], ReduceOp::Lor)[0],
         )
     });
     for r in results {
@@ -121,7 +116,7 @@ fn allreduce_maxloc_finds_owner() {
         let me = comm.rank() as i64;
         // Value peaks at rank 3.
         let value = if me == 3 { 100 } else { me };
-        comm.allreduce_vec(&[value, me], ReduceOp::MaxLoc)
+        comm.allreduce(&[value, me], ReduceOp::MaxLoc)
     });
     for r in results {
         assert_eq!(r, vec![100, 3]);
@@ -133,7 +128,7 @@ fn gather_variable_sizes() {
     let results = world(4, |comm| {
         let me = comm.rank();
         let data = vec![me as u8; me + 1]; // rank r contributes r+1 bytes
-        comm.gather_bytes(0, data)
+        comm.gather(0, &data).unwrap()
     });
     let gathered = results[0].as_ref().expect("root has the parts");
     for (r, part) in gathered.iter().enumerate() {
@@ -150,7 +145,7 @@ fn scatter_distributes_parts() {
                 .map(|d| vec![d as u8; d * 10 + 1])
                 .collect::<Vec<_>>()
         });
-        comm.scatter_bytes(1, parts)
+        comm.scatter::<u8>(1, parts).unwrap()
     });
     for (r, part) in results.iter().enumerate() {
         assert_eq!(part, &vec![r as u8; r * 10 + 1]);
@@ -161,7 +156,7 @@ fn scatter_distributes_parts() {
 fn allgather_everyone_sees_everything() {
     let results = world(5, |comm| {
         let me = comm.rank() as u64;
-        comm.allgather_vec(&[me * 7])
+        comm.allgather(&[me * 7])
     });
     for r in results {
         assert_eq!(r, vec![vec![0], vec![7], vec![14], vec![21], vec![28]]);
@@ -175,7 +170,7 @@ fn alltoall_transposes() {
         let me = comm.rank();
         // parts[d] = [me, d]
         let parts: Vec<Vec<u8>> = (0..n).map(|d| vec![me as u8, d as u8]).collect();
-        comm.alltoall_bytes(parts)
+        comm.alltoall::<u8>(parts).unwrap()
     });
     for (me, got) in results.iter().enumerate() {
         for (src, part) in got.iter().enumerate() {
@@ -188,7 +183,7 @@ fn alltoall_transposes() {
 fn scan_prefix_sums() {
     let results = world(6, |comm| {
         let me = comm.rank() as i64 + 1;
-        comm.scan_vec(&[me], ReduceOp::Sum)[0]
+        comm.scan(&[me], ReduceOp::Sum)[0]
     });
     assert_eq!(results, vec![1, 3, 6, 10, 15, 21]);
 }
@@ -198,8 +193,8 @@ fn collectives_on_heterogeneous_smp_world() {
     // 8 ranks across ch_self/smp_plug/ch_mad simultaneously.
     let results = hetero_world(|comm| {
         let me = comm.rank() as i64;
-        let sum = comm.allreduce_vec(&[me], ReduceOp::Sum)[0];
-        let gathered = comm.allgather_vec(&[me * me]);
+        let sum = comm.allreduce(&[me], ReduceOp::Sum)[0];
+        let gathered = comm.allgather(&[me * me]);
         let flat: Vec<i64> = gathered.into_iter().map(|v| v[0]).collect();
         (sum, flat)
     });
@@ -212,17 +207,18 @@ fn collectives_on_heterogeneous_smp_world() {
 #[test]
 fn dup_isolates_contexts() {
     let results = world(3, |comm| {
+        let ep = comm.endpoint();
         let dup = comm.dup();
         if comm.rank() == 0 {
             // Same (src, tag) on both communicators: contexts must keep
             // them apart.
-            comm.send(&[1], 1, 5);
-            dup.send(&[2], 1, 5);
+            ep.send(&[1u8], 1, 5).unwrap();
+            dup.endpoint().send(&[2u8], 1, 5).unwrap();
             0
         } else if comm.rank() == 1 {
             // Receive from the dup FIRST.
-            let (from_dup, _) = dup.recv(8, Some(0), Some(5));
-            let (from_orig, _) = comm.recv(8, Some(0), Some(5));
+            let (from_dup, _) = dup.endpoint().recv::<Vec<u8>>(8, Some(0), Some(5)).unwrap();
+            let (from_orig, _) = ep.recv::<Vec<u8>>(8, Some(0), Some(5)).unwrap();
             (from_dup[0] * 10 + from_orig[0]) as usize
         } else {
             0
@@ -237,7 +233,7 @@ fn split_builds_disjoint_communicators() {
         let me = comm.rank();
         let color = (me % 2) as i32; // evens / odds
         let sub = comm.split(color, me as i32).expect("defined color");
-        let sub_sum = sub.allreduce_vec(&[me as i64], ReduceOp::Sum)[0];
+        let sub_sum = sub.allreduce(&[me as i64], ReduceOp::Sum)[0];
         (sub.rank(), sub.size(), sub_sum)
     });
     // Evens {0,2,4}: sum 6; odds {1,3,5}: sum 9.
@@ -281,7 +277,7 @@ fn nested_split_of_dup() {
         let half = dup
             .split((comm.rank() / 4) as i32, comm.rank() as i32)
             .unwrap();
-        let sum = half.allreduce_vec(&[comm.rank() as i64], ReduceOp::Sum)[0];
+        let sum = half.allreduce(&[comm.rank() as i64], ReduceOp::Sum)[0];
         (half.size(), sum)
     });
     for (me, (size, sum)) in results.iter().enumerate() {
@@ -296,7 +292,7 @@ fn reduce_float_deterministic_across_runs() {
         world(5, |comm| {
             let me = comm.rank();
             let xs: Vec<f64> = (0..64).map(|i| ((me * 64 + i) as f64).sin()).collect();
-            comm.allreduce_vec(&xs, ReduceOp::Sum)
+            comm.allreduce(&xs, ReduceOp::Sum)
         })
     };
     let a = run();
@@ -310,7 +306,7 @@ fn collectives_over_ch_p4() {
         Topology::single_network(4, Protocol::Tcp),
         Placement::OneRankPerNode,
         WorldConfig::ch_p4(),
-        |comm| comm.allreduce_vec(&[comm.rank() as i64 + 1], ReduceOp::Prod)[0],
+        |comm| comm.allreduce(&[comm.rank() as i64 + 1], ReduceOp::Prod)[0],
     )
     .unwrap();
     assert_eq!(results, vec![24; 4]);
@@ -328,9 +324,9 @@ fn single_rank_world_collectives_are_trivial() {
             let solo = comm.split(comm.rank() as i32, 0).unwrap();
             assert_eq!(solo.size(), 1);
             solo.barrier();
-            let b = solo.bcast_bytes(0, Some(vec![5]));
-            let r = solo.allreduce_vec(&[41i64], ReduceOp::Sum);
-            let g = solo.allgather_bytes(vec![7]);
+            let b = solo.bcast::<u8>(0, Some(vec![5])).unwrap();
+            let r = solo.allreduce(&[41i64], ReduceOp::Sum);
+            let g = solo.allgather(&[7u8]);
             (b, r[0], g.len())
         },
     )
@@ -345,7 +341,7 @@ fn split_by_node_groups_smp_ranks() {
     let results = hetero_world(|comm| {
         let node_comm = comm.split_by_node();
         // 4 dual-CPU nodes -> every node communicator has 2 ranks.
-        let local_sum = node_comm.allreduce_vec(&[comm.rank() as i64], ReduceOp::Sum)[0];
+        let local_sum = node_comm.allreduce(&[comm.rank() as i64], ReduceOp::Sum)[0];
         (node_comm.size(), node_comm.rank(), local_sum)
     });
     for (world_rank, (size, local, sum)) in results.iter().enumerate() {
@@ -362,16 +358,18 @@ fn hierarchical_allreduce_via_node_split() {
     // over ch_mad, then broadcast back — the classic two-level pattern.
     let results = hetero_world(|comm| {
         let node_comm = comm.split_by_node();
-        let node_total = node_comm.reduce_vec(0, &[comm.rank() as i64], ReduceOp::Sum);
+        let node_total = node_comm
+            .reduce(0, &[comm.rank() as i64], ReduceOp::Sum)
+            .unwrap();
         let leaders = comm.split(
             if node_comm.rank() == 0 { 0 } else { -1 },
             comm.rank() as i32,
         );
         let global = match (&node_total, &leaders) {
-            (Some(t), Some(lc)) => Some(lc.allreduce_vec(t, ReduceOp::Sum)[0]),
+            (Some(t), Some(lc)) => Some(lc.allreduce(t, ReduceOp::Sum)[0]),
             _ => None,
         };
-        node_comm.bcast_vec::<i64>(0, global.map(|g| vec![g]))[0]
+        node_comm.bcast::<i64>(0, global.map(|g| vec![g])).unwrap()[0]
     });
     assert_eq!(results, vec![28; 8]); // 0+..+7
 }

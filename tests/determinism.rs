@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Determinism of the whole stack: the virtual-time kernel commits
 //! events in (time, thread) order, so identical programs must yield
 //! bit-identical results, virtual end times, and traces — including
@@ -53,7 +48,7 @@ fn stress_run(seed: u64) -> (Vec<u64>, marcel::VirtualTime) {
             let mut sends = Vec::new();
             for (round, (dst, len)) in plans[me].iter().enumerate() {
                 let payload: Vec<u8> = (0..*len).map(|_| rng.gen()).collect();
-                sends.push(comm.isend(payload, *dst, round as i32));
+                sends.push(comm.endpoint().isend(payload, *dst, round as i32).unwrap());
             }
             for (_, status) in mpich::wait_all(recvs) {
                 checksum = checksum
@@ -65,7 +60,7 @@ fn stress_run(seed: u64) -> (Vec<u64>, marcel::VirtualTime) {
                 s.wait_send();
             }
             // Fold in a collective so the checksum covers everyone.
-            comm.allreduce_vec(&[checksum], ReduceOp::Sum)[0]
+            comm.allreduce(&[checksum], ReduceOp::Sum)[0]
         },
     )
     .expect("stress world completes");
@@ -98,7 +93,7 @@ fn kernel_trace_is_reproducible_for_a_world() {
             WorldConfig::default(),
             |comm| {
                 let x = comm.rank() as i64;
-                comm.allreduce_vec(&[x], ReduceOp::Max)
+                comm.allreduce(&[x], ReduceOp::Max)
             },
         )
         .unwrap()
@@ -117,19 +112,20 @@ fn pingpong_time_is_independent_of_unrelated_history() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let mut times = Vec::new();
                 for _ in 0..8 {
                     let t0 = marcel::now();
-                    comm.send(&[0u8; 64], 1, 0);
-                    comm.recv(64, Some(1), Some(0));
+                    ep.send(&[0u8; 64], 1, 0).unwrap();
+                    ep.recv::<Vec<u8>>(64, Some(1), Some(0)).unwrap();
                     times.push((marcel::now() - t0).as_nanos());
                 }
                 times
             } else {
                 for _ in 0..8 {
-                    let (d, _) = comm.recv(64, Some(0), Some(0));
-                    comm.send(&d, 0, 0);
+                    let (d, _) = ep.recv::<Vec<u8>>(64, Some(0), Some(0)).unwrap();
+                    ep.send(&d, 0, 0).unwrap();
                 }
                 Vec::new()
             }
@@ -153,10 +149,11 @@ fn world_trace_capture() {
         Placement::OneRankPerNode,
         cfg,
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[1], 1, 0);
+                ep.send(&[1u8], 1, 0).unwrap();
             } else {
-                comm.recv(8, Some(0), Some(0));
+                ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
             }
         },
     )
@@ -178,10 +175,11 @@ fn world_trace_capture() {
             Placement::OneRankPerNode,
             cfg,
             |comm| {
+                let ep = comm.endpoint();
                 if comm.rank() == 0 {
-                    comm.send(&[1], 1, 0);
+                    ep.send(&[1u8], 1, 0).unwrap();
                 } else {
-                    comm.recv(8, Some(0), Some(0));
+                    ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
                 }
             },
         )

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Device dispatch and multi-protocol behaviour observed through
 //! virtual time: the paper's core claim is that one `ch_mad` device
 //! serves every network at near-native speed, with locality devices
@@ -21,18 +16,19 @@ fn pair_oneway(
     bytes: usize,
 ) -> marcel::VirtualDuration {
     let results = run_world(topology, placement, WorldConfig::default(), move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == a {
             let payload = vec![7u8; bytes];
-            comm.send(&payload, b, 0);
-            comm.recv(bytes, Some(b), Some(0));
+            ep.send(&payload, b, 0).unwrap();
+            ep.recv::<Vec<u8>>(bytes, Some(b), Some(0)).unwrap();
             let t0 = marcel::now();
-            comm.send(&payload, b, 0);
-            comm.recv(bytes, Some(b), Some(0));
+            ep.send(&payload, b, 0).unwrap();
+            ep.recv::<Vec<u8>>(bytes, Some(b), Some(0)).unwrap();
             Some((marcel::now() - t0) / 2)
         } else if comm.rank() == b {
             for _ in 0..2 {
-                let (d, _) = comm.recv(bytes, Some(a), Some(0));
-                comm.send(&d, a, 0);
+                let (d, _) = ep.recv::<Vec<u8>>(bytes, Some(a), Some(0)).unwrap();
+                ep.send(&d, a, 0).unwrap();
             }
             None
         } else {
@@ -148,18 +144,19 @@ fn hybrid_bip_pair_oneway(cfg: ChMadConfig) -> marcel::VirtualDuration {
     // 8 KB one, so the policy mode decides the transfer mode.
     let n = 7_680;
     let results = run_world(t, Placement::OneRankPerNode, world, move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 2 {
             let payload = vec![7u8; n];
-            comm.send(&payload, 3, 0);
-            comm.recv(n, Some(3), Some(0));
+            ep.send(&payload, 3, 0).unwrap();
+            ep.recv::<Vec<u8>>(n, Some(3), Some(0)).unwrap();
             let t0 = marcel::now();
-            comm.send(&payload, 3, 0);
-            comm.recv(n, Some(3), Some(0));
+            ep.send(&payload, 3, 0).unwrap();
+            ep.recv::<Vec<u8>>(n, Some(3), Some(0)).unwrap();
             Some((marcel::now() - t0) / 2)
         } else if comm.rank() == 3 {
             for _ in 0..2 {
-                let (d, _) = comm.recv(n, Some(2), Some(0));
-                comm.send(&d, 2, 0);
+                let (d, _) = ep.recv::<Vec<u8>>(n, Some(2), Some(0)).unwrap();
+                ep.send(&d, 2, 0).unwrap();
             }
             None
         } else {
@@ -271,18 +268,19 @@ fn ch_p4_vs_ch_mad_on_identical_topology() {
         Placement::OneRankPerNode,
         WorldConfig::ch_p4(),
         move |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let payload = vec![1u8; n];
-                comm.send(&payload, 1, 0);
-                comm.recv(n, Some(1), Some(0));
+                ep.send(&payload, 1, 0).unwrap();
+                ep.recv::<Vec<u8>>(n, Some(1), Some(0)).unwrap();
                 let t0 = marcel::now();
-                comm.send(&payload, 1, 0);
-                comm.recv(n, Some(1), Some(0));
+                ep.send(&payload, 1, 0).unwrap();
+                ep.recv::<Vec<u8>>(n, Some(1), Some(0)).unwrap();
                 Some((marcel::now() - t0) / 2)
             } else {
                 for _ in 0..2 {
-                    let (d, _) = comm.recv(n, Some(0), Some(0));
-                    comm.send(&d, 0, 0);
+                    let (d, _) = ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
+                    ep.send(&d, 0, 0).unwrap();
                 }
                 None
             }
@@ -302,10 +300,11 @@ fn smp_ranks_and_remote_ranks_mix_in_one_recv() {
         Placement::OneRankPerCpu,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let mut sources = Vec::new();
                 for _ in 0..2 {
-                    let (_, status) = comm.recv(64, None, Some(9));
+                    let (_, status) = ep.recv::<Vec<u8>>(64, None, Some(9)).unwrap();
                     sources.push(status.source);
                 }
                 sources.sort_unstable();
@@ -313,7 +312,7 @@ fn smp_ranks_and_remote_ranks_mix_in_one_recv() {
             } else if comm.rank() == 1 || comm.rank() == 7 {
                 // Rank 1 shares node 0 with rank 0 (smp_plug); rank 7
                 // is in the Myrinet cluster (ch_mad over TCP).
-                comm.send(&[comm.rank() as u8; 16], 0, 9);
+                ep.send(&[comm.rank() as u8; 16], 0, 9).unwrap();
                 Vec::new()
             } else {
                 Vec::new()

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Fault-injection tests: the robustness extension end to end.
 //!
 //! The paper assumes perfectly reliable networks; these tests exercise
@@ -74,20 +69,21 @@ fn run_transfers(topology: Topology) -> Vec<Vec<Vec<u8>>> {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         move |comm| {
+            let ep = comm.endpoint();
             let me = comm.rank();
             let peer = 1 - me;
             let mut got = Vec::new();
             if me == 0 {
                 for (i, &n) in SIZES.iter().enumerate() {
-                    comm.send(&payload(me, i, n), peer, TAG);
+                    ep.send(payload(me, i, n), peer, TAG).unwrap();
                 }
             }
             for &n in &SIZES {
-                got.push(comm.recv(n, Some(peer), Some(TAG)).0);
+                got.push(ep.recv::<Vec<u8>>(n, Some(peer), Some(TAG)).unwrap().0);
             }
             if me == 1 {
                 for (i, &n) in SIZES.iter().enumerate() {
-                    comm.send(&payload(me, i, n), peer, TAG);
+                    ep.send(payload(me, i, n), peer, TAG).unwrap();
                 }
             }
             got
@@ -165,13 +161,16 @@ fn rail_hard_down_mid_stream_fails_over() {
     const N: usize = 4 << 20;
     const MSGS: usize = 2;
     let report = run_world_report(t, Placement::OneRankPerNode, config, move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             for i in 0..MSGS {
-                comm.send(&payload(0, i, N), 1, i as i32);
+                ep.send(payload(0, i, N), 1, i as i32).unwrap();
             }
             true
         } else {
-            (0..MSGS).all(|i| comm.recv(N, Some(0), Some(i as i32)).0 == payload(0, i, N))
+            (0..MSGS).all(|i| {
+                ep.recv::<Vec<u8>>(N, Some(0), Some(i as i32)).unwrap().0 == payload(0, i, N)
+            })
         }
     })
     .expect("failover world failed to complete");
@@ -214,17 +213,18 @@ fn faulted_runs_are_seed_deterministic() {
             Placement::OneRankPerNode,
             WorldConfig::default(),
             move |comm| {
+                let ep = comm.endpoint();
                 let me = comm.rank();
                 let peer = 1 - me;
                 if me == 0 {
                     for (i, &n) in sizes.iter().enumerate() {
-                        comm.send(&payload(me, i, n), peer, TAG);
+                        ep.send(payload(me, i, n), peer, TAG).unwrap();
                     }
                     Vec::new()
                 } else {
                     sizes
                         .iter()
-                        .map(|&n| comm.recv(n, Some(peer), Some(TAG)).0)
+                        .map(|&n| ep.recv::<Vec<u8>>(n, Some(peer), Some(TAG)).unwrap().0)
                         .collect()
                 }
             },
@@ -343,9 +343,15 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
         Placement::OneRankPerCpu,
         config,
         move |comm| match comm.rank() {
-            0 => (0..2).for_each(|i| comm.send(&payload(0, i, N), 2, i as i32)),
+            0 => (0..2).for_each(|i| comm.endpoint().send(payload(0, i, N), 2, i as i32).unwrap()),
             2 => (0..2).for_each(|i| {
-                assert_eq!(comm.recv(N, Some(0), Some(i as i32)).0, payload(0, i, N));
+                assert_eq!(
+                    comm.endpoint()
+                        .recv::<Vec<u8>>(N, Some(0), Some(i as i32))
+                        .unwrap()
+                        .0,
+                    payload(0, i, N)
+                );
             }),
             _ => {}
         },

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! The gateway-forwarding extension (the paper's §6 future work):
 //! messages crossing heterogeneous networks through gateway nodes, with
 //! chunked rendezvous pipelining to preserve bandwidth.
@@ -38,11 +33,12 @@ fn eager_message_crosses_one_gateway() {
         Placement::OneRankPerNode,
         WorldConfig::with_forwarding(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[1, 2, 3, 4], 2, 7);
+                ep.send(&[1u8, 2, 3, 4], 2, 7).unwrap();
                 Vec::new()
             } else if comm.rank() == 2 {
-                let (data, status) = comm.recv(16, Some(0), Some(7));
+                let (data, status) = ep.recv::<Vec<u8>>(16, Some(0), Some(7)).unwrap();
                 assert_eq!(status.source, 0);
                 data
             } else {
@@ -62,12 +58,13 @@ fn rendezvous_crosses_one_gateway() {
         Placement::OneRankPerNode,
         WorldConfig::with_forwarding(),
         move |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let payload: Vec<u8> = (0..n).map(|i| (i % 241) as u8).collect();
-                comm.send(&payload, 2, 0);
+                ep.send(&payload, 2, 0).unwrap();
                 true
             } else if comm.rank() == 2 {
-                let (data, status) = comm.recv(n, Some(0), Some(0));
+                let (data, status) = ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
                 status.len == n && data.iter().enumerate().all(|(i, &b)| b == (i % 241) as u8)
             } else {
                 true
@@ -85,14 +82,15 @@ fn two_gateways_and_reverse_direction() {
         Placement::OneRankPerNode,
         WorldConfig::with_forwarding(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[7; 100], 3, 1);
-                let (data, _) = comm.recv(64, Some(3), Some(2));
+                ep.send(&[7u8; 100], 3, 1).unwrap();
+                let (data, _) = ep.recv::<Vec<u8>>(64, Some(3), Some(2)).unwrap();
                 data
             } else if comm.rank() == 3 {
-                let (data, _) = comm.recv(128, Some(0), Some(1));
+                let (data, _) = ep.recv::<Vec<u8>>(128, Some(0), Some(1)).unwrap();
                 assert_eq!(data, vec![7; 100]);
-                comm.send(&[9; 50], 0, 2);
+                ep.send(&[9u8; 50], 0, 2).unwrap();
                 Vec::new()
             } else {
                 Vec::new()
@@ -110,6 +108,7 @@ fn forwarded_messages_preserve_pair_fifo() {
         Placement::OneRankPerNode,
         WorldConfig::with_forwarding(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 for i in 0..12u8 {
                     // Mix sizes so eager and (chunked) rendezvous
@@ -117,12 +116,12 @@ fn forwarded_messages_preserve_pair_fifo() {
                     let size = if i % 4 == 0 { 20_000 } else { 16 };
                     let mut data = vec![0u8; size];
                     data[0] = i;
-                    comm.send(&data, 2, 5);
+                    ep.send(&data, 2, 5).unwrap();
                 }
                 Vec::new()
             } else if comm.rank() == 2 {
                 (0..12)
-                    .map(|_| comm.recv(32_768, Some(0), Some(5)).0[0])
+                    .map(|_| ep.recv::<Vec<u8>>(32_768, Some(0), Some(5)).unwrap().0[0])
                     .collect()
             } else {
                 Vec::new()
@@ -141,8 +140,8 @@ fn collectives_span_the_gateway() {
         WorldConfig::with_forwarding(),
         |comm| {
             let me = comm.rank() as i64;
-            let sum = comm.allreduce_vec(&[me], ReduceOp::Sum)[0];
-            let all = comm.allgather_vec(&[me * 2]);
+            let sum = comm.allreduce(&[me], ReduceOp::Sum)[0];
+            let all = comm.allgather(&[me * 2]);
             (sum, all.len())
         },
     )
@@ -164,16 +163,17 @@ fn forwarded_oneway(n: usize, chunk: usize) -> marcel::VirtualDuration {
         }))
         .build();
     let results = run_world(chain(), Placement::OneRankPerNode, cfg, move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             let payload = vec![3u8; n];
-            comm.send(&payload, 2, 0);
-            comm.recv(1, Some(2), Some(1));
+            ep.send(&payload, 2, 0).unwrap();
+            ep.recv::<Vec<u8>>(1, Some(2), Some(1)).unwrap();
             None
         } else if comm.rank() == 2 {
             let t0 = marcel::now();
-            comm.recv(n, Some(0), Some(0));
+            ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
             let elapsed = marcel::now() - t0;
-            comm.send(&[1], 0, 1);
+            ep.send(&[1u8], 0, 1).unwrap();
             Some(elapsed)
         } else {
             None
@@ -224,13 +224,14 @@ fn direct_pairs_ignore_forwarding_machinery() {
     let t = || Topology::single_network(2, Protocol::Sisci);
     let run = |cfg: WorldConfig| {
         run_world(t(), Placement::OneRankPerNode, cfg, |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[0u8; 64], 1, 0);
-                comm.recv(64, Some(1), Some(0));
+                ep.send(&[0u8; 64], 1, 0).unwrap();
+                ep.recv::<Vec<u8>>(64, Some(1), Some(0)).unwrap();
                 Some(marcel::now())
             } else {
-                let (d, _) = comm.recv(64, Some(0), Some(0));
-                comm.send(&d, 1 - 1, 0);
+                let (d, _) = ep.recv::<Vec<u8>>(64, Some(0), Some(0)).unwrap();
+                ep.send(&d, 1 - 1, 0).unwrap();
                 None
             }
         })

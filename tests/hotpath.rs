@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! End-to-end tests for the hot-path PR: idle-channel poll parking at
 //! the MPI level (the paper's §3.3 / Figure 9 scenario), parking under
 //! fault injection, and parking determinism.
@@ -26,24 +21,25 @@ fn steady_sci_oneway(with_tcp: bool, poll: PollPolicy) -> VirtualDuration {
         Placement::OneRankPerNode,
         WorldConfig::builder().poll(poll).build(),
         |comm| {
+            let ep = comm.endpoint();
             const WARM: usize = 32;
             const ITERS: u64 = 16;
             if comm.rank() == 0 {
                 let data = vec![0u8; 4];
                 for _ in 0..WARM {
-                    comm.send(&data, 1, 0);
-                    comm.recv(4, Some(1), Some(0));
+                    ep.send(&data, 1, 0).unwrap();
+                    ep.recv::<Vec<u8>>(4, Some(1), Some(0)).unwrap();
                 }
                 let t0 = marcel::now();
                 for _ in 0..ITERS {
-                    comm.send(&data, 1, 0);
-                    comm.recv(4, Some(1), Some(0));
+                    ep.send(&data, 1, 0).unwrap();
+                    ep.recv::<Vec<u8>>(4, Some(1), Some(0)).unwrap();
                 }
                 Some((marcel::now() - t0) / (2 * ITERS))
             } else if comm.rank() == 1 {
                 for _ in 0..WARM + ITERS as usize {
-                    let (data, _) = comm.recv(4, Some(0), Some(0));
-                    comm.send(&data, 0, 0);
+                    let (data, _) = ep.recv::<Vec<u8>>(4, Some(0), Some(0)).unwrap();
+                    ep.send(&data, 0, 0).unwrap();
                 }
                 None
             } else {
@@ -121,20 +117,21 @@ fn faulted_transfers_survive_under_parking() {
         Placement::OneRankPerNode,
         WorldConfig::builder().poll(PollPolicy::Parking).build(),
         move |comm| {
+            let ep = comm.endpoint();
             let me = comm.rank();
             let peer = 1 - me;
             let mut got = Vec::new();
             if me == 0 {
                 for (i, &n) in SIZES.iter().enumerate() {
-                    comm.send(&payload(me, i, n), peer, TAG);
+                    ep.send(payload(me, i, n), peer, TAG).unwrap();
                 }
             }
             for &n in &SIZES {
-                got.push(comm.recv(n, Some(peer), Some(TAG)).0);
+                got.push(ep.recv::<Vec<u8>>(n, Some(peer), Some(TAG)).unwrap().0);
             }
             if me == 1 {
                 for (i, &n) in SIZES.iter().enumerate() {
-                    comm.send(&payload(me, i, n), peer, TAG);
+                    ep.send(payload(me, i, n), peer, TAG).unwrap();
                 }
             }
             got

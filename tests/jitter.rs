@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Robustness under deterministic link jitter (failure injection):
 //! every MPI semantic must survive arbitrary arrival-time perturbation,
 //! and the simulation must stay reproducible.
@@ -32,14 +27,15 @@ fn pair_fifo_survives_heavy_jitter() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 for i in 0..30u8 {
-                    comm.send(&[i], 1, 0);
+                    ep.send(&[i], 1, 0).unwrap();
                 }
                 Vec::new()
             } else {
                 (0..30)
-                    .map(|_| comm.recv(8, Some(0), Some(0)).0[0])
+                    .map(|_| ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap().0[0])
                     .collect()
             }
         },
@@ -57,9 +53,9 @@ fn collectives_survive_jitter() {
             WorldConfig::default(),
             |comm| {
                 let me = comm.rank() as i64;
-                let sum = comm.allreduce_vec(&[me], ReduceOp::Sum)[0];
-                let all = comm.allgather_vec(&[me * me]);
-                let scan = comm.scan_vec(&[1i64], ReduceOp::Sum)[0];
+                let sum = comm.allreduce(&[me], ReduceOp::Sum)[0];
+                let all = comm.allgather(&[me * me]);
+                let scan = comm.scan(&[1i64], ReduceOp::Sum)[0];
                 (sum, all.len(), scan)
             },
         )
@@ -80,12 +76,13 @@ fn rendezvous_handshake_survives_jitter() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         move |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let payload: Vec<u8> = (0..n).map(|i| (i % 239) as u8).collect();
-                comm.send(&payload, 1, 0);
+                ep.send(&payload, 1, 0).unwrap();
                 true
             } else {
-                let (data, _) = comm.recv(n, Some(0), Some(0));
+                let (data, _) = ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
                 data.iter().enumerate().all(|(i, &b)| b == (i % 239) as u8)
             }
         },
@@ -104,7 +101,7 @@ fn jittered_runs_are_still_deterministic() {
             |comm| {
                 let mut acc = 0i64;
                 for round in 0..5 {
-                    let v = comm.allreduce_vec(&[comm.rank() as i64 + round], ReduceOp::Max)[0];
+                    let v = comm.allreduce(&[comm.rank() as i64 + round], ReduceOp::Max)[0];
                     acc = acc * 31 + v;
                 }
                 acc
@@ -124,12 +121,13 @@ fn jitter_actually_changes_timing() {
             Placement::OneRankPerNode,
             WorldConfig::default(),
             |comm| {
+                let ep = comm.endpoint();
                 if comm.rank() == 0 {
-                    comm.send(&[1; 64], 1, 0);
-                    comm.recv(64, Some(1), Some(0));
+                    ep.send(&[1u8; 64], 1, 0).unwrap();
+                    ep.recv::<Vec<u8>>(64, Some(1), Some(0)).unwrap();
                 } else {
-                    let (d, _) = comm.recv(64, Some(0), Some(0));
-                    comm.send(&d, 0, 0);
+                    let (d, _) = ep.recv::<Vec<u8>>(64, Some(0), Some(0)).unwrap();
+                    ep.send(&d, 0, 0).unwrap();
                 }
             },
         )

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Observability-layer tests: the typed trace and the metrics registry
 //! must be as deterministic as the simulation they watch, spans must
 //! balance by Finalize, reliability counters must agree with the fault
@@ -26,15 +21,16 @@ fn traced_run(trace: bool) -> (Vec<u64>, VirtualTime, Vec<TraceEvent>, MetricsSn
         Placement::OneRankPerNode,
         cfg,
         |comm| {
+            let ep = comm.endpoint();
             let mut acc = 0u64;
             for &n in &SIZES {
                 if comm.rank() == 0 {
-                    comm.send(&vec![7u8; n], 1, 0);
-                    acc += comm.recv(n, Some(1), Some(0)).0.len() as u64;
+                    ep.send(vec![7u8; n], 1, 0).unwrap();
+                    acc += ep.recv::<Vec<u8>>(n, Some(1), Some(0)).unwrap().0.len() as u64;
                 } else {
-                    let (d, _) = comm.recv(n, Some(0), Some(0));
+                    let (d, _) = ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
                     acc += d.len() as u64;
-                    comm.send(&d, 0, 0);
+                    ep.send(&d, 0, 0).unwrap();
                 }
             }
             acc
@@ -109,11 +105,12 @@ fn retransmits_match_injected_losses() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             for i in 0..8 {
                 if comm.rank() == 0 {
-                    comm.send(&vec![i as u8; 256], 1, i);
+                    ep.send(vec![i as u8; 256], 1, i).unwrap();
                 } else {
-                    comm.recv(256, Some(0), Some(i));
+                    ep.recv::<Vec<u8>>(256, Some(0), Some(i)).unwrap();
                 }
             }
         },
@@ -170,10 +167,11 @@ fn chrome_trace_export_is_well_formed() {
         Placement::OneRankPerNode,
         cfg,
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[1, 2, 3, 4], 1, 0);
+                ep.send(&[1u8, 2, 3, 4], 1, 0).unwrap();
             } else {
-                comm.recv(4, Some(0), Some(0));
+                ep.recv::<Vec<u8>>(4, Some(0), Some(0)).unwrap();
             }
         },
     )

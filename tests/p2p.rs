@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Point-to-point MPI semantics, end to end through the full stack
 //! (generic layer → ADI engine → devices → Madeleine → simulated links).
 
@@ -24,14 +19,15 @@ fn two_ranks<T: Send + 'static>(
 #[test]
 fn blocking_send_recv_roundtrip() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send(&[1, 2, 3, 4, 5], 1, 42);
-            let (data, status) = comm.recv(16, Some(1), Some(43));
+            ep.send(&[1u8, 2, 3, 4, 5], 1, 42).unwrap();
+            let (data, status) = ep.recv::<Vec<u8>>(16, Some(1), Some(43)).unwrap();
             (data, status)
         } else {
-            let (data, status) = comm.recv(16, Some(0), Some(42));
+            let (data, status) = ep.recv::<Vec<u8>>(16, Some(0), Some(42)).unwrap();
             let reply: Vec<u8> = data.iter().rev().copied().collect();
-            comm.send(&reply, 0, 43);
+            ep.send(&reply, 0, 43).unwrap();
             (data, status)
         }
     });
@@ -58,13 +54,14 @@ fn blocking_send_recv_roundtrip() {
 #[test]
 fn zero_byte_messages() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send(&[], 1, 0);
-            comm.recv(0, Some(1), Some(1)).1.len
+            ep.send(&[0u8; 0], 1, 0).unwrap();
+            ep.recv::<Vec<u8>>(0, Some(1), Some(1)).unwrap().1.len
         } else {
-            let (data, _) = comm.recv(0, Some(0), Some(0));
+            let (data, _) = ep.recv::<Vec<u8>>(0, Some(0), Some(0)).unwrap();
             assert!(data.is_empty());
-            comm.send(&[], 0, 1);
+            ep.send(&[0u8; 0], 0, 1).unwrap();
             0
         }
     });
@@ -75,13 +72,14 @@ fn zero_byte_messages() {
 fn tag_selective_matching() {
     // Rank 0 sends tags 5 then 9; rank 1 receives tag 9 FIRST, then 5.
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send(&[55], 1, 5);
-            comm.send(&[99], 1, 9);
+            ep.send(&[55u8], 1, 5).unwrap();
+            ep.send(&[99u8], 1, 9).unwrap();
             Vec::new()
         } else {
-            let (nine, s9) = comm.recv(8, Some(0), Some(9));
-            let (five, s5) = comm.recv(8, Some(0), Some(5));
+            let (nine, s9) = ep.recv::<Vec<u8>>(8, Some(0), Some(9)).unwrap();
+            let (five, s5) = ep.recv::<Vec<u8>>(8, Some(0), Some(5)).unwrap();
             assert_eq!(s9.tag, 9);
             assert_eq!(s5.tag, 5);
             vec![nine[0], five[0]]
@@ -97,10 +95,11 @@ fn any_source_any_tag() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
                 let mut seen = Vec::new();
                 for _ in 0..3 {
-                    let (data, status) = comm.recv(8, None, None);
+                    let (data, status) = ep.recv::<Vec<u8>>(8, None, None).unwrap();
                     assert_eq!(data[0] as usize, status.source);
                     assert_eq!(status.tag, status.source as i32 * 10);
                     seen.push(status.source);
@@ -109,7 +108,7 @@ fn any_source_any_tag() {
                 seen
             } else {
                 let me = comm.rank();
-                comm.send(&[me as u8], 0, me as i32 * 10);
+                ep.send(&[me as u8], 0, me as i32 * 10).unwrap();
                 Vec::new()
             }
         },
@@ -121,6 +120,7 @@ fn any_source_any_tag() {
 #[test]
 fn per_pair_message_order_is_fifo() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             for i in 0..20u8 {
                 // Alternate sizes so eager/rendezvous interleave (the
@@ -128,13 +128,13 @@ fn per_pair_message_order_is_fifo() {
                 let size = if i % 3 == 0 { 16 * 1024 } else { 8 };
                 let mut data = vec![0u8; size];
                 data[0] = i;
-                comm.send(&data, 1, 7);
+                ep.send(&data, 1, 7).unwrap();
             }
             Vec::new()
         } else {
             let mut order = Vec::new();
             for _ in 0..20 {
-                let (data, _) = comm.recv(32 * 1024, Some(0), Some(7));
+                let (data, _) = ep.recv::<Vec<u8>>(32 * 1024, Some(0), Some(7)).unwrap();
                 order.push(data[0]);
             }
             order
@@ -146,9 +146,10 @@ fn per_pair_message_order_is_fifo() {
 #[test]
 fn isend_irecv_wait() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            let r1 = comm.isend(vec![1; 100], 1, 1);
-            let r2 = comm.isend(vec![2; 200], 1, 2);
+            let r1 = ep.isend(vec![1u8; 100], 1, 1).unwrap();
+            let r2 = ep.isend(vec![2u8; 200], 1, 2).unwrap();
             mpich::wait_all(vec![r1, r2]);
             0
         } else {
@@ -173,7 +174,7 @@ fn request_test_polls_without_blocking() {
         if comm.rank() == 0 {
             // Delay the send so rank 1's first test() sees "not done".
             marcel::advance(marcel::VirtualDuration::from_micros(500));
-            comm.send(&[7], 1, 0);
+            comm.endpoint().send(&[7u8], 1, 0).unwrap();
             true
         } else {
             let mut req = comm.irecv(8, Some(0), Some(0));
@@ -194,7 +195,10 @@ fn sendrecv_swaps_without_deadlock() {
     let results = two_ranks(|comm| {
         let me = comm.rank();
         let other = 1 - me;
-        let (incoming, status) = comm.sendrecv(&[me as u8; 64], other, 3, 64, Some(other), Some(3));
+        let (incoming, status) = comm
+            .endpoint()
+            .sendrecv::<_, Vec<u8>>(&[me as u8; 64], other, 3, 64, Some(other), Some(3))
+            .unwrap();
         assert_eq!(status.source, other);
         incoming[0]
     });
@@ -207,10 +211,11 @@ fn head_to_head_large_sends_rendezvous_both_ways() {
     // rendezvous handshakes cross on the wire.
     let n = 1 << 20;
     let results = two_ranks(move |comm| {
+        let ep = comm.endpoint();
         let me = comm.rank();
         let payload = vec![me as u8; n];
-        let send = comm.isend(payload, 1 - me, 0);
-        let (data, status) = comm.recv(n, Some(1 - me), Some(0));
+        let send = ep.isend(payload, 1 - me, 0).unwrap();
+        let (data, status) = ep.recv::<Vec<u8>>(n, Some(1 - me), Some(0)).unwrap();
         send.wait_send();
         assert_eq!(status.len, n);
         data.iter().all(|&b| b == (1 - me) as u8)
@@ -221,14 +226,17 @@ fn head_to_head_large_sends_rendezvous_both_ways() {
 #[test]
 fn probe_then_recv_exact_message() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send(&[9; 321], 1, 17);
+            ep.send(&[9u8; 321], 1, 17).unwrap();
             0
         } else {
-            let status = comm.probe(None, None);
+            let status = ep.probe(None, None).unwrap();
             assert_eq!(status.len, 321);
             assert_eq!(status.tag, 17);
-            let (data, _) = comm.recv(status.len, Some(status.source), Some(status.tag));
+            let (data, _) = ep
+                .recv::<Vec<u8>>(status.len, Some(status.source), Some(status.tag))
+                .unwrap();
             data.len()
         }
     });
@@ -238,17 +246,18 @@ fn probe_then_recv_exact_message() {
 #[test]
 fn iprobe_reports_absence_and_presence() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             marcel::advance(marcel::VirtualDuration::from_micros(300));
-            comm.send(&[1], 1, 0);
+            ep.send(&[1u8], 1, 0).unwrap();
             true
         } else {
-            let before = comm.iprobe(Some(0), Some(0)).is_none();
+            let before = ep.iprobe(Some(0), Some(0)).unwrap().is_none();
             // Wait out the sender's delay.
-            while comm.iprobe(Some(0), Some(0)).is_none() {
+            while ep.iprobe(Some(0), Some(0)).unwrap().is_none() {
                 marcel::sleep(marcel::VirtualDuration::from_micros(50));
             }
-            let (data, _) = comm.recv(8, Some(0), Some(0));
+            let (data, _) = ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
             assert_eq!(data, vec![1]);
             before
         }
@@ -263,10 +272,11 @@ fn truncation_aborts_the_run() {
         Placement::OneRankPerNode,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             if comm.rank() == 0 {
-                comm.send(&[0; 64], 1, 0);
+                ep.send(&[0u8; 64], 1, 0).unwrap();
             } else {
-                comm.recv(16, Some(0), Some(0));
+                ep.recv::<Vec<u8>>(16, Some(0), Some(0)).unwrap();
             }
         },
     );
@@ -282,12 +292,13 @@ fn truncation_aborts_the_run() {
 fn large_message_integrity_through_rendezvous() {
     let n = 3 * 1024 * 1024 + 137; // odd size, well past every switch point
     let results = two_ranks(move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             let payload: Vec<u8> = (0..n).map(|i| (i * 31 % 251) as u8).collect();
-            comm.send(&payload, 1, 0);
+            ep.send(&payload, 1, 0).unwrap();
             0u64
         } else {
-            let (data, status) = comm.recv(n, Some(0), Some(0));
+            let (data, status) = ep.recv::<Vec<u8>>(n, Some(0), Some(0)).unwrap();
             assert_eq!(status.len, n);
             assert!(data
                 .iter()
@@ -304,15 +315,16 @@ fn eager_rendezvous_boundary_sizes() {
     // SCI switch point is 8192: exercise n-1, n, n+1.
     let sp = Protocol::Sisci.switch_point();
     let results = two_ranks(move |comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             for n in [sp - 1, sp, sp + 1] {
                 let payload: Vec<u8> = (0..n).map(|i| (i % 256) as u8).collect();
-                comm.send(&payload, 1, n as i32);
+                ep.send(&payload, 1, n as i32).unwrap();
             }
             true
         } else {
             for n in [sp - 1, sp, sp + 1] {
-                let (data, status) = comm.recv(sp + 1, Some(0), Some(n as i32));
+                let (data, status) = ep.recv::<Vec<u8>>(sp + 1, Some(0), Some(n as i32)).unwrap();
                 assert_eq!(status.len, n);
                 assert!(data.iter().enumerate().all(|(i, &b)| b == (i % 256) as u8));
             }
@@ -325,13 +337,14 @@ fn eager_rendezvous_boundary_sizes() {
 #[test]
 fn typed_send_recv() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send_slice(&[1.5f64, -2.5, 1e100], 1, 0);
-            comm.send_slice(&[i32::MIN, 0, i32::MAX], 1, 1);
+            ep.send(&[1.5f64, -2.5, 1e100], 1, 0).unwrap();
+            ep.send(&[i32::MIN, 0, i32::MAX], 1, 1).unwrap();
             (Vec::new(), Vec::new())
         } else {
-            let (floats, _) = comm.recv_vec::<f64>(3, Some(0), Some(0));
-            let (ints, _) = comm.recv_vec::<i32>(3, Some(0), Some(1));
+            let (floats, _) = ep.recv_count::<f64>(3, Some(0), Some(0)).unwrap();
+            let (ints, _) = ep.recv_count::<i32>(3, Some(0), Some(1)).unwrap();
             (floats, ints)
         }
     });
@@ -343,15 +356,18 @@ fn typed_send_recv() {
 fn derived_datatype_transfer() {
     use mpich::{BaseType, Datatype};
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         // A 4x4 f64 matrix; send the 2nd column.
         let dt = Datatype::vector(4, 1, 4, Datatype::base(BaseType::Float64));
         if comm.rank() == 0 {
             let matrix: Vec<f64> = (0..16).map(|i| i as f64).collect();
-            comm.send_typed(&mpich::to_bytes(&matrix), &dt, 1, 1, 0);
+            ep.send_datatype(&mpich::to_bytes(&matrix), &dt, 1, 1, 0)
+                .unwrap();
             Vec::new()
         } else {
             let mut buf = vec![0u8; 16 * 8];
-            comm.recv_typed(&mut buf, &dt, 1, Some(0), Some(0));
+            ep.recv_datatype(&mut buf, &dt, 1, Some(0), Some(0))
+                .unwrap();
             let matrix: Vec<f64> = mpich::from_bytes(&buf);
             // Column elements land at positions 1, 5, 9, 13... actually
             // at 0, 4, 8, 12 of the receive layout (same datatype).
@@ -364,11 +380,12 @@ fn derived_datatype_transfer() {
 #[test]
 fn wait_any_returns_first_arrival() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             marcel::advance(marcel::VirtualDuration::from_micros(100));
-            comm.send(&[2], 1, 2); // tag 2 first
+            ep.send(&[2u8], 1, 2).unwrap(); // tag 2 first
             marcel::advance(marcel::VirtualDuration::from_micros(2_000));
-            comm.send(&[1], 1, 1);
+            ep.send(&[1u8], 1, 1).unwrap();
             0
         } else {
             let mut reqs = vec![
@@ -389,9 +406,10 @@ fn wait_any_returns_first_arrival() {
 #[test]
 fn self_send_through_ch_self() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         let me = comm.rank();
-        let send = comm.isend(vec![me as u8; 8], me, 0);
-        let (data, status) = comm.recv(8, Some(me), Some(0));
+        let send = ep.isend(vec![me as u8; 8], me, 0).unwrap();
+        let (data, status) = ep.recv::<Vec<u8>>(8, Some(me), Some(0)).unwrap();
         send.wait_send();
         assert_eq!(status.source, me);
         data[0] as usize == me
@@ -402,9 +420,10 @@ fn self_send_through_ch_self() {
 #[test]
 fn unexpected_messages_buffer_until_recv() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             for i in 0..5u8 {
-                comm.send(&[i], 1, i as i32);
+                ep.send(&[i], 1, i as i32).unwrap();
             }
             0
         } else {
@@ -414,7 +433,7 @@ fn unexpected_messages_buffer_until_recv() {
             // Drain in reverse tag order to prove matching is by tag,
             // not arrival.
             for i in (0..5).rev() {
-                let (data, _) = comm.recv(8, Some(0), Some(i));
+                let (data, _) = ep.recv::<Vec<u8>>(8, Some(0), Some(i)).unwrap();
                 assert_eq!(data[0], i as u8);
                 sum += data[0] as usize;
             }
@@ -459,7 +478,9 @@ fn persistent_send_overlaps_with_computation() {
             req.wait_send();
             marcel::now().as_micros_f64() < 150.0
         } else {
-            comm.recv(64, Some(0), Some(0));
+            comm.endpoint()
+                .recv::<Vec<u8>>(64, Some(0), Some(0))
+                .unwrap();
             true
         }
     });
@@ -469,14 +490,15 @@ fn persistent_send_overlaps_with_computation() {
 #[test]
 fn ssend_completes_only_after_recv_posted() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
             // Tiny message: plain send would complete eagerly, long
             // before the receiver shows up at t=2ms.
-            comm.ssend(&[1, 2, 3], 1, 0);
+            ep.ssend(&[1u8, 2, 3], 1, 0).unwrap();
             marcel::now()
         } else {
             marcel::sleep(marcel::VirtualDuration::from_millis(2));
-            let (data, _) = comm.recv(8, Some(0), Some(0));
+            let (data, _) = ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
             assert_eq!(data, vec![1, 2, 3]);
             marcel::now()
         }
@@ -491,12 +513,13 @@ fn ssend_completes_only_after_recv_posted() {
 #[test]
 fn plain_send_is_not_synchronous() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            comm.send(&[1], 1, 0);
+            ep.send(&[1u8], 1, 0).unwrap();
             marcel::now()
         } else {
             marcel::sleep(marcel::VirtualDuration::from_millis(2));
-            comm.recv(8, Some(0), Some(0));
+            ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
             marcel::now()
         }
     });
@@ -510,15 +533,16 @@ fn plain_send_is_not_synchronous() {
 #[test]
 fn issend_overlaps_then_synchronizes() {
     let results = two_ranks(|comm| {
+        let ep = comm.endpoint();
         if comm.rank() == 0 {
-            let req = comm.issend(vec![7; 16], 1, 0);
+            let req = ep.issend(vec![7u8; 16], 1, 0).unwrap();
             // Free to compute while the handshake is pending.
             marcel::advance(marcel::VirtualDuration::from_micros(100));
             req.wait_send();
             marcel::now()
         } else {
             marcel::sleep(marcel::VirtualDuration::from_millis(1));
-            comm.recv(16, Some(0), Some(0));
+            ep.recv::<Vec<u8>>(16, Some(0), Some(0)).unwrap();
             marcel::now()
         }
     });
@@ -538,13 +562,14 @@ fn ssend_through_smp_plug() {
         mpich::Placement::OneRankPerCpu,
         WorldConfig::default(),
         |comm| {
+            let ep = comm.endpoint();
             // Ranks 0,1 share node a.
             if comm.rank() == 0 {
-                comm.ssend(&[9], 1, 0);
+                ep.ssend(&[9u8], 1, 0).unwrap();
                 marcel::now()
             } else if comm.rank() == 1 {
                 marcel::sleep(marcel::VirtualDuration::from_millis(3));
-                comm.recv(8, Some(0), Some(0));
+                ep.recv::<Vec<u8>>(8, Some(0), Some(0)).unwrap();
                 marcel::now()
             } else {
                 marcel::now()

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Property-based tests (proptest) over the core data structures and
 //! protocol invariants.
 
@@ -279,12 +274,13 @@ proptest! {
             Placement::OneRankPerNode,
             cfg,
             move |comm| {
+                let ep = comm.endpoint();
                 if comm.rank() == 0 {
                     let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
-                    comm.send(&payload, 1, 0);
+                    ep.send(&payload, 1, 0).unwrap();
                     true
                 } else {
-                    let (data, status) = comm.recv(len, Some(0), Some(0));
+                    let (data, status) = ep.recv::<Vec<u8>>(len, Some(0), Some(0)).unwrap();
                     status.len == len
                         && data.len() == len
                         && data.iter().enumerate().all(|(i, &b)| b == (i % 253) as u8)
@@ -324,18 +320,19 @@ proptest! {
             Placement::OneRankPerNode,
             cfg,
             move |comm| {
+                let ep = comm.endpoint();
                 if comm.rank() == 0 {
                     for (seq, &len) in lens_in.iter().enumerate() {
                         let payload: Vec<u8> =
                             (0..len).map(|i| ((i + seq) % 251) as u8).collect();
-                        comm.send(&payload, 1, seq as i32);
+                        ep.send(&payload, 1, seq as i32).unwrap();
                     }
                     true
                 } else {
                     // Messages must arrive in send order with their
                     // bytes intact, whatever policy carried them.
                     lens_in.iter().enumerate().all(|(seq, &len)| {
-                        let (data, status) = comm.recv(len, Some(0), None);
+                        let (data, status) = ep.recv::<Vec<u8>>(len, Some(0), None).unwrap();
                         status.tag == seq as i32
                             && data.len() == len
                             && data

@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Property tests over *randomly generated* cluster topologies: any
 //! connected mix of networks, node counts and SMP widths must run MPI
 //! correctly (with forwarding enabled so partial connectivity is fine).
@@ -69,7 +64,7 @@ proptest! {
             WorldConfig::with_forwarding(),
             |comm| {
                 let me = comm.rank() as i64;
-                comm.allreduce_vec(&[me, 1], ReduceOp::Sum)
+                comm.allreduce(&[me, 1], ReduceOp::Sum)
             },
         )
         .expect("world must complete on any connected topology");
@@ -92,14 +87,15 @@ proptest! {
             Placement::OneRankPerCpu,
             WorldConfig::with_forwarding(),
             |comm| {
+                let ep = comm.endpoint();
                 let me = comm.rank();
                 let n = comm.size();
                 let sends: Vec<_> = (0..n)
-                    .map(|dst| comm.isend(vec![me as u8; 5], dst, me as i32))
+                    .map(|dst| ep.isend(vec![me as u8; 5], dst, me as i32).unwrap())
                     .collect();
                 let mut ok = true;
                 for src in 0..n {
-                    let (data, status) = comm.recv(8, Some(src), Some(src as i32));
+                    let (data, status) = ep.recv::<Vec<u8>>(8, Some(src), Some(src as i32)).unwrap();
                     ok &= data == vec![src as u8; 5] && status.source == src;
                 }
                 for s in sends {

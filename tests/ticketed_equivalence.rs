@@ -1,8 +1,3 @@
-// Seed-era API coverage: these tests deliberately exercise the
-// deprecated panicking shims alongside the endpoint surface, so the
-// shims keep working until they are removed.
-#![allow(deprecated)]
-
 //! Seed ↔ Ticketed equivalence: `ExecPolicy` is an inert label since
 //! simulated threads became fibers — both values run one hand-off —
 //! and these tests keep it that way. They run the same worlds under
@@ -20,6 +15,7 @@
 //! hook and asserts the marked run still reproduces the Seed run
 //! exactly.
 
+use bytes::Bytes;
 use marcel::{
     chrome_trace_json, CostModel, ExecPolicy, Kernel, MetricsSnapshot, TraceEvent, VirtualDuration,
     VirtualTime,
@@ -76,6 +72,7 @@ fn world_run_on(
         .exec(exec)
         .build();
     let report = run_world_report(t, Placement::OneRankPerCpu, config, move |comm| {
+        let ep = comm.endpoint();
         let me = comm.rank();
         let n = comm.size();
         let mut checksum = 0u64;
@@ -88,8 +85,10 @@ fn world_run_on(
             let payload = vec![me as u8 ^ round as u8; size(me)];
             let dst = (me + 1) % n;
             let src = (me + n - 1) % n;
-            let send = comm.isend(payload, dst, round as i32);
-            let (data, status) = comm.recv_bytes(size(src), Some(src), Some(round as i32));
+            let send = ep.isend(payload, dst, round as i32).unwrap();
+            let (data, status) = ep
+                .recv::<Bytes>(size(src), Some(src), Some(round as i32))
+                .unwrap();
             send.wait_send();
             checksum = checksum
                 .wrapping_mul(31)
@@ -99,7 +98,7 @@ fn world_run_on(
             // equal across policies iff the schedules are equal.
             checksum ^= marcel::dispatch_seed();
         }
-        comm.allreduce_vec(&[checksum], ReduceOp::Sum)[0]
+        comm.allreduce(&[checksum], ReduceOp::Sum)[0]
     })
     .expect("world completes under every exec policy");
     let kernel = report.kernel;

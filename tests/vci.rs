@@ -17,8 +17,8 @@
 //! * The endpoint surface returns typed errors instead of panicking.
 
 use mpich::{
-    run_world, ChMadConfig, CommError, ExecPolicy, Placement, PolicyMode, ReduceOp,
-    RemoteDeviceKind, WorldConfig, WorldConfigBuilder,
+    run_world, BaseType, ChMadConfig, CommError, Datatype, ExecPolicy, Placement, PolicyMode,
+    ReduceOp, RemoteDeviceKind, WorldConfig, WorldConfigBuilder,
 };
 use proptest::prelude::*;
 use simnet::{FaultPlan, NetworkId, Protocol, Topology};
@@ -411,6 +411,52 @@ fn endpoint_and_builder_report_typed_errors() {
                 ep.recv::<Vec<u8>>(8, Some(9), None),
                 Err(CommError::RankOutOfRange { rank: 9, size: 2 })
             ));
+            assert!(matches!(
+                ep.probe(Some(9), None),
+                Err(CommError::RankOutOfRange { rank: 9, size: 2 })
+            ));
+            assert!(matches!(
+                ep.iprobe(Some(9), None),
+                Err(CommError::RankOutOfRange { rank: 9, size: 2 })
+            ));
+            assert!(matches!(
+                ep.irecv(8, Some(9), None),
+                Err(CommError::RankOutOfRange { rank: 9, size: 2 })
+            ));
+            assert!(matches!(
+                ep.sendrecv::<_, Vec<u8>>(&[1u8], 5, 0, 8, None, None),
+                Err(CommError::RankOutOfRange { rank: 5, size: 2 })
+            ));
+            assert!(matches!(
+                ep.sendrecv::<_, Vec<u8>>(&[1u8], 1, 0, 8, Some(9), None),
+                Err(CommError::RankOutOfRange { rank: 9, size: 2 })
+            ));
+            // Two i32s, 8 bytes apart: extent 12, packed size 8. A user
+            // buffer shorter than `extent * count` is an error, not a
+            // panic — and a failed receive consumes no message.
+            let strided = Datatype::vector(2, 1, 2, Datatype::base(BaseType::Int32));
+            let int = Datatype::base(BaseType::Int32);
+            if comm.rank() == 0 {
+                assert_eq!(
+                    ep.send_datatype(&[0u8; 11], &strided, 1, 1, 7),
+                    Err(CommError::BufferTooSmall { need: 12, got: 11 })
+                );
+                assert_eq!(
+                    ep.send_datatype(&[0u8; 8], &int, 3, 1, 7),
+                    Err(CommError::BufferTooSmall { need: 12, got: 8 })
+                );
+                let matrix = mpich::to_bytes(&[1i32, 9, 2]);
+                ep.send_datatype(&matrix, &strided, 1, 1, 7).unwrap();
+            } else {
+                assert_eq!(
+                    ep.recv_datatype(&mut [0u8; 11], &strided, 1, Some(0), Some(7)),
+                    Err(CommError::BufferTooSmall { need: 12, got: 11 })
+                );
+                let mut full = [0u8; 12];
+                ep.recv_datatype(&mut full, &strided, 1, Some(0), Some(7))
+                    .unwrap();
+                assert_eq!(mpich::from_bytes::<i32>(&full), vec![1, 0, 2]);
+            }
             // A 3-byte message is not a whole number of i64s.
             if comm.rank() == 0 {
                 ep.send(&[1u8, 2, 3], 1, 5).unwrap();
