@@ -11,40 +11,14 @@
 //!
 //! `cargo run -p bench --bin hotpath --release [-- <iters>]`
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use marcel::VirtualTime;
 use mpich::{run_world, ExecPolicy, Placement, PollPolicy, WorldConfig};
 use simnet::{Protocol, Topology};
 
-/// Counting wrapper around the system allocator: total allocation
-/// calls and bytes requested (frees are not tracked — the interesting
-/// figure is how much the hot path asks for, not peak usage).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
 const RANKS: usize = 8;
 const MSG: usize = 16;
@@ -55,8 +29,7 @@ const MSG: usize = 16;
 /// entries and every match has to be dug out from the far end, the
 /// worst case for a linear scan.
 fn storm_once(rounds: usize, exec: ExecPolicy) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let b0 = ALLOC_BYTES.load(Ordering::Relaxed);
+    let (a0, b0) = (bench::alloc::allocs(), bench::alloc::alloc_bytes());
     let t0 = Instant::now();
     let ends = run_world(
         Topology::single_network(RANKS, Protocol::Sisci),
@@ -94,8 +67,8 @@ fn storm_once(rounds: usize, exec: ExecPolicy) -> (u64, f64, u64, u64, Vec<Virtu
     (
         msgs,
         wall,
-        ALLOCS.load(Ordering::Relaxed) - a0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - b0,
+        bench::alloc::allocs() - a0,
+        bench::alloc::alloc_bytes() - b0,
         ends,
     )
 }

@@ -26,51 +26,15 @@
 //!
 //! `cargo run -p bench --bin scale --release [-- --quick]`
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
+use bench::alloc;
 use marcel::ExecPolicy;
 use mpich::{run_world, Placement, ReduceOp, WorldConfig};
 use simnet::Topology;
 
-/// Live/peak-tracking wrapper around the system allocator. `live` is
-/// currently committed bytes; `peak` is monotonically pushed up by
-/// every allocation so a measurement window is `peak_end − live_start`
-/// (the window's high-water mark over its starting commitment).
-struct PeakAlloc;
-
-static LIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static MAX_ALLOC: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        MAX_ALLOC.fetch_max(layout.size() as u64, Ordering::Relaxed);
-        let live = LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed) + layout.size() as i64;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        let delta = new_size as i64 - layout.size() as i64;
-        let live = LIVE.fetch_add(delta, Ordering::Relaxed) + delta;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
+static GLOBAL: alloc::CountingAlloc = alloc::CountingAlloc;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Coll {
@@ -149,9 +113,8 @@ fn scale_config() -> WorldConfig {
 /// the kernel's last dispatch ticket — the global count of scheduling
 /// decisions.
 fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
-    let live_start = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live_start, Ordering::Relaxed);
-    let bytes_start = ALLOC_BYTES.load(Ordering::Relaxed);
+    let live_start = alloc::reset_peak();
+    let bytes_start = alloc::alloc_bytes();
     let t0 = Instant::now();
     let tickets = run_world(
         topology,
@@ -182,7 +145,7 @@ fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
     .expect("scale world failed");
     let wall_s = t0.elapsed().as_secs_f64();
     let events = tickets.into_iter().max().unwrap_or(0);
-    let peak_bytes = PEAK.load(Ordering::Relaxed) - live_start;
+    let peak_bytes = alloc::peak() - live_start;
     Row {
         topo,
         ranks: 0, // filled by caller (topology was moved)
@@ -190,7 +153,7 @@ fn measure(topo: String, topology: Topology, coll: Coll) -> Row {
         wall_s,
         events,
         peak_bytes,
-        alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed) - bytes_start,
+        alloc_bytes: alloc::alloc_bytes() - bytes_start,
     }
 }
 
@@ -212,9 +175,7 @@ fn main() {
         // only ever inflates it), so the min is the stable floor.
         for k in [8usize, 16, 24] {
             for rep in 0..2 {
-                let live_start = LIVE.load(Ordering::Relaxed);
-                PEAK.store(live_start, Ordering::Relaxed);
-                MAX_ALLOC.store(0, Ordering::Relaxed);
+                let live_start = alloc::reset_peak();
                 let n = Topology::fat_tree(k).nodes().len();
                 let t0 = Instant::now();
                 let tickets = run_world(
@@ -227,14 +188,14 @@ fn main() {
                     },
                 )
                 .expect("probe world failed");
-                let peak = PEAK.load(Ordering::Relaxed) - live_start;
+                let peak = alloc::peak() - live_start;
                 let events = tickets.into_iter().max().unwrap_or(0);
                 println!(
                     "probe: topo=fat_tree({k}) ranks={n} rep={rep} empty wall_ms={:.0} events={events} events_per_rank={:.0} peak_kib_per_rank={:.1} max_alloc_kib={:.1}",
                     t0.elapsed().as_secs_f64() * 1e3,
                     events as f64 / n as f64,
                     peak as f64 / 1024.0 / n as f64,
-                    MAX_ALLOC.load(Ordering::Relaxed) as f64 / 1024.0
+                    alloc::max_alloc() as f64 / 1024.0
                 );
             }
         }

@@ -16,10 +16,11 @@
 //! | `trace`  | Figure 4   | typed event timeline of one ping-pong; `--chrome` writes Perfetto JSON |
 //! | `all`    | everything | runs the nine experiments back to back |
 //!
-//! Criterion benches (`cargo bench`) wrap the same harnesses
-//! (`benches/experiments.rs`) plus the design-choice ablations from
-//! DESIGN.md §5 (`benches/ablations.rs`).
+//! The design-choice ablations of DESIGN.md §5 are a `#[test]`
+//! (`tests/devices.rs`), and [`alloc`] is the counting allocator the
+//! host-cost bins and tests install.
 
+pub mod alloc;
 pub mod experiments;
 pub mod pingpong;
 pub mod report;

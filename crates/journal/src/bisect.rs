@@ -15,7 +15,7 @@
 use std::path::Path;
 
 use crate::error::JournalError;
-use crate::record::{EpisodeRecord, SoakConfig};
+use crate::record::{first_divergence, EpisodeRecord, SoakConfig};
 use crate::store::read_journal_recovering;
 
 /// Where two journals first part ways.
@@ -149,36 +149,15 @@ fn describe(x: &EpisodeRecord, y: &EpisodeRecord) -> (Option<u64>, String) {
     diff("rndv_reissues", x.rndv_reissues, y.rndv_reissues);
 
     let mut ticket = None;
-    if !x.decisions.is_empty() && !y.decisions.is_empty() {
-        let first = x
-            .decisions
-            .iter()
-            .zip(&y.decisions)
-            .find(|(dx, dy)| dx != dy);
-        if let Some((dx, dy)) = first {
-            ticket = Some(dx.ticket);
-            let what = if dx.fallback != dy.fallback
-                && (dx.ticket, dx.tid, dx.at_ns) == (dy.ticket, dy.tid, dy.at_ns)
-            {
-                format!(
-                    "only the fallback flag differs ({} vs {})",
-                    dx.fallback, dy.fallback
-                )
+    let (dx, dy) = (&x.decisions, &y.decisions);
+    if !dx.is_empty() && !dy.is_empty() {
+        if let Some(d) = first_divergence(dx, dy) {
+            ticket = Some(d.ticket);
+            fields.push(if d.index < dx.len().min(dy.len()) {
+                format!("ticket {}: {}", d.ticket, d.detail)
             } else {
-                format!(
-                    "decision (tid {}, at {}ns, fallback {}) vs (tid {}, at {}ns, fallback {})",
-                    dx.tid, dx.at_ns, dx.fallback, dy.tid, dy.at_ns, dy.fallback
-                )
-            };
-            fields.push(format!("ticket {}: {what}", dx.ticket));
-        } else if x.decisions.len() != y.decisions.len() {
-            let n = x.decisions.len().min(y.decisions.len());
-            ticket = Some(n as u64);
-            fields.push(format!(
-                "decision streams share {n} tickets, then lengths differ ({} vs {})",
-                x.decisions.len(),
-                y.decisions.len()
-            ));
+                d.detail
+            });
         }
     }
     if fields.is_empty() {
@@ -279,6 +258,7 @@ mod tests {
             tid: 1,
             at_ns: 7 * t,
             fallback: fb,
+            events_before: 0,
         };
         let write = |dir: &Path, diverge_at: u32| {
             let mut w = JournalWriter::create(dir, &cfg).unwrap();

@@ -107,6 +107,11 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
+    /// Offset of the next unread byte.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
         let at = self.pos;
         let end = at.checked_add(n).filter(|&e| e <= self.buf.len());

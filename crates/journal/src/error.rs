@@ -9,6 +9,8 @@
 
 use std::path::PathBuf;
 
+use crate::codec::DecodeError;
+
 /// The longest valid prefix of a journal, as established by the reader
 /// before it hit an error (or the end of the files).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -131,6 +133,21 @@ impl JournalError {
             path: path.into(),
             op,
             message: e.to_string(),
+        }
+    }
+
+    pub(crate) fn inconsistent(recovery: &RecoveryPoint, why: impl Into<String>) -> Self {
+        JournalError::Inconsistent {
+            recovery: recovery.clone(),
+            why: why.into(),
+        }
+    }
+
+    pub(crate) fn decode(recovery: &RecoveryPoint, e: DecodeError) -> Self {
+        JournalError::Decode {
+            recovery: recovery.clone(),
+            what: e.what,
+            at: e.at,
         }
     }
 }

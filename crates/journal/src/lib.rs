@@ -57,6 +57,5 @@ pub use store::{
     HEADER_LEN, MAGIC, VERSION,
 };
 pub use stream::{
-    DecisionChunkRec, DecisionEntry, EventChunkRec, IndexRec, MetricsDeltaRec, StreamRecorder,
-    StreamSummary,
+    DecisionChunkRec, EventChunkRec, IndexRec, MetricsDeltaRec, StreamRecorder, StreamSummary,
 };

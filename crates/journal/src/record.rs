@@ -226,15 +226,20 @@ impl Totals {
     }
 }
 
-/// One committed scheduling decision (a compact mirror of
-/// [`marcel::Decision`], kept separate so the wire format does not
-/// depend on marcel's in-memory layout).
+/// One committed scheduling decision: the journal's single mirror of
+/// [`marcel::Decision`] (kept separate so the wire format does not
+/// depend on marcel's in-memory layout), read and written by both the
+/// episode's inline decision log and the streamed decision chunks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionRec {
     pub ticket: u64,
     pub tid: u32,
     pub at_ns: u64,
     pub fallback: bool,
+    /// Trace events recorded strictly before this decision committed
+    /// (see [`marcel::Decision::events_before`]). Only decision chunks
+    /// store it; the inline log does not, and reads it back as 0.
+    pub events_before: u64,
 }
 
 impl From<marcel::Decision> for DecisionRec {
@@ -244,8 +249,74 @@ impl From<marcel::Decision> for DecisionRec {
             tid: d.tid as u32,
             at_ns: d.at.0,
             fallback: d.fallback,
+            events_before: d.events_before,
         }
     }
+}
+
+/// Seed of the decision digest fold.
+pub const DECISION_DIGEST_SEED: u64 = 0x4445_4353; // "DECS"
+
+impl DecisionRec {
+    /// Fold this decision into a running decision digest (order
+    /// sensitive, fallback flag included, `events_before` excluded).
+    /// The streamed fold and [`EpisodeRecord::digest_decisions`] are
+    /// both this step.
+    pub fn fold_digest(&self, h: u64) -> u64 {
+        splitmix64(
+            h ^ self.ticket.wrapping_mul(GOLDEN_GAMMA)
+                ^ self.tid as u64
+                ^ self.at_ns
+                ^ ((self.fallback as u64) << 63),
+        )
+    }
+}
+
+/// Where two decision streams first part ways.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Divergence {
+    /// Position of the first differing decision, or the shorter
+    /// stream's length when one stream is a prefix of the other.
+    pub index: usize,
+    pub ticket: u64,
+    /// What differs, in words.
+    pub detail: String,
+}
+
+/// The first-divergence comparator shared by [`crate::bisect`] and
+/// [`crate::replay::diff_runs`]; `None` when the streams are equal.
+pub fn first_divergence(a: &[DecisionRec], b: &[DecisionRec]) -> Option<Divergence> {
+    let shared = a.len().min(b.len());
+    if let Some(index) = (0..shared).find(|&i| a[i] != b[i]) {
+        let (x, y) = (&a[index], &b[index]);
+        let detail = if x.fallback != y.fallback
+            && (x.ticket, x.tid, x.at_ns) == (y.ticket, y.tid, y.at_ns)
+        {
+            format!(
+                "only the fallback flag differs ({} vs {})",
+                x.fallback, y.fallback
+            )
+        } else {
+            format!(
+                "decision (tid {}, at {}ns, fallback {}) vs (tid {}, at {}ns, fallback {})",
+                x.tid, x.at_ns, x.fallback, y.tid, y.at_ns, y.fallback
+            )
+        };
+        return Some(Divergence {
+            index,
+            ticket: x.ticket,
+            detail,
+        });
+    }
+    (a.len() != b.len()).then(|| Divergence {
+        index: shared,
+        ticket: a.get(shared).or(b.get(shared)).map_or(0, |d| d.ticket),
+        detail: format!(
+            "decision streams share {shared} tickets, then lengths differ ({} vs {})",
+            a.len(),
+            b.len()
+        ),
+    })
 }
 
 /// One finished episode: its identity, result/trace/metrics digests,
@@ -274,7 +345,8 @@ pub struct EpisodeRecord {
     pub wire_bytes: u64,
     /// Chained digest over all episodes up to and including this one.
     pub cum_digest: u64,
-    /// Full decision stream (empty unless `record_decisions`).
+    /// Full decision stream, with every `events_before` 0 (empty unless
+    /// `record_decisions`, and always empty for a streamed episode).
     pub decisions: Vec<DecisionRec>,
 }
 
@@ -303,16 +375,9 @@ impl EpisodeRecord {
     /// Digest of a decision stream (order sensitive, fallback flags
     /// included — the forced-fallback divergence lives here).
     pub fn digest_decisions(decisions: &[DecisionRec]) -> u64 {
-        let mut h = 0x4445_4353u64; // "DECS"
-        for d in decisions {
-            h = splitmix64(
-                h ^ d.ticket.wrapping_mul(GOLDEN_GAMMA)
-                    ^ d.tid as u64
-                    ^ d.at_ns
-                    ^ ((d.fallback as u64) << 63),
-            );
-        }
-        h
+        decisions
+            .iter()
+            .fold(DECISION_DIGEST_SEED, |h, d| d.fold_digest(h))
     }
 
     pub fn encode(&self) -> Vec<u8> {
@@ -376,6 +441,7 @@ impl EpisodeRecord {
                 tid: d.u32("episode.decision.tid")?,
                 at_ns: d.u64("episode.decision.at_ns")?,
                 fallback: d.bool("episode.decision.fallback")?,
+                events_before: 0,
             });
         }
         d.finish("episode")?;
@@ -714,12 +780,14 @@ mod tests {
                 tid: 1,
                 at_ns: 10,
                 fallback: false,
+                events_before: 0,
             },
             DecisionRec {
                 ticket: 1,
                 tid: 0,
                 at_ns: 20,
                 fallback: true,
+                events_before: 0,
             },
         ];
         EpisodeRecord {
@@ -818,6 +886,7 @@ mod tests {
             tid: 1,
             at_ns: 10,
             fallback: false,
+            events_before: 0,
         }];
         let a = EpisodeRecord::digest_decisions(&decisions);
         decisions[0].fallback = true;

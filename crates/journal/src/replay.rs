@@ -18,25 +18,30 @@
 //! rewrites the index, and snapshots are the last thing written before
 //! rotation-heavy stretches), falling back to a full validated read.
 //! From the index, chunk reads start at the episode's recorded
-//! `(segment, offset)` instead of scanning the campaign.
+//! `(segment, offset)` instead of scanning the campaign, parsing frames
+//! with the store's one frame scanner.
 
-use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 use marcel::{chrome_trace_json, MetricsSnapshot, ThreadMeta, TraceEvent};
 
+use crate::codec::DecodeError;
 use crate::crc::crc64;
 use crate::error::{JournalError, RecoveryPoint};
-use crate::record::{KIND_DECISION_CHUNK, KIND_EVENT_CHUNK, KIND_INDEX};
-use crate::store::{list_segments, read_journal, segment_path, HEADER_LEN};
-use crate::stream::{DecisionChunkRec, DecisionEntry, EventChunkRec, IndexRec, StreamSummary};
+use crate::record::{
+    first_divergence, DecisionRec, Divergence, KIND_DECISION_CHUNK, KIND_EVENT_CHUNK, KIND_INDEX,
+};
+use crate::store::{
+    list_segments, read_journal, read_segment, scan_frame, JournalContents, HEADER_LEN,
+};
+use crate::stream::{DecisionChunkRec, EventChunkRec, IndexRec, StreamSummary};
 
 fn inconsistent(why: String) -> JournalError {
-    JournalError::Inconsistent {
-        recovery: RecoveryPoint::default(),
-        why,
-    }
+    JournalError::inconsistent(&RecoveryPoint::default(), why)
+}
+
+fn undecodable(e: DecodeError) -> JournalError {
+    JournalError::decode(&RecoveryPoint::default(), e)
 }
 
 /// Iterate validated frames from `(segment, offset)` to the end of the
@@ -50,42 +55,27 @@ fn walk_frames(
 ) -> Result<(), JournalError> {
     let segments = list_segments(dir)?;
     let last = *segments.last().expect("list_segments is non-empty");
-    let (mut seg, mut offset) = from;
-    while seg <= last {
-        let path = segment_path(dir, seg);
-        let mut buf = Vec::new();
-        File::open(&path)
-            .and_then(|mut fh| fh.read_to_end(&mut buf))
-            .map_err(|e| JournalError::io(&path, "read", e))?;
-        let mut pos = offset.max(HEADER_LEN) as usize;
-        while pos + 5 <= buf.len() {
-            let kind = buf[pos];
-            let len =
-                u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-            let end = pos + 5 + len + 8;
-            if end > buf.len() {
-                return Ok(()); // torn tail: the valid prefix ends here
-            }
-            let stored = u64::from_le_bytes(buf[end - 8..end].try_into().expect("8 bytes"));
-            let computed = crc64(&buf[pos..end - 8]);
-            if stored != computed {
-                return Err(JournalError::ChecksumMismatch {
-                    recovery: RecoveryPoint {
-                        segment: seg,
-                        offset: pos as u64,
-                        ..RecoveryPoint::default()
-                    },
-                    stored,
-                    computed,
-                });
-            }
-            if !f(kind, &buf[pos + 5..pos + 5 + len])? {
+    for seg in from.0..=last {
+        let (_, buf) = read_segment(dir, seg)?;
+        let start = if seg == from.0 { from.1 } else { 0 };
+        let mut pos = start.max(HEADER_LEN) as usize;
+        while pos < buf.len() {
+            let recovery = RecoveryPoint {
+                segment: seg,
+                offset: pos as u64,
+                ..RecoveryPoint::default()
+            };
+            let frame = match scan_frame(&buf, pos, &recovery) {
+                Ok(frame) => frame,
+                // A torn tail: the valid prefix ends here.
+                Err(JournalError::TruncatedRecord { .. }) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            if !f(frame.kind, frame.payload)? {
                 return Ok(());
             }
-            pos = end;
+            pos = frame.end;
         }
-        seg += 1;
-        offset = HEADER_LEN;
     }
     Ok(())
 }
@@ -101,11 +91,7 @@ pub fn load_index(dir: &Path) -> Result<IndexRec, JournalError> {
     let mut newest: Option<IndexRec> = None;
     let walked = walk_frames(dir, (last, HEADER_LEN), |kind, payload| {
         if kind == KIND_INDEX {
-            newest = Some(IndexRec::decode(payload).map_err(|e| JournalError::Decode {
-                recovery: RecoveryPoint::default(),
-                what: e.what,
-                at: e.at,
-            })?);
+            newest = Some(IndexRec::decode(payload).map_err(undecodable)?);
         }
         Ok(true)
     });
@@ -155,11 +141,7 @@ pub fn read_episode_events(
         if kind != KIND_EVENT_CHUNK {
             return Ok(true);
         }
-        let chunk = EventChunkRec::decode(payload).map_err(|e| JournalError::Decode {
-            recovery: RecoveryPoint::default(),
-            what: e.what,
-            at: e.at,
-        })?;
+        let chunk = EventChunkRec::decode(payload).map_err(undecodable)?;
         if chunk.episode != summary.episode {
             return Err(inconsistent(format!(
                 "event chunk for episode {} inside episode {}'s stream",
@@ -195,20 +177,16 @@ pub fn read_episode_events(
 pub fn read_episode_decisions(
     dir: &Path,
     summary: &StreamSummary,
-) -> Result<Vec<DecisionEntry>, JournalError> {
+) -> Result<Vec<DecisionRec>, JournalError> {
     let Some(from) = summary.decision_pos else {
         return Ok(Vec::new());
     };
-    let mut decisions: Vec<DecisionEntry> = Vec::new();
+    let mut decisions: Vec<DecisionRec> = Vec::new();
     walk_frames(dir, from, |kind, payload| {
         if kind != KIND_DECISION_CHUNK {
             return Ok(true);
         }
-        let chunk = DecisionChunkRec::decode(payload).map_err(|e| JournalError::Decode {
-            recovery: RecoveryPoint::default(),
-            what: e.what,
-            at: e.at,
-        })?;
+        let chunk = DecisionChunkRec::decode(payload).map_err(undecodable)?;
         if chunk.episode != summary.episode {
             return Err(inconsistent(format!(
                 "decision chunk for episode {} inside episode {}'s stream",
@@ -344,25 +322,13 @@ impl ReplayDiff {
 /// (whose entries carry no `events_before` bridge — it reads as 0).
 fn decision_stream(
     dir: &Path,
-    contents: &crate::store::JournalContents,
+    contents: &JournalContents,
     episode: usize,
-) -> Result<Vec<DecisionEntry>, JournalError> {
-    if let Some(summary) = contents.stream.iter().find(|s| s.episode == episode as u32) {
-        if summary.decisions > 0 {
-            return read_episode_decisions(dir, summary);
-        }
+) -> Result<Vec<DecisionRec>, JournalError> {
+    match contents.stream.iter().find(|s| s.episode == episode as u32) {
+        Some(summary) if summary.decisions > 0 => read_episode_decisions(dir, summary),
+        _ => Ok(contents.episodes[episode].decisions.clone()),
     }
-    Ok(contents.episodes[episode]
-        .decisions
-        .iter()
-        .map(|d| DecisionEntry {
-            ticket: d.ticket,
-            tid: d.tid,
-            at_ns: d.at_ns,
-            fallback: d.fallback,
-            events_before: 0,
-        })
-        .collect())
 }
 
 /// Compare two journals' decision streams and reconstruct the trace
@@ -379,43 +345,13 @@ pub fn diff_runs(
     for ep in 0..n {
         let da = decision_stream(dir_a, &a, ep)?;
         let db = decision_stream(dir_b, &b, ep)?;
-        let m = da.len().min(db.len());
-        let divergent = (0..m).find(|&i| da[i] != db[i]).or({
-            if da.len() != db.len() {
-                Some(m)
-            } else {
-                None
-            }
-        });
-        let Some(i) = divergent else { continue };
-        let (ticket, detail) = if i < m {
-            let (x, y) = (&da[i], &db[i]);
-            let detail = if x.fallback != y.fallback
-                && (x.ticket, x.tid, x.at_ns) == (y.ticket, y.tid, y.at_ns)
-            {
-                format!(
-                    "only the fallback flag differs ({} vs {})",
-                    x.fallback, y.fallback
-                )
-            } else {
-                format!(
-                    "decision (tid {}, at {}ns, fallback {}) vs (tid {}, at {}ns, fallback {})",
-                    x.tid, x.at_ns, x.fallback, y.tid, y.at_ns, y.fallback
-                )
-            };
-            (x.ticket, detail)
-        } else {
-            (
-                da.get(m)
-                    .or(db.get(m))
-                    .map(|d| d.ticket)
-                    .unwrap_or(m as u64),
-                format!(
-                    "decision streams share {m} tickets, then lengths differ ({} vs {})",
-                    da.len(),
-                    db.len()
-                ),
-            )
+        let Some(Divergence {
+            index: i,
+            ticket,
+            detail,
+        }) = first_divergence(&da, &db)
+        else {
+            continue;
         };
         // The window: `events_before` of the decision `radius` before
         // the divergence opens it; the decision `radius + 1` after
@@ -430,7 +366,7 @@ pub fn diff_runs(
             first_event_ticket: lo,
             end_event_ticket: hi,
         };
-        let slice = |dir: &Path, contents: &crate::store::JournalContents| {
+        let slice = |dir: &Path, contents: &JournalContents| {
             match contents.stream.iter().find(|s| s.episode == ep as u32) {
                 Some(summary) => {
                     let (mut events, threads) = read_episode_events(dir, summary)?;

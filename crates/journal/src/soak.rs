@@ -425,13 +425,7 @@ fn run_episode(
     let (trace_json, trace_digest, decisions, decisions_digest, summary) = match stream {
         Some((recorder, prev_metrics)) => {
             let fin = recorder.finish(thread_metas(&kernel, &session), prev_metrics, &metrics)?;
-            (
-                None,
-                fin.trace_digest,
-                Vec::new(),
-                fin.decisions_digest,
-                Some(fin.summary),
-            )
+            (None, fin.cum, Vec::new(), fin.decisions_digest, Some(fin))
         }
         None => {
             let trace_json = trace.then(|| {
@@ -442,11 +436,15 @@ fn run_episode(
                 .as_deref()
                 .map(|j| crc64(j.as_bytes()))
                 .unwrap_or(0);
+            // The inline log does not carry `events_before`.
             let decisions: Vec<DecisionRec> = if config.record_decisions {
                 kernel
                     .take_decisions()
                     .into_iter()
-                    .map(DecisionRec::from)
+                    .map(|d| DecisionRec {
+                        events_before: 0,
+                        ..d.into()
+                    })
                     .collect()
             } else {
                 Vec::new()

@@ -20,6 +20,11 @@
 //! segments; the writer rotates *before* a frame that would push the
 //! segment past its limit. Snapshot appends fsync the segment — those
 //! are the durability points crash-resume relies on.
+//!
+//! Frames are parsed in one place, [`scan_frame`]: the full reader
+//! ([`read_journal`]) and replay's seek-and-walk both go through it. A
+//! frame cut short is a torn tail — a typed error for the reader, the
+//! silent end of the valid prefix for replay.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -28,12 +33,12 @@ use std::path::{Path, PathBuf};
 use crate::crc::crc64;
 use crate::error::{JournalError, RecoveryPoint};
 use crate::record::{
-    EpisodeRecord, Record, SnapshotRecord, SoakConfig, KIND_CONFIG, KIND_DECISION_CHUNK,
+    EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals, KIND_CONFIG, KIND_DECISION_CHUNK,
     KIND_EPISODE, KIND_EVENT_CHUNK, KIND_INDEX, KIND_METRICS_DELTA, KIND_SNAPSHOT,
 };
 use crate::stream::{
-    chunk_own_digest, fold_decision_digest, DecisionChunkRec, EventChunkRec, IndexRec,
-    MetricsDeltaRec, StreamSummary, DECISION_DIGEST_SEED,
+    chunk_own_digest, DecisionChunkRec, EventChunkRec, IndexRec, MetricsDeltaRec, StreamAccum,
+    StreamSummary,
 };
 
 pub const MAGIC: &[u8; 8] = b"MADJRNL1";
@@ -88,6 +93,55 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<u32>, JournalError> {
         }
     }
     Ok(found)
+}
+
+/// Read one whole segment file.
+pub(crate) fn read_segment(dir: &Path, seg: u32) -> Result<(PathBuf, Vec<u8>), JournalError> {
+    let path = segment_path(dir, seg);
+    let mut buf = Vec::new();
+    File::open(&path)
+        .and_then(|mut f| f.read_to_end(&mut buf))
+        .map_err(|e| JournalError::io(&path, "read", e))?;
+    Ok((path, buf))
+}
+
+/// One checksummed frame of a segment buffer.
+pub(crate) struct Frame<'a> {
+    pub kind: u8,
+    pub payload: &'a [u8],
+    /// Offset just past the frame: where the next one starts.
+    pub end: usize,
+}
+
+/// The frame scanner: parse the frame that starts at `pos` (with `pos <
+/// buf.len()`). A frame running past the buffer is a `TruncatedRecord`
+/// (a torn tail), one whose bytes disagree with its CRC a
+/// `ChecksumMismatch`; both carry `recovery`.
+pub(crate) fn scan_frame<'a>(
+    buf: &'a [u8],
+    pos: usize,
+    recovery: &RecoveryPoint,
+) -> Result<Frame<'a>, JournalError> {
+    let torn = || JournalError::TruncatedRecord {
+        recovery: recovery.clone(),
+    };
+    let len = buf.get(pos + 1..pos + 5).ok_or_else(torn)?;
+    let end = pos + 5 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize + 8;
+    let stored = buf.get(end - 8..end).ok_or_else(torn)?;
+    let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
+    let computed = crc64(&buf[pos..end - 8]);
+    if stored != computed {
+        return Err(JournalError::ChecksumMismatch {
+            recovery: recovery.clone(),
+            stored,
+            computed,
+        });
+    }
+    Ok(Frame {
+        kind: buf[pos],
+        payload: &buf[pos + 5..end - 8],
+        end,
+    })
 }
 
 /// Appending side of the journal.
@@ -200,11 +254,20 @@ impl JournalWriter {
     /// landed at — the coordinates the stream index records so replay
     /// can seek straight to it.
     pub fn append(&mut self, rec: &Record) -> Result<(u32, u64), JournalError> {
-        let payload = rec.encode();
+        self.append_payload(rec.kind(), &rec.encode())
+    }
+
+    /// [`JournalWriter::append`] for a payload already encoded as a
+    /// record of kind `kind`.
+    pub(crate) fn append_payload(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+    ) -> Result<(u32, u64), JournalError> {
         let mut frame = Vec::with_capacity(1 + 4 + payload.len() + 8);
-        frame.push(rec.kind());
+        frame.push(kind);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(payload);
         let crc = crc64(&frame);
         frame.extend_from_slice(&crc.to_le_bytes());
 
@@ -221,7 +284,7 @@ impl JournalWriter {
             .write_all(&frame)
             .map_err(|e| JournalError::io(segment_path(&self.dir, self.segment), "write", e))?;
         self.segment_len += frame.len() as u64;
-        if matches!(rec, Record::Snapshot(_)) {
+        if kind == KIND_SNAPSHOT {
             self.sync()?;
         }
         Ok(pos)
@@ -274,34 +337,6 @@ pub struct JournalContents {
     pub recovery: RecoveryPoint,
 }
 
-/// Reader-side accumulation for the episode currently streaming: chain
-/// cursor, sequence/ticket continuity, and the summary being built.
-/// Events are validated and dropped, never retained.
-#[derive(Default)]
-struct StreamAccum {
-    summary: StreamSummary,
-    dec_digest: u64,
-    seen_decisions: bool,
-    next_event_seq: u32,
-    next_decision_seq: u32,
-    next_event_ticket: Option<u64>,
-    next_sched_ticket: Option<u64>,
-    fin_seen: bool,
-    pending_metrics: Option<MetricsDeltaRec>,
-}
-
-impl StreamAccum {
-    fn fresh(episode: u32) -> StreamAccum {
-        StreamAccum {
-            summary: StreamSummary {
-                episode,
-                ..StreamSummary::default()
-            },
-            ..StreamAccum::default()
-        }
-    }
-}
-
 /// Strict read: the journal must be perfectly well formed end to end.
 pub fn read_journal(dir: &Path) -> Result<JournalContents, JournalError> {
     match read_journal_inner(dir)? {
@@ -323,221 +358,53 @@ pub fn read_journal_recovering(
 
 fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalError>), JournalError> {
     let segments = list_segments(dir)?;
-    let mut config: Option<SoakConfig> = None;
-    let mut episodes: Vec<EpisodeRecord> = Vec::new();
-    let mut snapshots: Vec<SnapshotRecord> = Vec::new();
-    let mut stream: Vec<StreamSummary> = Vec::new();
-    let mut metrics_deltas: Vec<MetricsDeltaRec> = Vec::new();
-    let mut index: Option<IndexRec> = None;
-    let mut accum: Option<StreamAccum> = None;
+    let mut fold = Fold::default();
     let mut recovery = RecoveryPoint::default();
-    let mut totals = crate::record::Totals::default();
-    let mut cum_digest = 0u64;
     let mut stopped: Option<JournalError> = None;
 
     'segments: for &seg in &segments {
-        let path = segment_path(dir, seg);
-        let mut buf = Vec::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut buf))
-            .map_err(|e| JournalError::io(&path, "read", e))?;
-
+        let (path, buf) = read_segment(dir, seg)?;
+        recovery.segment = seg;
         // Header. A bad header on segment 0 dooms the journal; on a
         // later segment it is a torn rotation — recoverable at the
         // previous segment's end.
-        let header_err = check_header(&path, &buf, seg, &config);
-        if let Err(e) = header_err {
+        if let Err(e) = check_header(&path, &buf, seg, &fold.config) {
             if seg == 0 || !matches!(e, JournalError::TruncatedHeader { .. }) {
                 return Err(e);
             }
-            recovery.segment = seg;
             recovery.offset = 0;
-            stopped = Some(retag(e, &recovery));
-            break 'segments;
+            stopped = Some(JournalError::TruncatedRecord {
+                recovery: recovery.clone(),
+            });
+            break;
         }
-        recovery.segment = seg;
         recovery.offset = HEADER_LEN;
-
-        let mut pos = HEADER_LEN as usize;
-        while pos < buf.len() {
-            recovery.offset = pos as u64;
-            // Frame prefix: kind + len.
-            if pos + 5 > buf.len() {
-                stopped = Some(JournalError::TruncatedRecord {
-                    recovery: recovery.clone(),
-                });
-                break 'segments;
-            }
-            let kind = buf[pos];
-            let len =
-                u32::from_le_bytes(buf[pos + 1..pos + 5].try_into().expect("4 bytes")) as usize;
-            let end = pos + 5 + len + 8;
-            if end > buf.len() {
-                stopped = Some(JournalError::TruncatedRecord {
-                    recovery: recovery.clone(),
-                });
-                break 'segments;
-            }
-            let stored = u64::from_le_bytes(buf[end - 8..end].try_into().expect("8 bytes"));
-            let computed = crc64(&buf[pos..end - 8]);
-            if stored != computed {
-                stopped = Some(JournalError::ChecksumMismatch {
-                    recovery: recovery.clone(),
-                    stored,
-                    computed,
-                });
-                break 'segments;
-            }
-            let payload = &buf[pos + 5..pos + 5 + len];
-            match decode_record(kind, payload, &recovery) {
+        while (recovery.offset as usize) < buf.len() {
+            match fold.take_frame(&buf, &mut recovery) {
+                Ok(end) => {
+                    recovery.records += 1;
+                    recovery.offset = end as u64;
+                }
                 Err(e) => {
                     stopped = Some(e);
                     break 'segments;
                 }
-                Ok(Record::Config(cfg)) => {
-                    let first = seg == 0 && pos == HEADER_LEN as usize;
-                    if !first {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: "config record after the first frame".into(),
-                        });
-                        break 'segments;
-                    }
-                    if cfg.fingerprint() != campaign_of(&buf) {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: "config fingerprint disagrees with segment header".into(),
-                        });
-                        break 'segments;
-                    }
-                    config = Some(cfg);
-                }
-                Ok(Record::Episode(ep)) => {
-                    if config.is_none() {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: "episode before config".into(),
-                        });
-                        break 'segments;
-                    }
-                    if let Some(e) = validate_episode(&ep, &episodes, cum_digest, &recovery) {
-                        stopped = Some(e);
-                        break 'segments;
-                    }
-                    if let Some(acc) = accum.take() {
-                        match seal_stream_episode(acc, &ep, &recovery) {
-                            Ok((summary, delta)) => {
-                                stream.push(summary);
-                                metrics_deltas.push(delta);
-                            }
-                            Err(e) => {
-                                stopped = Some(e);
-                                break 'segments;
-                            }
-                        }
-                    }
-                    cum_digest = ep.cum_digest;
-                    totals.add_episode(&ep);
-                    recovery.last_episode = Some(ep.index);
-                    episodes.push(ep);
-                }
-                Ok(Record::EventChunk(chunk)) => {
-                    if let Err(e) = apply_event_chunk(
-                        &mut accum,
-                        chunk,
-                        payload,
-                        episodes.len(),
-                        (seg, pos as u64),
-                        &recovery,
-                    ) {
-                        stopped = Some(e);
-                        break 'segments;
-                    }
-                }
-                Ok(Record::DecisionChunk(chunk)) => {
-                    if let Err(e) = apply_decision_chunk(
-                        &mut accum,
-                        chunk,
-                        payload,
-                        episodes.len(),
-                        (seg, pos as u64),
-                        &recovery,
-                    ) {
-                        stopped = Some(e);
-                        break 'segments;
-                    }
-                }
-                Ok(Record::MetricsDelta(delta)) => {
-                    let acc = match accum.as_mut() {
-                        Some(acc) if delta.episode as usize == episodes.len() => acc,
-                        _ => {
-                            stopped = Some(JournalError::Inconsistent {
-                                recovery: recovery.clone(),
-                                why: format!(
-                                    "metrics delta for episode {} without its stream",
-                                    delta.episode
-                                ),
-                            });
-                            break 'segments;
-                        }
-                    };
-                    if acc.pending_metrics.is_some() {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: format!("duplicate metrics delta for episode {}", delta.episode),
-                        });
-                        break 'segments;
-                    }
-                    acc.summary.metrics_pos = Some((seg, pos as u64));
-                    acc.pending_metrics = Some(delta);
-                }
-                Ok(Record::Index(idx)) => {
-                    if idx.entries != stream {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: format!(
-                                "index lists {} episodes but {} streamed",
-                                idx.entries.len(),
-                                stream.len()
-                            ),
-                        });
-                        break 'segments;
-                    }
-                    index = Some(idx);
-                }
-                Ok(Record::Snapshot(snap)) => {
-                    if snap.episodes_done as usize != episodes.len()
-                        || snap.cum_digest != cum_digest
-                        || snap.totals != totals
-                    {
-                        stopped = Some(JournalError::Inconsistent {
-                            recovery: recovery.clone(),
-                            why: format!(
-                                "snapshot cursor {} disagrees with {} recorded episodes",
-                                snap.episodes_done,
-                                episodes.len()
-                            ),
-                        });
-                        break 'segments;
-                    }
-                    recovery.last_snapshot = Some(snap.episodes_done);
-                    snapshots.push(snap);
-                }
             }
-            recovery.records += 1;
-            pos = end;
-            recovery.offset = pos as u64;
         }
     }
 
-    let config = match config {
-        Some(c) => c,
-        None => {
-            return Err(JournalError::NoConfig {
-                dir: dir.to_path_buf(),
-            })
-        }
-    };
+    let Fold {
+        config,
+        episodes,
+        snapshots,
+        stream,
+        metrics_deltas,
+        index,
+        ..
+    } = fold;
+    let config = config.ok_or_else(|| JournalError::NoConfig {
+        dir: dir.to_path_buf(),
+    })?;
     Ok((
         JournalContents {
             config,
@@ -552,148 +419,205 @@ fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalErro
     ))
 }
 
-/// Fold one event chunk into the stream accumulator: chain link, chunk
-/// sequence, ticket continuity, fin bookkeeping. Events are dropped.
-fn apply_event_chunk(
-    accum: &mut Option<StreamAccum>,
-    chunk: EventChunkRec,
-    payload: &[u8],
-    episodes_done: usize,
-    pos: (u32, u64),
-    recovery: &RecoveryPoint,
-) -> Result<(), JournalError> {
-    let inconsistent = |why: String| JournalError::Inconsistent {
-        recovery: recovery.clone(),
-        why,
-    };
-    if chunk.episode as usize != episodes_done {
-        return Err(inconsistent(format!(
-            "event chunk for episode {} after {} episodes",
-            chunk.episode, episodes_done
-        )));
-    }
-    // A seq-0 chunk while a later seq was expected is the crash-resume
-    // signature: complete chunks of the interrupted attempt survive in
-    // the valid prefix and the re-run restarts the episode's stream
-    // from scratch (deterministically, so its first append repeats
-    // sequence zero). Restart the accumulation (DESIGN §12).
-    let restart = matches!(accum, Some(acc) if chunk.seq == 0 && acc.next_event_seq > 0);
-    if restart || accum.is_none() {
-        *accum = Some(StreamAccum::fresh(chunk.episode));
-    }
-    let acc = accum.as_mut().expect("accumulator installed above");
-    if acc.fin_seen {
-        return Err(inconsistent(format!(
-            "event chunk {} after the episode {} fin chunk",
-            chunk.seq, chunk.episode
-        )));
-    }
-    if chunk.seq != acc.next_event_seq {
-        return Err(inconsistent(format!(
-            "event chunk sequence gap in episode {}: got {}, expected {}",
-            chunk.episode, chunk.seq, acc.next_event_seq
-        )));
-    }
-    let own =
-        chunk_own_digest(payload).ok_or_else(|| inconsistent("event chunk too short".into()))?;
-    if chain(acc.summary.cum, own) != chunk.cum {
-        return Err(inconsistent(format!(
-            "episode {}: stream digest chain broken at event chunk {}",
-            chunk.episode, chunk.seq
-        )));
-    }
-    if !chunk.events.is_empty() {
-        if let Some(expect) = acc.next_event_ticket {
-            if chunk.first_ticket != expect {
-                return Err(inconsistent(format!(
-                    "episode {}: event ticket gap (got {}, expected {})",
-                    chunk.episode, chunk.first_ticket, expect
-                )));
-            }
-        } else {
-            acc.summary.first_event_ticket = chunk.first_ticket;
-        }
-        acc.next_event_ticket = Some(chunk.first_ticket + chunk.events.len() as u64);
-    }
-    acc.summary.events += chunk.events.len() as u64;
-    acc.summary.cum = chunk.cum;
-    if acc.summary.event_pos.is_none() {
-        acc.summary.event_pos = Some(pos);
-    }
-    acc.next_event_seq += 1;
-    acc.fin_seen = chunk.fin;
-    Ok(())
+/// The reader's state, folded frame by frame over the valid prefix.
+#[derive(Default)]
+struct Fold {
+    config: Option<SoakConfig>,
+    episodes: Vec<EpisodeRecord>,
+    snapshots: Vec<SnapshotRecord>,
+    stream: Vec<StreamSummary>,
+    metrics_deltas: Vec<MetricsDeltaRec>,
+    index: Option<IndexRec>,
+    /// The episode whose chunk stream is accumulating.
+    accum: Option<StreamAccum>,
+    totals: Totals,
 }
 
-/// Fold one decision chunk into the stream accumulator.
-fn apply_decision_chunk(
-    accum: &mut Option<StreamAccum>,
-    chunk: DecisionChunkRec,
-    payload: &[u8],
-    episodes_done: usize,
-    pos: (u32, u64),
-    recovery: &RecoveryPoint,
-) -> Result<(), JournalError> {
-    let inconsistent = |why: String| JournalError::Inconsistent {
-        recovery: recovery.clone(),
-        why,
-    };
-    if chunk.episode as usize != episodes_done {
-        return Err(inconsistent(format!(
-            "decision chunk for episode {} after {} episodes",
-            chunk.episode, episodes_done
-        )));
-    }
-    // Crash-resume restart signature, as in `apply_event_chunk`.
-    let restart = matches!(accum, Some(acc) if chunk.seq == 0 && acc.next_decision_seq > 0);
-    if restart || accum.is_none() {
-        *accum = Some(StreamAccum::fresh(chunk.episode));
-    }
-    let acc = accum.as_mut().expect("accumulator installed above");
-    if chunk.seq != acc.next_decision_seq {
-        return Err(inconsistent(format!(
-            "decision chunk sequence gap in episode {}: got {}, expected {}",
-            chunk.episode, chunk.seq, acc.next_decision_seq
-        )));
-    }
-    let own =
-        chunk_own_digest(payload).ok_or_else(|| inconsistent("decision chunk too short".into()))?;
-    if chain(acc.summary.cum, own) != chunk.cum {
-        return Err(inconsistent(format!(
-            "episode {}: stream digest chain broken at decision chunk {}",
-            chunk.episode, chunk.seq
-        )));
-    }
-    if !chunk.decisions.is_empty() {
-        if let Some(expect) = acc.next_sched_ticket {
-            if chunk.first_ticket != expect {
-                return Err(inconsistent(format!(
-                    "episode {}: decision ticket gap (got {}, expected {})",
-                    chunk.episode, chunk.first_ticket, expect
-                )));
+/// The header fields the reader checks on an event or a decision chunk.
+struct ChunkHead {
+    decisions: bool,
+    episode: u32,
+    seq: u32,
+    first_ticket: u64,
+    entries: usize,
+    cum: u64,
+}
+
+impl Fold {
+    /// Scan, decode, check and fold the frame at `recovery.offset`;
+    /// returns the offset where the next frame starts.
+    fn take_frame(
+        &mut self,
+        buf: &[u8],
+        recovery: &mut RecoveryPoint,
+    ) -> Result<usize, JournalError> {
+        let at = (recovery.segment, recovery.offset);
+        let frame = scan_frame(buf, at.1 as usize, recovery)?;
+        let cum_digest = self.episodes.last().map_or(0, |e| e.cum_digest);
+        match decode_record(frame.kind, frame.payload, recovery)? {
+            Record::Config(cfg) => {
+                if at != (0, HEADER_LEN) {
+                    return Err(JournalError::inconsistent(
+                        recovery,
+                        "config record after the first frame",
+                    ));
+                }
+                if cfg.fingerprint() != campaign_of(buf) {
+                    return Err(JournalError::inconsistent(
+                        recovery,
+                        "config fingerprint disagrees with segment header",
+                    ));
+                }
+                self.config = Some(cfg);
             }
-        } else {
-            acc.summary.first_sched_ticket = chunk.first_ticket;
-            acc.dec_digest = DECISION_DIGEST_SEED;
-            acc.seen_decisions = true;
+            Record::Episode(ep) => {
+                if self.config.is_none() {
+                    return Err(JournalError::inconsistent(
+                        recovery,
+                        "episode before config",
+                    ));
+                }
+                validate_episode(&ep, self.episodes.len(), cum_digest, recovery)?;
+                if let Some(acc) = self.accum.take() {
+                    let (summary, delta) = seal_stream_episode(acc, &ep, recovery)?;
+                    self.stream.push(summary);
+                    self.metrics_deltas.push(delta);
+                }
+                self.totals.add_episode(&ep);
+                recovery.last_episode = Some(ep.index);
+                self.episodes.push(ep);
+            }
+            Record::EventChunk(chunk) => {
+                let head = ChunkHead {
+                    decisions: false,
+                    episode: chunk.episode,
+                    seq: chunk.seq,
+                    first_ticket: chunk.first_ticket,
+                    entries: chunk.events.len(),
+                    cum: chunk.cum,
+                };
+                let (acc, own) = self.check_chunk(head, frame.payload, recovery)?;
+                acc.add_events(&chunk, own, at);
+            }
+            Record::DecisionChunk(chunk) => {
+                let head = ChunkHead {
+                    decisions: true,
+                    episode: chunk.episode,
+                    seq: chunk.seq,
+                    first_ticket: chunk.first_ticket,
+                    entries: chunk.decisions.len(),
+                    cum: chunk.cum,
+                };
+                let (acc, own) = self.check_chunk(head, frame.payload, recovery)?;
+                acc.add_decisions(&chunk, own, at);
+            }
+            Record::MetricsDelta(delta) => {
+                let episode = delta.episode;
+                let acc = match self.accum.as_mut() {
+                    Some(acc) if episode as usize == self.episodes.len() => acc,
+                    _ => {
+                        let why = format!("metrics delta for episode {episode} without its stream");
+                        return Err(JournalError::inconsistent(recovery, why));
+                    }
+                };
+                if acc.pending_metrics.is_some() {
+                    let why = format!("duplicate metrics delta for episode {episode}");
+                    return Err(JournalError::inconsistent(recovery, why));
+                }
+                acc.summary.metrics_pos = Some(at);
+                acc.pending_metrics = Some(delta);
+            }
+            Record::Index(idx) => {
+                if idx.entries != self.stream {
+                    let why = format!(
+                        "index lists {} episodes but {} streamed",
+                        idx.entries.len(),
+                        self.stream.len()
+                    );
+                    return Err(JournalError::inconsistent(recovery, why));
+                }
+                self.index = Some(idx);
+            }
+            Record::Snapshot(snap) => {
+                if snap.episodes_done as usize != self.episodes.len()
+                    || snap.cum_digest != cum_digest
+                    || snap.totals != self.totals
+                {
+                    let why = format!(
+                        "snapshot cursor {} disagrees with {} recorded episodes",
+                        snap.episodes_done,
+                        self.episodes.len()
+                    );
+                    return Err(JournalError::inconsistent(recovery, why));
+                }
+                recovery.last_snapshot = Some(snap.episodes_done);
+                self.snapshots.push(snap);
+            }
         }
-        for d in &chunk.decisions {
-            acc.dec_digest = fold_decision_digest(acc.dec_digest, d);
+        Ok(frame.end)
+    }
+
+    /// The reader's checks on one event or decision chunk, run before
+    /// the accumulator takes it: episode order, chunk sequence (with the
+    /// crash-resume restart rule), the stream digest chain and ticket
+    /// continuity. Returns the accumulator and the chunk's own digest.
+    fn check_chunk(
+        &mut self,
+        c: ChunkHead,
+        payload: &[u8],
+        recovery: &RecoveryPoint,
+    ) -> Result<(&mut StreamAccum, u64), JournalError> {
+        let bad = |why: String| JournalError::inconsistent(recovery, why);
+        let what = if c.decisions { "decision" } else { "event" };
+        let (episode, seq) = (c.episode, c.seq);
+        let done = self.episodes.len();
+        if episode as usize != done {
+            return Err(bad(format!(
+                "{what} chunk for episode {episode} after {done} episodes"
+            )));
         }
-        acc.next_sched_ticket = Some(chunk.first_ticket + chunk.decisions.len() as u64);
+        let cursor = |acc: &StreamAccum| {
+            if c.decisions {
+                (acc.next_decision_seq, acc.next_sched_ticket())
+            } else {
+                (acc.next_event_seq, acc.next_event_ticket())
+            }
+        };
+        // A seq-0 chunk while a later seq was expected is the crash-resume
+        // signature: complete chunks of the interrupted attempt survive in
+        // the valid prefix and the re-run restarts the episode's stream
+        // from scratch (deterministically, so its first append repeats
+        // sequence zero). Restart the accumulation (DESIGN §12).
+        if matches!(&self.accum, Some(acc) if seq == 0 && cursor(acc).0 > 0) {
+            self.accum = None;
+        }
+        let acc = self.accum.get_or_insert_with(|| StreamAccum::new(episode));
+        if !c.decisions && acc.fin_seen {
+            return Err(bad(format!(
+                "event chunk {seq} after the episode {episode} fin chunk"
+            )));
+        }
+        let (next_seq, next_ticket) = cursor(acc);
+        if seq != next_seq {
+            return Err(bad(format!(
+                "{what} chunk sequence gap in episode {episode}: got {seq}, expected {next_seq}"
+            )));
+        }
+        let own =
+            chunk_own_digest(payload).ok_or_else(|| bad(format!("{what} chunk too short")))?;
+        if chain(acc.summary.cum, own) != c.cum {
+            return Err(bad(format!(
+                "episode {episode}: stream digest chain broken at {what} chunk {seq}"
+            )));
+        }
+        match next_ticket {
+            Some(expect) if c.entries > 0 && c.first_ticket != expect => Err(bad(format!(
+                "episode {episode}: {what} ticket gap (got {}, expected {expect})",
+                c.first_ticket
+            ))),
+            _ => Ok((acc, own)),
+        }
     }
-    acc.summary.decisions += chunk.decisions.len() as u64;
-    acc.summary.cum = chunk.cum;
-    acc.summary.decisions_digest = if acc.seen_decisions {
-        acc.dec_digest
-    } else {
-        0
-    };
-    if acc.summary.decision_pos.is_none() {
-        acc.summary.decision_pos = Some(pos);
-    }
-    acc.next_decision_seq += 1;
-    Ok(())
 }
 
 /// An episode record arrived while its chunk stream was accumulating:
@@ -705,48 +629,28 @@ fn seal_stream_episode(
     ep: &EpisodeRecord,
     recovery: &RecoveryPoint,
 ) -> Result<(StreamSummary, MetricsDeltaRec), JournalError> {
-    let inconsistent = |why: String| JournalError::Inconsistent {
-        recovery: recovery.clone(),
-        why,
-    };
-    if acc.summary.episode != ep.index {
-        return Err(inconsistent(format!(
-            "episode {} record closes a stream accumulated for episode {}",
-            ep.index, acc.summary.episode
-        )));
-    }
-    if !acc.fin_seen {
-        return Err(inconsistent(format!(
-            "episode {} record before its stream fin chunk",
-            ep.index
-        )));
-    }
-    if ep.trace_digest != acc.summary.cum {
-        return Err(inconsistent(format!(
-            "episode {}: trace digest does not match its streamed chunk chain",
-            ep.index
-        )));
-    }
-    let streamed_digest = if acc.seen_decisions {
-        acc.dec_digest
+    let (s, i) = (&acc.summary, ep.index);
+    let why = if s.episode != i {
+        format!(
+            "episode {i} record closes a stream accumulated for episode {}",
+            s.episode
+        )
+    } else if !acc.fin_seen {
+        format!("episode {i} record before its stream fin chunk")
+    } else if ep.trace_digest != s.cum {
+        format!("episode {i}: trace digest does not match its streamed chunk chain")
+    } else if s.decisions > 0
+        && ep.decisions.is_empty()
+        && ep.decisions_digest != s.decisions_digest
+    {
+        format!("episode {i}: decision digest does not match its streamed decisions")
     } else {
-        0
+        match acc.pending_metrics {
+            Some(delta) => return Ok((acc.summary, delta)),
+            None => format!("episode {i} streamed without a metrics delta"),
+        }
     };
-    if acc.seen_decisions && ep.decisions.is_empty() && ep.decisions_digest != streamed_digest {
-        return Err(inconsistent(format!(
-            "episode {}: decision digest does not match its streamed decisions",
-            ep.index
-        )));
-    }
-    let delta = acc.pending_metrics.ok_or_else(|| {
-        inconsistent(format!(
-            "episode {} streamed without a metrics delta",
-            ep.index
-        ))
-    })?;
-    let mut summary = acc.summary;
-    summary.decisions_digest = streamed_digest;
-    Ok((summary, delta))
+    Err(JournalError::inconsistent(recovery, why))
 }
 
 fn campaign_of(buf: &[u8]) -> u64 {
@@ -799,17 +703,6 @@ fn check_header(
     Ok(())
 }
 
-/// Re-attach a recovery point to header-level errors surfaced on
-/// non-zero segments (where they are recoverable).
-fn retag(e: JournalError, recovery: &RecoveryPoint) -> JournalError {
-    match e {
-        JournalError::TruncatedHeader { .. } => JournalError::TruncatedRecord {
-            recovery: recovery.clone(),
-        },
-        other => other,
-    }
-}
-
 fn decode_record(
     kind: u8,
     payload: &[u8],
@@ -830,44 +723,30 @@ fn decode_record(
             })
         }
     };
-    decoded.map_err(|e| JournalError::Decode {
-        recovery: recovery.clone(),
-        what: e.what,
-        at: e.at,
-    })
+    decoded.map_err(|e| JournalError::decode(recovery, e))
 }
 
 fn validate_episode(
     ep: &EpisodeRecord,
-    seen: &[EpisodeRecord],
+    seen: usize,
     cum_digest: u64,
     recovery: &RecoveryPoint,
-) -> Option<JournalError> {
-    if ep.index as usize != seen.len() {
-        return Some(JournalError::Inconsistent {
-            recovery: recovery.clone(),
-            why: format!("episode {} after {} episodes", ep.index, seen.len()),
-        });
-    }
-    let expect = simnet::rng::splitmix64(cum_digest ^ ep.own_digest());
-    if ep.cum_digest != expect {
-        return Some(JournalError::Inconsistent {
-            recovery: recovery.clone(),
-            why: format!("episode {}: cumulative digest chain broken", ep.index),
-        });
-    }
-    if !ep.decisions.is_empty()
+) -> Result<(), JournalError> {
+    let why = if ep.index as usize != seen {
+        format!("episode {} after {seen} episodes", ep.index)
+    } else if ep.cum_digest != chain(cum_digest, ep.own_digest()) {
+        format!("episode {}: cumulative digest chain broken", ep.index)
+    } else if !ep.decisions.is_empty()
         && EpisodeRecord::digest_decisions(&ep.decisions) != ep.decisions_digest
     {
-        return Some(JournalError::Inconsistent {
-            recovery: recovery.clone(),
-            why: format!(
-                "episode {}: decision stream does not match its digest",
-                ep.index
-            ),
-        });
-    }
-    None
+        format!(
+            "episode {}: decision stream does not match its digest",
+            ep.index
+        )
+    } else {
+        return Ok(());
+    };
+    Err(JournalError::inconsistent(recovery, why))
 }
 
 /// The cumulative-chain step shared by writer and validator.

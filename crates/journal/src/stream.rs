@@ -9,7 +9,7 @@
 //! `journal.stream.hwm` gauge proves it) and the full event history of
 //! a million-message campaign survives on disk.
 //!
-//! Three new frame kinds carry the stream:
+//! Four frame kinds carry the stream:
 //!
 //! * [`EventChunkRec`] — a contiguous, ticket-ordered run of trace
 //!   events in a compact varint encoding with a per-chunk string table
@@ -17,14 +17,19 @@
 //!   chunk, referenced by index). The final chunk of an episode
 //!   (`fin`) also carries the [`marcel::ThreadMeta`] table the Chrome
 //!   exporter needs.
-//! * [`DecisionChunkRec`] — a run of committer decisions, each with the
-//!   `events_before` cursor bridging scheduling tickets to trace
-//!   tickets.
+//! * [`DecisionChunkRec`] — a run of committer decisions, each a
+//!   [`DecisionRec`] with the `events_before` cursor bridging
+//!   scheduling tickets to trace tickets.
 //! * [`MetricsDeltaRec`] — the metrics registry of this episode as a
 //!   signed delta against the previous episode's registry (episodes
 //!   have independent registries with near-identical contents, so the
 //!   delta is tiny); folding deltas `0..=K` materializes the exact
 //!   snapshot at episode boundary `K`.
+//! * [`IndexRec`] — the seekable index, cumulative and rewritten after
+//!   every snapshot: it maps each episode to the journal position of
+//!   its first event chunk, first decision chunk and metrics delta plus
+//!   its ticket ranges, so a reader can jump to (episode, ticket)
+//!   without scanning segments.
 //!
 //! Integrity: every chunk payload ends with a fixed 8-byte `cum` field
 //! — the stream digest chain `cum' = chain(cum, crc64(payload minus the
@@ -34,11 +39,12 @@
 //! chunk stream into the PR-7 episode chain: corrupt or reorder any
 //! chunk and the episode record no longer validates.
 //!
-//! Seekability: an [`IndexRec`] (cumulative, rewritten after every
-//! snapshot and at completion) maps each episode to the journal
-//! position of its first event chunk, first decision chunk and metrics
-//! delta plus its ticket ranges, so a reader can jump to
-//! (episode, ticket) without scanning segments.
+//! One accumulator: `StreamAccum` holds an episode's stream bookkeeping
+//! (its [`StreamSummary`], chunk sequence and ticket cursors, decision
+//! digest, frame positions). The recorder updates it with each chunk it
+//! appends; the journal reader checks each chunk it reads and then
+//! updates the same accumulator, so the index entry written and the one
+//! rebuilt on read are one fold over the same chunks.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -46,12 +52,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use marcel::{
     Decision, Event, EventSink, MetricsSnapshot, SpanKind, ThreadMeta, TraceEvent, VirtualTime,
 };
-use simnet::rng::{splitmix64, GOLDEN_GAMMA};
 
 use crate::codec::{Dec, DecodeError, Enc};
 use crate::crc::crc64;
 use crate::error::JournalError;
-use crate::record::Record;
+use crate::record::{
+    DecisionRec, DECISION_DIGEST_SEED, KIND_DECISION_CHUNK, KIND_EVENT_CHUNK, KIND_METRICS_DELTA,
+};
 use crate::store::{chain, JournalWriter};
 
 // ---------------------------------------------------------------------------
@@ -144,347 +151,228 @@ impl StrView {
     }
 }
 
-// Event variant tags on the wire.
-const EV_SPAWN: u8 = 0;
-const EV_EXIT: u8 = 1;
-const EV_SEM_BLOCK: u8 = 2;
-const EV_SEM_BLOCK_TIMEOUT: u8 = 3;
-const EV_SEM_WAKE: u8 = 4;
-const EV_POLL_WAKE: u8 = 5;
-const EV_POLL_QUEUED: u8 = 6;
-const EV_POLL_WAITED: u8 = 7;
-const EV_PACK: u8 = 8;
-const EV_UNPACK: u8 = 9;
-const EV_RETRANSMIT: u8 = 10;
-const EV_DEDUP_DROP: u8 = 11;
-const EV_PACKET_SENT: u8 = 12;
-const EV_PACKET_DELIVERED: u8 = 13;
-const EV_RAIL_SELECTED: u8 = 14;
-const EV_RAIL_FAILOVER: u8 = 15;
-const EV_RNDV_REQUEST: u8 = 16;
-const EV_RNDV_ACK: u8 = 17;
-const EV_RECV_POSTED: u8 = 18;
-const EV_RECV_MATCHED: u8 = 19;
-const EV_UNEXPECTED_QUEUED: u8 = 20;
-const EV_SPAN_BEGIN: u8 = 21;
-const EV_SPAN_END: u8 = 22;
+/// How one field of a trace event travels: written by [`enc_event`],
+/// read back by [`dec_event`]. Strings go through the chunk's string
+/// table; `what` names the field in a decode error.
+trait Field: Sized {
+    fn enc(&self, e: &mut Enc, table: &mut StrTable);
+    fn dec(d: &mut Dec<'_>, table: &StrView, what: &'static str, at: usize) -> DecResult<Self>;
+}
 
-fn enc_event(e: &mut Enc, ev: &TraceEvent, table: &mut StrTable) {
-    e.vu64(ev.time.0);
-    e.vu64(ev.tid as u64);
-    match &ev.what {
-        Event::Spawn => e.u8(EV_SPAWN),
-        Event::Exit => e.u8(EV_EXIT),
-        Event::SemBlock { sem } => {
-            e.u8(EV_SEM_BLOCK);
-            e.vu64(*sem as u64);
-        }
-        Event::SemBlockTimeout { sem, deadline } => {
-            e.u8(EV_SEM_BLOCK_TIMEOUT);
-            e.vu64(*sem as u64);
-            e.vu64(deadline.0);
-        }
-        Event::SemWake { sem, woken } => {
-            e.u8(EV_SEM_WAKE);
-            e.vu64(*sem as u64);
-            e.vu64(*woken as u64);
-        }
-        Event::PollWake { source } => {
-            e.u8(EV_POLL_WAKE);
-            e.vu64(*source as u64);
-        }
-        Event::PollQueued { source } => {
-            e.u8(EV_POLL_QUEUED);
-            e.vu64(*source as u64);
-        }
-        Event::PollWaited { source } => {
-            e.u8(EV_POLL_WAITED);
-            e.vu64(*source as u64);
-        }
-        Event::Pack {
-            channel,
-            to,
-            seq,
-            bytes,
-            segments,
-        } => {
-            e.u8(EV_PACK);
-            e.vu32(table.idx(channel));
-            e.vu64(*to as u64);
-            e.vu64(*seq);
-            e.vu64(*bytes as u64);
-            e.vu64(*segments as u64);
-        }
-        Event::Unpack {
-            channel,
-            from,
-            seq,
-            bytes,
-        } => {
-            e.u8(EV_UNPACK);
-            e.vu32(table.idx(channel));
-            e.vu64(*from as u64);
-            e.vu64(*seq);
-            e.vu64(*bytes as u64);
-        }
-        Event::Retransmit {
-            channel,
-            to,
-            seq,
-            attempt,
-        } => {
-            e.u8(EV_RETRANSMIT);
-            e.vu32(table.idx(channel));
-            e.vu64(*to as u64);
-            e.vu64(*seq);
-            e.vu32(*attempt);
-        }
-        Event::DedupDrop { channel, from, seq } => {
-            e.u8(EV_DEDUP_DROP);
-            e.vu32(table.idx(channel));
-            e.vu64(*from as u64);
-            e.vu64(*seq);
-        }
-        Event::PacketSent {
-            rank,
-            dst,
-            kind,
-            rail,
-            bytes,
-        } => {
-            e.u8(EV_PACKET_SENT);
-            e.vu64(*rank as u64);
-            e.vu64(*dst as u64);
-            e.vu32(table.idx(kind));
-            e.vu32(table.idx(rail));
-            e.vu64(*bytes as u64);
-        }
-        Event::PacketDelivered { rank, src, kind } => {
-            e.u8(EV_PACKET_DELIVERED);
-            e.vu64(*rank as u64);
-            e.vu64(*src as u64);
-            e.vu32(table.idx(kind));
-        }
-        Event::RailSelected {
-            rank,
-            dst,
-            rail,
-            bytes,
-        } => {
-            e.u8(EV_RAIL_SELECTED);
-            e.vu64(*rank as u64);
-            e.vu64(*dst as u64);
-            e.vu32(table.idx(rail));
-            e.vu64(*bytes as u64);
-        }
-        Event::RailFailover {
-            rank,
-            dst,
-            from_rail,
-            to_rail,
-        } => {
-            e.u8(EV_RAIL_FAILOVER);
-            e.vu64(*rank as u64);
-            e.vu64(*dst as u64);
-            e.vu32(table.idx(from_rail));
-            e.vu32(table.idx(to_rail));
-        }
-        Event::RndvRequest {
-            rank,
-            dst,
-            token,
-            bytes,
-        } => {
-            e.u8(EV_RNDV_REQUEST);
-            e.vu64(*rank as u64);
-            e.vu64(*dst as u64);
-            e.vu64(*token);
-            e.vu64(*bytes as u64);
-        }
-        Event::RndvAck { rank, src, token } => {
-            e.u8(EV_RNDV_ACK);
-            e.vu64(*rank as u64);
-            e.vu64(*src as u64);
-            e.vu64(*token);
-        }
-        Event::RecvPosted { rank, depth } => {
-            e.u8(EV_RECV_POSTED);
-            e.vu64(*rank as u64);
-            e.vu64(*depth as u64);
-        }
-        Event::RecvMatched {
-            rank,
-            src,
-            tag,
-            unexpected,
-        } => {
-            e.u8(EV_RECV_MATCHED);
-            e.vu64(*rank as u64);
-            e.vu64(*src as u64);
-            e.vi64(*tag as i64);
-            e.bool(*unexpected);
-        }
-        Event::UnexpectedQueued {
-            rank,
-            src,
-            tag,
-            depth,
-        } => {
-            e.u8(EV_UNEXPECTED_QUEUED);
-            e.vu64(*rank as u64);
-            e.vu64(*src as u64);
-            e.vi64(*tag as i64);
-            e.vu64(*depth as u64);
-        }
-        Event::SpanBegin { id, kind, label } => {
-            e.u8(EV_SPAN_BEGIN);
-            e.vu64(*id);
-            e.u8(span_kind_code(*kind));
-            e.vu32(table.idx(label));
-        }
-        Event::SpanEnd { id, kind, label } => {
-            e.u8(EV_SPAN_END);
-            e.vu64(*id);
-            e.u8(span_kind_code(*kind));
-            e.vu32(table.idx(label));
-        }
+type DecResult<T> = Result<T, DecodeError>;
+
+impl Field for usize {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.vu64(*self as u64)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        Ok(d.vu64(what)? as usize)
     }
 }
 
-fn dec_usize(d: &mut Dec<'_>, what: &'static str) -> Result<usize, DecodeError> {
-    Ok(d.vu64(what)? as usize)
+impl Field for u64 {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.vu64(*self)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        d.vu64(what)
+    }
 }
 
-fn dec_event(
-    d: &mut Dec<'_>,
-    ticket: u64,
-    table: &StrView,
-    at: usize,
-) -> Result<TraceEvent, DecodeError> {
-    let time = VirtualTime(d.vu64("event.time")?);
-    let tid = dec_usize(d, "event.tid")?;
-    let tag = d.u8("event.tag")?;
-    let what = match tag {
-        EV_SPAWN => Event::Spawn,
-        EV_EXIT => Event::Exit,
-        EV_SEM_BLOCK => Event::SemBlock {
-            sem: dec_usize(d, "event.sem")?,
-        },
-        EV_SEM_BLOCK_TIMEOUT => Event::SemBlockTimeout {
-            sem: dec_usize(d, "event.sem")?,
-            deadline: VirtualTime(d.vu64("event.deadline")?),
-        },
-        EV_SEM_WAKE => Event::SemWake {
-            sem: dec_usize(d, "event.sem")?,
-            woken: dec_usize(d, "event.woken")?,
-        },
-        EV_POLL_WAKE => Event::PollWake {
-            source: dec_usize(d, "event.source")?,
-        },
-        EV_POLL_QUEUED => Event::PollQueued {
-            source: dec_usize(d, "event.source")?,
-        },
-        EV_POLL_WAITED => Event::PollWaited {
-            source: dec_usize(d, "event.source")?,
-        },
-        EV_PACK => Event::Pack {
-            channel: table.arc(d.vu32("event.channel")?, at)?,
-            to: dec_usize(d, "event.to")?,
-            seq: d.vu64("event.seq")?,
-            bytes: dec_usize(d, "event.bytes")?,
-            segments: dec_usize(d, "event.segments")?,
-        },
-        EV_UNPACK => Event::Unpack {
-            channel: table.arc(d.vu32("event.channel")?, at)?,
-            from: dec_usize(d, "event.from")?,
-            seq: d.vu64("event.seq")?,
-            bytes: dec_usize(d, "event.bytes")?,
-        },
-        EV_RETRANSMIT => Event::Retransmit {
-            channel: table.arc(d.vu32("event.channel")?, at)?,
-            to: dec_usize(d, "event.to")?,
-            seq: d.vu64("event.seq")?,
-            attempt: d.vu32("event.attempt")?,
-        },
-        EV_DEDUP_DROP => Event::DedupDrop {
-            channel: table.arc(d.vu32("event.channel")?, at)?,
-            from: dec_usize(d, "event.from")?,
-            seq: d.vu64("event.seq")?,
-        },
-        EV_PACKET_SENT => Event::PacketSent {
-            rank: dec_usize(d, "event.rank")?,
-            dst: dec_usize(d, "event.dst")?,
-            kind: table.stat(d.vu32("event.kind")?, at)?,
-            rail: table.arc(d.vu32("event.rail")?, at)?,
-            bytes: dec_usize(d, "event.bytes")?,
-        },
-        EV_PACKET_DELIVERED => Event::PacketDelivered {
-            rank: dec_usize(d, "event.rank")?,
-            src: dec_usize(d, "event.src")?,
-            kind: table.stat(d.vu32("event.kind")?, at)?,
-        },
-        EV_RAIL_SELECTED => Event::RailSelected {
-            rank: dec_usize(d, "event.rank")?,
-            dst: dec_usize(d, "event.dst")?,
-            rail: table.arc(d.vu32("event.rail")?, at)?,
-            bytes: dec_usize(d, "event.bytes")?,
-        },
-        EV_RAIL_FAILOVER => Event::RailFailover {
-            rank: dec_usize(d, "event.rank")?,
-            dst: dec_usize(d, "event.dst")?,
-            from_rail: table.arc(d.vu32("event.from_rail")?, at)?,
-            to_rail: table.arc(d.vu32("event.to_rail")?, at)?,
-        },
-        EV_RNDV_REQUEST => Event::RndvRequest {
-            rank: dec_usize(d, "event.rank")?,
-            dst: dec_usize(d, "event.dst")?,
-            token: d.vu64("event.token")?,
-            bytes: dec_usize(d, "event.bytes")?,
-        },
-        EV_RNDV_ACK => Event::RndvAck {
-            rank: dec_usize(d, "event.rank")?,
-            src: dec_usize(d, "event.src")?,
-            token: d.vu64("event.token")?,
-        },
-        EV_RECV_POSTED => Event::RecvPosted {
-            rank: dec_usize(d, "event.rank")?,
-            depth: dec_usize(d, "event.depth")?,
-        },
-        EV_RECV_MATCHED => Event::RecvMatched {
-            rank: dec_usize(d, "event.rank")?,
-            src: dec_usize(d, "event.src")?,
-            tag: d.vi64("event.tag")? as i32,
-            unexpected: d.bool("event.unexpected")?,
-        },
-        EV_UNEXPECTED_QUEUED => Event::UnexpectedQueued {
-            rank: dec_usize(d, "event.rank")?,
-            src: dec_usize(d, "event.src")?,
-            tag: d.vi64("event.tag")? as i32,
-            depth: dec_usize(d, "event.depth")?,
-        },
-        EV_SPAN_BEGIN => Event::SpanBegin {
-            id: d.vu64("event.span_id")?,
-            kind: span_kind_from(d.u8("event.span_kind")?, at)?,
-            label: table.stat(d.vu32("event.label")?, at)?,
-        },
-        EV_SPAN_END => Event::SpanEnd {
-            id: d.vu64("event.span_id")?,
-            kind: span_kind_from(d.u8("event.span_kind")?, at)?,
-            label: table.stat(d.vu32("event.label")?, at)?,
-        },
-        _ => {
-            return Err(DecodeError {
-                what: "event.tag",
-                at,
-            })
+impl Field for u32 {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.vu32(*self)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        d.vu32(what)
+    }
+}
+
+impl Field for i32 {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.vi64(*self as i64)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        Ok(d.vi64(what)? as i32)
+    }
+}
+
+impl Field for bool {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.bool(*self)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        d.bool(what)
+    }
+}
+
+impl Field for VirtualTime {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.vu64(self.0)
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, _: usize) -> DecResult<Self> {
+        Ok(VirtualTime(d.vu64(what)?))
+    }
+}
+
+impl Field for SpanKind {
+    fn enc(&self, e: &mut Enc, _: &mut StrTable) {
+        e.u8(span_kind_code(*self))
+    }
+    fn dec(d: &mut Dec<'_>, _: &StrView, what: &'static str, at: usize) -> DecResult<Self> {
+        span_kind_from(d.u8(what)?, at)
+    }
+}
+
+impl Field for Arc<str> {
+    fn enc(&self, e: &mut Enc, table: &mut StrTable) {
+        e.vu32(table.idx(self))
+    }
+    fn dec(d: &mut Dec<'_>, table: &StrView, what: &'static str, at: usize) -> DecResult<Self> {
+        table.arc(d.vu32(what)?, at)
+    }
+}
+
+impl Field for &'static str {
+    fn enc(&self, e: &mut Enc, table: &mut StrTable) {
+        e.vu32(table.idx(self))
+    }
+    fn dec(d: &mut Dec<'_>, table: &StrView, what: &'static str, at: usize) -> DecResult<Self> {
+        table.stat(d.vu32(what)?, at)
+    }
+}
+
+/// The trace-event wire format, described once: each row is an
+/// [`Event`] variant's tag byte and its fields in wire order, each with
+/// the name a decode error reports. Both [`enc_event`] and
+/// [`dec_event`] are generated from the table, so the writer and the
+/// reader cannot drift apart.
+macro_rules! event_codec {
+    ($($tag:literal => $variant:ident { $($field:ident: $what:literal),* },)*) => {
+        fn enc_event(e: &mut Enc, ev: &TraceEvent, table: &mut StrTable) {
+            e.vu64(ev.time.0);
+            e.vu64(ev.tid as u64);
+            match &ev.what {
+                $(Event::$variant { $($field),* } => {
+                    e.u8($tag);
+                    $(Field::enc($field, e, table);)*
+                })*
+            }
+        }
+
+        fn dec_event(
+            d: &mut Dec<'_>,
+            ticket: u64,
+            table: &StrView,
+            at: usize,
+        ) -> DecResult<TraceEvent> {
+            let time = VirtualTime(d.vu64("event.time")?);
+            let tid = d.vu64("event.tid")? as usize;
+            let what = match d.u8("event.tag")? {
+                $($tag => Event::$variant { $($field: Field::dec(d, table, $what, at)?),* },)*
+                _ => return Err(DecodeError { what: "event.tag", at }),
+            };
+            Ok(TraceEvent { time, tid, ticket, what })
         }
     };
-    Ok(TraceEvent {
-        time,
-        tid,
-        ticket,
-        what,
-    })
+}
+
+event_codec! {
+    0 => Spawn {},
+    1 => Exit {},
+    2 => SemBlock { sem: "event.sem" },
+    3 => SemBlockTimeout { sem: "event.sem", deadline: "event.deadline" },
+    4 => SemWake { sem: "event.sem", woken: "event.woken" },
+    5 => PollWake { source: "event.source" },
+    6 => PollQueued { source: "event.source" },
+    7 => PollWaited { source: "event.source" },
+    8 => Pack {
+        channel: "event.channel", to: "event.to", seq: "event.seq", bytes: "event.bytes",
+        segments: "event.segments"
+    },
+    9 => Unpack {
+        channel: "event.channel", from: "event.from", seq: "event.seq", bytes: "event.bytes"
+    },
+    10 => Retransmit {
+        channel: "event.channel", to: "event.to", seq: "event.seq", attempt: "event.attempt"
+    },
+    11 => DedupDrop { channel: "event.channel", from: "event.from", seq: "event.seq" },
+    12 => PacketSent {
+        rank: "event.rank", dst: "event.dst", kind: "event.kind", rail: "event.rail",
+        bytes: "event.bytes"
+    },
+    13 => PacketDelivered { rank: "event.rank", src: "event.src", kind: "event.kind" },
+    14 => RailSelected {
+        rank: "event.rank", dst: "event.dst", rail: "event.rail", bytes: "event.bytes"
+    },
+    15 => RailFailover {
+        rank: "event.rank", dst: "event.dst", from_rail: "event.from_rail", to_rail: "event.to_rail"
+    },
+    16 => RndvRequest {
+        rank: "event.rank", dst: "event.dst", token: "event.token", bytes: "event.bytes"
+    },
+    17 => RndvAck { rank: "event.rank", src: "event.src", token: "event.token" },
+    18 => RecvPosted { rank: "event.rank", depth: "event.depth" },
+    19 => RecvMatched {
+        rank: "event.rank", src: "event.src", tag: "event.tag", unexpected: "event.unexpected"
+    },
+    20 => UnexpectedQueued {
+        rank: "event.rank", src: "event.src", tag: "event.tag", depth: "event.depth"
+    },
+    21 => SpanBegin { id: "event.span_id", kind: "event.span_kind", label: "event.label" },
+    22 => SpanEnd { id: "event.span_id", kind: "event.span_kind", label: "event.label" },
+}
+
+// ---------------------------------------------------------------------------
+// Sealed chunks
+// ---------------------------------------------------------------------------
+
+/// The chunk's own contribution to the stream chain: CRC-64 of the
+/// payload minus its trailing 8-byte `cum` field. Computed from the raw
+/// frame bytes so reader and writer cannot disagree on canonicalization.
+pub fn chunk_own_digest(payload: &[u8]) -> Option<u64> {
+    payload.len().checked_sub(8).map(|n| crc64(&payload[..n]))
+}
+
+/// The sealed-chunk layout shared by event and decision chunks: the
+/// chunk's core encoding, then its 8-byte `cum` field.
+fn sealed(mut core: Vec<u8>, cum: u64) -> Vec<u8> {
+    core.extend_from_slice(&cum.to_le_bytes());
+    core
+}
+
+/// Seal `core` onto the stream chain at `prev`: store the new chain
+/// value in `cum` and return the frame payload plus the chunk's own
+/// digest (the CRC the stream accumulator chains).
+fn seal_core(core: Vec<u8>, prev: u64, cum: &mut u64) -> (Vec<u8>, u64) {
+    let own = crc64(&core);
+    *cum = chain(prev, own);
+    (sealed(core, *cum), own)
+}
+
+/// Split a sealed payload into a decoder over its core and its `cum`.
+fn unseal<'a>(buf: &'a [u8], what: &'static str) -> Result<(Dec<'a>, u64), DecodeError> {
+    let cut = buf
+        .len()
+        .checked_sub(8)
+        .ok_or(DecodeError { what, at: 0 })?;
+    let cum = u64::from_le_bytes(buf[cut..].try_into().expect("8 bytes"));
+    Ok((Dec::new(&buf[..cut]), cum))
+}
+
+/// A chunk's `first_ticket` and entry count. Entry `i` has ticket
+/// `first_ticket + i`, so a range past `u64::MAX` is a decode error.
+fn dec_tickets(
+    d: &mut Dec<'_>,
+    first: &'static str,
+    count: &'static str,
+) -> Result<(u64, u32), DecodeError> {
+    let at = d.pos();
+    let (first_ticket, n) = (d.vu64(first)?, d.vu32(count)?);
+    match first_ticket.checked_add(n as u64) {
+        Some(_) => Ok((first_ticket, n)),
+        None => Err(DecodeError { what: first, at }),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -510,13 +398,6 @@ pub struct EventChunkRec {
 }
 
 impl Eq for EventChunkRec {}
-
-/// The chunk's own contribution to the stream chain: CRC-64 of the
-/// payload minus its trailing 8-byte `cum` field. Computed from the raw
-/// frame bytes so reader and writer cannot disagree on canonicalization.
-pub fn chunk_own_digest(payload: &[u8]) -> Option<u64> {
-    payload.len().checked_sub(8).map(|n| crc64(&payload[..n]))
-}
 
 impl EventChunkRec {
     /// Payload minus the trailing chain field (the bytes
@@ -548,31 +429,24 @@ impl EventChunkRec {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_core();
-        out.extend_from_slice(&self.cum.to_le_bytes());
-        out
+        sealed(self.encode_core(), self.cum)
     }
 
-    /// Seal an unsealed chunk: compute its own digest and chain it onto
-    /// `prev`, storing the result in `cum`. Returns the new chain value.
-    pub fn seal(&mut self, prev: u64) -> u64 {
-        let core = self.encode_core();
-        self.cum = chain(prev, crc64(&core));
-        self.cum
+    /// Seal an unsealed chunk onto the stream chain at `prev`, storing
+    /// the new chain value in `cum`. Returns the encoded payload and
+    /// the chunk's own digest.
+    pub fn seal(&mut self, prev: u64) -> (Vec<u8>, u64) {
+        seal_core(self.encode_core(), prev, &mut self.cum)
     }
 
     pub fn decode(buf: &[u8]) -> Result<EventChunkRec, DecodeError> {
-        let cut = buf.len().checked_sub(8).ok_or(DecodeError {
-            what: "event_chunk.cum",
-            at: 0,
-        })?;
-        let cum = u64::from_le_bytes(buf[cut..].try_into().expect("8 bytes"));
-        let mut d = Dec::new(&buf[..cut]);
+        let (mut d, cum) = unseal(buf, "event_chunk.cum")?;
+        let cut = buf.len() - 8;
         let episode = d.vu32("event_chunk.episode")?;
         let seq = d.vu32("event_chunk.seq")?;
         let fin = d.bool("event_chunk.fin")?;
-        let first_ticket = d.vu64("event_chunk.first_ticket")?;
-        let count = d.vu32("event_chunk.count")?;
+        let (first_ticket, count) =
+            dec_tickets(&mut d, "event_chunk.first_ticket", "event_chunk.count")?;
         let nstr = d.vu32("event_chunk.string_count")?;
         let mut list = Vec::with_capacity(nstr.min(1 << 16) as usize);
         for _ in 0..nstr {
@@ -608,46 +482,6 @@ impl EventChunkRec {
 // DecisionChunkRec
 // ---------------------------------------------------------------------------
 
-/// One streamed committer decision, with the trace-ticket bridge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DecisionEntry {
-    pub ticket: u64,
-    pub tid: u32,
-    pub at_ns: u64,
-    pub fallback: bool,
-    /// Trace events recorded strictly before this decision committed
-    /// (see [`marcel::Decision::events_before`]).
-    pub events_before: u64,
-}
-
-impl From<Decision> for DecisionEntry {
-    fn from(d: Decision) -> Self {
-        DecisionEntry {
-            ticket: d.ticket,
-            tid: d.tid as u32,
-            at_ns: d.at.0,
-            fallback: d.fallback,
-            events_before: d.events_before,
-        }
-    }
-}
-
-/// Fold one decision into the running decision digest — exactly the
-/// per-element step of [`crate::record::EpisodeRecord::digest_decisions`],
-/// so a streamed decision stream reproduces the episode record's
-/// `decisions_digest` without ever being held in memory whole.
-pub fn fold_decision_digest(h: u64, d: &DecisionEntry) -> u64 {
-    splitmix64(
-        h ^ d.ticket.wrapping_mul(GOLDEN_GAMMA)
-            ^ d.tid as u64
-            ^ d.at_ns
-            ^ ((d.fallback as u64) << 63),
-    )
-}
-
-/// Seed of the decision digest fold (matches `digest_decisions`).
-pub const DECISION_DIGEST_SEED: u64 = 0x4445_4353; // "DECS"
-
 /// A contiguous run of committer decisions of one episode. Scheduling
 /// tickets are implicit and gapless: entry `i` has ticket
 /// `first_ticket + i`.
@@ -657,7 +491,7 @@ pub struct DecisionChunkRec {
     /// Chunk sequence within the episode's decision stream, from 0.
     pub seq: u32,
     pub first_ticket: u64,
-    pub decisions: Vec<DecisionEntry>,
+    pub decisions: Vec<DecisionRec>,
     /// Stream digest chain value *after* this chunk.
     pub cum: u64,
 }
@@ -671,7 +505,7 @@ impl DecisionChunkRec {
         e.vu32(self.decisions.len() as u32);
         let mut prev_events_before = 0u64;
         for (i, d) in self.decisions.iter().enumerate() {
-            debug_assert_eq!(d.ticket, self.first_ticket + i as u64);
+            debug_assert_eq!(d.ticket, self.first_ticket.wrapping_add(i as u64));
             e.vu64(d.tid as u64);
             e.vu64(d.at_ns);
             e.bool(d.fallback);
@@ -683,29 +517,23 @@ impl DecisionChunkRec {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_core();
-        out.extend_from_slice(&self.cum.to_le_bytes());
-        out
+        sealed(self.encode_core(), self.cum)
     }
 
     /// See [`EventChunkRec::seal`].
-    pub fn seal(&mut self, prev: u64) -> u64 {
-        let core = self.encode_core();
-        self.cum = chain(prev, crc64(&core));
-        self.cum
+    pub fn seal(&mut self, prev: u64) -> (Vec<u8>, u64) {
+        seal_core(self.encode_core(), prev, &mut self.cum)
     }
 
     pub fn decode(buf: &[u8]) -> Result<DecisionChunkRec, DecodeError> {
-        let cut = buf.len().checked_sub(8).ok_or(DecodeError {
-            what: "decision_chunk.cum",
-            at: 0,
-        })?;
-        let cum = u64::from_le_bytes(buf[cut..].try_into().expect("8 bytes"));
-        let mut d = Dec::new(&buf[..cut]);
+        let (mut d, cum) = unseal(buf, "decision_chunk.cum")?;
         let episode = d.vu32("decision_chunk.episode")?;
         let seq = d.vu32("decision_chunk.seq")?;
-        let first_ticket = d.vu64("decision_chunk.first_ticket")?;
-        let count = d.vu32("decision_chunk.count")?;
+        let (first_ticket, count) = dec_tickets(
+            &mut d,
+            "decision_chunk.first_ticket",
+            "decision_chunk.count",
+        )?;
         let mut decisions = Vec::with_capacity(count.min(1 << 20) as usize);
         let mut events_before = 0u64;
         for i in 0..count {
@@ -713,7 +541,7 @@ impl DecisionChunkRec {
             let at_ns = d.vu64("decision_chunk.at_ns")?;
             let fallback = d.bool("decision_chunk.fallback")?;
             events_before = events_before.wrapping_add(d.vu64("decision_chunk.events_delta")?);
-            decisions.push(DecisionEntry {
+            decisions.push(DecisionRec {
                 ticket: first_ticket + i as u64,
                 tid,
                 at_ns,
@@ -1069,59 +897,116 @@ impl IndexRec {
 }
 
 // ---------------------------------------------------------------------------
+// StreamAccum: the stream bookkeeping writer and reader share
+// ---------------------------------------------------------------------------
+
+/// One episode's chunk-stream bookkeeping: the index entry being built
+/// (counts, first tickets, decision digest, chain value, frame
+/// positions) and the chunk sequence cursors. [`StreamRecorder`] folds
+/// each chunk it appends into one; the journal reader checks each chunk
+/// it reads and then folds it the same way (see the module docs).
+#[derive(Default)]
+pub(crate) struct StreamAccum {
+    pub(crate) summary: StreamSummary,
+    pub(crate) next_event_seq: u32,
+    pub(crate) next_decision_seq: u32,
+    pub(crate) fin_seen: bool,
+    /// Reader side: the episode's metrics delta, held until the episode
+    /// record seals the stream.
+    pub(crate) pending_metrics: Option<MetricsDeltaRec>,
+}
+
+impl StreamAccum {
+    pub(crate) fn new(episode: u32) -> StreamAccum {
+        StreamAccum {
+            summary: StreamSummary {
+                episode,
+                ..StreamSummary::default()
+            },
+            ..StreamAccum::default()
+        }
+    }
+
+    /// Ticket the next non-empty event chunk must start at.
+    pub(crate) fn next_event_ticket(&self) -> Option<u64> {
+        let s = &self.summary;
+        (s.events > 0).then(|| s.first_event_ticket + s.events)
+    }
+
+    /// Scheduling ticket the next non-empty decision chunk must start at.
+    pub(crate) fn next_sched_ticket(&self) -> Option<u64> {
+        let s = &self.summary;
+        (s.decisions > 0).then(|| s.first_sched_ticket + s.decisions)
+    }
+
+    /// Fold in an event chunk whose own digest is `own`, framed at `pos`.
+    pub(crate) fn add_events(&mut self, chunk: &EventChunkRec, own: u64, pos: (u32, u64)) {
+        let s = &mut self.summary;
+        if s.events == 0 && !chunk.events.is_empty() {
+            s.first_event_ticket = chunk.first_ticket;
+        }
+        s.events += chunk.events.len() as u64;
+        s.cum = chain(s.cum, own);
+        s.event_pos.get_or_insert(pos);
+        self.next_event_seq += 1;
+        self.fin_seen = chunk.fin;
+    }
+
+    /// Fold in a decision chunk whose own digest is `own`, framed at `pos`.
+    pub(crate) fn add_decisions(&mut self, chunk: &DecisionChunkRec, own: u64, pos: (u32, u64)) {
+        let s = &mut self.summary;
+        if s.decisions == 0 && !chunk.decisions.is_empty() {
+            s.first_sched_ticket = chunk.first_ticket;
+            s.decisions_digest = DECISION_DIGEST_SEED;
+        }
+        for d in &chunk.decisions {
+            s.decisions_digest = d.fold_digest(s.decisions_digest);
+        }
+        s.decisions += chunk.decisions.len() as u64;
+        s.cum = chain(s.cum, own);
+        s.decision_pos.get_or_insert(pos);
+        self.next_decision_seq += 1;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // StreamRecorder: the journal's EventSink
 // ---------------------------------------------------------------------------
 
 struct StreamInner {
     writer: Arc<Mutex<JournalWriter>>,
-    episode: u32,
-    event_seq: u32,
-    decision_seq: u32,
-    cum: u64,
-    dec_digest: u64,
-    summary: StreamSummary,
-    seen_decisions: bool,
-    seen_events: bool,
+    accum: StreamAccum,
     /// First I/O error; surfaced at `finish` (the sink runs under the
     /// scheduler lock and cannot propagate errors inline).
     io_error: Option<JournalError>,
 }
 
 impl StreamInner {
+    /// Append one encoded frame; on failure keep the error for `finish`.
+    fn append(&mut self, kind: u8, payload: &[u8]) -> Option<(u32, u64)> {
+        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        writer
+            .append_payload(kind, payload)
+            .map_err(|e| self.io_error = Some(e))
+            .ok()
+    }
+
     fn push_events(&mut self, chunk: &[TraceEvent], fin: bool, threads: Vec<ThreadMeta>) {
         if self.io_error.is_some() || (chunk.is_empty() && !fin) {
             return;
         }
-        let first_ticket = chunk.first().map_or(0, |e| e.ticket);
-        if !self.seen_events && !chunk.is_empty() {
-            self.seen_events = true;
-            self.summary.first_event_ticket = first_ticket;
-        }
-        self.summary.events += chunk.len() as u64;
         let mut rec = EventChunkRec {
-            episode: self.episode,
-            seq: self.event_seq,
+            episode: self.accum.summary.episode,
+            seq: self.accum.next_event_seq,
             fin,
-            first_ticket,
+            first_ticket: chunk.first().map_or(0, |e| e.ticket),
             events: chunk.to_vec(),
             threads,
             cum: 0,
         };
-        self.event_seq += 1;
-        self.cum = rec.seal(self.cum);
-        self.summary.cum = self.cum;
-        match self
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .append(&Record::EventChunk(rec))
-        {
-            Ok(pos) => {
-                if self.summary.event_pos.is_none() {
-                    self.summary.event_pos = Some(pos);
-                }
-            }
-            Err(e) => self.io_error = Some(e),
+        let (payload, own) = rec.seal(self.accum.summary.cum);
+        if let Some(pos) = self.append(KIND_EVENT_CHUNK, &payload) {
+            self.accum.add_events(&rec, own, pos);
         }
     }
 
@@ -1129,39 +1014,16 @@ impl StreamInner {
         if self.io_error.is_some() || chunk.is_empty() {
             return;
         }
-        let entries: Vec<DecisionEntry> = chunk.iter().map(|&d| DecisionEntry::from(d)).collect();
-        if !self.seen_decisions {
-            self.seen_decisions = true;
-            self.dec_digest = DECISION_DIGEST_SEED;
-            self.summary.first_sched_ticket = entries[0].ticket;
-        }
-        for d in &entries {
-            self.dec_digest = fold_decision_digest(self.dec_digest, d);
-        }
-        self.summary.decisions += entries.len() as u64;
         let mut rec = DecisionChunkRec {
-            episode: self.episode,
-            seq: self.decision_seq,
-            first_ticket: entries[0].ticket,
-            decisions: entries,
+            episode: self.accum.summary.episode,
+            seq: self.accum.next_decision_seq,
+            first_ticket: chunk[0].ticket,
+            decisions: chunk.iter().map(|&d| DecisionRec::from(d)).collect(),
             cum: 0,
         };
-        self.decision_seq += 1;
-        self.cum = rec.seal(self.cum);
-        self.summary.cum = self.cum;
-        self.summary.decisions_digest = self.dec_digest;
-        match self
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .append(&Record::DecisionChunk(rec))
-        {
-            Ok(pos) => {
-                if self.summary.decision_pos.is_none() {
-                    self.summary.decision_pos = Some(pos);
-                }
-            }
-            Err(e) => self.io_error = Some(e),
+        let (payload, own) = rec.seal(self.accum.summary.cum);
+        if let Some(pos) = self.append(KIND_DECISION_CHUNK, &payload) {
+            self.accum.add_decisions(&rec, own, pos);
         }
     }
 }
@@ -1196,33 +1058,12 @@ impl EventSink for ForwardSink {
     }
 }
 
-/// What `finish` returns: the episode's index entry plus the digests
-/// the episode record needs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamFinish {
-    pub summary: StreamSummary,
-    /// Final stream chain value — the streamed episode's `trace_digest`.
-    pub trace_digest: u64,
-    /// Streamed decision digest (0 when decisions were not recorded).
-    pub decisions_digest: u64,
-}
-
 impl StreamRecorder {
     pub fn new(writer: Arc<Mutex<JournalWriter>>, episode: u32) -> StreamRecorder {
         StreamRecorder {
             inner: Arc::new(Mutex::new(StreamInner {
                 writer,
-                episode,
-                event_seq: 0,
-                decision_seq: 0,
-                cum: 0,
-                dec_digest: 0,
-                summary: StreamSummary {
-                    episode,
-                    ..StreamSummary::default()
-                },
-                seen_decisions: false,
-                seen_events: false,
+                accum: StreamAccum::new(episode),
                 io_error: None,
             })),
         }
@@ -1245,54 +1086,39 @@ impl StreamRecorder {
 
     /// Seal the episode's stream: append the `fin` event chunk carrying
     /// the thread table and the metrics delta against `prev_metrics`,
-    /// then return the index entry and digests. Surfaces any I/O error
-    /// the sink swallowed mid-episode.
+    /// then return the episode's index entry — its `cum` is the
+    /// streamed episode's `trace_digest`, its `decisions_digest` the
+    /// episode's decision digest (0 when decisions were not recorded).
+    /// Surfaces any I/O error the sink swallowed mid-episode.
     pub fn finish(
         &self,
         threads: Vec<ThreadMeta>,
         prev_metrics: &MetricsSnapshot,
         metrics: &MetricsSnapshot,
-    ) -> Result<StreamFinish, JournalError> {
+    ) -> Result<StreamSummary, JournalError> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         // The kernel has already flushed all remaining events and
         // decisions through the sink (`finish_event_sink`); the fin
         // chunk is empty of events but carries the thread table and
         // closes the chain.
         inner.push_events(&[], true, threads);
-        let delta = MetricsDeltaRec::diff(inner.episode, prev_metrics, metrics);
         if inner.io_error.is_none() {
-            let appended = inner
-                .writer
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .append(&Record::MetricsDelta(delta));
-            match appended {
-                Ok(pos) => inner.summary.metrics_pos = Some(pos),
-                Err(e) => inner.io_error = Some(e),
+            let delta = MetricsDeltaRec::diff(inner.accum.summary.episode, prev_metrics, metrics);
+            if let Some(pos) = inner.append(KIND_METRICS_DELTA, &delta.encode()) {
+                inner.accum.summary.metrics_pos = Some(pos);
             }
         }
-        if let Some(e) = inner.io_error.take() {
-            return Err(e);
+        match inner.io_error.take() {
+            Some(e) => Err(e),
+            None => Ok(inner.accum.summary.clone()),
         }
-        let decisions_digest = if inner.seen_decisions {
-            inner.dec_digest
-        } else {
-            0
-        };
-        let mut summary = inner.summary.clone();
-        summary.decisions_digest = decisions_digest;
-        Ok(StreamFinish {
-            trace_digest: inner.cum,
-            decisions_digest,
-            summary,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{DecisionRec, EpisodeRecord};
+    use crate::record::EpisodeRecord;
     use marcel::HistSnapshot;
 
     fn sample_events() -> Vec<TraceEvent> {
@@ -1417,8 +1243,8 @@ mod tests {
 
     #[test]
     fn decision_chunk_round_trips_and_digest_matches_record_digest() {
-        let decisions: Vec<DecisionEntry> = (0..10)
-            .map(|i| DecisionEntry {
+        let decisions: Vec<DecisionRec> = (0..10)
+            .map(|i| DecisionRec {
                 ticket: 100 + i,
                 tid: (i % 4) as u32,
                 at_ns: 1_000 * i,
@@ -1436,21 +1262,23 @@ mod tests {
         rec.seal(42);
         let back = DecisionChunkRec::decode(&rec.encode()).unwrap();
         assert_eq!(back, rec);
-        // The streamed fold reproduces EpisodeRecord::digest_decisions.
-        let mut h = DECISION_DIGEST_SEED;
-        for d in &decisions {
-            h = fold_decision_digest(h, d);
-        }
-        let recs: Vec<DecisionRec> = decisions
+        // The streamed fold reproduces EpisodeRecord::digest_decisions,
+        // which ignores `events_before`.
+        let mut acc = StreamAccum::new(1);
+        acc.summary.cum = 42;
+        acc.add_decisions(&back, chunk_own_digest(&rec.encode()).unwrap(), (0, 32));
+        let inline: Vec<DecisionRec> = decisions
             .iter()
-            .map(|d| DecisionRec {
-                ticket: d.ticket,
-                tid: d.tid,
-                at_ns: d.at_ns,
-                fallback: d.fallback,
+            .map(|&d| DecisionRec {
+                events_before: 0,
+                ..d
             })
             .collect();
-        assert_eq!(h, EpisodeRecord::digest_decisions(&recs));
+        assert_eq!(
+            acc.summary.decisions_digest,
+            EpisodeRecord::digest_decisions(&inline)
+        );
+        assert_eq!(acc.summary.cum, rec.cum);
     }
 
     #[test]

@@ -7,51 +7,19 @@
 //! every packet ran a breadth-first search over the topology (234 KB,
 //! 33 allocations). One `#[test]`: the counters are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use mpich::{run_world, Placement, ReduceOp, WorldConfig};
 use simnet::{Protocol, Topology};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`; the counters
-// are plain statistics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
 /// (allocation calls, bytes requested) made while `f` ran.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    );
+    let before = (bench::alloc::allocs(), bench::alloc::alloc_bytes());
     f();
     (
-        ALLOCS.load(Ordering::Relaxed) - before.0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
+        bench::alloc::allocs() - before.0,
+        bench::alloc::alloc_bytes() - before.1,
     )
 }
 

@@ -322,3 +322,83 @@ fn smp_ranks_and_remote_ranks_mix_in_one_recv() {
     .unwrap();
     assert_eq!(results[0], vec![1, 7]);
 }
+
+/// The design-choice ablations of DESIGN §5, in virtual time. Each row
+/// runs one ping-pong size under two configurations and states how the
+/// one-way time of the first must compare with the second.
+#[test]
+fn design_choice_ablations_hold() {
+    use std::cmp::Ordering::{Greater, Less};
+    let ch_mad = |set: &dyn Fn(&mut ChMadConfig)| {
+        let mut cfg = ChMadConfig::default();
+        set(&mut cfg);
+        WorldConfig::builder()
+            .remote(RemoteDeviceKind::ChMad(cfg))
+            .build()
+    };
+    let policy = |mode: PolicyMode| ch_mad(&|c| c.policy = mode);
+    let mut oracle = WorldConfig::default();
+    oracle.cost_model = oracle.cost_model.with_oracle_polling();
+    let sci = || Topology::single_network(2, Protocol::Sisci);
+    let rows = [
+        (
+            "polling over SCI+TCP, 4 B: faithful vs oracle",
+            bench::fig9_topology(true),
+            4,
+            2,
+            WorldConfig::default(),
+            oracle,
+            Greater,
+        ),
+        (
+            "SCI eager 4 B: padded inline buffer vs split short packets",
+            sci(),
+            4,
+            2,
+            ch_mad(&|c| c.split_short = false),
+            ch_mad(&|c| c.split_short = true),
+            Greater,
+        ),
+        (
+            "SCI 1 MiB: rendezvous vs eager-always",
+            sci(),
+            1 << 20,
+            1,
+            ch_mad(&|c| c.rendezvous = true),
+            ch_mad(&|c| c.rendezvous = false),
+            Less,
+        ),
+        // 7.5 KB sits between BIP's ideal threshold (7 KB) and the
+        // elected SCI one (8 KB): per-network already switches BIP to
+        // rendezvous where the elected threshold still forces eager.
+        (
+            "SCI+BIP 7.5 KB: elected vs per-network",
+            bench::multirail_topology(),
+            7_680,
+            1,
+            policy(PolicyMode::Elected),
+            policy(PolicyMode::PerNetwork),
+            Greater,
+        ),
+        // For 8 MiB the two rails together beat any single-rail policy.
+        (
+            "SCI+BIP 8 MiB: per-network vs striped",
+            bench::multirail_topology(),
+            8 << 20,
+            1,
+            policy(PolicyMode::PerNetwork),
+            policy(PolicyMode::Striped),
+            Greater,
+        ),
+    ];
+    for (what, topology, bytes, iters, a, b, expected) in rows {
+        let a = bench::mpi_pingpong(topology.clone(), a, &[bytes], iters)[0].1;
+        let b = bench::mpi_pingpong(topology, b, &[bytes], iters)[0].1;
+        println!(
+            "{what}: {:.3} vs {:.3} us",
+            a.as_micros_f64(),
+            b.as_micros_f64()
+        );
+        assert_eq!(a.cmp(&b), expected, "{what}: {a} vs {b}");
+    }
+}

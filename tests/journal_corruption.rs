@@ -34,6 +34,7 @@ fn episode(index: u32, cum: u64, cfg: &SoakConfig) -> EpisodeRecord {
             tid: (t % 7) as u32,
             at_ns: 13 * t,
             fallback: false,
+            events_before: 0,
         })
         .collect();
     let mut ep = EpisodeRecord {

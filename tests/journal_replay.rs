@@ -236,3 +236,44 @@ fn diff_localizes_planted_fallback_divergence() {
     fs::remove_dir_all(&dir_b).unwrap();
     fs::remove_dir_all(&dir_c).unwrap();
 }
+
+/// The journal's on-disk bytes are pinned: the CRC-64 of every segment
+/// of two small campaigns — one streamed and lossy, with decisions and
+/// two snapshots, one non-streamed with `force_fallback` — must equal
+/// the values recorded when the format was fixed. Any codec change that
+/// moves a byte fails here.
+#[test]
+fn segment_bytes_are_pinned() {
+    let streamed = SoakConfig {
+        messages_per_episode: 64,
+        stream_chunk: 8,
+        ..base_cfg()
+    };
+    let fallback = SoakConfig {
+        force_fallback: 2,
+        ..base_cfg()
+    };
+    let cases: [(&str, SoakConfig, &[u64]); 2] = [
+        (
+            "pin-streamed",
+            streamed,
+            &[
+                0x33a34d36f6b4d8a3,
+                0x5ae1327e26aa2c65,
+                0xc2676c1ad8011b16,
+                0xf68ef635b1c49e2e,
+            ],
+        ),
+        ("pin-fallback", fallback, &[0xe05c8c3ce5ee9171]),
+    ];
+    for (tag, cfg, pinned) in cases {
+        let dir = tmpdir(tag, 0);
+        run_campaign(&dir, cfg);
+        let crcs: Vec<u64> = (0..)
+            .map_while(|i| fs::read(dir.join(format!("seg-{i:06}.jrnl"))).ok())
+            .map(|bytes| journal::crc64(&bytes))
+            .collect();
+        assert_eq!(crcs, pinned, "{tag}: segment bytes moved");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+}

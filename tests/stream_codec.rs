@@ -12,7 +12,7 @@ use std::sync::Arc;
 use journal::store::chain;
 use journal::stream::chunk_own_digest;
 use journal::{
-    DecisionChunkRec, DecisionEntry, EventChunkRec, IndexRec, MetricsDeltaRec, StreamSummary,
+    DecisionChunkRec, DecisionRec, EventChunkRec, IndexRec, MetricsDeltaRec, StreamSummary,
 };
 use marcel::{Event, HistSnapshot, MetricsSnapshot, SpanKind, ThreadMeta, TraceEvent, VirtualTime};
 use proptest::collection::vec;
@@ -265,13 +265,13 @@ proptest! {
         prev in any::<u64>(),
     ) {
         let mut events_before = 0u64;
-        let decisions: Vec<DecisionEntry> = rows
+        let decisions: Vec<DecisionRec> = rows
             .clone()
             .into_iter()
             .enumerate()
             .map(|(i, ((tid, at_ns), (fallback, gap)))| {
                 events_before += gap; // monotone, as the kernel guarantees
-                DecisionEntry {
+                DecisionRec {
                     ticket: first_ticket + i as u64,
                     tid,
                     at_ns,
@@ -327,4 +327,50 @@ proptest! {
         let back = IndexRec::decode(&buf).expect("decode own encoding");
         prop_assert_eq!(back, rec);
     }
+}
+
+/// Entry `i` of a chunk has ticket `first_ticket + i`: a chunk whose
+/// ticket range runs past `u64::MAX` must fail to decode with a typed
+/// error, not overflow.
+#[test]
+fn event_chunk_ticket_overflow_is_a_decode_error() {
+    let spawn = TraceEvent {
+        time: VirtualTime(0),
+        tid: 0,
+        ticket: u64::MAX,
+        what: Event::Spawn,
+    };
+    let mut chunk = EventChunkRec {
+        episode: 0,
+        seq: 0,
+        fin: false,
+        first_ticket: u64::MAX,
+        events: vec![spawn.clone(), spawn],
+        threads: Vec::new(),
+        cum: 0,
+    };
+    chunk.seal(0);
+    let err = EventChunkRec::decode(&chunk.encode()).expect_err("ticket range overflows");
+    assert_eq!(err.what, "event_chunk.first_ticket");
+}
+
+#[test]
+fn decision_chunk_ticket_overflow_is_a_decode_error() {
+    let decision = |ticket| DecisionRec {
+        ticket,
+        tid: 0,
+        at_ns: 0,
+        fallback: false,
+        events_before: 0,
+    };
+    let mut chunk = DecisionChunkRec {
+        episode: 0,
+        seq: 0,
+        first_ticket: u64::MAX,
+        decisions: vec![decision(u64::MAX), decision(u64::MAX.wrapping_add(1))],
+        cum: 0,
+    };
+    chunk.seal(0);
+    let err = DecisionChunkRec::decode(&chunk.encode()).expect_err("ticket range overflows");
+    assert_eq!(err.what, "decision_chunk.first_ticket");
 }
