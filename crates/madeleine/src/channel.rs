@@ -2,7 +2,7 @@
 //!
 //! A [`Channel`] is Madeleine's unit of communication isolation (paper
 //! §3.1): it is bound to one network protocol (and adapter set) and owns
-//! one point-to-point [`Connection`] per ordered rank pair. In-order
+//! one point-to-point connection per ordered rank pair. In-order
 //! delivery is guaranteed *within* a channel's connections only — exactly
 //! the property the `ch_mad` device depends on when it restricts each MPI
 //! message to a single channel (§4.2.1).
@@ -79,10 +79,6 @@ fn rto_for(attempt: u32) -> VirtualDuration {
 /// deterministic jitter and the fault plan's loss stream) and the
 /// logical message number (one per message — carried on the wire for
 /// receiver-side dedup/reorder).
-struct Connection {
-    state: SimMutex<ConnState>,
-}
-
 #[derive(Clone, Copy)]
 struct ConnState {
     floor: VirtualTime,
@@ -101,7 +97,7 @@ struct RecvState {
 }
 
 /// Lazily-created receiver-side state for one `(rank, vci)` lane.
-type RecvMap = HashMap<(usize, usize), Arc<StdMutex<RecvState>>>;
+type RecvMap = HashMap<(usize, usize), RecvState>;
 
 #[derive(Default)]
 struct PeerRecv {
@@ -149,9 +145,9 @@ impl std::ops::AddAssign for FaultCounters {
 /// Quiescent snapshot of one channel's reliable-delivery state: the
 /// sender/receiver sequencing cursors plus the wire accounting. Taken by
 /// the journal at episode boundaries (no simulated thread inside the
-/// channel), so the [`SimMutex`]-guarded connection cursors can be read
-/// through `read_quiesced` without a running kernel. All collections are
-/// sorted, making the encoding deterministic.
+/// channel), so the connection cursors can be read from their
+/// [`SimMutex`]es' slots through `read_quiesced`, without a running
+/// kernel. All collections are sorted, making the encoding deterministic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChannelCapture {
     pub name: String,
@@ -204,7 +200,7 @@ pub struct Channel {
     /// O(active pairs). Creating a cursor costs no virtual time (one
     /// semaphore registration, no kernel scheduling), so laziness is
     /// invisible to the simulation's results.
-    conns: StdMutex<HashMap<(usize, usize, usize), Arc<Connection>>>,
+    conns: StdMutex<HashMap<(usize, usize, usize), SimMutex<ConnState>>>,
     /// Ordered pairs whose retransmit budget was exhausted. Pair death
     /// is a property of the physical link, so it spans every VCI lane.
     dead: StdMutex<HashSet<(usize, usize)>>,
@@ -400,8 +396,8 @@ impl Channel {
 
     /// Snapshot the channel's reliable-delivery state. Must be called
     /// from the host at a quiescent point (after `Kernel::run` returned,
-    /// or between episodes) — the connection cursors live in
-    /// [`SimMutex`]es and are read through their host-side data lock.
+    /// or between episodes) — the connection cursors are read out of
+    /// their [`SimMutex`]es' scheduler slots.
     pub fn capture(&self) -> ChannelCapture {
         // Aggregate lanes per ordered pair: summed cursors are the
         // identity at vcis=1, and at vcis>1 the encoding stays stable
@@ -411,7 +407,7 @@ impl Channel {
         // and an untouched pair's row would be all-zero anyway.
         let mut conn_sums: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
         for (&(from, to, _vci), c) in host_lock(&self.conns).iter() {
-            let (seq, msg_seq) = c.state.read_quiesced(|s| (s.seq, s.msg_seq));
+            let (seq, msg_seq) = c.read_quiesced(|s| (s.seq, s.msg_seq));
             let e = conn_sums.entry((from, to)).or_insert((0, 0));
             e.0 += seq;
             e.1 += msg_seq;
@@ -422,7 +418,6 @@ impl Channel {
             .collect();
         let mut recv_sums: BTreeMap<(usize, usize), u64> = BTreeMap::new();
         for (&(rank, _vci), st) in host_lock(&self.recv).iter() {
-            let st = host_lock(st);
             for (&from, peer) in &st.peers {
                 *recv_sums.entry((rank, from)).or_insert(0) += peer.expected;
             }
@@ -530,34 +525,24 @@ impl Channel {
     /// touch. Must be called from a simulated thread (the cursor's
     /// [`SimMutex`] registers on the caller's kernel). Creation charges
     /// no virtual time, so first-touch order cannot perturb results.
-    fn conn(&self, from: usize, to: usize, vci: usize) -> Arc<Connection> {
+    fn conn(&self, from: usize, to: usize, vci: usize) -> SimMutex<ConnState> {
         host_lock(&self.conns)
             .entry((from, to, vci))
             .or_insert_with(|| {
-                Arc::new(Connection {
-                    state: SimMutex::current(ConnState {
-                        floor: VirtualTime::ZERO,
-                        seq: 0,
-                        msg_seq: 0,
-                    }),
+                SimMutex::current(ConnState {
+                    floor: VirtualTime::ZERO,
+                    seq: 0,
+                    msg_seq: 0,
                 })
             })
             .clone()
     }
 
-    /// The receiver-side dedup/reorder state of `(rank, vci)`, created
-    /// on first touch.
-    fn recv_state(&self, rank: usize, vci: usize) -> Arc<StdMutex<RecvState>> {
-        host_lock(&self.recv)
-            .entry((rank, vci))
-            .or_default()
-            .clone()
-    }
-
     /// Next in-order message previously released from the reorder stash.
     fn take_ready(&self, rank: usize, vci: usize) -> Option<WireMessage> {
-        let st = host_lock(&self.recv).get(&(rank, vci)).cloned();
-        st.and_then(|s| host_lock(&s).ready.pop_front())
+        host_lock(&self.recv)
+            .get_mut(&(rank, vci))
+            .and_then(|s| s.ready.pop_front())
     }
 
     /// Receiver-side accept decision for a polled message: `Some` to
@@ -565,8 +550,9 @@ impl Channel {
     /// stashed for later (out-of-order).
     fn accept(&self, rank: usize, vci: usize, msg: WireMessage) -> Option<WireMessage> {
         let (dup_from, dup_seq) = (msg.from, msg.seq);
-        let st = self.recv_state(rank, vci);
-        let mut st = host_lock(&st);
+        let mut recv = host_lock(&self.recv);
+        // The receiver-side state of `(rank, vci)`, created on first touch.
+        let st = recv.entry((rank, vci)).or_default();
         let peer = st.peers.entry(msg.from).or_default();
         let released = match msg.seq.cmp(&peer.expected) {
             std::cmp::Ordering::Less => {
@@ -740,10 +726,9 @@ impl Endpoint {
     /// including in-order messages already released from the reorder
     /// stash but not yet consumed.
     pub fn backlog(&self) -> usize {
-        let st = host_lock(&self.channel.recv)
+        let ready = host_lock(&self.channel.recv)
             .get(&(self.rank, self.vci))
-            .cloned();
-        let ready = st.map_or(0, |s| host_lock(&s).ready.len());
+            .map_or(0, |s| s.ready.len());
         self.source().backlog() + ready
     }
 
@@ -873,7 +858,7 @@ impl PackingConnection {
         let vci = self.endpoint.vci;
         let blocks = std::mem::take(&mut self.blocks);
         let conn = channel.conn(from, to, vci);
-        let mut state = conn.state.lock();
+        let mut state = conn.lock();
         marcel::advance(model.sender_occupancy(total, segments));
         let msg_seq = state.msg_seq;
         state.msg_seq += 1;

@@ -170,6 +170,10 @@ pub(crate) type Body = Box<dyn FnOnce() -> Option<String> + Send>;
 pub(crate) struct SemState {
     pub(crate) count: u64,
     pub(crate) waiters: VecDeque<Tid>,
+    /// State of the primitive built on this semaphore (a mutex's data,
+    /// a one-shot's value, a queue's buffer, ...), touched only inside
+    /// the semaphore's own operations (see [`crate::sync`]).
+    pub(crate) payload: Option<Box<dyn Any + Send>>,
 }
 
 pub(crate) struct SourceState {

@@ -1,62 +1,130 @@
 //! Simulated synchronization primitives: semaphores, mutexes, condition
-//! variables, one-shot slots and blocking FIFO queues.
+//! variables, one-shot slots, blocking FIFO queues, barriers and
+//! read-write locks.
 //!
 //! These block in *virtual* time through the kernel, and charge the cost
 //! model's `sem_op`/`wake`/`ctx_switch` costs — which is where the paper's
 //! "message handling" overhead (§5.2: ≈7 µs over raw Madeleine) comes
 //! from: the `ch_mad` rendezvous and eager paths go through exactly these
 //! primitives.
+//!
+//! # Ownership
+//!
+//! Every primitive is a [`Semaphore`] plus some state: a mutex's data, a
+//! one-shot's value, a queue's buffer, a condvar's waiter count, a
+//! barrier's arrivals. That state lives in the semaphore's slot in the
+//! kernel's scheduler and is touched only inside the critical section of
+//! one of the semaphore's operations — a P, a V, or a host-side access
+//! that charges nothing — so the scheduler lock those take anyway is the
+//! only lock. A mutex guard carries the data out of the slot when the
+//! acquire completes and puts it back in the step that releases it.
+//!
+//! Handles hold their kernel weakly: state that holds a primitive of its
+//! own kernel forms no reference cycle, and is dropped with the kernel.
+//! Operations reach the kernel through the calling simulated thread;
+//! only host-side accesses upgrade the handle.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::marker::PhantomData;
+use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex as RealMutex;
-
-use crate::kernel::{Kernel, SemId, SemState, Shared, TState};
+use crate::kernel::{Kernel, SemId, SemState, Shared, TState, Tid};
 use crate::thread::with_current;
 use crate::time::VirtualDuration;
+
+/// A primitive's state, as its semaphore's slot holds it.
+type Payload = Option<Box<dyn Any + Send>>;
+
+/// The slot's state, as the primitive's own type.
+fn state<T: 'static>(slot: &mut Payload) -> &mut T {
+    slot.as_deref_mut()
+        .and_then(|s| s.downcast_mut())
+        .expect("primitive state missing from its slot (a guard holds it)")
+}
+
+/// Move the slot's value out, as the primitive's own type.
+fn unbox<T: 'static>(slot: Payload) -> Box<T> {
+    slot.expect("semaphore granted with an empty slot")
+        .downcast()
+        .expect("primitive state of the wrong type")
+}
+
+/// Guards take their data out of its `Option` only in `drop`.
+const HELD: &str = "a guard holds its data until it drops";
+
+/// `Box<T>` as a slot value. Primitives whose guards put a box back on
+/// drop keep this as a function pointer, taken where `T: Send + 'static`
+/// is known: a `Drop` impl cannot carry that bound.
+fn erase<T: Send + 'static>(data: Box<T>) -> Box<dyn Any + Send> {
+    data
+}
 
 /// A counting semaphore with FIFO waiter wake-up (deterministic).
 ///
 /// Cloning produces another handle to the *same* semaphore.
 #[derive(Clone)]
 pub struct Semaphore {
-    shared: Arc<Shared>,
+    shared: Weak<Shared>,
     id: SemId,
 }
 
 impl Semaphore {
     /// Create a semaphore on `kernel` with the given initial count.
     pub fn new(kernel: &Kernel, initial: u64) -> Self {
-        Self::with_shared(kernel.shared.clone(), initial)
+        Self::holding(Some(kernel), initial, None)
     }
 
     /// Create a semaphore on the *current* simulated thread's kernel.
     pub fn current(initial: u64) -> Self {
-        Self::with_shared(with_current(|shared, _| shared.clone()), initial)
+        Self::holding(None, initial, None)
     }
 
-    fn with_shared(shared: Arc<Shared>, initial: u64) -> Self {
-        let id = {
+    /// A semaphore on `kernel` (`None`: the current simulated thread's)
+    /// whose slot holds `payload`.
+    fn holding(kernel: Option<&Kernel>, initial: u64, payload: Payload) -> Self {
+        let register = |shared: &Arc<Shared>| {
             let mut sched = shared.state.lock();
             let id = SemId(sched.sems.len());
             sched.sems.push(SemState {
                 count: initial,
                 waiters: VecDeque::new(),
+                payload,
             });
-            id
+            Semaphore {
+                shared: Arc::downgrade(shared),
+                id,
+            }
         };
-        Semaphore { shared, id }
+        match kernel {
+            Some(kernel) => register(&kernel.shared),
+            None => with_current(|shared, _| register(shared)),
+        }
+    }
+
+    /// Every operation enters the kernel here, as the calling simulated
+    /// thread — which must run on this semaphore's kernel: another
+    /// kernel would resolve the id to a stranger's slot.
+    fn op<R>(&self, f: impl FnOnce(&Arc<Shared>, Tid) -> R) -> R {
+        with_current(|shared, me| {
+            assert!(
+                std::ptr::eq(Arc::as_ptr(shared), self.shared.as_ptr()),
+                "semaphore used across kernels"
+            );
+            f(shared, me)
+        })
     }
 
     /// P operation: decrement, blocking in virtual time while the count
     /// is zero.
     pub fn acquire(&self) {
-        with_current(|shared, me| {
-            debug_assert!(
-                Arc::ptr_eq(shared, &self.shared),
-                "semaphore used across kernels"
-            );
+        self.acquire_with(|_| ())
+    }
+
+    /// [`Semaphore::acquire`], then `f` on the slot in the critical
+    /// section that resumes the caller.
+    pub(crate) fn acquire_with<R>(&self, f: impl FnOnce(&mut Payload) -> R) -> R {
+        self.op(|shared, me| {
             let mut sched = shared.enter(me);
             let op = shared.cost.sem_op;
             sched.threads[me.0].vtime += op;
@@ -69,6 +137,7 @@ impl Semaphore {
                 sched.record(me, || crate::obs::Event::SemBlock { sem: self.id.0 });
                 shared.block(&mut sched, me, TState::BlockedSem(self.id));
             }
+            f(&mut sched.sems[self.id.0].payload)
         })
     }
 
@@ -82,55 +151,75 @@ impl Semaphore {
     /// inside the scheduler commit, so the two outcomes can never both
     /// happen.
     pub fn acquire_timeout(&self, timeout: VirtualDuration) -> bool {
-        with_current(|shared, me| {
-            debug_assert!(
-                Arc::ptr_eq(shared, &self.shared),
-                "semaphore used across kernels"
-            );
+        self.acquire_timeout_with(timeout, |_| ()).is_some()
+    }
+
+    /// [`Semaphore::acquire_timeout`], running `f` on the slot only when
+    /// the count was taken.
+    pub(crate) fn acquire_timeout_with<R>(
+        &self,
+        timeout: VirtualDuration,
+        f: impl FnOnce(&mut Payload) -> R,
+    ) -> Option<R> {
+        self.op(|shared, me| {
             let mut sched = shared.enter(me);
             let op = shared.cost.sem_op;
             sched.threads[me.0].vtime += op;
             let sem = &mut sched.sems[self.id.0];
-            if sem.count > 0 {
+            let granted = if sem.count > 0 {
                 sem.count -= 1;
                 shared.reschedule(&mut sched, me);
-                return true;
-            }
-            let deadline = sched.threads[me.0].vtime + timeout;
-            sched.sems[self.id.0].waiters.push_back(me);
-            sched.record(me, || crate::obs::Event::SemBlockTimeout {
-                sem: self.id.0,
-                deadline,
-            });
-            shared.block(&mut sched, me, TState::BlockedSemTimeout(self.id, deadline));
-            // Resumed: a release left a grant marker; a timeout did not.
-            sched.threads[me.0].wake_payload.take().is_some()
+                true
+            } else {
+                let deadline = sched.threads[me.0].vtime + timeout;
+                sched.sems[self.id.0].waiters.push_back(me);
+                sched.record(me, || crate::obs::Event::SemBlockTimeout {
+                    sem: self.id.0,
+                    deadline,
+                });
+                shared.block(&mut sched, me, TState::BlockedSemTimeout(self.id, deadline));
+                // Resumed: a release left a grant marker; a timeout did not.
+                sched.threads[me.0].wake_payload.take().is_some()
+            };
+            granted.then(|| f(&mut sched.sems[self.id.0].payload))
         })
     }
 
     /// Non-blocking P: returns whether the count was successfully taken.
     pub fn try_acquire(&self) -> bool {
-        with_current(|shared, me| {
+        self.try_acquire_with(|_| ()).is_some()
+    }
+
+    /// [`Semaphore::try_acquire`], running `f` on the slot only when the
+    /// count was taken.
+    pub(crate) fn try_acquire_with<R>(&self, f: impl FnOnce(&mut Payload) -> R) -> Option<R> {
+        self.op(|shared, me| {
             let mut sched = shared.enter(me);
             let op = shared.cost.sem_op;
             sched.threads[me.0].vtime += op;
             let sem = &mut sched.sems[self.id.0];
-            let got = if sem.count > 0 {
+            let got = sem.count > 0;
+            if got {
                 sem.count -= 1;
-                true
-            } else {
-                false
-            };
+            }
             shared.reschedule(&mut sched, me);
-            got
+            got.then(|| f(&mut sched.sems[self.id.0].payload))
         })
     }
 
     /// V operation: wake the longest-blocked waiter (handoff semantics)
     /// or increment the count.
     pub fn release(&self) {
-        with_current(|shared, me| {
+        self.release_with(|_| ())
+    }
+
+    /// `f` on the slot, then [`Semaphore::release`], in one critical
+    /// section. Whatever `f` moves out of the slot it returns, to be
+    /// dropped outside the scheduler lock.
+    pub(crate) fn release_with<R>(&self, f: impl FnOnce(&mut Payload) -> R) -> R {
+        self.op(|shared, me| {
             let mut sched = shared.enter(me);
+            let out = f(&mut sched.sems[self.id.0].payload);
             let cost = &shared.cost;
             let (op, wake, ctx) = (cost.sem_op, cost.wake, cost.ctx_switch);
             sched.threads[me.0].vtime += op;
@@ -154,12 +243,27 @@ impl Semaphore {
                 sem.count += 1;
             }
             shared.reschedule(&mut sched, me);
+            out
         })
     }
 
     /// Current count (diagnostics only; racy in the usual semaphore way).
     pub fn count(&self) -> u64 {
-        self.shared.state.lock().sems[self.id.0].count
+        self.host(|sem| sem.count)
+    }
+
+    /// Host-side access to the semaphore, outside any P or V: no charge
+    /// and no scheduling decision, so virtual time cannot see it. Works
+    /// with or without a simulated caller, which is why it — alone —
+    /// upgrades the handle. `f` runs under the scheduler lock and must
+    /// not enter the kernel.
+    pub(crate) fn host<R>(&self, f: impl FnOnce(&mut SemState) -> R) -> R {
+        let shared = self
+            .shared
+            .upgrade()
+            .expect("primitive used after its kernel was dropped");
+        let mut sched = shared.state.lock();
+        f(&mut sched.sems[self.id.0])
     }
 }
 
@@ -167,47 +271,46 @@ impl Semaphore {
 ///
 /// Exclusivity is enforced by a binary [`Semaphore`], so holding the
 /// guard across kernel operations (advance, sends, ...) is safe: a
-/// contending simulated thread blocks in the kernel, never on the
-/// underlying real lock.
+/// contending simulated thread blocks in the kernel. The data sits in
+/// the semaphore's slot while the lock is free and in the guard while it
+/// is held.
 pub struct SimMutex<T> {
     sem: Semaphore,
-    data: Arc<RealMutex<T>>,
+    erase: fn(Box<T>) -> Box<dyn Any + Send>,
 }
 
 impl<T> Clone for SimMutex<T> {
     fn clone(&self) -> Self {
         SimMutex {
             sem: self.sem.clone(),
-            data: self.data.clone(),
+            erase: self.erase,
         }
     }
 }
 
 impl<T: Send + 'static> SimMutex<T> {
     pub fn new(kernel: &Kernel, value: T) -> Self {
-        SimMutex {
-            sem: Semaphore::new(kernel, 1),
-            data: Arc::new(RealMutex::new(value)),
-        }
+        Self::on(Some(kernel), value)
     }
 
     /// Create on the current simulated thread's kernel.
     pub fn current(value: T) -> Self {
+        Self::on(None, value)
+    }
+
+    fn on(kernel: Option<&Kernel>, value: T) -> Self {
         SimMutex {
-            sem: Semaphore::current(1),
-            data: Arc::new(RealMutex::new(value)),
+            sem: Semaphore::holding(kernel, 1, Some(Box::new(value))),
+            erase: erase::<T>,
         }
     }
 
     /// Acquire the lock, blocking in virtual time.
     pub fn lock(&self) -> SimMutexGuard<'_, T> {
-        self.sem.acquire();
+        let data = unbox(self.sem.acquire_with(Option::take));
         SimMutexGuard {
-            // Never contended in real time: the semaphore admits one
-            // simulated thread, and only one simulated thread runs at a
-            // time anyway.
-            inner: Some(self.data.lock()),
-            sem: &self.sem,
+            data: Some(data),
+            mutex: self,
         }
     }
 
@@ -215,68 +318,64 @@ impl<T: Send + 'static> SimMutex<T> {
     /// quiescent (before [`Kernel::run`] or after it returned). State
     /// capture for the durable journal goes through here: it bypasses
     /// the virtual-time semaphore — which would require a simulated
-    /// calling thread — and takes only the host lock, so it can never
-    /// advance virtual time or perturb a replay.
+    /// calling thread — and reads the slot under the scheduler lock, so
+    /// it can never advance virtual time or perturb a replay. `f` must
+    /// not enter the kernel.
     pub fn read_quiesced<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.data.lock())
+        self.sem.host(|sem| f(state(&mut sem.payload)))
     }
 }
 
-/// Guard returned by [`SimMutex::lock`].
+/// Guard returned by [`SimMutex::lock`]; it holds the data until dropped.
 pub struct SimMutexGuard<'a, T> {
-    inner: Option<parking_lot::MutexGuard<'a, T>>,
-    sem: &'a Semaphore,
+    data: Option<Box<T>>,
+    mutex: &'a SimMutex<T>,
 }
 
 impl<T> std::ops::Deref for SimMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().unwrap()
+        self.data.as_deref().expect(HELD)
     }
 }
 
 impl<T> std::ops::DerefMut for SimMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().unwrap()
+        self.data.as_deref_mut().expect(HELD)
     }
 }
 
 impl<T> Drop for SimMutexGuard<'_, T> {
     fn drop(&mut self) {
-        // Release the real lock before the simulated one.
-        self.inner = None;
-        self.sem.release();
+        let data = self.data.take().map(self.mutex.erase);
+        self.mutex.sem.release_with(|slot| *slot = data);
     }
 }
 
-/// A condition variable for use with [`SimMutex`].
+/// A condition variable for use with [`SimMutex`]. Its semaphore's slot
+/// holds the number of waiters.
+#[derive(Clone)]
 pub struct SimCondvar {
     sem: Semaphore,
-    waiting: Arc<RealMutex<usize>>,
-}
-
-impl Clone for SimCondvar {
-    fn clone(&self) -> Self {
-        SimCondvar {
-            sem: self.sem.clone(),
-            waiting: self.waiting.clone(),
-        }
-    }
 }
 
 impl SimCondvar {
     pub fn new(kernel: &Kernel) -> Self {
-        SimCondvar {
-            sem: Semaphore::new(kernel, 0),
-            waiting: Arc::new(RealMutex::new(0)),
-        }
+        Self::on(Some(kernel))
     }
 
     pub fn current() -> Self {
+        Self::on(None)
+    }
+
+    fn on(kernel: Option<&Kernel>) -> Self {
         SimCondvar {
-            sem: Semaphore::current(0),
-            waiting: Arc::new(RealMutex::new(0)),
+            sem: Semaphore::holding(kernel, 0, Some(Box::new(0usize))),
         }
+    }
+
+    fn waiting(&self) -> usize {
+        self.sem.host(|sem| *state::<usize>(&mut sem.payload))
     }
 
     /// Atomically release the mutex and wait for a notification, then
@@ -286,178 +385,153 @@ impl SimCondvar {
         mutex: &'a SimMutex<T>,
         guard: SimMutexGuard<'a, T>,
     ) -> SimMutexGuard<'a, T> {
-        *self.waiting.lock() += 1;
+        self.sem.host(|sem| *state::<usize>(&mut sem.payload) += 1);
         drop(guard);
-        self.sem.acquire();
-        *self.waiting.lock() -= 1;
+        self.sem.acquire_with(|slot| *state::<usize>(slot) -= 1);
         mutex.lock()
     }
 
     /// Wake one waiter (FIFO).
     pub fn notify_one(&self) {
-        if *self.waiting.lock() > 0 {
+        if self.waiting() > 0 {
             self.sem.release();
         }
     }
 
     /// Wake every current waiter.
     pub fn notify_all(&self) {
-        let n = *self.waiting.lock();
-        for _ in 0..n {
+        for _ in 0..self.waiting() {
             self.sem.release();
         }
     }
 }
 
 /// Single-producer single-consumer one-shot value slot. `put` wakes a
-/// blocked `take`. Used for rendezvous-style completions.
+/// blocked `take`. Used for rendezvous-style completions. The value
+/// waits in the semaphore's slot.
 pub struct OneShot<T> {
     sem: Semaphore,
-    slot: Arc<RealMutex<Option<T>>>,
+    _value: PhantomData<fn() -> T>,
 }
 
 impl<T> Clone for OneShot<T> {
     fn clone(&self) -> Self {
         OneShot {
             sem: self.sem.clone(),
-            slot: self.slot.clone(),
+            _value: PhantomData,
         }
     }
 }
 
 impl<T: Send + 'static> OneShot<T> {
     pub fn new(kernel: &Kernel) -> Self {
-        OneShot {
-            sem: Semaphore::new(kernel, 0),
-            slot: Arc::new(RealMutex::new(None)),
-        }
+        Self::on(Some(kernel))
     }
 
     pub fn current() -> Self {
+        Self::on(None)
+    }
+
+    fn on(kernel: Option<&Kernel>) -> Self {
         OneShot {
-            sem: Semaphore::current(0),
-            slot: Arc::new(RealMutex::new(None)),
+            sem: Semaphore::holding(kernel, 0, None),
+            _value: PhantomData,
         }
     }
 
     /// Deposit the value and wake the taker. Panics if called twice.
     pub fn put(&self, value: T) {
-        let prev = self.slot.lock().replace(value);
+        let value: Box<dyn Any + Send> = Box::new(value);
+        let prev = self.sem.release_with(|slot| slot.replace(value));
         assert!(prev.is_none(), "OneShot::put called twice");
-        self.sem.release();
     }
 
     /// Block until the value is deposited and take it.
     pub fn take(&self) -> T {
-        self.sem.acquire();
-        self.slot
-            .lock()
-            .take()
-            .expect("OneShot woken without a value")
+        *unbox(self.sem.acquire_with(Option::take))
     }
 
     /// Block until the value is deposited or `timeout` virtual time
     /// elapses. Returns `None` on timeout (the slot stays armed: a later
     /// `put` can still complete a subsequent `take`/`wait_timeout`).
     pub fn wait_timeout(&self, timeout: VirtualDuration) -> Option<T> {
-        if self.sem.acquire_timeout(timeout) {
-            Some(
-                self.slot
-                    .lock()
-                    .take()
-                    .expect("OneShot woken without a value"),
-            )
-        } else {
-            None
-        }
+        self.sem
+            .acquire_timeout_with(timeout, Option::take)
+            .map(|v| *unbox(v))
     }
 
     /// Non-blocking take.
     pub fn try_take(&self) -> Option<T> {
-        if self.sem.try_acquire() {
-            Some(
-                self.slot
-                    .lock()
-                    .take()
-                    .expect("OneShot counted without a value"),
-            )
-        } else {
-            None
-        }
+        self.sem.try_acquire_with(Option::take).map(|v| *unbox(v))
     }
 }
 
-/// Unbounded blocking FIFO queue (virtual-time blocking pop).
+/// Unbounded blocking FIFO queue (virtual-time blocking pop). The buffer
+/// lives in the semaphore's slot.
 pub struct Queue<T> {
     sem: Semaphore,
-    buf: Arc<RealMutex<VecDeque<T>>>,
+    _item: PhantomData<fn() -> T>,
 }
 
 impl<T> Clone for Queue<T> {
     fn clone(&self) -> Self {
         Queue {
             sem: self.sem.clone(),
-            buf: self.buf.clone(),
+            _item: PhantomData,
         }
     }
 }
 
 impl<T: Send + 'static> Queue<T> {
     pub fn new(kernel: &Kernel) -> Self {
-        Queue {
-            sem: Semaphore::new(kernel, 0),
-            buf: Arc::new(RealMutex::new(VecDeque::new())),
-        }
+        Self::on(Some(kernel))
     }
 
     pub fn current() -> Self {
+        Self::on(None)
+    }
+
+    fn on(kernel: Option<&Kernel>) -> Self {
         Queue {
-            sem: Semaphore::current(0),
-            buf: Arc::new(RealMutex::new(VecDeque::new())),
+            sem: Semaphore::holding(kernel, 0, Some(Box::new(VecDeque::<T>::new()))),
+            _item: PhantomData,
         }
     }
 
     pub fn push(&self, value: T) {
-        self.buf.lock().push_back(value);
-        self.sem.release();
+        self.sem
+            .release_with(|buf| state::<VecDeque<T>>(buf).push_back(value));
     }
 
     /// Block until an element is available.
     pub fn pop(&self) -> T {
-        self.sem.acquire();
-        self.buf
-            .lock()
-            .pop_front()
+        self.sem
+            .acquire_with(|buf| state::<VecDeque<T>>(buf).pop_front())
             .expect("queue semaphore out of sync")
     }
 
     pub fn try_pop(&self) -> Option<T> {
-        if self.sem.try_acquire() {
-            Some(
-                self.buf
-                    .lock()
-                    .pop_front()
-                    .expect("queue semaphore out of sync"),
-            )
-        } else {
-            None
-        }
+        self.sem
+            .try_acquire_with(|buf| state::<VecDeque<T>>(buf).pop_front())
+            .map(|v| v.expect("queue semaphore out of sync"))
     }
 
     pub fn len(&self) -> usize {
-        self.buf.lock().len()
+        self.sem
+            .host(|sem| state::<VecDeque<T>>(&mut sem.payload).len())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.buf.lock().is_empty()
+        self.len() == 0
     }
 }
 
 /// A reusable cyclic barrier for a fixed party count, blocking in
 /// virtual time. The generation counter makes it safe to reuse
-/// immediately (no thundering-herd double release).
+/// immediately (no thundering-herd double release). Arrivals are
+/// counted in the semaphore's slot.
+#[derive(Clone)]
 pub struct SimBarrier {
-    state: Arc<RealMutex<BarrierState>>,
     sem: Semaphore,
     parties: usize,
 }
@@ -467,37 +541,23 @@ struct BarrierState {
     generation: u64,
 }
 
-impl Clone for SimBarrier {
-    fn clone(&self) -> Self {
-        SimBarrier {
-            state: self.state.clone(),
-            sem: self.sem.clone(),
-            parties: self.parties,
-        }
-    }
-}
-
 impl SimBarrier {
     pub fn new(kernel: &Kernel, parties: usize) -> Self {
-        assert!(parties > 0, "a barrier needs at least one party");
-        SimBarrier {
-            state: Arc::new(RealMutex::new(BarrierState {
-                waiting: 0,
-                generation: 0,
-            })),
-            sem: Semaphore::new(kernel, 0),
-            parties,
-        }
+        Self::on(Some(kernel), parties)
     }
 
     pub fn current(parties: usize) -> Self {
+        Self::on(None, parties)
+    }
+
+    fn on(kernel: Option<&Kernel>, parties: usize) -> Self {
         assert!(parties > 0, "a barrier needs at least one party");
+        let state = BarrierState {
+            waiting: 0,
+            generation: 0,
+        };
         SimBarrier {
-            state: Arc::new(RealMutex::new(BarrierState {
-                waiting: 0,
-                generation: 0,
-            })),
-            sem: Semaphore::current(0),
+            sem: Semaphore::holding(kernel, 0, Some(Box::new(state))),
             parties,
         }
     }
@@ -505,8 +565,8 @@ impl SimBarrier {
     /// Wait for all parties. Returns true on the "leader" (the last
     /// thread to arrive), mirroring `std::sync::Barrier`.
     pub fn wait(&self) -> bool {
-        let is_leader = {
-            let mut st = self.state.lock();
+        let is_leader = self.sem.host(|sem| {
+            let st = state::<BarrierState>(&mut sem.payload);
             st.waiting += 1;
             if st.waiting == self.parties {
                 st.waiting = 0;
@@ -515,7 +575,7 @@ impl SimBarrier {
             } else {
                 false
             }
-        };
+        });
         if is_leader {
             for _ in 0..self.parties - 1 {
                 self.sem.release();
@@ -532,72 +592,77 @@ impl SimBarrier {
 /// readers, exclusive writers, writer-preference-free FIFO-ish ordering
 /// (built on a semaphore pair; adequate for simulation workloads).
 ///
-/// The payload lives in a *real* `RwLock` so several simulated readers
-/// can hold their guards concurrently (each parked on its own virtual
-/// clock); the simulated semaphores guarantee the real write lock is
-/// only taken when no guards are outstanding.
+/// The data is an `Arc<T>` in `excl`'s slot. Readers hold clones of it,
+/// so several simulated readers overlap, each parked on its own virtual
+/// clock. A writer takes it out of the slot: holding `excl` shuts the
+/// readers out, so their clones are gone and `Arc::get_mut` succeeds.
 pub struct SimRwLock<T> {
-    /// Guards reader-count updates and writer exclusion.
+    /// Guards reader-count updates and writer exclusion; its slot holds
+    /// the reader count.
     gate: Semaphore,
-    readers: Arc<RealMutex<usize>>,
-    /// Held by the active writer or the first reader.
+    /// Held by the active writer or the first reader; its slot holds
+    /// the data.
     excl: Semaphore,
-    data: Arc<parking_lot::RwLock<T>>,
+    erase: fn(Box<Arc<T>>) -> Box<dyn Any + Send>,
 }
 
 impl<T> Clone for SimRwLock<T> {
     fn clone(&self) -> Self {
         SimRwLock {
             gate: self.gate.clone(),
-            readers: self.readers.clone(),
             excl: self.excl.clone(),
-            data: self.data.clone(),
+            erase: self.erase,
         }
     }
 }
 
-impl<T: Send + 'static> SimRwLock<T> {
+impl<T: Send + Sync + 'static> SimRwLock<T> {
     pub fn new(kernel: &Kernel, value: T) -> Self {
         SimRwLock {
-            gate: Semaphore::new(kernel, 1),
-            readers: Arc::new(RealMutex::new(0)),
-            excl: Semaphore::new(kernel, 1),
-            data: Arc::new(parking_lot::RwLock::new(value)),
+            gate: Semaphore::holding(Some(kernel), 1, Some(Box::new(0usize))),
+            excl: Semaphore::holding(Some(kernel), 1, Some(Box::new(Arc::new(value)))),
+            erase: erase::<Arc<T>>,
         }
     }
 
     pub fn read(&self) -> SimRwReadGuard<'_, T> {
-        self.gate.acquire();
-        {
-            let mut readers = self.readers.lock();
+        let first = self.gate.acquire_with(|slot| {
+            let readers = state::<usize>(slot);
             *readers += 1;
-            if *readers == 1 {
-                self.excl.acquire();
-            }
+            *readers == 1
+        });
+        if first {
+            self.excl.acquire();
         }
+        let data = self
+            .excl
+            .host(|sem| state::<Arc<T>>(&mut sem.payload).clone());
         self.gate.release();
         SimRwReadGuard {
             lock: self,
-            inner: Some(self.data.read()),
+            data: Some(data),
         }
     }
 
     pub fn write(&self) -> SimRwWriteGuard<'_, T> {
         self.gate.acquire();
-        self.excl.acquire();
+        let data = *unbox(self.excl.acquire_with(Option::take));
         self.gate.release();
         SimRwWriteGuard {
             lock: self,
-            inner: Some(self.data.write()),
+            data: Some(data),
         }
     }
 }
 
 impl<T> SimRwLock<T> {
     fn read_unlock(&self) {
-        let mut readers = self.readers.lock();
-        *readers -= 1;
-        if *readers == 0 {
+        let last = self.gate.host(|sem| {
+            let readers = state::<usize>(&mut sem.payload);
+            *readers -= 1;
+            *readers == 0
+        });
+        if last {
             self.excl.release();
         }
     }
@@ -606,19 +671,20 @@ impl<T> SimRwLock<T> {
 /// Shared-access guard from [`SimRwLock::read`].
 pub struct SimRwReadGuard<'a, T> {
     lock: &'a SimRwLock<T>,
-    inner: Option<parking_lot::RwLockReadGuard<'a, T>>,
+    data: Option<Arc<T>>,
 }
 
 impl<T> std::ops::Deref for SimRwReadGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().unwrap()
+        self.data.as_deref().expect(HELD)
     }
 }
 
 impl<T> Drop for SimRwReadGuard<'_, T> {
     fn drop(&mut self) {
-        self.inner = None;
+        // The clone goes first: the unlock may hand the data to a writer.
+        self.data = None;
         self.lock.read_unlock();
     }
 }
@@ -626,26 +692,29 @@ impl<T> Drop for SimRwReadGuard<'_, T> {
 /// Exclusive guard from [`SimRwLock::write`].
 pub struct SimRwWriteGuard<'a, T> {
     lock: &'a SimRwLock<T>,
-    inner: Option<parking_lot::RwLockWriteGuard<'a, T>>,
+    data: Option<Arc<T>>,
 }
 
 impl<T> std::ops::Deref for SimRwWriteGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().unwrap()
+        self.data.as_deref().expect(HELD)
     }
 }
 
 impl<T> std::ops::DerefMut for SimRwWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().unwrap()
+        Arc::get_mut(self.data.as_mut().expect(HELD)).expect("a writer shuts every reader out")
     }
 }
 
 impl<T> Drop for SimRwWriteGuard<'_, T> {
     fn drop(&mut self) {
-        self.inner = None;
-        self.lock.excl.release();
+        let data = self
+            .data
+            .take()
+            .map(|data| (self.lock.erase)(Box::new(data)));
+        self.lock.excl.release_with(|slot| *slot = data);
     }
 }
 
@@ -653,9 +722,10 @@ impl<T> Drop for SimRwWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::kernel::Kernel;
+    use crate::kernel::{Kernel, SimError};
     use crate::thread::{advance, now, spawn};
     use crate::time::{VirtualDuration, VirtualTime};
+    use parking_lot::Mutex;
 
     #[test]
     fn semaphore_blocks_until_release() {
@@ -702,7 +772,7 @@ mod tests {
     fn semaphore_fifo_order() {
         let k = Kernel::new(CostModel::free());
         let sem = Semaphore::new(&k, 0);
-        let order = Arc::new(RealMutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3 {
             let sem = sem.clone();
             let order = order.clone();
@@ -884,7 +954,7 @@ mod tests {
         let k = Kernel::new(CostModel::calibrated());
         let m = SimMutex::new(&k, false);
         let cv = SimCondvar::new(&k);
-        let done = Arc::new(RealMutex::new(0));
+        let done = Arc::new(Mutex::new(0));
         for i in 0..4 {
             let (m, cv, done) = (m.clone(), cv.clone(), done.clone());
             k.spawn(format!("w{i}"), move || {
@@ -973,7 +1043,7 @@ mod tests {
     fn barrier_releases_all_parties_together() {
         let k = Kernel::new(CostModel::free());
         let b = SimBarrier::new(&k, 3);
-        let times = Arc::new(RealMutex::new(Vec::new()));
+        let times = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3u64 {
             let b = b.clone();
             let times = times.clone();
@@ -996,7 +1066,7 @@ mod tests {
     fn barrier_is_reusable() {
         let k = Kernel::new(CostModel::free());
         let b = SimBarrier::new(&k, 2);
-        let counter = Arc::new(RealMutex::new(0u32));
+        let counter = Arc::new(Mutex::new(0u32));
         for i in 0..2 {
             let b = b.clone();
             let counter = counter.clone();
@@ -1017,7 +1087,16 @@ mod tests {
     fn rwlock_allows_concurrent_readers() {
         let k = Kernel::new(CostModel::free());
         let lock = SimRwLock::new(&k, 7u64);
-        let done = Arc::new(RealMutex::new(Vec::new()));
+        // A writer queued behind the readers. Spawned first, it wins the
+        // tie with the reader whose unlock hands it the data — so that
+        // reader's clone must already be gone.
+        let l2 = lock.clone();
+        let writer = k.spawn("w", move || {
+            advance(VirtualDuration::from_micros(5));
+            *l2.write() += 1;
+            *l2.read()
+        });
+        let done = Arc::new(Mutex::new(Vec::new()));
         for i in 0..3u64 {
             let lock = lock.clone();
             let done = done.clone();
@@ -1038,6 +1117,7 @@ mod tests {
                 "readers must overlap, one finished at {t}"
             );
         }
+        assert_eq!(writer.join_outcome().unwrap(), 8);
     }
 
     #[test]
@@ -1067,5 +1147,20 @@ mod tests {
             r_done >= w_done,
             "reader finished at {r_done}, writer at {w_done}"
         );
+    }
+
+    #[test]
+    fn primitive_used_across_kernels_is_rejected() {
+        // An id from kernel A must not index kernel B's slots.
+        let a = Kernel::new(CostModel::free());
+        let slot = OneShot::<u64>::new(&a);
+        let b = Kernel::new(CostModel::free());
+        b.spawn("stranger", move || slot.put(7));
+        match b.run() {
+            Err(SimError::ThreadPanicked(msg)) => {
+                assert!(msg.contains("used across kernels"), "{msg}")
+            }
+            other => panic!("expected a cross-kernel panic, got {other:?}"),
+        }
     }
 }

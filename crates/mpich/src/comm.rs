@@ -28,9 +28,9 @@ use crate::coll::CollEngine;
 use crate::datatype::{from_bytes, to_bytes, Datatype, MpiScalar};
 use crate::engine::{Engine, EngineError};
 use crate::group::Group;
-use crate::request::{ReqInner, Request};
+use crate::request::{self, Request};
 use crate::types::{Envelope, MatchSpec, Status, Tag};
-use marcel::SimMutex;
+use marcel::{OneShot, SimMutex};
 
 /// Typed error for the point-to-point surface.
 ///
@@ -323,23 +323,21 @@ impl Communicator {
         lane: Option<usize>,
         suffix: &str,
     ) -> Request {
-        let inner = ReqInner::new();
+        let slot = OneShot::current();
         let comm = self.clone();
         let my_world = self.env.world_rank;
-        let req = inner.clone();
+        let done = slot.clone();
         let len = data.len();
         marcel::spawn(format!("rank{my_world}-{suffix}"), move || {
             comm.send_ctx_lane(data, dst_local, tag, comm.context, sync, lane);
-            req.complete(
-                None,
-                Status {
-                    source: my_world,
-                    tag,
-                    len,
-                },
-            );
+            let status = Status {
+                source: my_world,
+                tag,
+                len,
+            };
+            request::complete(&done, None, status, None);
         });
-        Request::new(inner)
+        Request::new(slot)
     }
 
     pub(crate) fn irecv_ctx(
@@ -349,11 +347,11 @@ impl Communicator {
         tag: Option<Tag>,
         context: u32,
     ) -> Request {
-        let inner = ReqInner::new();
+        let slot = OneShot::current();
         self.env
             .engine
-            .post_recv(self.spec(src_local, tag, context), cap, inner.clone());
-        Request::new(inner)
+            .post_recv(self.spec(src_local, tag, context), cap, slot.clone());
+        Request::new(slot)
     }
 
     /// Probe, then receive exactly the probed message (helper used by
@@ -375,11 +373,11 @@ impl Communicator {
             tag: Some(st.tag),
             context,
         };
-        let inner = ReqInner::new();
+        let slot = OneShot::current();
         self.env
             .engine
-            .post_recv_probed(handle, exact, st.len, inner.clone());
-        let (data, status) = Request::new(inner).wait_data();
+            .post_recv_probed(handle, exact, st.len, slot.clone());
+        let (data, status) = Request::new(slot).wait_data();
         (data, self.localize(status))
     }
 

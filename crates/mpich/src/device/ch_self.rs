@@ -64,7 +64,7 @@ impl Device for ChSelf {
 mod tests {
     use super::*;
     use crate::adi::AdiCosts;
-    use crate::request::{ReqInner, Request};
+    use crate::request::Request;
     use crate::types::MatchSpec;
     use marcel::{CostModel, Kernel};
 
@@ -75,7 +75,7 @@ mod tests {
         let h = k.spawn("rank0", move || {
             let engine = Engine::new(&k2, 0, AdiCosts::free());
             let dev = ChSelf::new(vec![engine.clone()], NodeModel::calibrated());
-            let req = ReqInner::new();
+            let req = marcel::OneShot::current();
             engine.post_recv(
                 MatchSpec {
                     src: Some(0),

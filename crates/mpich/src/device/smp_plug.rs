@@ -75,7 +75,7 @@ impl Device for SmpPlug {
 mod tests {
     use super::*;
     use crate::adi::AdiCosts;
-    use crate::request::{ReqInner, Request};
+    use crate::request::Request;
     use crate::types::MatchSpec;
     use marcel::{CostModel, Kernel};
 
@@ -87,7 +87,7 @@ mod tests {
             let e0 = Engine::new(&k2, 0, AdiCosts::free());
             let e1 = Engine::new(&k2, 1, AdiCosts::free());
             let dev = SmpPlug::new(vec![e0, e1.clone()], vec![0, 0], NodeModel::calibrated());
-            let req = ReqInner::new();
+            let req = marcel::OneShot::current();
             e1.post_recv(
                 MatchSpec {
                     src: Some(0),

@@ -23,11 +23,11 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
-use marcel::{Kernel, SimCondvar, SimMutex, VirtualDuration};
+use marcel::{Kernel, OneShot, SimCondvar, SimMutex, VirtualDuration};
 
 use crate::adi::AdiCosts;
 use crate::matching::{PostedStore, UnexpectedStore};
-use crate::request::ReqInner;
+use crate::request::{self, Completion};
 use crate::types::{Envelope, MatchSpec, Status};
 use crate::vci::vci_for;
 
@@ -127,7 +127,7 @@ struct Posted {
     /// Receive buffer capacity; a longer incoming message is an MPI
     /// truncation error (we fail fast).
     cap: usize,
-    req: Arc<ReqInner>,
+    req: OneShot<Completion>,
 }
 
 /// Assembly buffer of one receiver-side rendezvous transaction. A
@@ -144,7 +144,7 @@ enum RndvBuf {
 /// several chunks (chunking happens on forwarded routes to keep the
 /// gateway pipeline full).
 struct RndvSlot {
-    req: Arc<ReqInner>,
+    req: OneShot<Completion>,
     total: usize,
     buf: RndvBuf,
     received: usize,
@@ -319,7 +319,7 @@ impl Engine {
     /// `post` span — the request-management cost the paper's §5
     /// "handling" decomposition charges to the ADI (usually overlapped
     /// with the message flight in a ping-pong).
-    pub(crate) fn post_recv(&self, spec: MatchSpec, cap: usize, req: Arc<ReqInner>) {
+    pub(crate) fn post_recv(&self, spec: MatchSpec, cap: usize, req: OneShot<Completion>) {
         let post_span = obs::span_begin(SpanKind::Post, "adi");
         marcel::advance(self.costs.post_recv);
         if self.vcis == 1 {
@@ -402,7 +402,7 @@ impl Engine {
         handle: ProbeHandle,
         spec: MatchSpec,
         cap: usize,
-        req: Arc<ReqInner>,
+        req: OneShot<Completion>,
     ) {
         let post_span = obs::span_begin(SpanKind::Post, "adi");
         marcel::advance(self.costs.post_recv);
@@ -430,19 +430,18 @@ impl Engine {
         env: Envelope,
         payload: UnexpPayload,
         cap: usize,
-        req: Arc<ReqInner>,
+        req: OneShot<Completion>,
     ) {
         self.note_match(&env, true);
         match payload {
             UnexpPayload::Eager(data, copy_ns, span) => {
                 Self::check_cap(&env, cap);
                 drop(st);
-                req.set_handle_span(span);
                 // The copy out of the bounce buffer is paid here, by
                 // the receiving side — the eager mode's cost.
                 marcel::advance(per_byte(copy_ns, data.len()));
                 marcel::advance(self.costs.complete);
-                req.complete(Some(data), Self::status_of(&env));
+                request::complete(&req, Some(data), Self::status_of(&env), span);
             }
             UnexpPayload::Rndv(respond) => {
                 Self::check_cap(&env, cap);
@@ -496,10 +495,9 @@ impl Engine {
             Self::check_cap(&env, posted.cap);
             self.note_match(&env, false);
             drop(st);
-            posted.req.set_handle_span(span);
             marcel::advance(per_byte(copy_ns, data.len()));
             marcel::advance(self.costs.complete);
-            posted.req.complete(Some(data), Self::status_of(&env));
+            request::complete(&posted.req, Some(data), Self::status_of(&env), span);
         } else {
             let (rank, src, tag) = (self.rank, env.src, env.tag);
             let seq = self.unexp_seq.fetch_add(1, Ordering::Relaxed);
@@ -699,14 +697,13 @@ impl Engine {
         if done {
             let slot = st.rndv.remove(&token).expect("slot just seen");
             drop(st);
-            slot.req.set_handle_span(span);
             marcel::advance(self.costs.complete);
             let payload = match slot.buf {
                 RndvBuf::Whole(b) => b,
                 RndvBuf::Parts(v) => Bytes::from(v),
                 RndvBuf::Empty => unreachable!("completed with no data"),
             };
-            slot.req.complete(Some(payload), Self::status_of(&env));
+            request::complete(&slot.req, Some(payload), Self::status_of(&env), span);
         } else {
             drop(st);
             obs::span_end(span);
@@ -864,6 +861,21 @@ mod tests {
         }
     }
 
+    /// Post a receive; its request.
+    fn post(e: &Engine, spec: MatchSpec, cap: usize) -> Request {
+        let slot = OneShot::current();
+        e.post_recv(spec, cap, slot.clone());
+        Request::new(slot)
+    }
+
+    /// Offer a rendezvous; the slot its responder puts the rhandle in.
+    fn offer(e: &Engine, env: Envelope) -> OneShot<u64> {
+        let token = OneShot::current();
+        let fire = token.clone();
+        e.deliver_rndv_offer(env, Box::new(move |t| fire.put(t)));
+        token
+    }
+
     fn with_engine(f: impl FnOnce(Arc<Engine>) + Send + 'static) {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
@@ -878,9 +890,8 @@ mod tests {
     fn eager_then_post() {
         with_engine(|e| {
             e.deliver_eager(env(1, 5, 3), Bytes::from_static(&[1, 2, 3]), 0.0);
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(1), Some(5)), 16, req.clone());
-            let (data, status) = Request::new(req).wait();
+            let req = post(&e, spec(Some(1), Some(5)), 16);
+            let (data, status) = req.wait();
             assert_eq!(data.unwrap(), vec![1, 2, 3]);
             assert_eq!(status.source, 1);
         });
@@ -889,11 +900,10 @@ mod tests {
     #[test]
     fn post_then_eager() {
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(1), Some(5)), 16, req.clone());
+            let req = post(&e, spec(Some(1), Some(5)), 16);
             assert_eq!(e.depths(), (1, 0, 0));
             e.deliver_eager(env(1, 5, 2), Bytes::from_static(&[7, 8]), 0.0);
-            let (data, _) = Request::new(req).wait();
+            let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![7, 8]);
             assert_eq!(e.depths(), (0, 0, 0));
         });
@@ -904,10 +914,9 @@ mod tests {
         with_engine(|e| {
             e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[2]), 0.0);
             e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0);
-            let r1 = ReqInner::new();
-            e.post_recv(spec(None, None), 16, r1.clone());
+            let r1 = post(&e, spec(None, None), 16);
             // ANY_SOURCE/ANY_TAG must take the earliest buffered message.
-            let (data, status) = Request::new(r1).wait();
+            let (data, status) = r1.wait();
             assert_eq!(data.unwrap(), vec![2]);
             assert_eq!(status.source, 2);
         });
@@ -916,11 +925,9 @@ mod tests {
     #[test]
     fn non_matching_messages_do_not_complete() {
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(1), Some(5)), 16, req.clone());
+            let mut r = post(&e, spec(Some(1), Some(5)), 16);
             e.deliver_eager(env(1, 6, 1), Bytes::from_static(&[9]), 0.0);
             e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[9]), 0.0);
-            let mut r = Request::new(req);
             assert!(!r.test());
             assert_eq!(e.depths(), (1, 2, 0));
             e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0);
@@ -933,20 +940,12 @@ mod tests {
         with_engine(|e| {
             let e2 = e.clone();
             // REQUEST arrives first; responder fires once the recv posts.
-            let fired = std::sync::Arc::new(parking_lot::Mutex::new(None));
-            let f2 = fired.clone();
-            e.deliver_rndv_offer(
-                env(3, 1, 4),
-                Box::new(move |token| {
-                    *f2.lock() = Some(token);
-                }),
-            );
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(3), Some(1)), 16, req.clone());
-            let token = fired.lock().expect("responder must fire on post");
+            let token = offer(&e, env(3, 1, 4));
+            let req = post(&e, spec(Some(3), Some(1)), 16);
+            let token = token.try_take().expect("responder must fire on post");
             e2.rndv_complete(token, env(3, 1, 4), Bytes::from_static(&[4, 3, 2, 1]))
                 .unwrap();
-            let (data, _) = Request::new(req).wait();
+            let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![4, 3, 2, 1]);
         });
     }
@@ -954,20 +953,12 @@ mod tests {
     #[test]
     fn rendezvous_posted_first() {
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(None, Some(1)), 16, req.clone());
-            let fired = std::sync::Arc::new(parking_lot::Mutex::new(None));
-            let f2 = fired.clone();
-            e.deliver_rndv_offer(
-                env(3, 1, 2),
-                Box::new(move |t| {
-                    *f2.lock() = Some(t);
-                }),
-            );
-            let token = fired.lock().expect("responder fires immediately");
+            let req = post(&e, spec(None, Some(1)), 16);
+            let token = offer(&e, env(3, 1, 2));
+            let token = token.try_take().expect("responder fires immediately");
             e.rndv_complete(token, env(3, 1, 2), Bytes::from_static(&[5, 6]))
                 .unwrap();
-            let (data, status) = Request::new(req).wait();
+            let (data, status) = req.wait();
             assert_eq!(data.unwrap(), vec![5, 6]);
             assert_eq!(status.source, 3);
         });
@@ -979,8 +970,7 @@ mod tests {
         let k2 = k.clone();
         k.spawn("main", move || {
             let e = Engine::new(&k2, 0, AdiCosts::free());
-            let req = ReqInner::new();
-            e.post_recv(spec(None, None), 2, req);
+            let _req = post(&e, spec(None, None), 2);
             e.deliver_eager(env(0, 0, 5), Bytes::from_static(&[0; 5]), 0.0);
         });
         match k.run() {
@@ -1025,18 +1015,13 @@ mod tests {
     #[test]
     fn rndv_chunks_assemble_out_of_order() {
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(1), Some(0)), 64, req.clone());
-            let fired = std::sync::Arc::new(parking_lot::Mutex::new(None));
-            let f2 = fired.clone();
-            e.deliver_rndv_offer(env(1, 0, 10), Box::new(move |t| *f2.lock() = Some(t)));
-            let token = fired.lock().expect("responder fired");
+            let mut r = post(&e, spec(Some(1), Some(0)), 64);
+            let token = offer(&e, env(1, 0, 10)).take();
             // Three chunks, delivered middle-last-first.
             e.rndv_chunk(token, env(1, 0, 10), 4, 10, Bytes::from_static(&[5, 6, 7]))
                 .unwrap();
             e.rndv_chunk(token, env(1, 0, 10), 7, 10, Bytes::from_static(&[8, 9, 10]))
                 .unwrap();
-            let mut r = Request::new(req);
             assert!(!r.test(), "incomplete assembly must not complete");
             e.rndv_chunk(
                 token,
@@ -1058,12 +1043,8 @@ mod tests {
         // span may land first while covering only part of the message —
         // the whole-message fast path must not adopt it.
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(Some(1), Some(0)), 64, req.clone());
-            let fired = std::sync::Arc::new(parking_lot::Mutex::new(None));
-            let f2 = fired.clone();
-            e.deliver_rndv_offer(env(1, 0, 8), Box::new(move |t| *f2.lock() = Some(t)));
-            let token = fired.lock().expect("responder fired");
+            let mut r = post(&e, spec(Some(1), Some(0)), 64);
+            let token = offer(&e, env(1, 0, 8)).take();
             e.rndv_chunk(
                 token,
                 env(1, 0, 8),
@@ -1072,7 +1053,6 @@ mod tests {
                 Bytes::from_static(&[1, 2, 3, 4, 5]),
             )
             .unwrap();
-            let mut r = Request::new(req);
             assert!(!r.test(), "partial offset-0 span must not complete");
             e.rndv_chunk(token, env(1, 0, 8), 5, 8, Bytes::from_static(&[6, 7, 8]))
                 .unwrap();
@@ -1086,15 +1066,11 @@ mod tests {
     #[test]
     fn rndv_single_chunk_fast_path() {
         with_engine(|e| {
-            let req = ReqInner::new();
-            e.post_recv(spec(None, None), 8, req.clone());
-            let fired = std::sync::Arc::new(parking_lot::Mutex::new(None));
-            let f2 = fired.clone();
-            e.deliver_rndv_offer(env(2, 1, 3), Box::new(move |t| *f2.lock() = Some(t)));
-            let token = fired.lock().unwrap();
+            let req = post(&e, spec(None, None), 8);
+            let token = offer(&e, env(2, 1, 3)).take();
             e.rndv_complete(token, env(2, 1, 3), Bytes::from_static(&[9, 8, 7]))
                 .unwrap();
-            let (data, _) = Request::new(req).wait();
+            let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![9, 8, 7]);
         });
     }
@@ -1107,9 +1083,8 @@ mod tests {
             let e = Engine::new(&k2, 0, AdiCosts::free());
             e.deliver_eager(env(1, 0, 100_000), Bytes::from(vec![0u8; 100_000]), 10.0);
             let before = marcel::now();
-            let req = ReqInner::new();
-            e.post_recv(spec(None, None), 1 << 20, req.clone());
-            Request::new(req).wait();
+            let req = post(&e, spec(None, None), 1 << 20);
+            req.wait();
             marcel::now() - before
         });
         k.run().unwrap();

@@ -1,82 +1,50 @@
 //! Communication requests (`MPI_Request`): completion objects for
 //! non-blocking operations, built on the kernel's virtual-time
 //! semaphores — the same structure the paper's rendezvous rhandle uses
-//! (a semaphore plus a handle identifying the transaction, §4.2.2).
-
-use std::sync::Arc;
+//! (a semaphore plus a handle identifying the transaction, §4.2.2). A
+//! request's completion slot is a [`OneShot`].
 
 use bytes::Bytes;
-use marcel::{ActiveSpan, Semaphore};
-use parking_lot::Mutex as RealMutex;
+use marcel::{ActiveSpan, OneShot};
 
 use crate::types::Status;
 
-/// Shared completion state of one request.
-pub(crate) struct ReqInner {
-    sem: Semaphore,
-    state: RealMutex<ReqState>,
-}
-
-struct ReqState {
-    /// Received payload as a refcounted slice of the wire buffer —
-    /// the copy into a caller-owned `Vec` (if the caller wants one)
-    /// is deferred to [`Request::wait`].
-    result: Option<(Option<Bytes>, Status)>,
+/// What completes a request.
+pub(crate) struct Completion {
+    /// Received payload as a refcounted slice of the wire buffer (`None`
+    /// for sends) — the copy into a caller-owned `Vec` (if the caller
+    /// wants one) is deferred to [`Request::wait`].
+    data: Option<Bytes>,
+    status: Status,
     /// Handling span opened on the device's polling thread; ended by
-    /// the receiving rank when `wait` observes the completion, so the
+    /// the receiving rank when it observes the completion, so the
     /// measured handling latency includes the wake handoff.
-    handle_span: Option<ActiveSpan>,
+    span: Option<ActiveSpan>,
 }
 
-impl ReqInner {
-    pub(crate) fn new() -> Arc<ReqInner> {
-        Arc::new(ReqInner {
-            sem: Semaphore::current(0),
-            state: RealMutex::new(ReqState {
-                result: None,
-                handle_span: None,
-            }),
-        })
-    }
-
-    /// Complete the request: deposit the received data (None for send
-    /// requests) and wake the waiter.
-    pub(crate) fn complete(&self, data: Option<Bytes>, status: Status) {
-        let mut st = self.state.lock();
-        assert!(st.result.is_none(), "request completed twice");
-        st.result = Some((data, status));
-        drop(st);
-        self.sem.release();
-    }
-
-    /// Attach the cross-thread handling span (no-op when `span` is
-    /// `None` — e.g. the delivery came from an uninstrumented device).
-    pub(crate) fn set_handle_span(&self, span: Option<ActiveSpan>) {
-        if let Some(s) = span {
-            self.state.lock().handle_span = Some(s);
-        }
-    }
-
-    fn take_handle_span(&self) -> Option<ActiveSpan> {
-        self.state.lock().handle_span.take()
-    }
+/// Complete the request behind `slot`: deposit the received data (None
+/// for send requests) with the cross-thread handling span, if the
+/// delivering device opened one, and wake the waiter.
+pub(crate) fn complete(
+    slot: &OneShot<Completion>,
+    data: Option<Bytes>,
+    status: Status,
+    span: Option<ActiveSpan>,
+) {
+    slot.put(Completion { data, status, span });
 }
 
 /// Handle to an in-flight non-blocking operation. Consume with
 /// [`Request::wait`]; poll with [`Request::test`].
 pub struct Request {
-    inner: Arc<ReqInner>,
-    /// Whether the completion token was already taken from the
-    /// semaphore (by a successful `test`).
-    signaled: bool,
+    slot: OneShot<Completion>,
+    /// The completion a successful `test` already took.
+    done: Option<Completion>,
 }
 
 impl Request {
-    pub(crate) fn new(inner: Arc<ReqInner>) -> Request {
-        Request {
-            inner,
-            signaled: false,
-        }
+    pub(crate) fn new(slot: OneShot<Completion>) -> Request {
+        Request { slot, done: None }
     }
 
     /// Block (in virtual time) until the operation completes; returns
@@ -89,18 +57,13 @@ impl Request {
     /// Like [`Request::wait`], returning the payload as a refcounted
     /// slice of the wire buffer — the zero-copy variant for callers
     /// that don't need an owned `Vec`.
-    pub fn wait_bytes(mut self) -> (Option<Bytes>, Status) {
-        if !self.signaled {
-            self.inner.sem.acquire();
-            self.signaled = true;
-        }
-        marcel::obs::span_end(self.inner.take_handle_span());
-        self.inner
-            .state
-            .lock()
-            .result
-            .take()
-            .expect("request signaled without a result")
+    pub fn wait_bytes(self) -> (Option<Bytes>, Status) {
+        let done = match self.done {
+            Some(done) => done,
+            None => self.slot.take(),
+        };
+        marcel::obs::span_end(done.span);
+        (done.data, done.status)
     }
 
     /// Wait on a receive request and return the data (panics on a send
@@ -119,16 +82,15 @@ impl Request {
     /// Non-blocking completion check (`MPI_Test`). After it returns
     /// true, `wait` returns immediately.
     pub fn test(&mut self) -> bool {
-        if self.signaled {
+        if self.done.is_some() {
             return true;
         }
-        if self.inner.sem.try_acquire() {
-            self.signaled = true;
-            marcel::obs::span_end(self.inner.take_handle_span());
-            true
-        } else {
-            false
-        }
+        let Some(mut done) = self.slot.try_take() else {
+            return false;
+        };
+        marcel::obs::span_end(done.span.take());
+        self.done = Some(done);
+        true
     }
 }
 
@@ -161,22 +123,23 @@ mod tests {
     use super::*;
     use marcel::{CostModel, Kernel, VirtualDuration};
 
+    fn status(source: usize, len: usize) -> Status {
+        Status {
+            source,
+            tag: 0,
+            len,
+        }
+    }
+
     #[test]
     fn wait_blocks_until_complete() {
         let k = Kernel::new(CostModel::free());
         let h = k.spawn("main", || {
-            let inner = ReqInner::new();
-            let req = Request::new(inner.clone());
+            let slot = OneShot::current();
+            let req = Request::new(slot.clone());
             marcel::spawn("completer", move || {
                 marcel::advance(VirtualDuration::from_micros(30));
-                inner.complete(
-                    Some(Bytes::from(vec![1, 2, 3])),
-                    Status {
-                        source: 4,
-                        tag: 9,
-                        len: 3,
-                    },
-                );
+                complete(&slot, Some(Bytes::from(vec![1, 2, 3])), status(4, 3), None);
             });
             let (data, status) = req.wait();
             (data, status, marcel::now())
@@ -192,17 +155,10 @@ mod tests {
     fn test_then_wait() {
         let k = Kernel::new(CostModel::free());
         let h = k.spawn("main", || {
-            let inner = ReqInner::new();
-            let mut req = Request::new(inner.clone());
+            let slot = OneShot::current();
+            let mut req = Request::new(slot.clone());
             assert!(!req.test());
-            inner.complete(
-                None,
-                Status {
-                    source: 0,
-                    tag: 0,
-                    len: 0,
-                },
-            );
+            complete(&slot, None, status(0, 0), None);
             // Completion happened synchronously; test must see it.
             assert!(req.test());
             assert!(req.test(), "test is idempotent once signaled");
@@ -219,17 +175,15 @@ mod tests {
         let h = k.spawn("main", || {
             let mut reqs = Vec::new();
             for i in 0..3u8 {
-                let inner = ReqInner::new();
-                reqs.push(Request::new(inner.clone()));
+                let slot = OneShot::current();
+                reqs.push(Request::new(slot.clone()));
                 marcel::spawn(format!("c{i}"), move || {
                     marcel::advance(VirtualDuration::from_micros((3 - i as u64) * 10));
-                    inner.complete(
+                    complete(
+                        &slot,
                         Some(Bytes::from(vec![i])),
-                        Status {
-                            source: i as usize,
-                            tag: 0,
-                            len: 1,
-                        },
+                        status(i as usize, 1),
+                        None,
                     );
                 });
             }
@@ -248,19 +202,12 @@ mod tests {
         let h = k.spawn("main", || {
             let mut reqs = Vec::new();
             for i in 0..3u8 {
-                let inner = ReqInner::new();
-                reqs.push(Request::new(inner.clone()));
+                let slot = OneShot::current();
+                reqs.push(Request::new(slot.clone()));
                 let delay = if i == 1 { 5 } else { 500 };
                 marcel::spawn(format!("c{i}"), move || {
                     marcel::advance(VirtualDuration::from_micros(delay));
-                    inner.complete(
-                        None,
-                        Status {
-                            source: i as usize,
-                            tag: 0,
-                            len: 0,
-                        },
-                    );
+                    complete(&slot, None, status(i as usize, 0), None);
                 });
             }
             let (_, _, status) = wait_any(&mut reqs);
@@ -278,27 +225,13 @@ mod tests {
     fn double_complete_is_rejected() {
         let k = Kernel::new(CostModel::free());
         k.spawn("main", || {
-            let inner = ReqInner::new();
-            inner.complete(
-                None,
-                Status {
-                    source: 0,
-                    tag: 0,
-                    len: 0,
-                },
-            );
-            inner.complete(
-                None,
-                Status {
-                    source: 0,
-                    tag: 0,
-                    len: 0,
-                },
-            );
+            let slot = OneShot::current();
+            complete(&slot, None, status(0, 0), None);
+            complete(&slot, None, status(0, 0), None);
         });
         match k.run() {
             Err(marcel::SimError::ThreadPanicked(msg)) => {
-                assert!(msg.contains("completed twice"), "{msg}");
+                assert!(msg.contains("put called twice"), "{msg}");
             }
             other => panic!("expected panic, got {other:?}"),
         }
