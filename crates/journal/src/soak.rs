@@ -416,7 +416,7 @@ fn run_episode(
     for r in &results {
         result_digest = splitmix64(result_digest ^ r);
     }
-    let metrics = kernel.metrics().snapshot();
+    let metrics = kernel.metrics_snapshot();
     let metrics_digest = crc64(metrics.to_string().as_bytes());
     // Streamed episodes have empty live buffers (that is the invariant
     // under test): digests come from the recorder's chunk chain, the

@@ -381,7 +381,7 @@ fn dec_tickets(
 
 /// A contiguous run of trace events of one episode. Tickets are
 /// implicit: event `i` has ticket `first_ticket + i` (the kernel
-/// records under the scheduler lock with a gapless commit sequence).
+/// records one operation at a time with a gapless commit sequence).
 #[derive(Clone, Debug, PartialEq)]
 pub struct EventChunkRec {
     pub episode: u32,
@@ -976,8 +976,8 @@ impl StreamAccum {
 struct StreamInner {
     writer: Arc<Mutex<JournalWriter>>,
     accum: StreamAccum,
-    /// First I/O error; surfaced at `finish` (the sink runs under the
-    /// scheduler lock and cannot propagate errors inline).
+    /// First I/O error; surfaced at `finish` (the sink runs inside a
+    /// kernel operation and cannot propagate errors inline).
     io_error: Option<JournalError>,
 }
 

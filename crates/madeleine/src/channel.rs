@@ -31,12 +31,11 @@
 //!   drain cost of its block.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
-use marcel::{Kernel, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime};
+use marcel::{Kernel, OwnedCell, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime};
 use simnet::{Fate, FaultPlan, LinkModel, NetUtilization, Protocol};
 
 use crate::error::ChannelError;
@@ -56,16 +55,6 @@ const FIFO_EPSILON: VirtualDuration = VirtualDuration::from_nanos(1);
 /// this many transmission attempts without one delivery is declared
 /// dead ([`ChannelError::LinkDead`]).
 pub const MAX_SEND_ATTEMPTS: u32 = 30;
-
-/// Lock a host-level mutex, recovering from poisoning. The channel's
-/// host mutexes guard plain data with no invariant spanning the critical
-/// section, so a panic on some *other* simulated thread (a deliberately
-/// lethal fault campaign, a journal-resume consistency check) must not
-/// cascade a poisoned-lock panic into every later reader — in particular
-/// the post-run [`Channel::capture`] path must stay infallible.
-fn host_lock<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// Retransmission timeout before attempt `attempt + 1` (1-based
 /// argument): 100 µs base, doubling per attempt, capped at 5 ms.
@@ -105,15 +94,6 @@ struct PeerRecv {
     expected: u64,
     /// Early (out-of-order) messages keyed by logical number.
     stash: BTreeMap<u64, WireMessage>,
-}
-
-#[derive(Default)]
-struct AtomicCounters {
-    retransmits: AtomicU64,
-    drops: AtomicU64,
-    duplicates: AtomicU64,
-    deferrals: AtomicU64,
-    dead_pairs: AtomicU64,
 }
 
 /// Snapshot of a channel's reliable-delivery counters (all zero on a
@@ -187,12 +167,26 @@ pub struct Channel {
     vcis: usize,
     /// (rank, vci) -> incoming source.
     sources: HashMap<(usize, usize), PollSource<WireMessage>>,
+    /// Host-side bookkeeping, owned by the OS thread the channel's
+    /// world runs on.
+    host: OwnedCell<HostState>,
+    /// Wire-level utilization of this channel's network (loop-back
+    /// messages never touch the wire and are not counted).
+    util: NetUtilization,
+    /// Registry keys, interned at construction — per-message metric
+    /// mirroring must not pay a `format!` per call.
+    keys: MetricKeys,
+}
+
+/// A channel's host-side bookkeeping. Each access borrows it for one
+/// step that performs no kernel operation, so it charges no virtual
+/// time (the fault-free path stays bit-identical to the unreliable
+/// channel) and no fiber switch can find it borrowed.
+struct HostState {
     /// (rank, vci) -> receiver-side dedup/reorder state, created on
     /// first touch (a member that never receives on a lane costs
-    /// nothing). A host-level mutex is safe here: it is never held
-    /// across a kernel operation, so it charges no virtual time (the
-    /// fault-free path stays bit-identical to the unreliable channel).
-    recv: StdMutex<RecvMap>,
+    /// nothing).
+    recv: RecvMap,
     /// (from, to, vci) -> connection, created on first send. The eager
     /// all-pairs matrix was O(members² · vcis) — at 8k ranks that is
     /// 67M sender cursors before the first message moves — while real
@@ -200,18 +194,12 @@ pub struct Channel {
     /// O(active pairs). Creating a cursor costs no virtual time (one
     /// semaphore registration, no kernel scheduling), so laziness is
     /// invisible to the simulation's results.
-    conns: StdMutex<HashMap<(usize, usize, usize), SimMutex<ConnState>>>,
+    conns: HashMap<(usize, usize, usize), SimMutex<ConnState>>,
     /// Ordered pairs whose retransmit budget was exhausted. Pair death
     /// is a property of the physical link, so it spans every VCI lane.
-    dead: StdMutex<HashSet<(usize, usize)>>,
+    dead: HashSet<(usize, usize)>,
     /// Reliable-delivery counters, one slot per VCI.
-    counters: Vec<AtomicCounters>,
-    /// Wire-level utilization of this channel's network (loop-back
-    /// messages never touch the wire and are not counted).
-    util: NetUtilization,
-    /// Registry keys, interned at construction — per-message metric
-    /// mirroring must not pay a `format!` per call.
-    keys: MetricKeys,
+    counters: Vec<FaultCounters>,
 }
 
 /// Pre-built metrics-registry keys of one channel (see
@@ -314,10 +302,12 @@ impl Channel {
             members,
             vcis,
             sources,
-            recv: StdMutex::new(HashMap::new()),
-            conns: StdMutex::new(HashMap::new()),
-            dead: StdMutex::new(HashSet::new()),
-            counters: (0..vcis).map(|_| AtomicCounters::default()).collect(),
+            host: OwnedCell::new(HostState {
+                recv: HashMap::new(),
+                conns: HashMap::new(),
+                dead: HashSet::new(),
+                counters: vec![FaultCounters::default(); vcis],
+            }),
             util: NetUtilization::new(),
         })
     }
@@ -367,23 +357,25 @@ impl Channel {
     /// Snapshot of the reliable-delivery counters, aggregated across
     /// every VCI lane (the identity at `vcis = 1`).
     pub fn counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for v in 0..self.vcis {
-            total += self.counters_vci(v);
-        }
-        total
+        self.host.with(|h| {
+            let mut total = FaultCounters::default();
+            for &c in &h.counters {
+                total += c;
+            }
+            total
+        })
     }
 
     /// Snapshot of one VCI lane's reliable-delivery counters.
     pub fn counters_vci(&self, vci: usize) -> FaultCounters {
-        let c = &self.counters[vci];
-        FaultCounters {
-            retransmits: c.retransmits.load(Ordering::Relaxed),
-            drops: c.drops.load(Ordering::Relaxed),
-            duplicates: c.duplicates.load(Ordering::Relaxed),
-            deferrals: c.deferrals.load(Ordering::Relaxed),
-            dead_pairs: c.dead_pairs.load(Ordering::Relaxed),
-        }
+        self.host.with(|h| h.counters[vci])
+    }
+
+    /// Bump one of lane `vci`'s reliable-delivery counters and mirror
+    /// it into the metrics registry as `chan/{name}/{which}`.
+    fn count(&self, vci: usize, which: &'static str, bump: fn(&mut FaultCounters) -> &mut u64) {
+        self.host.with(|h| *bump(&mut h.counters[vci]) += 1);
+        self.metric(which, 1);
     }
 
     /// Wire-level utilization of this channel's network: messages and
@@ -405,29 +397,32 @@ impl Channel {
         // do not depend on the lane count. Only touched pairs have
         // state (and hence rows) — the lazy maps hold O(active pairs),
         // and an untouched pair's row would be all-zero anyway.
-        let mut conn_sums: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
-        for (&(from, to, _vci), c) in host_lock(&self.conns).iter() {
-            let (seq, msg_seq) = c.read_quiesced(|s| (s.seq, s.msg_seq));
-            let e = conn_sums.entry((from, to)).or_insert((0, 0));
-            e.0 += seq;
-            e.1 += msg_seq;
-        }
-        let conns: Vec<_> = conn_sums
+        let (conns, recv, dead) = self.host.with(|host| {
+            let mut conn_sums: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
+            for (&(from, to, _vci), c) in &host.conns {
+                let (seq, msg_seq) = c.read_quiesced(|s| (s.seq, s.msg_seq));
+                let e = conn_sums.entry((from, to)).or_insert((0, 0));
+                e.0 += seq;
+                e.1 += msg_seq;
+            }
+            let mut recv_sums: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            for (&(rank, _vci), st) in &host.recv {
+                for (&from, peer) in &st.peers {
+                    *recv_sums.entry((rank, from)).or_insert(0) += peer.expected;
+                }
+            }
+            let mut dead: Vec<_> = host.dead.iter().copied().collect();
+            dead.sort_unstable();
+            (conn_sums, recv_sums, dead)
+        });
+        let conns: Vec<_> = conns
             .into_iter()
             .map(|((from, to), (seq, msg_seq))| (from, to, seq, msg_seq))
             .collect();
-        let mut recv_sums: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for (&(rank, _vci), st) in host_lock(&self.recv).iter() {
-            for (&from, peer) in &st.peers {
-                *recv_sums.entry((rank, from)).or_insert(0) += peer.expected;
-            }
-        }
-        let recv: Vec<_> = recv_sums
+        let recv: Vec<_> = recv
             .into_iter()
             .map(|((rank, from), expected)| (rank, from, expected))
             .collect();
-        let mut dead: Vec<_> = host_lock(&self.dead).iter().copied().collect();
-        dead.sort_unstable();
         ChannelCapture {
             name: self.name.to_string(),
             protocol: self.protocol.name(),
@@ -444,17 +439,14 @@ impl Channel {
     /// Whether the ordered pair `(from, to)` exhausted its retransmit
     /// budget (see [`ChannelError::LinkDead`]). A dead pair stays dead.
     /// Only the reliable sublayer declares pairs dead, so a channel
-    /// without a fault plan answers without taking the lock.
+    /// without a fault plan answers without looking.
     pub fn is_dead_pair(&self, from: usize, to: usize) -> bool {
-        self.fault.is_some() && host_lock(&self.dead).contains(&(from, to))
+        self.fault.is_some() && self.host.with(|h| h.dead.contains(&(from, to)))
     }
 
     fn mark_dead(&self, from: usize, to: usize, vci: usize) {
-        if host_lock(&self.dead).insert((from, to)) {
-            self.counters[vci]
-                .dead_pairs
-                .fetch_add(1, Ordering::Relaxed);
-            self.metric("dead_pairs", 1);
+        if self.host.with(|h| h.dead.insert((from, to))) {
+            self.count(vci, "dead_pairs", |c| &mut c.dead_pairs);
         }
     }
 
@@ -526,69 +518,65 @@ impl Channel {
     /// [`SimMutex`] registers on the caller's kernel). Creation charges
     /// no virtual time, so first-touch order cannot perturb results.
     fn conn(&self, from: usize, to: usize, vci: usize) -> SimMutex<ConnState> {
-        host_lock(&self.conns)
-            .entry((from, to, vci))
-            .or_insert_with(|| {
-                SimMutex::current(ConnState {
-                    floor: VirtualTime::ZERO,
-                    seq: 0,
-                    msg_seq: 0,
+        self.host.with(|h| {
+            h.conns
+                .entry((from, to, vci))
+                .or_insert_with(|| {
+                    SimMutex::current(ConnState {
+                        floor: VirtualTime::ZERO,
+                        seq: 0,
+                        msg_seq: 0,
+                    })
                 })
-            })
-            .clone()
+                .clone()
+        })
     }
 
     /// Next in-order message previously released from the reorder stash.
     fn take_ready(&self, rank: usize, vci: usize) -> Option<WireMessage> {
-        host_lock(&self.recv)
-            .get_mut(&(rank, vci))
-            .and_then(|s| s.ready.pop_front())
+        self.host.with(|h| {
+            h.recv
+                .get_mut(&(rank, vci))
+                .and_then(|s| s.ready.pop_front())
+        })
     }
 
     /// Receiver-side accept decision for a polled message: `Some` to
     /// deliver it now, `None` when it was discarded as a duplicate or
     /// stashed for later (out-of-order).
     fn accept(&self, rank: usize, vci: usize, msg: WireMessage) -> Option<WireMessage> {
-        let (dup_from, dup_seq) = (msg.from, msg.seq);
-        let mut recv = host_lock(&self.recv);
-        // The receiver-side state of `(rank, vci)`, created on first touch.
-        let st = recv.entry((rank, vci)).or_default();
-        let peer = st.peers.entry(msg.from).or_default();
-        let released = match msg.seq.cmp(&peer.expected) {
-            std::cmp::Ordering::Less => {
-                self.counters[vci]
-                    .duplicates
-                    .fetch_add(1, Ordering::Relaxed);
-                self.note_dedup(dup_from, dup_seq);
-                return None;
-            }
-            std::cmp::Ordering::Greater => {
-                if peer.stash.insert(msg.seq, msg).is_some() {
-                    self.counters[vci]
-                        .duplicates
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.note_dedup(dup_from, dup_seq);
-                }
-                return None;
-            }
-            std::cmp::Ordering::Equal => {
-                peer.expected += 1;
-                let mut released = Vec::new();
-                while let Some(m) = peer.stash.remove(&peer.expected) {
+        let (from, seq) = (msg.from, msg.seq);
+        self.host.with(|h| {
+            // The receiver-side state of `(rank, vci)`, created on first touch.
+            let st = h.recv.entry((rank, vci)).or_default();
+            let peer = st.peers.entry(from).or_default();
+            let duplicate = match seq.cmp(&peer.expected) {
+                std::cmp::Ordering::Less => true,
+                std::cmp::Ordering::Greater => peer.stash.insert(seq, msg).is_some(),
+                std::cmp::Ordering::Equal => {
                     peer.expected += 1;
-                    released.push(m);
+                    while let Some(m) = peer.stash.remove(&peer.expected) {
+                        peer.expected += 1;
+                        st.ready.push_back(m);
+                    }
+                    return Some(msg);
                 }
-                released
+            };
+            if duplicate {
+                h.counters[vci].duplicates += 1;
+                self.note_dedup(from, seq);
             }
-        };
-        st.ready.extend(released);
-        Some(msg)
+            None
+        })
     }
 
     fn note_dedup(&self, from: usize, seq: u64) {
         self.metric("dedup_drops", 1);
-        let channel = self.name.clone();
-        obs::emit(move || Event::DedupDrop { channel, from, seq });
+        obs::emit(|| Event::DedupDrop {
+            channel: self.name.clone(),
+            from,
+            seq,
+        });
     }
 
     /// Test hook: post a raw wire message (arbitrary `seq`) straight to
@@ -682,17 +670,11 @@ impl Endpoint {
         let detect = marcel::now().saturating_since(message.arrival);
         obs::observe_ns(&channel.keys.poll_detect, detect.as_nanos());
         let span = obs::span_begin(SpanKind::Unpack, channel.label());
-        let (name, from, seq, bytes) = (
-            channel.name.clone(),
-            message.from,
-            message.seq,
-            message.total_len(),
-        );
-        obs::emit(move || Event::Unpack {
-            channel: name,
-            from,
-            seq,
-            bytes,
+        obs::emit(|| Event::Unpack {
+            channel: channel.name.clone(),
+            from: message.from,
+            seq: message.seq,
+            bytes: message.total_len(),
         });
         marcel::advance(channel.model.recv_fixed);
         UnpackingConnection {
@@ -726,9 +708,11 @@ impl Endpoint {
     /// including in-order messages already released from the reorder
     /// stash but not yet consumed.
     pub fn backlog(&self) -> usize {
-        let ready = host_lock(&self.channel.recv)
-            .get(&(self.rank, self.vci))
-            .map_or(0, |s| s.ready.len());
+        let ready = self.channel.host.with(|h| {
+            h.recv
+                .get(&(self.rank, self.vci))
+                .map_or(0, |s| s.ready.len())
+        });
         self.source().backlog() + ready
     }
 
@@ -849,7 +833,7 @@ impl PackingConnection {
     pub fn end_packing(mut self) -> Result<(), ChannelError> {
         self.finished = true;
         let mut span = self.span.take();
-        let channel = self.endpoint.channel.clone();
+        let channel = &self.endpoint.channel;
         let model = &channel.model;
         let total: usize = self.blocks.iter().map(|b| b.data.len()).sum();
         let segments = self.blocks.len().max(1);
@@ -894,9 +878,8 @@ impl PackingConnection {
             if from != to {
                 channel.record_wire(total);
             }
-            let name = channel.name.clone();
-            obs::emit(move || Event::Pack {
-                channel: name,
+            obs::emit(|| Event::Pack {
+                channel: channel.name.clone(),
                 to,
                 seq: msg_seq,
                 bytes: total,
@@ -920,17 +903,13 @@ impl PackingConnection {
                 Fate::Defer(until) => {
                     // Link down but coming back: no attempt consumed,
                     // nothing occupies the wire; wait the window out.
-                    channel.counters[vci]
-                        .deferrals
-                        .fetch_add(1, Ordering::Relaxed);
-                    channel.metric("deferrals", 1);
+                    channel.count(vci, "deferrals", |c| &mut c.deferrals);
                     marcel::sleep_until(until);
                 }
                 Fate::Drop => {
                     state.seq += 1;
                     attempts += 1;
-                    channel.counters[vci].drops.fetch_add(1, Ordering::Relaxed);
-                    channel.metric("drops", 1);
+                    channel.count(vci, "drops", |c| &mut c.drops);
                     if attempts >= MAX_SEND_ATTEMPTS {
                         if delivered {
                             obs::span_end(span.take());
@@ -945,13 +924,9 @@ impl PackingConnection {
                             attempts,
                         });
                     }
-                    channel.counters[vci]
-                        .retransmits
-                        .fetch_add(1, Ordering::Relaxed);
-                    channel.metric("retransmits", 1);
-                    let name = channel.name.clone();
-                    obs::emit(move || Event::Retransmit {
-                        channel: name,
+                    channel.count(vci, "retransmits", |c| &mut c.retransmits);
+                    obs::emit(|| Event::Retransmit {
+                        channel: channel.name.clone(),
                         to,
                         seq: msg_seq,
                         attempt: attempts,
@@ -979,9 +954,8 @@ impl PackingConnection {
                     channel.sources[&(to, vci)].post(arrival, message);
                     delivered = true;
                     channel.record_wire(total);
-                    let name = channel.name.clone();
-                    obs::emit(move || Event::Pack {
-                        channel: name,
+                    obs::emit(|| Event::Pack {
+                        channel: channel.name.clone(),
                         to,
                         seq: msg_seq,
                         bytes: total,
@@ -991,13 +965,9 @@ impl PackingConnection {
                         // The delivery's acknowledgement vanished: the
                         // sender cannot tell and retransmits a
                         // duplicate after the timeout.
-                        channel.counters[vci]
-                            .retransmits
-                            .fetch_add(1, Ordering::Relaxed);
-                        channel.metric("retransmits", 1);
-                        let name = channel.name.clone();
-                        obs::emit(move || Event::Retransmit {
-                            channel: name,
+                        channel.count(vci, "retransmits", |c| &mut c.retransmits);
+                        obs::emit(|| Event::Retransmit {
+                            channel: channel.name.clone(),
                             to,
                             seq: msg_seq,
                             attempt: attempts,

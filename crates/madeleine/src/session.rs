@@ -5,10 +5,9 @@
 
 use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use marcel::Kernel;
+use marcel::{Kernel, OwnedCell};
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
 use crate::channel::{Channel, ChannelCapture, Endpoint, FaultCounters};
@@ -167,8 +166,7 @@ impl SessionBuilder {
             route_trees,
             forwarding: self.forwarding,
             vcis: self.vcis,
-            failovers: AtomicU64::new(0),
-            rndv_reissues: AtomicU64::new(0),
+            device_events: OwnedCell::new(DeviceEvents::default()),
         }))
     }
 }
@@ -281,8 +279,13 @@ pub struct Session {
     vcis: usize,
     /// Device-level events recorded through the session so benches and
     /// tests can observe robustness behaviour.
-    failovers: AtomicU64,
-    rndv_reissues: AtomicU64,
+    device_events: OwnedCell<DeviceEvents>,
+}
+
+#[derive(Default)]
+struct DeviceEvents {
+    failovers: u64,
+    rndv_reissues: u64,
 }
 
 impl Session {
@@ -415,24 +418,24 @@ impl Session {
 
     /// Record that a device moved traffic off a dead rail.
     pub fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
+        self.device_events.with(|e| e.failovers += 1);
         marcel::obs::counter_add("chmad/failovers", 1);
     }
 
     /// Record that an in-flight rendezvous REQUEST was re-issued.
     pub fn note_rndv_reissue(&self) {
-        self.rndv_reissues.fetch_add(1, Ordering::Relaxed);
+        self.device_events.with(|e| e.rndv_reissues += 1);
         marcel::obs::counter_add("chmad/rndv_reissues", 1);
     }
 
     /// Number of rail failovers recorded by devices.
     pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
+        self.device_events.with(|e| e.failovers)
     }
 
     /// Number of rendezvous REQUEST re-issues recorded by devices.
     pub fn rndv_reissues(&self) -> u64 {
-        self.rndv_reissues.load(Ordering::Relaxed)
+        self.device_events.with(|e| e.rndv_reissues)
     }
 
     /// Whether forwarding across gateway nodes is enabled.

@@ -1,6 +1,6 @@
 //! Stackful fibers: the stacks simulated threads run on and the
 //! userland context switch between them. All of the crate's `unsafe`
-//! lives here.
+//! lives here, except the single-owner cell of `owned.rs`.
 //!
 //! A fiber is a stack plus, while it is not running, a saved stack
 //! pointer; the callee-saved registers sit on the stack itself (the
@@ -186,7 +186,8 @@ thread_local! {
 }
 
 /// A value unique to the calling OS thread while it lives.
-fn os_thread() -> usize {
+#[inline]
+pub(crate) fn os_thread() -> usize {
     thread_local!(static MARK: u8 = const { 0 });
     MARK.with(|m| m as *const u8 as usize)
 }

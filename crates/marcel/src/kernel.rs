@@ -9,9 +9,12 @@
 //! (advance, yield, semaphore op, poll, spawn, join, exit) the kernel
 //! re-evaluates which thread should run next: the runnable thread with
 //! the smallest `(virtual time, thread id)` pair. If that is another
-//! thread, the running fiber releases the scheduler lock, switches to it
-//! in userland and re-takes the lock when it is itself committed again.
-//! Between kernel operations a thread only touches its own data, so this
+//! thread, the running fiber ends its borrow of the scheduler, switches
+//! to it in userland and borrows it again when it is itself committed
+//! again. The scheduler is an [`OwnedCell`]: every fiber of a kernel runs
+//! on the OS thread that created it, so no lock guards it — a borrow is
+//! a thread check and a flag. Between kernel operations a thread only
+//! touches its own data, so this
 //! total order of kernel operations by virtual time yields a
 //! *deterministic, causally consistent* simulation: the same program
 //! produces the same virtual-time trace on every run.
@@ -40,15 +43,13 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::cost::CostModel;
 use crate::exec::ticket_seed;
 use crate::fiber::{Prev, Stack, Suspended};
-use crate::obs::{Event, EventSink, Metrics};
+use crate::obs::{Event, EventSink, Metrics, MetricsSnapshot};
+use crate::owned::{OwnedCell, OwnedMut};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
 use crate::wheel::TimerWheel;
 
@@ -152,6 +153,9 @@ pub(crate) struct ThreadSlot {
     pub(crate) woke_source: Option<usize>,
     /// What the thread runs, until its first dispatch takes it.
     pub(crate) body: Option<Body>,
+    /// What the thread returned, once it finished, until its
+    /// [`crate::thread::JoinHandle`] takes or drops it.
+    pub(crate) result: Option<Box<dyn Any + Send>>,
     /// The thread's saved context while it is started and not running.
     pub(crate) fiber: Option<Suspended>,
     /// Ticket of the scheduling decision that last committed this
@@ -163,9 +167,8 @@ pub(crate) struct ThreadSlot {
 }
 
 /// A simulated thread's whole life: runs the user closure under
-/// `catch_unwind`, stores its result and returns the panic message, if
-/// any.
-pub(crate) type Body = Box<dyn FnOnce() -> Option<String> + Send>;
+/// `catch_unwind` and returns its boxed result, or the panic message.
+pub(crate) type Body = Box<dyn FnOnce() -> Result<Box<dyn Any + Send>, String> + Send>;
 
 pub(crate) struct SemState {
     pub(crate) count: u64,
@@ -253,7 +256,7 @@ pub struct Decision {
     /// tickets (this log) and trace tickets ([`TraceEvent::ticket`]) —
     /// so replay tooling can slice the event stream to the window
     /// around any decision. Deterministic because both sequences
-    /// advance under the scheduler lock in commit order. Zero whenever
+    /// advance inside the scheduler's borrow, in commit order. Zero whenever
     /// tracing is off.
     pub events_before: u64,
 }
@@ -345,8 +348,8 @@ impl Sched {
     }
 
     /// Hand the buffered trace to the sink once it reaches the chunk
-    /// threshold. The buffer is appended under the scheduler lock with
-    /// a monotone commit sequence, so the slice is contiguous and
+    /// threshold. The buffer is appended one kernel operation at a time
+    /// with a monotone commit sequence, so the slice is contiguous and
     /// ticket-ordered by construction. `clear()` keeps the allocation,
     /// bounding steady-state memory at the chunk size.
     fn drain_events_if_due(&mut self) {
@@ -409,14 +412,11 @@ impl Sched {
 }
 
 pub(crate) struct Shared {
-    pub(crate) state: Mutex<Sched>,
+    pub(crate) state: OwnedCell<Sched>,
     pub(crate) cost: CostModel,
     /// The kernel's metrics registry (see [`crate::obs`]): always on,
     /// never touches virtual time.
-    pub(crate) metrics: Arc<Metrics>,
-    /// Fast tracing-enabled check for [`crate::obs::emit`] — avoids the
-    /// scheduler lock on the (default) disabled path.
-    pub(crate) trace_on: AtomicBool,
+    pub(crate) metrics: Metrics,
 }
 
 impl Shared {
@@ -599,7 +599,7 @@ impl Shared {
     /// Re-evaluate scheduling at the end of a kernel operation performed
     /// by the running thread `me`. If another thread now has a smaller
     /// scheduling key, switch to it and park until rescheduled.
-    pub(crate) fn reschedule(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
+    pub(crate) fn reschedule(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Tid) {
         debug_assert!(matches!(sched.threads[me.0].state, TState::Running));
         sched.threads[me.0].state = TState::Ready;
         let due = sched.threads[me.0].vtime;
@@ -611,12 +611,7 @@ impl Shared {
 
     /// Block the running thread `me` with `state` and run something else.
     /// Returns once `me` is scheduled again.
-    pub(crate) fn block(
-        self: &Arc<Self>,
-        sched: &mut MutexGuard<'_, Sched>,
-        me: Tid,
-        state: TState,
-    ) {
+    pub(crate) fn block(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Tid, state: TState) {
         // Sleepers and timed waiters stay schedulable (due at their
         // wake/deadline); other blocked states leave the index.
         let due = match state {
@@ -679,22 +674,23 @@ impl Shared {
         Suspended::new(stack, crate::thread::fiber_main)
     }
 
-    /// The hand-off: unlock the world, switch to the committed context,
-    /// and relock once some context switches back to `me` (`None`: the
-    /// root) — for a thread, when it is committed again; for the root,
-    /// when the run is over. On abort or deadlock the root is resumed
-    /// instead and the calling fiber is abandoned where it stands.
-    fn switch_away(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Option<Tid>) {
+    /// The hand-off: end the borrow of the world, switch to the
+    /// committed context, and borrow again once some context switches
+    /// back to `me` (`None`: the root) — for a thread, when it is
+    /// committed again; for the root, when the run is over. On abort or
+    /// deadlock the root is resumed instead and the calling fiber is
+    /// abandoned where it stands, its borrow already ended.
+    fn switch_away(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Option<Tid>) {
         let target = self.committed_context(sched);
         sched.leaving = me;
-        let prev = MutexGuard::unlocked(sched, || target.resume());
+        let prev = OwnedMut::unborrowed(sched, || target.resume());
         sched.arrive(prev);
     }
 
     /// Park the descheduled thread `me` until it is committed again —
     /// at once when the commit that descheduled it picked it again (a
     /// sleeper that is itself the next thread due).
-    fn wait_until_running(self: &Arc<Self>, sched: &mut MutexGuard<'_, Sched>, me: Tid) {
+    fn wait_until_running(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Tid) {
         if sched.running != Some(me) {
             self.switch_away(sched, Some(me));
         }
@@ -702,14 +698,26 @@ impl Shared {
     }
 
     /// Bookkeeping when a simulated thread finishes (normally or by
-    /// panic): wake joiners, then leave its fiber for good — to the next
-    /// committed thread, or to [`Kernel::run`] when the run is over or
-    /// `panic_msg` aborts it. Consumes the caller's kernel handle: the
-    /// frames below the final switch are never unwound, so everything
-    /// they own is dropped before it.
-    pub(crate) fn thread_exit(this: Arc<Shared>, me: Tid, panic_msg: Option<String>) -> ! {
+    /// panic): file its result for the joiner, wake joiners, then leave
+    /// its fiber for good — to the next committed thread, or to
+    /// [`Kernel::run`] when the run is over or a panic aborts it.
+    /// Consumes the caller's kernel handle: the frames below the final
+    /// switch are never unwound, so everything they own is dropped
+    /// before it.
+    pub(crate) fn thread_exit(
+        this: Arc<Shared>,
+        me: Tid,
+        outcome: Result<Box<dyn Any + Send>, String>,
+    ) -> ! {
         let target = {
-            let mut sched = this.state.lock();
+            let mut sched = this.state.borrow();
+            let panic_msg = match outcome {
+                Ok(result) => {
+                    sched.threads[me.0].result = Some(result);
+                    None
+                }
+                Err(msg) => Some(msg),
+            };
             let vtime = sched.threads[me.0].vtime;
             sched.record(me, || Event::Exit);
             sched.threads[me.0].state = TState::Done;
@@ -731,13 +739,13 @@ impl Shared {
         target.resume_final()
     }
 
-    /// Committer-order gate for kernel operations: lock the world and
+    /// Committer-order gate for kernel operations: borrow the world and
     /// assert the calling thread holds the run token. Every kernel
     /// operation a simulated thread performs enters the serialized op
     /// stream through here — between operations a thread only touches
     /// its own data.
-    pub(crate) fn enter(&self, me: Tid) -> MutexGuard<'_, Sched> {
-        let sched = self.state.lock();
+    pub(crate) fn enter(&self, me: Tid) -> OwnedMut<'_, Sched> {
+        let sched = self.state.borrow();
         debug_assert!(
             sched.running == Some(me),
             "kernel operation without the run token (thread #{})",
@@ -787,7 +795,7 @@ impl Kernel {
     pub fn new(cost: CostModel) -> Self {
         Kernel {
             shared: Arc::new(Shared {
-                state: Mutex::new(Sched {
+                state: OwnedCell::new(Sched {
                     threads: Vec::new(),
                     running: None,
                     live: 0,
@@ -812,8 +820,7 @@ impl Kernel {
                     stream_hwm: 0,
                 }),
                 cost,
-                metrics: Arc::new(Metrics::new()),
-                trace_on: AtomicBool::new(false),
+                metrics: Metrics::new(),
             }),
         }
     }
@@ -831,13 +838,12 @@ impl Kernel {
     /// Record a deterministic event trace during the run (see
     /// [`Kernel::take_trace`]).
     pub fn enable_trace(&self) {
-        self.shared.state.lock().trace = Some(Vec::new());
-        self.shared.trace_on.store(true, Ordering::Relaxed);
+        self.shared.state.borrow().trace = Some(Vec::new());
     }
 
     /// Whether tracing is enabled.
     pub fn trace_enabled(&self) -> bool {
-        self.shared.trace_on.load(Ordering::Relaxed)
+        self.shared.state.borrow().trace.is_some()
     }
 
     /// Take the recorded trace (empty if tracing was never enabled).
@@ -847,7 +853,7 @@ impl Kernel {
     /// [`TraceEvent::ticket`] — so the result is canonical even if the
     /// internal buffer was filled out of order.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         match sched.trace.take() {
             Some(mut t) => {
                 sched.trace = Some(Vec::new());
@@ -862,7 +868,7 @@ impl Kernel {
     pub fn trace_len(&self) -> usize {
         self.shared
             .state
-            .lock()
+            .borrow()
             .trace
             .as_ref()
             .map_or(0, |t| t.len())
@@ -873,15 +879,15 @@ impl Kernel {
     /// trace it also captures decisions that leave no trace event, so
     /// it is the finest-grained replay/divergence probe the kernel has.
     pub fn enable_decision_log(&self) {
-        self.shared.state.lock().decisions = Some(Vec::new());
+        self.shared.state.borrow().decisions = Some(Vec::new());
     }
 
     /// Take the recorded decision log (empty if never enabled).
     /// Recording stays armed, like [`Kernel::take_trace`]. Decisions
-    /// are already in commit order — the committer appends under the
-    /// scheduler lock.
+    /// are already in commit order — the committer appends them one
+    /// commit at a time.
     pub fn take_decisions(&self) -> Vec<Decision> {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         match sched.decisions.take() {
             Some(d) => {
                 sched.decisions = Some(Vec::new());
@@ -895,12 +901,12 @@ impl Kernel {
     /// the decision log is enabled, the decision buffer) is handed to
     /// `sink` in ticket-ordered chunks of roughly `chunk` entries
     /// instead of accumulating for the whole episode. See the
-    /// [`EventSink`] contract — the sink runs under the scheduler lock
+    /// [`EventSink`] contract — the sink runs inside a kernel operation
     /// and must never re-enter the kernel. Streaming is pure host-side
     /// bookkeeping: it never advances virtual time, so the simulated
     /// world is bit-identical with or without a sink.
     pub fn set_event_sink(&self, sink: Box<dyn EventSink>, chunk: usize) {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         sched.sink = Some(sink);
         sched.sink_chunk = chunk.max(1);
         sched.stream_hwm = 0;
@@ -912,7 +918,7 @@ impl Kernel {
     /// mark as the `journal.stream.hwm` gauge. Call after
     /// [`Kernel::run`] returns. No-op without a sink.
     pub fn finish_event_sink(&self) {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         let Some(mut sink) = sched.sink.take() else {
             return;
         };
@@ -935,9 +941,9 @@ impl Kernel {
         self.shared.metrics.gauge_max("journal.stream.hwm", hwm);
     }
 
-    /// Handle to the kernel's metrics registry (see [`crate::obs`]).
-    pub fn metrics(&self) -> Arc<Metrics> {
-        self.shared.metrics.clone()
+    /// Copy of the kernel's metrics registry (see [`crate::obs`]).
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.shared.metrics.snapshot()
     }
 
     /// Names of all simulated threads, indexed by tid — the Chrome
@@ -945,7 +951,7 @@ impl Kernel {
     pub fn thread_names(&self) -> Vec<String> {
         self.shared
             .state
-            .lock()
+            .borrow()
             .threads
             .iter()
             .map(|t| t.name.clone())
@@ -972,7 +978,7 @@ impl Kernel {
     /// May be called from inside a simulated thread of another kernel:
     /// the caller's ambient identity is set aside for the duration.
     pub fn run(&self) -> Result<(), SimError> {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         assert!(!sched.started, "Kernel::run called twice");
         sched.started = true;
         if sched.live > 0 {
@@ -1003,7 +1009,7 @@ impl Kernel {
     /// for the journal's bisect.
     #[doc(hidden)]
     pub fn force_commit_fallback(&self, n: u32) {
-        self.shared.state.lock().force_fallback = n;
+        self.shared.state.borrow().force_fallback = n;
     }
 
     /// Capture the kernel's scheduling state for the durable journal:
@@ -1011,7 +1017,7 @@ impl Kernel {
     /// it summarizes every thread's final clock plus the ticket and
     /// trace cursors. Pure host-side read — no virtual-time effect.
     pub fn capture(&self) -> KernelCapture {
-        let sched = self.shared.state.lock();
+        let sched = self.shared.state.borrow();
         KernelCapture {
             end_time: sched
                 .threads
@@ -1036,7 +1042,7 @@ impl Kernel {
 
     /// Virtual time at which the last simulated thread finished.
     pub fn end_time(&self) -> VirtualTime {
-        let sched = self.shared.state.lock();
+        let sched = self.shared.state.borrow();
         sched
             .threads
             .iter()
@@ -1075,23 +1081,23 @@ mod tests {
         // kernel must always run the thread with the smaller clock, so
         // B completes several steps before A's first step finishes.
         let k = Kernel::new(CostModel::free());
-        let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let la = log.clone();
         k.spawn("a", move || {
             for i in 0..3 {
                 thread::advance(VirtualDuration::from_micros(10));
-                la.lock().push(("a", i, thread::now()));
+                la.lock().unwrap().push(("a", i, thread::now()));
             }
         });
         let lb = log.clone();
         k.spawn("b", move || {
             for i in 0..3 {
                 thread::advance(VirtualDuration::from_micros(3));
-                lb.lock().push(("b", i, thread::now()));
+                lb.lock().unwrap().push(("b", i, thread::now()));
             }
         });
         k.run().unwrap();
-        let events = log.lock().clone();
+        let events = log.lock().unwrap().clone();
         let times: Vec<u64> = events.iter().map(|(_, _, t)| t.as_nanos()).collect();
         let mut sorted = times.clone();
         sorted.sort();
@@ -1199,7 +1205,7 @@ mod tests {
         k.enable_trace();
         k.force_commit_fallback(force);
         handshake(&k);
-        let fallbacks = k.metrics().snapshot().counter("exec/fallback");
+        let fallbacks = k.metrics_snapshot().counter("exec/fallback");
         (k.take_trace(), k.end_time(), fallbacks)
     }
 
@@ -1305,15 +1311,15 @@ mod tests {
     #[test]
     fn sleep_wakes_in_order() {
         let k = Kernel::new(CostModel::free());
-        let log = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         for (name, us) in [("late", 50u64), ("early", 10), ("mid", 30)] {
             let log = log.clone();
             k.spawn(name, move || {
                 thread::sleep(VirtualDuration::from_micros(us));
-                log.lock().push(name);
+                log.lock().unwrap().push(name);
             });
         }
         k.run().unwrap();
-        assert_eq!(*log.lock(), vec!["early", "mid", "late"]);
+        assert_eq!(*log.lock().unwrap(), vec!["early", "mid", "late"]);
     }
 }

@@ -43,6 +43,7 @@ pub mod exec;
 mod fiber;
 pub mod kernel;
 pub mod obs;
+mod owned;
 pub mod poll;
 pub mod sync;
 pub mod thread;
@@ -56,6 +57,7 @@ pub use obs::{
     chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer, Metrics,
     MetricsSnapshot, SpanKind, ThreadMeta,
 };
+pub use owned::OwnedCell;
 pub use poll::{PollSet, PollSource, Polled};
 pub use sync::{
     OneShot, Queue, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard, SimRwLock,

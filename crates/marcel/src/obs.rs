@@ -30,8 +30,8 @@
 //! Instrumentation never advances virtual time and never reschedules:
 //! with tracing off, runs are bit-identical to uninstrumented ones, and
 //! with tracing *on* only host (real) time is spent. Metrics are always
-//! collected (they are pure host-side bookkeeping); trace events are
-//! gated on an atomic flag checked without taking the scheduler lock.
+//! collected (they are pure host-side bookkeeping); an event closure
+//! runs only when the kernel has a trace buffer.
 //!
 //! # Exporters
 //!
@@ -42,12 +42,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::kernel::{Decision, TraceEvent};
+use crate::owned::OwnedCell;
 use crate::thread::try_with_current;
 use crate::time::{VirtualDuration, VirtualTime};
 
@@ -396,6 +394,21 @@ pub struct HistSnapshot {
 }
 
 impl HistSnapshot {
+    /// Add one observation.
+    fn record(&mut self, ns: u64) {
+        if self.count == 0 {
+            self.min_ns = ns;
+            self.max_ns = ns;
+        } else {
+            self.min_ns = self.min_ns.min(ns);
+            self.max_ns = self.max_ns.max(ns);
+        }
+        self.count += 1;
+        self.sum_ns += ns;
+        let bucket = (64 - ns.leading_zeros()) as usize;
+        self.buckets[bucket.min(31)] += 1;
+    }
+
     pub fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -416,6 +429,11 @@ struct Store {
     hists: BTreeMap<String, HistSnapshot>,
 }
 
+struct Registry {
+    store: Store,
+    next_span: u64,
+}
+
 /// The per-kernel metrics registry: counters, high-water gauges and
 /// virtual-time histograms, keyed by `/`-separated string names.
 ///
@@ -423,59 +441,52 @@ struct Store {
 /// virtual time or reschedule, so collection is always on and cannot
 /// perturb the simulation. Exactly one simulated thread runs at a time,
 /// so the update order (and therefore every snapshot) is deterministic.
+/// The registry is an [`OwnedCell`] of its kernel's OS thread: each
+/// method borrows it for its own duration, so nothing is locked.
 pub struct Metrics {
-    store: Mutex<Store>,
-    next_span: AtomicU64,
+    registry: OwnedCell<Registry>,
 }
 
 impl Metrics {
     pub(crate) fn new() -> Metrics {
         Metrics {
-            store: Mutex::new(Store::default()),
-            next_span: AtomicU64::new(1),
+            registry: OwnedCell::new(Registry {
+                store: Store::default(),
+                next_span: 1,
+            }),
         }
+    }
+
+    fn with_store<R>(&self, f: impl FnOnce(&mut Store) -> R) -> R {
+        self.registry.with(|r| f(&mut r.store))
     }
 
     /// Add `delta` to the counter `name` (created at zero).
     pub fn counter_add(&self, name: &str, delta: u64) {
-        let mut s = self.store.lock();
-        match s.counters.get_mut(name) {
+        self.with_store(|s| match s.counters.get_mut(name) {
             Some(v) => *v += delta,
             None => {
                 s.counters.insert(name.to_string(), delta);
             }
-        }
+        })
     }
 
     /// Raise the high-water gauge `name` to `v` if `v` exceeds it.
     pub fn gauge_max(&self, name: &str, v: u64) {
-        let mut s = self.store.lock();
-        match s.gauges.get_mut(name) {
+        self.with_store(|s| match s.gauges.get_mut(name) {
             Some(g) => *g = (*g).max(v),
             None => {
                 s.gauges.insert(name.to_string(), v);
             }
-        }
+        })
     }
 
     /// Record one observation into the histogram `name`.
     pub fn observe_ns(&self, name: &str, ns: u64) {
-        let mut s = self.store.lock();
-        if !s.hists.contains_key(name) {
-            s.hists.insert(name.to_string(), HistSnapshot::default());
-        }
-        let h = s.hists.get_mut(name).expect("histogram just ensured");
-        if h.count == 0 {
-            h.min_ns = ns;
-            h.max_ns = ns;
-        } else {
-            h.min_ns = h.min_ns.min(ns);
-            h.max_ns = h.max_ns.max(ns);
-        }
-        h.count += 1;
-        h.sum_ns += ns;
-        let bucket = (64 - ns.leading_zeros()) as usize;
-        h.buckets[bucket.min(31)] += 1;
+        self.with_store(|s| match s.hists.get_mut(name) {
+            Some(h) => h.record(ns),
+            None => s.hists.entry(name.to_string()).or_default().record(ns),
+        })
     }
 
     /// Record one observation from a [`VirtualDuration`].
@@ -483,27 +494,47 @@ impl Metrics {
         self.observe_ns(name, d.as_nanos());
     }
 
+    /// One observation into the `span/<kind>/<label>` histogram. The
+    /// name is spelled on the stack, so a span end allocates nothing
+    /// once its histogram exists, and needs no process-wide key table.
+    fn observe_span(&self, kind: SpanKind, label: &'static str, ns: u64) {
+        let parts = ["span/", kind.name(), "/", label];
+        let mut buf = [0u8; 64];
+        if parts.iter().map(|p| p.len()).sum::<usize>() > buf.len() {
+            return self.observe_ns(&parts.concat(), ns);
+        }
+        let mut len = 0;
+        for p in parts {
+            buf[len..len + p.len()].copy_from_slice(p.as_bytes());
+            len += p.len();
+        }
+        let name = std::str::from_utf8(&buf[..len]).expect("joined from whole strs");
+        self.observe_ns(name, ns)
+    }
+
     /// Allocate a fresh span id (deterministic: one simulated thread
     /// runs at a time).
     pub fn next_span_id(&self) -> u64 {
-        self.next_span.fetch_add(1, Ordering::Relaxed)
+        self.registry.with(|r| {
+            r.next_span += 1;
+            r.next_span - 1
+        })
     }
 
     /// Clear all counters, gauges and histograms (span ids keep
     /// counting). Benchmarks call this between warm-up and the measured
     /// iterations.
     pub fn reset(&self) {
-        *self.store.lock() = Store::default();
+        self.with_store(|s| *s = Store::default());
     }
 
     /// Copy the registry's current state.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let s = self.store.lock();
-        MetricsSnapshot {
+        self.with_store(|s| MetricsSnapshot {
             counters: s.counters.clone(),
             gauges: s.gauges.clone(),
             hists: s.hists.clone(),
-        }
+        })
     }
 }
 
@@ -626,11 +657,13 @@ impl fmt::Display for MetricsSnapshot {
 ///   [`TraceEvent::ticket`] (the trace commit sequence), decisions by
 ///   [`Decision::ticket`] (the scheduling sequence) — with no gaps and
 ///   no overlap between successive chunks.
-/// * Both callbacks run **under the scheduler lock**, on whichever host
-///   thread performed the kernel operation. Implementations must spend
-///   host time only (serialize, hand off) and must never re-enter the
-///   kernel (no semaphore ops, no `emit`, no metrics via the ambient
-///   API) — doing so would deadlock.
+/// * Both callbacks run **inside a kernel operation**, while it borrows
+///   the scheduler, on the OS thread that owns the kernel.
+///   Implementations must spend host time only (serialize, hand off)
+///   and must never re-enter the kernel: a call through a
+///   [`Kernel`](crate::kernel::Kernel) handle panics on the scheduler's
+///   borrow check, and the ambient API sees no simulated thread (an
+///   operation holds the identity).
 /// * A final drain of whatever remains buffered happens in
 ///   [`crate::kernel::Kernel::finish_event_sink`], after the simulation
 ///   has quiesced.
@@ -647,14 +680,11 @@ pub trait EventSink: Send {
 
 /// Record a trace event for the calling simulated thread. The closure
 /// only runs when tracing is enabled; outside a simulated thread this is
-/// a no-op. Never advances virtual time. `f` runs under the scheduler
-/// lock and must only build the event, not call back into marcel.
+/// a no-op. Never advances virtual time. `f` runs inside the kernel's
+/// borrow of its scheduler and must only build the event, not call back
+/// into marcel.
 pub fn emit(f: impl FnOnce() -> Event) {
-    try_with_current(|shared, me| {
-        if shared.trace_on.load(Ordering::Relaxed) {
-            shared.state.lock().record(me, f);
-        }
-    });
+    try_with_current(|shared, me| shared.state.borrow().record(me, f));
 }
 
 /// Run `f` against the kernel's metrics registry; `None` outside a
@@ -662,23 +692,29 @@ pub fn emit(f: impl FnOnce() -> Event) {
 pub fn with_metrics<R>(f: impl FnOnce(&Metrics) -> R) -> Option<R> {
     // `f` is caller code and may use the ambient API, so it runs after
     // the identity is back in place, on a handle of its own.
-    let metrics = try_with_current(|shared, _| shared.metrics.clone())?;
-    Some(f(&metrics))
+    let shared = try_with_current(|shared, _| shared.clone())?;
+    Some(f(&shared.metrics))
+}
+
+/// `f` on the calling thread's metrics registry, which must not call
+/// back into marcel; a no-op outside a simulated thread.
+fn with_registry(f: impl FnOnce(&Metrics)) {
+    try_with_current(|shared, _| f(&shared.metrics));
 }
 
 /// Ambient [`Metrics::counter_add`].
 pub fn counter_add(name: &str, delta: u64) {
-    with_metrics(|m| m.counter_add(name, delta));
+    with_registry(|m| m.counter_add(name, delta));
 }
 
 /// Ambient [`Metrics::gauge_max`].
 pub fn gauge_max(name: &str, v: u64) {
-    with_metrics(|m| m.gauge_max(name, v));
+    with_registry(|m| m.gauge_max(name, v));
 }
 
 /// Ambient [`Metrics::observe_ns`].
 pub fn observe_ns(name: &str, ns: u64) {
-    with_metrics(|m| m.observe_ns(name, ns));
+    with_registry(|m| m.observe_ns(name, ns));
 }
 
 /// Ambient [`Metrics::reset`] — benchmarks call this from inside the
@@ -708,12 +744,10 @@ impl ActiveSpan {
 /// protocol name. `None` outside a simulated thread.
 pub fn span_begin(kind: SpanKind, label: &'static str) -> Option<ActiveSpan> {
     try_with_current(|shared, me| {
-        let mut sched = shared.state.lock();
+        let mut sched = shared.state.borrow();
         let begin = sched.threads[me.index()].vtime;
         let id = shared.metrics.next_span_id();
-        if shared.trace_on.load(Ordering::Relaxed) {
-            sched.record(me, || Event::SpanBegin { id, kind, label });
-        }
+        sched.record(me, || Event::SpanBegin { id, kind, label });
         ActiveSpan {
             id,
             kind,
@@ -735,39 +769,21 @@ pub fn span_begin_at(
     span_begin(kind, label).map(|s| ActiveSpan { begin, ..s })
 }
 
-/// Interned `span/<kind>/<label>` histogram key. Both components are
-/// `&'static str`, so the key space is bounded (kinds × static
-/// labels); interning keeps [`span_end`] free of a per-call `format!`
-/// on the hot path. One process-wide table: a kernel's threads share
-/// an OS thread, so only worlds run side by side ever meet on its
-/// (non-poisoning) lock.
-fn span_key(kind: SpanKind, label: &'static str) -> &'static str {
-    type Table = std::collections::HashMap<(&'static str, &'static str), &'static str>;
-    static KEYS: std::sync::OnceLock<Mutex<Table>> = std::sync::OnceLock::new();
-    KEYS.get_or_init(Mutex::default)
-        .lock()
-        .entry((kind.name(), label))
-        .or_insert_with(|| Box::leak(format!("span/{}/{label}", kind.name()).into_boxed_str()))
-}
-
-/// Close a span on the calling thread, feeding its histogram. Accepts
-/// the `Option` from [`span_begin`] so call sites stay unconditional.
+/// Close a span on the calling thread, feeding its
+/// `span/<kind>/<label>` histogram. Accepts the `Option` from
+/// [`span_begin`] so call sites stay unconditional.
 pub fn span_end(span: Option<ActiveSpan>) {
     let Some(span) = span else { return };
     try_with_current(|shared, me| {
+        let (id, kind, label) = (span.id, span.kind, span.label);
         let end = {
-            let mut sched = shared.state.lock();
-            let end = sched.threads[me.index()].vtime;
-            if shared.trace_on.load(Ordering::Relaxed) {
-                let (id, kind, label) = (span.id, span.kind, span.label);
-                sched.record(me, || Event::SpanEnd { id, kind, label });
-            }
-            end
+            let mut sched = shared.state.borrow();
+            sched.record(me, || Event::SpanEnd { id, kind, label });
+            sched.threads[me.index()].vtime
         };
-        shared.metrics.observe_ns(
-            span_key(span.kind, span.label),
-            end.saturating_since(span.begin).as_nanos(),
-        );
+        shared
+            .metrics
+            .observe_span(kind, label, end.saturating_since(span.begin).as_nanos());
     });
 }
 
@@ -1039,7 +1055,7 @@ mod tests {
             assert_eq!(seen, Some(crate::now()));
         });
         k.run().unwrap();
-        let s = k.metrics().snapshot();
+        let s = k.metrics_snapshot();
         assert_eq!((s.counter("nested"), s.counter("outer")), (1, 1));
     }
 

@@ -71,7 +71,7 @@ impl<T: Send + 'static> PollSource<T> {
 
     fn with_shared(shared: Arc<Shared>, proc: ProcId, poll_cost: VirtualDuration) -> Self {
         let id = {
-            let mut sched = shared.state.lock();
+            let mut sched = shared.state.borrow();
             let id = SourceId(sched.sources.len());
             sched.sources.push(SourceState {
                 proc,
@@ -113,7 +113,7 @@ impl<T: Send + 'static> PollSource<T> {
     /// of one per lane: a channel's poll checks all of its lanes at one
     /// cost. Parking remains per-lane (see `SourceState::slot`).
     pub fn share_slot(&self, key: usize) {
-        self.shared.state.lock().sources[self.id.0].slot = Some(key);
+        self.shared.state.borrow().sources[self.id.0].slot = Some(key);
     }
 
     /// Register this source in its process's polling cycle without
@@ -121,7 +121,7 @@ impl<T: Send + 'static> PollSource<T> {
     /// a benchmark model "a polling thread exists for this channel" even
     /// before its first wait.
     pub fn attach(&self) {
-        let mut sched = self.shared.state.lock();
+        let mut sched = self.shared.state.borrow();
         let s = &mut sched.sources[self.id.0];
         s.attached = true;
         // An explicit (re)attach models a polling thread arriving: the
@@ -133,7 +133,7 @@ impl<T: Send + 'static> PollSource<T> {
     /// Remove this source from its process's polling cycle (the polling
     /// thread exited).
     pub fn detach(&self) {
-        self.shared.state.lock().sources[self.id.0].attached = false;
+        self.shared.state.borrow().sources[self.id.0].attached = false;
     }
 
     /// Post a message that arrives on the wire at absolute virtual time
@@ -297,7 +297,7 @@ impl<T: Send + 'static> PollSource<T> {
 
     /// Number of queued (arrived or in-flight) messages.
     pub fn backlog(&self) -> usize {
-        self.shared.state.lock().sources[self.id.0].queue.len()
+        self.shared.state.borrow().sources[self.id.0].queue.len()
     }
 }
 

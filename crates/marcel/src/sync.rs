@@ -13,11 +13,14 @@
 //! Every primitive is a [`Semaphore`] plus some state: a mutex's data, a
 //! one-shot's value, a queue's buffer, a condvar's waiter count, a
 //! barrier's arrivals. That state lives in the semaphore's slot in the
-//! kernel's scheduler and is touched only inside the critical section of
-//! one of the semaphore's operations — a P, a V, or a host-side access
-//! that charges nothing — so the scheduler lock those take anyway is the
-//! only lock. A mutex guard carries the data out of the slot when the
-//! acquire completes and puts it back in the step that releases it.
+//! kernel's scheduler and is touched only inside one of the semaphore's
+//! operations — a P, a V, or a host-side access that charges nothing —
+//! while it borrows the scheduler. That borrow is no lock either: the
+//! scheduler is an [`OwnedCell`](crate::OwnedCell) of the OS thread the
+//! kernel runs on, and using a primitive from any other OS thread
+//! panics, naming the owner. A mutex guard carries the data out of the
+//! slot when the acquire completes and puts it back in the step that
+//! releases it.
 //!
 //! Handles hold their kernel weakly: state that holds a primitive of its
 //! own kernel forms no reference cycle, and is dropped with the kernel.
@@ -84,7 +87,7 @@ impl Semaphore {
     /// whose slot holds `payload`.
     fn holding(kernel: Option<&Kernel>, initial: u64, payload: Payload) -> Self {
         let register = |shared: &Arc<Shared>| {
-            let mut sched = shared.state.lock();
+            let mut sched = shared.state.borrow();
             let id = SemId(sched.sems.len());
             sched.sems.push(SemState {
                 count: initial,
@@ -215,7 +218,7 @@ impl Semaphore {
 
     /// `f` on the slot, then [`Semaphore::release`], in one critical
     /// section. Whatever `f` moves out of the slot it returns, to be
-    /// dropped outside the scheduler lock.
+    /// dropped once the scheduler's borrow has ended.
     pub(crate) fn release_with<R>(&self, f: impl FnOnce(&mut Payload) -> R) -> R {
         self.op(|shared, me| {
             let mut sched = shared.enter(me);
@@ -255,14 +258,14 @@ impl Semaphore {
     /// Host-side access to the semaphore, outside any P or V: no charge
     /// and no scheduling decision, so virtual time cannot see it. Works
     /// with or without a simulated caller, which is why it — alone —
-    /// upgrades the handle. `f` runs under the scheduler lock and must
-    /// not enter the kernel.
+    /// upgrades the handle. `f` runs inside the scheduler's borrow and
+    /// must not enter the kernel.
     pub(crate) fn host<R>(&self, f: impl FnOnce(&mut SemState) -> R) -> R {
         let shared = self
             .shared
             .upgrade()
             .expect("primitive used after its kernel was dropped");
-        let mut sched = shared.state.lock();
+        let mut sched = shared.state.borrow();
         f(&mut sched.sems[self.id.0])
     }
 }
@@ -318,9 +321,9 @@ impl<T: Send + 'static> SimMutex<T> {
     /// quiescent (before [`Kernel::run`] or after it returned). State
     /// capture for the durable journal goes through here: it bypasses
     /// the virtual-time semaphore — which would require a simulated
-    /// calling thread — and reads the slot under the scheduler lock, so
-    /// it can never advance virtual time or perturb a replay. `f` must
-    /// not enter the kernel.
+    /// calling thread — and reads the slot in a borrow of the scheduler,
+    /// so it can never advance virtual time or perturb a replay. `f`
+    /// must not enter the kernel.
     pub fn read_quiesced<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.sem.host(|sem| f(state(&mut sem.payload)))
     }
@@ -725,7 +728,7 @@ mod tests {
     use crate::kernel::{Kernel, SimError};
     use crate::thread::{advance, now, spawn};
     use crate::time::{VirtualDuration, VirtualTime};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
 
     #[test]
     fn semaphore_blocks_until_release() {
@@ -780,7 +783,7 @@ mod tests {
                 // Stagger block times so FIFO order is w0, w1, w2.
                 advance(VirtualDuration::from_micros(i as u64));
                 sem.acquire();
-                order.lock().push(i);
+                order.lock().unwrap().push(i);
             });
         }
         k.spawn("rel", move || {
@@ -791,7 +794,7 @@ mod tests {
             }
         });
         k.run().unwrap();
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -963,7 +966,7 @@ mod tests {
                     g = cv.wait(&m, g);
                 }
                 drop(g);
-                *done.lock() += 1;
+                *done.lock().unwrap() += 1;
             });
         }
         k.spawn("setter", move || {
@@ -972,7 +975,7 @@ mod tests {
             cv.notify_all();
         });
         k.run().unwrap();
-        assert_eq!(*done.lock(), 4);
+        assert_eq!(*done.lock().unwrap(), 4);
     }
 
     #[test]
@@ -1050,11 +1053,11 @@ mod tests {
             k.spawn(format!("p{i}"), move || {
                 advance(VirtualDuration::from_micros(i * 50));
                 b.wait();
-                times.lock().push(now());
+                times.lock().unwrap().push(now());
             });
         }
         k.run().unwrap();
-        let times = times.lock().clone();
+        let times = times.lock().unwrap().clone();
         assert_eq!(times.len(), 3);
         // Nobody leaves before the slowest arrival at 100us.
         for t in &times {
@@ -1073,14 +1076,14 @@ mod tests {
             k.spawn(format!("p{i}"), move || {
                 for _ in 0..5 {
                     if b.wait() {
-                        *counter.lock() += 1;
+                        *counter.lock().unwrap() += 1;
                     }
                 }
             });
         }
         k.run().unwrap();
         // Exactly one leader per round.
-        assert_eq!(*counter.lock(), 5);
+        assert_eq!(*counter.lock().unwrap(), 5);
     }
 
     #[test]
@@ -1107,11 +1110,11 @@ mod tests {
                 // serialized, the last one would finish at 300us.
                 advance(VirtualDuration::from_micros(100));
                 drop(g);
-                done.lock().push(now());
+                done.lock().unwrap().push(now());
             });
         }
         k.run().unwrap();
-        for t in done.lock().iter() {
+        for t in done.lock().unwrap().iter() {
             assert!(
                 t.as_micros_f64() < 150.0,
                 "readers must overlap, one finished at {t}"

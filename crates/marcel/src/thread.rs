@@ -9,11 +9,11 @@
 //! fiber resumes holding its own, a starting fiber is handed its own by
 //! the context that switched to it.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Weak};
 
 use crate::fiber::Prev;
 use crate::kernel::{Shared, TState, ThreadSlot, Tid};
@@ -68,9 +68,16 @@ pub fn in_simulation() -> bool {
 
 /// Handle to a spawned simulated thread. Joining from inside the
 /// simulation blocks in *virtual* time until the target finishes.
+///
+/// The result waits in the target's slot in the scheduler, and the
+/// handle holds its kernel weakly, like the [`crate::sync`] primitives.
+/// Dropping the handle drops a result already there; a thread that
+/// finishes after its handle was dropped leaves its result to the
+/// kernel, which drops it with itself.
 pub struct JoinHandle<T> {
     tid: Tid,
-    slot: Arc<Mutex<Option<T>>>,
+    shared: Weak<Shared>,
+    _result: PhantomData<fn() -> T>,
 }
 
 impl<T: Send + 'static> JoinHandle<T> {
@@ -82,7 +89,11 @@ impl<T: Send + 'static> JoinHandle<T> {
     /// Block the *current simulated thread* until the target finishes and
     /// return its result. Must be called from inside the simulation.
     pub fn join(self) -> T {
-        with_current(|shared, me| {
+        let result = with_current(|shared, me| {
+            assert!(
+                std::ptr::eq(Arc::as_ptr(shared), self.shared.as_ptr()),
+                "thread joined from another kernel"
+            );
             let mut sched = shared.enter(me);
             let done = matches!(sched.threads[self.tid.0].state, TState::Done);
             if done {
@@ -96,25 +107,46 @@ impl<T: Send + 'static> JoinHandle<T> {
                 sched.threads[self.tid.0].joiners.push(me);
                 shared.block(&mut sched, me, TState::BlockedJoin(self.tid));
             }
+            sched.threads[self.tid.0].result.take()
         });
-        self.slot
-            .lock()
-            .take()
-            .expect("joined thread finished without a result")
+        downcast(result.expect("joined thread finished without a result"))
     }
 
     /// Retrieve the result *after* `Kernel::run` returned, from outside
     /// the simulation. Returns `None` when the thread never completed
-    /// (deadlock/abort).
+    /// (deadlock/abort), or when its kernel is gone.
     pub fn join_outcome(self) -> Option<T> {
-        self.slot.lock().take()
+        let shared = self.shared.upgrade()?;
+        let result = shared.state.borrow().threads[self.tid.0].result.take();
+        result.map(downcast)
+    }
+}
+
+fn downcast<T: 'static>(result: Box<dyn Any + Send>) -> T {
+    *result
+        .downcast()
+        .expect("thread result of the handle's type")
+}
+
+impl<T> Drop for JoinHandle<T> {
+    fn drop(&mut self) {
+        // Never panics: off the kernel's OS thread, or inside one of its
+        // operations, the result is left to the kernel instead.
+        let Some(shared) = self.shared.upgrade() else {
+            return;
+        };
+        let result = shared
+            .state
+            .try_borrow()
+            .and_then(|mut sched| sched.threads[self.tid.0].result.take());
+        drop(result);
     }
 }
 
 /// Internal spawn shared by `Kernel::spawn` and [`spawn`]. The thread
 /// costs a table entry until its first dispatch gives it a stack.
 pub(crate) fn spawn_inner<T, F>(
-    shared: &Shared,
+    shared: &Arc<Shared>,
     name: String,
     start: VirtualTime,
     f: F,
@@ -123,16 +155,11 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let result = slot.clone();
-    let mut sched = shared.state.lock();
+    let mut sched = shared.state.borrow();
     let tid = Tid(sched.threads.len());
     let body = move || match catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => {
-            *result.lock() = Some(v);
-            None
-        }
-        Err(payload) => Some(panic_to_string(payload.as_ref(), tid)),
+        Ok(v) => Ok(Box::new(v) as Box<dyn Any + Send>),
+        Err(payload) => Err(panic_to_string(payload.as_ref(), tid)),
     };
     sched.threads.push(ThreadSlot {
         name,
@@ -143,6 +170,7 @@ where
         poll_set: Vec::new(),
         woke_source: None,
         body: Some(Box::new(body)),
+        result: None,
         fiber: None,
         ticket: 0,
         seed: 0,
@@ -151,26 +179,30 @@ where
     // The child is born Ready, due at its start clock.
     sched.wheel.upsert(tid.0, start.0);
     sched.record(tid, || crate::obs::Event::Spawn);
-    JoinHandle { tid, slot }
+    JoinHandle {
+        tid,
+        shared: Arc::downgrade(shared),
+        _result: PhantomData,
+    }
 }
 
 /// What every fiber starts in (see [`crate::fiber::Entry`]): finish the
 /// switch that started it, run the thread's body, exit. Its frame is
 /// never unwound, so it keeps nothing alive across the final switch —
-/// the body (user closure, result slot) is consumed by the call, the
+/// the body (user closure) is consumed by the call, its result and the
 /// kernel handle by [`Shared::thread_exit`].
 pub(crate) fn fiber_main(prev: Prev) -> ! {
     let body = with_current(|shared, me| {
-        let mut sched = shared.state.lock();
+        let mut sched = shared.state.borrow();
         sched.arrive(prev);
         sched.threads[me.0]
             .body
             .take()
             .expect("a thread starts once")
     });
-    let panic_msg = body();
+    let outcome = body();
     let (shared, me) = set_current(None).expect("a running fiber owns its identity");
-    Shared::thread_exit(shared, me, panic_msg)
+    Shared::thread_exit(shared, me, outcome)
 }
 
 fn panic_to_string(payload: &(dyn std::any::Any + Send), tid: Tid) -> String {

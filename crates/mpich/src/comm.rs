@@ -305,8 +305,10 @@ impl Communicator {
             context,
             len: data.len(),
         };
-        let device = self.env.devices.select(from, dst).clone();
-        device.send_on_lane(from, dst, env, data, sync, lane);
+        self.env
+            .devices
+            .select(from, dst)
+            .send_on_lane(from, dst, env, data, sync, lane);
     }
 
     /// The one non-blocking send worker (`isend`, `issend`, `sendrecv`,

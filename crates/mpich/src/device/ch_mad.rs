@@ -239,24 +239,22 @@ impl ChMad {
             None => Vec::new(),
         };
         let mut fallbacks = fallbacks.into_iter();
-        let tag = rail.name_tag();
         let bytes = header.len() + body.as_ref().map_or(0, |b| b.len());
-        obs::emit(move || Event::RailSelected {
+        obs::emit(|| Event::RailSelected {
             rank: from,
             dst: next,
-            rail: tag,
+            rail: rail.name_tag(),
             bytes,
         });
+        let mut packet = Some((fwd, header, body));
         loop {
-            let Err(err) = self.send_packet_on(
-                rail,
-                from,
-                next,
-                vci,
-                fwd.clone(),
-                header.clone(),
-                body.clone(),
-            ) else {
+            // A rail with a fallback behind it sends a copy, kept for the
+            // retry; the last candidate sends the packet itself.
+            let (fwd, header, body) = match fallbacks.len() {
+                0 => packet.take().expect("the last rail sends once"),
+                _ => packet.clone().expect("kept for a retry"),
+            };
+            let Err(err) = self.send_packet_on(rail, from, next, vci, fwd, header, body) else {
                 return;
             };
             self.session.note_failover();
@@ -484,7 +482,7 @@ impl ChMad {
     ) -> Result<(), ChannelError> {
         let ep = channel.endpoint_vci(from, vci)?;
         let mut conn = ep.begin_packing(dst)?;
-        let hdr = header.clone();
+        let kind = Packet::decode(&header).kind();
         let bytes = header.len() + body.as_ref().map_or(0, |b| b.len());
         if let Some(fwd) = fwd {
             conn.pack_bytes(fwd, SendMode::Cheaper, ReceiveMode::Express);
@@ -496,12 +494,11 @@ impl ChMad {
             }
         }
         conn.end_packing()?;
-        let tag = channel.name_tag();
-        obs::emit(move || Event::PacketSent {
+        obs::emit(|| Event::PacketSent {
             rank: from,
             dst,
-            kind: Packet::decode(&hdr).kind(),
-            rail: tag,
+            kind,
+            rail: channel.name_tag(),
             bytes,
         });
         Ok(())

@@ -18,12 +18,11 @@
 //!   rhandle straight into the posted buffer: zero-copy.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
-use marcel::{Kernel, OneShot, SimCondvar, SimMutex, VirtualDuration};
+use marcel::{Kernel, OneShot, OwnedCell, SimCondvar, SimMutex, VirtualDuration};
 
 use crate::adi::AdiCosts;
 use crate::matching::{PostedStore, UnexpectedStore};
@@ -229,18 +228,24 @@ pub struct Engine {
     probe_gen: SimMutex<u64>,
     /// Mirrors the matching state for probe wake-ups.
     arrivals: SimCondvar,
-    /// Engine-global FIFO sequence allocators. Drawn while holding the
-    /// destination store's lock, so per-bucket sequences stay monotone
-    /// and cross-shard comparisons pick the true earliest entry.
-    posted_seq: AtomicU64,
-    unexp_seq: AtomicU64,
-    /// Rendezvous rhandle allocator (tokens are engine-global).
-    next_rhandle: AtomicU64,
+    /// Engine-global allocators, owned by the world's OS thread.
+    next: OwnedCell<Allocators>,
     costs: AdiCosts,
     /// High-water-mark gauge keys, interned at construction — the
     /// post/arrival paths must not pay a `format!` per message.
     posted_hwm_key: String,
     unexpected_hwm_key: String,
+}
+
+/// Next values of the engine-global counters. The FIFO sequences are
+/// drawn while holding the destination store's lock, so per-bucket
+/// sequences stay monotone and cross-shard comparisons pick the true
+/// earliest entry.
+struct Allocators {
+    posted_seq: u64,
+    unexp_seq: u64,
+    /// Rendezvous rhandle tokens (engine-global).
+    rhandle: u64,
 }
 
 impl Engine {
@@ -261,9 +266,11 @@ impl Engine {
             wild: SimMutex::new(kernel, PostedStore::new()),
             probe_gen: SimMutex::new(kernel, 0),
             arrivals: SimCondvar::new(kernel),
-            posted_seq: AtomicU64::new(0),
-            unexp_seq: AtomicU64::new(0),
-            next_rhandle: AtomicU64::new(1),
+            next: OwnedCell::new(Allocators {
+                posted_seq: 0,
+                unexp_seq: 0,
+                rhandle: 1,
+            }),
             costs,
             posted_hwm_key: format!("adi/rank{rank}/posted_hwm"),
             unexpected_hwm_key: format!("adi/rank{rank}/unexpected_hwm"),
@@ -283,6 +290,15 @@ impl Engine {
     #[inline]
     fn shard_of(&self, context: u32, tag: crate::types::Tag) -> usize {
         vci_for(context, tag, self.vcis)
+    }
+
+    /// Draw the next value of one of the engine's allocators.
+    fn draw(&self, counter: fn(&mut Allocators) -> &mut u64) -> u64 {
+        self.next.with(|a| {
+            let c = counter(a);
+            *c += 1;
+            *c - 1
+        })
     }
 
     /// Bump the probe generation and wake blocked probes. Called by
@@ -331,7 +347,7 @@ impl Engine {
                 obs::span_end(post_span);
                 return;
             }
-            let seq = self.posted_seq.fetch_add(1, Ordering::Relaxed);
+            let seq = self.draw(|a| &mut a.posted_seq);
             st.posted.insert_at(seq, spec, Posted { cap, req });
             let (rank, depth) = (self.rank, st.posted.len());
             drop(st); // the queue unlock belongs to the posting cost
@@ -350,7 +366,7 @@ impl Engine {
                 obs::span_end(post_span);
                 return;
             }
-            let seq = self.posted_seq.fetch_add(1, Ordering::Relaxed);
+            let seq = self.draw(|a| &mut a.posted_seq);
             st.posted.insert_at(seq, spec, Posted { cap, req });
             let (rank, depth) = (self.rank, st.posted.len());
             drop(st);
@@ -381,7 +397,7 @@ impl Engine {
             return;
         }
         let mut wl = self.wild.lock();
-        let seq = self.posted_seq.fetch_add(1, Ordering::Relaxed);
+        let seq = self.draw(|a| &mut a.posted_seq);
         wl.insert_at(seq, spec, Posted { cap, req });
         let (rank, depth) = (self.rank, wl.len());
         drop(wl);
@@ -445,7 +461,7 @@ impl Engine {
             }
             UnexpPayload::Rndv(respond) => {
                 Self::check_cap(&env, cap);
-                let token = self.next_rhandle.fetch_add(1, Ordering::Relaxed);
+                let token = self.draw(|a| &mut a.rhandle);
                 st.rndv.insert(
                     token,
                     RndvSlot {
@@ -500,7 +516,7 @@ impl Engine {
             request::complete(&posted.req, Some(data), Self::status_of(&env), span);
         } else {
             let (rank, src, tag) = (self.rank, env.src, env.tag);
-            let seq = self.unexp_seq.fetch_add(1, Ordering::Relaxed);
+            let seq = self.draw(|a| &mut a.unexp_seq);
             st.unexpected
                 .insert_at(seq, env, UnexpPayload::Eager(data, copy_ns, span));
             let depth = st.unexpected.len();
@@ -555,7 +571,7 @@ impl Engine {
         if let Some(posted) = self.take_posted(&mut st, &env) {
             Self::check_cap(&env, posted.cap);
             self.note_match(&env, false);
-            let token = self.next_rhandle.fetch_add(1, Ordering::Relaxed);
+            let token = self.draw(|a| &mut a.rhandle);
             st.rndv.insert(
                 token,
                 RndvSlot {
@@ -569,7 +585,7 @@ impl Engine {
             respond(token);
         } else {
             let (rank, src, tag) = (self.rank, env.src, env.tag);
-            let seq = self.unexp_seq.fetch_add(1, Ordering::Relaxed);
+            let seq = self.draw(|a| &mut a.unexp_seq);
             st.unexpected
                 .insert_at(seq, env, UnexpPayload::Rndv(respond));
             let depth = st.unexpected.len();
@@ -815,7 +831,7 @@ impl Engine {
             posted,
             unexpected,
             rndv,
-            next_rhandle: self.next_rhandle.load(Ordering::Relaxed),
+            next_rhandle: self.next.with(|a| a.rhandle),
         }
     }
 

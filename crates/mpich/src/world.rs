@@ -54,7 +54,7 @@ pub struct WorldConfig {
     /// [`marcel::chrome_trace_json`] and [`thread_metas`]). Tracing
     /// never advances virtual time, so enabling it cannot change
     /// results, end times, or any benchmark output. The metrics
-    /// registry ([`Kernel::metrics`]) is always on, independent of
+    /// registry ([`Kernel::metrics_snapshot`]) is always on, independent of
     /// this flag.
     pub trace: bool,
     /// How the collective layer picks algorithms — the collective

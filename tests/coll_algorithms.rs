@@ -362,7 +362,7 @@ fn adaptive_runs_hierarchical_on_the_meta_cluster() {
     )
     .expect("world completes")
     .kernel;
-    let snap = kernel.metrics().snapshot();
+    let snap = kernel.metrics_snapshot();
     assert_eq!(
         snap.counter("coll.allreduce.hierarchical"),
         6,
@@ -384,7 +384,7 @@ fn fixed_policy_forces_the_requested_algorithm() {
     )
     .expect("world completes")
     .kernel;
-    let snap = kernel.metrics().snapshot();
+    let snap = kernel.metrics_snapshot();
     assert_eq!(snap.counter("coll.allreduce.rabenseifner"), 4);
 }
 
@@ -401,7 +401,7 @@ fn seed_policy_never_leaves_binomial() {
     )
     .expect("world completes")
     .kernel;
-    let snap = kernel.metrics().snapshot();
+    let snap = kernel.metrics_snapshot();
     for (name, _) in snap.counters_with_prefix("coll.") {
         assert!(
             name.ends_with(".binomial"),
@@ -549,7 +549,7 @@ fn adaptive_runs_hierarchical_on_a_fat_tree() {
     )
     .expect("world completes")
     .kernel;
-    let snap = kernel.metrics().snapshot();
+    let snap = kernel.metrics_snapshot();
     assert_eq!(
         snap.counter("coll.allreduce.hierarchical"),
         16,

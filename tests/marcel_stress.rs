@@ -1,35 +1,37 @@
 //! Stress and property tests of the marcel kernel itself: scheduling
 //! order, poll-source semantics and synchronization primitives under
-//! randomized (seeded) workloads, and the lifetime rules of the fibers
-//! simulated threads run on.
+//! randomized (seeded) workloads, the lifetime rules of the fibers
+//! simulated threads run on, and the rule that a world belongs to one
+//! OS thread.
 
 use marcel::{
-    CostModel, Kernel, OneShot, PollSource, ProcId, Queue, Semaphore, SimError, SimMutex,
-    TraceEvent, VirtualDuration, VirtualTime,
+    CostModel, Decision, EventSink, Kernel, OneShot, PollSource, ProcId, Queue, Semaphore,
+    SimError, SimMutex, SpanKind, TraceEvent, VirtualDuration, VirtualTime,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
 #[test]
 fn many_threads_preserve_virtual_time_order() {
     // 40 threads with staggered advances: a shared log must come out in
     // non-decreasing virtual time.
     let k = Kernel::new(CostModel::calibrated());
-    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::new()));
     for i in 0..40u64 {
         let log = log.clone();
         k.spawn(format!("t{i}"), move || {
             let mut rng = StdRng::seed_from_u64(i);
             for _ in 0..20 {
                 marcel::advance(VirtualDuration::from_nanos(rng.gen_range(10..5_000)));
-                log.lock().push(marcel::now());
+                log.lock().unwrap().push(marcel::now());
             }
         });
     }
     k.run().unwrap();
-    let log = log.lock();
+    let log = log.lock().unwrap();
     assert_eq!(log.len(), 800);
     assert!(log.windows(2).all(|w| w[0] <= w[1]), "log out of order");
 }
@@ -40,7 +42,7 @@ fn semaphore_counting_invariant_under_stress() {
     // checked with a real counter.
     let k = Kernel::new(CostModel::calibrated());
     let sem = Semaphore::new(&k, 3);
-    let active = Arc::new(parking_lot::Mutex::new((0i32, 0i32))); // (current, max)
+    let active = Arc::new(Mutex::new((0i32, 0i32))); // (current, max)
     for i in 0..12u64 {
         let sem = sem.clone();
         let active = active.clone();
@@ -49,18 +51,18 @@ fn semaphore_counting_invariant_under_stress() {
             for _ in 0..10 {
                 sem.acquire();
                 {
-                    let mut a = active.lock();
+                    let mut a = active.lock().unwrap();
                     a.0 += 1;
                     a.1 = a.1.max(a.0);
                 }
                 marcel::advance(VirtualDuration::from_nanos(rng.gen_range(100..2_000)));
-                active.lock().0 -= 1;
+                active.lock().unwrap().0 -= 1;
                 sem.release();
             }
         });
     }
     k.run().unwrap();
-    let (current, max) = *active.lock();
+    let (current, max) = *active.lock().unwrap();
     assert_eq!(current, 0);
     assert!(max <= 3, "semaphore admitted {max} concurrent holders");
     assert!(max > 1, "stress should actually contend");
@@ -70,7 +72,7 @@ fn semaphore_counting_invariant_under_stress() {
 fn mutex_critical_sections_never_overlap_in_virtual_time() {
     let k = Kernel::new(CostModel::calibrated());
     let m = SimMutex::new(&k, ());
-    let spans = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let spans = Arc::new(Mutex::new(Vec::new()));
     for i in 0..8u64 {
         let m = m.clone();
         let spans = spans.clone();
@@ -81,12 +83,12 @@ fn mutex_critical_sections_never_overlap_in_virtual_time() {
                 marcel::advance(VirtualDuration::from_micros(3 + i));
                 let end = marcel::now();
                 drop(g);
-                spans.lock().push((start, end));
+                spans.lock().unwrap().push((start, end));
             }
         });
     }
     k.run().unwrap();
-    let mut spans = spans.lock().clone();
+    let mut spans = spans.lock().unwrap().clone();
     spans.sort();
     for w in spans.windows(2) {
         assert!(w[0].1 <= w[1].0, "critical sections overlap: {w:?}");
@@ -255,7 +257,7 @@ fn panic_inside_a_critical_section_is_reported_not_fatal() {
     let k = Kernel::new(cost);
     let m = SimMutex::new(&k, 0u32);
     let (m_holder, m_waiter) = (m.clone(), m.clone());
-    let early_saw = Arc::new(parking_lot::Mutex::new(None));
+    let early_saw = Arc::new(Mutex::new(None));
     let seen = early_saw.clone();
     k.spawn("holder", move || {
         let mut g = m_holder.lock();
@@ -269,7 +271,7 @@ fn panic_inside_a_critical_section_is_reported_not_fatal() {
     });
     k.spawn("early", move || {
         marcel::sleep(VirtualDuration::from_micros(65));
-        *seen.lock() = Some(std::thread::panicking());
+        *seen.lock().unwrap() = Some(std::thread::panicking());
         marcel::advance(VirtualDuration::from_micros(100));
     });
     match k.run() {
@@ -278,7 +280,7 @@ fn panic_inside_a_critical_section_is_reported_not_fatal() {
     }
     // `early` ran inside the holder's unwinding, where the per-OS-thread
     // panic flag is a superset of "this simulated thread is unwinding".
-    assert_eq!(*early_saw.lock(), Some(true));
+    assert_eq!(*early_saw.lock().unwrap(), Some(true));
     assert!(!std::thread::panicking(), "panic count is balanced again");
     assert_eq!(m.read_quiesced(|v| *v), 1);
 }
@@ -322,6 +324,88 @@ fn nested_kernel_run_restores_the_outer_identity() {
     let (inner, outer_now) = h.join_outcome().unwrap();
     assert_eq!(inner, alone);
     assert_eq!(outer_now, VirtualTime(10_000));
+}
+
+/// The message `f` panics with.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast::<&str>()
+            .map_or_else(|_| "?".into(), |s| s.to_string()),
+    }
+}
+
+#[test]
+fn a_world_used_from_another_os_thread_panics_naming_its_owner() {
+    // (e) Handles may travel between OS threads; the world they point
+    // at may not. Every use from a stranger must fail before it touches
+    // anything, and the owner's world must be as it was.
+    let k = Kernel::new(CostModel::calibrated());
+    let sem = Semaphore::new(&k, 1);
+    let m = SimMutex::new(&k, 7u32);
+    let owner = format!("{:?}", std::thread::current().id());
+    let (k2, sem2, m2) = (k.clone(), sem.clone(), m.clone());
+    let messages = std::thread::spawn(move || {
+        vec![
+            panic_message(|| drop(k2.metrics_snapshot())),
+            panic_message(|| drop(k2.spawn("stray", || ()))),
+            panic_message(|| {
+                sem2.count();
+            }),
+            panic_message(|| {
+                m2.read_quiesced(|v| *v);
+            }),
+        ]
+    })
+    .join()
+    .expect("the stranger's panics are caught");
+    for msg in &messages {
+        assert!(
+            msg.contains(&format!("owned by OS thread {owner}")),
+            "{msg}"
+        );
+    }
+    let h = k.spawn("owner", move || {
+        sem.acquire();
+        *m.lock()
+    });
+    k.run().unwrap();
+    assert_eq!(h.join_outcome(), Some(7));
+    assert_eq!(
+        k.capture().threads.len(),
+        1,
+        "the stray spawn left no thread"
+    );
+}
+
+#[test]
+fn an_event_sink_that_re_enters_the_kernel_panics_instead_of_deadlocking() {
+    // (e) A sink runs inside the kernel operation that drained into it.
+    // Calling back into the kernel must fail the borrow check loudly.
+    struct ReEnter(Option<Kernel>);
+    impl EventSink for ReEnter {
+        fn events(&mut self, _: &[TraceEvent]) {
+            // Only the first drain calls back in: the panicking thread
+            // still drains its exit through this sink.
+            if let Some(k) = self.0.take() {
+                k.trace_len();
+            }
+        }
+        fn decisions(&mut self, _: &[Decision]) {}
+    }
+    let k = Kernel::new(CostModel::calibrated());
+    k.enable_trace();
+    k.spawn("spanner", || {
+        marcel::advance(VirtualDuration::from_micros(1));
+        marcel::obs::span_end(marcel::obs::span_begin(SpanKind::Pack, "sink"));
+    });
+    k.set_event_sink(Box::new(ReEnter(Some(k.clone()))), 1);
+    match k.run() {
+        Err(SimError::ThreadPanicked(msg)) => assert!(msg.contains("re-entered"), "{msg}"),
+        other => panic!("expected the borrow check to fire, got {other:?}"),
+    }
 }
 
 proptest! {

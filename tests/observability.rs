@@ -38,7 +38,7 @@ fn traced_run(trace: bool) -> (Vec<u64>, VirtualTime, Vec<TraceEvent>, MetricsSn
     )
     .expect("traced world completes");
     let kernel = report.kernel;
-    let snapshot = kernel.metrics().snapshot();
+    let snapshot = kernel.metrics_snapshot();
     (
         report.results,
         kernel.end_time(),
@@ -124,7 +124,7 @@ fn retransmits_match_injected_losses() {
         "each injected loss costs exactly one retransmission: {c:?}"
     );
     // The metrics registry tells the same story, channel by channel.
-    let snap = kernel.metrics().snapshot();
+    let snap = kernel.metrics_snapshot();
     let metric_retransmits: u64 = snap
         .counters_with_prefix("chan/")
         .filter(|(k, _)| k.ends_with("/retransmits"))

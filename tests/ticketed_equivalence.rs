@@ -108,7 +108,7 @@ fn world_run_on(
         results: report.results,
         end: kernel.end_time(),
         trace,
-        metrics: kernel.metrics().snapshot(),
+        metrics: kernel.metrics_snapshot(),
         chrome,
     }
 }
@@ -229,7 +229,7 @@ fn committer_fallback_reproduces_the_seed_schedule() {
         (
             kernel.take_trace(),
             kernel.end_time(),
-            kernel.metrics().snapshot().counter("exec/fallback"),
+            kernel.metrics_snapshot().counter("exec/fallback"),
         )
     };
     let (seed_trace, seed_end, seed_falls) = run(ExecPolicy::Seed, 0);
