@@ -216,6 +216,7 @@ struct MetricKeys {
     net_messages: String,
     net_bytes: String,
     poll_detect: String,
+    striped_bytes: String,
 }
 
 impl MetricKeys {
@@ -231,6 +232,7 @@ impl MetricKeys {
             net_messages: format!("net/{name}/messages"),
             net_bytes: format!("net/{name}/bytes"),
             poll_detect: format!("poll_detect/{label}"),
+            striped_bytes: format!("rail/{name}/striped_bytes"),
         }
     }
 }
@@ -320,6 +322,12 @@ impl Channel {
     /// typed trace events carry.
     pub fn name_tag(&self) -> Arc<str> {
         self.name.clone()
+    }
+
+    /// Registry key of the rendezvous bytes striped onto this channel
+    /// (`rail/<name>/striped_bytes`), built once with the channel.
+    pub fn striped_bytes_key(&self) -> &str {
+        &self.keys.striped_bytes
     }
 
     pub fn protocol(&self) -> Protocol {

@@ -85,6 +85,38 @@ impl CollOp {
             CollOp::ReduceScatter => "reduce_scatter",
         }
     }
+
+    /// The `coll.<op>.<algorithm>` metrics counter key, spelled at
+    /// compile time so a dispatched collective formats nothing.
+    pub(crate) fn counter_key(self, alg: CollAlgorithm) -> &'static str {
+        /// One operation's keys, in [`CollAlgorithm`] order.
+        macro_rules! keys {
+            ($op:literal) => {
+                [
+                    concat!("coll.", $op, ".binomial"),
+                    concat!("coll.", $op, ".hierarchical"),
+                    concat!("coll.", $op, ".recursive_doubling"),
+                    concat!("coll.", $op, ".rabenseifner"),
+                    concat!("coll.", $op, ".ring"),
+                    concat!("coll.", $op, ".scatter_gather"),
+                ]
+            };
+        }
+        const KEYS: [[&str; 6]; 11] = [
+            keys!("barrier"),
+            keys!("bcast"),
+            keys!("reduce"),
+            keys!("allreduce"),
+            keys!("gather"),
+            keys!("scatter"),
+            keys!("allgather"),
+            keys!("alltoall"),
+            keys!("scan"),
+            keys!("exscan"),
+            keys!("reduce_scatter"),
+        ];
+        KEYS[self as usize][alg as usize]
+    }
 }
 
 /// One entry of the algorithm catalog. Not every algorithm applies to
@@ -472,6 +504,39 @@ mod tests {
 
     fn flat_clusters(n: usize) -> CommClusters {
         CommClusters::from_ids(&(0..n).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn counter_keys_spell_op_and_algorithm_names() {
+        use CollAlgorithm as A;
+        use CollOp as O;
+        let ops = [
+            O::Barrier,
+            O::Bcast,
+            O::Reduce,
+            O::Allreduce,
+            O::Gather,
+            O::Scatter,
+            O::Allgather,
+            O::Alltoall,
+            O::Scan,
+            O::Exscan,
+            O::ReduceScatter,
+        ];
+        let algs = [
+            A::Binomial,
+            A::Hierarchical,
+            A::RecursiveDoubling,
+            A::Rabenseifner,
+            A::Ring,
+            A::ScatterGather,
+        ];
+        for op in ops {
+            for alg in algs {
+                let want = format!("coll.{}.{}", op.name(), alg.name());
+                assert_eq!(op.counter_key(alg), want);
+            }
+        }
     }
 
     #[test]

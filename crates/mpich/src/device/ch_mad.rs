@@ -28,8 +28,9 @@
 //! * with [`PolicyMode::Striped`], rendezvous DATA between ranks that
 //!   share several networks is split into contiguous spans striped
 //!   across all rails, weighted by each link's calibrated bandwidth;
-//!   the receiver reassembles them through the engine's out-of-order
-//!   chunk path.
+//!   the receiver collects them through the engine's out-of-order
+//!   chunk path, where they are re-joined in place, copied only when
+//!   the spans are not one allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -352,12 +353,11 @@ impl ChMad {
         };
         // 3) Data, straight to the rhandle — no intermediate copies.
         let direct = hop.is_final;
-        if direct && self.policy.stripes() {
-            let rails: Vec<&Arc<Channel>> = hop.rails.clone().collect();
-            if rails.len() >= 2 && data.len() >= rails.len() {
-                self.send_rndv_striped(from, hop, vci, env, sync_address, data, &rails);
-                return;
-            }
+        if direct
+            && self.policy.stripes()
+            && self.send_rndv_striped(from, hop, vci, env, sync_address, &data)
+        {
+            return;
         }
         // Single-rail path. Across gateways, split into chunks so the
         // hops pipeline.
@@ -394,11 +394,18 @@ impl ChMad {
     /// Striped rendezvous DATA: one contiguous span per rail, sized
     /// proportionally to the rail's calibrated link bandwidth so every
     /// wire finishes at about the same time. Each span is an ordinary
-    /// `MAD_RNDV_PKT`; the receiver's per-channel polling threads feed
-    /// them into the engine's out-of-order chunk assembly
-    /// ([`Engine::rndv_chunk`]), which completes the request once
-    /// `total` bytes have landed. Sender occupancy is per-message, so
-    /// packing the spans back to back still overlaps their wire time.
+    /// `MAD_RNDV_PKT` carrying a slice of the sender's buffer; the
+    /// receiver's per-channel polling threads feed them into the
+    /// engine's out-of-order chunk path ([`Engine::rndv_chunk`]), which
+    /// completes the request once `total` bytes have landed — the spans
+    /// re-joined in place, copied only when they are not one
+    /// allocation. Sender occupancy is per-message, so packing the
+    /// spans back to back still overlaps their wire time.
+    ///
+    /// Sends nothing and returns `false` when the hop has fewer than two
+    /// live rails, or fewer bytes than rails. The first walk over the
+    /// rails counts them and sums their weights; the sending walk
+    /// re-reads liveness as it reaches each rail.
     #[allow(clippy::too_many_arguments)]
     fn send_rndv_striped(
         &self,
@@ -407,31 +414,37 @@ impl ChMad {
         vci: usize,
         env: Envelope,
         sync_address: u64,
-        data: Bytes,
-        rails: &[&Arc<Channel>],
-    ) {
+        data: &Bytes,
+    ) -> bool {
+        let (rails, weight_sum) = hop
+            .rails
+            .clone()
+            .fold((0, 0.0), |(n, sum), c| (n + 1, sum + c.stripe_weight()));
+        if rails < 2 || data.len() < rails {
+            return false;
+        }
         let dst = hop.dst;
-        let total = data.len() as u64;
-        let weights: Vec<f64> = rails.iter().map(|c| c.stripe_weight()).collect();
-        let weight_sum: f64 = weights.iter().sum();
+        let header = |offset: usize| {
+            Packet::Rndv {
+                env,
+                sync_address,
+                offset: offset as u64,
+                total: data.len() as u64,
+            }
+            .encode()
+        };
         let mut offset = 0usize;
-        for (i, (rail, w)) in rails.iter().zip(&weights).enumerate() {
-            let end = if i + 1 == rails.len() {
+        for (i, rail) in hop.rails.clone().enumerate() {
+            let end = if i + 1 == rails {
                 data.len()
             } else {
-                let span = (data.len() as f64 * w / weight_sum).round() as usize;
+                let span = (data.len() as f64 * rail.stripe_weight() / weight_sum).round() as usize;
                 data.len().min(offset + span.max(1))
             };
             if end <= offset {
                 continue;
             }
-            let header = Packet::Rndv {
-                env,
-                sync_address,
-                offset: offset as u64,
-                total,
-            }
-            .encode();
+            let header = header(offset);
             let body = data.slice(offset..end);
             let stripe = obs::span_begin(SpanKind::Stripe, rail.protocol().name());
             if self
@@ -449,20 +462,23 @@ impl ChMad {
                 // The rail died mid-stripe (zero deliveries of this
                 // span — a partially acknowledged span returns Ok).
                 // Migrate the span to the surviving rails; the
-                // receiver's out-of-order chunk assembly does not care
+                // receiver's out-of-order chunk path does not care
                 // which wire a span rides.
                 self.session.note_failover();
                 self.send_packet(from, hop, vci, header, Some(body));
             } else {
-                obs::counter_add(
-                    &format!("rail/{}/striped_bytes", rail.name()),
-                    (end - offset) as u64,
-                );
+                obs::counter_add(rail.striped_bytes_key(), (end - offset) as u64);
             }
             obs::span_end(stripe);
             offset = end;
         }
-        assert_eq!(offset, data.len(), "stripes must cover the message");
+        if offset < data.len() {
+            // A rail died after the count, so the walk skipped it and
+            // never reached the last span: migrate the rest.
+            self.session.note_failover();
+            self.send_packet(from, hop, vci, header(offset), Some(data.slice(offset..)));
+        }
+        true
     }
 
     /// Ship one packet on an explicitly chosen channel; the destination

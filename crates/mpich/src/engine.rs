@@ -15,7 +15,10 @@
 //!   sends the OK_TO_SEND message *from a separate thread* (a polling
 //!   thread must never send, §4.2.3).
 //! * [`Engine::rndv_complete`] — the rendezvous DATA message, routed by
-//!   rhandle straight into the posted buffer: zero-copy.
+//!   rhandle straight into the posted buffer: zero-copy. A striped or
+//!   forwarded message arrives as spans ([`Engine::rndv_chunk`]), which
+//!   are re-joined in place, copied only when they are not one
+//!   allocation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,7 +64,7 @@ pub enum EngineError {
         total: usize,
     },
     /// More payload than the transfer's total (overlapping or duplicate
-    /// chunks, or a chunk after a whole-message delivery).
+    /// chunks).
     OverDelivery {
         rank: usize,
         token: u64,
@@ -129,19 +132,68 @@ struct Posted {
     req: OneShot<Completion>,
 }
 
-/// Assembly buffer of one receiver-side rendezvous transaction. A
-/// whole-message delivery adopts the wire buffer without copying; a
-/// chunked (striped / forwarded) transfer assembles into an owned
-/// scratch buffer.
-enum RndvBuf {
-    Empty,
-    Whole(Bytes),
-    Parts(Vec<u8>),
+/// The spans one receiver-side rendezvous transaction has received, in
+/// arrival order: each is the wire's own buffer at its offset in the
+/// message. Madeleine's wire never copies, so the spans of a striped or
+/// forwarded message are adjacent slices of the sender's one
+/// allocation: on completion they are re-joined in place, and copied
+/// only when the spans are not one allocation. The first span is held
+/// inline, so a whole-message delivery allocates nothing.
+#[derive(Default)]
+struct RndvBuf {
+    first: Option<(usize, Bytes)>,
+    rest: Vec<(usize, Bytes)>,
 }
 
-/// One receiver-side rendezvous transaction, possibly assembled from
-/// several chunks (chunking happens on forwarded routes to keep the
-/// gateway pipeline full).
+impl RndvBuf {
+    fn push(&mut self, offset: usize, data: Bytes) {
+        if self.first.is_none() {
+            self.first = Some((offset, data));
+        } else {
+            self.rest.push((offset, data));
+        }
+    }
+
+    fn spans(&self) -> impl Iterator<Item = &(usize, Bytes)> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    /// The `total`-byte message, once the spans account for all of it.
+    fn into_message(self, total: usize) -> Bytes {
+        self.rejoin(total).unwrap_or_else(|| {
+            // The spans are not one allocation, or leave a gap that
+            // duplicates made up for: write them at their offsets in
+            // arrival order over a zeroed buffer.
+            let mut buf = vec![0u8; total];
+            for (offset, data) in self.spans() {
+                buf[*offset..*offset + data.len()].copy_from_slice(data);
+            }
+            Bytes::from(buf)
+        })
+    }
+
+    /// Walk the message from offset 0, joining each next span onto the
+    /// handle so far. A whole-message delivery is the one-span case.
+    fn rejoin(&self, total: usize) -> Option<Bytes> {
+        let mut joined = Bytes::new();
+        while joined.len() < total {
+            let at = joined.len();
+            let (_, next) = self
+                .spans()
+                .find(|(offset, data)| *offset == at && !data.is_empty())?;
+            joined = if at == 0 {
+                next.clone()
+            } else {
+                joined.try_join(next)?
+            };
+        }
+        Some(joined)
+    }
+}
+
+/// One receiver-side rendezvous transaction, possibly delivered in
+/// several spans (striped across rails, or chunked on forwarded routes
+/// to keep the gateway pipeline full).
 struct RndvSlot {
     req: OneShot<Completion>,
     total: usize,
@@ -467,7 +519,7 @@ impl Engine {
                     RndvSlot {
                         req,
                         total: env.len,
-                        buf: RndvBuf::Empty,
+                        buf: RndvBuf::default(),
                         received: 0,
                     },
                 );
@@ -577,7 +629,7 @@ impl Engine {
                 RndvSlot {
                     req: posted.req,
                     total: env.len,
-                    buf: RndvBuf::Empty,
+                    buf: RndvBuf::default(),
                     received: 0,
                 },
             );
@@ -613,9 +665,10 @@ impl Engine {
 
     /// Deliver one chunk of a rendezvous transaction. Chunks may arrive
     /// in any order; the transaction completes when `total` bytes have
-    /// been assembled into the rhandle's buffer. A rejected chunk leaves
-    /// the slot untouched (the transaction can still complete from other
-    /// chunks) and is reported as a typed [`EngineError`].
+    /// arrived, and its chunks are re-joined in place — copied only when
+    /// they are not one allocation. A rejected chunk leaves the slot
+    /// untouched (the transaction can still complete from other chunks)
+    /// and is reported as a typed [`EngineError`].
     pub fn rndv_chunk(
         &self,
         token: u64,
@@ -627,7 +680,7 @@ impl Engine {
         self.rndv_chunk_spanned(token, env, offset, total, data, None)
     }
 
-    /// Validate and assemble one chunk into its slot, under the state
+    /// Validate one chunk and keep it in its slot, under the state
     /// lock. Returns whether the transaction is now complete. Every
     /// error path leaves `st.rndv` exactly as it was.
     fn assemble(
@@ -636,7 +689,7 @@ impl Engine {
         token: u64,
         offset: usize,
         total: usize,
-        data: &Bytes,
+        data: Bytes,
     ) -> Result<bool, EngineError> {
         let slot = st
             .rndv
@@ -659,7 +712,7 @@ impl Engine {
                 total,
             });
         }
-        if slot.received + data.len() > total || matches!(slot.buf, RndvBuf::Whole(_)) {
+        if slot.received + data.len() > total {
             return Err(EngineError::OverDelivery {
                 rank,
                 token,
@@ -667,21 +720,8 @@ impl Engine {
                 total,
             });
         }
-        if matches!(slot.buf, RndvBuf::Empty) && offset == 0 && data.len() == total {
-            // Whole-message fast path: adopt the wire buffer
-            // without copying.
-            slot.buf = RndvBuf::Whole(data.clone());
-        } else {
-            if matches!(slot.buf, RndvBuf::Empty) {
-                slot.buf = RndvBuf::Parts(vec![0u8; total]);
-            }
-            match &mut slot.buf {
-                RndvBuf::Parts(buf) => buf[offset..offset + data.len()].copy_from_slice(data),
-                // Whole is rejected by the over-delivery guard above.
-                RndvBuf::Whole(_) | RndvBuf::Empty => unreachable!("buf just initialized"),
-            }
-        }
         slot.received += data.len();
+        slot.buf.push(offset, data);
         Ok(slot.received == total)
     }
 
@@ -702,7 +742,7 @@ impl Engine {
         // to (lane 0 at `vcis == 1`).
         let v = self.shard_of(env.context, env.tag);
         let mut st = self.shards[v].lock();
-        let done = match Self::assemble(&mut st, self.rank, token, offset, total, &data) {
+        let done = match Self::assemble(&mut st, self.rank, token, offset, total, data) {
             Ok(done) => done,
             Err(e) => {
                 drop(st);
@@ -714,11 +754,7 @@ impl Engine {
             let slot = st.rndv.remove(&token).expect("slot just seen");
             drop(st);
             marcel::advance(self.costs.complete);
-            let payload = match slot.buf {
-                RndvBuf::Whole(b) => b,
-                RndvBuf::Parts(v) => Bytes::from(v),
-                RndvBuf::Empty => unreachable!("completed with no data"),
-            };
+            let payload = slot.buf.into_message(total);
             request::complete(&slot.req, Some(payload), Self::status_of(&env), span);
         } else {
             drop(st);
@@ -1080,14 +1116,169 @@ mod tests {
     }
 
     #[test]
+    fn spans_of_one_allocation_rejoin_in_place_in_either_order() {
+        for first_at_zero in [true, false] {
+            with_engine(move |e| {
+                let sent = Bytes::from((1u8..=8).collect::<Vec<u8>>());
+                let (head, tail) = (sent.slice(..5), sent.slice(5..));
+                let mut r = post(&e, spec(Some(1), Some(0)), 64);
+                let token = offer(&e, env(1, 0, 8)).take();
+                let spans = if first_at_zero {
+                    [(0, head), (5, tail)]
+                } else {
+                    [(5, tail), (0, head)]
+                };
+                for (offset, data) in spans {
+                    assert!(!r.test(), "completed before every span landed");
+                    e.rndv_chunk(token, env(1, 0, 8), offset, 8, data).unwrap();
+                }
+                let data = r.wait_bytes().0.unwrap();
+                assert_eq!(data, sent);
+                assert_eq!(data.as_ptr(), sent.as_ptr(), "no copy was made");
+            });
+        }
+    }
+
+    #[test]
+    fn spans_of_two_allocations_are_copied_into_place() {
+        with_engine(|e| {
+            let (a, b) = (Bytes::from(vec![1u8, 2, 3]), Bytes::from(vec![4u8, 5]));
+            let r = post(&e, spec(Some(1), Some(0)), 64);
+            let token = offer(&e, env(1, 0, 5)).take();
+            e.rndv_chunk(token, env(1, 0, 5), 3, 5, b.clone()).unwrap();
+            e.rndv_chunk(token, env(1, 0, 5), 0, 5, a.clone()).unwrap();
+            let data = r.wait_bytes().0.unwrap();
+            assert_eq!(data, vec![1, 2, 3, 4, 5]);
+            assert!(data.as_ptr() != a.as_ptr() && data.as_ptr() != b.as_ptr());
+        });
+    }
+
+    #[test]
+    fn duplicate_then_gap_completes_with_the_bytes_written_in_arrival_order() {
+        // A duplicated span makes up the byte count its missing twin
+        // leaves: the transaction completes, the later copy of the
+        // duplicated range wins, and the gap reads as zeros.
+        with_engine(|e| {
+            let sent = Bytes::from(vec![1u8, 2, 3, 4, 5, 6, 7, 8]);
+            let r = post(&e, spec(Some(1), Some(0)), 64);
+            let token = offer(&e, env(1, 0, 8)).take();
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4))
+                .unwrap();
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![9u8; 4]))
+                .unwrap();
+            let data = r.wait_bytes().0.unwrap();
+            assert_eq!(data, vec![9, 9, 9, 9, 0, 0, 0, 0]);
+        });
+    }
+
+    /// An open 8-byte transaction from rank 1; its request and token.
+    fn open_rndv(e: &Engine) -> (Request, u64) {
+        let r = post(e, spec(Some(1), Some(0)), 64);
+        let token = offer(e, env(1, 0, 8)).take();
+        (r, token)
+    }
+
+    /// Complete an open 8-byte transaction with two valid spans and
+    /// check the rejected chunk before them left no trace.
+    fn finish_rndv(e: &Engine, mut r: Request, token: u64) {
+        assert!(!r.test());
+        let sent = Bytes::from((1u8..=8).collect::<Vec<u8>>());
+        e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4))
+            .unwrap();
+        e.rndv_chunk(token, env(1, 0, 8), 4, 8, sent.slice(4..))
+            .unwrap();
+        assert_eq!(r.wait_bytes().0.unwrap(), sent);
+        assert_eq!(e.depths(), (0, 0, 0));
+    }
+
+    #[test]
+    fn unknown_rhandle_is_rejected() {
+        with_engine(|e| {
+            let (r, token) = open_rndv(&e);
+            let got = e.rndv_chunk(token + 7, env(1, 0, 8), 0, 8, Bytes::from(vec![0u8; 8]));
+            assert_eq!(
+                got,
+                Err(EngineError::UnknownRhandle {
+                    rank: 0,
+                    token: token + 7
+                })
+            );
+            finish_rndv(&e, r, token);
+        });
+    }
+
+    #[test]
+    fn total_mismatch_is_rejected_before_bounds() {
+        with_engine(|e| {
+            let (r, token) = open_rndv(&e);
+            // Out of bounds for either total, but the total is checked
+            // first.
+            let got = e.rndv_chunk(token, env(1, 0, 8), 9, 16, Bytes::from(vec![0u8; 8]));
+            assert_eq!(
+                got,
+                Err(EngineError::TotalMismatch {
+                    rank: 0,
+                    token,
+                    expected: 8,
+                    got: 16
+                })
+            );
+            finish_rndv(&e, r, token);
+        });
+    }
+
+    #[test]
+    fn chunk_out_of_bounds_is_rejected() {
+        with_engine(|e| {
+            let (r, token) = open_rndv(&e);
+            let got = e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![0u8; 3]));
+            assert_eq!(
+                got,
+                Err(EngineError::ChunkOutOfBounds {
+                    rank: 0,
+                    token,
+                    offset: 6,
+                    len: 3,
+                    total: 8
+                })
+            );
+            finish_rndv(&e, r, token);
+        });
+    }
+
+    #[test]
+    fn over_delivery_is_rejected() {
+        with_engine(|e| {
+            let (r, token) = open_rndv(&e);
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![7u8; 6]))
+                .unwrap();
+            let got = e.rndv_chunk(token, env(1, 0, 8), 4, 8, Bytes::from(vec![0u8; 4]));
+            assert_eq!(
+                got,
+                Err(EngineError::OverDelivery {
+                    rank: 0,
+                    token,
+                    received: 6,
+                    total: 8
+                })
+            );
+            e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![8u8; 2]))
+                .unwrap();
+            assert_eq!(r.wait().0.unwrap(), vec![7, 7, 7, 7, 7, 7, 8, 8]);
+        });
+    }
+
+    #[test]
     fn rndv_single_chunk_fast_path() {
         with_engine(|e| {
             let req = post(&e, spec(None, None), 8);
             let token = offer(&e, env(2, 1, 3)).take();
-            e.rndv_complete(token, env(2, 1, 3), Bytes::from_static(&[9, 8, 7]))
+            static SENT: [u8; 3] = [9, 8, 7];
+            e.rndv_complete(token, env(2, 1, 3), Bytes::from_static(&SENT))
                 .unwrap();
-            let (data, _) = req.wait();
-            assert_eq!(data.unwrap(), vec![9, 8, 7]);
+            let data = req.wait_bytes().0.unwrap();
+            assert_eq!(data, vec![9, 8, 7]);
+            assert_eq!(data.as_ptr(), SENT.as_ptr(), "the wire buffer is adopted");
         });
     }
 

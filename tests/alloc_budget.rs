@@ -6,10 +6,14 @@
 //! is pinned exactly: any allocation added to or removed from the
 //! message path moves it. The byte ceiling sits between the measured
 //! 7.6 KB and the 234 KB from when every packet ran a breadth-first
-//! search over the topology. One `#[test]`: the counters are
-//! process-wide.
+//! search over the topology. A striped 4 MiB rendezvous must not copy
+//! its body: the receiver re-joins the spans in place. One `#[test]`:
+//! the counters are process-wide.
 
-use mpich::{run_world, Placement, ReduceOp, WorldConfig};
+use bytes::Bytes;
+use mpich::{
+    run_world, ChMadConfig, Placement, PolicyMode, ReduceOp, RemoteDeviceKind, WorldConfig,
+};
 use simnet::{Protocol, Topology};
 
 #[global_allocator]
@@ -79,6 +83,46 @@ fn storm_world() {
     .expect("storm world failed");
 }
 
+const STRIPED_BYTES: usize = 4 << 20;
+const STRIPED_ROUND_TRIPS: usize = 4;
+
+/// The benchmark's striped `rails_pingpong` pair: one SCI and one BIP
+/// rail between two nodes, rendezvous DATA split across both, ping-
+/// ponging `payload`. Returns whether every receive on each rank handed
+/// back a `Bytes` pointing into the sender's buffer.
+fn striped_world(payload: Bytes) -> Vec<bool> {
+    let mut t = Topology::new();
+    let (a, b) = (t.add_node("a", 1), t.add_node("b", 1));
+    t.add_network(Protocol::Sisci, [a, b]);
+    t.add_network(Protocol::Bip, [a, b]);
+    let striped = ChMadConfig {
+        policy: PolicyMode::Striped,
+        ..ChMadConfig::default()
+    };
+    let config = WorldConfig::builder()
+        .remote(RemoteDeviceKind::ChMad(striped))
+        .build();
+    run_world(t, Placement::OneRankPerNode, config, move |comm| {
+        let (ep, me) = (comm.endpoint(), comm.rank());
+        let mut in_place = true;
+        for _ in 0..STRIPED_ROUND_TRIPS {
+            if me == 0 {
+                ep.send(&payload, 1, 0).unwrap();
+            }
+            let (got, _) = ep
+                .recv::<Bytes>(STRIPED_BYTES, Some(1 - me), Some(0))
+                .unwrap();
+            assert_eq!(got, payload);
+            in_place &= got.as_ptr() == payload.as_ptr();
+            if me == 1 {
+                ep.send(&payload, 0, 0).unwrap();
+            }
+        }
+        in_place
+    })
+    .expect("striped world failed")
+}
+
 #[test]
 fn per_message_allocations_do_not_grow_with_the_world() {
     // Warm the process-wide buffer pool first.
@@ -86,11 +130,12 @@ fn per_message_allocations_do_not_grow_with_the_world() {
     let (allocs, _) = counted(storm_world);
     let messages = (STORM_RANKS * (STORM_RANKS - 1) * STORM_ROUNDS) as f64;
     let per_message = allocs as f64 / messages;
-    // 8.96 per message. It was 8 047 while each of the world's 16
+    // 8.93 per message. It was 8 047 while each of the world's 16
     // threads kept its result in an `Arc` slot of its own, and its
-    // metrics registry sat behind one more `Arc`.
+    // metrics registry sat behind one more `Arc`; 8 030 while every
+    // rank's shutdown barrier `format!`-ed its collective counter key.
     assert_eq!(
-        allocs, 8_030,
+        allocs, 7_999,
         "{per_message:.2} allocations per 16 B message (whole world / messages)"
     );
 
@@ -100,5 +145,24 @@ fn per_message_allocations_do_not_grow_with_the_world() {
         per_collective < 10_000.0,
         "{per_collective:.0} B allocated per rank-collective of a 1024-rank world"
     );
-    println!("storm {per_message:.2} allocs/message, scale {per_collective:.0} B/rank-collective");
+
+    let payload: Bytes = (0..STRIPED_BYTES).map(|i| (i % 251) as u8).collect();
+    let mut in_place = Vec::new();
+    let (_, bytes) = counted(|| in_place = striped_world(payload.clone()));
+    let per_striped = bytes as f64 / (2 * STRIPED_ROUND_TRIPS) as f64;
+    // Well over 4 MiB while every striped message was copied into a
+    // fresh assembly buffer.
+    assert!(
+        per_striped < 64.0 * 1024.0,
+        "{per_striped:.0} B allocated per striped 4 MiB message"
+    );
+    assert_eq!(
+        in_place,
+        vec![true, true],
+        "each receiver's Bytes points into the sender's buffer"
+    );
+    println!(
+        "storm {per_message:.2} allocs/message, scale {per_collective:.0} B/rank-collective, \
+         striped {per_striped:.0} B/message"
+    );
 }
