@@ -17,9 +17,8 @@ Gates (vs ci/hotpath_baseline.json, captured at iters=2):
 4. the §3.3 idle-channel tax under `PollPolicy::Parking` is exactly
    zero — virtual time is deterministic, so equality cannot flake.
 
-The bench also re-runs the storm once under `ExecPolicy::Ticketed` and
-asserts its virtual end times against Seed; that wall-clock is printed
-by the bench and not read here.
+The bench itself asserts that every storm run in the process ends each
+rank at the same virtual time.
 """
 
 import json

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use marcel::VirtualTime;
-use mpich::{run_world, ExecPolicy, Placement, PollPolicy, WorldConfig};
+use mpich::{run_world, Placement, PollPolicy, WorldConfig};
 use simnet::{Protocol, Topology};
 
 #[global_allocator]
@@ -28,13 +28,13 @@ const MSG: usize = 16;
 /// arrival order — so the unexpected queue grows to `rounds × (n-1)`
 /// entries and every match has to be dug out from the far end, the
 /// worst case for a linear scan.
-fn storm_once(rounds: usize, exec: ExecPolicy) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
+fn storm_once(rounds: usize) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
     let (a0, b0) = (bench::alloc::allocs(), bench::alloc::alloc_bytes());
     let t0 = Instant::now();
     let ends = run_world(
         Topology::single_network(RANKS, Protocol::Sisci),
         Placement::OneRankPerNode,
-        WorldConfig::builder().exec(exec).build(),
+        WorldConfig::default(),
         move |comm| {
             let me = comm.rank();
             let n = comm.size();
@@ -80,12 +80,12 @@ fn storm_once(rounds: usize, exec: ExecPolicy) -> (u64, f64, u64, u64, Vec<Virtu
 /// threads-per-rank dimension. Each worker pulls `comm.endpoint()`
 /// from its own thread, so the deterministic tag→VCI hash spreads the
 /// streams across lanes.
-fn storm_tpr_once(rounds: usize, tpr: usize, exec: ExecPolicy) -> (u64, f64) {
+fn storm_tpr_once(rounds: usize, tpr: usize) -> (u64, f64) {
     let t0 = Instant::now();
     run_world(
         Topology::single_network(RANKS, Protocol::Sisci),
         Placement::OneRankPerNode,
-        WorldConfig::builder().exec(exec).build(),
+        WorldConfig::default(),
         move |comm| {
             let me = comm.rank();
             let n = comm.size();
@@ -128,27 +128,30 @@ fn storm_tpr_once(rounds: usize, tpr: usize, exec: ExecPolicy) -> (u64, f64) {
 
 /// Best-of-3 threads-per-rank storm (no warm-up bookkeeping needed —
 /// only wall-clock is reported on this axis).
-fn storm_tpr(rounds: usize, tpr: usize, exec: ExecPolicy) -> (u64, f64) {
-    let (msgs, mut wall) = storm_tpr_once(rounds, tpr, exec);
+fn storm_tpr(rounds: usize, tpr: usize) -> (u64, f64) {
+    let (msgs, mut wall) = storm_tpr_once(rounds, tpr);
     for _ in 0..2 {
-        wall = wall.min(storm_tpr_once(rounds, tpr, exec).1);
+        wall = wall.min(storm_tpr_once(rounds, tpr).1);
     }
     (msgs, wall)
 }
 
 /// Best-of-3 storm after one warm-up run. Wall-clock is the min of the
 /// measured runs (the standard noise-robust estimator); the allocation
-/// figures come from the first measured run — after warm-up has
-/// populated the one-time caches (metric-key interning, buffer pools,
-/// histogram slots), per-run allocation counts are deterministic.
-fn storm(rounds: usize, exec: ExecPolicy) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
-    storm_once(rounds, exec);
-    let (msgs, mut wall, allocs, bytes, ends) = storm_once(rounds, exec);
+/// figures come from the first measured run — after the warm-up run,
+/// per-run allocation counts are deterministic. Every run must end each
+/// rank at the same virtual time: no state carries over from one world
+/// to the next.
+fn storm(rounds: usize) -> (u64, f64, u64, u64) {
+    let (_, _, _, _, warm_ends) = storm_once(rounds);
+    let (msgs, mut wall, allocs, bytes, ends) = storm_once(rounds);
+    assert_eq!(ends, warm_ends, "a repeated storm ended elsewhere");
     for _ in 0..2 {
-        let r = storm_once(rounds, exec);
+        let r = storm_once(rounds);
         wall = wall.min(r.1);
+        assert_eq!(r.4, ends, "a repeated storm ended elsewhere");
     }
-    (msgs, wall, allocs, bytes, ends)
+    (msgs, wall, allocs, bytes)
 }
 
 /// Steady-state SCI one-way ping-pong latency in µs: 32 warm-up
@@ -220,32 +223,13 @@ fn main() {
         .unwrap_or(4);
     let rounds = 12 * iters;
 
-    let (msgs, wall, allocs, bytes, seed_ends) = storm(rounds, ExecPolicy::Seed);
+    let (msgs, wall, allocs, bytes) = storm(rounds);
     let eps = msgs as f64 / wall;
     println!("== hotpath — {RANKS}-rank all-to-all storm, {MSG} B x {rounds} rounds ==");
     println!(
         "hotpath: messages={msgs} wall_ms={:.1} events_per_sec={:.0} allocs={allocs} alloc_bytes={bytes}",
         wall * 1e3,
         eps
-    );
-
-    // The same storm under the Ticketed label: the policies share one
-    // hand-off, so only the simulation can differ — asserted right here
-    // by comparing per-rank virtual end times against the Seed run.
-    println!("\n== ticketed execution — same storm, host wall-clock by worker budget ==");
-    println!("{:>12} {:>10} {:>9}", "policy", "wall_ms", "speedup");
-    println!("{:>12} {:>10.1} {:>9.2}", "Seed", wall * 1e3, 1.0);
-    let (m, ticketed_wall, _, _, ends) = storm(rounds, ExecPolicy::Ticketed { workers: 2 });
-    assert_eq!(m, msgs, "ticketed message count diverged");
-    assert_eq!(
-        ends, seed_ends,
-        "ticketed virtual end times diverged from Seed"
-    );
-    println!(
-        "{:>12} {:>10.1} {:>9.2}",
-        "Ticketed@2",
-        ticketed_wall * 1e3,
-        wall / ticketed_wall
     );
 
     // ROADMAP item-3 leftover: the VCI storm's threads-per-rank axis on
@@ -260,7 +244,7 @@ fn main() {
         let mut base = 0.0;
         let mut t = 1;
         while t <= tpr_max {
-            let (m, w) = storm_tpr(rounds, t, ExecPolicy::Ticketed { workers: 2 });
+            let (m, w) = storm_tpr(rounds, t);
             let rate = m as f64 / w;
             if t == 1 {
                 base = rate;
@@ -309,9 +293,8 @@ fn main() {
         format!(",\"tpr_msgs_per_sec\":{{{}}}", rows.join(","))
     };
     println!(
-        "\n{{\"messages\":{msgs},\"wall_ms\":{:.3},\"events_per_sec\":{:.1},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3},\"ticketed_wall_ms\":{{\"2\":{:.3}}}{tpr_json}}}",
+        "\n{{\"messages\":{msgs},\"wall_ms\":{:.3},\"events_per_sec\":{:.1},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}{tpr_json}}}",
         wall * 1e3,
-        eps,
-        ticketed_wall * 1e3
+        eps
     );
 }

@@ -14,7 +14,8 @@
 //! * [`EventChunkRec`] — a contiguous, ticket-ordered run of trace
 //!   events in a compact varint encoding with a per-chunk string table
 //!   (channel/rail/packet-kind/span-label strings are stored once per
-//!   chunk, referenced by index). The final chunk of an episode
+//!   chunk, referenced by index; packet kinds and span labels must be
+//!   in [`mpich::TRACE_LABELS`]). The final chunk of an episode
 //!   (`fin`) also carries the [`marcel::ThreadMeta`] table the Chrome
 //!   exporter needs.
 //! * [`DecisionChunkRec`] — a run of committer decisions, each a
@@ -47,7 +48,7 @@
 //! rebuilt on read are one fold over the same chunks.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use marcel::{
     Decision, Event, EventSink, MetricsSnapshot, SpanKind, ThreadMeta, TraceEvent, VirtualTime,
@@ -95,23 +96,6 @@ fn span_kind_from(code: u8, at: usize) -> Result<SpanKind, DecodeError> {
     })
 }
 
-/// Global string interner for decoded `&'static str` fields
-/// (packet kinds, span labels). The live set of such strings is small
-/// and static by construction — they originate from string literals in
-/// the instrumented code — so leaking one copy per distinct string is
-/// bounded.
-fn intern(s: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut t = table.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&v) = t.get(s) {
-        return v;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    t.insert(s.to_string(), leaked);
-    leaked
-}
-
 /// Per-chunk string table, built in first-use order during encoding
 /// (deterministic: events are encoded in ticket order).
 #[derive(Default)]
@@ -132,22 +116,28 @@ impl StrTable {
     }
 }
 
-/// Decoded string table: `Arc<str>` entries shared by every event that
-/// references them.
+/// Decoded string table, each entry resolved once per chunk: the
+/// `Arc<str>` every event referencing it shares, and its entry in
+/// [`mpich::TRACE_LABELS`] when it is one of the stack's labels.
 struct StrView {
-    list: Vec<Arc<str>>,
+    list: Vec<(Arc<str>, Option<&'static str>)>,
 }
 
 impl StrView {
-    fn arc(&self, i: u32, at: usize) -> Result<Arc<str>, DecodeError> {
-        self.list.get(i as usize).cloned().ok_or(DecodeError {
+    fn entry(&self, i: u32, at: usize) -> Result<&(Arc<str>, Option<&'static str>), DecodeError> {
+        self.list.get(i as usize).ok_or(DecodeError {
             what: "event.string_index",
             at,
         })
     }
 
-    fn stat(&self, i: u32, at: usize) -> Result<&'static str, DecodeError> {
-        Ok(intern(&self.arc(i, at)?))
+    fn arc(&self, i: u32, at: usize) -> Result<Arc<str>, DecodeError> {
+        Ok(self.entry(i, at)?.0.clone())
+    }
+
+    /// The listed label at `i`; an unlisted string fails as `what`.
+    fn label(&self, i: u32, what: &'static str, at: usize) -> Result<&'static str, DecodeError> {
+        self.entry(i, at)?.1.ok_or(DecodeError { what, at })
     }
 }
 
@@ -238,7 +228,7 @@ impl Field for &'static str {
         e.vu32(table.idx(self))
     }
     fn dec(d: &mut Dec<'_>, table: &StrView, what: &'static str, at: usize) -> DecResult<Self> {
-        table.stat(d.vu32(what)?, at)
+        table.label(d.vu32(what)?, what, at)
     }
 }
 
@@ -450,7 +440,9 @@ impl EventChunkRec {
         let nstr = d.vu32("event_chunk.string_count")?;
         let mut list = Vec::with_capacity(nstr.min(1 << 16) as usize);
         for _ in 0..nstr {
-            list.push(Arc::<str>::from(d.str("event_chunk.string")?.as_str()));
+            let s = d.str("event_chunk.string")?;
+            let label = mpich::TRACE_LABELS.iter().copied().find(|&l| l == s);
+            list.push((Arc::from(s), label));
         }
         let table = StrView { list };
         let nthreads = d.vu32("event_chunk.thread_count")?;
@@ -1146,7 +1138,7 @@ mod tests {
                 Event::PacketSent {
                     rank: 0,
                     dst: 1,
-                    kind: "EAGER",
+                    kind: "SHORT",
                     rail: "tcp#0".into(),
                     bytes: 300,
                 },

@@ -19,24 +19,27 @@ use bytes::{BufMut, Bytes};
 
 use crate::types::Envelope;
 
-/// Fixed-size stack buffer headers are encoded into before being
-/// copied to a pooled [`Bytes`]; sized to [`bytes::POOL_SLOT`] so the
-/// copy always lands in the recycling pool (headers are ≤ 53 B).
+/// Stack capacity of [`Wire`]: the longest header, `MAD_RNDV_PKT`,
+/// is 45 B.
+const WIRE_CAP: usize = 64;
+
+/// Fixed-size stack buffer a header is encoded into before its one
+/// copy into a [`Bytes`].
 struct Wire {
-    buf: [u8; bytes::POOL_SLOT],
+    buf: [u8; WIRE_CAP],
     n: usize,
 }
 
 impl Wire {
     fn new() -> Wire {
         Wire {
-            buf: [0; bytes::POOL_SLOT],
+            buf: [0; WIRE_CAP],
             n: 0,
         }
     }
 
     fn freeze(&self) -> Bytes {
-        Bytes::pooled_copy(&self.buf[..self.n])
+        Bytes::copy_from_slice(&self.buf[..self.n])
     }
 }
 
@@ -124,8 +127,9 @@ impl Packet {
     }
 
     /// Serialize the header. Encodes into a stack buffer and copies
-    /// once into a pooled [`Bytes`], so a warm steady state performs
-    /// no heap allocation per header.
+    /// once into a [`Bytes`]. The eager-path headers (SHORT 21 B,
+    /// SENDOK 17 B, TERM, FWD) fit inside the handle and cost no heap
+    /// allocation; REQUEST (29 B) and RNDV (45 B) allocate one buffer.
     pub fn encode(&self) -> Bytes {
         let mut buf = Wire::new();
         match self {

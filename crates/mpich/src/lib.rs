@@ -70,3 +70,93 @@ pub use world::{
     run_world, run_world_report, thread_metas, ConfigError, Placement, RemoteDeviceKind,
     StreamHook, WorldCapture, WorldConfig, WorldConfigBuilder, WorldReport,
 };
+
+/// Every label the stack writes into a trace event's `&'static str`
+/// fields: span labels and `PacketSent`/`PacketDelivered` packet kinds.
+/// The journal resolves a decoded label against this list, so one
+/// outside it (a corrupt or foreign journal) is a decode error.
+pub const TRACE_LABELS: &[&str] = &[
+    // `simnet::Protocol` names: madeleine and ch_mad spans.
+    "tcp",
+    "sisci",
+    "bip",
+    // The setup span of a send with no rail, and the ADI post spans.
+    "local",
+    "adi",
+    // `CollOp` names: collective spans.
+    "barrier",
+    "bcast",
+    "reduce",
+    "allreduce",
+    "gather",
+    "scatter",
+    "allgather",
+    "alltoall",
+    "scan",
+    "exscan",
+    "reduce_scatter",
+    // `Packet` kinds.
+    "SHORT",
+    "REQUEST",
+    "SENDOK",
+    "RNDV",
+    "TERM",
+    "FWD",
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simnet::Protocol;
+
+    #[test]
+    fn trace_labels_list_every_emitted_label_once() {
+        let env = Envelope {
+            src: 0,
+            tag: 0,
+            context: 0,
+            len: 0,
+        };
+        let packets = [
+            Packet::Short { env },
+            Packet::Request {
+                env,
+                sender_token: 0,
+            },
+            Packet::SendOk {
+                sender_token: 0,
+                sync_address: 0,
+            },
+            Packet::Rndv {
+                env,
+                sync_address: 0,
+                offset: 0,
+                total: 0,
+            },
+            Packet::Term,
+            Packet::Fwd { final_dst: 0 },
+        ];
+        let ops = [
+            CollOp::Barrier,
+            CollOp::Bcast,
+            CollOp::Reduce,
+            CollOp::Allreduce,
+            CollOp::Gather,
+            CollOp::Scatter,
+            CollOp::Allgather,
+            CollOp::Alltoall,
+            CollOp::Scan,
+            CollOp::Exscan,
+            CollOp::ReduceScatter,
+        ];
+        let mut emitted: Vec<&str> = Protocol::ALL.iter().map(|p| p.name()).collect();
+        emitted.extend(["local", "adi"]);
+        emitted.extend(ops.map(CollOp::name));
+        emitted.extend(packets.iter().map(Packet::kind));
+        for label in &emitted {
+            let n = TRACE_LABELS.iter().filter(|l| *l == label).count();
+            assert_eq!(n, 1, "{label:?} is listed {n} times");
+        }
+        assert_eq!(TRACE_LABELS.len(), emitted.len(), "an unused label");
+    }
+}

@@ -20,10 +20,11 @@ use proptest::prelude::*;
 
 /// A proptest-driven sampler over every field shape the event codec
 /// handles: unit variants, usizes, virtual times, interned channel
-/// names (`Arc<str>`), static packet kinds, signed tags, and spans.
+/// names (`Arc<str>`), packet kinds and span labels (which must be in
+/// `mpich::TRACE_LABELS`), signed tags, and spans.
 fn arb_event() -> impl Strategy<Value = Event> {
     let chan = || prop_oneof![Just("tcp#0"), Just("sci#1"), Just("bip#2")];
-    let kind = || prop_oneof![Just("DATA"), Just("REQUEST"), Just("OK_TO_SEND")];
+    let kind = || prop_oneof![Just("SHORT"), Just("REQUEST"), Just("SENDOK")];
     let span = || {
         prop_oneof![
             Just(SpanKind::Pack),
@@ -95,12 +96,12 @@ fn arb_event() -> impl Strategy<Value = Event> {
         (any::<u64>(), span(), 0u8..3).prop_map(|(id, kind, label)| Event::SpanBegin {
             id,
             kind,
-            label: ["pack", "handle", "setup"][label as usize],
+            label: ["tcp", "adi", "allreduce"][label as usize],
         }),
         (any::<u64>(), span()).prop_map(|(id, kind)| Event::SpanEnd {
             id,
             kind,
-            label: "pack",
+            label: "sisci",
         }),
     ]
 }
@@ -373,4 +374,46 @@ fn decision_chunk_ticket_overflow_is_a_decode_error() {
     chunk.seal(0);
     let err = DecisionChunkRec::decode(&chunk.encode()).expect_err("ticket range overflows");
     assert_eq!(err.what, "decision_chunk.first_ticket");
+}
+
+/// Packet kinds and span labels decode only to entries of
+/// `mpich::TRACE_LABELS`: a chunk whose string table carries any other
+/// label is a typed error, not a string kept for the life of the
+/// process.
+#[test]
+fn unlisted_labels_are_decode_errors() {
+    let decode_one = |what: Event| {
+        let mut chunk = EventChunkRec {
+            episode: 0,
+            seq: 0,
+            fin: false,
+            first_ticket: 0,
+            events: vec![TraceEvent {
+                time: VirtualTime(0),
+                tid: 0,
+                ticket: 0,
+                what,
+            }],
+            threads: Vec::new(),
+            cum: 0,
+        };
+        chunk.seal(0);
+        EventChunkRec::decode(&chunk.encode())
+    };
+    let span = |label| Event::SpanBegin {
+        id: 1,
+        kind: SpanKind::Pack,
+        label,
+    };
+    let kind = |kind| Event::PacketDelivered {
+        rank: 0,
+        src: 1,
+        kind,
+    };
+    assert!(decode_one(span("tcp")).is_ok());
+    assert!(decode_one(kind("RNDV")).is_ok());
+    let err = decode_one(span("crafted")).expect_err("unlisted span label");
+    assert_eq!(err.what, "event.label");
+    let err = decode_one(kind("EAGER")).expect_err("unlisted packet kind");
+    assert_eq!(err.what, "event.kind");
 }
