@@ -59,9 +59,7 @@ pub use obs::{
 };
 pub use owned::OwnedCell;
 pub use poll::{PollSet, PollSource, Polled};
-pub use sync::{
-    OneShot, Queue, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard, SimRwLock,
-};
+pub use sync::{OneShot, Queue, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard};
 pub use thread::{
     advance, advance_to, dispatch_seed, dispatch_ticket, in_simulation, name, now, sleep,
     sleep_until, spawn, yield_now, JoinHandle,

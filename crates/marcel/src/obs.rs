@@ -86,7 +86,7 @@ pub enum SpanKind {
     /// ch_mad receive-side handling: packet noticed → receiving rank
     /// observes completion (crosses threads).
     Handle,
-    /// ch_mad send-side setup: `Device::send` entry → packing begins.
+    /// ch_mad send-side setup: `ChMad::send` entry → packing begins.
     Setup,
     /// One rail's share of a striped rendezvous send.
     Stripe,

@@ -1,6 +1,5 @@
 //! Simulated synchronization primitives: semaphores, mutexes, condition
-//! variables, one-shot slots, blocking FIFO queues, barriers and
-//! read-write locks.
+//! variables, one-shot slots, blocking FIFO queues and barriers.
 //!
 //! These block in *virtual* time through the kernel, and charge the cost
 //! model's `sem_op`/`wake`/`ctx_switch` costs — which is where the paper's
@@ -591,136 +590,6 @@ impl SimBarrier {
     }
 }
 
-/// A read-write lock blocking in virtual time: any number of concurrent
-/// readers, exclusive writers, writer-preference-free FIFO-ish ordering
-/// (built on a semaphore pair; adequate for simulation workloads).
-///
-/// The data is an `Arc<T>` in `excl`'s slot. Readers hold clones of it,
-/// so several simulated readers overlap, each parked on its own virtual
-/// clock. A writer takes it out of the slot: holding `excl` shuts the
-/// readers out, so their clones are gone and `Arc::get_mut` succeeds.
-pub struct SimRwLock<T> {
-    /// Guards reader-count updates and writer exclusion; its slot holds
-    /// the reader count.
-    gate: Semaphore,
-    /// Held by the active writer or the first reader; its slot holds
-    /// the data.
-    excl: Semaphore,
-    erase: fn(Box<Arc<T>>) -> Box<dyn Any + Send>,
-}
-
-impl<T> Clone for SimRwLock<T> {
-    fn clone(&self) -> Self {
-        SimRwLock {
-            gate: self.gate.clone(),
-            excl: self.excl.clone(),
-            erase: self.erase,
-        }
-    }
-}
-
-impl<T: Send + Sync + 'static> SimRwLock<T> {
-    pub fn new(kernel: &Kernel, value: T) -> Self {
-        SimRwLock {
-            gate: Semaphore::holding(Some(kernel), 1, Some(Box::new(0usize))),
-            excl: Semaphore::holding(Some(kernel), 1, Some(Box::new(Arc::new(value)))),
-            erase: erase::<Arc<T>>,
-        }
-    }
-
-    pub fn read(&self) -> SimRwReadGuard<'_, T> {
-        let first = self.gate.acquire_with(|slot| {
-            let readers = state::<usize>(slot);
-            *readers += 1;
-            *readers == 1
-        });
-        if first {
-            self.excl.acquire();
-        }
-        let data = self
-            .excl
-            .host(|sem| state::<Arc<T>>(&mut sem.payload).clone());
-        self.gate.release();
-        SimRwReadGuard {
-            lock: self,
-            data: Some(data),
-        }
-    }
-
-    pub fn write(&self) -> SimRwWriteGuard<'_, T> {
-        self.gate.acquire();
-        let data = *unbox(self.excl.acquire_with(Option::take));
-        self.gate.release();
-        SimRwWriteGuard {
-            lock: self,
-            data: Some(data),
-        }
-    }
-}
-
-impl<T> SimRwLock<T> {
-    fn read_unlock(&self) {
-        let last = self.gate.host(|sem| {
-            let readers = state::<usize>(&mut sem.payload);
-            *readers -= 1;
-            *readers == 0
-        });
-        if last {
-            self.excl.release();
-        }
-    }
-}
-
-/// Shared-access guard from [`SimRwLock::read`].
-pub struct SimRwReadGuard<'a, T> {
-    lock: &'a SimRwLock<T>,
-    data: Option<Arc<T>>,
-}
-
-impl<T> std::ops::Deref for SimRwReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.data.as_deref().expect(HELD)
-    }
-}
-
-impl<T> Drop for SimRwReadGuard<'_, T> {
-    fn drop(&mut self) {
-        // The clone goes first: the unlock may hand the data to a writer.
-        self.data = None;
-        self.lock.read_unlock();
-    }
-}
-
-/// Exclusive guard from [`SimRwLock::write`].
-pub struct SimRwWriteGuard<'a, T> {
-    lock: &'a SimRwLock<T>,
-    data: Option<Arc<T>>,
-}
-
-impl<T> std::ops::Deref for SimRwWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.data.as_deref().expect(HELD)
-    }
-}
-
-impl<T> std::ops::DerefMut for SimRwWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        Arc::get_mut(self.data.as_mut().expect(HELD)).expect("a writer shuts every reader out")
-    }
-}
-
-impl<T> Drop for SimRwWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        let data = self
-            .data
-            .take()
-            .map(|data| (self.lock.erase)(Box::new(data)));
-        self.lock.excl.release_with(|slot| *slot = data);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,72 +953,6 @@ mod tests {
         k.run().unwrap();
         // Exactly one leader per round.
         assert_eq!(*counter.lock().unwrap(), 5);
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_readers() {
-        let k = Kernel::new(CostModel::free());
-        let lock = SimRwLock::new(&k, 7u64);
-        // A writer queued behind the readers. Spawned first, it wins the
-        // tie with the reader whose unlock hands it the data — so that
-        // reader's clone must already be gone.
-        let l2 = lock.clone();
-        let writer = k.spawn("w", move || {
-            advance(VirtualDuration::from_micros(5));
-            *l2.write() += 1;
-            *l2.read()
-        });
-        let done = Arc::new(Mutex::new(Vec::new()));
-        for i in 0..3u64 {
-            let lock = lock.clone();
-            let done = done.clone();
-            k.spawn(format!("r{i}"), move || {
-                let g = lock.read();
-                assert_eq!(*g, 7);
-                // Long overlapping critical sections: if readers
-                // serialized, the last one would finish at 300us.
-                advance(VirtualDuration::from_micros(100));
-                drop(g);
-                done.lock().unwrap().push(now());
-            });
-        }
-        k.run().unwrap();
-        for t in done.lock().unwrap().iter() {
-            assert!(
-                t.as_micros_f64() < 150.0,
-                "readers must overlap, one finished at {t}"
-            );
-        }
-        assert_eq!(writer.join_outcome().unwrap(), 8);
-    }
-
-    #[test]
-    fn rwlock_writer_excludes_readers() {
-        let k = Kernel::new(CostModel::free());
-        let lock = SimRwLock::new(&k, 0u64);
-        let l2 = lock.clone();
-        let writer = k.spawn("writer", move || {
-            let mut g = l2.write();
-            advance(VirtualDuration::from_micros(80));
-            *g = 42;
-            drop(g);
-            now()
-        });
-        let l3 = lock.clone();
-        let reader = k.spawn("reader", move || {
-            // Arrive after the writer took the lock.
-            advance(VirtualDuration::from_micros(10));
-            let g = l3.read();
-            (*g, now())
-        });
-        k.run().unwrap();
-        let w_done = writer.join_outcome().unwrap();
-        let (value, r_done) = reader.join_outcome().unwrap();
-        assert_eq!(value, 42, "reader must observe the write");
-        assert!(
-            r_done >= w_done,
-            "reader finished at {r_done}, writer at {w_done}"
-        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The Abstract Device Interface: the contract between the generic MPI
-//! layer and the devices, plus the per-destination device dispatch.
+//! The Abstract Device Interface: the costs and protocol policy shared
+//! by the generic MPI layer and the devices, and the locality that
+//! picks a device per destination.
 //!
 //! Following the paper (§4.1), a configuration runs three devices
 //! concurrently:
@@ -12,14 +13,13 @@
 //! Device selection is purely locality-driven, as in every MPICH of the
 //! time: the paper's point is that the *inter-node* device itself is
 //! multi-protocol, so selection never needs to distinguish networks.
+//! The dispatch is one `match` on [`Locality`] in the world table's
+//! send (`world.rs`): `ch_self` and `smp_plug` are one delivery function
+//! charged with their own costs (`device/local.rs`), and the inter-node
+//! device is an enum variant, not a trait object.
 
-use std::sync::Arc;
-
-use bytes::Bytes;
-use marcel::{JoinHandle, VirtualDuration};
+use marcel::VirtualDuration;
 use simnet::{elect_switch_point, Protocol};
-
-use crate::types::Envelope;
 
 /// ADI-level software costs, charged on top of the communication-library
 /// costs. These produce the paper's "message handling" overhead
@@ -157,130 +157,37 @@ impl ProtocolPolicy {
     }
 }
 
-/// A communication device. Receiving happens through the device's own
-/// polling threads delivering into the per-rank [`crate::engine::Engine`];
-/// this trait only carries the operations the generic layer initiates.
-pub trait Device: Send + Sync {
-    fn name(&self) -> &'static str;
-
-    /// The device's protocol policy: how message size and channel
-    /// protocol map to eager vs rendezvous (and whether rendezvous
-    /// DATA is striped). Replaces the ADI's historical single
-    /// switch-point integer.
-    fn policy(&self) -> &ProtocolPolicy;
-
-    /// Blocking send of one MPI message (the device picks eager or
-    /// rendezvous internally). `from`/`dst` are world ranks. With
-    /// `sync` set (`MPI_Ssend` semantics) the send must not complete
-    /// before a matching receive is posted — devices implement it with
-    /// their rendezvous handshake.
-    fn send(&self, from: usize, dst: usize, env: Envelope, data: Bytes, sync: bool);
-
-    /// [`Device::send`] with an explicit VCI-lane hint from an
-    /// [`crate::comm::Endpoint`]. Devices without lanes (loop-back,
-    /// shared memory, ch_p4) ignore the hint — their parallelism comes
-    /// from the engine's matching shards alone. `None` lets the device
-    /// pick the deterministic `(context, tag)` lane.
-    fn send_on_lane(
-        &self,
-        from: usize,
-        dst: usize,
-        env: Envelope,
-        data: Bytes,
-        sync: bool,
-        _lane: Option<usize>,
-    ) {
-        self.send(from, dst, env, data, sync);
-    }
-
-    /// Spawn this device's per-rank service threads (polling loops).
-    /// Called from the rank's main thread during `MPI_Init`.
-    fn start_rank(self: Arc<Self>, _rank: usize) -> Vec<JoinHandle<()>> {
-        Vec::new()
-    }
-
-    /// Initiate shutdown for one rank (e.g. send the TERM packet to the
-    /// local polling threads). Called after the finalize barrier.
-    fn finalize_rank(&self, _rank: usize) {}
-}
-
-/// Which device carries a message, given source and destination.
+/// Which device carries a message, given source and destination: the
+/// one input of the ADI dispatch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Locality {
+    /// `ch_self`: a rank sending to itself.
     IntraProcess,
+    /// `smp_plug`: two ranks on one SMP node.
     IntraNode,
+    /// The inter-node device, `ch_mad` or `ch_p4`.
     InterNode,
-}
-
-/// The per-world device table: locality-based dispatch.
-pub struct DeviceSet {
-    pub ch_self: Arc<dyn Device>,
-    pub smp_plug: Arc<dyn Device>,
-    pub remote: Arc<dyn Device>,
-    /// rank -> node index, for locality decisions.
-    pub rank_node: Vec<usize>,
-}
-
-impl DeviceSet {
-    pub fn locality(&self, from: usize, to: usize) -> Locality {
-        if from == to {
-            Locality::IntraProcess
-        } else if self.rank_node[from] == self.rank_node[to] {
-            Locality::IntraNode
-        } else {
-            Locality::InterNode
-        }
-    }
-
-    /// The device that carries traffic from `from` to `to`.
-    pub fn select(&self, from: usize, to: usize) -> &Arc<dyn Device> {
-        match self.locality(from, to) {
-            Locality::IntraProcess => &self.ch_self,
-            Locality::IntraNode => &self.smp_plug,
-            Locality::InterNode => &self.remote,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Dummy(&'static str, ProtocolPolicy);
-    impl Dummy {
-        fn new(name: &'static str) -> Dummy {
-            Dummy(name, ProtocolPolicy::always_eager())
-        }
-    }
-    impl Device for Dummy {
-        fn name(&self) -> &'static str {
-            self.0
-        }
-        fn policy(&self) -> &ProtocolPolicy {
-            &self.1
-        }
-        fn send(&self, _: usize, _: usize, _: Envelope, _: Bytes, _: bool) {}
-    }
-
-    fn set() -> DeviceSet {
-        DeviceSet {
-            ch_self: Arc::new(Dummy::new("ch_self")),
-            smp_plug: Arc::new(Dummy::new("smp_plug")),
-            remote: Arc::new(Dummy::new("ch_mad")),
-            // Ranks 0,1 on node 0; rank 2 on node 1.
-            rank_node: vec![0, 0, 1],
-        }
-    }
-
     #[test]
     fn locality_dispatch() {
-        let s = set();
-        assert_eq!(s.locality(0, 0), Locality::IntraProcess);
-        assert_eq!(s.locality(0, 1), Locality::IntraNode);
-        assert_eq!(s.locality(1, 2), Locality::InterNode);
-        assert_eq!(s.select(0, 0).name(), "ch_self");
-        assert_eq!(s.select(1, 0).name(), "smp_plug");
-        assert_eq!(s.select(0, 2).name(), "ch_mad");
+        use crate::world::{MpiWorld, Placement, WorldConfig};
+        use marcel::{CostModel, Kernel};
+        use simnet::{NodeId, Topology};
+
+        // Ranks 0,1 on node 0; rank 2 on node 1.
+        let kernel = Kernel::new(CostModel::free());
+        let topology = Topology::single_network(2, Protocol::Tcp);
+        let placement = Placement::Explicit(vec![NodeId(0), NodeId(0), NodeId(1)]);
+        let (_, world) = MpiWorld::build(&kernel, topology, &placement, &WorldConfig::default());
+        assert_eq!(world.locality(0, 0), Locality::IntraProcess);
+        assert_eq!(world.locality(0, 1), Locality::IntraNode);
+        assert_eq!(world.locality(1, 0), Locality::IntraNode);
+        assert_eq!(world.locality(1, 2), Locality::InterNode);
     }
 
     #[test]

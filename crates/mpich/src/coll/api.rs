@@ -90,7 +90,7 @@ impl Communicator {
     /// and all calls, so peak memory per rank stays flat as the world
     /// grows. Sub-communicators compute their own slice.
     fn comm_chain(&self) -> Arc<Vec<CommClusters>> {
-        let eng = &self.env().coll;
+        let eng = &self.world().coll;
         if self.group().is_identity() && self.size() == eng.n_ranks() {
             return eng.world_chain();
         }
@@ -142,7 +142,7 @@ impl Communicator {
         };
         let chain = self.comm_chain();
         let clusters = chain.last().expect("chain is non-empty");
-        let policy = self.env().coll.policy();
+        let policy = self.world().coll.policy();
         let span = obs::span_begin(SpanKind::Coll, CollOp::Bcast.name());
         let result = if policy == CollPolicy::Adaptive && !clusters.hierarchy_pays() && n > 2 {
             // The only size-dependent choice a non-root can't mirror —
@@ -150,7 +150,10 @@ impl Communicator {
             self.adaptive_flat_bcast(root, data)
         } else {
             let payload = data.as_ref().map_or(0, Vec::len);
-            let alg = self.env().coll.select(CollOp::Bcast, payload, 0, clusters);
+            let alg = self
+                .world()
+                .coll
+                .select(CollOp::Bcast, payload, 0, clusters);
             self.coll_count(CollOp::Bcast, alg);
             match alg {
                 CollAlgorithm::Hierarchical => hierarchical::bcast(self, &chain, root, data),
@@ -227,7 +230,7 @@ impl Communicator {
         let clusters = chain.last().expect("chain is non-empty");
         let elems = reducible_elems(contribution.len(), base, op);
         let alg = self
-            .env()
+            .world()
             .coll
             .select(CollOp::Reduce, contribution.len(), elems, clusters);
         let span = obs::span_begin(SpanKind::Coll, CollOp::Reduce.name());
@@ -252,7 +255,7 @@ impl Communicator {
         let clusters = chain.last().expect("chain is non-empty");
         let elems = reducible_elems(contribution.len(), base, op);
         let alg = self
-            .env()
+            .world()
             .coll
             .select(CollOp::Allreduce, contribution.len(), elems, clusters);
         let span = obs::span_begin(SpanKind::Coll, CollOp::Allreduce.name());
@@ -345,7 +348,7 @@ impl Communicator {
         // Topology-only selection: contributions may differ in size
         // across ranks (allgatherv semantics), so the choice must not
         // depend on the local payload.
-        let alg = self.env().coll.select(CollOp::Allgather, 0, 0, clusters);
+        let alg = self.world().coll.select(CollOp::Allgather, 0, 0, clusters);
         let span = obs::span_begin(SpanKind::Coll, CollOp::Allgather.name());
         self.coll_count(CollOp::Allgather, alg);
         let result = match alg {

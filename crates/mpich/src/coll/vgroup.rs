@@ -101,12 +101,9 @@ impl<'a> Vgroup<'a> {
             let comm = self.comm.clone();
             let dst_local = self.local(vdst);
             let ctx = self.ctx;
-            marcel::spawn(
-                format!("rank{}-coll", self.comm.env().world_rank),
-                move || {
-                    comm.send_ctx_lane(Bytes::from(data), dst_local, tag, ctx, false, None);
-                },
-            )
+            marcel::spawn(format!("rank{}-coll", self.comm.world_rank()), move || {
+                comm.send_ctx_lane(Bytes::from(data), dst_local, tag, ctx, false, None);
+            })
         };
         let bytes = self.recv(vsrc, tag);
         send.join();

@@ -2,7 +2,7 @@
 //!
 //! A [`Communicator`] is a group of ranks plus a pair of context ids
 //! (one for point-to-point traffic, one for the collective layer), bound
-//! to the calling rank's engine and device table. All public rank
+//! to the world table and the calling rank's index in it. All public rank
 //! arguments and statuses are *communicator-local*; translation to
 //! world ranks happens here.
 //!
@@ -23,14 +23,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::adi::DeviceSet;
-use crate::coll::CollEngine;
 use crate::datatype::{from_bytes, to_bytes, Datatype, MpiScalar};
 use crate::engine::{Engine, EngineError};
 use crate::group::Group;
 use crate::request::{self, Request};
 use crate::types::{Envelope, MatchSpec, Status, Tag};
-use marcel::{OneShot, SimMutex};
+use crate::world::MpiWorld;
+use marcel::OneShot;
 
 /// Typed error for the point-to-point surface.
 ///
@@ -181,35 +180,12 @@ impl<T: MpiScalar> FromPayload for Vec<T> {
     }
 }
 
-/// Per-rank MPI environment shared by every communicator of that rank.
-pub struct MpiEnv {
-    pub world_rank: usize,
-    pub world_size: usize,
-    /// The world group, shared by every rank's environment — one
-    /// allocation per world, not per rank (at 8k ranks a per-rank copy
-    /// is 64 KiB × 8k of pure duplication).
-    pub world_group: Arc<Group>,
-    pub engine: Arc<Engine>,
-    pub devices: Arc<DeviceSet>,
-    /// Global context-id allocator (roots allocate, then broadcast).
-    pub ctx_alloc: Arc<SimMutex<u32>>,
-    /// The collective algorithm engine (policy + world cluster map).
-    pub coll: Arc<CollEngine>,
-}
-
-impl MpiEnv {
-    fn alloc_contexts(&self) -> u32 {
-        let mut next = self.ctx_alloc.lock();
-        let base = *next;
-        *next += 2; // point-to-point + collective
-        base
-    }
-}
-
 /// An MPI communicator.
 #[derive(Clone)]
 pub struct Communicator {
-    env: Arc<MpiEnv>,
+    world: Arc<MpiWorld>,
+    /// This rank's index into the world's per-rank tables.
+    world_rank: usize,
     group: Arc<Group>,
     /// Point-to-point context; collective traffic uses `context + 1`.
     context: u32,
@@ -218,15 +194,15 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// `MPI_COMM_WORLD` for this rank (context ids 0/1).
-    pub fn world(env: Arc<MpiEnv>) -> Communicator {
-        let group = env.world_group.clone();
-        let local = env.world_rank;
+    /// `MPI_COMM_WORLD` of world rank `rank` (context ids 0/1).
+    pub(crate) fn comm_world(world: Arc<MpiWorld>, rank: usize) -> Communicator {
+        let group = world.group.clone();
         Communicator {
-            env,
+            world,
+            world_rank: rank,
             group,
             context: 0,
-            local,
+            local: rank,
         }
     }
 
@@ -246,8 +222,17 @@ impl Communicator {
         self.context
     }
 
-    pub(crate) fn env(&self) -> &Arc<MpiEnv> {
-        &self.env
+    pub(crate) fn world(&self) -> &MpiWorld {
+        &self.world
+    }
+
+    pub(crate) fn world_rank(&self) -> usize {
+        self.world_rank
+    }
+
+    /// This rank's matching engine.
+    fn engine(&self) -> &Engine {
+        &self.world.engines[self.world_rank]
     }
 
     pub(crate) fn coll_context(&self) -> u32 {
@@ -297,7 +282,7 @@ impl Communicator {
         sync: bool,
         lane: Option<usize>,
     ) {
-        let from = self.env.world_rank;
+        let from = self.world_rank;
         let dst = self.world_of(dst_local);
         let env = Envelope {
             src: from,
@@ -305,10 +290,7 @@ impl Communicator {
             context,
             len: data.len(),
         };
-        self.env
-            .devices
-            .select(from, dst)
-            .send_on_lane(from, dst, env, data, sync, lane);
+        self.world.send(from, dst, env, data, sync, lane);
     }
 
     /// The one non-blocking send worker (`isend`, `issend`, `sendrecv`,
@@ -327,7 +309,7 @@ impl Communicator {
     ) -> Request {
         let slot = OneShot::current();
         let comm = self.clone();
-        let my_world = self.env.world_rank;
+        let my_world = self.world_rank;
         let done = slot.clone();
         let len = data.len();
         marcel::spawn(format!("rank{my_world}-{suffix}"), move || {
@@ -350,8 +332,7 @@ impl Communicator {
         context: u32,
     ) -> Request {
         let slot = OneShot::current();
-        self.env
-            .engine
+        self.engine()
             .post_recv(self.spec(src_local, tag, context), cap, slot.clone());
         Request::new(slot)
     }
@@ -365,8 +346,7 @@ impl Communicator {
         context: u32,
     ) -> (Vec<u8>, Status) {
         let (st, handle) = self
-            .env
-            .engine
+            .engine()
             .probe_handle(self.spec(src_local, tag, context));
         // Receive the probed message by handle — the probe already
         // located it, so no second queue lookup happens.
@@ -376,8 +356,7 @@ impl Communicator {
             context,
         };
         let slot = OneShot::current();
-        self.env
-            .engine
+        self.engine()
             .post_recv_probed(handle, exact, st.len, slot.clone());
         let (data, status) = Request::new(slot).wait_data();
         (data, self.localize(status))
@@ -438,7 +417,7 @@ impl Communicator {
     /// lanes of the same `(source, tag)` pair may overtake on the wire
     /// (matching order at the receiver is still arrival order).
     pub fn endpoint_on(&self, vci: usize) -> Result<Endpoint, CommError> {
-        let vcis = self.env.engine.vcis();
+        let vcis = self.engine().vcis();
         if vci >= vcis {
             return Err(CommError::VciOutOfRange { vci, vcis });
         }
@@ -469,7 +448,7 @@ impl Communicator {
     /// `MPI_Comm_dup`: same group, fresh contexts. Collective.
     pub fn dup(&self) -> Communicator {
         let base = if self.local == 0 {
-            let base = self.env.alloc_contexts();
+            let base = self.world.alloc_contexts();
             self.coll_bcast_bytes(0, Some(base.to_le_bytes().to_vec()))
                 .expect("rank 0 is always a valid root");
             base
@@ -480,10 +459,8 @@ impl Communicator {
             u32::from_le_bytes(bytes.try_into().expect("context broadcast is 4 bytes"))
         };
         Communicator {
-            env: self.env.clone(),
-            group: self.group.clone(),
             context: base,
-            local: self.local,
+            ..self.clone()
         }
     }
 
@@ -491,7 +468,7 @@ impl Communicator {
     /// per physical node, ordered by rank — the standard tool for
     /// hierarchical (node-aware) algorithms on SMP clusters.
     pub fn split_by_node(&self) -> Communicator {
-        let node = self.env.devices.rank_node[self.env.world_rank] as i32;
+        let node = self.world.rank_node[self.world_rank] as i32;
         self.split(node, self.local as i32)
             .expect("node color is never undefined")
     }
@@ -528,7 +505,7 @@ impl Communicator {
                     .map(|p| (p.1, p.2))
                     .collect();
                 members.sort_unstable();
-                let base = self.env.alloc_contexts();
+                let base = self.world.alloc_contexts();
                 // Encode: context base + world ranks of the new group.
                 let mut blob: Vec<i64> = vec![base as i64];
                 blob.extend(members.iter().map(|(_, l)| self.world_of(*l) as i64));
@@ -551,10 +528,11 @@ impl Communicator {
         let ranks: Vec<usize> = blob[1..].iter().map(|r| *r as usize).collect();
         let group = Group::from_ranks(ranks);
         let local = group
-            .local_rank(self.env.world_rank)
+            .local_rank(self.world_rank)
             .expect("split assignment must include self");
         Some(Communicator {
-            env: self.env.clone(),
+            world: self.world.clone(),
+            world_rank: self.world_rank,
             group,
             context,
             local,
@@ -799,7 +777,7 @@ impl Endpoint {
     pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> Result<Status, CommError> {
         self.comm.check_src(src)?;
         let comm = &self.comm;
-        Ok(comm.localize(comm.env.engine.probe(comm.spec(src, tag, comm.context))))
+        Ok(comm.localize(comm.engine().probe(comm.spec(src, tag, comm.context))))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
@@ -811,7 +789,7 @@ impl Endpoint {
         self.comm.check_src(src)?;
         let comm = &self.comm;
         let spec = comm.spec(src, tag, comm.context);
-        Ok(comm.env.engine.iprobe(spec).map(|s| comm.localize(s)))
+        Ok(comm.engine().iprobe(spec).map(|s| comm.localize(s)))
     }
 }
 

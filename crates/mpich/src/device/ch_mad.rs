@@ -43,11 +43,11 @@ use madeleine::{
 use marcel::obs::{self, Event, SpanKind};
 use marcel::{JoinHandle, Kernel, OneShot, SimMutex};
 
-use crate::adi::{AdiCosts, Device, PolicyMode, ProtocolPolicy};
+use crate::adi::{AdiCosts, PolicyMode, ProtocolPolicy};
 use crate::device::packet::Packet;
-use crate::engine::Engine;
 use crate::types::Envelope;
 use crate::vci::vci_for;
+use crate::world::MpiWorld;
 use marcel::VirtualDuration;
 
 /// Per-byte polling-thread handling cost (see `AdiCosts`).
@@ -140,9 +140,10 @@ struct Hop<'a> {
     rails: Rails<'a>,
 }
 
-pub struct ChMad {
+/// The device's per-rank state. Code that spawns a service thread takes
+/// the world, whose clone the thread keeps: the device lives inside it.
+pub(crate) struct ChMad {
     session: Arc<Session>,
-    engines: Vec<Arc<Engine>>,
     costs: AdiCosts,
     config: ChMadConfig,
     policy: ProtocolPolicy,
@@ -159,13 +160,12 @@ pub struct ChMad {
 }
 
 impl ChMad {
-    pub fn new(
+    pub(crate) fn new(
         kernel: &Kernel,
         session: Arc<Session>,
-        engines: Vec<Arc<Engine>>,
         costs: AdiCosts,
         config: ChMadConfig,
-    ) -> Arc<ChMad> {
+    ) -> ChMad {
         let protocols = session.topology().protocols();
         let policy = ProtocolPolicy::new(config.policy, &protocols, config.switch_point_override);
         let ranks = (0..session.n_ranks())
@@ -182,21 +182,15 @@ impl ChMad {
             .collect();
         let has_faults = session.channels().iter().any(|c| c.fault().is_some());
         let vcis = session.vcis();
-        Arc::new(ChMad {
+        ChMad {
             session,
-            engines,
             costs,
             config,
             policy,
             ranks,
             vcis,
             has_faults,
-        })
-    }
-
-    /// The Madeleine session the device runs over.
-    pub fn session(&self) -> &Arc<Session> {
-        &self.session
+        }
     }
 
     /// Resolve where `from`'s packets toward `dst` go: two table reads
@@ -396,7 +390,8 @@ impl ChMad {
     /// wire finishes at about the same time. Each span is an ordinary
     /// `MAD_RNDV_PKT` carrying a slice of the sender's buffer; the
     /// receiver's per-channel polling threads feed them into the
-    /// engine's out-of-order chunk path ([`Engine::rndv_chunk`]), which
+    /// engine's out-of-order chunk path
+    /// ([`crate::engine::Engine::rndv_chunk`]), which
     /// completes the request once `total` bytes have landed — the spans
     /// re-joined in place, copied only when they are not one
     /// allocation. Sender occupancy is per-message, so packing the
@@ -521,8 +516,7 @@ impl ChMad {
     }
 
     /// The polling loop run by one thread per (rank, channel, VCI).
-    fn poll_loop(self: &Arc<Self>, rank: usize, ep: Endpoint) {
-        let engine = &self.engines[rank];
+    fn poll_loop(&self, world: &Arc<MpiWorld>, rank: usize, ep: Endpoint) {
         let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
         let label = ep.channel().protocol().name();
         let vci = ep.vci();
@@ -530,7 +524,7 @@ impl ChMad {
             let Some(conn) = ep.begin_unpacking() else {
                 break;
             };
-            if !self.handle_message(rank, vci, conn, engine, eager_copy_ns, label) {
+            if !self.handle_message(world, rank, vci, conn, eager_copy_ns, label) {
                 // TERM noticed. Messages may still be queued behind it
                 // (or in flight): late retransmissions, or traffic the
                 // application never received. Finalize must not strand
@@ -538,7 +532,7 @@ impl ChMad {
                 while ep.backlog() > 0 {
                     match ep.try_begin_unpacking() {
                         Some(conn) => {
-                            self.handle_message(rank, vci, conn, engine, eager_copy_ns, label);
+                            self.handle_message(world, rank, vci, conn, eager_copy_ns, label);
                         }
                         // Nothing arrived yet (or the poll consumed a
                         // duplicate): let in-flight arrivals land.
@@ -557,8 +551,7 @@ impl ChMad {
     /// loop-back connection; the loop counts them and keeps serving
     /// the remaining live endpoints until every lane has terminated,
     /// then drains stragglers exactly like the per-endpoint loop.
-    fn fused_poll_loop(self: &Arc<Self>, rank: usize, set: EndpointSet) {
-        let engine = &self.engines[rank];
+    fn fused_poll_loop(&self, world: &Arc<MpiWorld>, rank: usize, set: EndpointSet) {
         let mut live = vec![true; set.endpoints().len()];
         let mut alive = live.len();
         while alive > 0 {
@@ -570,7 +563,7 @@ impl ChMad {
             let ep = &set.endpoints()[idx];
             let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
             let label = ep.channel().protocol().name();
-            if !self.handle_message(rank, ep.vci(), conn, engine, eager_copy_ns, label) && live[idx]
+            if !self.handle_message(world, rank, ep.vci(), conn, eager_copy_ns, label) && live[idx]
             {
                 live[idx] = false;
                 alive -= 1;
@@ -582,7 +575,7 @@ impl ChMad {
             while ep.backlog() > 0 {
                 match ep.try_begin_unpacking() {
                     Some(conn) => {
-                        self.handle_message(rank, ep.vci(), conn, engine, eager_copy_ns, label);
+                        self.handle_message(world, rank, ep.vci(), conn, eager_copy_ns, label);
                     }
                     None => marcel::sleep(VirtualDuration::from_micros(10)),
                 }
@@ -594,14 +587,15 @@ impl ChMad {
     /// Demultiplex and handle one incoming ch_mad packet. Returns
     /// `false` when the packet was the TERM marker.
     fn handle_message(
-        self: &Arc<Self>,
+        &self,
+        world: &Arc<MpiWorld>,
         rank: usize,
         vci: usize,
         mut conn: UnpackingConnection,
-        engine: &Arc<Engine>,
         eager_copy_ns: f64,
         label: &'static str,
     ) -> bool {
+        let engine = &world.engines[rank];
         let mut span = obs::span_begin(SpanKind::Handle, label);
         let src = conn.from();
         let header = conn.unpack_bytes(SendMode::Cheaper, ReceiveMode::Express);
@@ -627,7 +621,7 @@ impl ChMad {
             }
             Packet::Request { env, sender_token } => {
                 conn.end_unpacking();
-                self.handle_request(rank, env, sender_token, engine);
+                self.handle_request(world, rank, env, sender_token);
                 true
             }
             Packet::SendOk {
@@ -700,8 +694,9 @@ impl ChMad {
                 }
                 // The relay keeps the packet on the lane it arrived on,
                 // so a forwarded stream stays FIFO end to end.
-                let dev = self.clone();
+                let world = world.clone();
                 marcel::spawn(format!("rank{rank}-fwd"), move || {
+                    let dev = world.ch_mad();
                     let hop = dev.hop(rank, final_dst as usize);
                     dev.send_packet(rank, &hop, vci, inner, body);
                 });
@@ -714,13 +709,7 @@ impl ChMad {
 
     /// Handle a rendezvous REQUEST, deduplicating re-issues of the same
     /// `(sender, token)` transaction.
-    fn handle_request(
-        self: &Arc<Self>,
-        rank: usize,
-        env: Envelope,
-        sender_token: u64,
-        engine: &Arc<Engine>,
-    ) {
+    fn handle_request(&self, world: &Arc<MpiWorld>, rank: usize, env: Envelope, sender_token: u64) {
         let key = (env.src, sender_token);
         // Control replies ride the transaction envelope's lane, like
         // every other packet of the stream.
@@ -734,70 +723,53 @@ impl ChMad {
             // missed the OK_TO_SEND — acknowledge again (the sender
             // ignores the duplicate if the first did arrive).
             Some(RndvProgress::Acked(sync)) => {
-                let sync_address = *sync;
+                let ok = Packet::SendOk {
+                    sender_token,
+                    sync_address: *sync,
+                };
                 drop(seen);
-                let ack = self.clone();
-                marcel::spawn(format!("rank{rank}-rndv-reack"), move || {
-                    ack.send_packet(
-                        rank,
-                        &ack.hop(rank, env.src),
-                        vci,
-                        Packet::SendOk {
-                            sender_token,
-                            sync_address,
-                        }
-                        .encode(),
-                        None,
-                    );
-                });
+                spawn_ack(
+                    world,
+                    format!("rank{rank}-rndv-reack"),
+                    rank,
+                    env.src,
+                    vci,
+                    ok,
+                );
             }
             None => {
                 seen.insert(key, RndvProgress::Offered);
                 drop(seen);
-                let this = self.clone();
+                let engine = &world.engines[rank];
+                let world = world.clone();
                 let respond: crate::engine::RndvResponder = Box::new(move |sync_address| {
-                    this.ranks[rank]
+                    world.ch_mad().ranks[rank]
                         .seen
                         .lock()
                         .insert(key, RndvProgress::Acked(sync_address));
-                    // A polling thread must never send (§4.2.3): the
-                    // acknowledgement goes out from a dedicated
-                    // short-lived thread.
-                    let ack = this.clone();
-                    marcel::spawn(format!("rank{rank}-rndv-ack"), move || {
-                        ack.send_packet(
-                            rank,
-                            &ack.hop(rank, env.src),
-                            vci,
-                            Packet::SendOk {
-                                sender_token,
-                                sync_address,
-                            }
-                            .encode(),
-                            None,
-                        );
-                    });
+                    let ok = Packet::SendOk {
+                        sender_token,
+                        sync_address,
+                    };
+                    spawn_ack(
+                        &world,
+                        format!("rank{rank}-rndv-ack"),
+                        rank,
+                        env.src,
+                        vci,
+                        ok,
+                    );
                 });
                 engine.deliver_rndv_offer(env, respond);
             }
         }
     }
-}
 
-impl Device for ChMad {
-    fn name(&self) -> &'static str {
-        "ch_mad"
-    }
-
-    fn policy(&self) -> &ProtocolPolicy {
-        &self.policy
-    }
-
-    fn send(&self, from: usize, dst: usize, env: Envelope, data: Bytes, sync: bool) {
-        self.send_on_lane(from, dst, env, data, sync, None);
-    }
-
-    fn send_on_lane(
+    /// Blocking send of one MPI message from world rank `from` to `dst`:
+    /// eager or rendezvous by the channel's policy, rendezvous always
+    /// when `sync` is set. `lane` is an endpoint's VCI pin; `None` rides
+    /// the deterministic `(context, tag)` lane.
+    pub(crate) fn send(
         &self,
         from: usize,
         dst: usize,
@@ -832,7 +804,9 @@ impl Device for ChMad {
         }
     }
 
-    fn start_rank(self: Arc<Self>, rank: usize) -> Vec<JoinHandle<()>> {
+    /// `MPI_Init` of one rank: spawn its polling threads, one per
+    /// (channel, VCI) or one fused progress thread.
+    pub(crate) fn start_rank(&self, world: &Arc<MpiWorld>, rank: usize) -> Vec<JoinHandle<()>> {
         if self.config.fused_progress {
             let mut eps = Vec::new();
             for channel in self.session.channels_of_rank(rank) {
@@ -847,9 +821,11 @@ impl Device for ChMad {
             if eps.is_empty() {
                 return Vec::new();
             }
-            let dev = self.clone();
+            let world = world.clone();
             return vec![marcel::spawn(format!("rank{rank}-poll"), move || {
-                dev.fused_poll_loop(rank, EndpointSet::new(eps));
+                world
+                    .ch_mad()
+                    .fused_poll_loop(&world, rank, EndpointSet::new(eps));
             })];
         }
         let mut handles = Vec::new();
@@ -859,7 +835,7 @@ impl Device for ChMad {
                     .endpoint_vci(rank, vci)
                     .expect("channels_of_rank returned a channel without the rank");
                 ep.attach_polling();
-                let dev = self.clone();
+                let world = world.clone();
                 let name = channel.name().to_string();
                 // Lane 0 keeps the historic thread name so captures and
                 // traces of a `vcis = 1` world stay bit-identical.
@@ -869,14 +845,16 @@ impl Device for ChMad {
                     format!("rank{rank}-poll-{name}-v{vci}")
                 };
                 handles.push(marcel::spawn(thread, move || {
-                    dev.poll_loop(rank, ep);
+                    world.ch_mad().poll_loop(&world, rank, ep);
                 }));
             }
         }
         handles
     }
 
-    fn finalize_rank(&self, rank: usize) {
+    /// `MPI_Finalize` of one rank, after the shutdown barrier: one TERM
+    /// per polling lane.
+    pub(crate) fn finalize_rank(&self, rank: usize) {
         for channel in self.session.channels_of_rank(rank) {
             // TERM rides the loop-back connection, which never touches
             // the wire: it cannot be lost or declared dead, so the TERM
@@ -898,5 +876,102 @@ impl Device for ChMad {
                 conn.end_packing().expect("loop-back TERM cannot fail");
             }
         }
+    }
+}
+
+/// Send a rendezvous OK_TO_SEND from `rank` back to `dst` on a dedicated
+/// short-lived thread: a polling thread must never send (§4.2.3).
+fn spawn_ack(
+    world: &Arc<MpiWorld>,
+    thread: String,
+    rank: usize,
+    dst: usize,
+    vci: usize,
+    ok: Packet,
+) {
+    let world = world.clone();
+    marcel::spawn(thread, move || {
+        let dev = world.ch_mad();
+        dev.send_packet(rank, &dev.hop(rank, dst), vci, ok.encode(), None);
+    });
+}
+
+#[cfg(test)]
+mod tests {
+    use marcel::{CostModel, Kernel, VirtualTime};
+    use simnet::{FaultPlan, Protocol, Topology};
+
+    use crate::world::{Placement, WorldConfig};
+
+    use super::*;
+
+    /// A rank that finalizes with peer messages still in flight must not
+    /// strand them: the polling loop notices TERM first (the degradation
+    /// window delays every data arrival by 5 ms while loop-back TERM is
+    /// immune), then drains the backlog into the engine's unexpected
+    /// queue before terminating.
+    #[test]
+    fn finalize_drains_in_flight_backlog() {
+        let kernel = Kernel::new(CostModel::calibrated());
+        let mut t = Topology::new();
+        let a = t.add_node("a", 1);
+        let b = t.add_node("b", 1);
+        t.add_network_with_fault(
+            Protocol::Sisci,
+            FaultPlan::new(0xF00D).with_degraded(
+                VirtualTime(0),
+                VirtualTime(10_000_000),
+                VirtualDuration::from_millis(5),
+            ),
+            [a, b],
+        );
+        let config = WorldConfig::default();
+        let (_, world) = MpiWorld::build(&kernel, t, &Placement::OneRankPerNode, &config);
+        const MSGS: usize = 10;
+        const LEN: usize = 64;
+        let sender = world.clone();
+        kernel.spawn("rank0", move || {
+            let pollers = MpiWorld::start_rank(&sender, 0);
+            for i in 0..MSGS {
+                let env = Envelope {
+                    src: 0,
+                    tag: i as i32,
+                    context: 0,
+                    len: LEN,
+                };
+                sender.send(0, 1, env, Bytes::from(vec![i as u8; LEN]), false, None);
+            }
+            sender.finalize_rank(0);
+            for p in pollers {
+                p.join();
+            }
+        });
+        let h = kernel.spawn("rank1", move || {
+            let pollers = MpiWorld::start_rank(&world, 1);
+            // Finalize at 1 ms: all ten sends are posted (the sender needs
+            // only microseconds of CPU) but none has arrived yet — the
+            // degradation window holds every arrival until ~5 ms.
+            marcel::advance(VirtualDuration::from_millis(1));
+            world.finalize_rank(1);
+            for p in pollers {
+                p.join();
+            }
+            let engine = &world.engines[1];
+            (engine.depths(), engine.unexpected_envelopes())
+        });
+        kernel.run().expect("finalize-under-backlog run failed");
+        let ((posted, unexpected, rndv), envelopes) = h.join_outcome().expect("rank1 finished");
+        assert_eq!(posted, 0);
+        assert_eq!(rndv, 0);
+        assert_eq!(
+            unexpected, MSGS,
+            "every in-flight message was drained into the engine"
+        );
+        let tags: Vec<i32> = envelopes.iter().map(|e| e.tag).collect();
+        assert_eq!(
+            tags,
+            (0..MSGS as i32).collect::<Vec<_>>(),
+            "drained messages keep their send order"
+        );
     }
 }

@@ -11,9 +11,9 @@ use bytes::Bytes;
 use marcel::{JoinHandle, Kernel, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime};
 use simnet::{LinkModel, Protocol};
 
-use crate::adi::{Device, ProtocolPolicy};
 use crate::engine::Engine;
 use crate::types::Envelope;
+use crate::world::MpiWorld;
 
 /// Software overheads of the p4 layer (on top of the raw TCP path).
 /// Calibrated so the small-message latency lands slightly above
@@ -33,20 +33,18 @@ impl Default for ChP4Costs {
     }
 }
 
-pub struct ChP4 {
-    engines: Vec<Arc<Engine>>,
+/// The device's per-rank state. p4's large-message protocol still copies
+/// through socket buffers, so every size is sent eagerly.
+pub(crate) struct ChP4 {
     model: LinkModel,
     costs: ChP4Costs,
     sources: Vec<PollSource<(Envelope, Bytes)>>,
     floors: HashMap<(usize, usize), SimMutex<VirtualTime>>,
-    /// p4's large-message protocol still copies through socket buffers;
-    /// modelled as eager at every size.
-    policy: ProtocolPolicy,
 }
 
 impl ChP4 {
-    pub fn new(kernel: &Kernel, engines: Vec<Arc<Engine>>, costs: ChP4Costs) -> Arc<ChP4> {
-        let n = engines.len();
+    /// The device of an `n`-rank world.
+    pub(crate) fn new(kernel: &Kernel, n: usize, costs: ChP4Costs) -> ChP4 {
         let model = Protocol::Tcp.model();
         let sources = (0..n)
             .map(|r| PollSource::new(kernel, ProcId(r as u32), model.poll_cost))
@@ -57,37 +55,26 @@ impl ChP4 {
                 floors.insert((a, b), SimMutex::new(kernel, VirtualTime::ZERO));
             }
         }
-        Arc::new(ChP4 {
-            engines,
+        ChP4 {
             model,
             costs,
             sources,
             floors,
-            policy: ProtocolPolicy::always_eager(),
-        })
+        }
     }
 
-    fn poll_loop(&self, rank: usize) {
+    fn poll_loop(&self, rank: usize, engine: &Engine) {
         let eager_copy_ns = self.model.eager_copy_per_byte_ns;
         while let Some(polled) = self.sources[rank].poll_wait() {
             let (env, data) = polled.payload;
             marcel::advance(self.model.receiver_occupancy(data.len()) + self.costs.sw_recv);
-            self.engines[rank].deliver_eager(env, data, eager_copy_ns);
+            engine.deliver_eager(env, data, eager_copy_ns);
         }
         self.sources[rank].detach();
     }
-}
 
-impl Device for ChP4 {
-    fn name(&self) -> &'static str {
-        "ch_p4"
-    }
-
-    fn policy(&self) -> &ProtocolPolicy {
-        &self.policy
-    }
-
-    fn send(&self, from: usize, dst: usize, env: Envelope, data: Bytes, sync: bool) {
+    /// Blocking send of one message from world rank `from` to `dst`.
+    pub(crate) fn send(&self, from: usize, dst: usize, env: Envelope, data: Bytes, sync: bool) {
         assert!(
             !sync,
             "the ch_p4 baseline does not implement synchronous sends"
@@ -106,15 +93,17 @@ impl Device for ChP4 {
         self.sources[dst].post(arrival, (env, data));
     }
 
-    fn start_rank(self: Arc<Self>, rank: usize) -> Vec<JoinHandle<()>> {
+    /// `MPI_Init` of one rank: spawn its polling thread.
+    pub(crate) fn start_rank(&self, world: &Arc<MpiWorld>, rank: usize) -> Vec<JoinHandle<()>> {
         self.sources[rank].attach();
-        let dev = self.clone();
+        let world = world.clone();
         vec![marcel::spawn(format!("rank{rank}-poll-p4"), move || {
-            dev.poll_loop(rank);
+            world.ch_p4().poll_loop(rank, &world.engines[rank]);
         })]
     }
 
-    fn finalize_rank(&self, rank: usize) {
+    /// `MPI_Finalize` of one rank: close its poll source.
+    pub(crate) fn finalize_rank(&self, rank: usize) {
         self.sources[rank].close();
     }
 }

@@ -21,7 +21,6 @@
 //!   allocation.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
@@ -301,15 +300,15 @@ struct Allocators {
 }
 
 impl Engine {
-    pub fn new(kernel: &Kernel, rank: usize, costs: AdiCosts) -> Arc<Engine> {
+    pub fn new(kernel: &Kernel, rank: usize, costs: AdiCosts) -> Engine {
         Engine::new_vci(kernel, rank, costs, 1)
     }
 
     /// Like [`Engine::new`] with `vcis` matching shards. `vcis = 1` is
     /// bit-identical to [`Engine::new`].
-    pub fn new_vci(kernel: &Kernel, rank: usize, costs: AdiCosts, vcis: usize) -> Arc<Engine> {
+    pub fn new_vci(kernel: &Kernel, rank: usize, costs: AdiCosts, vcis: usize) -> Engine {
         assert!(vcis >= 1, "an engine needs at least one VCI shard");
-        Arc::new(Engine {
+        Engine {
             rank,
             vcis,
             shards: (0..vcis)
@@ -326,7 +325,7 @@ impl Engine {
             costs,
             posted_hwm_key: format!("adi/rank{rank}/posted_hwm"),
             unexpected_hwm_key: format!("adi/rank{rank}/unexpected_hwm"),
-        })
+        }
     }
 
     pub fn rank(&self) -> usize {
@@ -892,6 +891,8 @@ fn per_byte(ns: f64, bytes: usize) -> VirtualDuration {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::request::Request;
     use marcel::{CostModel, Kernel};
@@ -928,13 +929,10 @@ mod tests {
         token
     }
 
-    fn with_engine(f: impl FnOnce(Arc<Engine>) + Send + 'static) {
+    fn with_engine(f: impl FnOnce(Engine) + Send + 'static) {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
-        k.spawn("main", move || {
-            let engine = Engine::new(&k2, 0, AdiCosts::free());
-            f(engine);
-        });
+        k.spawn("main", move || f(Engine::new(&k2, 0, AdiCosts::free())));
         k.run().unwrap();
     }
 
@@ -990,12 +988,11 @@ mod tests {
     #[test]
     fn rendezvous_flow() {
         with_engine(|e| {
-            let e2 = e.clone();
             // REQUEST arrives first; responder fires once the recv posts.
             let token = offer(&e, env(3, 1, 4));
             let req = post(&e, spec(Some(3), Some(1)), 16);
             let token = token.try_take().expect("responder must fire on post");
-            e2.rndv_complete(token, env(3, 1, 4), Bytes::from_static(&[4, 3, 2, 1]))
+            e.rndv_complete(token, env(3, 1, 4), Bytes::from_static(&[4, 3, 2, 1]))
                 .unwrap();
             let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![4, 3, 2, 1]);
@@ -1049,7 +1046,7 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
         let h = k.spawn("main", move || {
-            let e = Engine::new(&k2, 0, AdiCosts::free());
+            let e = Arc::new(Engine::new(&k2, 0, AdiCosts::free()));
             let e2 = e.clone();
             marcel::spawn("deliverer", move || {
                 marcel::advance(VirtualDuration::from_micros(40));

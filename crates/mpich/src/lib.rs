@@ -6,9 +6,9 @@
 //! MPI API                  Communicator: send/recv/isend/collectives
 //! Generic part             collectives, groups, contexts, datatypes
 //! Generic ADI code         request queues (Engine), protocol selection
-//! Device interface         Device trait + locality dispatch (DeviceSet)
-//!   ch_self                intra-process loop-back
-//!   smp_plug               intra-node shared memory
+//! Device interface         one world table (MpiWorld), locality match
+//!   ch_self                intra-process loop-back  } one delivery
+//!   smp_plug               intra-node shared memory } function
 //!   ch_mad                 ALL inter-node traffic, over Madeleine:
 //!                          eager + rendezvous, split short packets,
 //!                          per-channel polling threads, TERM shutdown
@@ -49,16 +49,16 @@ pub mod types;
 pub mod vci;
 pub mod world;
 
-pub use adi::{AdiCosts, Device, DeviceSet, Locality, PolicyMode, ProtocolPolicy};
+pub use adi::{AdiCosts, PolicyMode, ProtocolPolicy};
 pub use cart::CartComm;
 pub use coll::{CollAlgorithm, CollEngine, CollError, CollOp, CollPolicy, CommClusters};
 pub use comm::{
-    CommError, CommRequest, Communicator, Endpoint, FromPayload, IntoPayload, MpiEnv,
-    PersistentRecv, PersistentSend,
+    CommError, CommRequest, Communicator, Endpoint, FromPayload, IntoPayload, PersistentRecv,
+    PersistentSend,
 };
 pub use datatype::{from_bytes, to_bytes, BaseType, Datatype, MpiScalar};
-pub use device::{ChMad, ChMadConfig, ChP4, ChP4Costs, ChSelf, Packet, SmpPlug};
-pub use engine::{Engine, EngineCapture, EngineError};
+pub use device::{ChMadConfig, ChP4Costs, Packet};
+pub use engine::{EngineCapture, EngineError};
 pub use group::Group;
 pub use marcel::{ExecPolicy, PollPolicy};
 pub use matching::{PostedStore, UnexpectedStore};

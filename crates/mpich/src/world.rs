@@ -1,17 +1,23 @@
-//! World bootstrap: build the kernel, the Madeleine session, the devices
-//! and the per-rank environments; run one simulated main thread per rank
-//! through `MPI_Init` → user code → `MPI_Finalize`.
+//! World bootstrap: build the kernel, the Madeleine session and the
+//! world table of the MPI layer (`MpiWorld`); run one simulated main
+//! thread per rank through `MPI_Init` → user code → `MPI_Finalize`.
 
 use std::sync::Arc;
 
-use marcel::{CostModel, ExecPolicy, Kernel, PollPolicy, SimBarrier, SimError, SimMutex};
-use simnet::{NodeId, Topology};
+use bytes::Bytes;
+use madeleine::Session;
+use marcel::{
+    CostModel, ExecPolicy, JoinHandle, Kernel, PollPolicy, SimBarrier, SimError, SimMutex,
+};
+use simnet::{NodeId, NodeModel, Topology};
 
-use crate::adi::{AdiCosts, Device, DeviceSet};
+use crate::adi::{AdiCosts, Locality};
 use crate::coll::{CollEngine, CollPolicy};
-use crate::comm::{Communicator, MpiEnv};
-use crate::device::{ChMad, ChMadConfig, ChP4, ChP4Costs, ChSelf, SmpPlug};
+use crate::comm::Communicator;
+use crate::device::{local, ChMad, ChMadConfig, ChP4, ChP4Costs};
 use crate::engine::Engine;
+use crate::group::Group;
+use crate::types::Envelope;
 
 /// How ranks are placed on the topology's nodes.
 #[derive(Clone, Debug)]
@@ -350,7 +356,7 @@ pub struct WorldReport<T> {
     pub results: Vec<T>,
     pub kernel: Kernel,
     pub session: Arc<madeleine::Session>,
-    engines: Vec<Arc<Engine>>,
+    world: Arc<MpiWorld>,
 }
 
 impl<T> WorldReport<T> {
@@ -360,9 +366,215 @@ impl<T> WorldReport<T> {
         WorldCapture {
             kernel: self.kernel.capture(),
             session: self.session.capture(),
-            engines: self.engines.iter().map(|e| e.capture()).collect(),
+            engines: self.world.engines.iter().map(Engine::capture).collect(),
         }
     }
+}
+
+/// One world's MPI layer, indexed by world rank and shared by every
+/// communicator through one `Arc`. It owns, by value, each rank's
+/// matching engine, the node map and intra-node costs the locality
+/// dispatch reads, the inter-node device, the world group, the
+/// context-id allocator and the collective engine.
+pub(crate) struct MpiWorld {
+    /// One matching engine per rank.
+    pub(crate) engines: Vec<Engine>,
+    /// rank -> node index, for locality decisions.
+    pub(crate) rank_node: Vec<usize>,
+    /// Loop-back and shared-memory costs of the intra-node paths.
+    node_model: NodeModel,
+    remote: Remote,
+    /// The world group: one allocation per world, not per rank (at 8k
+    /// ranks a per-rank copy is 64 KiB × 8k of pure duplication).
+    pub(crate) group: Arc<Group>,
+    /// Global context-id allocator (roots allocate, then broadcast).
+    ctx_alloc: SimMutex<u32>,
+    /// The collective algorithm engine (policy + world cluster map).
+    pub(crate) coll: CollEngine,
+}
+
+/// The inter-node device of a world (§4.1).
+enum Remote {
+    ChMad(ChMad),
+    ChP4(ChP4),
+}
+
+impl MpiWorld {
+    /// Build the Madeleine session over `topology` and the world table
+    /// on it. Simulated primitives are created in a fixed order — the
+    /// session's, the engines', the remote device's per-rank state, then
+    /// the context allocator — because semaphore ids appear in traces.
+    pub(crate) fn build(
+        kernel: &Kernel,
+        topology: Topology,
+        placement: &Placement,
+        config: &WorldConfig,
+    ) -> (Arc<Session>, Arc<MpiWorld>) {
+        let vcis = config.vcis.max(1);
+        let builder = madeleine::SessionBuilder::new(topology);
+        let builder = match placement {
+            Placement::OneRankPerNode => builder.one_rank_per_node(),
+            Placement::OneRankPerCpu => builder.one_rank_per_cpu(),
+            Placement::Explicit(map) => builder.place(map.clone()),
+        };
+        let builder = if config.forwarding {
+            assert!(
+                matches!(config.remote, RemoteDeviceKind::ChMad(_)),
+                "forwarding requires the ch_mad device"
+            );
+            builder.allow_forwarding()
+        } else {
+            builder
+        };
+        let session = builder
+            .vcis(vcis)
+            .build(kernel)
+            .expect("invalid topology for an MPI world");
+        let n = session.n_ranks();
+        let engines = (0..n)
+            .map(|r| Engine::new_vci(kernel, r, config.adi.clone(), vcis))
+            .collect();
+        let remote = match &config.remote {
+            RemoteDeviceKind::ChMad(cfg) => Remote::ChMad(ChMad::new(
+                kernel,
+                session.clone(),
+                config.adi.clone(),
+                cfg.clone(),
+            )),
+            RemoteDeviceKind::ChP4(costs) => Remote::ChP4(ChP4::new(kernel, n, costs.clone())),
+        };
+        let ctx_alloc = SimMutex::new(kernel, 2);
+        let world = MpiWorld {
+            engines,
+            rank_node: (0..n).map(|r| session.node_of(r).0).collect(),
+            node_model: session.topology().node_model().clone(),
+            remote,
+            group: Group::world(n),
+            ctx_alloc,
+            coll: CollEngine::with_levels(config.coll, rank_levels(&session)),
+        };
+        (session, Arc::new(world))
+    }
+
+    /// Which device carries traffic from world rank `from` to `to`.
+    pub(crate) fn locality(&self, from: usize, to: usize) -> Locality {
+        if from == to {
+            Locality::IntraProcess
+        } else if self.rank_node[from] == self.rank_node[to] {
+            Locality::IntraNode
+        } else {
+            Locality::InterNode
+        }
+    }
+
+    /// The ADI dispatch: blocking send of one MPI message from world
+    /// rank `from` to `dst` over the device their locality selects. With
+    /// `sync` set (`MPI_Ssend`) the send does not complete before a
+    /// matching receive is posted. `lane` is an endpoint's VCI pin; only
+    /// ch_mad has lanes, the other paths' parallelism comes from the
+    /// engine's matching shards alone.
+    pub(crate) fn send(
+        &self,
+        from: usize,
+        dst: usize,
+        env: Envelope,
+        data: Bytes,
+        sync: bool,
+        lane: Option<usize>,
+    ) {
+        let engine = &self.engines[dst];
+        match self.locality(from, dst) {
+            // ch_self: the loop-back memcpy covers the copy, so nothing
+            // is charged at match time.
+            Locality::IntraProcess => {
+                marcel::advance(self.node_model.self_cost(data.len()));
+                local::deliver(engine, env, data, sync, 0.0);
+            }
+            // smp_plug: the sender copies into the shared segment, the
+            // receiver copies out when it matches.
+            Locality::IntraNode => {
+                marcel::advance(self.node_model.smp_cost(data.len()));
+                let copy_ns = self.node_model.smp_per_byte_ns;
+                local::deliver(engine, env, data, sync, copy_ns);
+            }
+            Locality::InterNode => match &self.remote {
+                Remote::ChMad(dev) => dev.send(from, dst, env, data, sync, lane),
+                Remote::ChP4(dev) => dev.send(from, dst, env, data, sync),
+            },
+        }
+    }
+
+    /// The ch_mad device, for the service threads it spawned.
+    pub(crate) fn ch_mad(&self) -> &ChMad {
+        match &self.remote {
+            Remote::ChMad(dev) => dev,
+            Remote::ChP4(_) => unreachable!("a ch_mad thread in a ch_p4 world"),
+        }
+    }
+
+    /// The ch_p4 device, for the polling threads it spawned.
+    pub(crate) fn ch_p4(&self) -> &ChP4 {
+        match &self.remote {
+            Remote::ChP4(dev) => dev,
+            Remote::ChMad(_) => unreachable!("a ch_p4 thread in a ch_mad world"),
+        }
+    }
+
+    /// `MPI_Init` of one rank: start the inter-node device's service
+    /// threads, which keep a clone of `world`.
+    pub(crate) fn start_rank(world: &Arc<MpiWorld>, rank: usize) -> Vec<JoinHandle<()>> {
+        match &world.remote {
+            Remote::ChMad(dev) => dev.start_rank(world, rank),
+            Remote::ChP4(dev) => dev.start_rank(world, rank),
+        }
+    }
+
+    /// Stop one rank's service threads. Called after the shutdown
+    /// barrier.
+    pub(crate) fn finalize_rank(&self, rank: usize) {
+        match &self.remote {
+            Remote::ChMad(dev) => dev.finalize_rank(rank),
+            Remote::ChP4(dev) => dev.finalize_rank(rank),
+        }
+    }
+
+    /// Reserve a fresh pair of context ids: point-to-point, then
+    /// collective.
+    pub(crate) fn alloc_contexts(&self) -> u32 {
+        let mut next = self.ctx_alloc.lock();
+        let base = *next;
+        *next += 2;
+        base
+    }
+}
+
+/// The collective engine's fast-island structure in rank space.
+/// `cluster_levels` is the full nesting chain (finest → coarsest, e.g.
+/// fat-tree rails inside pods); its coarsest tier equals
+/// `node_clusters`, which stays the selection key. A topology with fewer
+/// than two tiers has no levels of its own: the classic cluster map is
+/// then the whole chain.
+fn rank_levels(session: &Session) -> Vec<Vec<usize>> {
+    let topology = session.topology();
+    let node_clusters = topology.node_clusters();
+    let ranks = 0..session.n_ranks();
+    let mut levels: Vec<Vec<usize>> = topology
+        .cluster_levels()
+        .iter()
+        .map(|level| {
+            let mut of = vec![0usize; node_clusters.len()];
+            for (ci, members) in level.iter().enumerate() {
+                for m in members {
+                    of[m.0] = ci;
+                }
+            }
+            ranks.clone().map(|r| of[session.node_of(r).0]).collect()
+        })
+        .collect();
+    if levels.is_empty() {
+        levels.push(ranks.map(|r| node_clusters[session.node_of(r).0]).collect());
+    }
+    levels
 }
 
 /// Run an MPI program: spawn one main thread per rank executing `f` with
@@ -409,7 +621,6 @@ where
     let mut cost_model = config.cost_model.clone();
     cost_model.poll_policy = config.poll;
     cost_model.exec_policy = config.exec;
-    let vcis = config.vcis.max(1);
     let kernel = Kernel::new(cost_model);
     if config.trace {
         kernel.enable_trace();
@@ -421,86 +632,8 @@ where
         kernel.set_event_sink((hook.make)(), hook.chunk);
     }
     kernel.force_commit_fallback(config.force_fallback);
-    let node_model = topology.node_model().clone();
-    // Fast-island structure for the collective engine, captured before
-    // the topology moves into the session builder. `cluster_levels` is
-    // the full nesting chain (finest → coarsest, e.g. fat-tree rails
-    // inside pods); its coarsest tier equals `node_clusters`, which
-    // stays the selection key.
-    let node_clusters = topology.node_clusters();
-    let n_nodes = node_clusters.len();
-    let node_levels: Vec<Vec<usize>> = topology
-        .cluster_levels()
-        .iter()
-        .map(|level| {
-            let mut of = vec![0usize; n_nodes];
-            for (ci, members) in level.iter().enumerate() {
-                for m in members {
-                    of[m.0] = ci;
-                }
-            }
-            of
-        })
-        .collect();
-    let builder = madeleine::SessionBuilder::new(topology);
-    let builder = match &placement {
-        Placement::OneRankPerNode => builder.one_rank_per_node(),
-        Placement::OneRankPerCpu => builder.one_rank_per_cpu(),
-        Placement::Explicit(map) => builder.place(map.clone()),
-    };
-    let builder = if config.forwarding {
-        assert!(
-            matches!(config.remote, RemoteDeviceKind::ChMad(_)),
-            "forwarding requires the ch_mad device"
-        );
-        builder.allow_forwarding()
-    } else {
-        builder
-    };
-    let session = builder
-        .vcis(vcis)
-        .build(&kernel)
-        .expect("invalid topology for an MPI world");
+    let (session, world) = MpiWorld::build(&kernel, topology, &placement, &config);
     let n = session.n_ranks();
-
-    let engines: Vec<Arc<Engine>> = (0..n)
-        .map(|r| Engine::new_vci(&kernel, r, config.adi.clone(), vcis))
-        .collect();
-    let rank_node: Vec<usize> = (0..n).map(|r| session.node_of(r).0).collect();
-
-    let remote: Arc<dyn Device> = match &config.remote {
-        RemoteDeviceKind::ChMad(cfg) => ChMad::new(
-            &kernel,
-            session.clone(),
-            engines.clone(),
-            config.adi.clone(),
-            cfg.clone(),
-        ),
-        RemoteDeviceKind::ChP4(costs) => ChP4::new(&kernel, engines.clone(), costs.clone()),
-    };
-    let devices = Arc::new(DeviceSet {
-        ch_self: ChSelf::new(engines.clone(), node_model.clone()),
-        smp_plug: SmpPlug::new(engines.clone(), rank_node.clone(), node_model),
-        remote,
-        rank_node,
-    });
-
-    let rank_clusters: Vec<usize> = (0..n)
-        .map(|r| node_clusters[session.node_of(r).0])
-        .collect();
-    // Map every nesting tier from node space to rank space. A <2-tier
-    // topology has no levels of its own; the classic cluster map is
-    // then the whole chain.
-    let mut rank_levels: Vec<Vec<usize>> = node_levels
-        .iter()
-        .map(|of| (0..n).map(|r| of[session.node_of(r).0]).collect())
-        .collect();
-    if rank_levels.is_empty() {
-        rank_levels.push(rank_clusters);
-    }
-    let coll = Arc::new(CollEngine::with_levels(config.coll, rank_levels));
-
-    let ctx_alloc = Arc::new(SimMutex::new(&kernel, 2));
     // Kernel-level (non-MPI) quiescence barrier: no rank may terminate
     // its polling threads before EVERY rank has finished its MPI
     // traffic. The MPI barrier alone is not enough with forwarding:
@@ -509,32 +642,22 @@ where
     // would kill the polling thread with the relay still in flight.
     let shutdown = SimBarrier::new(&kernel, n);
     let f = Arc::new(f);
-    let world_group = crate::group::Group::world(n);
     let mut handles = Vec::with_capacity(n);
-    #[allow(clippy::needless_range_loop)]
     for rank in 0..n {
-        let env = Arc::new(MpiEnv {
-            world_rank: rank,
-            world_size: n,
-            world_group: world_group.clone(),
-            engine: engines[rank].clone(),
-            devices: devices.clone(),
-            ctx_alloc: ctx_alloc.clone(),
-            coll: coll.clone(),
-        });
+        let world = world.clone();
         let f = f.clone();
         let shutdown = shutdown.clone();
         handles.push(kernel.spawn(format!("rank{rank}"), move || {
             // MPI_Init: start the inter-node device's service threads.
-            let pollers = env.devices.remote.clone().start_rank(rank);
-            let comm = Communicator::world(env.clone());
+            let pollers = MpiWorld::start_rank(&world, rank);
+            let comm = Communicator::comm_world(world.clone(), rank);
             let result = f(&comm);
             // MPI_Finalize: synchronize at the MPI level, then wait for
             // global quiescence before terminating the pollers (see the
             // shutdown barrier's comment above).
             comm.barrier();
             shutdown.wait();
-            env.devices.remote.finalize_rank(rank);
+            world.finalize_rank(rank);
             for p in pollers {
                 p.join();
             }
@@ -553,6 +676,6 @@ where
         results,
         kernel,
         session,
-        engines,
+        world,
     })
 }
