@@ -115,16 +115,6 @@ impl ProtocolPolicy {
         }
     }
 
-    /// Policy of devices whose transfers copy either way (loop-back,
-    /// shared memory, buffered TCP): eager at every size.
-    pub fn always_eager() -> ProtocolPolicy {
-        ProtocolPolicy {
-            mode: PolicyMode::PerNetwork,
-            override_threshold: Some(usize::MAX),
-            elected: usize::MAX,
-        }
-    }
-
     pub fn mode(&self) -> PolicyMode {
         self.mode
     }
@@ -254,13 +244,5 @@ mod tests {
             }
             assert_eq!(p.threshold(None), 1234);
         }
-    }
-
-    #[test]
-    fn always_eager_never_switches() {
-        let p = ProtocolPolicy::always_eager();
-        assert_eq!(p.threshold(None), usize::MAX);
-        assert_eq!(p.threshold(Some(Protocol::Tcp)), usize::MAX);
-        assert!(!p.stripes());
     }
 }

@@ -345,9 +345,7 @@ impl Communicator {
         tag: Option<Tag>,
         context: u32,
     ) -> (Vec<u8>, Status) {
-        let (st, handle) = self
-            .engine()
-            .probe_handle(self.spec(src_local, tag, context));
+        let (st, handle) = self.engine().probe(self.spec(src_local, tag, context));
         // Receive the probed message by handle — the probe already
         // located it, so no second queue lookup happens.
         let exact = MatchSpec {
@@ -777,7 +775,7 @@ impl Endpoint {
     pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> Result<Status, CommError> {
         self.comm.check_src(src)?;
         let comm = &self.comm;
-        Ok(comm.localize(comm.engine().probe(comm.spec(src, tag, comm.context))))
+        Ok(comm.localize(comm.engine().probe(comm.spec(src, tag, comm.context)).0))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
@@ -789,7 +787,7 @@ impl Endpoint {
         self.comm.check_src(src)?;
         let comm = &self.comm;
         let spec = comm.spec(src, tag, comm.context);
-        Ok(comm.engine().iprobe(spec).map(|s| comm.localize(s)))
+        Ok(comm.engine().iprobe(spec).map(|(s, _)| comm.localize(s)))
     }
 }
 

@@ -27,7 +27,7 @@ use marcel::obs::{self, ActiveSpan, Event, SpanKind};
 use marcel::{Kernel, OneShot, OwnedCell, SimCondvar, SimMutex, VirtualDuration};
 
 use crate::adi::AdiCosts;
-use crate::matching::{PostedStore, UnexpectedStore};
+use crate::matching::{Handle, PostedStore, UnexpectedStore};
 use crate::request::{self, Completion};
 use crate::types::{Envelope, MatchSpec, Status};
 use crate::vci::vci_for;
@@ -224,14 +224,14 @@ impl Shard {
 }
 
 /// Handle to a probed unexpected message: the shard (VCI) it was found
-/// in plus its arrival sequence. Pinning the VCI is what makes
-/// probe-then-receive race-free under sharding — the receive goes back
-/// to exactly the shard the probe matched in, no matter how its own
-/// spec would have routed.
+/// in plus its handle in that shard's store. Pinning the VCI is what
+/// makes probe-then-receive race-free under sharding — the receive goes
+/// back to exactly the shard the probe matched in, no matter how its
+/// own spec would have routed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ProbeHandle {
     pub(crate) vci: usize,
-    pub(crate) seq: u64,
+    pub(crate) arrival: Handle,
 }
 
 /// Quiescent snapshot of one rank's matching engine (see
@@ -389,28 +389,11 @@ impl Engine {
     pub(crate) fn post_recv(&self, spec: MatchSpec, cap: usize, req: OneShot<Completion>) {
         let post_span = obs::span_begin(SpanKind::Post, "adi");
         marcel::advance(self.costs.post_recv);
-        if self.vcis == 1 {
-            // Single-shard fast path: one lock, bit-identical to the
-            // pre-VCI engine (wildcards live inside the shard's store).
-            let mut st = self.shards[0].lock();
-            if let Some((env, payload)) = st.unexpected.take_match(&spec) {
-                self.complete_unexpected(st, env, payload, cap, req);
-                obs::span_end(post_span);
-                return;
-            }
-            let seq = self.draw(|a| &mut a.posted_seq);
-            st.posted.insert_at(seq, spec, Posted { cap, req });
-            let (rank, depth) = (self.rank, st.posted.len());
-            drop(st); // the queue unlock belongs to the posting cost
-            obs::gauge_max(&self.posted_hwm_key, depth as u64);
-            obs::emit(move || Event::RecvPosted { rank, depth });
-            obs::span_end(post_span);
-            return;
-        }
-        if let Some(tag) = spec.tag {
-            // Concrete tag: the spec routes to exactly one shard — the
-            // same one any matching arrival routes to.
-            let v = self.shard_of(spec.context, tag);
+        let depth = if self.vcis == 1 || spec.tag.is_some() {
+            // The spec routes to exactly one shard — the same one any
+            // matching arrival routes to. With one shard, wildcards live
+            // inside its own store.
+            let v = spec.tag.map_or(0, |t| self.shard_of(spec.context, t));
             let mut st = self.shards[v].lock();
             if let Some((env, payload)) = st.unexpected.take_match(&spec) {
                 self.complete_unexpected(st, env, payload, cap, req);
@@ -419,49 +402,61 @@ impl Engine {
             }
             let seq = self.draw(|a| &mut a.posted_seq);
             st.posted.insert_at(seq, spec, Posted { cap, req });
-            let (rank, depth) = (self.rank, st.posted.len());
-            drop(st);
-            obs::gauge_max(&self.posted_hwm_key, depth as u64);
-            obs::emit(move || Event::RecvPosted { rank, depth });
-            obs::span_end(post_span);
-            return;
-        }
-        // Wildcard tag: a matching arrival may sit in any shard. Hold
-        // every shard (ascending order) to pick the true earliest; if
-        // none matches, enqueue on the wildcard store *before*
-        // releasing the shards so no arrival can slip past unmatched.
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut best: Option<(usize, u64)> = None;
-        for (i, g) in guards.iter_mut().enumerate() {
-            if let Some((seq, _)) = g.unexpected.find(&spec) {
-                if best.is_none_or(|(_, bs)| seq < bs) {
-                    best = Some((i, seq));
-                }
+            let depth = st.posted.len();
+            drop(st); // the queue unlock belongs to the posting cost
+            depth
+        } else {
+            // Wildcard tag: a matching arrival may sit in any shard.
+            // Hold every shard (ascending order) to pick the true
+            // earliest; if none matches, enqueue on the wildcard store
+            // *before* releasing the shards so no arrival can slip past
+            // unmatched.
+            let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+            if let Some((arrival, v, _)) = Self::earliest(&guards, &spec) {
+                let mut winner = guards.swap_remove(v);
+                drop(guards);
+                let (env, payload) = winner
+                    .unexpected
+                    .take(arrival)
+                    .expect("entry held under lock");
+                self.complete_unexpected(winner, env, payload, cap, req);
+                obs::span_end(post_span);
+                return;
             }
-        }
-        if let Some((i, seq)) = best {
-            let mut winner = guards.swap_remove(i);
+            let mut wl = self.wild.lock();
+            let seq = self.draw(|a| &mut a.posted_seq);
+            wl.insert_at(seq, spec, Posted { cap, req });
+            let depth = wl.len();
+            drop(wl);
             drop(guards);
-            let (env, payload) = winner.unexpected.take(seq).expect("entry held under lock");
-            self.complete_unexpected(winner, env, payload, cap, req);
-            obs::span_end(post_span);
-            return;
-        }
-        let mut wl = self.wild.lock();
-        let seq = self.draw(|a| &mut a.posted_seq);
-        wl.insert_at(seq, spec, Posted { cap, req });
-        let (rank, depth) = (self.rank, wl.len());
-        drop(wl);
-        drop(guards);
+            depth
+        };
+        let rank = self.rank;
         obs::gauge_max(&self.posted_hwm_key, depth as u64);
         obs::emit(move || Event::RecvPosted { rank, depth });
         obs::span_end(post_span);
     }
 
+    /// The earliest arrival matching `spec` across the held shards: its
+    /// handle, its shard and its envelope.
+    fn earliest(
+        guards: &[marcel::SimMutexGuard<'_, Shard>],
+        spec: &MatchSpec,
+    ) -> Option<(Handle, usize, Envelope)> {
+        guards
+            .iter()
+            .enumerate()
+            .filter_map(|(v, g)| {
+                let (arrival, env) = g.unexpected.find(spec)?;
+                Some((arrival, v, env))
+            })
+            .min_by_key(|&(arrival, _, _)| arrival)
+    }
+
     /// [`Engine::post_recv`] for a receive that follows a successful
-    /// probe: `handle` (from [`Engine::probe_handle`] /
-    /// [`Engine::iprobe_handle`]) addresses the probed arrival
-    /// directly, skipping the second queue lookup the seed performed.
+    /// probe: `handle` (from [`Engine::probe`] / [`Engine::iprobe`])
+    /// addresses the probed arrival directly, skipping the second queue
+    /// lookup the seed performed.
     /// Identical cost structure to `post_recv` — one lock, the same
     /// virtual-time charges.
     pub(crate) fn post_recv_probed(
@@ -480,7 +475,7 @@ impl Engine {
         let mut st = self.shards[handle.vci].lock();
         let (env, payload) = st
             .unexpected
-            .take(handle.seq)
+            .take(handle.arrival)
             .filter(|(env, _)| spec.matches(env))
             .or_else(|| st.unexpected.take_match(&spec))
             .expect("probed message vanished before the receive");
@@ -599,19 +594,10 @@ impl Engine {
             return st.posted.take_match(env);
         }
         let mut wl = self.wild.lock();
-        let shard_seq = st.posted.peek_match(env);
-        let wild_seq = wl.peek_match(env);
-        match (shard_seq, wild_seq) {
-            (None, None) => None,
-            (Some(_), None) => st.posted.take_match(env),
-            (None, Some(_)) => wl.take_match(env),
-            (Some(s), Some(w)) => {
-                if s < w {
-                    st.posted.take_match(env)
-                } else {
-                    wl.take_match(env)
-                }
-            }
+        match (st.posted.find(env), wl.find(env)) {
+            (Some(s), w) if w.is_none_or(|w| s < w) => st.posted.take(s),
+            (_, Some(w)) => wl.take(w),
+            _ => None,
         }
     }
 
@@ -762,55 +748,39 @@ impl Engine {
         Ok(())
     }
 
-    /// Non-blocking probe of the unexpected queue (`MPI_Iprobe`).
-    pub fn iprobe(&self, spec: MatchSpec) -> Option<Status> {
-        self.iprobe_handle(spec).map(|(status, _)| status)
-    }
-
-    /// [`Engine::iprobe`] additionally returning the matched message's
-    /// handle, which [`Engine::post_recv_probed`] accepts to receive
-    /// it without a second queue lookup.
-    pub(crate) fn iprobe_handle(&self, spec: MatchSpec) -> Option<(Status, ProbeHandle)> {
+    /// Non-blocking probe of the unexpected queue (`MPI_Iprobe`): the
+    /// matched message's status and handle, which
+    /// [`Engine::post_recv_probed`] accepts to receive it without a
+    /// second queue lookup.
+    pub(crate) fn iprobe(&self, spec: MatchSpec) -> Option<(Status, ProbeHandle)> {
         if self.vcis == 1 || spec.tag.is_some() {
             // The spec routes to exactly one shard.
             let v = spec.tag.map_or(0, |t| self.shard_of(spec.context, t));
-            let mut st = self.shards[v].lock();
+            let st = self.shards[v].lock();
             return st
                 .unexpected
                 .find(&spec)
-                .map(|(seq, env)| (Self::status_of(&env), ProbeHandle { vci: v, seq }));
+                .map(|(arrival, env)| (Self::status_of(&env), ProbeHandle { vci: v, arrival }));
         }
         // Wildcard tag across shards: hold all shards (ascending) and
         // pick the earliest arrival by engine-global sequence.
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut best: Option<(usize, u64, Envelope)> = None;
-        for (i, g) in guards.iter_mut().enumerate() {
-            if let Some((seq, env)) = g.unexpected.find(&spec) {
-                if best.as_ref().is_none_or(|(_, bs, _)| seq < *bs) {
-                    best = Some((i, seq, env));
-                }
-            }
-        }
+        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
+        let best = Self::earliest(&guards, &spec);
         drop(guards);
-        best.map(|(vci, seq, env)| (Self::status_of(&env), ProbeHandle { vci, seq }))
+        best.map(|(arrival, vci, env)| (Self::status_of(&env), ProbeHandle { vci, arrival }))
     }
 
     /// Blocking probe (`MPI_Probe`): waits until a matching message is
-    /// buffered, without consuming it.
-    pub fn probe(&self, spec: MatchSpec) -> Status {
-        self.probe_handle(spec).0
-    }
-
-    /// [`Engine::probe`] additionally returning the matched message's
-    /// handle (see [`Engine::iprobe_handle`]).
-    pub(crate) fn probe_handle(&self, spec: MatchSpec) -> (Status, ProbeHandle) {
+    /// buffered, without consuming it, and returns it as
+    /// [`Engine::iprobe`] does.
+    pub(crate) fn probe(&self, spec: MatchSpec) -> (Status, ProbeHandle) {
         if self.vcis == 1 {
             // Single shard: wait directly on its lock, exactly as the
             // pre-VCI engine did.
             let mut st = self.shards[0].lock();
             loop {
-                if let Some((seq, env)) = st.unexpected.find(&spec) {
-                    return (Self::status_of(&env), ProbeHandle { vci: 0, seq });
+                if let Some((arrival, env)) = st.unexpected.find(&spec) {
+                    return (Self::status_of(&env), ProbeHandle { vci: 0, arrival });
                 }
                 st = self.arrivals.wait(&self.shards[0], st);
             }
@@ -821,7 +791,7 @@ impl Engine {
         // a wake-up: any arrival it missed bumps after we release.
         let mut gen = self.probe_gen.lock();
         loop {
-            if let Some(found) = self.iprobe_handle(spec) {
+            if let Some(found) = self.iprobe(spec) {
                 return found;
             }
             gen = self.arrivals.wait(&self.probe_gen, gen);
@@ -1032,11 +1002,11 @@ mod tests {
     fn probe_sees_unexpected_without_consuming() {
         with_engine(|e| {
             e.deliver_eager(env(1, 7, 3), Bytes::from_static(&[1, 2, 3]), 0.0);
-            assert_eq!(e.iprobe(spec(None, Some(7))).unwrap().len, 3);
+            assert_eq!(e.iprobe(spec(None, Some(7))).unwrap().0.len, 3);
             assert_eq!(e.iprobe(spec(None, Some(8))), None);
             // Still buffered.
             assert_eq!(e.depths(), (0, 1, 0));
-            let st = e.probe(spec(Some(1), None));
+            let st = e.probe(spec(Some(1), None)).0;
             assert_eq!(st.source, 1);
         });
     }
@@ -1052,7 +1022,7 @@ mod tests {
                 marcel::advance(VirtualDuration::from_micros(40));
                 e2.deliver_eager(env(9, 3, 1), Bytes::from_static(&[1]), 0.0);
             });
-            let st = e.probe(spec(Some(9), Some(3)));
+            let st = e.probe(spec(Some(9), Some(3))).0;
             (st.len, marcel::now())
         });
         k.run().unwrap();

@@ -6,39 +6,107 @@
 //! — O(queue depth) per post/arrival/probe. These stores keep the
 //! exact same match order (every entry carries a global FIFO sequence
 //! number; a lookup returns the matching entry with the smallest
-//! sequence) while making the common exact-match case O(1):
+//! sequence) while making the common exact-match case O(1).
+//!
+//! Both stores file entries in FIFO buckets keyed by an exact
+//! `(context, src, tag)`. Within one bucket sequences strictly
+//! increase, so a bucket's front is its oldest entry, and a bucket is
+//! removed the moment it empties.
 //!
 //! * [`PostedStore`]: posted receives, looked up by an arriving
-//!   *envelope*. Fully-specified specs live in hash buckets keyed by
-//!   `(context, src, tag)`; specs with `ANY_SOURCE`/`ANY_TAG`
-//!   wildcards live on a FIFO side-list that is scanned only when
-//!   present (wildcards are the rare case on hot paths).
+//!   *envelope*. Fully-specified specs live in the buckets; specs with
+//!   `ANY_SOURCE`/`ANY_TAG` wildcards live on a FIFO side-list that is
+//!   scanned only when present (wildcards are the rare case on hot
+//!   paths). A lookup compares the envelope's bucket front with the
+//!   first matching wildcard and takes the smaller sequence.
 //! * [`UnexpectedStore`]: unexpected arrivals, looked up by a receive
-//!   *spec* (which may carry wildcards). Arrivals are indexed four
-//!   ways — exact `(context, src, tag)` buckets for fully-specified
-//!   lookups, plus ordered `(context, src)` / `(context, tag)` /
-//!   `context` side-indexes so wildcard lookups are O(log n) instead
-//!   of a scan.
+//!   *spec* (which may carry wildcards). Every arrival lives in its
+//!   envelope's bucket and nowhere else. The entries of one bucket
+//!   share their key, so the earliest arrival matching any spec is the
+//!   front of some bucket: an exact spec reads one front, and a
+//!   wildcard spec takes the smallest sequence among the fronts it
+//!   matches — independent of hash order.
 //!
-//! Within one bucket, sequence numbers are strictly increasing, so the
-//! bucket front is always the bucket's oldest entry; a lookup compares
-//! at most one candidate per consulted index and picks the smallest
-//! sequence — bit-identical to what the linear scan would have chosen
-//! (the equivalence proptest in `tests/matching_equivalence.rs` checks
-//! this against a reference scan across random interleavings).
+//! A lookup returns a [`Handle`]: the entry's sequence and where it
+//! sits. `take(handle)` removes the entry only while it is still there,
+//! so a handle whose entry has gone is refused. The equivalence
+//! proptest in `tests/matching_equivalence.rs` checks every lookup
+//! against a reference linear scan across random interleavings.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::types::{Envelope, MatchSpec, Tag};
 
 /// Exact-match bucket key: context, source, tag — all concrete.
 type ExactKey = (u32, usize, Tag);
 
+/// A matched entry of either store, as returned by its `find`. Handles
+/// order by FIFO sequence, so the smaller of two is the earlier entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Handle {
+    seq: u64,
+    at: Slot,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Slot {
+    /// The front of this bucket.
+    Bucket(ExactKey),
+    /// This position on the posted store's wildcard list.
+    Wild(usize),
+}
+
+/// FIFO buckets keyed by an exact `(context, src, tag)`. Sequences
+/// pushed into one bucket strictly increase, so each front is its
+/// bucket's oldest entry.
+struct Buckets<T>(HashMap<ExactKey, VecDeque<(u64, T)>>);
+
+impl<T> Default for Buckets<T> {
+    fn default() -> Self {
+        Buckets(HashMap::new())
+    }
+}
+
+impl<T> Buckets<T> {
+    fn push(&mut self, key: ExactKey, seq: u64, item: T) {
+        // A bucket rarely holds more than one entry: size it for one.
+        self.0
+            .entry(key)
+            .or_insert_with(|| VecDeque::with_capacity(1))
+            .push_back((seq, item));
+    }
+
+    fn front(&self, key: &ExactKey) -> Option<&(u64, T)> {
+        self.0.get(key)?.front()
+    }
+
+    /// Every bucket's front, in hash order.
+    fn fronts(&self) -> impl Iterator<Item = (ExactKey, &(u64, T))> {
+        self.0
+            .iter()
+            .filter_map(|(key, q)| Some((*key, q.front()?)))
+    }
+
+    /// Pop `key`'s front if it is entry `seq`, and remove the bucket
+    /// once it is empty.
+    fn pop(&mut self, key: ExactKey, seq: u64) -> Option<T> {
+        let q = self.0.get_mut(&key)?;
+        if q.front()?.0 != seq {
+            return None;
+        }
+        let (_, item) = q.pop_front()?;
+        if q.is_empty() {
+            self.0.remove(&key);
+        }
+        Some(item)
+    }
+}
+
 /// Posted receives, matched against arriving envelopes.
 #[derive(Default)]
 pub struct PostedStore<P> {
     next_seq: u64,
-    exact: HashMap<ExactKey, VecDeque<(u64, P)>>,
+    exact: Buckets<P>,
     wild: VecDeque<(u64, MatchSpec, P)>,
     len: usize,
 }
@@ -47,7 +115,7 @@ impl<P> PostedStore<P> {
     pub fn new() -> Self {
         PostedStore {
             next_seq: 0,
-            exact: HashMap::new(),
+            exact: Buckets::default(),
             wild: VecDeque::new(),
             len: 0,
         }
@@ -64,8 +132,7 @@ impl<P> PostedStore<P> {
     /// Queue a posted receive.
     pub fn insert(&mut self, spec: MatchSpec, payload: P) {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert_with_seq(seq, spec, payload);
+        self.insert_at(seq, spec, payload);
     }
 
     /// Queue a posted receive under an externally allocated FIFO
@@ -75,82 +142,55 @@ impl<P> PostedStore<P> {
     pub fn insert_at(&mut self, seq: u64, spec: MatchSpec, payload: P) {
         assert!(seq >= self.next_seq, "sequence {seq} not monotone");
         self.next_seq = seq + 1;
-        self.insert_with_seq(seq, spec, payload);
-    }
-
-    fn insert_with_seq(&mut self, seq: u64, spec: MatchSpec, payload: P) {
         match (spec.src, spec.tag) {
-            (Some(src), Some(tag)) => self
-                .exact
-                .entry((spec.context, src, tag))
-                .or_default()
-                .push_back((seq, payload)),
+            (Some(src), Some(tag)) => self.exact.push((spec.context, src, tag), seq, payload),
             _ => self.wild.push_back((seq, spec, payload)),
         }
         self.len += 1;
     }
 
-    /// Sequence of the earliest-posted receive matching `env`, without
-    /// removing it — the cross-shard arbitration primitive of the
-    /// sharded engine (compare candidates from an exact shard and the
-    /// wildcard store, then take from the winner).
-    pub fn peek_match(&self, env: &Envelope) -> Option<u64> {
-        let exact_seq = self
-            .exact
-            .get(&(env.context, env.src, env.tag))
-            .and_then(|q| q.front())
-            .map(|&(seq, _)| seq);
-        let wild_seq = self
+    /// The earliest-posted receive matching `env`, without removing it:
+    /// the envelope's bucket front or the first matching wildcard,
+    /// whichever was posted first.
+    pub(crate) fn find(&self, env: &Envelope) -> Option<Handle> {
+        let key = (env.context, env.src, env.tag);
+        let exact = self.exact.front(&key).map(|&(seq, _)| Handle {
+            seq,
+            at: Slot::Bucket(key),
+        });
+        let wild = self
             .wild
             .iter()
-            .find(|(_, spec, _)| spec.matches(env))
-            .map(|&(seq, _, _)| seq);
-        match (exact_seq, wild_seq) {
-            (Some(e), Some(w)) => Some(e.min(w)),
-            (e, w) => e.or(w),
-        }
+            .position(|(_, spec, _)| spec.matches(env))
+            .map(|pos| Handle {
+                seq: self.wild[pos].0,
+                at: Slot::Wild(pos),
+            });
+        exact.into_iter().chain(wild).min()
+    }
+
+    /// Remove a receive by handle (from a prior [`find`]). Returns
+    /// `None` if it was already taken.
+    ///
+    /// [`find`]: PostedStore::find
+    pub(crate) fn take(&mut self, handle: Handle) -> Option<P> {
+        let payload = match handle.at {
+            Slot::Bucket(key) => self.exact.pop(key, handle.seq)?,
+            Slot::Wild(pos) => {
+                if self.wild.get(pos)?.0 != handle.seq {
+                    return None;
+                }
+                self.wild.remove(pos)?.2
+            }
+        };
+        self.len -= 1;
+        Some(payload)
     }
 
     /// Take the earliest-posted receive matching `env`, if any.
     pub fn take_match(&mut self, env: &Envelope) -> Option<P> {
-        let exact_key = (env.context, env.src, env.tag);
-        let exact_seq = self
-            .exact
-            .get(&exact_key)
-            .and_then(|q| q.front())
-            .map(|&(seq, _)| seq);
-        let wild_pos = self.wild.iter().position(|(_, spec, _)| spec.matches(env));
-        let wild_seq = wild_pos.map(|i| self.wild[i].0);
-        match (exact_seq, wild_seq) {
-            (None, None) => None,
-            (Some(_), None) => self.take_exact(exact_key),
-            (None, Some(_)) => self.take_wild(wild_pos.unwrap()),
-            (Some(e), Some(w)) => {
-                // Both indexes hold a candidate; FIFO semantics pick
-                // the earlier-posted one.
-                if e < w {
-                    self.take_exact(exact_key)
-                } else {
-                    self.take_wild(wild_pos.unwrap())
-                }
-            }
-        }
-    }
-
-    fn take_exact(&mut self, key: ExactKey) -> Option<P> {
-        let q = self.exact.get_mut(&key)?;
-        let (_, payload) = q.pop_front()?;
-        if q.is_empty() {
-            self.exact.remove(&key);
-        }
-        self.len -= 1;
-        Some(payload)
-    }
-
-    fn take_wild(&mut self, pos: usize) -> Option<P> {
-        let (_, _, payload) = self.wild.remove(pos)?;
-        self.len -= 1;
-        Some(payload)
+        let handle = self.find(env)?;
+        self.take(handle)
     }
 }
 
@@ -160,149 +200,103 @@ impl<P> PostedStore<P> {
 #[derive(Default)]
 pub struct UnexpectedStore<T> {
     next_seq: u64,
-    /// All live entries in arrival order (the BTreeMap iterates by
-    /// ascending sequence).
-    items: BTreeMap<u64, (Envelope, T)>,
-    /// Exact-envelope buckets. Cleaned lazily: a `take` by handle
-    /// leaves its sequence in place; lookups pop stale fronts.
-    exact: HashMap<ExactKey, VecDeque<u64>>,
-    /// Wildcard side-indexes (consulted only by wildcard specs).
-    by_src: HashMap<(u32, usize), BTreeSet<u64>>,
-    by_tag: HashMap<(u32, Tag), BTreeSet<u64>>,
-    by_ctx: HashMap<u32, BTreeSet<u64>>,
+    buckets: Buckets<(Envelope, T)>,
+    len: usize,
 }
 
 impl<T> UnexpectedStore<T> {
     pub fn new() -> Self {
         UnexpectedStore {
             next_seq: 0,
-            items: BTreeMap::new(),
-            exact: HashMap::new(),
-            by_src: HashMap::new(),
-            by_tag: HashMap::new(),
-            by_ctx: HashMap::new(),
+            buckets: Buckets::default(),
+            len: 0,
         }
     }
 
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.len == 0
     }
 
-    /// Queue an arrival; returns its handle (global FIFO sequence).
-    pub fn insert(&mut self, env: Envelope, payload: T) -> u64 {
+    /// Queue an arrival under the next FIFO sequence.
+    pub fn insert(&mut self, env: Envelope, payload: T) {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert_with_seq(seq, env, payload);
-        seq
+        self.insert_at(seq, env, payload);
     }
 
-    /// Queue an arrival under an externally allocated handle (see
-    /// [`PostedStore::insert_at`]): the sharded engine draws handles
+    /// Queue an arrival under an externally allocated sequence (see
+    /// [`PostedStore::insert_at`]): the sharded engine draws sequences
     /// from one engine-global counter so arrival order is comparable
     /// across shards.
     pub fn insert_at(&mut self, seq: u64, env: Envelope, payload: T) {
         assert!(seq >= self.next_seq, "sequence {seq} not monotone");
         self.next_seq = seq + 1;
-        self.insert_with_seq(seq, env, payload);
-    }
-
-    fn insert_with_seq(&mut self, seq: u64, env: Envelope, payload: T) {
-        self.exact
-            .entry((env.context, env.src, env.tag))
-            .or_default()
-            .push_back(seq);
-        self.by_src
-            .entry((env.context, env.src))
-            .or_default()
-            .insert(seq);
-        self.by_tag
-            .entry((env.context, env.tag))
-            .or_default()
-            .insert(seq);
-        self.by_ctx.entry(env.context).or_default().insert(seq);
-        self.items.insert(seq, (env, payload));
+        self.buckets
+            .push((env.context, env.src, env.tag), seq, (env, payload));
+        self.len += 1;
     }
 
     /// Handle and envelope of the earliest arrival matching `spec`,
     /// without removing it (probe).
-    pub fn find(&mut self, spec: &MatchSpec) -> Option<(u64, Envelope)> {
-        let seq = match (spec.src, spec.tag) {
+    pub fn find(&self, spec: &MatchSpec) -> Option<(Handle, Envelope)> {
+        let (key, &(seq, (env, _))) = match (spec.src, spec.tag) {
             (Some(src), Some(tag)) => {
                 let key = (spec.context, src, tag);
-                let q = self.exact.get_mut(&key)?;
-                // Drop handles already taken out from under this
-                // bucket (probe-then-receive, wildcard matches).
-                while let Some(&front) = q.front() {
-                    if self.items.contains_key(&front) {
-                        break;
-                    }
-                    q.pop_front();
-                }
-                if q.is_empty() {
-                    self.exact.remove(&key);
-                    return None;
-                }
-                *q.front().unwrap()
+                (key, self.buckets.front(&key)?)
             }
-            (Some(src), None) => *self.by_src.get(&(spec.context, src))?.first()?,
-            (None, Some(tag)) => *self.by_tag.get(&(spec.context, tag))?.first()?,
-            (None, None) => *self.by_ctx.get(&spec.context)?.first()?,
+            _ => self
+                .buckets
+                .fronts()
+                .filter(|(_, (_, (env, _)))| spec.matches(env))
+                .min_by_key(|(_, (seq, _))| *seq)?,
         };
-        let (env, _) = &self.items[&seq];
-        Some((seq, *env))
+        let at = Slot::Bucket(key);
+        Some((Handle { seq, at }, env))
     }
 
     /// Remove an arrival by handle (from a prior [`find`]). Returns
     /// `None` if it was already taken.
     ///
     /// [`find`]: UnexpectedStore::find
-    pub fn take(&mut self, seq: u64) -> Option<(Envelope, T)> {
-        let (env, payload) = self.items.remove(&seq)?;
-        // The exact bucket is cleaned lazily; the ordered side-indexes
-        // must drop the handle now so wildcard lookups stay correct.
-        if let Some(s) = self.by_src.get_mut(&(env.context, env.src)) {
-            s.remove(&seq);
-            if s.is_empty() {
-                self.by_src.remove(&(env.context, env.src));
-            }
-        }
-        if let Some(s) = self.by_tag.get_mut(&(env.context, env.tag)) {
-            s.remove(&seq);
-            if s.is_empty() {
-                self.by_tag.remove(&(env.context, env.tag));
-            }
-        }
-        if let Some(s) = self.by_ctx.get_mut(&env.context) {
-            s.remove(&seq);
-            if s.is_empty() {
-                self.by_ctx.remove(&env.context);
-            }
-        }
-        Some((env, payload))
+    pub fn take(&mut self, handle: Handle) -> Option<(Envelope, T)> {
+        let Slot::Bucket(key) = handle.at else {
+            return None;
+        };
+        let entry = self.buckets.pop(key, handle.seq)?;
+        self.len -= 1;
+        Some(entry)
     }
 
     /// Take the earliest arrival matching `spec`, if any.
     pub fn take_match(&mut self, spec: &MatchSpec) -> Option<(Envelope, T)> {
-        let (seq, _) = self.find(spec)?;
-        self.take(seq)
+        let (handle, _) = self.find(spec)?;
+        self.take(handle)
     }
 
     /// Envelopes of all queued arrivals, in arrival order.
     pub fn envelopes(&self) -> Vec<Envelope> {
-        self.items.values().map(|(env, _)| *env).collect()
+        self.envelopes_with_seq()
+            .into_iter()
+            .map(|(_, env)| env)
+            .collect()
     }
 
-    /// Envelopes with their FIFO sequences — what the sharded engine
-    /// merges across shards to present one arrival-ordered view.
+    /// Envelopes with their FIFO sequences, in arrival order — what the
+    /// sharded engine merges across shards to present one
+    /// arrival-ordered view.
     pub fn envelopes_with_seq(&self) -> Vec<(u64, Envelope)> {
-        self.items
-            .iter()
-            .map(|(&seq, (env, _))| (seq, *env))
-            .collect()
+        let mut all: Vec<(u64, Envelope)> = self
+            .buckets
+            .0
+            .values()
+            .flatten()
+            .map(|&(seq, (env, _))| (seq, env))
+            .collect();
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all
     }
 }
 
@@ -382,8 +376,23 @@ mod tests {
         assert_eq!(e.tag, 7);
         assert_eq!(s.take(h).unwrap().1, "x");
         assert_eq!(s.take(h), None, "double take is rejected");
-        // The exact bucket's stale handle must not resurrect it.
         assert_eq!(s.find(&spec(Some(1), Some(7), 0)), None);
+    }
+
+    #[test]
+    fn taken_arrivals_leave_no_buckets() {
+        // Every arrival in a bucket of its own, each received by an
+        // exact spec: the emptied store must hold no bucket at all.
+        const N: Tag = 1_000;
+        let mut s = UnexpectedStore::new();
+        for tag in 0..N {
+            s.insert(env(1, tag, 0), ());
+        }
+        for tag in 0..N {
+            assert!(s.take_match(&spec(Some(1), Some(tag), 0)).is_some());
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.buckets.0.len(), 0, "stale buckets left behind");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! linear scan over one `VecDeque`; the bucketed stores must pick the
 //! *identical* entry for every lookup. This test drives both a
 //! reference model (literal linear scans over `Vec`s) and the bucketed
-//! stores through random interleavings of posts, arrivals, probes, and
-//! probe-then-take — with wildcard sources/tags and mixed contexts —
-//! and requires the full transcripts to agree.
+//! stores through random interleavings of posts, arrivals, probes,
+//! probe-then-take and take-after-consume by a stale handle — with
+//! wildcard sources/tags and mixed contexts — and requires the full
+//! transcripts to agree.
 
 use mpich::{Envelope, MatchSpec, PostedStore, Tag, UnexpectedStore};
 use proptest::collection::vec;
@@ -28,6 +29,9 @@ enum Op {
     /// Probe, then take that exact arrival by handle (the
     /// probe/recv-dedup path in the engine).
     ProbeTake(MatchSpec),
+    /// Probe, let a receive with the same spec consume the probed
+    /// arrival, then take by the stale handle: it must be refused.
+    ProbeStale(MatchSpec),
 }
 
 /// Linear-scan reference: the seed's matching semantics, verbatim.
@@ -90,6 +94,7 @@ fn op() -> BoxedStrategy<Op> {
         (0..3usize, 0..3 as Tag, 0..2u32).prop_map(|(src, tag, ctx)| Op::Arrive { src, tag, ctx }),
         spec().prop_map(Op::Probe),
         spec().prop_map(Op::ProbeTake),
+        spec().prop_map(Op::ProbeStale),
     ]
     .boxed()
 }
@@ -140,6 +145,15 @@ fn check(ops: Vec<Op>) {
                     .and_then(|(handle, _)| unexpected.take(handle));
                 let want = reference.probe_take(&spec);
                 assert_eq!(got, want, "probe-take {spec:?}");
+            }
+            Op::ProbeStale(spec) => {
+                let handle = unexpected.find(&spec).map(|(handle, _)| handle);
+                let got = unexpected.take_match(&spec);
+                let want = reference.post(&spec);
+                assert_eq!(got, want, "receive after probe {spec:?}");
+                if let Some(handle) = handle {
+                    assert_eq!(unexpected.take(handle), None, "stale take {spec:?}");
+                }
             }
         }
         assert_eq!(posted.len(), reference.posted.len(), "posted depth");
