@@ -29,6 +29,19 @@
 //!   cycle of detection delay — see `marcel::poll`), then charges the
 //!   receiver's fixed drain cost; each `unpack` charges the per-byte
 //!   drain cost of its block.
+//!
+//! # Lanes
+//!
+//! A channel built with `vcis` virtual communication interfaces gives
+//! each member `vcis` independent *lanes*. Lane `slot · vcis + vci`
+//! belongs to member `members[slot]` (the sorted member list is the
+//! channel's only membership table, searched once per [`Endpoint`] and
+//! once per `begin_packing`). Each lane owns one row of incoming state:
+//! its poll source and its receiver-side dedup/reorder row, both
+//! allocated when the channel is built. Per-peer state stays lazy and
+//! pays only for pairs that communicate: a lane's per-sender cursors,
+//! and the sender-side connection cursors, one channel-wide map keyed
+//! by ordered pair and VCI.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -75,7 +88,8 @@ struct ConnState {
     msg_seq: u64,
 }
 
-/// Receiver-side reliable-delivery state for one rank's incoming side.
+/// Receiver-side reliable-delivery state of one lane. An empty row
+/// allocates nothing.
 #[derive(Default)]
 struct RecvState {
     /// In-order messages released from the stash, consumed before the
@@ -84,9 +98,6 @@ struct RecvState {
     /// Per-sender dedup/reorder tracking.
     peers: HashMap<usize, PeerRecv>,
 }
-
-/// Lazily-created receiver-side state for one `(rank, vci)` lane.
-type RecvMap = HashMap<(usize, usize), RecvState>;
 
 #[derive(Default)]
 struct PeerRecv {
@@ -150,23 +161,24 @@ pub struct ChannelCapture {
 }
 
 /// A Madeleine channel: one protocol, a set of member ranks, one
-/// incoming message source per member, one connection per ordered pair.
+/// incoming message source per member lane, one connection per ordered
+/// pair and lane.
 pub struct Channel {
     name: Arc<str>,
     protocol: Protocol,
-    model: Arc<LinkModel>,
+    model: LinkModel,
     /// Deterministic fault injection for this channel's network (None =
     /// perfectly reliable wire, the paper's assumption).
     fault: Option<FaultPlan>,
-    /// Member ranks (session-global indices), sorted.
+    /// Member ranks (session-global indices), sorted: member
+    /// `members[slot]` owns lanes `slot · vcis .. (slot + 1) · vcis`.
     members: Vec<usize>,
     /// Number of virtual communication interfaces (VCIs): independent
-    /// lanes of this channel, each with its own poll source, connection
-    /// cursors, dedup state and fault counters. 1 = the paper's single
-    /// shared endpoint.
+    /// lanes per member, each with its own poll source, connection
+    /// cursors and dedup state. 1 = the paper's single shared endpoint.
     vcis: usize,
-    /// (rank, vci) -> incoming source.
-    sources: HashMap<(usize, usize), PollSource<WireMessage>>,
+    /// Incoming source of every lane, indexed by lane.
+    lanes: Vec<PollSource<WireMessage>>,
     /// Host-side bookkeeping, owned by the OS thread the channel's
     /// world runs on.
     host: OwnedCell<HostState>,
@@ -183,10 +195,8 @@ pub struct Channel {
 /// time (the fault-free path stays bit-identical to the unreliable
 /// channel) and no fiber switch can find it borrowed.
 struct HostState {
-    /// (rank, vci) -> receiver-side dedup/reorder state, created on
-    /// first touch (a member that never receives on a lane costs
-    /// nothing).
-    recv: RecvMap,
+    /// Receiver-side dedup/reorder state of every lane, indexed by lane.
+    lanes: Vec<RecvState>,
     /// (from, to, vci) -> connection, created on first send. The eager
     /// all-pairs matrix was O(members² · vcis) — at 8k ranks that is
     /// 67M sender cursors before the first message moves — while real
@@ -198,8 +208,8 @@ struct HostState {
     /// Ordered pairs whose retransmit budget was exhausted. Pair death
     /// is a property of the physical link, so it spans every VCI lane.
     dead: HashSet<(usize, usize)>,
-    /// Reliable-delivery counters, one slot per VCI.
-    counters: Vec<FaultCounters>,
+    /// Reliable-delivery counters, summed over every lane.
+    counters: FaultCounters,
 }
 
 /// Pre-built metrics-registry keys of one channel (see
@@ -239,30 +249,17 @@ impl MetricKeys {
 
 impl Channel {
     /// Build a channel over `protocol` with the given link `model` and
-    /// optional fault plan, connecting `members` (rank indices).
-    /// Connections include the loop-back pair (rank, rank), which the
-    /// `ch_mad` shutdown path uses to deliver its TERM packet to the
-    /// local polling thread (loop-back never traverses the wire, so the
-    /// fault plan does not apply to it).
+    /// optional fault plan, connecting `members` (rank indices) through
+    /// `vcis` independent lanes each: every lane gets its own poll
+    /// source and dedup row per member and its own connection cursors
+    /// per ordered pair — the per-VCI state the sharded MPI layer relies
+    /// on so that disjoint message streams never contend. `vcis = 1` is
+    /// the paper's single shared endpoint. Connections include the
+    /// loop-back pair (rank, rank), which the `ch_mad` shutdown path
+    /// uses to deliver its TERM packet to the local polling thread
+    /// (loop-back never traverses the wire, so the fault plan does not
+    /// apply to it).
     pub fn new(
-        kernel: &Kernel,
-        name: impl Into<String>,
-        protocol: Protocol,
-        model: LinkModel,
-        fault: Option<FaultPlan>,
-        members: impl IntoIterator<Item = usize>,
-    ) -> Arc<Channel> {
-        Channel::new_vci(kernel, name, protocol, model, fault, members, 1)
-    }
-
-    /// Like [`Channel::new`], but with `vcis` independent lanes. Each
-    /// lane gets its own poll source per member, its own connection
-    /// cursors per ordered pair, and its own fault counters — the
-    /// per-VCI state the sharded MPI layer relies on so that disjoint
-    /// message streams never contend. `vcis = 1` is bit-identical to
-    /// [`Channel::new`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_vci(
         kernel: &Kernel,
         name: impl Into<String>,
         protocol: Protocol,
@@ -276,39 +273,35 @@ impl Channel {
         let mut members: Vec<usize> = members.into_iter().collect();
         members.sort_unstable();
         members.dedup();
-        let mut sources = HashMap::new();
+        // Member by member, lane by lane: source ids follow lane order.
+        // A member's lanes are sub-queues of one channel: they share a
+        // single slot in the factorized polling loop (one poll checks
+        // every lane), so adding lanes does not tax the cycle the way
+        // adding channels does.
+        let mut lanes = Vec::with_capacity(members.len() * vcis);
         for &r in &members {
-            for v in 0..vcis {
-                sources.insert(
-                    (r, v),
-                    PollSource::new(kernel, ProcId(r as u32), model.poll_cost),
-                );
-            }
-            if vcis > 1 {
-                // A member's VCI lanes are sub-queues of one channel:
-                // they share a single slot in the factorized polling
-                // loop (one poll checks every lane), so adding lanes
-                // does not tax the cycle the way adding channels does.
-                let key = sources[&(r, 0)].id();
-                for v in 0..vcis {
-                    sources[&(r, v)].share_slot(key);
-                }
-            }
+            lanes.extend(PollSource::lanes(
+                kernel,
+                ProcId(r as u32),
+                model.poll_cost,
+                vcis,
+            ));
         }
+        let recv = lanes.iter().map(|_| RecvState::default()).collect();
         Arc::new(Channel {
             keys: MetricKeys::new(&name, protocol.name()),
             name,
             protocol,
-            model: Arc::new(model),
+            model,
             fault,
             members,
             vcis,
-            sources,
+            lanes,
             host: OwnedCell::new(HostState {
-                recv: HashMap::new(),
+                lanes: recv,
                 conns: HashMap::new(),
                 dead: HashSet::new(),
-                counters: vec![FaultCounters::default(); vcis],
+                counters: FaultCounters::default(),
             }),
             util: NetUtilization::new(),
         })
@@ -349,7 +342,25 @@ impl Channel {
     }
 
     pub fn is_member(&self, rank: usize) -> bool {
-        self.sources.contains_key(&(rank, 0))
+        self.members.binary_search(&rank).is_ok()
+    }
+
+    /// The lane of `rank` on VCI `vci`: `slot(rank) · vcis + vci`.
+    fn lane(&self, rank: usize, vci: usize) -> Result<usize, ChannelError> {
+        let Ok(slot) = self.members.binary_search(&rank) else {
+            return Err(ChannelError::NotMember {
+                rank,
+                channel: self.name.to_string(),
+            });
+        };
+        if vci >= self.vcis {
+            return Err(ChannelError::NoSuchVci {
+                vci,
+                vcis: self.vcis,
+                channel: self.name.to_string(),
+            });
+        }
+        Ok(slot * self.vcis + vci)
     }
 
     /// Number of VCI lanes this channel was built with.
@@ -362,36 +373,17 @@ impl Channel {
         self.fault.as_ref()
     }
 
-    /// Snapshot of the reliable-delivery counters, aggregated across
-    /// every VCI lane (the identity at `vcis = 1`).
+    /// Snapshot of the reliable-delivery counters, summed over every
+    /// lane.
     pub fn counters(&self) -> FaultCounters {
-        self.host.with(|h| {
-            let mut total = FaultCounters::default();
-            for &c in &h.counters {
-                total += c;
-            }
-            total
-        })
+        self.host.with(|h| h.counters)
     }
 
-    /// Snapshot of one VCI lane's reliable-delivery counters.
-    pub fn counters_vci(&self, vci: usize) -> FaultCounters {
-        self.host.with(|h| h.counters[vci])
-    }
-
-    /// Bump one of lane `vci`'s reliable-delivery counters and mirror
-    /// it into the metrics registry as `chan/{name}/{which}`.
-    fn count(&self, vci: usize, which: &'static str, bump: fn(&mut FaultCounters) -> &mut u64) {
-        self.host.with(|h| *bump(&mut h.counters[vci]) += 1);
+    /// Bump one reliable-delivery counter and mirror it into the
+    /// metrics registry as `chan/{name}/{which}`.
+    fn count(&self, which: &'static str, bump: fn(&mut FaultCounters) -> &mut u64) {
+        self.host.with(|h| *bump(&mut h.counters) += 1);
         self.metric(which, 1);
-    }
-
-    /// Wire-level utilization of this channel's network: messages and
-    /// payload bytes actually injected (loop-back excluded). The same
-    /// numbers are mirrored into the metrics registry under
-    /// `net/{channel}/messages` and `net/{channel}/bytes`.
-    pub fn utilization(&self) -> &NetUtilization {
-        &self.util
     }
 
     /// Snapshot the channel's reliable-delivery state. Must be called
@@ -414,7 +406,8 @@ impl Channel {
                 e.1 += msg_seq;
             }
             let mut recv_sums: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-            for (&(rank, _vci), st) in &host.recv {
+            for (lane, st) in host.lanes.iter().enumerate() {
+                let rank = self.members[lane / self.vcis];
                 for (&from, peer) in &st.peers {
                     *recv_sums.entry((rank, from)).or_insert(0) += peer.expected;
                 }
@@ -452,9 +445,9 @@ impl Channel {
         self.fault.is_some() && self.host.with(|h| h.dead.contains(&(from, to)))
     }
 
-    fn mark_dead(&self, from: usize, to: usize, vci: usize) {
+    fn mark_dead(&self, from: usize, to: usize) {
         if self.host.with(|h| h.dead.insert((from, to))) {
-            self.count(vci, "dead_pairs", |c| &mut c.dead_pairs);
+            self.count("dead_pairs", |c| &mut c.dead_pairs);
         }
     }
 
@@ -501,20 +494,8 @@ impl Channel {
         rank: usize,
         vci: usize,
     ) -> Result<Endpoint, ChannelError> {
-        if !self.is_member(rank) {
-            return Err(ChannelError::NotMember {
-                rank,
-                channel: self.name.to_string(),
-            });
-        }
-        if vci >= self.vcis {
-            return Err(ChannelError::NoSuchVci {
-                vci,
-                vcis: self.vcis,
-                channel: self.name.to_string(),
-            });
-        }
         Ok(Endpoint {
+            lane: self.lane(rank, vci)?,
             channel: self.clone(),
             rank,
             vci,
@@ -540,23 +521,19 @@ impl Channel {
         })
     }
 
-    /// Next in-order message previously released from the reorder stash.
-    fn take_ready(&self, rank: usize, vci: usize) -> Option<WireMessage> {
-        self.host.with(|h| {
-            h.recv
-                .get_mut(&(rank, vci))
-                .and_then(|s| s.ready.pop_front())
-        })
+    /// Next in-order message previously released from `lane`'s reorder
+    /// stash.
+    fn take_ready(&self, lane: usize) -> Option<WireMessage> {
+        self.host.with(|h| h.lanes[lane].ready.pop_front())
     }
 
     /// Receiver-side accept decision for a polled message: `Some` to
     /// deliver it now, `None` when it was discarded as a duplicate or
     /// stashed for later (out-of-order).
-    fn accept(&self, rank: usize, vci: usize, msg: WireMessage) -> Option<WireMessage> {
+    fn accept(&self, lane: usize, msg: WireMessage) -> Option<WireMessage> {
         let (from, seq) = (msg.from, msg.seq);
         self.host.with(|h| {
-            // The receiver-side state of `(rank, vci)`, created on first touch.
-            let st = h.recv.entry((rank, vci)).or_default();
+            let st = &mut h.lanes[lane];
             let peer = st.peers.entry(from).or_default();
             let duplicate = match seq.cmp(&peer.expected) {
                 std::cmp::Ordering::Less => true,
@@ -571,7 +548,7 @@ impl Channel {
                 }
             };
             if duplicate {
-                h.counters[vci].duplicates += 1;
+                h.counters.duplicates += 1;
                 self.note_dedup(from, seq);
             }
             None
@@ -588,11 +565,12 @@ impl Channel {
     }
 
     /// Test hook: post a raw wire message (arbitrary `seq`) straight to
-    /// `to`'s incoming source, bypassing the sender-side sublayer — how
-    /// the reorder/dedup unit tests forge duplicates and gaps.
+    /// the incoming source of `to`'s lane `vci`, bypassing the
+    /// sender-side sublayer — how the reorder/dedup unit tests forge
+    /// duplicates and gaps.
     #[cfg(test)]
-    pub(crate) fn post_raw(&self, to: usize, at: VirtualTime, msg: WireMessage) {
-        self.sources[&(to, 0)].post(at, msg);
+    pub(crate) fn post_raw(&self, to: usize, vci: usize, at: VirtualTime, msg: WireMessage) {
+        self.lanes[self.lane(to, vci).expect("member lane")].post(at, msg);
     }
 }
 
@@ -602,6 +580,8 @@ pub struct Endpoint {
     channel: Arc<Channel>,
     rank: usize,
     vci: usize,
+    /// The lane `(rank, vci)` resolves to, indexing the channel's rows.
+    lane: usize,
 }
 
 impl Endpoint {
@@ -620,16 +600,12 @@ impl Endpoint {
 
     /// `mad_begin_packing`: open an outgoing message to `remote`.
     pub fn begin_packing(&self, remote: usize) -> Result<PackingConnection, ChannelError> {
-        if !self.channel.is_member(remote) {
-            return Err(ChannelError::NotMember {
-                rank: remote,
-                channel: self.channel.name.to_string(),
-            });
-        }
+        let remote_lane = self.channel.lane(remote, self.vci)?;
         Ok(PackingConnection {
             span: obs::span_begin(SpanKind::Pack, self.channel.label()),
             endpoint: self.clone(),
             remote,
+            remote_lane,
             blocks: Vec::new(),
             finished: false,
         })
@@ -641,11 +617,11 @@ impl Endpoint {
     /// once the source is closed and drained (session shutdown).
     pub fn begin_unpacking(&self) -> Option<UnpackingConnection> {
         loop {
-            let message = match self.channel.take_ready(self.rank, self.vci) {
+            let message = match self.channel.take_ready(self.lane) {
                 Some(m) => m,
                 None => {
                     let polled = self.source().poll_wait()?;
-                    match self.channel.accept(self.rank, self.vci, polled.payload) {
+                    match self.channel.accept(self.lane, polled.payload) {
                         Some(m) => m,
                         None => continue, // duplicate dropped or stashed
                     }
@@ -659,11 +635,11 @@ impl Endpoint {
     /// Returns `None` when nothing deliverable is pending — including
     /// when the one polled message was a duplicate or out of order.
     pub fn try_begin_unpacking(&self) -> Option<UnpackingConnection> {
-        let message = match self.channel.take_ready(self.rank, self.vci) {
+        let message = match self.channel.take_ready(self.lane) {
             Some(m) => m,
             None => {
                 let polled = self.source().try_poll()?;
-                self.channel.accept(self.rank, self.vci, polled.payload)?
+                self.channel.accept(self.lane, polled.payload)?
             }
         };
         Some(self.open_unpacking(message))
@@ -716,16 +692,12 @@ impl Endpoint {
     /// including in-order messages already released from the reorder
     /// stash but not yet consumed.
     pub fn backlog(&self) -> usize {
-        let ready = self.channel.host.with(|h| {
-            h.recv
-                .get(&(self.rank, self.vci))
-                .map_or(0, |s| s.ready.len())
-        });
+        let ready = self.channel.host.with(|h| h.lanes[self.lane].ready.len());
         self.source().backlog() + ready
     }
 
     fn source(&self) -> &PollSource<WireMessage> {
-        &self.channel.sources[&(self.rank, self.vci)]
+        &self.channel.lanes[self.lane]
     }
 }
 
@@ -770,13 +742,13 @@ impl EndpointSet {
             // Messages released from a reorder stash by an earlier
             // accept are served first, in member order.
             for (i, ep) in self.endpoints.iter().enumerate() {
-                if let Some(m) = ep.channel.take_ready(ep.rank, ep.vci) {
+                if let Some(m) = ep.channel.take_ready(ep.lane) {
                     return Some((i, ep.open_unpacking(m)));
                 }
             }
             let (idx, polled) = self.set.wait()?;
             let ep = &self.endpoints[idx];
-            match ep.channel.accept(ep.rank, ep.vci, polled.payload) {
+            match ep.channel.accept(ep.lane, polled.payload) {
                 Some(m) => return Some((idx, ep.open_unpacking(m))),
                 None => continue, // duplicate dropped or stashed
             }
@@ -788,6 +760,8 @@ impl EndpointSet {
 pub struct PackingConnection {
     endpoint: Endpoint,
     remote: usize,
+    /// The lane of `remote` on the endpoint's VCI.
+    remote_lane: usize,
     blocks: Vec<Block>,
     finished: bool,
     /// Pack span, open from `begin_packing` to `end_packing`.
@@ -881,7 +855,7 @@ impl PackingConnection {
                 blocks,
                 arrival,
             };
-            channel.sources[&(to, vci)].post(arrival, message);
+            channel.lanes[self.remote_lane].post(arrival, message);
             drop(state);
             if from != to {
                 channel.record_wire(total);
@@ -911,19 +885,19 @@ impl PackingConnection {
                 Fate::Defer(until) => {
                     // Link down but coming back: no attempt consumed,
                     // nothing occupies the wire; wait the window out.
-                    channel.count(vci, "deferrals", |c| &mut c.deferrals);
+                    channel.count("deferrals", |c| &mut c.deferrals);
                     marcel::sleep_until(until);
                 }
                 Fate::Drop => {
                     state.seq += 1;
                     attempts += 1;
-                    channel.count(vci, "drops", |c| &mut c.drops);
+                    channel.count("drops", |c| &mut c.drops);
                     if attempts >= MAX_SEND_ATTEMPTS {
                         if delivered {
                             obs::span_end(span.take());
                             return Ok(());
                         }
-                        channel.mark_dead(from, to, vci);
+                        channel.mark_dead(from, to);
                         obs::span_end(span.take());
                         return Err(ChannelError::LinkDead {
                             channel: channel.name.to_string(),
@@ -932,7 +906,7 @@ impl PackingConnection {
                             attempts,
                         });
                     }
-                    channel.count(vci, "retransmits", |c| &mut c.retransmits);
+                    channel.count("retransmits", |c| &mut c.retransmits);
                     obs::emit(|| Event::Retransmit {
                         channel: channel.name.clone(),
                         to,
@@ -959,7 +933,7 @@ impl PackingConnection {
                         blocks: blocks.clone(),
                         arrival,
                     };
-                    channel.sources[&(to, vci)].post(arrival, message);
+                    channel.lanes[self.remote_lane].post(arrival, message);
                     delivered = true;
                     channel.record_wire(total);
                     obs::emit(|| Event::Pack {
@@ -973,7 +947,7 @@ impl PackingConnection {
                         // The delivery's acknowledgement vanished: the
                         // sender cannot tell and retransmits a
                         // duplicate after the timeout.
-                        channel.count(vci, "retransmits", |c| &mut c.retransmits);
+                        channel.count("retransmits", |c| &mut c.retransmits);
                         obs::emit(|| Event::Retransmit {
                             channel: channel.name.clone(),
                             to,
@@ -1037,12 +1011,6 @@ impl UnpackingConnection {
     /// Remaining (not yet unpacked) blocks.
     pub fn remaining_blocks(&self) -> usize {
         self.message.blocks.len() - self.cursor
-    }
-
-    /// Length of the next block, if any (the `ch_mad` demultiplexer
-    /// peeks at this to size eager bodies).
-    pub fn next_block_len(&self) -> Option<usize> {
-        self.message.blocks.get(self.cursor).map(|b| b.data.len())
     }
 
     /// `mad_unpack` into a caller-provided buffer. The mode pair and
@@ -1149,6 +1117,7 @@ mod tests {
             Protocol::Sisci.model(),
             fault,
             [0, 1],
+            1,
         )
     }
 
@@ -1160,8 +1129,8 @@ mod tests {
         let ch2 = ch.clone();
         let h = k.spawn("rx", move || {
             // Forge a gap: logical message 1 arrives before message 0.
-            ch2.post_raw(1, VirtualTime(1_000), forged(0, 1, b'B'));
-            ch2.post_raw(1, VirtualTime(2_000), forged(0, 0, b'A'));
+            ch2.post_raw(1, 0, VirtualTime(1_000), forged(0, 1, b'B'));
+            ch2.post_raw(1, 0, VirtualTime(2_000), forged(0, 0, b'A'));
             let first = unpack_one(&rx);
             let backlog_between = rx.backlog();
             let second = unpack_one(&rx);
@@ -1181,9 +1150,9 @@ mod tests {
         let rx = ch.endpoint(1).unwrap();
         let ch2 = ch.clone();
         let h = k.spawn("rx", move || {
-            ch2.post_raw(1, VirtualTime(1_000), forged(0, 0, b'A'));
-            ch2.post_raw(1, VirtualTime(2_000), forged(0, 0, b'A')); // retransmit
-            ch2.post_raw(1, VirtualTime(3_000), forged(0, 1, b'B'));
+            ch2.post_raw(1, 0, VirtualTime(1_000), forged(0, 0, b'A'));
+            ch2.post_raw(1, 0, VirtualTime(2_000), forged(0, 0, b'A')); // retransmit
+            ch2.post_raw(1, 0, VirtualTime(3_000), forged(0, 1, b'B'));
             (unpack_one(&rx), unpack_one(&rx))
         });
         k.run().unwrap();
@@ -1198,14 +1167,78 @@ mod tests {
         let rx = ch.endpoint(1).unwrap();
         let ch2 = ch.clone();
         let h = k.spawn("rx", move || {
-            ch2.post_raw(1, VirtualTime(1_000), forged(0, 1, b'B'));
-            ch2.post_raw(1, VirtualTime(2_000), forged(0, 1, b'B')); // dup in stash
-            ch2.post_raw(1, VirtualTime(3_000), forged(0, 0, b'A'));
+            ch2.post_raw(1, 0, VirtualTime(1_000), forged(0, 1, b'B'));
+            ch2.post_raw(1, 0, VirtualTime(2_000), forged(0, 1, b'B')); // dup in stash
+            ch2.post_raw(1, 0, VirtualTime(3_000), forged(0, 0, b'A'));
             (unpack_one(&rx), unpack_one(&rx))
         });
         k.run().unwrap();
         assert_eq!(h.join_outcome().unwrap(), (b'A', b'B'));
         assert_eq!(ch.counters().duplicates, 1);
+    }
+
+    #[test]
+    fn lane_resolution_returns_typed_errors() {
+        let k = Kernel::new(CostModel::free());
+        let ch = Channel::new(
+            &k,
+            "test",
+            Protocol::Sisci,
+            Protocol::Sisci.model(),
+            None,
+            [0, 2],
+            2,
+        );
+        assert!(matches!(
+            ch.endpoint_vci(0, 2),
+            Err(ChannelError::NoSuchVci {
+                vci: 2,
+                vcis: 2,
+                ..
+            })
+        ));
+        assert!(matches!(
+            ch.endpoint(1),
+            Err(ChannelError::NotMember { rank: 1, .. })
+        ));
+        let tx = ch.endpoint_vci(0, 1).unwrap();
+        assert!(matches!(
+            tx.begin_packing(3),
+            Err(ChannelError::NotMember { rank: 3, .. })
+        ));
+    }
+
+    #[test]
+    fn lanes_are_independent_rows() {
+        let k = Kernel::new(CostModel::free());
+        let ch = Channel::new(
+            &k,
+            "test",
+            Protocol::Sisci,
+            Protocol::Sisci.model(),
+            None,
+            [0, 1],
+            2,
+        );
+        let rx0 = ch.endpoint_vci(1, 0).unwrap();
+        let rx1 = ch.endpoint_vci(1, 1).unwrap();
+        let ch2 = ch.clone();
+        let h = k.spawn("rx", move || {
+            // Sender 0's seq 0 on both lanes: each lane expects its own.
+            ch2.post_raw(1, 0, VirtualTime(1_000), forged(0, 0, b'A'));
+            ch2.post_raw(1, 1, VirtualTime(1_000), forged(0, 0, b'B'));
+            ch2.post_raw(1, 1, VirtualTime(2_000), forged(0, 0, b'B')); // dup
+            let got = (unpack_one(&rx0), unpack_one(&rx1));
+            while rx1.backlog() > 0 {
+                assert!(rx1.try_begin_unpacking().is_none(), "duplicate leaked");
+            }
+            got
+        });
+        k.run().unwrap();
+        assert_eq!(h.join_outcome().unwrap(), (b'A', b'B'));
+        assert_eq!(ch.counters().duplicates, 1);
+        // One row per (rank, from), lanes summed.
+        assert_eq!(ch.capture().recv, vec![(1, 0, 2)]);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::sync::{Arc, OnceLock};
 use marcel::{Kernel, OwnedCell};
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
-use crate::channel::{Channel, ChannelCapture, Endpoint, FaultCounters};
-use crate::error::{ChannelError, MadError};
+use crate::channel::{Channel, ChannelCapture, FaultCounters};
+use crate::error::MadError;
 
 /// Declarative session description; build with [`SessionBuilder::build`].
 pub struct SessionBuilder {
@@ -34,7 +34,7 @@ impl SessionBuilder {
     }
 
     /// Build every channel with `vcis` independent VCI lanes (default
-    /// 1). See [`Channel::new_vci`].
+    /// 1). See [`Channel::new`].
     pub fn vcis(mut self, vcis: usize) -> Self {
         assert!(vcis >= 1, "a session needs at least one VCI lane");
         self.vcis = vcis;
@@ -119,7 +119,7 @@ impl SessionBuilder {
             .map(|(net_id, name)| {
                 let net = topology.network(net_id);
                 let members = net.members.iter();
-                Channel::new_vci(
+                Channel::new(
                     kernel,
                     name,
                     net.protocol,
@@ -369,11 +369,6 @@ impl Session {
     /// — the multi-rail condition for striped transfers.
     pub fn n_rails_between(&self, a: usize, b: usize) -> usize {
         self.channels_between(a, b).count()
-    }
-
-    /// Endpoint of `rank` on the primary channel of `net` (VCI lane 0).
-    pub fn endpoint(&self, net: NetworkId, rank: usize) -> Result<Endpoint, ChannelError> {
-        self.channel_for_network(net).endpoint(rank)
     }
 
     /// Number of VCI lanes every channel of this session carries.

@@ -197,15 +197,16 @@ pub(crate) struct SourceState {
     /// Parked out of the polling cycle (idle too long); re-armed by the
     /// next `post`. Never set under `PollPolicy::Seed`.
     pub(crate) parked: bool,
-    /// Factorized-loop slot this source bills its poll cost under.
-    /// `None` (the default) gives the source its own slot, the classic
-    /// one-source-per-channel accounting. Sources sharing a slot key
-    /// (e.g. the VCI lanes of one channel) charge the cycle once for
-    /// the whole group while any member is armed: polling a channel
-    /// checks all of its lanes at one cost. Parking still tracks each
-    /// lane individually — the slot's cost drops out of the cycle only
-    /// once every member lane is parked.
-    pub(crate) slot: Option<usize>,
+    /// Factorized-loop slot this source bills its poll cost under: the
+    /// id of the first source of its group (its own id when created
+    /// alone, the classic one-source-per-channel accounting). The
+    /// sources of one group (e.g. the VCI lanes of one channel) are
+    /// created back to back, so they are adjacent in `proc_sources`, and
+    /// charge the cycle once for the whole group while any member is
+    /// armed: polling a channel checks all of its lanes at one cost.
+    /// Parking still tracks each lane individually — the slot's cost
+    /// drops out of the cycle only once every member lane is parked.
+    pub(crate) slot: usize,
 }
 
 /// One entry of the (optional) deterministic event trace. `what` is a
@@ -423,26 +424,23 @@ impl Shared {
     /// Sum of poll costs of all *attached* sources in `proc` — the cost of
     /// one iteration of that process's factorized polling loop. Sources
     /// sharing a slot (the VCI lanes of one channel) bill their cost
-    /// once per slot, not once per lane.
+    /// once per slot, not once per lane: a group's lanes are adjacent,
+    /// so a slot is billed whenever it differs from the previous armed
+    /// source's.
     pub(crate) fn polling_cycle(sched: &Sched, proc: ProcId) -> VirtualDuration {
         let mut total = VirtualDuration::ZERO;
-        let mut seen_slots: Vec<usize> = Vec::new();
         let Some(ids) = sched.proc_sources.get(proc.0 as usize) else {
             return total;
         };
+        let mut prev_slot = None;
         for s in ids
             .iter()
             .map(|&i| &sched.sources[i])
             .filter(|s| s.attached && !s.closed && !s.parked)
         {
-            match s.slot {
-                None => total += s.poll_cost,
-                Some(key) => {
-                    if !seen_slots.contains(&key) {
-                        seen_slots.push(key);
-                        total += s.poll_cost;
-                    }
-                }
+            if prev_slot != Some(s.slot) {
+                prev_slot = Some(s.slot);
+                total += s.poll_cost;
             }
         }
         total

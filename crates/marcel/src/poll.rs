@@ -61,59 +61,56 @@ impl<T: Send + 'static> PollSource<T> {
     /// attempt costs `poll_cost` (protocol-dependent: cheap for SCI,
     /// expensive for TCP's `select`).
     pub fn new(kernel: &Kernel, proc: ProcId, poll_cost: VirtualDuration) -> Self {
-        Self::with_shared(kernel.shared.clone(), proc, poll_cost)
+        Self::lanes(kernel, proc, poll_cost, 1)
+            .next()
+            .expect("a group of one lane")
     }
 
-    /// Create on the current simulated thread's kernel.
-    pub fn current(proc: ProcId, poll_cost: VirtualDuration) -> Self {
-        Self::with_shared(with_current(|shared, _| shared.clone()), proc, poll_cost)
-    }
-
-    fn with_shared(shared: Arc<Shared>, proc: ProcId, poll_cost: VirtualDuration) -> Self {
-        let id = {
-            let mut sched = shared.state.borrow();
-            let id = SourceId(sched.sources.len());
-            sched.sources.push(SourceState {
-                proc,
-                poll_cost,
-                queue: Default::default(),
-                waiter: None,
-                attached: false,
-                closed: false,
-                empty_polls: 0,
-                parked: false,
-                slot: None,
-            });
+    /// Create `n` sources of process `proc` back to back as one slot
+    /// group — e.g. the VCI lanes of one channel. The group bills one
+    /// `poll_cost` per cycle while any lane is armed, instead of one per
+    /// lane: a channel's poll checks all of its lanes at one cost.
+    /// Parking stays per lane, so the group's cost leaves the cycle only
+    /// once every lane is parked (see `SourceState::slot`). Every lane
+    /// is registered before the first is returned.
+    pub fn lanes(
+        kernel: &Kernel,
+        proc: ProcId,
+        poll_cost: VirtualDuration,
+        n: usize,
+    ) -> impl ExactSizeIterator<Item = Self> {
+        let shared = kernel.shared.clone();
+        let first = {
+            let mut guard = shared.state.borrow();
+            let sched = &mut *guard;
+            let first = sched.sources.len();
             // Keep the per-process source index current (creation
             // order = id order, matching the old full-table sweeps).
             let p = proc.0 as usize;
             if p >= sched.proc_sources.len() {
                 sched.proc_sources.resize_with(p + 1, Vec::new);
             }
-            sched.proc_sources[p].push(id.0);
-            id
+            for id in first..first + n {
+                sched.sources.push(SourceState {
+                    proc,
+                    poll_cost,
+                    queue: Default::default(),
+                    waiter: None,
+                    attached: false,
+                    closed: false,
+                    empty_polls: 0,
+                    parked: false,
+                    slot: first,
+                });
+                sched.proc_sources[p].push(id);
+            }
+            first
         };
-        PollSource {
-            shared,
-            id,
+        (first..first + n).map(move |id| PollSource {
+            shared: shared.clone(),
+            id: SourceId(id),
             _marker: PhantomData,
-        }
-    }
-
-    /// Kernel-level id (diagnostics); doubles as a slot key for
-    /// [`PollSource::share_slot`].
-    pub fn id(&self) -> usize {
-        self.id.0
-    }
-
-    /// Bill this source's poll cost under the factorized-loop slot
-    /// `key` (another source's [`PollSource::id`]). Sources sharing a
-    /// slot — e.g. the VCI lanes of one channel — charge one poll cost
-    /// per cycle for the whole group while any member is armed, instead
-    /// of one per lane: a channel's poll checks all of its lanes at one
-    /// cost. Parking remains per-lane (see `SourceState::slot`).
-    pub fn share_slot(&self, key: usize) {
-        self.shared.state.borrow().sources[self.id.0].slot = Some(key);
+        })
     }
 
     /// Register this source in its process's polling cycle without
@@ -724,6 +721,57 @@ mod tests {
         // TCP never parked (queue non-empty), so its detection pays the
         // normal two-channel cycle, not a late re-arm penalty.
         assert_eq!(h.join_outcome().unwrap(), us(7));
+    }
+
+    #[test]
+    fn slot_group_bills_once_and_parks_only_as_a_whole() {
+        // Three lanes of one group (2us each) next to an ungrouped 1us
+        // source: the group bills its poll cost once per cycle. With one
+        // lane kept armed by in-flight traffic, parking the other two
+        // leaves the group's cost in the cycle; once all three park, it
+        // drops out.
+        fn detection_delays(parking: bool, inflight_lane: bool) -> Vec<VirtualDuration> {
+            let cost = if parking {
+                CostModel::free().with_parking()
+            } else {
+                CostModel::free()
+            };
+            let k = Kernel::new(cost);
+            let sci = PollSource::<u32>::new(&k, ProcId(0), us(1));
+            let lanes: Vec<_> = PollSource::<u32>::lanes(&k, ProcId(0), us(2), 3).collect();
+            for lane in &lanes {
+                lane.attach();
+            }
+            let rx = sci.clone();
+            let h = k.spawn("poller", move || {
+                (0..10)
+                    .map(|_| {
+                        let m = rx.poll_wait().unwrap();
+                        now() - m.arrival
+                    })
+                    .collect::<Vec<_>>()
+            });
+            k.spawn("sender", move || {
+                if inflight_lane {
+                    lanes[2].post(VirtualTime(2_000_000), 99);
+                }
+                for i in 0..10u32 {
+                    advance(us(100));
+                    sci.post(now(), i);
+                }
+            });
+            k.run().unwrap();
+            h.join_outcome().unwrap()
+        }
+        // Seed: 1us + one 2us group slot, never 1 + 3 * 2.
+        assert_eq!(detection_delays(false, false), vec![us(3); 10]);
+        // Parking (park_after = 8), every lane idle: the whole group
+        // parks after eight detections.
+        let parked = detection_delays(true, false);
+        assert_eq!(&parked[..8], &vec![us(3); 8][..]);
+        assert_eq!(&parked[8..], &vec![us(1); 2][..]);
+        // Lanes 0 and 1 park, lane 2 stays armed: still one slot billed.
+        assert_eq!(detection_delays(true, true), vec![us(3); 10]);
     }
 
     #[test]
