@@ -6,7 +6,7 @@
 //! per second, and PEAK committed memory per rank.
 //!
 //! Big worlds run the scale configuration: fused progress (one polling
-//! thread per rank over a wait-any endpoint set) — 8192 ranks ≈ 16.4k
+//! thread per rank serving all of its lanes) — 8192 ranks ≈ 16.4k
 //! simulated threads, two kernel mappings per fiber stack, which fits
 //! the default `vm.max_map_count`.
 //!

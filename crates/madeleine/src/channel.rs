@@ -616,18 +616,29 @@ impl Endpoint {
     /// messages stashed — see the reliable sublayer). Returns `None`
     /// once the source is closed and drained (session shutdown).
     pub fn begin_unpacking(&self) -> Option<UnpackingConnection> {
+        Self::begin_unpacking_any(std::slice::from_ref(self)).map(|(_, conn)| conn)
+    }
+
+    /// `mad_begin_unpacking` over several endpoints of one rank — a
+    /// polling thread serving a slice of its lanes: block until an
+    /// in-order message is noticed on any of `eps`; returns its index
+    /// and the open unpacking connection. Messages an earlier accept
+    /// released from a reorder stash are served first, in slice order.
+    /// Returns `None` once every endpoint's incoming side is closed and
+    /// drained.
+    pub fn begin_unpacking_any(eps: &[Endpoint]) -> Option<(usize, UnpackingConnection)> {
         loop {
-            let message = match self.channel.take_ready(self.lane) {
-                Some(m) => m,
-                None => {
-                    let polled = self.source().poll_wait()?;
-                    match self.channel.accept(self.lane, polled.payload) {
-                        Some(m) => m,
-                        None => continue, // duplicate dropped or stashed
-                    }
+            for (i, ep) in eps.iter().enumerate() {
+                if let Some(m) = ep.channel.take_ready(ep.lane) {
+                    return Some((i, ep.open_unpacking(m)));
                 }
-            };
-            return Some(self.open_unpacking(message));
+            }
+            let (i, polled) = PollSource::poll_wait_any(eps.iter().map(Endpoint::source))?;
+            let ep = &eps[i];
+            // `None`: a duplicate dropped or an early message stashed.
+            if let Some(m) = ep.channel.accept(ep.lane, polled.payload) {
+                return Some((i, ep.open_unpacking(m)));
+            }
         }
     }
 
@@ -698,61 +709,6 @@ impl Endpoint {
 
     fn source(&self) -> &PollSource<WireMessage> {
         &self.channel.lanes[self.lane]
-    }
-}
-
-/// One rank's endpoints fused into a single wait-any unpacking loop.
-///
-/// The classic progress model runs one polling thread per (channel,
-/// vci) endpoint — faithful to the paper's per-protocol polling
-/// threads, but four OS threads per rank on a three-channel node, which
-/// is what caps worlds near 4k ranks. An `EndpointSet` lets ONE polling
-/// thread serve every endpoint of the rank through a
-/// [`marcel::PollSet`], preserving the detection-delay model (every
-/// member stays attached, so a notice still pays the rank's full
-/// factorized polling cycle) while cutting the thread count to one
-/// progress thread per rank.
-pub struct EndpointSet {
-    endpoints: Vec<Endpoint>,
-    set: marcel::PollSet<WireMessage>,
-}
-
-impl EndpointSet {
-    /// Fuse `endpoints` (all of one rank — they share a polling cycle).
-    pub fn new(endpoints: Vec<Endpoint>) -> Self {
-        assert!(!endpoints.is_empty(), "EndpointSet needs an endpoint");
-        let sources: Vec<PollSource<WireMessage>> =
-            endpoints.iter().map(|e| e.source().clone()).collect();
-        EndpointSet {
-            set: marcel::PollSet::new(&sources),
-            endpoints,
-        }
-    }
-
-    pub fn endpoints(&self) -> &[Endpoint] {
-        &self.endpoints
-    }
-
-    /// Fused `mad_begin_unpacking`: block until an in-order message is
-    /// noticed on any member endpoint; returns the member index and the
-    /// open unpacking connection. Returns `None` once every member's
-    /// incoming side is closed and drained.
-    pub fn begin_unpacking(&self) -> Option<(usize, UnpackingConnection)> {
-        loop {
-            // Messages released from a reorder stash by an earlier
-            // accept are served first, in member order.
-            for (i, ep) in self.endpoints.iter().enumerate() {
-                if let Some(m) = ep.channel.take_ready(ep.lane) {
-                    return Some((i, ep.open_unpacking(m)));
-                }
-            }
-            let (idx, polled) = self.set.wait()?;
-            let ep = &self.endpoints[idx];
-            match ep.channel.accept(ep.lane, polled.payload) {
-                Some(m) => return Some((idx, ep.open_unpacking(m))),
-                None => continue, // duplicate dropped or stashed
-            }
-        }
     }
 }
 

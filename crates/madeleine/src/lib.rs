@@ -26,8 +26,8 @@ pub mod modes;
 pub mod session;
 
 pub use channel::{
-    Channel, ChannelCapture, Endpoint, EndpointSet, FaultCounters, PackingConnection,
-    UnpackingConnection, MAX_SEND_ATTEMPTS, PACK_CALL_CPU,
+    Channel, ChannelCapture, Endpoint, FaultCounters, PackingConnection, UnpackingConnection,
+    MAX_SEND_ATTEMPTS, PACK_CALL_CPU,
 };
 pub use error::{ChannelError, MadError};
 pub use message::{Block, WireMessage};

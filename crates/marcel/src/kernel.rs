@@ -143,13 +143,14 @@ pub(crate) struct ThreadSlot {
     /// Payload handed to a thread woken from `poll_wait`.
     pub(crate) wake_payload: Option<Box<dyn Any + Send>>,
     /// Every source this thread is registered on as a poll waiter (only
-    /// non-empty during a [`crate::poll::PollSet`] wait). The first
-    /// post/close that wakes the thread clears the sibling
-    /// registrations, so a second wake cannot target an already-ready
-    /// thread.
+    /// non-empty while a [`crate::poll::PollSource::poll_wait_any`]
+    /// waits on several members). The first post/close that wakes the
+    /// thread clears the sibling registrations, so a second wake cannot
+    /// target an already-ready thread; the vector keeps its capacity
+    /// for the next wait.
     pub(crate) poll_set: Vec<SourceId>,
     /// Which source's post/close woke this thread from a poll wait
-    /// (`PollSet::wait` uses it to attribute the message).
+    /// (`poll_wait_any` uses it to attribute the message).
     pub(crate) woke_source: Option<usize>,
     /// What the thread runs, until its first dispatch takes it.
     pub(crate) body: Option<Body>,
@@ -627,12 +628,14 @@ impl Shared {
 
     /// Forget every poll-waiter registration `target` holds (it is
     /// about to be woken through one of them — see
-    /// [`crate::poll::PollSet`]). No-op for single-source waits, whose
-    /// `poll_set` is empty.
+    /// [`crate::poll::PollSource::poll_wait_any`]). No-op for
+    /// single-source waits, whose `poll_set` is empty.
     pub(crate) fn clear_poll_set(sched: &mut Sched, target: Tid) {
-        let ids = std::mem::take(&mut sched.threads[target.0].poll_set);
-        for id in ids {
-            let s = &mut sched.sources[id.0];
+        let Sched {
+            threads, sources, ..
+        } = sched;
+        for id in threads[target.0].poll_set.drain(..) {
+            let s = &mut sources[id.0];
             if s.waiter == Some(target) {
                 s.waiter = None;
             }

@@ -58,7 +58,7 @@ pub use obs::{
     MetricsSnapshot, SpanKind, ThreadMeta,
 };
 pub use owned::OwnedCell;
-pub use poll::{PollSet, PollSource, Polled};
+pub use poll::{PollSource, Polled};
 pub use sync::{OneShot, Queue, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard};
 pub use thread::{
     advance, advance_to, dispatch_seed, dispatch_ticket, in_simulation, name, now, sleep,

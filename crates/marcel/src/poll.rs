@@ -200,46 +200,107 @@ impl<T: Send + 'static> PollSource<T> {
 
     /// Block until a message is noticed by the polling loop; returns
     /// `None` once the source is closed and drained. The caller's clock
-    /// advances to the notice time.
+    /// advances to the notice time. The one-member case of
+    /// [`PollSource::poll_wait_any`].
     pub fn poll_wait(&self) -> Option<Polled<T>> {
+        Self::poll_wait_any(std::iter::once(self)).map(|(_, polled)| polled)
+    }
+
+    /// Block until any of `sources` (one process's, on the current
+    /// kernel) notices a message; returns the member index and the
+    /// message, or `None` once every member is closed and drained. One
+    /// polling thread can serve several channels this way (fused
+    /// progress). Delivery picks the earliest `(arrival, post order)`
+    /// message across members, the order a thread per source would
+    /// notice them in; every member stays attached, so a notice still
+    /// pays the process's full polling cycle.
+    pub fn poll_wait_any<'a, I>(sources: I) -> Option<(usize, Polled<T>)>
+    where
+        I: IntoIterator<Item = &'a Self>,
+        I::IntoIter: Clone,
+    {
+        let sources = sources.into_iter();
+        let many = sources.clone().nth(1).is_some();
         with_current(|shared, me| {
             let mut sched = shared.enter(me);
-            sched.sources[self.id.0].attached = true;
-            let proc = sched.sources[self.id.0].proc;
-            if let Some((arrival, _, payload)) = sched.sources[self.id.0].queue.pop_front() {
-                let cycle = shared
-                    .cost
-                    .scaled_cycle(Shared::polling_cycle(&sched, proc));
-                let slot = &mut sched.threads[me.0];
-                let notice = std::cmp::max(arrival, slot.vtime) + cycle;
-                slot.vtime = notice;
-                sched.record(me, || crate::obs::Event::PollQueued { source: self.id.0 });
-                shared.note_detection(&mut sched, proc, self.id);
-                shared.reschedule(&mut sched, me);
-                return Some(Polled {
-                    arrival,
-                    payload: *payload.downcast::<T>().expect("poll source type confusion"),
-                });
+            loop {
+                // Earliest queued message across members (the key each
+                // source orders its own queue by).
+                let mut next = None;
+                for (i, src) in sources.clone().enumerate() {
+                    debug_assert!(
+                        Arc::ptr_eq(shared, &src.shared),
+                        "source used across kernels"
+                    );
+                    let s = &mut sched.sources[src.id.0];
+                    s.attached = true;
+                    if let Some(&(a, seq, _)) = s.queue.front() {
+                        if next.is_none_or(|(na, nseq, _, _)| (a, seq) < (na, nseq)) {
+                            next = Some((a, seq, i, src.id));
+                        }
+                    }
+                }
+                if let Some((_, _, idx, id)) = next {
+                    let proc = sched.sources[id.0].proc;
+                    let (arrival, _, payload) =
+                        sched.sources[id.0].queue.pop_front().expect("just seen");
+                    let cycle = shared
+                        .cost
+                        .scaled_cycle(Shared::polling_cycle(&sched, proc));
+                    let slot = &mut sched.threads[me.0];
+                    slot.vtime = std::cmp::max(arrival, slot.vtime) + cycle;
+                    sched.record(me, || crate::obs::Event::PollQueued { source: id.0 });
+                    shared.note_detection(&mut sched, proc, id);
+                    shared.reschedule(&mut sched, me);
+                    let payload = *payload.downcast::<T>().expect("poll source type confusion");
+                    return Some((idx, Polled { arrival, payload }));
+                }
+                if sources.clone().all(|s| sched.sources[s.id.0].closed) {
+                    shared.reschedule(&mut sched, me);
+                    return None;
+                }
+                // Wait on every open member. With several, the first post
+                // (or close) wins and forgets the sibling registrations
+                // (`Shared::clear_poll_set`); a lone member has none.
+                let mut lead = None;
+                for src in sources.clone() {
+                    let s = &mut sched.sources[src.id.0];
+                    if s.closed {
+                        continue;
+                    }
+                    assert!(
+                        s.waiter.is_none(),
+                        "two threads poll-waiting on source #{}",
+                        src.id.0
+                    );
+                    s.waiter = Some(me);
+                    lead.get_or_insert(src.id);
+                    if many {
+                        sched.threads[me.0].poll_set.push(src.id);
+                    }
+                }
+                let lead = lead.expect("an open member");
+                shared.block(&mut sched, me, TState::BlockedPoll(lead));
+                sched.record(me, || crate::obs::Event::PollWaited { source: lead.0 });
+                let woke = sched.threads[me.0].woke_source.take();
+                if let Some(polled) = sched.threads[me.0].wake_payload.take() {
+                    drop(sched);
+                    let idx = sources
+                        .clone()
+                        .position(|s| Some(s.id.0) == woke)
+                        .expect("woken by a member source");
+                    let polled = *polled
+                        .downcast::<Polled<T>>()
+                        .expect("poll source type confusion");
+                    return Some((idx, polled));
+                }
+                // Woken by a close. A closed member takes no more posts,
+                // so once every member is closed all are drained; else
+                // wait on the open ones.
+                if sources.clone().all(|s| sched.sources[s.id.0].closed) {
+                    return None;
+                }
             }
-            if sched.sources[self.id.0].closed {
-                shared.reschedule(&mut sched, me);
-                return None;
-            }
-            assert!(
-                sched.sources[self.id.0].waiter.is_none(),
-                "two threads poll-waiting on source #{}",
-                self.id.0
-            );
-            sched.sources[self.id.0].waiter = Some(me);
-            shared.block(&mut sched, me, TState::BlockedPoll(self.id));
-            // Woken either by a post (payload present) or by close (absent).
-            sched.record(me, || crate::obs::Event::PollWaited { source: self.id.0 });
-            let payload = sched.threads[me.0].wake_payload.take();
-            drop(sched);
-            payload.map(|p| {
-                *p.downcast::<Polled<T>>()
-                    .expect("poll source type confusion")
-            })
         })
     }
 
@@ -295,148 +356,6 @@ impl<T: Send + 'static> PollSource<T> {
     /// Number of queued (arrived or in-flight) messages.
     pub fn backlog(&self) -> usize {
         self.shared.state.borrow().sources[self.id.0].queue.len()
-    }
-}
-
-/// A wait-any group over several poll sources of one process: one
-/// polling thread services every member, instead of one thread per
-/// source. This is the fused-progress model large worlds need — an
-/// 8k-rank fat-tree world has three channels per rank, and a thread
-/// per (channel, vci) source exhausts the process's mapping budget.
-///
-/// The detection-delay model is unchanged: members stay attached, so a
-/// notice still pays the full factorized polling cycle of the process.
-/// Delivery picks the earliest `(arrival, post order)` message across
-/// members, which is exactly the order a per-source-thread world's
-/// polling loop would notice them in.
-pub struct PollSet<T> {
-    shared: Arc<Shared>,
-    ids: Vec<SourceId>,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T: Send + 'static> PollSet<T> {
-    /// Group `sources` (all of the same kernel; typically the same
-    /// process, so they share one polling cycle).
-    pub fn new(sources: &[PollSource<T>]) -> Self {
-        assert!(!sources.is_empty(), "PollSet needs at least one source");
-        let shared = sources[0].shared.clone();
-        assert!(
-            sources.iter().all(|s| Arc::ptr_eq(&s.shared, &shared)),
-            "PollSet members must belong to one kernel"
-        );
-        PollSet {
-            shared,
-            ids: sources.iter().map(|s| s.id).collect(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Block until any member notices a message; returns the member
-    /// index and the message. Returns `None` once every member is
-    /// closed and drained. The caller's clock advances to the notice
-    /// time, exactly as in [`PollSource::poll_wait`].
-    pub fn wait(&self) -> Option<(usize, Polled<T>)> {
-        with_current(|shared, me| {
-            debug_assert!(
-                Arc::ptr_eq(shared, &self.shared),
-                "poll set used across kernels"
-            );
-            loop {
-                let mut sched = shared.enter(me);
-                for &id in &self.ids {
-                    sched.sources[id.0].attached = true;
-                }
-                // Earliest queued message across members (same key a
-                // single source orders its own queue by).
-                let next = self
-                    .ids
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, id)| {
-                        let (a, s, _) = sched.sources[id.0].queue.front()?;
-                        Some((*a, *s, i))
-                    })
-                    .min();
-                if let Some((_, _, idx)) = next {
-                    let id = self.ids[idx];
-                    let proc = sched.sources[id.0].proc;
-                    let (arrival, _, payload) =
-                        sched.sources[id.0].queue.pop_front().expect("just seen");
-                    let cycle = shared
-                        .cost
-                        .scaled_cycle(Shared::polling_cycle(&sched, proc));
-                    let slot = &mut sched.threads[me.0];
-                    let notice = std::cmp::max(arrival, slot.vtime) + cycle;
-                    slot.vtime = notice;
-                    sched.record(me, || crate::obs::Event::PollQueued { source: id.0 });
-                    shared.note_detection(&mut sched, proc, id);
-                    shared.reschedule(&mut sched, me);
-                    return Some((
-                        idx,
-                        Polled {
-                            arrival,
-                            payload: *payload.downcast::<T>().expect("poll source type confusion"),
-                        },
-                    ));
-                }
-                if self.ids.iter().all(|id| sched.sources[id.0].closed) {
-                    shared.reschedule(&mut sched, me);
-                    return None;
-                }
-                // Register as the waiter of every open member; the first
-                // post (or close) wins and clears the rest (see
-                // `Shared::clear_poll_set`).
-                let mut registered = Vec::with_capacity(self.ids.len());
-                for &id in &self.ids {
-                    let s = &mut sched.sources[id.0];
-                    if s.closed {
-                        continue;
-                    }
-                    assert!(
-                        s.waiter.is_none(),
-                        "two threads poll-waiting on source #{}",
-                        id.0
-                    );
-                    s.waiter = Some(me);
-                    registered.push(id);
-                }
-                let lead = registered[0];
-                sched.threads[me.0].poll_set = registered;
-                sched.threads[me.0].woke_source = None;
-                shared.block(&mut sched, me, TState::BlockedPoll(lead));
-                sched.record(me, || crate::obs::Event::PollWaited { source: lead.0 });
-                let woke = sched.threads[me.0].woke_source.take();
-                let payload = sched.threads[me.0].wake_payload.take();
-                drop(sched);
-                match payload {
-                    Some(p) => {
-                        let idx = self
-                            .ids
-                            .iter()
-                            .position(|id| Some(id.0) == woke)
-                            .expect("woken by a member source");
-                        return Some((
-                            idx,
-                            *p.downcast::<Polled<T>>()
-                                .expect("poll source type confusion"),
-                        ));
-                    }
-                    // A member closed: re-evaluate (other members may still
-                    // be open, or everything is drained now).
-                    None => continue,
-                }
-            }
-        })
-    }
-
-    /// Member count.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 }
 
@@ -581,6 +500,28 @@ mod tests {
         });
         k.run().unwrap();
         assert!(h.join_outcome().unwrap());
+        // The woken poller returns without another scheduling decision.
+        assert_eq!(k.capture().next_ticket, 5);
+    }
+
+    #[test]
+    fn close_wake_of_a_multi_member_wait_ends_it_at_once() {
+        // Both members close while the wait is blocked: the first close
+        // wakes it, and it returns `None` without rescheduling, as a
+        // lone member's wait does (a reschedule there would make 8).
+        let k = Kernel::new(CostModel::free());
+        let a = PollSource::<u32>::new(&k, ProcId(0), us(1));
+        let b = PollSource::<u32>::new(&k, ProcId(0), us(1));
+        let set = [a.clone(), b.clone()];
+        let h = k.spawn("poller", move || PollSource::poll_wait_any(&set).is_none());
+        k.spawn("closer", move || {
+            advance(us(5));
+            a.close();
+            b.close();
+        });
+        k.run().unwrap();
+        assert!(h.join_outcome().unwrap());
+        assert_eq!(k.capture().next_ticket, 7);
     }
 
     #[test]
@@ -781,9 +722,9 @@ mod tests {
         let b = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let (pa, pb) = (a.clone(), b.clone());
         let h = k.spawn("poller", move || {
-            let set = PollSet::new(&[pa, pb]);
-            let first = set.wait().unwrap();
-            let second = set.wait().unwrap();
+            let set = [pa, pb];
+            let first = PollSource::poll_wait_any(&set).unwrap();
+            let second = PollSource::poll_wait_any(&set).unwrap();
             ((first.0, first.1.payload), (second.0, second.1.payload))
         });
         k.spawn("sender", move || {
@@ -800,7 +741,7 @@ mod tests {
 
     #[test]
     fn poll_set_delivers_earliest_arrival_across_members() {
-        // Both messages are queued before the waiter looks: the set must
+        // Both messages are queued before the waiter looks: the wait must
         // pick the earlier arrival even though it sits on the second
         // member.
         let k = Kernel::new(CostModel::free());
@@ -810,9 +751,9 @@ mod tests {
             a.post(VirtualTime(30_000), "late");
             b.post(VirtualTime(10_000), "early");
             advance(us(100));
-            let set = PollSet::new(&[a, b]);
-            let first = set.wait().unwrap();
-            let second = set.wait().unwrap();
+            let set = [a, b];
+            let first = PollSource::poll_wait_any(&set).unwrap();
+            let second = PollSource::poll_wait_any(&set).unwrap();
             ((first.0, first.1.payload), (second.0, second.1.payload))
         });
         k.run().unwrap();
@@ -823,7 +764,7 @@ mod tests {
 
     #[test]
     fn poll_set_survives_racing_posts_to_both_members() {
-        // Two posts land on different members while the set-waiter is
+        // Two posts land on different members while the waiter is
         // blocked. The first post wins the wake; the second must not
         // double-wake the thread, and its message must survive for the
         // next wait.
@@ -832,10 +773,10 @@ mod tests {
         let b = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let (pa, pb) = (a.clone(), b.clone());
         let h = k.spawn("poller", move || {
-            let set = PollSet::new(&[pa, pb]);
-            let mut got = vec![set.wait().unwrap().1.payload];
+            let set = [pa, pb];
+            let mut got = vec![PollSource::poll_wait_any(&set).unwrap().1.payload];
             advance(us(100)); // let both posts land before looking again
-            got.push(set.wait().unwrap().1.payload);
+            got.push(PollSource::poll_wait_any(&set).unwrap().1.payload);
             got.sort_unstable();
             got
         });
@@ -858,12 +799,12 @@ mod tests {
         let b = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let (pa, pb) = (a.clone(), b.clone());
         let h = k.spawn("poller", move || {
-            let set = PollSet::new(&[pa, pb]);
-            // Close of `a` must not end the set while `b` is open.
-            let m = set.wait().unwrap();
+            let set = [pa, pb];
+            // Close of `a` must not end the wait while `b` is open.
+            let m = PollSource::poll_wait_any(&set).unwrap();
             assert_eq!((m.0, m.1.payload), (1, 9));
-            // All members closed and drained: the set ends.
-            set.wait().is_none()
+            // All members closed and drained: the wait ends.
+            PollSource::poll_wait_any(&set).is_none()
         });
         k.spawn("driver", move || {
             advance(us(5));
@@ -879,15 +820,15 @@ mod tests {
 
     #[test]
     fn poll_set_detection_pays_the_process_cycle() {
-        // A set wait still pays the factorized polling cycle of every
-        // attached source of the process, like a single-source wait.
+        // A wait over several members still pays the factorized polling
+        // cycle of every attached source of the process, like a
+        // single-source wait.
         let k = Kernel::new(CostModel::free());
         let a = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let b = PollSource::<u32>::new(&k, ProcId(0), us(6));
         let (pa, pb) = (a.clone(), b.clone());
         let h = k.spawn("poller", move || {
-            let set = PollSet::new(&[pa, pb]);
-            set.wait().unwrap();
+            PollSource::poll_wait_any([&pa, &pb]).unwrap();
             now()
         });
         k.spawn("sender", move || a.post(VirtualTime(10_000), 1));

@@ -4,9 +4,10 @@
 //! Structure (paper §4):
 //!
 //! * one Madeleine channel per network; each rank runs **one polling
-//!   thread per channel** (`poll_loop`), started at `MPI_Init` and
-//!   terminated by a `MAD_TERM_PKT` sent over the loop-back connection
-//!   at `MPI_Finalize`;
+//!   thread per channel** (`poll_loop`, or one for all of a rank's
+//!   channels under fused progress), started at `MPI_Init` and
+//!   terminated by a `MAD_TERM_PKT` per lane sent over the loop-back
+//!   connection at `MPI_Finalize`;
 //! * per destination, the device picks the *fastest network both nodes
 //!   share* — this is the multi-protocol selection the paper adds over
 //!   classical MPICH devices (no distinction between intra- and
@@ -37,8 +38,7 @@ use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use madeleine::{
-    Channel, ChannelError, Endpoint, EndpointSet, Rails, ReceiveMode, SendMode, Session,
-    UnpackingConnection,
+    Channel, ChannelError, Endpoint, Rails, ReceiveMode, SendMode, Session, UnpackingConnection,
 };
 use marcel::obs::{self, Event, SpanKind};
 use marcel::{JoinHandle, Kernel, OneShot, SimMutex};
@@ -77,15 +77,19 @@ pub struct ChMadConfig {
     /// bandwidth approaches the slowest link instead of its half
     /// (store-and-forward). `usize::MAX` disables chunking (ablation).
     pub fwd_chunk: usize,
-    /// Fuse each rank's per-(channel, VCI) polling threads into one
-    /// progress thread over a wait-any [`madeleine::EndpointSet`]. The
-    /// default (`false`) is the paper-faithful model — one polling
-    /// thread per protocol — and is what every calibrated figure uses.
-    /// Fused mode preserves the detection-delay model (all endpoints
-    /// stay attached, so a notice pays the same factorized cycle) but
-    /// changes thread interleavings, so its traces are self-consistent
-    /// rather than bit-identical to unfused runs. It is what lets an
-    /// 8k-rank world fit the OS thread budget.
+    /// Serve all of a rank's (channel, VCI) lanes from one polling
+    /// thread instead of one thread per lane: the same `poll_loop`, over
+    /// every endpoint of the rank. The default (`false`) is the
+    /// paper-faithful model — one polling thread per protocol — and is
+    /// what every calibrated figure uses. Fused mode preserves the
+    /// detection-delay model (all endpoints stay attached, so a notice
+    /// pays the same factorized cycle) but changes thread
+    /// interleavings, so its traces are self-consistent rather than
+    /// bit-identical to unfused runs. What it saves is fibers, and each
+    /// fiber's stack costs two kernel mappings: a three-channel rank
+    /// runs two fibers fused (poller + application) instead of four, so
+    /// an 8192-rank world needs ≈32.8k mappings, not ≈65.5k — the
+    /// latter just over the default `vm.max_map_count` of 65 530.
     pub fused_progress: bool,
 }
 
@@ -515,68 +519,34 @@ impl ChMad {
         Ok(())
     }
 
-    /// The polling loop run by one thread per (rank, channel, VCI).
-    fn poll_loop(&self, world: &Arc<MpiWorld>, rank: usize, ep: Endpoint) {
-        let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
-        let label = ep.channel().protocol().name();
-        let vci = ep.vci();
-        loop {
-            let Some(conn) = ep.begin_unpacking() else {
+    /// The polling loop of one rank over a slice of its lanes: one
+    /// (channel, VCI) endpoint per thread, or all of them under fused
+    /// progress. `finalize_rank` sends each lane exactly one TERM over
+    /// loop-back, which never duplicates, so the loop serves until it
+    /// has counted `eps.len()` of them. Messages may still be queued
+    /// behind a TERM (or in flight): late retransmissions, or traffic
+    /// the application never received. Finalize must not strand them,
+    /// so every lane's backlog is drained before the lane detaches.
+    fn poll_loop(&self, world: &Arc<MpiWorld>, rank: usize, eps: &[Endpoint]) {
+        let mut terms = eps.len();
+        while terms > 0 {
+            // `None`: every incoming side closed and drained (session
+            // shutdown without TERMs, e.g. an aborted world).
+            let Some((i, conn)) = Endpoint::begin_unpacking_any(eps) else {
                 break;
             };
-            if !self.handle_message(world, rank, vci, conn, eager_copy_ns, label) {
-                // TERM noticed. Messages may still be queued behind it
-                // (or in flight): late retransmissions, or traffic the
-                // application never received. Finalize must not strand
-                // them — drain the backlog before terminating.
-                while ep.backlog() > 0 {
-                    match ep.try_begin_unpacking() {
-                        Some(conn) => {
-                            self.handle_message(world, rank, vci, conn, eager_copy_ns, label);
-                        }
-                        // Nothing arrived yet (or the poll consumed a
-                        // duplicate): let in-flight arrivals land.
-                        None => marcel::sleep(VirtualDuration::from_micros(10)),
-                    }
-                }
-                break;
+            if !self.handle_message(world, rank, &eps[i], conn) {
+                terms -= 1;
             }
         }
-        ep.detach_polling();
-    }
-
-    /// The fused progress loop: ONE thread per rank serving every
-    /// (channel, VCI) endpoint through a wait-any [`EndpointSet`].
-    /// `finalize_rank` still sends one TERM per endpoint over its
-    /// loop-back connection; the loop counts them and keeps serving
-    /// the remaining live endpoints until every lane has terminated,
-    /// then drains stragglers exactly like the per-endpoint loop.
-    fn fused_poll_loop(&self, world: &Arc<MpiWorld>, rank: usize, set: EndpointSet) {
-        let mut live = vec![true; set.endpoints().len()];
-        let mut alive = live.len();
-        while alive > 0 {
-            let Some((idx, conn)) = set.begin_unpacking() else {
-                // Every incoming side closed and drained (session
-                // shutdown without TERMs, e.g. an aborted world).
-                break;
-            };
-            let ep = &set.endpoints()[idx];
-            let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
-            let label = ep.channel().protocol().name();
-            if !self.handle_message(world, rank, ep.vci(), conn, eager_copy_ns, label) && live[idx]
-            {
-                live[idx] = false;
-                alive -= 1;
-            }
-        }
-        for ep in set.endpoints() {
-            let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
-            let label = ep.channel().protocol().name();
+        for ep in eps {
             while ep.backlog() > 0 {
                 match ep.try_begin_unpacking() {
                     Some(conn) => {
-                        self.handle_message(world, rank, ep.vci(), conn, eager_copy_ns, label);
+                        self.handle_message(world, rank, ep, conn);
                     }
+                    // Nothing arrived yet (or the poll consumed a
+                    // duplicate): let in-flight arrivals land.
                     None => marcel::sleep(VirtualDuration::from_micros(10)),
                 }
             }
@@ -584,18 +554,18 @@ impl ChMad {
         }
     }
 
-    /// Demultiplex and handle one incoming ch_mad packet. Returns
-    /// `false` when the packet was the TERM marker.
+    /// Demultiplex and handle one incoming ch_mad packet, opened on
+    /// `ep`. Returns `false` when the packet was the TERM marker.
     fn handle_message(
         &self,
         world: &Arc<MpiWorld>,
         rank: usize,
-        vci: usize,
+        ep: &Endpoint,
         mut conn: UnpackingConnection,
-        eager_copy_ns: f64,
-        label: &'static str,
     ) -> bool {
         let engine = &world.engines[rank];
+        let vci = ep.vci();
+        let label = ep.channel().protocol().name();
         let mut span = obs::span_begin(SpanKind::Handle, label);
         let src = conn.from();
         let header = conn.unpack_bytes(SendMode::Cheaper, ReceiveMode::Express);
@@ -616,6 +586,7 @@ impl ChMad {
                 };
                 conn.end_unpacking();
                 marcel::advance(touch(self.costs.recv_touch_per_byte_ns, body.len()));
+                let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
                 engine.deliver_eager_spanned(env, body, eager_copy_ns, span.take());
                 true
             }
@@ -805,36 +776,20 @@ impl ChMad {
     }
 
     /// `MPI_Init` of one rank: spawn its polling threads, one per
-    /// (channel, VCI) or one fused progress thread.
+    /// (channel, VCI) lane, or under fused progress one for all of them.
     pub(crate) fn start_rank(&self, world: &Arc<MpiWorld>, rank: usize) -> Vec<JoinHandle<()>> {
-        if self.config.fused_progress {
-            let mut eps = Vec::new();
-            for channel in self.session.channels_of_rank(rank) {
-                for vci in 0..self.vcis {
-                    let ep = channel
-                        .endpoint_vci(rank, vci)
-                        .expect("channels_of_rank returned a channel without the rank");
-                    ep.attach_polling();
-                    eps.push(ep);
-                }
-            }
-            if eps.is_empty() {
-                return Vec::new();
-            }
-            let world = world.clone();
-            return vec![marcel::spawn(format!("rank{rank}-poll"), move || {
-                world
-                    .ch_mad()
-                    .fused_poll_loop(&world, rank, EndpointSet::new(eps));
-            })];
-        }
         let mut handles = Vec::new();
+        let mut fused = Vec::new();
         for channel in self.session.channels_of_rank(rank) {
             for vci in 0..self.vcis {
                 let ep = channel
                     .endpoint_vci(rank, vci)
                     .expect("channels_of_rank returned a channel without the rank");
                 ep.attach_polling();
+                if self.config.fused_progress {
+                    fused.push(ep);
+                    continue;
+                }
                 let world = world.clone();
                 let name = channel.name().to_string();
                 // Lane 0 keeps the historic thread name so captures and
@@ -845,9 +800,17 @@ impl ChMad {
                     format!("rank{rank}-poll-{name}-v{vci}")
                 };
                 handles.push(marcel::spawn(thread, move || {
-                    world.ch_mad().poll_loop(&world, rank, ep);
+                    world
+                        .ch_mad()
+                        .poll_loop(&world, rank, std::slice::from_ref(&ep));
                 }));
             }
+        }
+        if !fused.is_empty() {
+            let world = world.clone();
+            handles.push(marcel::spawn(format!("rank{rank}-poll"), move || {
+                world.ch_mad().poll_loop(&world, rank, &fused);
+            }));
         }
         handles
     }

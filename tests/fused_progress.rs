@@ -1,6 +1,6 @@
-//! Fused-progress properties: one polling thread per rank (a wait-any
-//! `EndpointSet` over every (channel, VCI) endpoint) instead of one
-//! thread per endpoint.
+//! Fused-progress properties: one polling thread per rank (the polling
+//! loop over a slice of every (channel, VCI) endpoint of the rank)
+//! instead of one thread per endpoint.
 //!
 //! * MPI-level results are identical to the unfused, paper-faithful
 //!   model — fusing changes thread structure (and hence interleavings
