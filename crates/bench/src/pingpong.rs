@@ -138,7 +138,7 @@ pub fn mpi_pingpong_metrics(
                 }
                 out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
             }
-            let snap = marcel::obs::with_metrics(|m| m.snapshot()).unwrap_or_default();
+            let snap = marcel::obs::metrics_snapshot().unwrap_or_default();
             // Release rank 1 only after the snapshot: its Finalize
             // traffic must not leak into the measured histograms.
             comm.endpoint().send(&[0u8], 1, 1).unwrap();
@@ -257,7 +257,7 @@ pub fn raw_madeleine_pingpong_metrics(
             }
             out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
         }
-        let snap = marcel::obs::with_metrics(|m| m.snapshot()).unwrap_or_default();
+        let snap = marcel::obs::metrics_snapshot().unwrap_or_default();
         (out, snap)
     });
     let sizes1: Vec<usize> = sizes.to_vec();

@@ -22,6 +22,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use madeleine::FaultCounters;
 use marcel::{ExecPolicy, MetricsSnapshot};
 use mpich::{thread_metas, Placement, StreamHook, WorldConfig};
 use simnet::rng::splitmix64;
@@ -411,12 +412,18 @@ fn run_episode(
     .expect("soak episode deadlocked");
     let capture = report.capture();
     let (results, kernel, session) = (report.results, report.kernel, report.session);
+    let world_rec = WorldCaptureRec::from(&capture);
+    let mut faults = FaultCounters::default();
+    for c in &capture.session.channels {
+        faults += c.counters;
+    }
+    let (failovers, rndv_reissues) = (capture.session.failovers, capture.session.rndv_reissues);
+    let metrics = capture.metrics;
 
     let mut result_digest = splitmix64(episode_seed);
     for r in &results {
         result_digest = splitmix64(result_digest ^ r);
     }
-    let metrics = kernel.metrics_snapshot();
     let metrics_digest = crc64(metrics.to_string().as_bytes());
     // Streamed episodes have empty live buffers (that is the invariant
     // under test): digests come from the recorder's chunk chain, the
@@ -457,8 +464,6 @@ fn run_episode(
             (trace_json, trace_digest, decisions, decisions_digest, None)
         }
     };
-    let faults = session.fault_counters();
-    let world_rec = WorldCaptureRec::from(&capture);
     let (wire_messages, wire_bytes) = world_rec
         .channels
         .iter()
@@ -473,8 +478,8 @@ fn run_episode(
         trace_digest,
         decisions_digest,
         faults,
-        failovers: session.failovers(),
-        rndv_reissues: session.rndv_reissues(),
+        failovers,
+        rndv_reissues,
         wire_messages,
         wire_bytes,
         cum_digest: 0,

@@ -48,8 +48,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
-use marcel::{Kernel, OwnedCell, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime};
-use simnet::{Fate, FaultPlan, LinkModel, NetUtilization, Protocol};
+use marcel::{
+    Kernel, MetricsSnapshot, OwnedCell, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime,
+};
+use simnet::{Fate, FaultPlan, LinkModel, Protocol};
 
 use crate::error::ChannelError;
 use crate::message::{Block, WireMessage};
@@ -107,8 +109,9 @@ struct PeerRecv {
     stash: BTreeMap<u64, WireMessage>,
 }
 
-/// Snapshot of a channel's reliable-delivery counters (all zero on a
-/// fault-free channel).
+/// A channel's reliable-delivery counters (all zero on a fault-free
+/// channel): a read-only view of its `chan/{name}/*` keys in the
+/// kernel's metrics registry, which is where they are counted.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
     /// Transmission attempts beyond the first per message.
@@ -149,7 +152,8 @@ pub struct ChannelCapture {
     /// practice since fingerprints are splitmix64-mixed).
     pub fault_fingerprint: u64,
     pub counters: FaultCounters,
-    /// Wire-level utilization: messages injected, payload bytes.
+    /// Wire-level utilization: messages injected, payload bytes (the
+    /// `net/{name}/*` registry counters; loop-back is not counted).
     pub wire_messages: u64,
     pub wire_bytes: u64,
     /// Sender-side cursors per ordered pair: `(from, to, seq, msg_seq)`.
@@ -182,11 +186,11 @@ pub struct Channel {
     /// Host-side bookkeeping, owned by the OS thread the channel's
     /// world runs on.
     host: OwnedCell<HostState>,
-    /// Wire-level utilization of this channel's network (loop-back
-    /// messages never touch the wire and are not counted).
-    util: NetUtilization,
-    /// Registry keys, interned at construction — per-message metric
-    /// mirroring must not pay a `format!` per call.
+    /// The kernel the channel was built on: its metrics registry holds
+    /// every count the channel keeps (see [`FaultCounters`]).
+    kernel: Kernel,
+    /// Registry keys, interned at construction — per-message counting
+    /// must not pay a `format!` per call.
     keys: MetricKeys,
 }
 
@@ -208,13 +212,12 @@ struct HostState {
     /// Ordered pairs whose retransmit budget was exhausted. Pair death
     /// is a property of the physical link, so it spans every VCI lane.
     dead: HashSet<(usize, usize)>,
-    /// Reliable-delivery counters, summed over every lane.
-    counters: FaultCounters,
 }
 
-/// Pre-built metrics-registry keys of one channel (see
-/// [`Channel::metric`], [`Channel::record_wire`] and the poll-detect
-/// histogram in `open_unpacking`).
+/// Pre-built metrics-registry keys of one channel: its reliable-delivery
+/// counters, the wire totals of [`Channel::record_wire`] and the
+/// poll-detect histogram of `open_unpacking`. Keys are named after the
+/// channel, so the channels of one kernel need distinct names.
 struct MetricKeys {
     messages: String,
     bytes: String,
@@ -301,9 +304,8 @@ impl Channel {
                 lanes: recv,
                 conns: HashMap::new(),
                 dead: HashSet::new(),
-                counters: FaultCounters::default(),
             }),
-            util: NetUtilization::new(),
+            kernel: kernel.clone(),
         })
     }
 
@@ -341,10 +343,6 @@ impl Channel {
         &self.members
     }
 
-    pub fn is_member(&self, rank: usize) -> bool {
-        self.members.binary_search(&rank).is_ok()
-    }
-
     /// The lane of `rank` on VCI `vci`: `slot(rank) · vcis + vci`.
     fn lane(&self, rank: usize, vci: usize) -> Result<usize, ChannelError> {
         let Ok(slot) = self.members.binary_search(&rank) else {
@@ -373,24 +371,30 @@ impl Channel {
         self.fault.as_ref()
     }
 
-    /// Snapshot of the reliable-delivery counters, summed over every
-    /// lane.
+    /// The reliable-delivery counters, summed over every lane, read
+    /// from one snapshot of the kernel's metrics registry.
     pub fn counters(&self) -> FaultCounters {
-        self.host.with(|h| h.counters)
+        self.counters_in(&self.kernel.metrics_snapshot())
     }
 
-    /// Bump one reliable-delivery counter and mirror it into the
-    /// metrics registry as `chan/{name}/{which}`.
-    fn count(&self, which: &'static str, bump: fn(&mut FaultCounters) -> &mut u64) {
-        self.host.with(|h| *bump(&mut h.counters) += 1);
-        self.metric(which, 1);
+    /// This channel's reliable-delivery counters in `metrics`.
+    pub(crate) fn counters_in(&self, metrics: &MetricsSnapshot) -> FaultCounters {
+        let k = &self.keys;
+        FaultCounters {
+            retransmits: metrics.counter(&k.retransmits),
+            drops: metrics.counter(&k.drops),
+            duplicates: metrics.counter(&k.dedup_drops),
+            deferrals: metrics.counter(&k.deferrals),
+            dead_pairs: metrics.counter(&k.dead_pairs),
+        }
     }
 
-    /// Snapshot the channel's reliable-delivery state. Must be called
-    /// from the host at a quiescent point (after `Kernel::run` returned,
-    /// or between episodes) — the connection cursors are read out of
-    /// their [`SimMutex`]es' scheduler slots.
-    pub fn capture(&self) -> ChannelCapture {
+    /// Snapshot the channel's reliable-delivery state, its counts read
+    /// from `metrics` (a snapshot of the channel's kernel). Must be
+    /// called from the host at a quiescent point (after `Kernel::run`
+    /// returned, or between episodes) — the connection cursors are read
+    /// out of their [`SimMutex`]es' scheduler slots.
+    pub fn capture(&self, metrics: &MetricsSnapshot) -> ChannelCapture {
         // Aggregate lanes per ordered pair: summed cursors are the
         // identity at vcis=1, and at vcis>1 the encoding stays stable
         // in shape (one row per pair / per peer) so journal snapshots
@@ -428,9 +432,9 @@ impl Channel {
             name: self.name.to_string(),
             protocol: self.protocol.name(),
             fault_fingerprint: self.fault.as_ref().map_or(0, FaultPlan::fingerprint),
-            counters: self.counters(),
-            wire_messages: self.util.messages(),
-            wire_bytes: self.util.bytes(),
+            counters: self.counters_in(metrics),
+            wire_messages: metrics.counter(&self.keys.net_messages),
+            wire_bytes: metrics.counter(&self.keys.net_bytes),
             conns,
             recv,
             dead,
@@ -447,25 +451,8 @@ impl Channel {
 
     fn mark_dead(&self, from: usize, to: usize) {
         if self.host.with(|h| h.dead.insert((from, to))) {
-            self.count("dead_pairs", |c| &mut c.dead_pairs);
+            obs::counter_add(&self.keys.dead_pairs, 1);
         }
-    }
-
-    /// Mirror one reliable-sublayer counter increment into the ambient
-    /// metrics registry as `chan/{name}/{which}` (no-op off-simulation).
-    /// Keys come from the interned [`MetricKeys`] table.
-    fn metric(&self, which: &'static str, delta: u64) {
-        let key = match which {
-            "messages" => &self.keys.messages,
-            "bytes" => &self.keys.bytes,
-            "retransmits" => &self.keys.retransmits,
-            "drops" => &self.keys.drops,
-            "dedup_drops" => &self.keys.dedup_drops,
-            "deferrals" => &self.keys.deferrals,
-            "dead_pairs" => &self.keys.dead_pairs,
-            other => unreachable!("unknown channel metric {other}"),
-        };
-        obs::counter_add(key, delta);
     }
 
     /// Span/histogram label for this channel: its protocol's short name.
@@ -473,14 +460,14 @@ impl Channel {
         self.protocol.name()
     }
 
-    /// Account one wire injection of `bytes` payload bytes: the channel's
-    /// [`NetUtilization`] plus the registry mirror keys.
+    /// Account one wire injection of `bytes` payload bytes, under both
+    /// the `chan/{name}/*` and the `net/{name}/*` registry keys.
     fn record_wire(&self, bytes: usize) {
-        self.util.record(bytes);
-        self.metric("messages", 1);
-        self.metric("bytes", bytes as u64);
-        obs::counter_add(&self.keys.net_messages, 1);
-        obs::counter_add(&self.keys.net_bytes, bytes as u64);
+        let k = &self.keys;
+        obs::counter_add(&k.messages, 1);
+        obs::counter_add(&k.bytes, bytes as u64);
+        obs::counter_add(&k.net_messages, 1);
+        obs::counter_add(&k.net_bytes, bytes as u64);
     }
 
     /// The view of this channel from `rank` (VCI lane 0).
@@ -548,7 +535,6 @@ impl Channel {
                 }
             };
             if duplicate {
-                h.counters.duplicates += 1;
                 self.note_dedup(from, seq);
             }
             None
@@ -556,7 +542,7 @@ impl Channel {
     }
 
     fn note_dedup(&self, from: usize, seq: u64) {
-        self.metric("dedup_drops", 1);
+        obs::counter_add(&self.keys.dedup_drops, 1);
         obs::emit(|| Event::DedupDrop {
             channel: self.name.clone(),
             from,
@@ -794,24 +780,7 @@ impl PackingConnection {
             channel.fault.as_ref()
         };
         let Some(plan) = plan else {
-            let now = marcel::now();
-            let mut arrival = model.arrival(now, total) + model.jitter_delay(state.seq, total);
-            state.seq += 1;
-            // The wire is a serial resource: this message cannot arrive
-            // sooner than one full wire-serialization after the previous
-            // message on the connection.
-            let min_arrival = state.floor + (model.wire_serialization(total) + FIFO_EPSILON);
-            if arrival < min_arrival {
-                arrival = min_arrival;
-            }
-            state.floor = arrival;
-            let message = WireMessage {
-                from,
-                seq: msg_seq,
-                blocks,
-                arrival,
-            };
-            channel.lanes[self.remote_lane].post(arrival, message);
+            self.arrive(&mut state, marcel::now(), None, msg_seq, total, blocks);
             drop(state);
             if from != to {
                 channel.record_wire(total);
@@ -841,13 +810,13 @@ impl PackingConnection {
                 Fate::Defer(until) => {
                     // Link down but coming back: no attempt consumed,
                     // nothing occupies the wire; wait the window out.
-                    channel.count("deferrals", |c| &mut c.deferrals);
+                    obs::counter_add(&channel.keys.deferrals, 1);
                     marcel::sleep_until(until);
                 }
                 Fate::Drop => {
                     state.seq += 1;
                     attempts += 1;
-                    channel.count("drops", |c| &mut c.drops);
+                    obs::counter_add(&channel.keys.drops, 1);
                     if attempts >= MAX_SEND_ATTEMPTS {
                         if delivered {
                             obs::span_end(span.take());
@@ -862,7 +831,7 @@ impl PackingConnection {
                             attempts,
                         });
                     }
-                    channel.count("retransmits", |c| &mut c.retransmits);
+                    obs::counter_add(&channel.keys.retransmits, 1);
                     obs::emit(|| Event::Retransmit {
                         channel: channel.name.clone(),
                         to,
@@ -872,24 +841,8 @@ impl PackingConnection {
                     marcel::sleep(rto_for(attempts));
                 }
                 Fate::Deliver => {
-                    state.seq += 1;
                     attempts += 1;
-                    let mut arrival = model.arrival(now, total)
-                        + model.jitter_delay(wire_seq, total)
-                        + plan.extra_delay(now);
-                    let min_arrival =
-                        state.floor + (model.wire_serialization(total) + FIFO_EPSILON);
-                    if arrival < min_arrival {
-                        arrival = min_arrival;
-                    }
-                    state.floor = arrival;
-                    let message = WireMessage {
-                        from,
-                        seq: msg_seq,
-                        blocks: blocks.clone(),
-                        arrival,
-                    };
-                    channel.lanes[self.remote_lane].post(arrival, message);
+                    self.arrive(&mut state, now, Some(plan), msg_seq, total, blocks.clone());
                     delivered = true;
                     channel.record_wire(total);
                     obs::emit(|| Event::Pack {
@@ -903,7 +856,7 @@ impl PackingConnection {
                         // The delivery's acknowledgement vanished: the
                         // sender cannot tell and retransmits a
                         // duplicate after the timeout.
-                        channel.count("retransmits", |c| &mut c.retransmits);
+                        obs::counter_add(&channel.keys.retransmits, 1);
                         obs::emit(|| Event::Retransmit {
                             channel: channel.name.clone(),
                             to,
@@ -918,6 +871,44 @@ impl PackingConnection {
                 }
             }
         }
+    }
+
+    /// One attempt that reaches the wire: consume a wire sequence
+    /// number, compute the arrival of `total` bytes injected at `now`
+    /// (link model, jitter, the fault plan's degradation delay), clamp
+    /// it to the connection's FIFO floor and post the message to the
+    /// remote lane.
+    fn arrive(
+        &self,
+        state: &mut ConnState,
+        now: VirtualTime,
+        plan: Option<&FaultPlan>,
+        msg_seq: u64,
+        total: usize,
+        blocks: Vec<Block>,
+    ) {
+        let channel = &self.endpoint.channel;
+        let model = &channel.model;
+        let mut arrival = model.arrival(now, total) + model.jitter_delay(state.seq, total);
+        if let Some(plan) = plan {
+            arrival += plan.extra_delay(now);
+        }
+        state.seq += 1;
+        // The wire is a serial resource: this message cannot arrive
+        // sooner than one full wire-serialization after the previous
+        // message on the connection.
+        let min_arrival = state.floor + (model.wire_serialization(total) + FIFO_EPSILON);
+        if arrival < min_arrival {
+            arrival = min_arrival;
+        }
+        state.floor = arrival;
+        let message = WireMessage {
+            from: self.endpoint.rank,
+            seq: msg_seq,
+            blocks,
+            arrival,
+        };
+        channel.lanes[self.remote_lane].post(arrival, message);
     }
 }
 
@@ -1194,7 +1185,7 @@ mod tests {
         assert_eq!(h.join_outcome().unwrap(), (b'A', b'B'));
         assert_eq!(ch.counters().duplicates, 1);
         // One row per (rank, from), lanes summed.
-        assert_eq!(ch.capture().recv, vec![(1, 0, 2)]);
+        assert_eq!(ch.capture(&k.metrics_snapshot()).recv, vec![(1, 0, 2)]);
     }
 
     #[test]

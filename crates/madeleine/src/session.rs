@@ -7,7 +7,7 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use marcel::{Kernel, OwnedCell};
+use marcel::{Kernel, MetricsSnapshot};
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
 use crate::channel::{Channel, ChannelCapture, FaultCounters};
@@ -166,7 +166,7 @@ impl SessionBuilder {
             route_trees,
             forwarding: self.forwarding,
             vcis: self.vcis,
-            device_events: OwnedCell::new(DeviceEvents::default()),
+            kernel: kernel.clone(),
         }))
     }
 }
@@ -245,7 +245,7 @@ impl<'a> Iterator for Rails<'a> {
 
 /// Quiescent snapshot of a whole session's transport state: one
 /// [`ChannelCapture`] per channel (in channel order) plus the
-/// session-level device counters.
+/// session-level device counters, all read from one registry snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SessionCapture {
     pub channels: Vec<ChannelCapture>,
@@ -277,16 +277,14 @@ pub struct Session {
     forwarding: bool,
     /// VCI lanes every channel was built with.
     vcis: usize,
-    /// Device-level events recorded through the session so benches and
-    /// tests can observe robustness behaviour.
-    device_events: OwnedCell<DeviceEvents>,
+    /// The kernel the session was built on: its metrics registry holds
+    /// the device-level counts (`chmad/*`) and every channel's counts.
+    kernel: Kernel,
 }
 
-#[derive(Default)]
-struct DeviceEvents {
-    failovers: u64,
-    rndv_reissues: u64,
-}
+/// Registry keys of the device-level events a session counts.
+const FAILOVERS: &str = "chmad/failovers";
+const RNDV_REISSUES: &str = "chmad/rndv_reissues";
 
 impl Session {
     /// Shortcut: `n` ranks, one per node, over a single network of the
@@ -365,22 +363,19 @@ impl Session {
         self.channels_between(a, b).next()
     }
 
-    /// Number of distinct direct rails (networks) connecting two ranks
-    /// — the multi-rail condition for striped transfers.
-    pub fn n_rails_between(&self, a: usize, b: usize) -> usize {
-        self.channels_between(a, b).count()
-    }
-
     /// Number of VCI lanes every channel of this session carries.
     pub fn vcis(&self) -> usize {
         self.vcis
     }
 
-    /// Aggregate reliable-delivery counters across every channel.
+    /// Aggregate reliable-delivery counters across every channel, read
+    /// from one snapshot of the kernel's metrics registry — so
+    /// [`marcel::obs::reset_metrics`] restarts them from zero.
     pub fn fault_counters(&self) -> FaultCounters {
+        let metrics = self.kernel.metrics_snapshot();
         let mut total = FaultCounters::default();
         for c in &self.channels {
-            total += c.counters();
+            total += c.counters_in(&metrics);
         }
         total
     }
@@ -390,47 +385,48 @@ impl Session {
     /// totals. Sorted (not channel order) so reports print identically
     /// no matter how the topology enumerated its networks.
     pub fn per_channel_counters(&self) -> Vec<(String, FaultCounters)> {
+        let metrics = self.kernel.metrics_snapshot();
         let mut rows: Vec<(String, FaultCounters)> = self
             .channels
             .iter()
-            .map(|c| (c.name().to_string(), c.counters()))
+            .map(|c| (c.name().to_string(), c.counters_in(&metrics)))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
     }
 
     /// Quiescent snapshot of every channel's reliable-delivery state
-    /// plus the session-level failover counters, in channel order. Host
-    /// side only (see [`crate::channel::Channel::capture`]) — this is
-    /// what the journal writes into world snapshots.
-    pub fn capture(&self) -> SessionCapture {
+    /// plus the session-level failover counters, in channel order, with
+    /// every count read from `metrics` — a snapshot of the session's
+    /// kernel ([`Kernel::metrics_snapshot`]). Host side only (see
+    /// [`crate::channel::Channel::capture`]) — this is what the journal
+    /// writes into world snapshots.
+    pub fn capture(&self, metrics: &MetricsSnapshot) -> SessionCapture {
         SessionCapture {
-            channels: self.channels.iter().map(|c| c.capture()).collect(),
-            failovers: self.failovers(),
-            rndv_reissues: self.rndv_reissues(),
+            channels: self.channels.iter().map(|c| c.capture(metrics)).collect(),
+            failovers: metrics.counter(FAILOVERS),
+            rndv_reissues: metrics.counter(RNDV_REISSUES),
         }
     }
 
     /// Record that a device moved traffic off a dead rail.
     pub fn note_failover(&self) {
-        self.device_events.with(|e| e.failovers += 1);
-        marcel::obs::counter_add("chmad/failovers", 1);
+        marcel::obs::counter_add(FAILOVERS, 1);
     }
 
     /// Record that an in-flight rendezvous REQUEST was re-issued.
     pub fn note_rndv_reissue(&self) {
-        self.device_events.with(|e| e.rndv_reissues += 1);
-        marcel::obs::counter_add("chmad/rndv_reissues", 1);
+        marcel::obs::counter_add(RNDV_REISSUES, 1);
     }
 
     /// Number of rail failovers recorded by devices.
     pub fn failovers(&self) -> u64 {
-        self.device_events.with(|e| e.failovers)
+        self.kernel.metrics_snapshot().counter(FAILOVERS)
     }
 
     /// Number of rendezvous REQUEST re-issues recorded by devices.
     pub fn rndv_reissues(&self) -> u64 {
-        self.device_events.with(|e| e.rndv_reissues)
+        self.kernel.metrics_snapshot().counter(RNDV_REISSUES)
     }
 
     /// Whether forwarding across gateway nodes is enabled.

@@ -218,12 +218,12 @@ pub struct TraceEvent {
     pub tid: usize,
     /// Commit-order sequence number the committer stamped on the event
     /// when it was recorded. Strictly increasing over a run, so a
-    /// stable sort on it restores canonical order from any internal
-    /// buffering (see [`Kernel::take_trace`]). Note that the canonical
-    /// trace is *not* monotone in `time` — e.g. a semaphore release
-    /// records the wake at the releaser's clock, which may exceed
-    /// events recorded later by lower-clock threads — so `ticket`, not
-    /// `time`, is the flush key.
+    /// stable sort on it restores canonical order from a buffer handed
+    /// over out of order (see [`crate::obs::chrome_trace_json`]). Note
+    /// that the canonical trace is *not* monotone in `time` — e.g. a
+    /// semaphore release records the wake at the releaser's clock,
+    /// which may exceed events recorded later by lower-clock threads —
+    /// so `ticket`, not `time`, is the flush key.
     pub ticket: u64,
     pub what: Event,
 }
@@ -311,6 +311,9 @@ pub(crate) struct Sched {
     /// [`Kernel::finish_event_sink`]). Only maintained with a sink, so
     /// metrics stay independent of plain tracing.
     pub(crate) stream_hwm: u64,
+    /// The kernel's metrics registry (see [`crate::obs`]): always on,
+    /// never touches virtual time.
+    pub(crate) metrics: Metrics,
 }
 
 impl Sched {
@@ -416,9 +419,6 @@ impl Sched {
 pub(crate) struct Shared {
     pub(crate) state: OwnedCell<Sched>,
     pub(crate) cost: CostModel,
-    /// The kernel's metrics registry (see [`crate::obs`]): always on,
-    /// never touches virtual time.
-    pub(crate) metrics: Metrics,
 }
 
 impl Shared {
@@ -535,7 +535,7 @@ impl Shared {
         let fallback = sched.force_fallback > 0;
         if fallback {
             sched.force_fallback -= 1;
-            self.metrics.counter_add("exec/fallback", 1);
+            sched.metrics.counter_add("exec/fallback", 1);
         }
         if let Some(log) = sched.decisions.as_mut() {
             log.push(Decision {
@@ -819,9 +819,9 @@ impl Kernel {
                     sink: None,
                     sink_chunk: 0,
                     stream_hwm: 0,
+                    metrics: Metrics::new(),
                 }),
                 cost,
-                metrics: Metrics::new(),
             }),
         }
     }
@@ -849,16 +849,15 @@ impl Kernel {
 
     /// Take the recorded trace (empty if tracing was never enabled).
     /// Tracing stays armed: events recorded after this call land in a
-    /// fresh buffer instead of silently vanishing. The returned events
-    /// are flushed in commit order — a stable sort on
-    /// [`TraceEvent::ticket`] — so the result is canonical even if the
-    /// internal buffer was filled out of order.
+    /// fresh buffer instead of silently vanishing. The events are in
+    /// commit order already — each kernel operation appends its own
+    /// with the next [`TraceEvent::ticket`].
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         let mut sched = self.shared.state.borrow();
         match sched.trace.take() {
-            Some(mut t) => {
+            Some(t) => {
                 sched.trace = Some(Vec::new());
-                t.sort_by_key(|e| e.ticket);
+                debug_assert!(t.windows(2).all(|w| w[0].ticket < w[1].ticket));
                 t
             }
             None => Vec::new(),
@@ -936,15 +935,13 @@ impl Kernel {
                 decisions.clear();
             }
         }
-        let hwm = sched.stream_hwm;
-        sched.stream_hwm = 0;
-        drop(sched);
-        self.shared.metrics.gauge_max("journal.stream.hwm", hwm);
+        let hwm = std::mem::take(&mut sched.stream_hwm);
+        sched.metrics.gauge_max("journal.stream.hwm", hwm);
     }
 
     /// Copy of the kernel's metrics registry (see [`crate::obs`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
+        self.shared.state.borrow().metrics.snapshot()
     }
 
     /// Names of all simulated threads, indexed by tid — the Chrome

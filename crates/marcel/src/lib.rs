@@ -54,7 +54,7 @@ pub use cost::{CostModel, ExecPolicy, PollPolicy};
 pub use exec::ticket_seed;
 pub use kernel::{Decision, Kernel, KernelCapture, ProcId, SimError, ThreadCapture, TraceEvent};
 pub use obs::{
-    chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer, Metrics,
+    chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer,
     MetricsSnapshot, SpanKind, ThreadMeta,
 };
 pub use owned::OwnedCell;

@@ -45,9 +45,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::kernel::{Decision, TraceEvent};
-use crate::owned::OwnedCell;
 use crate::thread::try_with_current;
-use crate::time::{VirtualDuration, VirtualTime};
+use crate::time::VirtualTime;
 
 /// Which layer of the stack emitted an event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -422,18 +421,6 @@ impl HistSnapshot {
     }
 }
 
-#[derive(Default)]
-struct Store {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, HistSnapshot>,
-}
-
-struct Registry {
-    store: Store,
-    next_span: u64,
-}
-
 /// The per-kernel metrics registry: counters, high-water gauges and
 /// virtual-time histograms, keyed by `/`-separated string names.
 ///
@@ -441,63 +428,57 @@ struct Registry {
 /// virtual time or reschedule, so collection is always on and cannot
 /// perturb the simulation. Exactly one simulated thread runs at a time,
 /// so the update order (and therefore every snapshot) is deterministic.
-/// The registry is an [`OwnedCell`] of its kernel's OS thread: each
-/// method borrows it for its own duration, so nothing is locked.
-pub struct Metrics {
-    registry: OwnedCell<Registry>,
+/// The registry is a field of the kernel's scheduler: an update is one
+/// borrow of the scheduler's cell, and nothing is locked.
+pub(crate) struct Metrics {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, u64>,
+    hists: BTreeMap<String, HistSnapshot>,
+    next_span: u64,
 }
 
 impl Metrics {
     pub(crate) fn new() -> Metrics {
         Metrics {
-            registry: OwnedCell::new(Registry {
-                store: Store::default(),
-                next_span: 1,
-            }),
+            counters: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
+            next_span: 1,
         }
     }
 
-    fn with_store<R>(&self, f: impl FnOnce(&mut Store) -> R) -> R {
-        self.registry.with(|r| f(&mut r.store))
-    }
-
     /// Add `delta` to the counter `name` (created at zero).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.with_store(|s| match s.counters.get_mut(name) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
             Some(v) => *v += delta,
             None => {
-                s.counters.insert(name.to_string(), delta);
+                self.counters.insert(name.to_string(), delta);
             }
-        })
+        }
     }
 
     /// Raise the high-water gauge `name` to `v` if `v` exceeds it.
-    pub fn gauge_max(&self, name: &str, v: u64) {
-        self.with_store(|s| match s.gauges.get_mut(name) {
+    pub(crate) fn gauge_max(&mut self, name: &str, v: u64) {
+        match self.gauges.get_mut(name) {
             Some(g) => *g = (*g).max(v),
             None => {
-                s.gauges.insert(name.to_string(), v);
+                self.gauges.insert(name.to_string(), v);
             }
-        })
+        }
     }
 
     /// Record one observation into the histogram `name`.
-    pub fn observe_ns(&self, name: &str, ns: u64) {
-        self.with_store(|s| match s.hists.get_mut(name) {
+    fn observe_ns(&mut self, name: &str, ns: u64) {
+        match self.hists.get_mut(name) {
             Some(h) => h.record(ns),
-            None => s.hists.entry(name.to_string()).or_default().record(ns),
-        })
-    }
-
-    /// Record one observation from a [`VirtualDuration`].
-    pub fn observe(&self, name: &str, d: VirtualDuration) {
-        self.observe_ns(name, d.as_nanos());
+            None => self.hists.entry(name.to_string()).or_default().record(ns),
+        }
     }
 
     /// One observation into the `span/<kind>/<label>` histogram. The
     /// name is spelled on the stack, so a span end allocates nothing
     /// once its histogram exists, and needs no process-wide key table.
-    fn observe_span(&self, kind: SpanKind, label: &'static str, ns: u64) {
+    fn observe_span(&mut self, kind: SpanKind, label: &'static str, ns: u64) {
         let parts = ["span/", kind.name(), "/", label];
         let mut buf = [0u8; 64];
         if parts.iter().map(|p| p.len()).sum::<usize>() > buf.len() {
@@ -514,27 +495,26 @@ impl Metrics {
 
     /// Allocate a fresh span id (deterministic: one simulated thread
     /// runs at a time).
-    pub fn next_span_id(&self) -> u64 {
-        self.registry.with(|r| {
-            r.next_span += 1;
-            r.next_span - 1
-        })
+    fn next_span_id(&mut self) -> u64 {
+        self.next_span += 1;
+        self.next_span - 1
     }
 
     /// Clear all counters, gauges and histograms (span ids keep
-    /// counting). Benchmarks call this between warm-up and the measured
-    /// iterations.
-    pub fn reset(&self) {
-        self.with_store(|s| *s = Store::default());
+    /// counting).
+    fn reset(&mut self) {
+        self.counters.clear();
+        self.gauges.clear();
+        self.hists.clear();
     }
 
     /// Copy the registry's current state.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.with_store(|s| MetricsSnapshot {
-            counters: s.counters.clone(),
-            gauges: s.gauges.clone(),
-            hists: s.hists.clone(),
-        })
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters.clone(),
+            gauges: self.gauges.clone(),
+            hists: self.hists.clone(),
+        }
     }
 }
 
@@ -663,7 +643,10 @@ impl fmt::Display for MetricsSnapshot {
 ///   and must never re-enter the kernel: a call through a
 ///   [`Kernel`](crate::kernel::Kernel) handle panics on the scheduler's
 ///   borrow check, and the ambient API sees no simulated thread (an
-///   operation holds the identity).
+///   operation holds the identity). The metrics registry lives in the
+///   scheduler, so a sink must not read or update metrics either
+///   ([`Kernel::metrics_snapshot`](crate::kernel::Kernel::metrics_snapshot)
+///   panics the same way).
 /// * A final drain of whatever remains buffered happens in
 ///   [`crate::kernel::Kernel::finish_event_sink`], after the simulation
 ///   has quiesced.
@@ -687,40 +670,41 @@ pub fn emit(f: impl FnOnce() -> Event) {
     try_with_current(|shared, me| shared.state.borrow().record(me, f));
 }
 
-/// Run `f` against the kernel's metrics registry; `None` outside a
-/// simulated thread.
-pub fn with_metrics<R>(f: impl FnOnce(&Metrics) -> R) -> Option<R> {
-    // `f` is caller code and may use the ambient API, so it runs after
-    // the identity is back in place, on a handle of its own.
-    let shared = try_with_current(|shared, _| shared.clone())?;
-    Some(f(&shared.metrics))
+/// A copy of the calling thread's kernel's metrics registry; `None`
+/// outside a simulated thread.
+pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
+    try_with_current(|shared, _| shared.state.borrow().metrics.snapshot())
 }
 
-/// `f` on the calling thread's metrics registry, which must not call
-/// back into marcel; a no-op outside a simulated thread.
-fn with_registry(f: impl FnOnce(&Metrics)) {
-    try_with_current(|shared, _| f(&shared.metrics));
+/// `f` on the calling thread's metrics registry, inside one borrow of
+/// the scheduler; a no-op outside a simulated thread.
+fn with_registry(f: impl FnOnce(&mut Metrics)) {
+    try_with_current(|shared, _| f(&mut shared.state.borrow().metrics));
 }
 
-/// Ambient [`Metrics::counter_add`].
+/// Add `delta` to the counter `name` (created at zero).
 pub fn counter_add(name: &str, delta: u64) {
     with_registry(|m| m.counter_add(name, delta));
 }
 
-/// Ambient [`Metrics::gauge_max`].
+/// Raise the high-water gauge `name` to `v` if `v` exceeds it.
 pub fn gauge_max(name: &str, v: u64) {
     with_registry(|m| m.gauge_max(name, v));
 }
 
-/// Ambient [`Metrics::observe_ns`].
+/// Record one observation into the histogram `name`.
 pub fn observe_ns(name: &str, ns: u64) {
     with_registry(|m| m.observe_ns(name, ns));
 }
 
-/// Ambient [`Metrics::reset`] — benchmarks call this from inside the
-/// simulation between warm-up and the measured iterations.
+/// Clear every counter, gauge and histogram of the calling thread's
+/// kernel (span ids keep counting) — benchmarks call this from inside
+/// the simulation between warm-up and the measured iterations. The
+/// registry is the only home of madeleine's channel and session counts
+/// (reliability counters, wire totals, failovers, rendezvous
+/// re-issues), so those restart from zero too.
 pub fn reset_metrics() {
-    with_metrics(|m| m.reset());
+    with_registry(Metrics::reset);
 }
 
 /// An open span. `Copy`, so it can be stashed in shared state and ended
@@ -746,7 +730,7 @@ pub fn span_begin(kind: SpanKind, label: &'static str) -> Option<ActiveSpan> {
     try_with_current(|shared, me| {
         let mut sched = shared.state.borrow();
         let begin = sched.threads[me.index()].vtime;
-        let id = shared.metrics.next_span_id();
+        let id = sched.metrics.next_span_id();
         sched.record(me, || Event::SpanBegin { id, kind, label });
         ActiveSpan {
             id,
@@ -757,18 +741,6 @@ pub fn span_begin(kind: SpanKind, label: &'static str) -> Option<ActiveSpan> {
     })
 }
 
-/// Like [`span_begin`], but backdated to `begin` (e.g. a wire-arrival
-/// timestamp the observing thread learned after the fact). The trace
-/// event is still recorded at the caller's current time — only the
-/// measured duration is backdated.
-pub fn span_begin_at(
-    kind: SpanKind,
-    label: &'static str,
-    begin: VirtualTime,
-) -> Option<ActiveSpan> {
-    span_begin(kind, label).map(|s| ActiveSpan { begin, ..s })
-}
-
 /// Close a span on the calling thread, feeding its
 /// `span/<kind>/<label>` histogram. Accepts the `Option` from
 /// [`span_begin`] so call sites stay unconditional.
@@ -776,14 +748,10 @@ pub fn span_end(span: Option<ActiveSpan>) {
     let Some(span) = span else { return };
     try_with_current(|shared, me| {
         let (id, kind, label) = (span.id, span.kind, span.label);
-        let end = {
-            let mut sched = shared.state.borrow();
-            sched.record(me, || Event::SpanEnd { id, kind, label });
-            sched.threads[me.index()].vtime
-        };
-        shared
-            .metrics
-            .observe_span(kind, label, end.saturating_since(span.begin).as_nanos());
+        let mut sched = shared.state.borrow();
+        sched.record(me, || Event::SpanEnd { id, kind, label });
+        let ns = sched.threads[me.index()].vtime.saturating_since(span.begin);
+        sched.metrics.observe_span(kind, label, ns.as_nanos());
     });
 }
 
@@ -1018,7 +986,7 @@ mod tests {
 
     #[test]
     fn metrics_registry_counts_and_observes() {
-        let m = Metrics::new();
+        let mut m = Metrics::new();
         m.counter_add("a/x", 2);
         m.counter_add("a/x", 3);
         m.gauge_max("g", 4);
@@ -1042,26 +1010,21 @@ mod tests {
     }
 
     #[test]
-    fn with_metrics_closure_may_use_the_ambient_api() {
-        assert!(with_metrics(|_| ()).is_none());
+    fn ambient_snapshot_reads_the_callers_kernel() {
+        assert!(metrics_snapshot().is_none());
         let k = crate::Kernel::new(crate::CostModel::free());
-        k.spawn("t", || {
-            crate::advance(VirtualDuration::from_micros(3));
-            let seen = with_metrics(|m| {
-                counter_add("nested", 1);
-                m.counter_add("outer", 1);
-                crate::now()
-            });
-            assert_eq!(seen, Some(crate::now()));
+        let h = k.spawn("t", || {
+            counter_add("seen", 2);
+            metrics_snapshot().map(|s| s.counter("seen"))
         });
         k.run().unwrap();
-        let s = k.metrics_snapshot();
-        assert_eq!((s.counter("nested"), s.counter("outer")), (1, 1));
+        assert_eq!(h.join_outcome(), Some(Some(2)));
+        assert_eq!(k.metrics_snapshot().counter("seen"), 2);
     }
 
     #[test]
     fn prefix_iteration_is_sorted() {
-        let m = Metrics::new();
+        let mut m = Metrics::new();
         m.counter_add("chan/tcp#0/bytes", 10);
         m.counter_add("chan/sisci#0/bytes", 20);
         m.counter_add("other", 1);

@@ -2,7 +2,7 @@
 //!
 //! Every simulated thread of a world runs as a fiber on the one OS
 //! thread that created its kernel, so the world's mutable state — the
-//! scheduler, the metrics registry, a channel's host maps — is never
+//! scheduler with its metrics registry, a channel's host maps — is never
 //! touched by two OS threads. An [`OwnedCell`] turns that into a checked
 //! rule instead of a lock: it records the OS thread that created it, and
 //! every borrow first compares the caller against that owner (one

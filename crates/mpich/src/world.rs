@@ -146,6 +146,9 @@ pub struct WorldCapture {
     pub kernel: marcel::KernelCapture,
     pub session: madeleine::SessionCapture,
     pub engines: Vec<crate::engine::EngineCapture>,
+    /// The kernel's metrics registry at capture time: the one snapshot
+    /// `session`'s counts were read from.
+    pub metrics: marcel::MetricsSnapshot,
 }
 
 /// Build the Chrome-exporter thread table for a finished world run: one
@@ -363,10 +366,12 @@ impl<T> WorldReport<T> {
     /// The quiescent [`WorldCapture`] of the finished world. Pure
     /// host-side reads, so taking it cannot change anything.
     pub fn capture(&self) -> WorldCapture {
+        let metrics = self.kernel.metrics_snapshot();
         WorldCapture {
             kernel: self.kernel.capture(),
-            session: self.session.capture(),
+            session: self.session.capture(&metrics),
             engines: self.world.engines.iter().map(Engine::capture).collect(),
+            metrics,
         }
     }
 }

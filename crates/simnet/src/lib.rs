@@ -17,10 +17,8 @@ pub mod model;
 pub mod protocol;
 pub mod rng;
 pub mod topology;
-pub mod util;
 
 pub use fault::{Fate, FaultPlan};
 pub use model::{Jitter, LinkModel};
 pub use protocol::{elect_switch_point, Protocol};
 pub use topology::{Network, NetworkId, Node, NodeId, NodeModel, Topology, TopologyError};
-pub use util::NetUtilization;

@@ -100,12 +100,6 @@ impl LinkModel {
         self.recv_fixed + per_byte(self.recv_per_byte_ns, bytes)
     }
 
-    /// Extra receiver cost when the payload lands in a bounce buffer and
-    /// must be copied to its final destination (eager mode).
-    pub fn eager_copy(&self, bytes: usize) -> VirtualDuration {
-        per_byte(self.eager_copy_per_byte_ns, bytes)
-    }
-
     /// Absolute arrival time for a message injected when the sender's
     /// clock reads `send_done` (i.e. after `sender_occupancy`).
     pub fn arrival(&self, send_done: VirtualTime, bytes: usize) -> VirtualTime {

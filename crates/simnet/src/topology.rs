@@ -166,12 +166,6 @@ impl Topology {
         })
     }
 
-    /// Override the intra-node cost model.
-    pub fn with_node_model(mut self, model: NodeModel) -> Self {
-        self.node_model = model;
-        self
-    }
-
     /// Add a host; returns its id.
     pub fn add_node(&mut self, name: impl Into<String>, cpus: usize) -> NodeId {
         self.invalidate_adjacency();

@@ -299,4 +299,34 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
         assert_eq!((*time, what.as_str()), (want_time, want_what));
     }
     assert_eq!(session.failovers(), 2);
+    // The counts are pinned too: a hard-down window drops every
+    // attempt whatever the plan's seed, so they hold for any
+    // `FAULT_SEED`. BIP's two directions each burn the 30-attempt
+    // budget (one drop per attempt, a retransmit before every attempt
+    // but the first) and die.
+    assert_eq!(
+        session.fault_counters(),
+        madeleine::FaultCounters {
+            retransmits: 58,
+            drops: 60,
+            duplicates: 0,
+            deferrals: 0,
+            dead_pairs: 2,
+        }
+    );
+    assert_eq!(session.rndv_reissues(), 1);
+    let wire: Vec<(String, u64, u64)> = report
+        .capture()
+        .session
+        .channels
+        .into_iter()
+        .map(|c| (c.name, c.wire_messages, c.wire_bytes))
+        .collect();
+    assert_eq!(
+        wire,
+        [
+            ("sisci#0".to_string(), 7, 5_887_774),
+            ("bip#1".to_string(), 4, 2_501_149),
+        ]
+    );
 }
