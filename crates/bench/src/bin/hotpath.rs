@@ -73,69 +73,6 @@ fn storm_once(rounds: usize) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
     )
 }
 
-/// Threads-per-rank storm: every rank runs `tpr` worker threads, each
-/// driving its own slice of the all-to-all pattern under a disjoint
-/// tag range — the same axis the VCI storm (`bench --bin vci`) sweeps,
-/// so the two benches report message rate against a comparable
-/// threads-per-rank dimension. Each worker pulls `comm.endpoint()`
-/// from its own thread, so the deterministic tag→VCI hash spreads the
-/// streams across lanes.
-fn storm_tpr_once(rounds: usize, tpr: usize) -> (u64, f64) {
-    let t0 = Instant::now();
-    run_world(
-        Topology::single_network(RANKS, Protocol::Sisci),
-        Placement::OneRankPerNode,
-        WorldConfig::default(),
-        move |comm| {
-            let me = comm.rank();
-            let n = comm.size();
-            let workers: Vec<_> = (0..tpr)
-                .map(|t| {
-                    let comm = comm.clone();
-                    marcel::spawn(format!("storm{me}-{t}"), move || {
-                        let payload = vec![me as u8; MSG];
-                        for round in 0..rounds {
-                            let tag = (t * rounds + round) as i32;
-                            for step in 1..n {
-                                comm.endpoint()
-                                    .send(&payload, (me + step) % n, tag)
-                                    .unwrap();
-                            }
-                        }
-                        for round in (0..rounds).rev() {
-                            let tag = (t * rounds + round) as i32;
-                            for step in (1..n).rev() {
-                                let src = (me + n - step) % n;
-                                let (data, _) = comm
-                                    .endpoint()
-                                    .recv::<bytes::Bytes>(MSG, Some(src), Some(tag))
-                                    .unwrap();
-                                assert_eq!(&data[..], &[src as u8; MSG][..]);
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join();
-            }
-        },
-    )
-    .expect("threads-per-rank storm world failed");
-    let wall = t0.elapsed().as_secs_f64();
-    ((RANKS * (RANKS - 1) * rounds * tpr) as u64, wall)
-}
-
-/// Best-of-3 threads-per-rank storm (no warm-up bookkeeping needed —
-/// only wall-clock is reported on this axis).
-fn storm_tpr(rounds: usize, tpr: usize) -> (u64, f64) {
-    let (msgs, mut wall) = storm_tpr_once(rounds, tpr);
-    for _ in 0..2 {
-        wall = wall.min(storm_tpr_once(rounds, tpr).1);
-    }
-    (msgs, wall)
-}
-
 /// Best-of-3 storm after one warm-up run. Wall-clock is the min of the
 /// measured runs (the standard noise-robust estimator); the allocation
 /// figures come from the first measured run — after the warm-up run,
@@ -205,21 +142,9 @@ fn steady_sci_oneway_us(with_tcp: bool, poll: PollPolicy) -> f64 {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let tpr_flag = argv.iter().position(|a| a == "--threads-per-rank");
-    let tpr_max: Option<usize> = tpr_flag
-        .and_then(|i| argv.get(i + 1))
-        .and_then(|a| a.parse().ok());
-    let iters: usize = argv
-        .iter()
-        .enumerate()
-        .skip(1)
-        .find(|(i, a)| {
-            Some(*i) != tpr_flag.map(|f| f + 1)
-                && !a.starts_with("--")
-                && a.parse::<usize>().is_ok()
-        })
-        .and_then(|(_, a)| a.parse().ok())
+    let iters: usize = std::env::args()
+        .nth(1)
+        .and_then(|a| a.parse().ok())
         .unwrap_or(4);
     let rounds = 12 * iters;
 
@@ -231,33 +156,6 @@ fn main() {
         wall * 1e3,
         eps
     );
-
-    // ROADMAP item-3 leftover: the VCI storm's threads-per-rank axis on
-    // the hotpath storm, so the two benches report comparable scaling.
-    let mut tpr_rows = Vec::new();
-    if let Some(tpr_max) = tpr_max {
-        println!("\n== threads-per-rank storm — host message rate by rank parallelism ==");
-        println!(
-            "{:>8} {:>10} {:>10} {:>14} {:>8}",
-            "threads", "messages", "wall_ms", "msgs_per_sec", "scaling"
-        );
-        let mut base = 0.0;
-        let mut t = 1;
-        while t <= tpr_max {
-            let (m, w) = storm_tpr(rounds, t);
-            let rate = m as f64 / w;
-            if t == 1 {
-                base = rate;
-            }
-            println!(
-                "{t:>8} {m:>10} {:>10.1} {rate:>14.0} {:>8.2}",
-                w * 1e3,
-                rate / base
-            );
-            tpr_rows.push((t, rate));
-            t *= 2;
-        }
-    }
 
     println!("\n== §3.3 idle-channel impact — steady-state SCI one-way latency (us) ==");
     println!(
@@ -281,19 +179,8 @@ fn main() {
         );
     }
 
-    // Only present when --threads-per-rank ran; consumers treat it as
-    // optional.
-    let tpr_json = if tpr_rows.is_empty() {
-        String::new()
-    } else {
-        let rows: Vec<String> = tpr_rows
-            .iter()
-            .map(|(t, rate)| format!("\"{t}\":{rate:.0}"))
-            .collect();
-        format!(",\"tpr_msgs_per_sec\":{{{}}}", rows.join(","))
-    };
     println!(
-        "\n{{\"messages\":{msgs},\"wall_ms\":{:.3},\"events_per_sec\":{:.1},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}{tpr_json}}}",
+        "\n{{\"messages\":{msgs},\"wall_ms\":{:.3},\"events_per_sec\":{:.1},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}}}",
         wall * 1e3,
         eps
     );

@@ -7,16 +7,18 @@
 //! monotone: once two campaigns disagree they disagree forever, and the
 //! first divergent episode is found by binary search over the chain
 //! rather than a linear field-by-field sweep. Within that episode the
-//! decision streams are compared ticket by ticket. The acceptance
-//! scenario is the forced-fallback campaign: every result byte matches,
-//! only the decision log's fallback flags differ, and bisect must still
-//! name ticket 0 of the first affected episode.
+//! decision streams — inline or streamed — are compared ticket by
+//! ticket. The acceptance scenario is the forced-fallback campaign:
+//! every result byte matches, only the decision log's fallback flags
+//! differ, and bisect must still name ticket 0 of the first affected
+//! episode. `replay diff` walks the same chain and decision streams.
 
 use std::path::Path;
 
 use crate::error::JournalError;
-use crate::record::{first_divergence, EpisodeRecord, SoakConfig};
-use crate::store::read_journal_recovering;
+use crate::record::{first_divergence, DecisionRec, EpisodeRecord, SoakConfig};
+use crate::replay::read_episode_decisions;
+use crate::store::{read_journal_recovering, JournalContents};
 
 /// Where two journals first part ways.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,6 +76,40 @@ fn comparable(a: &SoakConfig, b: &SoakConfig) -> Result<(), JournalError> {
     Ok(())
 }
 
+/// The first episode of two journals' common prefix whose chained
+/// digest differs, found by binary search: invariant — episodes before
+/// `lo` agree, and the first disagreement is at or before `hi`.
+pub(crate) fn first_divergent_episode(a: &[EpisodeRecord], b: &[EpisodeRecord]) -> Option<usize> {
+    let n = a.len().min(b.len());
+    if n == 0 || a[n - 1].cum_digest == b[n - 1].cum_digest {
+        return None;
+    }
+    let (mut lo, mut hi) = (0usize, n - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if a[mid].cum_digest == b[mid].cum_digest {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
+}
+
+/// Decision stream of episode `episode` in a journal: from the chunk
+/// stream when the episode streamed, else from the in-record decision
+/// log (whose entries carry no `events_before` bridge — it reads as 0).
+pub(crate) fn decision_stream(
+    dir: &Path,
+    contents: &JournalContents,
+    episode: usize,
+) -> Result<Vec<DecisionRec>, JournalError> {
+    match contents.stream.iter().find(|s| s.episode == episode as u32) {
+        Some(summary) if summary.decisions > 0 => read_episode_decisions(dir, summary),
+        _ => Ok(contents.episodes[episode].decisions.clone()),
+    }
+}
+
 /// Compare two journals and report their first divergence. Reads are
 /// best-effort: a torn or damaged tail limits the comparison to the
 /// valid prefixes (bisecting the journal of a crashed run is exactly
@@ -89,11 +125,7 @@ pub fn bisect(dir_a: &Path, dir_b: &Path) -> Result<BisectReport, JournalError> 
         });
     }
 
-    // Binary search the chained digests for the first disagreement:
-    // invariant — episodes before `lo` agree, and if any disagreement
-    // exists in the prefix it is at or before `hi`.
-    let (ea, eb) = (&a.episodes[..n], &b.episodes[..n]);
-    if ea[n - 1].cum_digest == eb[n - 1].cum_digest {
+    let Some(lo) = first_divergent_episode(&a.episodes, &b.episodes) else {
         return Ok(BisectReport {
             episodes_compared: n as u32,
             first_divergent_episode: None,
@@ -108,18 +140,12 @@ pub fn bisect(dir_a: &Path, dir_b: &Path) -> Result<BisectReport, JournalError> 
                 )
             },
         });
-    }
-    let (mut lo, mut hi) = (0usize, n - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ea[mid].cum_digest == eb[mid].cum_digest {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    let (x, y) = (&ea[lo], &eb[lo]);
-    let (ticket, detail) = describe(x, y);
+    };
+    let (dx, dy) = (
+        decision_stream(dir_a, &a, lo)?,
+        decision_stream(dir_b, &b, lo)?,
+    );
+    let (ticket, detail) = describe(&a.episodes[lo], &b.episodes[lo], &dx, &dy);
     Ok(BisectReport {
         episodes_compared: n as u32,
         first_divergent_episode: Some(lo as u32),
@@ -130,7 +156,12 @@ pub fn bisect(dir_a: &Path, dir_b: &Path) -> Result<BisectReport, JournalError> 
 
 /// Name the differing fields of the first divergent episode pair, and
 /// resolve the first differing ticket when decision streams allow.
-fn describe(x: &EpisodeRecord, y: &EpisodeRecord) -> (Option<u64>, String) {
+fn describe(
+    x: &EpisodeRecord,
+    y: &EpisodeRecord,
+    dx: &[DecisionRec],
+    dy: &[DecisionRec],
+) -> (Option<u64>, String) {
     let mut fields = Vec::new();
     let mut diff = |name: &'static str, a: u64, b: u64| {
         if a != b {
@@ -149,7 +180,6 @@ fn describe(x: &EpisodeRecord, y: &EpisodeRecord) -> (Option<u64>, String) {
     diff("rndv_reissues", x.rndv_reissues, y.rndv_reissues);
 
     let mut ticket = None;
-    let (dx, dy) = (&x.decisions, &y.decisions);
     if !dx.is_empty() && !dy.is_empty() {
         if let Some(d) = first_divergence(dx, dy) {
             ticket = Some(d.ticket);
@@ -182,9 +212,10 @@ mod tests {
     }
 
     /// End to end on real campaigns: a baseline and a forced-fallback
-    /// twin must bisect to episode 0, ticket 0, fallback-flag-only.
-    #[test]
-    fn forced_fallback_bisects_to_ticket_zero() {
+    /// twin must bisect to episode 0, ticket 0, fallback-flag-only —
+    /// whether the decisions sit in the episode records or, with
+    /// `stream_chunk > 0`, only in the chunk stream.
+    fn bisect_forced_fallback(tag: &str, stream_chunk: u32) {
         let cfg = SoakConfig {
             episodes: 2,
             ranks: 3,
@@ -192,12 +223,13 @@ mod tests {
             payload: 64,
             record_decisions: true,
             workers: 2,
+            stream_chunk,
             ..SoakConfig::default()
         };
-        let dir_a = tmpdir("base");
+        let dir_a = tmpdir(&format!("{tag}-base"));
         let mut a = Campaign::create(&dir_a, cfg.clone()).unwrap();
         a.run_to_completion().unwrap();
-        let dir_b = tmpdir("forced");
+        let dir_b = tmpdir(&format!("{tag}-forced"));
         let mut b = Campaign::create(
             &dir_b,
             SoakConfig {
@@ -218,6 +250,16 @@ mod tests {
         );
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn forced_fallback_bisects_to_ticket_zero() {
+        bisect_forced_fallback("inline", 0);
+    }
+
+    #[test]
+    fn streamed_forced_fallback_bisects_to_ticket_zero() {
+        bisect_forced_fallback("streamed", 64);
     }
 
     fn synthetic(index: u32, cum: u64, decisions: Vec<DecisionRec>) -> EpisodeRecord {

@@ -182,21 +182,6 @@ impl Totals {
         self.vtime_ns += ep.end_time_ns;
     }
 
-    fn digest(&self) -> u64 {
-        let mut h = splitmix64(self.wire_messages ^ 0x544F_5441_4C53); // "TOTALS"
-        let mut mix = |v: u64| h = splitmix64(h ^ v);
-        mix(self.wire_bytes);
-        mix(self.retransmits);
-        mix(self.drops);
-        mix(self.duplicates);
-        mix(self.deferrals);
-        mix(self.dead_pairs);
-        mix(self.failovers);
-        mix(self.rndv_reissues);
-        mix(self.vtime_ns);
-        h
-    }
-
     fn encode(&self, e: &mut Enc) {
         e.u64(self.wire_messages);
         e.u64(self.wire_bytes);
@@ -541,39 +526,6 @@ impl From<&mpich::WorldCapture> for WorldCaptureRec {
 }
 
 impl WorldCaptureRec {
-    pub fn digest(&self) -> u64 {
-        let mut h = splitmix64(self.kernel_end_ns ^ 0x0057_4F52_4C44_u64); // "WORLD"
-        let mut mix = |v: u64| h = splitmix64(h ^ v);
-        mix(self.next_ticket);
-        mix(self.record_seq);
-        for &(v, done) in &self.threads {
-            mix(v ^ ((done as u64) << 63));
-        }
-        for c in &self.channels {
-            mix(c.fault_fingerprint);
-            for &x in &c.counters {
-                mix(x);
-            }
-            mix(c.wire_messages);
-            mix(c.wire_bytes);
-            for &(f, t, s, m) in &c.conns {
-                mix(((f as u64) << 32 | t as u64) ^ s.wrapping_mul(GOLDEN_GAMMA) ^ m);
-            }
-            for &(r, f, e) in &c.recv {
-                mix(((r as u64) << 32 | f as u64) ^ e.wrapping_mul(GOLDEN_GAMMA));
-            }
-            for &(f, t) in &c.dead {
-                mix((f as u64) << 32 | t as u64);
-            }
-        }
-        for &(p, u, r, n) in &self.engines {
-            mix((p as u64) << 40 ^ (u as u64) << 20 ^ r as u64 ^ n.wrapping_mul(GOLDEN_GAMMA));
-        }
-        mix(self.failovers);
-        mix(self.rndv_reissues);
-        h
-    }
-
     fn encode(&self, e: &mut Enc) {
         e.u64(self.kernel_end_ns);
         e.u64(self.next_ticket);
@@ -699,16 +651,6 @@ pub struct SnapshotRecord {
 }
 
 impl SnapshotRecord {
-    /// Self-check digest binding cursor, totals and world together.
-    pub fn digest(&self) -> u64 {
-        splitmix64(
-            (self.episodes_done as u64)
-                ^ self.totals.digest()
-                ^ self.cum_digest
-                ^ self.world.digest(),
-        )
-    }
-
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.u32(self.episodes_done);
@@ -864,7 +806,6 @@ mod tests {
             },
         };
         assert_eq!(SnapshotRecord::decode(&snap.encode()).unwrap(), snap);
-        assert_ne!(snap.digest(), 0);
     }
 
     #[test]

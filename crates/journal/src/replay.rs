@@ -25,6 +25,7 @@ use std::path::Path;
 
 use marcel::{chrome_trace_json, MetricsSnapshot, ThreadMeta, TraceEvent};
 
+use crate::bisect::{decision_stream, first_divergent_episode};
 use crate::codec::DecodeError;
 use crate::crc::crc64;
 use crate::error::{JournalError, RecoveryPoint};
@@ -317,20 +318,6 @@ impl ReplayDiff {
     }
 }
 
-/// Decision stream of episode `i` in a journal: from the chunk stream
-/// when the episode streamed, else from the in-record decision log
-/// (whose entries carry no `events_before` bridge — it reads as 0).
-fn decision_stream(
-    dir: &Path,
-    contents: &JournalContents,
-    episode: usize,
-) -> Result<Vec<DecisionRec>, JournalError> {
-    match contents.stream.iter().find(|s| s.episode == episode as u32) {
-        Some(summary) if summary.decisions > 0 => read_episode_decisions(dir, summary),
-        _ => Ok(contents.episodes[episode].decisions.clone()),
-    }
-}
-
 /// Compare two journals' decision streams and reconstruct the trace
 /// window around the first divergent ticket (`radius` decisions on each
 /// side). Returns `Ok(None)` when every compared decision agrees.
@@ -342,7 +329,12 @@ pub fn diff_runs(
     let a = read_journal(dir_a)?;
     let b = read_journal(dir_b)?;
     let n = a.episodes.len().min(b.episodes.len());
-    for ep in 0..n {
+    // Episodes before the first chain divergence agree on every digest,
+    // decisions and (streamed) `events_before` bridges included.
+    let Some(first) = first_divergent_episode(&a.episodes, &b.episodes) else {
+        return Ok(None);
+    };
+    for ep in first..n {
         let da = decision_stream(dir_a, &a, ep)?;
         let db = decision_stream(dir_b, &b, ep)?;
         let Some(Divergence {

@@ -3,8 +3,9 @@
 //! A [`Communicator`] is a group of ranks plus a pair of context ids
 //! (one for point-to-point traffic, one for the collective layer), bound
 //! to the world table and the calling rank's index in it. All public rank
-//! arguments and statuses are *communicator-local*; translation to
-//! world ranks happens here.
+//! arguments and statuses are *communicator-local*: arguments become
+//! world ranks here, and a [`Request`]'s wait (or a probe) turns a
+//! status source back into a communicator rank.
 //!
 //! # One surface
 //!
@@ -14,10 +15,11 @@
 //! [`IntoPayload`] conversion accepts, and every call returns
 //! `Result<_, CommError>` instead of panicking on bad ranks, short
 //! buffers or mismatched lengths. The `Communicator` itself keeps only
-//! the collectives (see [`crate::coll`]), communicator management,
-//! [`Communicator::irecv`] (whose raw [`Request`] feeds
-//! [`crate::wait_all`] / [`crate::wait_any`]) and the persistent
-//! `send_init` / `recv_init`.
+//! the collectives (see [`crate::coll`]), communicator management and
+//! the persistent `send_init` / `recv_init`. Every non-blocking call
+//! returns one [`Request`] type, which [`crate::wait_all`] /
+//! [`crate::wait_any`] accept and whose wait returns a
+//! communicator-local status.
 
 use std::sync::Arc;
 
@@ -243,18 +245,6 @@ impl Communicator {
         self.group.world_rank(local)
     }
 
-    fn localize(&self, status: Status) -> Status {
-        let source = self
-            .group
-            .local_rank(status.source)
-            .expect("status source outside the communicator (context leak)");
-        Status {
-            source,
-            tag: status.tag,
-            len: status.len,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Core byte-level operations (context-parameterized for reuse by the
     // collective layer).
@@ -321,20 +311,15 @@ impl Communicator {
             };
             request::complete(&done, None, status, None);
         });
-        Request::new(slot)
+        Request::new(slot, self.group.clone())
     }
 
-    pub(crate) fn irecv_ctx(
-        &self,
-        cap: usize,
-        src_local: Option<usize>,
-        tag: Option<Tag>,
-        context: u32,
-    ) -> Request {
+    /// Post a point-to-point receive (`src_local` already checked).
+    fn post_recv(&self, cap: usize, src_local: Option<usize>, tag: Option<Tag>) -> Request {
         let slot = OneShot::current();
-        self.engine()
-            .post_recv(self.spec(src_local, tag, context), cap, slot.clone());
-        Request::new(slot)
+        let spec = self.spec(src_local, tag, self.context);
+        self.engine().post_recv(spec, cap, slot.clone());
+        Request::new(slot, self.group.clone())
     }
 
     /// Probe, then receive exactly the probed message (helper used by
@@ -356,22 +341,12 @@ impl Communicator {
         let slot = OneShot::current();
         self.engine()
             .post_recv_probed(handle, exact, st.len, slot.clone());
-        let (data, status) = Request::new(slot).wait_data();
-        (data, self.localize(status))
+        Request::new(slot, self.group.clone()).wait_data()
     }
 
     // ------------------------------------------------------------------
-    // Request-based point-to-point (everything else lives on Endpoint).
+    // Persistent requests (everything else lives on Endpoint).
     // ------------------------------------------------------------------
-
-    /// Non-blocking receive (`MPI_Irecv`) returning the raw [`Request`]
-    /// that [`crate::wait_all`] / [`crate::wait_any`] consume. Its
-    /// statuses carry *world* ranks (the same thing on the world
-    /// communicator); [`Endpoint::irecv`] returns communicator-local
-    /// ones and checks the source rank.
-    pub fn irecv(&self, cap: usize, src: Option<usize>, tag: Option<Tag>) -> Request {
-        self.irecv_ctx(cap, src, tag, self.context)
-    }
 
     /// `MPI_Send_init`: build a persistent send (see [`PersistentSend`]).
     pub fn send_init(&self, data: Vec<u8>, dst: usize, tag: Tag) -> PersistentSend {
@@ -658,13 +633,9 @@ impl Endpoint {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Result<(R, Status), CommError> {
-        self.comm.check_src(src)?;
-        let (data, status) = self
-            .comm
-            .irecv_ctx(cap, src, tag, self.comm.context)
-            .wait_bytes();
+        let (data, status) = self.irecv(cap, src, tag)?.wait_bytes();
         let data = data.expect("receive request completed without data");
-        Ok((R::from_payload(data)?, self.comm.localize(status)))
+        Ok((R::from_payload(data)?, status))
     }
 
     /// Receive exactly `count` scalars, failing with
@@ -687,19 +658,16 @@ impl Endpoint {
         Ok((from_bytes(&bytes), status))
     }
 
-    /// Non-blocking receive (`MPI_Irecv`); the request's wait returns
-    /// communicator-local statuses.
+    /// Non-blocking receive (`MPI_Irecv`); [`crate::wait_all`] and
+    /// [`crate::wait_any`] accept the request like any other.
     pub fn irecv(
         &self,
         cap: usize,
         src: Option<usize>,
         tag: Option<Tag>,
-    ) -> Result<CommRequest, CommError> {
+    ) -> Result<Request, CommError> {
         self.comm.check_src(src)?;
-        Ok(CommRequest {
-            inner: self.comm.irecv_ctx(cap, src, tag, self.comm.context),
-            group: self.comm.group.clone(),
-        })
+        Ok(self.comm.post_recv(cap, src, tag))
     }
 
     /// `MPI_Sendrecv`: concurrent send and receive (deadlock-free even
@@ -714,15 +682,14 @@ impl Endpoint {
         recv_tag: Option<Tag>,
     ) -> Result<(R, Status), CommError> {
         self.comm.check_rank(dst)?;
-        self.comm.check_src(src)?;
-        let recv = self.comm.irecv_ctx(cap, src, recv_tag, self.comm.context);
+        let recv = self.irecv(cap, src, recv_tag)?;
         let send =
             self.comm
                 .isend_lane(data.into_payload(), dst, send_tag, false, self.vci, "isend");
         let (bytes, status) = recv.wait_bytes();
         send.wait_send();
         let bytes = bytes.expect("receive request completed without data");
-        Ok((R::from_payload(bytes)?, self.comm.localize(status)))
+        Ok((R::from_payload(bytes)?, status))
     }
 
     /// Send `count` instances of `datatype` from a raw user buffer,
@@ -775,7 +742,8 @@ impl Endpoint {
     pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> Result<Status, CommError> {
         self.comm.check_src(src)?;
         let comm = &self.comm;
-        Ok(comm.localize(comm.engine().probe(comm.spec(src, tag, comm.context)).0))
+        let (status, _) = comm.engine().probe(comm.spec(src, tag, comm.context));
+        Ok(request::localize(&comm.group, status))
     }
 
     /// Non-blocking probe (`MPI_Iprobe`).
@@ -787,7 +755,10 @@ impl Endpoint {
         self.comm.check_src(src)?;
         let comm = &self.comm;
         let spec = comm.spec(src, tag, comm.context);
-        Ok(comm.engine().iprobe(spec).map(|(s, _)| comm.localize(s)))
+        Ok(comm
+            .engine()
+            .iprobe(spec)
+            .map(|(s, _)| request::localize(&comm.group, s)))
     }
 }
 
@@ -827,37 +798,8 @@ pub struct PersistentRecv {
 }
 
 impl PersistentRecv {
-    /// Post one round; complete with [`CommRequest::wait_data`].
-    pub fn start(&self) -> CommRequest {
-        CommRequest {
-            inner: self.comm.irecv(self.cap, self.src, self.tag),
-            group: self.comm.group.clone(),
-        }
-    }
-}
-
-/// A request whose `wait` returns communicator-local statuses.
-pub struct CommRequest {
-    inner: Request,
-    group: Arc<Group>,
-}
-
-impl CommRequest {
-    pub fn wait(self) -> (Option<Vec<u8>>, Status) {
-        let (data, status) = self.inner.wait();
-        let source = self
-            .group
-            .local_rank(status.source)
-            .expect("status source outside the communicator");
-        (data, Status { source, ..status })
-    }
-
-    pub fn wait_data(self) -> (Vec<u8>, Status) {
-        let (data, status) = self.wait();
-        (data.expect("wait_data on a send request"), status)
-    }
-
-    pub fn test(&mut self) -> bool {
-        self.inner.test()
+    /// Post one round; complete with [`Request::wait_data`].
+    pub fn start(&self) -> Request {
+        self.comm.post_recv(self.cap, self.src, self.tag)
     }
 }

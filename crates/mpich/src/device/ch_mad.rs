@@ -587,7 +587,7 @@ impl ChMad {
                 conn.end_unpacking();
                 marcel::advance(touch(self.costs.recv_touch_per_byte_ns, body.len()));
                 let eager_copy_ns = ep.channel().model().eager_copy_per_byte_ns;
-                engine.deliver_eager_spanned(env, body, eager_copy_ns, span.take());
+                engine.deliver_eager(env, body, eager_copy_ns, span.take());
                 true
             }
             Packet::Request { env, sender_token } => {
@@ -630,7 +630,7 @@ impl ChMad {
                 let body = conn.unpack_bytes(SendMode::Cheaper, ReceiveMode::Cheaper);
                 conn.end_unpacking();
                 marcel::advance(touch(self.costs.recv_touch_per_byte_ns, body.len()));
-                if let Err(e) = engine.rndv_chunk_spanned(
+                if let Err(e) = engine.rndv_chunk(
                     sync_address,
                     env,
                     offset as usize,

@@ -68,7 +68,7 @@ impl ChP4 {
         while let Some(polled) = self.sources[rank].poll_wait() {
             let (env, data) = polled.payload;
             marcel::advance(self.model.receiver_occupancy(data.len()) + self.costs.sw_recv);
-            engine.deliver_eager(env, data, eager_copy_ns);
+            engine.deliver_eager(env, data, eager_copy_ns, None);
         }
         self.sources[rank].detach();
     }

@@ -24,11 +24,12 @@ pub(crate) fn deliver(engine: &Engine, env: Envelope, data: Bytes, sync: bool, c
         let s2 = slot.clone();
         engine.deliver_rndv_offer(env, Box::new(move |token| s2.put(token)));
         let token = slot.take();
+        let len = data.len();
         engine
-            .rndv_complete(token, env, data)
+            .rndv_chunk(token, env, 0, len, data, None)
             .expect("local rendezvous rhandle is engine-issued");
     } else {
-        engine.deliver_eager(env, data, copy_ns);
+        engine.deliver_eager(env, data, copy_ns, None);
     }
 }
 
@@ -82,7 +83,7 @@ mod tests {
                 false,
                 None,
             );
-            let (data, _) = Request::new(req).wait();
+            let (data, _) = Request::new(req, world.group.clone()).wait();
             (data.unwrap(), marcel::now())
         });
         k.run().unwrap();
@@ -122,7 +123,7 @@ mod tests {
                 false,
                 None,
             );
-            let (data, status) = Request::new(req).wait();
+            let (data, status) = Request::new(req, world.group.clone()).wait();
             (data.unwrap().len(), status.len, marcel::now())
         });
         k.run().unwrap();

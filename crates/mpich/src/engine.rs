@@ -14,11 +14,10 @@
 //!   rhandle ("sync_address") and invokes the device's responder, which
 //!   sends the OK_TO_SEND message *from a separate thread* (a polling
 //!   thread must never send, §4.2.3).
-//! * [`Engine::rndv_complete`] — the rendezvous DATA message, routed by
+//! * [`Engine::rndv_chunk`] — the rendezvous DATA message, routed by
 //!   rhandle straight into the posted buffer: zero-copy. A striped or
-//!   forwarded message arrives as spans ([`Engine::rndv_chunk`]), which
-//!   are re-joined in place, copied only when they are not one
-//!   allocation.
+//!   forwarded message arrives as several spans, which are re-joined in
+//!   place, copied only when they are not one allocation.
 
 use std::collections::HashMap;
 
@@ -300,13 +299,9 @@ struct Allocators {
 }
 
 impl Engine {
-    pub fn new(kernel: &Kernel, rank: usize, costs: AdiCosts) -> Engine {
-        Engine::new_vci(kernel, rank, costs, 1)
-    }
-
-    /// Like [`Engine::new`] with `vcis` matching shards. `vcis = 1` is
-    /// bit-identical to [`Engine::new`].
-    pub fn new_vci(kernel: &Kernel, rank: usize, costs: AdiCosts, vcis: usize) -> Engine {
+    /// The matching engine of world rank `rank`, with `vcis` matching
+    /// shards (one per VCI lane).
+    pub fn new(kernel: &Kernel, rank: usize, costs: AdiCosts, vcis: usize) -> Engine {
         assert!(vcis >= 1, "an engine needs at least one VCI shard");
         Engine {
             rank,
@@ -535,15 +530,11 @@ impl Engine {
     }
 
     /// Deliver an eager message (called from a device's polling thread
-    /// or, for intra-node devices, from the sender's thread).
-    pub fn deliver_eager(&self, env: Envelope, data: Bytes, copy_ns: f64) {
-        self.deliver_eager_spanned(env, data, copy_ns, None);
-    }
-
-    /// [`Engine::deliver_eager`] carrying the device's open handling
-    /// span, which rides the request (or the unexpected queue) until the
-    /// receiving rank observes the completion.
-    pub(crate) fn deliver_eager_spanned(
+    /// or, for intra-node devices, from the sender's thread). `span` is
+    /// the device's open handling span, if any: it rides the request (or
+    /// the unexpected queue) until the receiving rank observes the
+    /// completion.
+    pub fn deliver_eager(
         &self,
         env: Envelope,
         data: Bytes,
@@ -641,30 +632,6 @@ impl Engine {
         self.arrivals.notify_all();
     }
 
-    /// Deliver the (whole) rendezvous DATA for rhandle `token`:
-    /// completes the transaction zero-copy.
-    pub fn rndv_complete(&self, token: u64, env: Envelope, data: Bytes) -> Result<(), EngineError> {
-        let len = data.len();
-        self.rndv_chunk(token, env, 0, len, data)
-    }
-
-    /// Deliver one chunk of a rendezvous transaction. Chunks may arrive
-    /// in any order; the transaction completes when `total` bytes have
-    /// arrived, and its chunks are re-joined in place — copied only when
-    /// they are not one allocation. A rejected chunk leaves the slot
-    /// untouched (the transaction can still complete from other chunks)
-    /// and is reported as a typed [`EngineError`].
-    pub fn rndv_chunk(
-        &self,
-        token: u64,
-        env: Envelope,
-        offset: usize,
-        total: usize,
-        data: Bytes,
-    ) -> Result<(), EngineError> {
-        self.rndv_chunk_spanned(token, env, offset, total, data, None)
-    }
-
     /// Validate one chunk and keep it in its slot, under the state
     /// lock. Returns whether the transaction is now complete. Every
     /// error path leaves `st.rndv` exactly as it was.
@@ -710,11 +677,19 @@ impl Engine {
         Ok(slot.received == total)
     }
 
-    /// [`Engine::rndv_chunk`] carrying the device's open handling span.
-    /// The span of the *completing* chunk rides the request to the
-    /// receiving rank; a non-final chunk's span ends here, covering the
-    /// polling thread's share of the work (as does a rejected chunk's).
-    pub(crate) fn rndv_chunk_spanned(
+    /// Deliver one chunk of a rendezvous transaction (the whole DATA is
+    /// the chunk at offset 0). Chunks may arrive in any order; the
+    /// transaction completes when `total` bytes have arrived, and its
+    /// chunks are re-joined in place — copied only when they are not one
+    /// allocation. A rejected chunk leaves the slot untouched (the
+    /// transaction can still complete from other chunks) and is reported
+    /// as a typed [`EngineError`].
+    ///
+    /// `span` is the device's open handling span, if any. The span of
+    /// the *completing* chunk rides the request to the receiving rank; a
+    /// non-final chunk's span ends here, covering the polling thread's
+    /// share of the work (as does a rejected chunk's).
+    pub fn rndv_chunk(
         &self,
         token: u64,
         env: Envelope,
@@ -888,7 +863,7 @@ mod tests {
     fn post(e: &Engine, spec: MatchSpec, cap: usize) -> Request {
         let slot = OneShot::current();
         e.post_recv(spec, cap, slot.clone());
-        Request::new(slot)
+        Request::new(slot, crate::group::Group::world(16))
     }
 
     /// Offer a rendezvous; the slot its responder puts the rhandle in.
@@ -902,14 +877,14 @@ mod tests {
     fn with_engine(f: impl FnOnce(Engine) + Send + 'static) {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
-        k.spawn("main", move || f(Engine::new(&k2, 0, AdiCosts::free())));
+        k.spawn("main", move || f(Engine::new(&k2, 0, AdiCosts::free(), 1)));
         k.run().unwrap();
     }
 
     #[test]
     fn eager_then_post() {
         with_engine(|e| {
-            e.deliver_eager(env(1, 5, 3), Bytes::from_static(&[1, 2, 3]), 0.0);
+            e.deliver_eager(env(1, 5, 3), Bytes::from_static(&[1, 2, 3]), 0.0, None);
             let req = post(&e, spec(Some(1), Some(5)), 16);
             let (data, status) = req.wait();
             assert_eq!(data.unwrap(), vec![1, 2, 3]);
@@ -922,7 +897,7 @@ mod tests {
         with_engine(|e| {
             let req = post(&e, spec(Some(1), Some(5)), 16);
             assert_eq!(e.depths(), (1, 0, 0));
-            e.deliver_eager(env(1, 5, 2), Bytes::from_static(&[7, 8]), 0.0);
+            e.deliver_eager(env(1, 5, 2), Bytes::from_static(&[7, 8]), 0.0, None);
             let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![7, 8]);
             assert_eq!(e.depths(), (0, 0, 0));
@@ -932,8 +907,8 @@ mod tests {
     #[test]
     fn wildcard_matching_is_fifo() {
         with_engine(|e| {
-            e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[2]), 0.0);
-            e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0);
+            e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[2]), 0.0, None);
+            e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0, None);
             let r1 = post(&e, spec(None, None), 16);
             // ANY_SOURCE/ANY_TAG must take the earliest buffered message.
             let (data, status) = r1.wait();
@@ -946,11 +921,11 @@ mod tests {
     fn non_matching_messages_do_not_complete() {
         with_engine(|e| {
             let mut r = post(&e, spec(Some(1), Some(5)), 16);
-            e.deliver_eager(env(1, 6, 1), Bytes::from_static(&[9]), 0.0);
-            e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[9]), 0.0);
+            e.deliver_eager(env(1, 6, 1), Bytes::from_static(&[9]), 0.0, None);
+            e.deliver_eager(env(2, 5, 1), Bytes::from_static(&[9]), 0.0, None);
             assert!(!r.test());
             assert_eq!(e.depths(), (1, 2, 0));
-            e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0);
+            e.deliver_eager(env(1, 5, 1), Bytes::from_static(&[1]), 0.0, None);
             assert!(r.test());
         });
     }
@@ -962,8 +937,15 @@ mod tests {
             let token = offer(&e, env(3, 1, 4));
             let req = post(&e, spec(Some(3), Some(1)), 16);
             let token = token.try_take().expect("responder must fire on post");
-            e.rndv_complete(token, env(3, 1, 4), Bytes::from_static(&[4, 3, 2, 1]))
-                .unwrap();
+            e.rndv_chunk(
+                token,
+                env(3, 1, 4),
+                0,
+                4,
+                Bytes::from_static(&[4, 3, 2, 1]),
+                None,
+            )
+            .unwrap();
             let (data, _) = req.wait();
             assert_eq!(data.unwrap(), vec![4, 3, 2, 1]);
         });
@@ -975,7 +957,7 @@ mod tests {
             let req = post(&e, spec(None, Some(1)), 16);
             let token = offer(&e, env(3, 1, 2));
             let token = token.try_take().expect("responder fires immediately");
-            e.rndv_complete(token, env(3, 1, 2), Bytes::from_static(&[5, 6]))
+            e.rndv_chunk(token, env(3, 1, 2), 0, 2, Bytes::from_static(&[5, 6]), None)
                 .unwrap();
             let (data, status) = req.wait();
             assert_eq!(data.unwrap(), vec![5, 6]);
@@ -988,9 +970,9 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
         k.spawn("main", move || {
-            let e = Engine::new(&k2, 0, AdiCosts::free());
+            let e = Engine::new(&k2, 0, AdiCosts::free(), 1);
             let _req = post(&e, spec(None, None), 2);
-            e.deliver_eager(env(0, 0, 5), Bytes::from_static(&[0; 5]), 0.0);
+            e.deliver_eager(env(0, 0, 5), Bytes::from_static(&[0; 5]), 0.0, None);
         });
         match k.run() {
             Err(marcel::SimError::ThreadPanicked(msg)) => assert!(msg.contains("truncation")),
@@ -1001,7 +983,7 @@ mod tests {
     #[test]
     fn probe_sees_unexpected_without_consuming() {
         with_engine(|e| {
-            e.deliver_eager(env(1, 7, 3), Bytes::from_static(&[1, 2, 3]), 0.0);
+            e.deliver_eager(env(1, 7, 3), Bytes::from_static(&[1, 2, 3]), 0.0, None);
             assert_eq!(e.iprobe(spec(None, Some(7))).unwrap().0.len, 3);
             assert_eq!(e.iprobe(spec(None, Some(8))), None);
             // Still buffered.
@@ -1016,11 +998,11 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
         let h = k.spawn("main", move || {
-            let e = Arc::new(Engine::new(&k2, 0, AdiCosts::free()));
+            let e = Arc::new(Engine::new(&k2, 0, AdiCosts::free(), 1));
             let e2 = e.clone();
             marcel::spawn("deliverer", move || {
                 marcel::advance(VirtualDuration::from_micros(40));
-                e2.deliver_eager(env(9, 3, 1), Bytes::from_static(&[1]), 0.0);
+                e2.deliver_eager(env(9, 3, 1), Bytes::from_static(&[1]), 0.0, None);
             });
             let st = e.probe(spec(Some(9), Some(3))).0;
             (st.len, marcel::now())
@@ -1037,10 +1019,24 @@ mod tests {
             let mut r = post(&e, spec(Some(1), Some(0)), 64);
             let token = offer(&e, env(1, 0, 10)).take();
             // Three chunks, delivered middle-last-first.
-            e.rndv_chunk(token, env(1, 0, 10), 4, 10, Bytes::from_static(&[5, 6, 7]))
-                .unwrap();
-            e.rndv_chunk(token, env(1, 0, 10), 7, 10, Bytes::from_static(&[8, 9, 10]))
-                .unwrap();
+            e.rndv_chunk(
+                token,
+                env(1, 0, 10),
+                4,
+                10,
+                Bytes::from_static(&[5, 6, 7]),
+                None,
+            )
+            .unwrap();
+            e.rndv_chunk(
+                token,
+                env(1, 0, 10),
+                7,
+                10,
+                Bytes::from_static(&[8, 9, 10]),
+                None,
+            )
+            .unwrap();
             assert!(!r.test(), "incomplete assembly must not complete");
             e.rndv_chunk(
                 token,
@@ -1048,6 +1044,7 @@ mod tests {
                 0,
                 10,
                 Bytes::from_static(&[1, 2, 3, 4]),
+                None,
             )
             .unwrap();
             let (data, status) = r.wait();
@@ -1070,11 +1067,19 @@ mod tests {
                 0,
                 8,
                 Bytes::from_static(&[1, 2, 3, 4, 5]),
+                None,
             )
             .unwrap();
             assert!(!r.test(), "partial offset-0 span must not complete");
-            e.rndv_chunk(token, env(1, 0, 8), 5, 8, Bytes::from_static(&[6, 7, 8]))
-                .unwrap();
+            e.rndv_chunk(
+                token,
+                env(1, 0, 8),
+                5,
+                8,
+                Bytes::from_static(&[6, 7, 8]),
+                None,
+            )
+            .unwrap();
             let (data, status) = r.wait();
             assert_eq!(data.unwrap(), vec![1, 2, 3, 4, 5, 6, 7, 8]);
             assert_eq!(status.len, 8);
@@ -1097,7 +1102,8 @@ mod tests {
                 };
                 for (offset, data) in spans {
                     assert!(!r.test(), "completed before every span landed");
-                    e.rndv_chunk(token, env(1, 0, 8), offset, 8, data).unwrap();
+                    e.rndv_chunk(token, env(1, 0, 8), offset, 8, data, None)
+                        .unwrap();
                 }
                 let data = r.wait_bytes().0.unwrap();
                 assert_eq!(data, sent);
@@ -1112,8 +1118,10 @@ mod tests {
             let (a, b) = (Bytes::from(vec![1u8, 2, 3]), Bytes::from(vec![4u8, 5]));
             let r = post(&e, spec(Some(1), Some(0)), 64);
             let token = offer(&e, env(1, 0, 5)).take();
-            e.rndv_chunk(token, env(1, 0, 5), 3, 5, b.clone()).unwrap();
-            e.rndv_chunk(token, env(1, 0, 5), 0, 5, a.clone()).unwrap();
+            e.rndv_chunk(token, env(1, 0, 5), 3, 5, b.clone(), None)
+                .unwrap();
+            e.rndv_chunk(token, env(1, 0, 5), 0, 5, a.clone(), None)
+                .unwrap();
             let data = r.wait_bytes().0.unwrap();
             assert_eq!(data, vec![1, 2, 3, 4, 5]);
             assert!(data.as_ptr() != a.as_ptr() && data.as_ptr() != b.as_ptr());
@@ -1129,9 +1137,9 @@ mod tests {
             let sent = Bytes::from(vec![1u8, 2, 3, 4, 5, 6, 7, 8]);
             let r = post(&e, spec(Some(1), Some(0)), 64);
             let token = offer(&e, env(1, 0, 8)).take();
-            e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4))
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4), None)
                 .unwrap();
-            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![9u8; 4]))
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![9u8; 4]), None)
                 .unwrap();
             let data = r.wait_bytes().0.unwrap();
             assert_eq!(data, vec![9, 9, 9, 9, 0, 0, 0, 0]);
@@ -1150,9 +1158,9 @@ mod tests {
     fn finish_rndv(e: &Engine, mut r: Request, token: u64) {
         assert!(!r.test());
         let sent = Bytes::from((1u8..=8).collect::<Vec<u8>>());
-        e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4))
+        e.rndv_chunk(token, env(1, 0, 8), 0, 8, sent.slice(..4), None)
             .unwrap();
-        e.rndv_chunk(token, env(1, 0, 8), 4, 8, sent.slice(4..))
+        e.rndv_chunk(token, env(1, 0, 8), 4, 8, sent.slice(4..), None)
             .unwrap();
         assert_eq!(r.wait_bytes().0.unwrap(), sent);
         assert_eq!(e.depths(), (0, 0, 0));
@@ -1162,7 +1170,14 @@ mod tests {
     fn unknown_rhandle_is_rejected() {
         with_engine(|e| {
             let (r, token) = open_rndv(&e);
-            let got = e.rndv_chunk(token + 7, env(1, 0, 8), 0, 8, Bytes::from(vec![0u8; 8]));
+            let got = e.rndv_chunk(
+                token + 7,
+                env(1, 0, 8),
+                0,
+                8,
+                Bytes::from(vec![0u8; 8]),
+                None,
+            );
             assert_eq!(
                 got,
                 Err(EngineError::UnknownRhandle {
@@ -1180,7 +1195,7 @@ mod tests {
             let (r, token) = open_rndv(&e);
             // Out of bounds for either total, but the total is checked
             // first.
-            let got = e.rndv_chunk(token, env(1, 0, 8), 9, 16, Bytes::from(vec![0u8; 8]));
+            let got = e.rndv_chunk(token, env(1, 0, 8), 9, 16, Bytes::from(vec![0u8; 8]), None);
             assert_eq!(
                 got,
                 Err(EngineError::TotalMismatch {
@@ -1198,7 +1213,7 @@ mod tests {
     fn chunk_out_of_bounds_is_rejected() {
         with_engine(|e| {
             let (r, token) = open_rndv(&e);
-            let got = e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![0u8; 3]));
+            let got = e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![0u8; 3]), None);
             assert_eq!(
                 got,
                 Err(EngineError::ChunkOutOfBounds {
@@ -1217,9 +1232,9 @@ mod tests {
     fn over_delivery_is_rejected() {
         with_engine(|e| {
             let (r, token) = open_rndv(&e);
-            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![7u8; 6]))
+            e.rndv_chunk(token, env(1, 0, 8), 0, 8, Bytes::from(vec![7u8; 6]), None)
                 .unwrap();
-            let got = e.rndv_chunk(token, env(1, 0, 8), 4, 8, Bytes::from(vec![0u8; 4]));
+            let got = e.rndv_chunk(token, env(1, 0, 8), 4, 8, Bytes::from(vec![0u8; 4]), None);
             assert_eq!(
                 got,
                 Err(EngineError::OverDelivery {
@@ -1229,7 +1244,7 @@ mod tests {
                     total: 8
                 })
             );
-            e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![8u8; 2]))
+            e.rndv_chunk(token, env(1, 0, 8), 6, 8, Bytes::from(vec![8u8; 2]), None)
                 .unwrap();
             assert_eq!(r.wait().0.unwrap(), vec![7, 7, 7, 7, 7, 7, 8, 8]);
         });
@@ -1241,7 +1256,7 @@ mod tests {
             let req = post(&e, spec(None, None), 8);
             let token = offer(&e, env(2, 1, 3)).take();
             static SENT: [u8; 3] = [9, 8, 7];
-            e.rndv_complete(token, env(2, 1, 3), Bytes::from_static(&SENT))
+            e.rndv_chunk(token, env(2, 1, 3), 0, 3, Bytes::from_static(&SENT), None)
                 .unwrap();
             let data = req.wait_bytes().0.unwrap();
             assert_eq!(data, vec![9, 8, 7]);
@@ -1254,8 +1269,13 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let k2 = k.clone();
         let h = k.spawn("main", move || {
-            let e = Engine::new(&k2, 0, AdiCosts::free());
-            e.deliver_eager(env(1, 0, 100_000), Bytes::from(vec![0u8; 100_000]), 10.0);
+            let e = Engine::new(&k2, 0, AdiCosts::free(), 1);
+            e.deliver_eager(
+                env(1, 0, 100_000),
+                Bytes::from(vec![0u8; 100_000]),
+                10.0,
+                None,
+            );
             let before = marcel::now();
             let req = post(&e, spec(None, None), 1 << 20);
             req.wait();

@@ -10,7 +10,8 @@ pub struct Group {
     ranks: Vec<usize>,
     /// `ranks == 0..len`: local and world numbering coincide. Cached at
     /// construction so the per-collective world-communicator fast path
-    /// (reusing the engine's precomputed cluster chain) is O(1).
+    /// (reusing the engine's precomputed cluster chain) and
+    /// [`Group::local_rank`] are O(1).
     identity: bool,
 }
 
@@ -52,8 +53,12 @@ impl Group {
         self.ranks[local]
     }
 
-    /// Local rank of a world rank, if a member.
+    /// Local rank of a world rank, if a member: O(1) on an identity
+    /// group, a scan otherwise.
     pub fn local_rank(&self, world: usize) -> Option<usize> {
+        if self.identity {
+            return (world < self.ranks.len()).then_some(world);
+        }
         self.ranks.iter().position(|&r| r == world)
     }
 
@@ -149,6 +154,8 @@ mod tests {
         let sub = g.incl(&[4, 1, 3]);
         assert_eq!(sub.ranks(), &[4, 1, 3]);
         assert_eq!(sub.local_rank(1), Some(1));
+        assert_eq!(sub.local_rank(0), None);
+        assert_eq!(g.incl(&[1, 0]).local_rank(0), Some(1));
         let rest = g.excl(&[0, 2]);
         assert_eq!(rest.ranks(), &[1, 3, 4, 5]);
     }

@@ -53,8 +53,7 @@ pub use adi::{AdiCosts, PolicyMode, ProtocolPolicy};
 pub use cart::CartComm;
 pub use coll::{CollAlgorithm, CollEngine, CollError, CollOp, CollPolicy, CommClusters};
 pub use comm::{
-    CommError, CommRequest, Communicator, Endpoint, FromPayload, IntoPayload, PersistentRecv,
-    PersistentSend,
+    CommError, Communicator, Endpoint, FromPayload, IntoPayload, PersistentRecv, PersistentSend,
 };
 pub use datatype::{from_bytes, to_bytes, BaseType, Datatype, MpiScalar};
 pub use device::{ChMadConfig, ChP4Costs, Packet};

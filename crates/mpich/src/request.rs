@@ -2,11 +2,15 @@
 //! non-blocking operations, built on the kernel's virtual-time
 //! semaphores — the same structure the paper's rendezvous rhandle uses
 //! (a semaphore plus a handle identifying the transaction, §4.2.2). A
-//! request's completion slot is a [`OneShot`].
+//! request's completion slot is a [`OneShot`], and every request — send
+//! or receive, on any communicator — returns a communicator-local status.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use marcel::{ActiveSpan, OneShot};
 
+use crate::group::Group;
 use crate::types::Status;
 
 /// What completes a request.
@@ -34,17 +38,34 @@ pub(crate) fn complete(
     slot.put(Completion { data, status, span });
 }
 
+/// `status` with its world-rank source translated to a rank in `group`:
+/// the one translation, used by every wait and by the probes (which
+/// have no request).
+pub(crate) fn localize(group: &Group, status: Status) -> Status {
+    let source = group
+        .local_rank(status.source)
+        .expect("status source outside the communicator (context leak)");
+    Status { source, ..status }
+}
+
 /// Handle to an in-flight non-blocking operation. Consume with
 /// [`Request::wait`]; poll with [`Request::test`].
 pub struct Request {
     slot: OneShot<Completion>,
     /// The completion a successful `test` already took.
     done: Option<Completion>,
+    /// The issuing communicator's group: completions carry world ranks,
+    /// waits return ranks in this group.
+    group: Arc<Group>,
 }
 
 impl Request {
-    pub(crate) fn new(slot: OneShot<Completion>) -> Request {
-        Request { slot, done: None }
+    pub(crate) fn new(slot: OneShot<Completion>, group: Arc<Group>) -> Request {
+        Request {
+            slot,
+            done: None,
+            group,
+        }
     }
 
     /// Block (in virtual time) until the operation completes; returns
@@ -56,14 +77,15 @@ impl Request {
 
     /// Like [`Request::wait`], returning the payload as a refcounted
     /// slice of the wire buffer — the zero-copy variant for callers
-    /// that don't need an owned `Vec`.
+    /// that don't need an owned `Vec`. Every wait goes through here, so
+    /// this is where the status source becomes a communicator rank.
     pub fn wait_bytes(self) -> (Option<Bytes>, Status) {
         let done = match self.done {
             Some(done) => done,
             None => self.slot.take(),
         };
         marcel::obs::span_end(done.span);
-        (done.data, done.status)
+        (done.data, localize(&self.group, done.status))
     }
 
     /// Wait on a receive request and return the data (panics on a send
@@ -123,6 +145,10 @@ mod tests {
     use super::*;
     use marcel::{CostModel, Kernel, VirtualDuration};
 
+    fn request(slot: OneShot<Completion>) -> Request {
+        Request::new(slot, Group::world(8))
+    }
+
     fn status(source: usize, len: usize) -> Status {
         Status {
             source,
@@ -136,7 +162,7 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let h = k.spawn("main", || {
             let slot = OneShot::current();
-            let req = Request::new(slot.clone());
+            let req = request(slot.clone());
             marcel::spawn("completer", move || {
                 marcel::advance(VirtualDuration::from_micros(30));
                 complete(&slot, Some(Bytes::from(vec![1, 2, 3])), status(4, 3), None);
@@ -156,7 +182,7 @@ mod tests {
         let k = Kernel::new(CostModel::free());
         let h = k.spawn("main", || {
             let slot = OneShot::current();
-            let mut req = Request::new(slot.clone());
+            let mut req = request(slot.clone());
             assert!(!req.test());
             complete(&slot, None, status(0, 0), None);
             // Completion happened synchronously; test must see it.
@@ -176,7 +202,7 @@ mod tests {
             let mut reqs = Vec::new();
             for i in 0..3u8 {
                 let slot = OneShot::current();
-                reqs.push(Request::new(slot.clone()));
+                reqs.push(request(slot.clone()));
                 marcel::spawn(format!("c{i}"), move || {
                     marcel::advance(VirtualDuration::from_micros((3 - i as u64) * 10));
                     complete(
@@ -203,7 +229,7 @@ mod tests {
             let mut reqs = Vec::new();
             for i in 0..3u8 {
                 let slot = OneShot::current();
-                reqs.push(Request::new(slot.clone()));
+                reqs.push(request(slot.clone()));
                 let delay = if i == 1 { 5 } else { 500 };
                 marcel::spawn(format!("c{i}"), move || {
                     marcel::advance(VirtualDuration::from_micros(delay));

@@ -37,8 +37,9 @@ impl MatchSpec {
 }
 
 /// Completion information of a receive (like `MPI_Status`). `source` is
-/// a *world* rank at the engine level; [`crate::comm::Communicator`]
-/// translates it to a communicator-local rank before handing it out.
+/// a *world* rank at the engine level; [`crate::Request`]'s wait (and
+/// the endpoint's probes) translate it to a communicator-local rank
+/// before handing it out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Status {
     pub source: usize,

@@ -437,7 +437,7 @@ impl MpiWorld {
             .expect("invalid topology for an MPI world");
         let n = session.n_ranks();
         let engines = (0..n)
-            .map(|r| Engine::new_vci(kernel, r, config.adi.clone(), vcis))
+            .map(|r| Engine::new(kernel, r, config.adi.clone(), vcis))
             .collect();
         let remote = match &config.remote {
             RemoteDeviceKind::ChMad(cfg) => Remote::ChMad(ChMad::new(

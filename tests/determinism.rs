@@ -40,7 +40,11 @@ fn stress_run(seed: u64) -> (Vec<u64>, marcel::VirtualTime) {
             for (src, plan) in plans.iter().enumerate() {
                 for (round, (dst, len)) in plan.iter().enumerate() {
                     if *dst == me {
-                        recvs.push(comm.irecv(*len, Some(src), Some(round as i32)));
+                        recvs.push(
+                            comm.endpoint()
+                                .irecv(*len, Some(src), Some(round as i32))
+                                .unwrap(),
+                        );
                     }
                 }
             }

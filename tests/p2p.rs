@@ -154,8 +154,8 @@ fn isend_irecv_wait() {
             0
         } else {
             // Post both receives before any data exists, out of order.
-            let r2 = comm.irecv(256, Some(0), Some(2));
-            let r1 = comm.irecv(256, Some(0), Some(1));
+            let r2 = ep.irecv(256, Some(0), Some(2)).unwrap();
+            let r1 = ep.irecv(256, Some(0), Some(1)).unwrap();
             let (d2, s2) = r2.wait_data();
             let (d1, s1) = r1.wait_data();
             assert_eq!((d1.len(), s1.len), (100, 100));
@@ -177,7 +177,7 @@ fn request_test_polls_without_blocking() {
             comm.endpoint().send(&[7u8], 1, 0).unwrap();
             true
         } else {
-            let mut req = comm.irecv(8, Some(0), Some(0));
+            let mut req = comm.endpoint().irecv(8, Some(0), Some(0)).unwrap();
             let first = req.test();
             while !req.test() {
                 marcel::sleep(marcel::VirtualDuration::from_micros(50));
@@ -389,8 +389,8 @@ fn wait_any_returns_first_arrival() {
             0
         } else {
             let mut reqs = vec![
-                comm.irecv(8, Some(0), Some(1)),
-                comm.irecv(8, Some(0), Some(2)),
+                ep.irecv(8, Some(0), Some(1)).unwrap(),
+                ep.irecv(8, Some(0), Some(2)).unwrap(),
             ];
             let (_, data, status) = mpich::wait_any(&mut reqs);
             // The tag-2 message was sent 2ms before tag-1.
@@ -401,6 +401,58 @@ fn wait_any_returns_first_arrival() {
         }
     });
     assert_eq!(results[1], 2);
+}
+
+/// Every request — endpoint receives through `wait_all` and `wait_any`,
+/// a persistent receive, a send — returns a communicator-local status
+/// on a split communicator whose local ranks are not its world ranks.
+#[test]
+fn split_communicator_requests_return_local_statuses() {
+    let results = run_world(
+        Topology::single_network(4, Protocol::Sisci),
+        Placement::OneRankPerNode,
+        WorldConfig::default(),
+        |comm| {
+            // Reverse order inside each pair: world 1, 0 and world 3, 2
+            // become local 0, 1.
+            let me = comm.rank() as i32;
+            let sub = comm.split(me / 2, -me).expect("defined color");
+            assert_ne!(sub.rank(), comm.rank());
+            let ep = sub.endpoint();
+            let mut sources = Vec::new();
+            if sub.rank() == 0 {
+                for tag in 1..=4 {
+                    ep.send(&[tag as u8], 1, tag).unwrap();
+                }
+                sub.send_init(vec![5], 1, 5).start().wait_send();
+                let send = ep.isend(&[6u8], 1, 6).unwrap();
+                sources.push(send.wait().1.source);
+            } else {
+                let reqs = vec![
+                    ep.irecv(8, Some(0), Some(1)).unwrap(),
+                    ep.irecv(8, None, Some(2)).unwrap(),
+                ];
+                sources.extend(mpich::wait_all(reqs).iter().map(|(_, st)| st.source));
+                let mut reqs = vec![
+                    ep.irecv(8, None, Some(3)).unwrap(),
+                    ep.irecv(8, Some(0), Some(4)).unwrap(),
+                ];
+                while !reqs.is_empty() {
+                    sources.push(mpich::wait_any(&mut reqs).2.source);
+                }
+                let (_, st) = sub.recv_init(8, None, Some(5)).start().wait_data();
+                sources.push(st.source);
+                let (_, st) = ep.irecv(8, None, Some(6)).unwrap().wait_data();
+                sources.push(st.source);
+            }
+            (sub.rank(), sources)
+        },
+    )
+    .expect("world completes");
+    for (rank, sources) in results {
+        let want = if rank == 0 { vec![0] } else { vec![0; 6] };
+        assert_eq!(sources, want, "local rank {rank}");
+    }
 }
 
 #[test]
