@@ -41,7 +41,7 @@
 //! [`MetricsSnapshot`]'s `Display` is the plain-text stats report.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use crate::kernel::{Decision, TraceEvent};
@@ -563,30 +563,42 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{v}", json_str(k)));
+            push_json_str(&mut out, k);
+            out.push(':');
+            push_u64(&mut out, *v);
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{v}", json_str(k)));
+            push_json_str(&mut out, k);
+            out.push(':');
+            push_u64(&mut out, *v);
         }
         out.push_str("},\"hists\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[{}]}}",
-                json_str(k),
-                h.count,
-                h.sum_ns,
-                h.min_ns,
-                h.max_ns,
-                buckets.join(",")
-            ));
+            push_json_str(&mut out, k);
+            for (field, v) in [
+                (":{\"count\":", h.count),
+                (",\"sum_ns\":", h.sum_ns),
+                (",\"min_ns\":", h.min_ns),
+                (",\"max_ns\":", h.max_ns),
+            ] {
+                out.push_str(field);
+                push_u64(&mut out, v);
+            }
+            out.push_str(",\"buckets\":[");
+            for (j, b) in h.buckets.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                push_u64(&mut out, *b);
+            }
+            out.push_str("]}");
         }
         out.push_str("}}");
         out
@@ -816,97 +828,163 @@ pub struct ThreadMeta {
 pub fn chrome_trace_json(trace: &[TraceEvent], threads: &[ThreadMeta]) -> String {
     let mut order: Vec<&TraceEvent> = trace.iter().collect();
     order.sort_by_key(|e| e.ticket);
-    let trace = order;
-    let mut out = String::new();
+    // A record is typically 70–110 bytes; one reservation covers most traces.
+    let mut out = String::with_capacity(64 + 96 * (threads.len() + trace.len()));
     out.push_str("[\n");
     let mut first = true;
-    let mut push = |line: String, out: &mut String| {
-        if !std::mem::take(&mut first) {
-            out.push_str(",\n");
-        }
-        out.push_str("  ");
-        out.push_str(&line);
+    // Every record opens with its separator and indent.
+    let mut open = |out: &mut String| {
+        out.push_str(if std::mem::take(&mut first) {
+            "  "
+        } else {
+            ",\n  "
+        });
     };
     // Process/thread name metadata.
     let mut pids: Vec<u32> = threads.iter().map(|t| t.pid).collect();
     pids.sort_unstable();
     pids.dedup();
     for pid in pids {
-        push(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"node{pid}\"}}}}"
-            ),
-            &mut out,
-        );
+        open(&mut out);
+        out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":");
+        push_u64(&mut out, pid.into());
+        out.push_str(",\"tid\":0,\"args\":{\"name\":\"node");
+        push_u64(&mut out, pid.into());
+        out.push_str("\"}}");
     }
     for (tid, meta) in threads.iter().enumerate() {
-        push(
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{},\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                meta.pid,
-                json_str(&meta.name)
-            ),
-            &mut out,
-        );
+        open(&mut out);
+        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,\"pid\":");
+        push_u64(&mut out, meta.pid.into());
+        out.push_str(",\"tid\":");
+        push_u64(&mut out, tid as u64);
+        out.push_str(",\"args\":{\"name\":");
+        push_json_str(&mut out, &meta.name);
+        out.push_str("}}");
     }
-    let fallback = ThreadMeta {
-        name: String::new(),
-        pid: 0,
-    };
-    for e in trace {
-        let meta = threads.get(e.tid).unwrap_or(&fallback);
-        let ts = e.time.as_micros_f64();
-        let line = match &e.what {
-            Event::SpanBegin { id, kind, label } => format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"b\",\"id\":{id},\"ts\":{ts},\
-                 \"pid\":{},\"tid\":{}}}",
-                json_str(&format!("{}:{label}", kind.name())),
-                json_str(kind.name()),
-                meta.pid,
-                e.tid
-            ),
-            Event::SpanEnd { id, kind, label } => format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"e\",\"id\":{id},\"ts\":{ts},\
-                 \"pid\":{},\"tid\":{}}}",
-                json_str(&format!("{}:{label}", kind.name())),
-                json_str(kind.name()),
-                meta.pid,
-                e.tid
-            ),
-            other => format!(
-                "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\
-                 \"pid\":{},\"tid\":{}}}",
-                json_str(&other.to_string()),
-                json_str(other.layer().name()),
-                meta.pid,
-                e.tid
-            ),
+    // The event text or span name of the current record, reused.
+    let mut name = String::new();
+    for e in order {
+        let pid = threads.get(e.tid).map_or(0, |meta| meta.pid);
+        name.clear();
+        let (cat, ph, id) = match &e.what {
+            Event::SpanBegin { id, kind, label } | Event::SpanEnd { id, kind, label } => {
+                name.push_str(kind.name());
+                name.push(':');
+                name.push_str(label);
+                let ph = if matches!(e.what, Event::SpanBegin { .. }) {
+                    "b"
+                } else {
+                    "e"
+                };
+                (kind.name(), ph, Some(*id))
+            }
+            other => {
+                // Writing into a `String` cannot fail.
+                let _ = write!(name, "{other}");
+                (other.layer().name(), "i", None)
+            }
         };
-        push(line, &mut out);
+        open(&mut out);
+        out.push_str("{\"name\":");
+        push_json_str(&mut out, &name);
+        out.push_str(",\"cat\":");
+        push_json_str(&mut out, cat);
+        out.push_str(",\"ph\":\"");
+        out.push_str(ph);
+        match id {
+            Some(id) => {
+                out.push_str("\",\"id\":");
+                push_u64(&mut out, id);
+            }
+            None => out.push_str("\",\"s\":\"t\""),
+        }
+        out.push_str(",\"ts\":");
+        push_micros(&mut out, e.time);
+        out.push_str(",\"pid\":");
+        push_u64(&mut out, pid.into());
+        out.push_str(",\"tid\":");
+        push_u64(&mut out, e.tid as u64);
+        out.push('}');
     }
     out.push_str("\n]\n");
     out
 }
 
-/// Minimal JSON string escaping (the build has no serde available).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` as a JSON string literal (the build has no serde
+/// available). Scans bytes and copies unescaped runs whole; every
+/// escaped character is ASCII, so each run boundary is a char boundary.
+fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
-    out
+    for &d in &digits[at..] {
+        out.push(d as char);
+    }
+}
+
+/// Below this many nanoseconds, adjacent doubles near `ns / 1000` lie
+/// far less than 0.001 µs apart, so the shortest decimal that
+/// round-trips `ns as f64 / 1000.0` is the exact quotient.
+const EXACT_MICROS_BELOW_NS: u64 = 1 << 50;
+
+/// Append `t` in microseconds exactly as `{}` prints
+/// [`VirtualTime::as_micros_f64`]: the integer part, then up to three
+/// fraction digits with trailing zeros trimmed.
+fn push_micros(out: &mut String, t: VirtualTime) {
+    let ns = t.0;
+    if ns >= EXACT_MICROS_BELOW_NS {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{}", t.as_micros_f64());
+        return;
+    }
+    push_u64(out, ns / 1_000);
+    let mut frac = ns % 1_000;
+    if frac == 0 {
+        return;
+    }
+    out.push('.');
+    let mut scale = 100;
+    while frac != 0 {
+        out.push((b'0' + (frac / scale) as u8) as char);
+        frac %= scale;
+        scale /= 10;
+    }
 }
 
 #[cfg(test)]
@@ -1167,5 +1245,192 @@ mod tests {
             })
             .collect();
         assert_eq!(order, ["src#0", "src#1", "src#2", "src#3"]);
+    }
+
+    /// A trace that exercises every branch of the exporter: span pairs,
+    /// instants, escapes in thread names and event text, a tid beyond
+    /// the thread table, tickets out of order, and `ts` on both sides
+    /// of the integer-formatting bound.
+    fn exporter_fixture() -> (Vec<TraceEvent>, Vec<ThreadMeta>) {
+        let threads = vec![
+            ThreadMeta {
+                name: "rank0".into(),
+                pid: 0,
+            },
+            ThreadMeta {
+                name: "q\"b\\s\nt\tr\r\u{1}\u{1f}é→名".into(),
+                pid: 3,
+            },
+            ThreadMeta {
+                name: "rank1-poll-tcp#0".into(),
+                pid: 1,
+            },
+        ];
+        let times = [
+            0u64,
+            1,
+            10,
+            100,
+            999,
+            1_000,
+            1_001,
+            123_456_789,
+            (1 << 50) - 1,
+            1 << 50,
+            (1 << 50) + 7,
+            u64::MAX,
+        ];
+        let whats = [
+            Event::SpanBegin {
+                id: 1,
+                kind: SpanKind::Pack,
+                label: "tcp",
+            },
+            Event::PollWake { source: 2 },
+            Event::SpanEnd {
+                id: 1,
+                kind: SpanKind::Pack,
+                label: "tcp",
+            },
+            Event::Pack {
+                channel: Arc::from("ch\"\\é"),
+                to: 1,
+                seq: 9,
+                bytes: 64,
+                segments: 2,
+            },
+            Event::SemBlockTimeout {
+                sem: 4,
+                deadline: VirtualTime(1_500),
+            },
+            Event::RecvMatched {
+                rank: 0,
+                src: 1,
+                tag: -1,
+                unexpected: true,
+            },
+            Event::SpanBegin {
+                id: 2,
+                kind: SpanKind::Handle,
+                label: "sisci",
+            },
+            Event::Spawn,
+            Event::SpanEnd {
+                id: 2,
+                kind: SpanKind::Handle,
+                label: "sisci",
+            },
+            Event::Exit,
+            Event::RailSelected {
+                rank: 1,
+                dst: 0,
+                rail: Arc::from("bip"),
+                bytes: 4096,
+            },
+            Event::UnexpectedQueued {
+                rank: 1,
+                src: 0,
+                tag: 7,
+                depth: 3,
+            },
+        ];
+        // Tickets reversed in pairs; tid 5 lies beyond the table.
+        let trace = times
+            .iter()
+            .zip(whats)
+            .enumerate()
+            .map(|(i, (&ns, what))| TraceEvent {
+                time: VirtualTime(ns),
+                tid: [0, 1, 2, 5][i % 4],
+                ticket: (i ^ 1) as u64,
+                what,
+            })
+            .collect();
+        (trace, threads)
+    }
+
+    /// A snapshot with an escaped key in every section.
+    fn metrics_fixture() -> MetricsSnapshot {
+        let mut m = Metrics::new();
+        m.counter_add("a/x", 5);
+        m.counter_add("q\"\\\n/é", u64::MAX);
+        m.counter_add("z", 0);
+        m.gauge_max("g\t", 4);
+        m.gauge_max("h", 17);
+        m.observe_ns("h\"", 0);
+        m.observe_ns("h\"", 1_000);
+        m.observe_ns("h\"", 3_000_000_007);
+        m.observe_ns("span/pack/tcp", 12);
+        m.snapshot()
+    }
+
+    #[test]
+    fn chrome_export_bytes_are_pinned() {
+        // A capture of the per-event `format!` exporter's output: the
+        // one-buffer exporter must not move a byte.
+        let (trace, threads) = exporter_fixture();
+        assert_eq!(
+            chrome_trace_json(&trace, &threads),
+            r##"[
+  {"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"node0"}},
+  {"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"node1"}},
+  {"name":"process_name","ph":"M","ts":0,"pid":3,"tid":0,"args":{"name":"node3"}},
+  {"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"rank0"}},
+  {"name":"thread_name","ph":"M","ts":0,"pid":3,"tid":1,"args":{"name":"q\"b\\s\nt\tr\r\u0001\u001fé→名"}},
+  {"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":2,"args":{"name":"rank1-poll-tcp#0"}},
+  {"name":"post->wake src#2","cat":"marcel","ph":"i","s":"t","ts":0.001,"pid":3,"tid":1},
+  {"name":"pack:tcp","cat":"pack","ph":"b","id":1,"ts":0,"pid":0,"tid":0},
+  {"name":"pack ch\"\\é->#1 seq=9 64B x2","cat":"madeleine","ph":"i","s":"t","ts":0.1,"pid":0,"tid":5},
+  {"name":"pack:tcp","cat":"pack","ph":"e","id":1,"ts":0.01,"pid":1,"tid":2},
+  {"name":"adi match rank0 src=#1 tag=-1 (unexpected)","cat":"adi","ph":"i","s":"t","ts":1,"pid":3,"tid":1},
+  {"name":"P sem#4 blocks until 1.500us","cat":"marcel","ph":"i","s":"t","ts":0.999,"pid":0,"tid":0},
+  {"name":"spawn","cat":"marcel","ph":"i","s":"t","ts":123456.789,"pid":0,"tid":5},
+  {"name":"handle:sisci","cat":"handle","ph":"b","id":2,"ts":1.001,"pid":1,"tid":2},
+  {"name":"exit","cat":"marcel","ph":"i","s":"t","ts":1125899906842.624,"pid":3,"tid":1},
+  {"name":"handle:sisci","cat":"handle","ph":"e","id":2,"ts":1125899906842.623,"pid":0,"tid":0},
+  {"name":"adi unexpected rank1 src=#0 tag=7 depth=3","cat":"adi","ph":"i","s":"t","ts":18446744073709550,"pid":0,"tid":5},
+  {"name":"rail bip selected #1->#0 4096B","cat":"ch_mad","ph":"i","s":"t","ts":1125899906842.631,"pid":1,"tid":2}
+]
+"##
+        );
+        assert_eq!(chrome_trace_json(&[], &[]), "[\n\n]\n");
+    }
+
+    #[test]
+    fn metrics_json_bytes_are_pinned() {
+        // A capture of the former `to_json` output, which CI checkers
+        // and the replay tooling diff byte for byte.
+        assert_eq!(
+            metrics_fixture().to_json(),
+            r##"{"counters":{"a/x":5,"q\"\\\n/é":18446744073709551615,"z":0},"gauges":{"g\t":4,"h":17},"hists":{"h\"":{"count":3,"sum_ns":3000001007,"min_ns":0,"max_ns":3000000007,"buckets":[1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]},"span/pack/tcp":{"count":1,"sum_ns":12,"min_ns":12,"max_ns":12,"buckets":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}"##
+        );
+        assert_eq!(
+            MetricsSnapshot::default().to_json(),
+            r#"{"counters":{},"gauges":{},"hists":{}}"#
+        );
+    }
+
+    fn micros(ns: u64) -> String {
+        let mut out = String::new();
+        push_micros(&mut out, VirtualTime(ns));
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn micros_formatting_equals_the_f64_display(
+            ns in proptest::prelude::any::<u64>(),
+            near in 0u64..1 << 20,
+        ) {
+            for ns in [
+                ns,
+                ns >> 14,
+                ns >> 40,
+                EXACT_MICROS_BELOW_NS - 1 - near,
+                EXACT_MICROS_BELOW_NS + near,
+            ] {
+                proptest::prop_assert_eq!(micros(ns), format!("{}", ns as f64 / 1000.0));
+            }
+        }
     }
 }
