@@ -80,8 +80,8 @@ pub struct CostModel {
     /// assigns (see [`crate::exec::ticket_seed`]).
     pub exec_seed: u64,
     /// Debug cross-check: on every scheduling decision also compute the
-    /// minimum key with an O(threads) linear scan and assert the timer
-    /// wheel's peek agrees.
+    /// minimum key with an O(threads) linear scan and assert the ready
+    /// heap's peek agrees.
     pub sched_xcheck: bool,
 }
 
@@ -143,7 +143,8 @@ impl CostModel {
     }
 
     /// Cross-checking variant of `self`: every scheduling decision runs
-    /// both the wheel peek and the linear scan and asserts they agree.
+    /// both the ready-heap peek and the linear scan and asserts they
+    /// agree.
     pub fn with_sched_xcheck(mut self) -> Self {
         self.sched_xcheck = true;
         self

@@ -41,7 +41,8 @@
 //! poll cost to every detection on the SCI channel.
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -51,7 +52,6 @@ use crate::fiber::{Prev, Stack, Suspended};
 use crate::obs::{Event, EventSink, Metrics, MetricsSnapshot};
 use crate::owned::{OwnedCell, OwnedMut};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
-use crate::wheel::TimerWheel;
 
 /// Identifier of a simulated thread.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -263,6 +263,64 @@ pub struct Decision {
     pub events_before: u64,
 }
 
+/// The schedulable set, ordered by scheduling key `(at, tid)`: exactly
+/// the threads that are `Ready` (at their clock), `Sleeping` (at their
+/// wake time) or `BlockedSemTimeout` (at their deadline). A lazy binary
+/// heap: `due` holds each thread's one live key, and a heap entry whose
+/// key no longer matches `due` is stale and dropped once it surfaces.
+/// Every update pops the stale entries off the top, so the top is always
+/// live and [`ReadySet::peek`] is the exact minimum — O(log threads) per
+/// scheduling decision.
+///
+/// An entry goes stale in two ways. The committed thread is the top and
+/// is popped at once. A timed semaphore waiter that `make_ready` re-keys
+/// to an earlier wake leaves its deadline entry behind until the live
+/// minimum passes it; the only timed wait is ch_mad's faulted rendezvous
+/// `wait_timeout` (deadlines of 30 ms to 1 s). So the heap holds the
+/// live set plus at most one stale entry per pending deadline.
+#[derive(Default)]
+pub(crate) struct ReadySet {
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    due: Vec<Option<u64>>,
+}
+
+impl ReadySet {
+    /// Index (or re-index) thread `tid` as due at `at`. Callers need not
+    /// know whether the thread was already schedulable (a semaphore
+    /// release re-keys a timed waiter from its deadline to its wake).
+    pub(crate) fn upsert(&mut self, tid: usize, at: u64) {
+        if tid >= self.due.len() {
+            self.due.resize(tid + 1, None);
+        }
+        if self.due[tid] == Some(at) {
+            return;
+        }
+        self.due[tid] = Some(at);
+        self.heap.push(Reverse((at, tid)));
+        self.drop_stale();
+    }
+
+    /// Take thread `tid` out of the set (it was committed to run).
+    pub(crate) fn remove(&mut self, tid: usize) {
+        self.due[tid] = None;
+        self.drop_stale();
+    }
+
+    /// The minimum `(at, tid)`, or `None` when nothing is schedulable.
+    pub(crate) fn peek(&self) -> Option<(u64, usize)> {
+        self.heap.peek().map(|&Reverse(key)| key)
+    }
+
+    fn drop_stale(&mut self) {
+        while let Some(&Reverse((at, tid))) = self.heap.peek() {
+            if self.due[tid] == Some(at) {
+                break;
+            }
+            self.heap.pop();
+        }
+    }
+}
+
 pub(crate) struct Sched {
     pub(crate) threads: Vec<ThreadSlot>,
     pub(crate) running: Option<Tid>,
@@ -277,9 +335,9 @@ pub(crate) struct Sched {
     /// the process's own sources instead of scanning every source in
     /// the world — O(proc sources) per detection instead of O(total).
     pub(crate) proc_sources: Vec<Vec<usize>>,
-    /// Timer-wheel index over the schedulable set (see
-    /// [`crate::wheel`]).
-    pub(crate) wheel: TimerWheel,
+    /// The schedulable set, ordered by scheduling key (see
+    /// [`ReadySet`]).
+    pub(crate) ready: ReadySet,
     pub(crate) post_seq: u64,
     pub(crate) trace: Option<Vec<TraceEvent>>,
     /// Committed scheduling decisions (see [`Decision`]); `None` when
@@ -481,12 +539,11 @@ impl Shared {
     /// The scheduling key of every runnable thread: Ready threads are
     /// due at their clock, Sleepers at their wake time, timed semaphore
     /// waiters at their deadline. Returns the minimum, or `None` when
-    /// nothing can run — an O(levels) peek of the timer wheel, which
-    /// carries an exact-min guarantee. Under
+    /// nothing can run — the top of the [`ReadySet`] heap. Under
     /// [`CostModel::with_sched_xcheck`] every peek is checked against
-    /// the linear scan the wheel replaced.
+    /// the linear scan.
     fn best_candidate(&self, sched: &Sched) -> Option<SchedKey> {
-        let peeked = sched.wheel.peek().map(|(at, tid)| SchedKey {
+        let peeked = sched.ready.peek().map(|(at, tid)| SchedKey {
             at: VirtualTime(at),
             tid,
         });
@@ -494,7 +551,7 @@ impl Shared {
             assert_eq!(
                 peeked,
                 Self::scan_candidate(sched),
-                "timer wheel diverged from the linear-scan reference"
+                "ready heap diverged from the linear-scan reference"
             );
         }
         peeked
@@ -551,11 +608,8 @@ impl Shared {
             }
         }
         let next = Tid(key.tid);
-        // The committed thread leaves the schedulable set; the wheel
-        // cursor advances to the committed key — the monotone low-water
-        // mark every future insert is at or above.
-        sched.wheel.remove(next.0);
-        sched.wheel.advance_to(key.at.0);
+        // The committed thread leaves the schedulable set.
+        sched.ready.remove(next.0);
         let wake = match sched.threads[next.0].state {
             TState::Sleeping(wake) => Some((None, wake)),
             // Scheduled *at the deadline*: the wait timed out. Leave the
@@ -602,7 +656,7 @@ impl Shared {
         debug_assert!(matches!(sched.threads[me.0].state, TState::Running));
         sched.threads[me.0].state = TState::Ready;
         let due = sched.threads[me.0].vtime;
-        sched.wheel.upsert(me.0, due.0);
+        sched.ready.upsert(me.0, due.0);
         let committed = self.commit_next(sched);
         assert!(committed, "running thread is always a candidate");
         self.wait_until_running(sched, me);
@@ -620,7 +674,7 @@ impl Shared {
         };
         sched.threads[me.0].state = state;
         if let Some(at) = due {
-            sched.wheel.upsert(me.0, at.0);
+            sched.ready.upsert(me.0, at.0);
         }
         self.dispatch(sched);
         self.wait_until_running(sched, me);
@@ -652,7 +706,7 @@ impl Shared {
         // Upsert: a timed semaphore waiter was indexed at its deadline
         // and re-keys to its (earlier) wake time here.
         let due = slot.vtime;
-        sched.wheel.upsert(target.0, due.0);
+        sched.ready.upsert(target.0, due.0);
     }
 
     /// The context of whoever holds the run token now: the committed
@@ -806,7 +860,7 @@ impl Kernel {
                     sems: Vec::new(),
                     sources: Vec::new(),
                     proc_sources: Vec::new(),
-                    wheel: TimerWheel::new(),
+                    ready: ReadySet::default(),
                     post_seq: 0,
                     trace: None,
                     decisions: None,
@@ -1319,5 +1373,174 @@ mod tests {
         }
         k.run().unwrap();
         assert_eq!(*log.lock().unwrap(), vec!["early", "mid", "late"]);
+    }
+
+    /// Reference for the [`ReadySet`] tests: a linear scan over a shadow
+    /// of `due`.
+    fn scan_min(due: &[Option<u64>]) -> Option<(u64, usize)> {
+        due.iter()
+            .enumerate()
+            .filter_map(|(tid, d)| d.map(|at| (at, tid)))
+            .min()
+    }
+
+    #[test]
+    fn ready_set_empty_peeks_none() {
+        let mut r = ReadySet::default();
+        assert_eq!(r.peek(), None);
+        r.upsert(3, 7);
+        r.remove(3);
+        assert_eq!(r.peek(), None);
+    }
+
+    #[test]
+    fn ready_set_breaks_ties_by_tid() {
+        let mut r = ReadySet::default();
+        r.upsert(3, 100);
+        r.upsert(1, 100);
+        r.upsert(2, 50);
+        assert_eq!(r.peek(), Some((50, 2)));
+        r.remove(2);
+        assert_eq!(r.peek(), Some((100, 1)));
+        r.remove(1);
+        assert_eq!(r.peek(), Some((100, 3)));
+    }
+
+    #[test]
+    fn ready_set_rekeys_early() {
+        let mut r = ReadySet::default();
+        r.upsert(0, 1_000_000);
+        r.upsert(1, 2_000_000);
+        assert_eq!(r.peek(), Some((1_000_000, 0)));
+        // A timed waiter released before its deadline re-keys below the
+        // other thread; its deadline entry is left behind, stale.
+        r.upsert(1, 500_000);
+        assert_eq!(r.peek(), Some((500_000, 1)));
+        r.remove(1);
+        assert_eq!(r.peek(), Some((1_000_000, 0)));
+        r.remove(0);
+        assert_eq!(r.peek(), None);
+        assert!(r.heap.is_empty(), "the stale deadline surfaced and went");
+    }
+
+    #[test]
+    fn ready_set_keys_near_u64_max() {
+        let mut r = ReadySet::default();
+        r.upsert(0, u64::MAX);
+        r.upsert(1, u64::MAX - 1);
+        r.upsert(3, u64::MAX);
+        r.upsert(2, 0);
+        assert_eq!(r.peek(), Some((0, 2)));
+        r.remove(2);
+        assert_eq!(r.peek(), Some((u64::MAX - 1, 1)));
+        r.remove(1);
+        assert_eq!(r.peek(), Some((u64::MAX, 0)));
+        r.remove(0);
+        assert_eq!(r.peek(), Some((u64::MAX, 3)));
+    }
+
+    #[test]
+    fn ready_set_matches_linear_scan_on_random_workload() {
+        // Deterministic LCG; the kernel's usage pattern: file at or
+        // after the last committed key, commit the minimum, re-key.
+        let mut state = 0x243F6A8885A308D3u64;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 16
+        };
+        let n = 200;
+        let mut r = ReadySet::default();
+        let mut shadow = vec![None; n];
+        // Everyone starts at zero (the kernel's startup shape).
+        for (tid, due) in shadow.iter_mut().enumerate() {
+            r.upsert(tid, 0);
+            *due = Some(0);
+        }
+        let mut cursor = 0u64;
+        for _ in 0..5_000 {
+            assert_eq!(r.peek(), scan_min(&shadow));
+            match rng() % 4 {
+                // Commit the minimum; it usually comes back later.
+                0 | 1 => {
+                    if let Some((at, tid)) = scan_min(&shadow) {
+                        r.remove(tid);
+                        cursor = cursor.max(at);
+                        let back = cursor + (rng() % (1 << (rng() % 30)));
+                        r.upsert(tid, back);
+                        shadow[tid] = Some(back);
+                    }
+                }
+                // Wake or re-key a random thread at or after the cursor.
+                2 => {
+                    let tid = (rng() as usize) % n;
+                    let at = cursor + (rng() % (1 << (rng() % 34)));
+                    r.upsert(tid, at);
+                    shadow[tid] = Some(at);
+                }
+                // Block a random thread (leave the schedulable set).
+                _ => {
+                    let tid = (rng() as usize) % n;
+                    r.remove(tid);
+                    shadow[tid] = None;
+                }
+            }
+        }
+        assert_eq!(r.peek(), scan_min(&shadow));
+    }
+
+    #[test]
+    fn ready_set_reinsert_over_stale_copy_peeks_once() {
+        let mut r = ReadySet::default();
+        r.upsert(1, 5);
+        r.upsert(0, 100);
+        r.upsert(2, 200);
+        // Thread 0 leaves and comes back at the same key while its old
+        // entry, not on top, is still in the heap: two copies.
+        r.remove(0);
+        r.upsert(0, 100);
+        assert_eq!(r.heap.len(), 4);
+        assert_eq!(r.peek(), Some((5, 1)));
+        r.remove(1);
+        assert_eq!(r.peek(), Some((100, 0)));
+        // Committing thread 0 drops both copies: the next peek skips the
+        // leftover one.
+        r.remove(0);
+        assert_eq!(r.peek(), Some((200, 2)));
+        assert_eq!(r.heap.len(), 1);
+    }
+
+    #[test]
+    fn ready_set_early_rekeys_drain_to_live_count() {
+        // Thread 0 waits with a 1 ms deadline and is released early, n
+        // times over, while thread 1 stays due just after each release:
+        // every release leaves its deadline entry behind.
+        let n = 16u64;
+        let mut r = ReadySet::default();
+        for i in 0..n {
+            let t = i * 1_000;
+            r.upsert(1, t + 900);
+            r.upsert(0, t + 1_000_000);
+            r.upsert(0, t + 500);
+            assert_eq!(r.peek(), Some((t + 500, 0)));
+            r.remove(0);
+        }
+        assert_eq!(r.heap.len(), 1 + n as usize);
+        // Threads 1 and 2 take turns running; once the live minimum
+        // passes the abandoned deadlines, the heap holds the live set.
+        r.upsert(2, n * 1_000);
+        let mut len = r.heap.len();
+        while let Some((at, tid)) = r.peek() {
+            assert!(tid == 1 || tid == 2, "a stale entry surfaced: {tid}");
+            if at > 1_000_000 + n * 1_000 {
+                break;
+            }
+            r.remove(tid);
+            r.upsert(tid, at + 3_000);
+            assert!(r.heap.len() <= len, "the heap grew without a new key");
+            len = r.heap.len();
+        }
+        assert_eq!(r.heap.len(), 2);
     }
 }

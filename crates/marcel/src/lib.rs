@@ -12,8 +12,8 @@
 //!   deterministic trace.
 //! * [`thread`] — ambient operations (`advance`, `now`, `spawn`, `sleep`,
 //!   `yield_now`) on the current simulated thread.
-//! * [`sync`] — semaphores, mutexes, condvars, one-shot slots, blocking
-//!   queues; all blocking happens in virtual time.
+//! * [`sync`] — semaphores, mutexes, condvars, one-shot slots, barriers;
+//!   all blocking happens in virtual time.
 //! * [`poll`] — the Marcel/Madeleine factorized-polling model: message
 //!   detection delay equals one polling-loop cycle (sum of the attached
 //!   sources' poll costs), which is what makes the paper's multi-protocol
@@ -48,7 +48,6 @@ pub mod poll;
 pub mod sync;
 pub mod thread;
 pub mod time;
-pub mod wheel;
 
 pub use cost::{CostModel, ExecPolicy, PollPolicy};
 pub use exec::ticket_seed;
@@ -59,7 +58,7 @@ pub use obs::{
 };
 pub use owned::OwnedCell;
 pub use poll::{PollSource, Polled};
-pub use sync::{OneShot, Queue, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard};
+pub use sync::{OneShot, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard};
 pub use thread::{
     advance, advance_to, dispatch_seed, dispatch_ticket, in_simulation, name, now, sleep,
     sleep_until, spawn, yield_now, JoinHandle,

@@ -1,5 +1,5 @@
 //! Simulated synchronization primitives: semaphores, mutexes, condition
-//! variables, one-shot slots, blocking FIFO queues and barriers.
+//! variables, one-shot slots and barriers.
 //!
 //! These block in *virtual* time through the kernel, and charge the cost
 //! model's `sem_op`/`wake`/`ctx_switch` costs — which is where the paper's
@@ -10,16 +10,15 @@
 //! # Ownership
 //!
 //! Every primitive is a [`Semaphore`] plus some state: a mutex's data, a
-//! one-shot's value, a queue's buffer, a condvar's waiter count, a
-//! barrier's arrivals. That state lives in the semaphore's slot in the
-//! kernel's scheduler and is touched only inside one of the semaphore's
-//! operations — a P, a V, or a host-side access that charges nothing —
-//! while it borrows the scheduler. That borrow is no lock either: the
-//! scheduler is an [`OwnedCell`](crate::OwnedCell) of the OS thread the
-//! kernel runs on, and using a primitive from any other OS thread
-//! panics, naming the owner. A mutex guard carries the data out of the
-//! slot when the acquire completes and puts it back in the step that
-//! releases it.
+//! one-shot's value, a condvar's waiter count, a barrier's arrivals. That
+//! state lives in the semaphore's slot in the kernel's scheduler and is
+//! touched only inside one of the semaphore's operations — a P, a V, or a
+//! host-side access that charges nothing — while it borrows the
+//! scheduler. That borrow is no lock either: the scheduler is an
+//! [`OwnedCell`](crate::OwnedCell) of the OS thread the kernel runs on,
+//! and using a primitive from any other OS thread panics, naming the
+//! owner. A mutex guard carries the data out of the slot when the
+//! acquire completes and puts it back in the step that releases it.
 //!
 //! Handles hold their kernel weakly: state that holds a primitive of its
 //! own kernel forms no reference cycle, and is dropped with the kernel.
@@ -468,66 +467,6 @@ impl<T: Send + 'static> OneShot<T> {
     }
 }
 
-/// Unbounded blocking FIFO queue (virtual-time blocking pop). The buffer
-/// lives in the semaphore's slot.
-pub struct Queue<T> {
-    sem: Semaphore,
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T> Clone for Queue<T> {
-    fn clone(&self) -> Self {
-        Queue {
-            sem: self.sem.clone(),
-            _item: PhantomData,
-        }
-    }
-}
-
-impl<T: Send + 'static> Queue<T> {
-    pub fn new(kernel: &Kernel) -> Self {
-        Self::on(Some(kernel))
-    }
-
-    pub fn current() -> Self {
-        Self::on(None)
-    }
-
-    fn on(kernel: Option<&Kernel>) -> Self {
-        Queue {
-            sem: Semaphore::holding(kernel, 0, Some(Box::new(VecDeque::<T>::new()))),
-            _item: PhantomData,
-        }
-    }
-
-    pub fn push(&self, value: T) {
-        self.sem
-            .release_with(|buf| state::<VecDeque<T>>(buf).push_back(value));
-    }
-
-    /// Block until an element is available.
-    pub fn pop(&self) -> T {
-        self.sem
-            .acquire_with(|buf| state::<VecDeque<T>>(buf).pop_front())
-            .expect("queue semaphore out of sync")
-    }
-
-    pub fn try_pop(&self) -> Option<T> {
-        self.sem
-            .try_acquire_with(|buf| state::<VecDeque<T>>(buf).pop_front())
-            .map(|v| v.expect("queue semaphore out of sync"))
-    }
-
-    pub fn len(&self) -> usize {
-        self.sem
-            .host(|sem| state::<VecDeque<T>>(&mut sem.payload).len())
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// A reusable cyclic barrier for a fixed party count, blocking in
 /// virtual time. The generation counter makes it safe to reuse
 /// immediately (no thundering-herd double release). Arrivals are
@@ -862,48 +801,16 @@ mod tests {
     }
 
     #[test]
-    fn queue_fifo_across_threads() {
-        let k = Kernel::new(CostModel::free());
-        let q = Queue::<u32>::new(&k);
-        let q2 = q.clone();
-        let h = k.spawn("consumer", move || {
-            (0..5).map(|_| q2.pop()).collect::<Vec<_>>()
-        });
-        k.spawn("producer", move || {
-            for i in 0..5 {
-                advance(VirtualDuration::from_micros(2));
-                q.push(i);
-            }
-        });
-        k.run().unwrap();
-        assert_eq!(h.join_outcome().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn queue_try_pop() {
-        let k = Kernel::new(CostModel::free());
-        let q = Queue::<u32>::new(&k);
-        let h = k.spawn("t", move || {
-            let empty = q.try_pop();
-            q.push(7);
-            let full = q.try_pop();
-            (empty, full)
-        });
-        k.run().unwrap();
-        assert_eq!(h.join_outcome().unwrap(), (None, Some(7)));
-    }
-
-    #[test]
     fn spawn_inside_then_synchronize() {
         let k = Kernel::new(CostModel::calibrated());
         let h = k.spawn("main", || {
-            let q = Queue::<u64>::current();
-            let q2 = q.clone();
+            let slot = OneShot::<u64>::current();
+            let s2 = slot.clone();
             let w = spawn("worker", move || {
                 advance(VirtualDuration::from_micros(12));
-                q2.push(1);
+                s2.put(1);
             });
-            let v = q.pop();
+            let v = slot.take();
             w.join();
             v
         });

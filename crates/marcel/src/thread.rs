@@ -177,7 +177,7 @@ where
     });
     sched.live += 1;
     // The child is born Ready, due at its start clock.
-    sched.wheel.upsert(tid.0, start.0);
+    sched.ready.upsert(tid.0, start.0);
     sched.record(tid, || crate::obs::Event::Spawn);
     JoinHandle {
         tid,

@@ -72,18 +72,6 @@ pub struct WorldConfig {
     /// `Fixed(alg)` forces one catalog entry wherever it applies. See
     /// [`crate::coll`].
     pub coll: CollPolicy,
-    /// Idle-channel handling in the factorized polling loop. `Seed`
-    /// (the default) polls every open channel on every cycle, so an
-    /// idle TCP channel taxes every SCI detection (the Figure 9
-    /// effect); `Parking` parks a channel after
-    /// `cost_model.park_after` consecutive empty detections and
-    /// re-arms it on the next incoming message. Copied into
-    /// `cost_model.poll_policy` when the world starts.
-    pub poll: PollPolicy,
-    /// Execution-policy label, copied into `cost_model.exec_policy`
-    /// when the world starts. Inert — `Seed` and `Ticketed` run the
-    /// same userland hand-off — and kept because journals name it.
-    pub exec: ExecPolicy,
     /// Record the kernel's decision log ([`marcel::Decision`] per
     /// committed ticket; retrieve with `Kernel::take_decisions` after
     /// the run). Like tracing it never advances virtual time. The
@@ -185,8 +173,6 @@ impl Default for WorldConfig {
             forwarding: false,
             trace: false,
             coll: CollPolicy::Seed,
-            poll: PollPolicy::Seed,
-            exec: ExecPolicy::Seed,
             decisions: false,
             force_fallback: 0,
             stream: None,
@@ -262,6 +248,8 @@ pub struct WorldConfigBuilder {
 }
 
 impl WorldConfigBuilder {
+    /// Replace the whole cost model, including the policies
+    /// [`Self::poll`] and [`Self::exec`] write into it.
     pub fn cost_model(mut self, v: CostModel) -> Self {
         self.cfg.cost_model = v;
         self
@@ -292,13 +280,24 @@ impl WorldConfigBuilder {
         self
     }
 
+    /// Idle-channel handling in the factorized polling loop: sets
+    /// `cost_model.poll_policy`. `Seed` (the default) polls every open
+    /// channel on every cycle, so an idle TCP channel taxes every SCI
+    /// detection (the Figure 9 effect); `Parking` parks a channel after
+    /// `cost_model.park_after` consecutive empty detections and re-arms
+    /// it on the next incoming message. [`Self::cost_model`] replaces
+    /// the whole model, so call it before this setter.
     pub fn poll(mut self, v: PollPolicy) -> Self {
-        self.cfg.poll = v;
+        self.cfg.cost_model.poll_policy = v;
         self
     }
 
+    /// Execution-policy label: sets `cost_model.exec_policy`. Inert —
+    /// `Seed` and `Ticketed` run the same userland hand-off — and kept
+    /// because journals name it. [`Self::cost_model`] replaces the
+    /// whole model, so call it before this setter.
     pub fn exec(mut self, v: ExecPolicy) -> Self {
-        self.cfg.exec = v;
+        self.cfg.cost_model.exec_policy = v;
         self
     }
 
@@ -623,10 +622,7 @@ where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Send + Sync + 'static,
 {
-    let mut cost_model = config.cost_model.clone();
-    cost_model.poll_policy = config.poll;
-    cost_model.exec_policy = config.exec;
-    let kernel = Kernel::new(cost_model);
+    let kernel = Kernel::new(config.cost_model.clone());
     if config.trace {
         kernel.enable_trace();
     }

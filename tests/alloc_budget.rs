@@ -129,8 +129,9 @@ fn per_message_allocations_do_not_grow_with_the_world() {
     let (allocs, _) = counted(storm_world);
     let messages = (STORM_RANKS * (STORM_RANKS - 1) * STORM_ROUNDS) as f64;
     let per_message = allocs as f64 / messages;
-    // 8.11 per message, and no warm-up run: nothing process-wide is
-    // allocated lazily. It was 7 272 while each madeleine channel grew
+    // 7.64 per message, and no warm-up run: nothing process-wide is
+    // allocated lazily. It was 7 266 while the scheduler kept a
+    // 704-bucket timer wheel; 7 272 while each madeleine channel grew
     // two `(rank, vci)` hash maps entry by entry (now lane-indexed rows
     // built at their final size) and held its link model in an `Arc`;
     // 7 974 while every unexpected arrival was
@@ -144,17 +145,18 @@ fn per_message_allocations_do_not_grow_with_the_world() {
     // the devices, their table, the collective engine and the context
     // allocator an `Arc` each (one world table holds them all now).
     assert_eq!(
-        allocs, 7_266,
+        allocs, 6_846,
         "{per_message:.2} allocations per 16 B message (whole world / messages)"
     );
 
     let (scale_allocs, bytes) = counted(scale_world);
-    // Stable run to run. It was 115 229 while each fused poller built a
+    // Stable run to run. It was 102 949 while the scheduler kept a
+    // 704-bucket timer wheel; 115 229 while each fused poller built a
     // wait-any endpoint set (two vectors besides its endpoints) and
     // every blocking wait allocated a fresh registration vector (the
     // thread's own vector is refilled in place now).
     assert_eq!(
-        scale_allocs, 102_949,
+        scale_allocs, 101_565,
         "allocations of a fresh fused 1024-rank world"
     );
     let per_collective = bytes as f64 / (3.0 * 1024.0);

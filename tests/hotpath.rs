@@ -7,8 +7,8 @@
 //! live in `crates/marcel/src/poll.rs`.
 
 use bench::pingpong::fig9_topology;
-use marcel::{VirtualDuration, VirtualTime};
-use mpich::{run_world, Placement, PollPolicy, WorldConfig};
+use marcel::{CostModel, VirtualDuration, VirtualTime};
+use mpich::{run_world, run_world_report, Placement, PollPolicy, WorldConfig};
 use simnet::{FaultPlan, Protocol, Topology};
 
 /// Steady-state SCI one-way ping-pong latency: 32 warm-up exchanges
@@ -16,10 +16,14 @@ use simnet::{FaultPlan, Protocol, Topology};
 /// `park_after = 8`), then a timed 16-exchange window. Virtual time,
 /// so the result is exact and deterministic.
 fn steady_sci_oneway(with_tcp: bool, poll: PollPolicy) -> VirtualDuration {
+    steady_sci_oneway_in(with_tcp, WorldConfig::builder().poll(poll).build())
+}
+
+fn steady_sci_oneway_in(with_tcp: bool, config: WorldConfig) -> VirtualDuration {
     let results = run_world(
         fig9_topology(with_tcp),
         Placement::OneRankPerNode,
-        WorldConfig::builder().poll(poll).build(),
+        config,
         |comm| {
             let ep = comm.endpoint();
             const WARM: usize = 32;
@@ -157,4 +161,28 @@ fn parking_worlds_are_deterministic() {
     let a = steady_sci_oneway(true, PollPolicy::Parking);
     let b = steady_sci_oneway(true, PollPolicy::Parking);
     assert_eq!(a, b);
+}
+
+/// The cost model is the one home of the polling policy: a world built
+/// from a parking cost model runs parking, with no second knob that
+/// silently puts `Seed` back.
+#[test]
+fn cost_model_parking_reaches_the_kernel() {
+    let config = || {
+        WorldConfig::builder()
+            .cost_model(CostModel::calibrated().with_parking())
+            .build()
+    };
+    let report = run_world_report(
+        fig9_topology(true),
+        Placement::OneRankPerNode,
+        config(),
+        |_| (),
+    )
+    .expect("fig9 world failed");
+    assert_eq!(report.kernel.cost().poll_policy, PollPolicy::Parking);
+    assert_eq!(
+        steady_sci_oneway_in(true, config()),
+        steady_sci_oneway(true, PollPolicy::Parking)
+    );
 }

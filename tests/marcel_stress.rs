@@ -5,8 +5,8 @@
 //! OS thread.
 
 use marcel::{
-    CostModel, Decision, EventSink, Kernel, OneShot, PollSource, ProcId, Queue, Semaphore,
-    SimError, SimMutex, SpanKind, TraceEvent, VirtualDuration, VirtualTime,
+    CostModel, Decision, EventSink, Kernel, OneShot, PollSource, ProcId, Semaphore, SimError,
+    SimMutex, SpanKind, TraceEvent, VirtualDuration, VirtualTime,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -168,23 +168,23 @@ fn sequential_kernels_leave_rss_flat() {
     // thread. A leaked stack alone would keep >= one touched page per
     // thread resident: 64 MiB over the run. Each kernel also leaves
     // state behind in its primitives' slots — a mutex holding a one-shot
-    // that was put but never taken, and a queue holding the mutex and a
-    // 16 KiB buffer — which would leak the kernel, 32 MiB over the run,
-    // if a handle inside a slot kept its kernel alive.
+    // that was put but never taken, and a second mutex holding the first
+    // and a 16 KiB buffer — which would leak the kernel, 32 MiB over the
+    // run, if a handle inside a slot kept its kernel alive.
     let one = || {
         let k = Kernel::new(CostModel::calibrated());
         let sem = Semaphore::new(&k, 0);
         let untaken = OneShot::<u64>::new(&k);
         let holder = SimMutex::new(&k, vec![untaken.clone()]);
-        let queue = Queue::new(&k);
+        let outer = SimMutex::new(&k, None);
         for i in 0..8u64 {
             let sem = sem.clone();
-            let (untaken, holder, queue) = (untaken.clone(), holder.clone(), queue.clone());
+            let (untaken, holder, outer) = (untaken.clone(), holder.clone(), outer.clone());
             k.spawn(format!("t{i}"), move || {
                 marcel::advance(VirtualDuration::from_nanos(100 + i));
                 if i == 7 {
                     untaken.put(i);
-                    queue.push((holder, vec![0u8; 16 << 10]));
+                    *outer.lock() = Some((holder, vec![0u8; 16 << 10]));
                     (0..7).for_each(|_| sem.release());
                 } else {
                     sem.acquire();
@@ -192,7 +192,7 @@ fn sequential_kernels_leave_rss_flat() {
             });
         }
         k.run().unwrap();
-        assert_eq!(queue.len(), 1);
+        assert!(outer.read_quiesced(Option::is_some));
     };
     (0..200).for_each(|_| one());
     let before = proc_status_kib("VmRSS:");

@@ -42,7 +42,7 @@ fn world_run(exec: ExecPolicy, world_seed: u64, fault: Option<FaultPlan>) -> Art
 }
 
 /// [`world_run`], with `xcheck` arming the kernel's per-decision
-/// cross-check — which asserts wheel == linear scan at *every*
+/// cross-check — which asserts ready heap == linear scan at *every*
 /// scheduling decision.
 fn world_run_on(
     exec: ExecPolicy,
@@ -143,11 +143,12 @@ fn clean_world_is_bit_identical_across_policies() {
     assert_equivalent(0xC0FFEE, None);
 }
 
-/// Wheel ↔ scan equivalence: a run with the in-kernel cross-check armed
-/// panics on the first decision where the timer wheel's peek differs
-/// from the linear scan, so completing at all is the assertion — and
-/// the check itself must be invisible: same trace (event for event,
-/// ticket for ticket), results, end time and metrics as the plain run.
+/// Index ↔ scan equivalence (the test names keep the index's old name,
+/// the wheel): a run with the in-kernel cross-check armed panics on the
+/// first decision where the ready heap's peek differs from the linear
+/// scan, so completing at all is the assertion — and the check itself
+/// must be invisible: same trace (event for event, ticket for ticket),
+/// results, end time and metrics as the plain run.
 fn assert_wheel_matches_scan(world_seed: u64, fault: Option<FaultPlan>) {
     let exec = ExecPolicy::Ticketed { workers: 2 };
     let wheel = world_run(exec, world_seed, fault.clone());
@@ -182,7 +183,7 @@ proptest! {
         assert_equivalent(case_seed, Some(plan));
     }
 
-    /// Random world seeds: the wheel must agree with the linear scan
+    /// Random world seeds: the ready heap must agree with the linear scan
     /// at every decision whatever the payload-size-driven schedule
     /// looks like.
     #[test]
@@ -190,7 +191,7 @@ proptest! {
         assert_wheel_matches_scan(world_seed, None);
     }
 
-    /// Random survivable fault plans under the wheel: sleep/timeout
+    /// Random survivable fault plans under the ready heap: sleep/timeout
     /// wake paths (retransmit timers, down windows) are where an
     /// indexed ready structure could drift from the scan — the
     /// cross-check run asserts every decision.
