@@ -1,33 +1,35 @@
 #!/usr/bin/env python3
 """CI gate for the VCI (virtual communication interface) subsystem.
 
-``--gate <vci.out>``
-    Parse the JSON footer the ``vci`` bench prints and enforce the
-    headline result of the multi-VCI design:
+Run after `ci/behaviour.sh`, which captures the `vci` bench's stdout:
 
-    * ``laned`` message rate at vcis=4 must be at least 2x the vcis=1
-      rate (the ISSUE's scaling gate; the measured figure is ~3.9x);
-    * the ``shared-endpoint`` series must stay flat (every rate within
-      5% of its vcis=1 rate) — one pinned lane cannot scale;
-    * the vcis=1 rate must match the committed baseline
-      ``ci/vci_baseline.json`` within 0.1% — virtual time is
-      deterministic, so a drift here is a behavior change at the
-      default configuration, not noise.
+    python3 ci/check_vci.py target/behaviour/vci.txt
 
-Lane counts above 1 on the other network shapes (meta-cluster, striped
-rails, forwarding, faults) are ``tests/vci.rs``'s job.
+Parses the JSON footer and enforces the headline result of the
+multi-VCI design:
+
+* ``laned`` message rate at vcis=4 must be at least 2x the vcis=1
+  rate (the measured figure is ~3.9x);
+* the ``shared-endpoint`` series must stay flat (every rate within
+  5% of its vcis=1 rate) — one pinned lane cannot scale.
+
+The footer's bytes, the vcis=1 rate included, are pinned by the
+behaviour manifest. Lane counts above 1 on the other network shapes
+(meta-cluster, striped rails, forwarding, faults) are ``tests/vci.rs``'s
+job.
 """
 
 import json
 import sys
 from pathlib import Path
 
-BASELINE = Path(__file__).resolve().parent / "vci_baseline.json"
 
-
-def gate(out_path: str) -> int:
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
     footer = None
-    for line in Path(out_path).read_text().splitlines():
+    for line in Path(sys.argv[1]).read_text().splitlines():
         line = line.strip()
         if line.startswith('{"vci_storm"'):
             footer = json.loads(line)["vci_storm"]
@@ -49,29 +51,9 @@ def gate(out_path: str) -> int:
     else:
         print(f"shared-endpoint flat OK: max/min = {flat:.3f}")
 
-    base = json.loads(BASELINE.read_text())["vci_storm"]
-    if footer["msgs_per_thread"] == base["msgs_per_thread"]:
-        drift = abs(laned["1"] - base["laned"]["1"]) / base["laned"]["1"]
-        if drift > 1e-3:
-            failures.append(
-                f"vcis=1 rate {laned['1']} drifted {drift * 100:.2f}% from "
-                f"baseline {base['laned']['1']} (virtual time is deterministic)"
-            )
-        else:
-            print(f"vcis=1 baseline OK: {laned['1']} msgs/s (drift {drift * 100:.3f}%)")
-    else:
-        print("baseline skipped: msgs_per_thread differs from committed baseline")
-
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)
     return 1 if failures else 0
-
-
-def main() -> int:
-    if len(sys.argv) == 3 and sys.argv[1] == "--gate":
-        return gate(sys.argv[2])
-    print(__doc__, file=sys.stderr)
-    return 2
 
 
 if __name__ == "__main__":

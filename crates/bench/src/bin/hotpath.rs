@@ -1,17 +1,15 @@
-//! Hot-path wall-clock bench: a many-rank all-to-all small-message
-//! storm driving the ADI matching engine and the madeleine eager path
-//! as hard as the simulator allows. Unlike the paper-figure benches
-//! (which report *virtual* time), this one reports HOST wall-clock
-//! and allocator traffic — the quantities the O(1) matching store and
-//! the copy-free eager path are meant to improve.
+//! Hot-path bench: a many-rank all-to-all small-message storm driving
+//! the ADI matching engine and the madeleine eager path as hard as the
+//! simulator allows, counting the allocator traffic the O(1) matching
+//! store and the copy-free eager path are meant to keep down. Host
+//! time is the standalone benchmark's job (`storm_small`); everything
+//! printed here is exact, so the output repeats byte for byte.
 //!
 //! Output is line-oriented for `ci/check_hotpath.py`:
-//!   `hotpath: messages=<n> wall_ms=<t> events_per_sec=<r> allocs=<a> alloc_bytes=<b>`
+//!   `hotpath: messages=<n> allocs=<a> alloc_bytes=<b>`
 //! plus a JSON summary on the final line.
 //!
 //! `cargo run -p bench --bin hotpath --release [-- <iters>]`
-
-use std::time::Instant;
 
 use marcel::VirtualTime;
 use mpich::{run_world, Placement, PollPolicy, WorldConfig};
@@ -28,9 +26,8 @@ const MSG: usize = 16;
 /// arrival order — so the unexpected queue grows to `rounds × (n-1)`
 /// entries and every match has to be dug out from the far end, the
 /// worst case for a linear scan.
-fn storm_once(rounds: usize) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
+fn storm_once(rounds: usize) -> (u64, u64, u64, Vec<VirtualTime>) {
     let (a0, b0) = (bench::alloc::allocs(), bench::alloc::alloc_bytes());
-    let t0 = Instant::now();
     let ends = run_world(
         Topology::single_network(RANKS, Protocol::Sisci),
         Placement::OneRankPerNode,
@@ -62,33 +59,24 @@ fn storm_once(rounds: usize) -> (u64, f64, u64, u64, Vec<VirtualTime>) {
         },
     )
     .expect("storm world failed");
-    let wall = t0.elapsed().as_secs_f64();
     let msgs = (RANKS * (RANKS - 1) * rounds) as u64;
     (
         msgs,
-        wall,
         bench::alloc::allocs() - a0,
         bench::alloc::alloc_bytes() - b0,
         ends,
     )
 }
 
-/// Best-of-3 storm after one warm-up run. Wall-clock is the min of the
-/// measured runs (the standard noise-robust estimator); the allocation
-/// figures come from the first measured run — after the warm-up run,
-/// per-run allocation counts are deterministic. Every run must end each
-/// rank at the same virtual time: no state carries over from one world
-/// to the next.
-fn storm(rounds: usize) -> (u64, f64, u64, u64) {
-    let (_, _, _, _, warm_ends) = storm_once(rounds);
-    let (msgs, mut wall, allocs, bytes, ends) = storm_once(rounds);
+/// One warm-up storm, then the measured one: after the warm-up run,
+/// per-run allocation counts are deterministic. Both runs must end
+/// each rank at the same virtual time: no state carries over from one
+/// world to the next.
+fn storm(rounds: usize) -> (u64, u64, u64) {
+    let (_, _, _, warm_ends) = storm_once(rounds);
+    let (msgs, allocs, bytes, ends) = storm_once(rounds);
     assert_eq!(ends, warm_ends, "a repeated storm ended elsewhere");
-    for _ in 0..2 {
-        let r = storm_once(rounds);
-        wall = wall.min(r.1);
-        assert_eq!(r.4, ends, "a repeated storm ended elsewhere");
-    }
-    (msgs, wall, allocs, bytes)
+    (msgs, allocs, bytes)
 }
 
 /// Steady-state SCI one-way ping-pong latency in µs: 32 warm-up
@@ -148,14 +136,9 @@ fn main() {
         .unwrap_or(4);
     let rounds = 12 * iters;
 
-    let (msgs, wall, allocs, bytes) = storm(rounds);
-    let eps = msgs as f64 / wall;
+    let (msgs, allocs, bytes) = storm(rounds);
     println!("== hotpath — {RANKS}-rank all-to-all storm, {MSG} B x {rounds} rounds ==");
-    println!(
-        "hotpath: messages={msgs} wall_ms={:.1} events_per_sec={:.0} allocs={allocs} alloc_bytes={bytes}",
-        wall * 1e3,
-        eps
-    );
+    println!("hotpath: messages={msgs} allocs={allocs} alloc_bytes={bytes}");
 
     println!("\n== §3.3 idle-channel impact — steady-state SCI one-way latency (us) ==");
     println!(
@@ -180,8 +163,6 @@ fn main() {
     }
 
     println!(
-        "\n{{\"messages\":{msgs},\"wall_ms\":{:.3},\"events_per_sec\":{:.1},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}}}",
-        wall * 1e3,
-        eps
+        "\n{{\"messages\":{msgs},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}}}"
     );
 }

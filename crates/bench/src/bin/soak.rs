@@ -18,8 +18,8 @@
 //! those chunks by the `replay` machinery (byte-identical to a live
 //! export).
 //!
-//! `--crash-after K` is the CI soak leg's kill switch: after K episodes
-//! the process optionally tears the journal tail mid-frame (`--torn`,
+//! `--crash-after K` is `ci/check_soak.py`'s kill switch: after K
+//! episodes the process optionally tears the journal tail mid-frame (`--torn`,
 //! exactly what a SIGKILL between `write` and completion leaves behind)
 //! and then SIGKILLs itself — no destructors, no flushes. A subsequent
 //! `resume` must finish the campaign and emit a report and final-episode

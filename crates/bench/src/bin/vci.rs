@@ -16,8 +16,8 @@
 //! literature.
 //!
 //! Every figure is *virtual* time, so the output is bit-deterministic;
-//! `ci/check_vci.py` gates the scaling ratio and byte-compares the
-//! `vcis = 1` row against the committed baseline.
+//! `ci/check_vci.py` gates the scaling ratio, and the behaviour
+//! manifest (`ci/behaviour.sh`) pins every row.
 //!
 //! `cargo run -p bench --bin vci --release [-- <msgs-per-thread>]`
 

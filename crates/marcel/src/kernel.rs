@@ -1199,8 +1199,6 @@ mod tests {
         assert!(a.iter().any(|e| matches!(e.what, Event::SemBlock { .. })));
         assert!(a.iter().any(|e| matches!(e.what, Event::SemWake { .. })));
         assert_eq!(a.iter().filter(|e| e.what == Event::Exit).count(), 2);
-        // And the legacy string view still works through Display.
-        assert!(a.iter().any(|e| e.what == "exit"));
     }
 
     #[test]

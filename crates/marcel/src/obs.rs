@@ -362,20 +362,6 @@ impl fmt::Display for Event {
     }
 }
 
-/// String comparison goes through `Display`, so existing code and tests
-/// that matched the stringly trace (`e.what == "spawn"`) keep working.
-impl PartialEq<&str> for Event {
-    fn eq(&self, other: &&str) -> bool {
-        self.to_string() == **other
-    }
-}
-
-impl PartialEq<Event> for &str {
-    fn eq(&self, other: &Event) -> bool {
-        other == self
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Metrics registry
 // ---------------------------------------------------------------------------
@@ -1020,9 +1006,6 @@ mod tests {
             Event::PollWaited { source: 0 }.to_string(),
             "polled src#0 (waited)"
         );
-        // And the string comparison shim.
-        assert!(Event::Spawn == "spawn");
-        assert!("exit" == Event::Exit);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! bit-identical results, virtual end times, and traces — including
 //! under randomized (but seeded) traffic.
 
+use marcel::Event;
 use mpich::{run_world_report, Placement, ReduceOp, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,7 +167,7 @@ fn world_trace_capture() {
     let trace = kernel.take_trace();
     assert!(!trace.is_empty(), "trace must record events");
     // Spawns of both rank mains and their pollers are recorded.
-    let spawns = trace.iter().filter(|e| e.what == "spawn").count();
+    let spawns = trace.iter().filter(|e| e.what == Event::Spawn).count();
     assert!(
         spawns >= 4,
         "expected rank mains + pollers, got {spawns} spawns"
