@@ -129,6 +129,18 @@ r_owned_cells() { grep -rn 'OwnedCell::new(' crates --include='*.rs' | grep -v '
 rule event_str_eq 0 crates/marcel/src/obs.rs 'impl PartialEq<&str> for Event {'
 r_event_str_eq() { grep -rnE 'impl PartialEq<&str> for Event|impl PartialEq<Event> for &str' crates/*/src tests examples; }
 
+# A commit stamps a ticket and nothing else: no per-ticket seed, and parking waits a fixed PARK_AFTER ("The commit step carries only what something reads").
+rule ticket_seed 0 crates/marcel/src/planted.rs 'slot.seed = ticket_seed(self.cost.exec_seed, ticket, tid);'
+r_ticket_seed() { grep -rnE 'exec_seed|ticket_seed|dispatch_seed|park_after' crates/*/src tests src examples; }
+
+# The execution-policy label is written, never read: its four write sites only ("The commit step carries only what something reads").
+rule exec_policy 4 crates/mpich/src/planted.rs 'if cost.exec_policy != ExecPolicy::Seed {'
+r_exec_policy() { grep -rn 'exec_policy' crates/*/src tests src examples; }
+
+# Outside the host benchmark nothing sets that label ("The commit step carries only what something reads").
+rule exec_label 0 tests/planted.rs 'let config = WorldConfig::builder().exec(ExecPolicy::Ticketed { workers: 2 }).build();'
+r_exec_label() { grep -rnE '\.exec\(|with_ticketed\(' tests examples crates/bench crates/journal; }
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

@@ -19,93 +19,60 @@
 //! event window around it; exits 1 when a divergence is found, 0 when
 //! the runs agree (CI keys off this).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::exit;
 
+use bench::cli::Cli;
 use journal::{diff_runs, load_index, metrics_at, trace_json_for};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| die(&format!("{name} needs a value")))
-            .clone()
-    })
-}
-
-fn flag_u64(args: &[String], name: &str) -> Option<u64> {
-    flag_value(args, name).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| die(&format!("{name} needs an integer, got {v:?}")))
-    })
-}
-
-fn flag_set(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("replay: {msg}");
-    exit(2);
-}
-
-fn dir_arg(args: &[String], name: &str) -> PathBuf {
-    PathBuf::from(flag_value(args, name).unwrap_or_else(|| die(&format!("{name} is required"))))
-}
-
-fn write_or_print(args: &[String], text: &str) {
-    match flag_value(args, "--out") {
-        Some(path) => {
-            let path = Path::new(&path);
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            std::fs::write(path, text.as_bytes())
-                .unwrap_or_else(|e| die(&format!("write {}: {e}", path.display())));
-            eprintln!("replay: wrote {}", path.display());
-        }
+fn write_or_print(cli: &Cli, text: &str) {
+    match cli.value("--out") {
+        Some(path) => cli.write(Path::new(&path), text.as_bytes()),
         None => print!("{text}"),
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let cli = Cli::new("replay", std::env::args().skip(1).collect());
+    match cli.subcommand() {
         Some("trace") => {
-            let dir = dir_arg(&args, "--dir");
+            let dir = cli.dir("--dir");
             // Default to the newest streamed episode in the index.
-            let episode = match flag_u64(&args, "--episode") {
-                Some(k) => k as u32,
+            let episode = match cli.int::<u32>("--episode") {
+                Some(k) => k,
                 None => {
-                    let idx = load_index(&dir).unwrap_or_else(|e| die(&format!("load index: {e}")));
+                    let idx =
+                        load_index(&dir).unwrap_or_else(|e| cli.die(&format!("load index: {e}")));
                     idx.entries
                         .last()
-                        .unwrap_or_else(|| die("journal has no streamed episodes"))
+                        .unwrap_or_else(|| cli.die("journal has no streamed episodes"))
                         .episode
                 }
             };
-            let from = flag_u64(&args, "--from-ticket");
-            let to = flag_u64(&args, "--to-ticket");
+            let from = cli.int("--from-ticket");
+            let to = cli.int("--to-ticket");
             let json = trace_json_for(&dir, episode, from, to)
-                .unwrap_or_else(|e| die(&format!("episode {episode}: {e}")));
-            write_or_print(&args, &json);
+                .unwrap_or_else(|e| cli.die(&format!("episode {episode}: {e}")));
+            write_or_print(&cli, &json);
         }
         Some("metrics") => {
-            let dir = dir_arg(&args, "--dir");
-            let episode =
-                flag_u64(&args, "--at-episode").unwrap_or_else(|| die("--at-episode is required"));
-            let snap = metrics_at(&dir, episode as u32)
-                .unwrap_or_else(|e| die(&format!("episode {episode}: {e}")));
-            let text = if flag_set(&args, "--json") {
+            let dir = cli.dir("--dir");
+            let episode = cli
+                .int::<u32>("--at-episode")
+                .unwrap_or_else(|| cli.die("--at-episode is required"));
+            let snap = metrics_at(&dir, episode)
+                .unwrap_or_else(|e| cli.die(&format!("episode {episode}: {e}")));
+            let text = if cli.set("--json") {
                 snap.to_json()
             } else {
                 snap.to_string()
             };
-            write_or_print(&args, &text);
+            write_or_print(&cli, &text);
         }
         Some("diff") => {
-            let a = dir_arg(&args, "--a");
-            let b = dir_arg(&args, "--b");
-            let radius = flag_u64(&args, "--radius").unwrap_or(2) as usize;
+            let a = cli.dir("--a");
+            let b = cli.dir("--b");
+            let radius = cli.int("--radius").unwrap_or(2);
             match diff_runs(&a, &b, radius) {
                 Ok(Some(diff)) => {
                     print!("{}", diff.render());
@@ -115,9 +82,9 @@ fn main() {
                     println!("runs agree on every compared decision");
                     exit(0);
                 }
-                Err(e) => die(&format!("diff: {e}")),
+                Err(e) => cli.die(&format!("diff: {e}")),
             }
         }
-        _ => die("usage: replay trace|metrics|diff (see --help in the source header)"),
+        _ => cli.die("usage: replay trace|metrics|diff (see --help in the source header)"),
     }
 }

@@ -29,7 +29,6 @@
 use std::time::Instant;
 
 use bench::alloc;
-use marcel::ExecPolicy;
 use mpich::{run_world, Placement, ReduceOp, WorldConfig};
 use simnet::Topology;
 
@@ -103,10 +102,7 @@ impl Row {
 
 /// The scale configuration: fused progress (one poller per rank).
 fn scale_config() -> WorldConfig {
-    WorldConfig::builder()
-        .exec(ExecPolicy::Ticketed { workers: 2 })
-        .fused_progress(true)
-        .build()
+    WorldConfig::builder().fused_progress(true).build()
 }
 
 /// Run `coll` once on `topology` and measure the window. `events` is

@@ -25,79 +25,48 @@
 //! `resume` must finish the campaign and emit a report and final-episode
 //! Chrome trace *byte-identical* to an uninterrupted baseline run.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::exit;
 
+use bench::cli::Cli;
 use journal::{bisect, Campaign, SoakConfig};
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| die(&format!("{name} needs a value")))
-            .clone()
-    })
-}
-
-fn flag_u64(args: &[String], name: &str) -> Option<u64> {
-    flag_value(args, name).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| die(&format!("{name} needs an integer, got {v:?}")))
-    })
-}
-
-fn flag_u32(args: &[String], name: &str) -> Option<u32> {
-    flag_u64(args, name).map(|v| v as u32)
-}
-
-fn flag_set(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("soak: {msg}");
-    exit(2);
-}
-
-fn dir_arg(args: &[String], name: &str) -> PathBuf {
-    PathBuf::from(flag_value(args, name).unwrap_or_else(|| die(&format!("{name} is required"))))
-}
-
-fn config_from(args: &[String]) -> SoakConfig {
+fn config_from(cli: &Cli) -> SoakConfig {
     let mut cfg = SoakConfig::default();
-    if let Some(v) = flag_u64(args, "--seed") {
+    if let Some(v) = cli.int("--seed") {
         cfg.campaign_seed = v;
     }
-    if let Some(v) = flag_u32(args, "--episodes") {
+    if let Some(v) = cli.int("--episodes") {
         cfg.episodes = v;
     }
-    if let Some(v) = flag_u32(args, "--ranks") {
+    if let Some(v) = cli.int("--ranks") {
         cfg.ranks = v;
     }
-    if let Some(v) = flag_u32(args, "--messages") {
+    if let Some(v) = cli.int("--messages") {
         cfg.messages_per_episode = v;
     }
-    if let Some(v) = flag_u32(args, "--payload") {
+    if let Some(v) = cli.int("--payload") {
         cfg.payload = v;
     }
-    if let Some(v) = flag_u32(args, "--workers") {
+    if let Some(v) = cli.int("--workers") {
         cfg.workers = v;
     }
-    if let Some(v) = flag_u32(args, "--loss") {
+    if let Some(v) = cli.int("--loss") {
         cfg.loss_milli = v;
     }
-    if let Some(v) = flag_u32(args, "--ack-loss") {
+    if let Some(v) = cli.int("--ack-loss") {
         cfg.ack_loss_milli = v;
     }
-    if let Some(v) = flag_u32(args, "--snapshot-every") {
+    if let Some(v) = cli.int("--snapshot-every") {
         cfg.snapshot_every = v;
     }
-    if flag_set(args, "--decisions") {
+    if cli.set("--decisions") {
         cfg.record_decisions = true;
     }
-    if let Some(v) = flag_u32(args, "--force-fallback") {
+    if let Some(v) = cli.int("--force-fallback") {
         cfg.force_fallback = v;
     }
-    if let Some(v) = flag_u32(args, "--stream") {
+    if let Some(v) = cli.int("--stream") {
         cfg.stream_chunk = v;
     }
     cfg
@@ -105,11 +74,11 @@ fn config_from(args: &[String]) -> SoakConfig {
 
 /// Drive a campaign to completion (or to the planted crash), then emit
 /// the report and the final episode's Chrome trace.
-fn drive(mut campaign: Campaign, args: &[String]) {
-    let crash_after = flag_u32(args, "--crash-after");
+fn drive(mut campaign: Campaign, cli: &Cli) {
+    let crash_after = cli.int::<u32>("--crash-after");
     while !campaign.is_complete() {
         if let Err(e) = campaign.step() {
-            die(&format!("episode {} failed: {e}", campaign.episodes_done()));
+            cli.die(&format!("episode {} failed: {e}", campaign.episodes_done()));
         }
         eprintln!(
             "soak: episode {}/{} done",
@@ -117,30 +86,30 @@ fn drive(mut campaign: Campaign, args: &[String]) {
             campaign.config().episodes
         );
         if crash_after == Some(campaign.episodes_done()) {
-            crash(campaign, flag_set(args, "--torn"));
+            crash(campaign, cli.set("--torn"));
         }
     }
     let trace = campaign.take_trace_json();
     let report = campaign.report();
     print!("{report}");
-    if let Some(path) = flag_value(args, "--report") {
-        write_out(Path::new(&path), report.as_bytes());
+    if let Some(path) = cli.value("--report") {
+        cli.write(Path::new(&path), report.as_bytes());
     }
-    if let Some(path) = flag_value(args, "--chrome") {
+    if let Some(path) = cli.value("--chrome") {
         match &trace {
-            Some(json) => write_out(Path::new(&path), json.as_bytes()),
+            Some(json) => cli.write(Path::new(&path), json.as_bytes()),
             // Streamed campaigns keep no live trace buffer: the final
             // episode's events exist only as journal chunks, so
             // reconstruct the export from them (byte-identical).
             None if campaign.config().stream_chunk > 0 => {
                 let last = campaign.config().episodes - 1;
                 let json = journal::trace_json_for(campaign.dir(), last, None, None)
-                    .unwrap_or_else(|e| die(&format!("--chrome: replay failed: {e}")));
-                write_out(Path::new(&path), json.as_bytes());
+                    .unwrap_or_else(|e| cli.die(&format!("--chrome: replay failed: {e}")));
+                cli.write(Path::new(&path), json.as_bytes());
             }
             // Resuming an already-complete campaign re-runs nothing, so
             // there is no in-process trace to export.
-            None => die("--chrome: the final episode did not run in this process"),
+            None => cli.die("--chrome: the final episode did not run in this process"),
         }
     }
 }
@@ -163,38 +132,30 @@ fn crash(campaign: Campaign, torn: bool) -> ! {
     std::process::abort();
 }
 
-fn write_out(path: &Path, bytes: &[u8]) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(path, bytes).unwrap_or_else(|e| die(&format!("write {}: {e}", path.display())));
-    eprintln!("soak: wrote {}", path.display());
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let cli = Cli::new("soak", std::env::args().skip(1).collect());
+    match cli.subcommand() {
         Some("run") => {
-            let dir = dir_arg(&args, "--dir");
-            let cfg = config_from(&args);
+            let dir = cli.dir("--dir");
+            let cfg = config_from(&cli);
             let campaign = Campaign::create(&dir, cfg)
-                .unwrap_or_else(|e| die(&format!("create {}: {e}", dir.display())));
-            drive(campaign, &args);
+                .unwrap_or_else(|e| cli.die(&format!("create {}: {e}", dir.display())));
+            drive(campaign, &cli);
         }
         Some("resume") => {
-            let dir = dir_arg(&args, "--dir");
-            let campaign = Campaign::resume(&dir, flag_set(&args, "--force"))
-                .unwrap_or_else(|e| die(&format!("resume {}: {e}", dir.display())));
+            let dir = cli.dir("--dir");
+            let campaign = Campaign::resume(&dir, cli.set("--force"))
+                .unwrap_or_else(|e| cli.die(&format!("resume {}: {e}", dir.display())));
             eprintln!(
                 "soak: resuming at episode {}/{}",
                 campaign.episodes_done(),
                 campaign.config().episodes
             );
-            drive(campaign, &args);
+            drive(campaign, &cli);
         }
         Some("bisect") => {
-            let a = dir_arg(&args, "--a");
-            let b = dir_arg(&args, "--b");
+            let a = cli.dir("--a");
+            let b = cli.dir("--b");
             match bisect(&a, &b) {
                 Ok(report) => {
                     println!("{report}");
@@ -202,9 +163,9 @@ fn main() {
                     // off this.
                     exit(report.first_divergent_episode.is_some() as i32);
                 }
-                Err(e) => die(&format!("bisect: {e}")),
+                Err(e) => cli.die(&format!("bisect: {e}")),
             }
         }
-        _ => die("usage: soak run|resume|bisect (see --help in the source header)"),
+        _ => cli.die("usage: soak run|resume|bisect (see --help in the source header)"),
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! `cargo run -p bench --bin vci --release [-- <msgs-per-thread>]`
 
-use mpich::{run_world, ExecPolicy, Placement, WorldConfig};
+use mpich::{run_world, Placement, WorldConfig};
 use simnet::{Protocol, Topology};
 
 const THREADS: usize = 4;
@@ -33,10 +33,7 @@ const MSG: usize = 64;
 /// One storm run: returns the virtual seconds rank 1 needed to drain
 /// every message.
 fn storm(vcis: usize, shared: bool, msgs: usize) -> f64 {
-    let config = WorldConfig::builder()
-        .vcis(vcis)
-        .exec(ExecPolicy::Ticketed { workers: 2 })
-        .build();
+    let config = WorldConfig::builder().vcis(vcis).build();
     let results = run_world(
         Topology::single_network(2, Protocol::Tcp),
         Placement::OneRankPerNode,

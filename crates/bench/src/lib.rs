@@ -17,17 +17,19 @@
 //! | `all`    | everything | runs the nine experiments back to back |
 //!
 //! The design-choice ablations of DESIGN.md §5 are a `#[test]`
-//! (`tests/devices.rs`), and [`alloc`] is the counting allocator the
-//! host-cost bins and tests install.
+//! (`tests/devices.rs`), [`alloc`] is the counting allocator the
+//! host-cost bins and tests install, and [`cli`] parses the `soak` and
+//! `replay` flags.
 
 pub mod alloc;
+pub mod cli;
 pub mod experiments;
 pub mod pingpong;
 pub mod report;
 
 pub use pingpong::{
     bandwidth_mb_s, bandwidth_sizes, fig9_topology, latency_sizes, mpi_pingpong,
-    mpi_pingpong_counters, mpi_pingpong_metrics, mpi_pingpong_session, multirail_topology,
-    raw_madeleine_pingpong, raw_madeleine_pingpong_metrics, Series,
+    mpi_pingpong_metrics, mpi_pingpong_session, multirail_topology, raw_madeleine_pingpong,
+    raw_madeleine_pingpong_metrics, Series,
 };
 pub use report::{Anchor, NamedSeries, Report};

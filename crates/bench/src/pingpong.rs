@@ -3,7 +3,7 @@
 //! warm-up round.
 
 use bytes::Bytes;
-use madeleine::{FaultCounters, ReceiveMode, SendMode, Session};
+use madeleine::{ReceiveMode, SendMode, Session};
 use marcel::{CostModel, Kernel, MetricsSnapshot, VirtualDuration};
 use mpich::{run_world, run_world_report, Placement, WorldConfig};
 use simnet::{Protocol, Topology};
@@ -27,20 +27,7 @@ pub fn mpi_pingpong(
     sizes: &[usize],
     iters: usize,
 ) -> Series {
-    mpi_pingpong_counters(topology, config, sizes, iters).0
-}
-
-/// Like [`mpi_pingpong`], additionally returning the session's
-/// reliable-delivery counters and failover count — the degraded-rail
-/// experiment reports them next to the bandwidth figures.
-pub fn mpi_pingpong_counters(
-    topology: Topology,
-    config: WorldConfig,
-    sizes: &[usize],
-    iters: usize,
-) -> (Series, FaultCounters, u64) {
-    let (series, session) = mpi_pingpong_session(topology, config, sizes, iters);
-    (series, session.fault_counters(), session.failovers())
+    mpi_pingpong_session(topology, config, sizes, iters).0
 }
 
 /// Like [`mpi_pingpong`], additionally returning the finished Madeleine
@@ -172,50 +159,7 @@ pub fn mpi_pingpong_metrics(
 /// Ping-pong on the raw Madeleine interface (one packing operation per
 /// message — the paper's Table 1 methodology).
 pub fn raw_madeleine_pingpong(protocol: Protocol, sizes: &[usize], iters: usize) -> Series {
-    let kernel = Kernel::new(CostModel::calibrated());
-    let session = Session::single_network(&kernel, 2, protocol);
-    let channel = session.channels()[0].clone();
-    let e0 = channel.endpoint(0).expect("rank 0 is a member");
-    let e1 = channel.endpoint(1).expect("rank 1 is a member");
-    let sizes0: Vec<usize> = sizes.to_vec();
-    let h = kernel.spawn("rank0", move || {
-        let exchange = |payload: &Bytes, n: usize| {
-            let mut conn = e0.begin_packing(1).expect("rank 1 is a member");
-            conn.pack_bytes(payload.clone(), SendMode::Cheaper, ReceiveMode::Cheaper);
-            conn.end_packing().expect("fault-free send");
-            let mut conn = e0.begin_unpacking().expect("open channel");
-            let back = conn.unpack_bytes(SendMode::Cheaper, ReceiveMode::Cheaper);
-            conn.end_unpacking();
-            assert_eq!(back.len(), n);
-        };
-        let mut out = Series::new();
-        for &n in &sizes0 {
-            let payload = Bytes::from(vec![0u8; n]);
-            exchange(&payload, n); // warm-up
-            let t0 = marcel::now();
-            for _ in 0..iters {
-                exchange(&payload, n);
-            }
-            out.push((n, (marcel::now() - t0) / (2 * iters as u64)));
-        }
-        out
-    });
-    let sizes1: Vec<usize> = sizes.to_vec();
-    kernel.spawn("rank1", move || {
-        for &n in &sizes1 {
-            for _ in 0..iters + 1 {
-                let mut conn = e1.begin_unpacking().expect("open channel");
-                let data = conn.unpack_bytes(SendMode::Cheaper, ReceiveMode::Cheaper);
-                conn.end_unpacking();
-                assert_eq!(data.len(), n);
-                let mut conn = e1.begin_packing(0).expect("rank 0 is a member");
-                conn.pack_bytes(data, SendMode::Cheaper, ReceiveMode::Cheaper);
-                conn.end_packing().expect("fault-free send");
-            }
-        }
-    });
-    kernel.run().expect("raw madeleine ping-pong failed");
-    h.join_outcome().expect("rank0 series")
+    raw_madeleine_pingpong_metrics(protocol, sizes, iters).0
 }
 
 /// Like [`raw_madeleine_pingpong`], additionally returning the

@@ -113,6 +113,8 @@ pub enum JournalError {
     AlreadyComplete { episodes: u32 },
     /// `bisect` needs two journals over the same campaign shape.
     BisectMismatch { why: String },
+    /// The campaign config describes a world no episode can run.
+    InvalidConfig { why: String },
 }
 
 impl JournalError {
@@ -234,6 +236,9 @@ impl std::fmt::Display for JournalError {
             }
             JournalError::BisectMismatch { why } => {
                 write!(f, "journals not comparable: {why}")
+            }
+            JournalError::InvalidConfig { why } => {
+                write!(f, "invalid campaign config: {why}")
             }
         }
     }

@@ -40,7 +40,8 @@ pub struct SoakConfig {
     /// Payload bytes per message (kept below the eager switch point so
     /// the workload never deadlocks on rendezvous ordering).
     pub payload: u32,
-    /// Kernel execution policy: 0 = Seed, N ≥ 1 = Ticketed { workers }.
+    /// Encoded, fingerprinted and printed in the report; no episode
+    /// reads it. Kept so journal bytes do not move.
     pub workers: u32,
     /// Per-attempt loss probability in thousandths (0..=1000) — stored
     /// as an integer so the config encoding is exact.

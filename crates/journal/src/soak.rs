@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use madeleine::FaultCounters;
-use marcel::{ExecPolicy, MetricsSnapshot};
+use marcel::MetricsSnapshot;
 use mpich::{thread_metas, Placement, StreamHook, WorldConfig};
 use simnet::rng::splitmix64;
 use simnet::{FaultPlan, NetworkId, Protocol, Topology};
@@ -65,6 +65,7 @@ impl Campaign {
     /// Start a fresh campaign: create the journal and write its config
     /// record.
     pub fn create(dir: &Path, config: SoakConfig) -> Result<Campaign, JournalError> {
+        check_runnable(&config)?;
         let writer = JournalWriter::create(dir, &config)?;
         Ok(Campaign {
             dir: dir.to_path_buf(),
@@ -101,6 +102,7 @@ impl Campaign {
             recovery,
             ..
         } = contents;
+        check_runnable(&config)?;
         let writer = JournalWriter::reopen(dir, &recovery, config.fingerprint())?;
         let mut totals = Totals::default();
         let mut cum_digest = 0;
@@ -336,6 +338,22 @@ struct EpisodeOutcome {
     stream: Option<StreamSummary>,
 }
 
+/// Refuse a config no episode can run: a world needs two ranks, and a
+/// network that loses every attempt leaves no rail alive.
+fn check_runnable(config: &SoakConfig) -> Result<(), JournalError> {
+    let why = if config.ranks < 2 {
+        format!("ranks = {}: a world needs at least 2", config.ranks)
+    } else if config.loss_milli >= 1000 {
+        format!(
+            "loss = {}/1000: every attempt is lost, so no rail survives",
+            config.loss_milli
+        )
+    } else {
+        return Ok(());
+    };
+    Err(JournalError::InvalidConfig { why })
+}
+
 /// Run one episode of the campaign workload. With `stream` set, the
 /// kernel drains its trace/decision buffers through the recorder's sink
 /// in `config.stream_chunk`-sized chunks as it runs, and the episode's
@@ -362,13 +380,6 @@ fn run_episode(
         .trace(trace)
         .decisions(config.record_decisions)
         .force_fallback(config.force_fallback)
-        .exec(if config.workers == 0 {
-            ExecPolicy::Seed
-        } else {
-            ExecPolicy::Ticketed {
-                workers: config.workers as usize,
-            }
-        })
         .stream(stream.map(|(recorder, _)| {
             let recorder = recorder.clone_handle();
             StreamHook {
@@ -547,6 +558,27 @@ mod tests {
 
     fn run_plain(cfg: &SoakConfig, index: u32, trace: bool) -> EpisodeOutcome {
         run_episode(cfg, index, trace, None).expect("non-streamed episode cannot fail I/O")
+    }
+
+    #[test]
+    fn unrunnable_configs_are_typed_errors() {
+        let invalid = |r: Result<Campaign, JournalError>| {
+            matches!(r, Err(JournalError::InvalidConfig { .. }))
+        };
+        for (ranks, loss_milli) in [(0, 0), (1, 0), (3, 1000), (3, 5000)] {
+            let bad = SoakConfig {
+                ranks,
+                loss_milli,
+                ..tiny()
+            };
+            let dir = tmpdir(&format!("invalid-{ranks}-{loss_milli}"));
+            assert!(invalid(Campaign::create(&dir, bad.clone())), "{bad:?}");
+            assert!(!dir.exists(), "create wrote before checking");
+            // `create` refuses the value: write the config record by hand.
+            drop(JournalWriter::create(&dir, &bad).unwrap());
+            assert!(invalid(Campaign::resume(&dir, false)), "{bad:?}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

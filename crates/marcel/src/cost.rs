@@ -20,7 +20,7 @@ use crate::time::VirtualDuration;
 /// Under `Seed`, every attached channel is polled on every loop
 /// iteration forever — an idle TCP channel taxes every SCI detection by
 /// the full `select` cost (the Figure 9 effect). Under `Parking`, a
-/// channel whose poll has come up empty for `CostModel::park_after`
+/// channel whose poll has come up empty for [`PARK_AFTER`]
 /// consecutive detections is *parked* out of the loop (its poll cost no
 /// longer contributes to the cycle) and re-armed by the first `post`
 /// aimed at it. `Seed` is the default and is bit-identical to the
@@ -30,15 +30,17 @@ pub enum PollPolicy {
     /// Poll every attached channel on every cycle (paper-faithful).
     #[default]
     Seed,
-    /// Park channels idle for `park_after` cycles; re-arm on post.
+    /// Park channels idle for [`PARK_AFTER`] cycles; re-arm on post.
     Parking,
 }
 
-/// Execution-policy label of a kernel. Both values run the same
-/// hand-off — a userland switch to the committed fiber — so the choice
-/// changes nothing, on either clock. The type survives as API: world
-/// configurations name it and journals print it; `workers` is recorded
-/// and otherwise ignored.
+/// Under [`PollPolicy::Parking`]: consecutive empty detections after
+/// which an idle channel is parked out of the polling cycle.
+pub const PARK_AFTER: u32 = 8;
+
+/// Execution-policy label of a kernel. Nothing reads it: both values
+/// run the same userland hand-off. The type survives only because the
+/// host benchmark still sets it; `workers` sizes nothing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecPolicy {
     #[default]
@@ -49,7 +51,9 @@ pub enum ExecPolicy {
     },
 }
 
-/// Virtual cost of each kernel primitive.
+/// Virtual cost of each kernel primitive, and the polling knobs that
+/// shape detection delays. The last two fields move no virtual time: a
+/// write-only label and a host-side debug check.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     /// Switching execution from one user-level thread to another
@@ -71,14 +75,8 @@ pub struct CostModel {
     pub poll_cycle_scale: u32,
     /// Idle-channel handling in the factorized polling loop.
     pub poll_policy: PollPolicy,
-    /// Under [`PollPolicy::Parking`]: consecutive empty detections after
-    /// which an idle channel is parked out of the polling cycle.
-    pub park_after: u32,
-    /// Inert label (see [`ExecPolicy`]).
+    /// Write-only label (see [`ExecPolicy`]).
     pub exec_policy: ExecPolicy,
-    /// Root seed for the deterministic per-ticket seeds the kernel
-    /// assigns (see [`crate::exec::ticket_seed`]).
-    pub exec_seed: u64,
     /// Debug cross-check: on every scheduling decision also compute the
     /// minimum key with an O(threads) linear scan and assert the ready
     /// heap's peek agrees.
@@ -96,9 +94,7 @@ impl CostModel {
             yield_op: VirtualDuration::from_nanos(200),
             poll_cycle_scale: 100,
             poll_policy: PollPolicy::Seed,
-            park_after: 8,
             exec_policy: ExecPolicy::Seed,
-            exec_seed: 0,
             sched_xcheck: false,
         }
     }
@@ -113,12 +109,7 @@ impl CostModel {
             wake: VirtualDuration::ZERO,
             spawn: VirtualDuration::ZERO,
             yield_op: VirtualDuration::ZERO,
-            poll_cycle_scale: 100,
-            poll_policy: PollPolicy::Seed,
-            park_after: 8,
-            exec_policy: ExecPolicy::Seed,
-            exec_seed: 0,
-            sched_xcheck: false,
+            ..CostModel::calibrated()
         }
     }
 
@@ -130,7 +121,7 @@ impl CostModel {
     }
 
     /// Parking variant of `self`: idle channels leave the polling loop
-    /// after `park_after` empty detections (see [`PollPolicy`]).
+    /// after [`PARK_AFTER`] empty detections (see [`PollPolicy`]).
     pub fn with_parking(mut self) -> Self {
         self.poll_policy = PollPolicy::Parking;
         self
@@ -191,17 +182,6 @@ mod tests {
         assert_eq!(
             c.scaled_cycle(VirtualDuration::from_micros(5)),
             VirtualDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn exec_policy_defaults_to_seed() {
-        assert_eq!(ExecPolicy::default(), ExecPolicy::Seed);
-        assert_eq!(CostModel::calibrated().exec_policy, ExecPolicy::Seed);
-        assert_eq!(CostModel::calibrated().exec_seed, 0);
-        assert_eq!(
-            CostModel::free().with_ticketed(4).exec_policy,
-            ExecPolicy::Ticketed { workers: 4 }
         );
     }
 

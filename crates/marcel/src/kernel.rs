@@ -46,8 +46,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::cost::CostModel;
-use crate::exec::ticket_seed;
+use crate::cost::{CostModel, PARK_AFTER};
 use crate::fiber::{Prev, Stack, Suspended};
 use crate::obs::{Event, EventSink, Metrics, MetricsSnapshot};
 use crate::owned::{OwnedCell, OwnedMut};
@@ -162,9 +161,6 @@ pub(crate) struct ThreadSlot {
     /// Ticket of the scheduling decision that last committed this
     /// thread to run.
     pub(crate) ticket: u64,
-    /// Deterministic seed assigned with that ticket (see
-    /// [`crate::exec::ticket_seed`]).
-    pub(crate) seed: u64,
 }
 
 /// A simulated thread's whole life: runs the user closure under
@@ -509,7 +505,7 @@ impl Shared {
     /// `proc` under `PollPolicy::Parking`: the source that produced the
     /// message — and any source with traffic queued — stays armed, while
     /// every other attached source accrues an empty poll and is parked
-    /// once it has been empty for `park_after` consecutive detections.
+    /// once it has been empty for [`PARK_AFTER`] consecutive detections.
     /// No-op under `PollPolicy::Seed`.
     pub(crate) fn note_detection(&self, sched: &mut Sched, proc: ProcId, active: SourceId) {
         if self.cost.poll_policy != crate::cost::PollPolicy::Parking {
@@ -529,7 +525,7 @@ impl Shared {
                 s.parked = false;
             } else {
                 s.empty_polls += 1;
-                if s.empty_polls >= self.cost.park_after {
+                if s.empty_polls >= PARK_AFTER {
                     s.parked = true;
                 }
             }
@@ -629,7 +625,6 @@ impl Shared {
         let slot = &mut sched.threads[next.0];
         slot.state = TState::Running;
         slot.ticket = ticket;
-        slot.seed = ticket_seed(self.cost.exec_seed, ticket, key.tid as u64);
         sched.running = Some(next);
         true
     }

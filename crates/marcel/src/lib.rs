@@ -39,7 +39,6 @@
 //! ```
 
 pub mod cost;
-pub mod exec;
 mod fiber;
 pub mod kernel;
 pub mod obs;
@@ -50,7 +49,6 @@ pub mod thread;
 pub mod time;
 
 pub use cost::{CostModel, ExecPolicy, PollPolicy};
-pub use exec::ticket_seed;
 pub use kernel::{Decision, Kernel, KernelCapture, ProcId, SimError, ThreadCapture, TraceEvent};
 pub use obs::{
     chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer,
@@ -60,7 +58,7 @@ pub use owned::OwnedCell;
 pub use poll::{PollSource, Polled};
 pub use sync::{OneShot, Semaphore, SimBarrier, SimCondvar, SimMutex, SimMutexGuard};
 pub use thread::{
-    advance, advance_to, dispatch_seed, dispatch_ticket, in_simulation, name, now, sleep,
-    sleep_until, spawn, yield_now, JoinHandle,
+    advance, advance_to, dispatch_ticket, in_simulation, name, now, sleep, sleep_until, spawn,
+    yield_now, JoinHandle,
 };
 pub use time::{VirtualDuration, VirtualTime};

@@ -548,7 +548,7 @@ mod tests {
         // The §3.3 scenario behind Figure 9: an idle TCP channel
         // (expensive select) attached next to a busy SCI channel. Under
         // Seed it taxes every SCI detection forever; under Parking it is
-        // parked after `park_after` empty detections and SCI latency
+        // parked after `PARK_AFTER` empty detections and SCI latency
         // returns to its TCP-free value.
         fn detection_delays(with_tcp: bool, parking: bool) -> Vec<VirtualDuration> {
             let cost = if parking {
@@ -582,7 +582,7 @@ mod tests {
         }
         // Seed: 7us on every detection, forever.
         assert_eq!(detection_delays(true, false), vec![us(7); 10]);
-        // Parking (park_after = 8): eight taxed detections, then the TCP
+        // Parking (PARK_AFTER = 8): eight taxed detections, then the TCP
         // source parks and detection delay matches the SCI-only world.
         let parked = detection_delays(true, true);
         assert_eq!(&parked[..8], &vec![us(7); 8][..]);
@@ -706,7 +706,7 @@ mod tests {
         }
         // Seed: 1us + one 2us group slot, never 1 + 3 * 2.
         assert_eq!(detection_delays(false, false), vec![us(3); 10]);
-        // Parking (park_after = 8), every lane idle: the whole group
+        // Parking (PARK_AFTER = 8), every lane idle: the whole group
         // parks after eight detections.
         let parked = detection_delays(true, false);
         assert_eq!(&parked[..8], &vec![us(3); 8][..]);

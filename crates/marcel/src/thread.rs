@@ -173,7 +173,6 @@ where
         result: None,
         fiber: None,
         ticket: 0,
-        seed: 0,
     });
     sched.live += 1;
     // The child is born Ready, due at its start clock.
@@ -299,15 +298,6 @@ pub fn dispatch_ticket() -> u64 {
     with_current(|shared, me| shared.enter(me).threads[me.0].ticket)
 }
 
-/// Deterministic seed the sequencer stamped on the current thread's
-/// ongoing scheduling episode: a pure function of the kernel's
-/// `exec_seed`, the episode's ticket, and the thread id (see
-/// [`crate::exec::ticket_seed`]). Identical on every replay; use it for
-/// any per-step randomness that must survive deterministic replay.
-pub fn dispatch_seed() -> u64 {
-    with_current(|shared, me| shared.enter(me).threads[me.0].seed)
-}
-
 /// Escape hatch used by higher layers to attribute an externally computed
 /// absolute timestamp (e.g. "this receive completed at wire time T") to
 /// the current thread: sets the clock to `max(now, t)`.
@@ -431,14 +421,14 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_ticket_and_seed_are_deterministic() {
-        fn run() -> Vec<(u64, u64)> {
+    fn dispatch_ticket_is_deterministic() {
+        fn run() -> Vec<u64> {
             let k = Kernel::new(CostModel::free());
             let h = k.spawn("t", || {
                 let mut out = Vec::new();
                 for _ in 0..3 {
                     advance(VirtualDuration::from_micros(1));
-                    out.push((dispatch_ticket(), dispatch_seed()));
+                    out.push(dispatch_ticket());
                 }
                 out
             });
@@ -446,12 +436,8 @@ mod tests {
             h.join_outcome().unwrap()
         }
         let a = run();
-        assert_eq!(a, run(), "tickets and seeds must replay identically");
-        assert!(a[0].0 < a[1].0 && a[1].0 < a[2].0);
-        // The seed is exactly the pinned derivation over (0, ticket, tid=0).
-        for (t, s) in &a {
-            assert_eq!(*s, crate::exec::ticket_seed(0, *t, 0));
-        }
+        assert_eq!(a, run(), "tickets must replay identically");
+        assert!(a[0] < a[1] && a[1] < a[2]);
     }
 
     #[test]

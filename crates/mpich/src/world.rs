@@ -248,8 +248,8 @@ pub struct WorldConfigBuilder {
 }
 
 impl WorldConfigBuilder {
-    /// Replace the whole cost model, including the policies
-    /// [`Self::poll`] and [`Self::exec`] write into it.
+    /// Replace the whole cost model, including the polling policy
+    /// [`Self::poll`] writes into it.
     pub fn cost_model(mut self, v: CostModel) -> Self {
         self.cfg.cost_model = v;
         self
@@ -284,7 +284,7 @@ impl WorldConfigBuilder {
     /// `cost_model.poll_policy`. `Seed` (the default) polls every open
     /// channel on every cycle, so an idle TCP channel taxes every SCI
     /// detection (the Figure 9 effect); `Parking` parks a channel after
-    /// `cost_model.park_after` consecutive empty detections and re-arms
+    /// [`marcel::cost::PARK_AFTER`] consecutive empty detections and re-arms
     /// it on the next incoming message. [`Self::cost_model`] replaces
     /// the whole model, so call it before this setter.
     pub fn poll(mut self, v: PollPolicy) -> Self {
@@ -292,10 +292,9 @@ impl WorldConfigBuilder {
         self
     }
 
-    /// Execution-policy label: sets `cost_model.exec_policy`. Inert —
-    /// `Seed` and `Ticketed` run the same userland hand-off — and kept
-    /// because journals name it. [`Self::cost_model`] replaces the
-    /// whole model, so call it before this setter.
+    /// Execution-policy label, stored in the cost model and read by
+    /// nothing: `Seed` and `Ticketed` run the same userland hand-off.
+    /// Kept only because the host benchmark still sets it.
     pub fn exec(mut self, v: ExecPolicy) -> Self {
         self.cfg.cost_model.exec_policy = v;
         self

@@ -55,26 +55,6 @@ pub fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The deterministic seed assigned to kernel scheduling ticket `ticket`
-/// when it commits thread `thread_id` under a world seeded with
-/// `world_seed`:
-///
-/// ```text
-/// seed = splitmix64(world_seed ^ ticket * GOLDEN_GAMMA ^ thread_id)
-/// ```
-///
-/// Exactly the message-identity scheme above with `(ticket, thread_id)`
-/// in place of `(seq, bytes)`: a pure function of its inputs with no
-/// call-order or platform dependence, so replaying the same ticket
-/// stream reproduces the same seeds bit for bit. The canonical
-/// implementation lives in [`marcel::exec`] (the kernel is the layer
-/// that issues tickets); this wrapper re-exports it under the RNG
-/// contract so every derivation rule is documented in one module.
-/// Reduce to a bounded value with [`bounded`], never with `%`.
-pub fn ticket_seed(world_seed: u64, ticket: u64, thread_id: u64) -> u64 {
-    marcel::ticket_seed(world_seed, ticket, thread_id)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,35 +86,6 @@ mod tests {
         assert!(unit_f64(u64::MAX) > 0.9999);
         let mid = unit_f64(splitmix64(12345));
         assert!((0.0..1.0).contains(&mid));
-    }
-
-    #[test]
-    fn ticket_seed_matches_the_message_identity_scheme() {
-        // The kernel-side derivation and the documented contract here
-        // must stay one function: golden value pinned on both sides so
-        // a drift in either crate breaks a test, and the composition is
-        // exactly `splitmix64(seed ^ ticket*GAMMA ^ tid)`.
-        assert_eq!(ticket_seed(0, 0, 0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(ticket_seed(0, 0, 0), splitmix64(0));
-        for (seed, ticket, tid) in [(0u64, 1u64, 2u64), (42, 7, 3), (u64::MAX, 9000, 19)] {
-            assert_eq!(
-                ticket_seed(seed, ticket, tid),
-                splitmix64(seed ^ ticket.wrapping_mul(GOLDEN_GAMMA) ^ tid),
-            );
-        }
-        // And it is platform-stable pure arithmetic: distinct inputs in
-        // a dense grid never collide (a cheap whiteness check that
-        // would catch a biased reduction).
-        let mut all = std::collections::HashSet::new();
-        for t in 0..64u64 {
-            for tid in 0..8u64 {
-                all.insert(ticket_seed(1, t, tid));
-            }
-        }
-        assert_eq!(all.len(), 64 * 8);
-        // Seeds feed `bounded` (Lemire), which has no modulo bias by
-        // construction; pin that the pairing stays in range.
-        assert!(bounded(ticket_seed(5, 6, 7), 1000) < 1000);
     }
 
     #[test]

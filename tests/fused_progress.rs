@@ -10,7 +10,7 @@
 //! * Fused progress composes with multi-VCI lanes — the combination an
 //!   8k-rank world runs on.
 
-use mpich::{run_world, ExecPolicy, Placement, ReduceOp, WorldConfig};
+use mpich::{run_world, Placement, ReduceOp, WorldConfig};
 use simnet::Topology;
 
 /// Tagged ring traffic, a rotating-root bcast, and an allreduce: a
@@ -74,13 +74,7 @@ fn fused_world_is_deterministic() {
 /// lanes on a fat-tree, both at once.
 #[test]
 fn fused_composes_with_vcis() {
-    let config = || {
-        WorldConfig::builder()
-            .vcis(2)
-            .exec(ExecPolicy::Ticketed { workers: 2 })
-            .fused_progress(true)
-            .build()
-    };
+    let config = || WorldConfig::builder().vcis(2).fused_progress(true).build();
     let a = run(Topology::fat_tree(4), config());
     let b = run(Topology::fat_tree(4), config());
     assert_eq!(a, b, "fused + vcis must be deterministic");

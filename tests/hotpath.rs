@@ -12,9 +12,9 @@ use mpich::{run_world, run_world_report, Placement, PollPolicy, WorldConfig};
 use simnet::{FaultPlan, Protocol, Topology};
 
 /// Steady-state SCI one-way ping-pong latency: 32 warm-up exchanges
-/// (plenty for `Parking` to park an idle TCP channel at the default
-/// `park_after = 8`), then a timed 16-exchange window. Virtual time,
-/// so the result is exact and deterministic.
+/// (plenty for `Parking` to park an idle TCP channel after
+/// `PARK_AFTER = 8` empty detections), then a timed 16-exchange window.
+/// Virtual time, so the result is exact and deterministic.
 fn steady_sci_oneway(with_tcp: bool, poll: PollPolicy) -> VirtualDuration {
     steady_sci_oneway_in(with_tcp, WorldConfig::builder().poll(poll).build())
 }

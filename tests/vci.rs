@@ -1,8 +1,7 @@
 //! VCI (virtual communication interface) properties.
 //!
 //! * `vcis = 1` is bit-identical to the pre-VCI stack: same results and
-//!   the same per-rank virtual end times as the default configuration,
-//!   including under the ticketed kernel.
+//!   the same per-rank virtual end times as the default configuration.
 //! * FIFO per matching pair holds at every lane count, under random
 //!   `(context, tag)` mixes and under survivable loss plans — each
 //!   `(source, context, tag)` stream rides one lane end to end, so
@@ -17,8 +16,8 @@
 //! * The endpoint surface returns typed errors instead of panicking.
 
 use mpich::{
-    run_world, BaseType, ChMadConfig, CommError, Datatype, ExecPolicy, Placement, PolicyMode,
-    ReduceOp, RemoteDeviceKind, WorldConfig, WorldConfigBuilder,
+    run_world, BaseType, ChMadConfig, CommError, Datatype, Placement, PolicyMode, ReduceOp,
+    RemoteDeviceKind, WorldConfig, WorldConfigBuilder,
 };
 use proptest::prelude::*;
 use simnet::{FaultPlan, NetworkId, Protocol, Topology};
@@ -28,10 +27,7 @@ use simnet::{FaultPlan, NetworkId, Protocol, Topology};
 const SPREAD_TAGS: [i32; 4] = [0, 1, 2, 6];
 
 fn vci_config(vcis: usize) -> WorldConfig {
-    WorldConfig::builder()
-        .vcis(vcis)
-        .exec(ExecPolicy::Ticketed { workers: 2 })
-        .build()
+    WorldConfig::builder().vcis(vcis).build()
 }
 
 /// A deterministic mixed workload: tagged p2p streams, a probe, and a
@@ -63,7 +59,7 @@ fn mixed_workload(comm: &mpich::Communicator) -> (u64, u64) {
     (digest, marcel::now().0)
 }
 
-/// `vcis = 1` (explicitly configured, ticketed kernel) reproduces the
+/// `vcis = 1` (explicitly configured) reproduces the
 /// default configuration bit for bit — results *and* virtual end
 /// times.
 #[test]
