@@ -31,10 +31,10 @@ r_env_read() { grep -rnE 'env::var(_os)?\(' crates/{marcel,simnet,madeleine,mpic
 rule deprecated 0 tests/planted.rs '#[deprecated(note = "use comm.endpoint()")]'
 r_deprecated() { grep -rnE '#\[deprecated|allow\(deprecated\)' crates/*/src tests examples src; }
 
-# A world runs on the OS thread that created it, so a host lock guards nothing ("One lock per simulated primitive").
-rule host_lock 0 crates/madeleine/src/planted.rs 'state: std::sync::Mutex<Vec<u8>>,'
+# A world and the campaign recording it run on the OS thread that created them, so a host lock guards nothing ("One lock per simulated primitive"; journal since "One owner for the journal writer").
+rule host_lock 0 crates/journal/src/planted.rs 'writer: Arc<Mutex<JournalWriter>>,'
 r_host_lock() {
-    for f in $(find crates/{marcel,madeleine,mpich}/src -name '*.rs'); do
+    for f in $(find crates/{marcel,madeleine,mpich,journal}/src -name '*.rs'); do
         nontest "$f" | sed -E 's/Sim(Mutex|Condvar)//g' | grep -E 'Mutex|RwLock|Condvar' | sed "s|^|$f: |"
     done
 }
@@ -61,8 +61,8 @@ r_engine_copy() { nontest crates/mpich/src/engine.rs | grep 'copy_from_slice'; }
 rule world_table 0 crates/mpich/src/planted.rs 'pub fn engine(self: &Arc<Self>) -> Arc<Engine> {'
 r_world_table() { grep -rnE 'Arc<Engine>|Arc<dyn Device>|MpiEnv|self: &?Arc<Self>' crates/mpich/src; }
 
-# Shared ownership stays rare in the world's layers ("One table per world"; ceiling set by "One lane table per madeleine channel").
-rule arc_lines 121 crates/marcel/src/planted.rs 'let shared: Arc<Kernel> = Arc::clone(&k);'
+# Shared ownership stays rare in the world's layers ("One table per world"; ceiling set by "One owner for the journal writer").
+rule arc_lines 120 crates/marcel/src/planted.rs 'let shared: Arc<Kernel> = Arc::clone(&k);'
 r_arc_lines() { grep -rE 'Arc<|Arc::' crates/{marcel,madeleine,mpich}/src --include='*.rs'; }
 
 # The matching stores file every entry in its exact-key bucket only: no ordered side index ("One bucket per matching key").
@@ -139,7 +139,15 @@ r_exec_policy() { grep -rn 'exec_policy' crates/*/src tests src examples; }
 
 # Outside the host benchmark nothing sets that label ("The commit step carries only what something reads").
 rule exec_label 0 tests/planted.rs 'let config = WorldConfig::builder().exec(ExecPolicy::Ticketed { workers: 2 }).build();'
-r_exec_label() { grep -rnE '\.exec\(|with_ticketed\(' tests examples crates/bench crates/journal; }
+r_exec_label() { grep -rnE '\.exec\(|with_ticketed\(' tests examples crates/bench crates/journal crates/marcel/src/kernel.rs; }
+
+# The journal writer has one owner at a time: the campaign, or a streamed episode's recorder, which is the kernel's sink itself ("One owner for the journal writer").
+rule shared_writer 0 crates/journal/src/stream.rs 'struct ForwardSink { inner: Arc<Mutex<StreamInner>> }'
+r_shared_writer() { grep -rnE 'ForwardSink|clone_handle|StreamInner|Mutex<JournalWriter>' crates/*/src; }
+
+# Forwarding is a ch_mad setting, so forwarding without ch_mad cannot be written ("One owner for the journal writer").
+rule forwarding_knob 0 crates/mpich/src/world.rs '    pub forwarding: bool,'
+r_forwarding_knob() { grep -nE 'ForwardingNeedsChMad|pub forwarding:' crates/mpich/src/world.rs; }
 
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 

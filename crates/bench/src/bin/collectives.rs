@@ -151,13 +151,13 @@ fn main() {
         .into_iter()
         .enumerate()
         {
-            let config = WorldConfig::builder().coll(policy).build();
             let series: bench::Series = sizes
                 .iter()
                 .map(|&s| {
+                    let config = WorldConfig::builder().coll(policy).build();
                     (
                         s,
-                        run_collective(Topology::meta_cluster(3), config.clone(), f, s, iters),
+                        run_collective(Topology::meta_cluster(3), config, f, s, iters),
                     )
                 })
                 .collect();

@@ -23,8 +23,8 @@ fn chain() -> Topology {
 /// Ping-pong between the chain's endpoints (through the gateway).
 fn forwarded_pingpong(chunk: usize, sizes: &[usize], iters: usize) -> bench::Series {
     let cfg = WorldConfig::builder()
-        .forwarding(true)
         .remote(RemoteDeviceKind::ChMad(ChMadConfig {
+            forwarding: true,
             fwd_chunk: chunk,
             ..ChMadConfig::default()
         }))

@@ -19,11 +19,11 @@
 //! sequencing state, per-rank engine depths) — an auditable invariant
 //! record, with the resume cursor carried by `episodes_done`.
 
+use std::any::Any;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use madeleine::FaultCounters;
-use marcel::MetricsSnapshot;
+use marcel::{EventSink, MetricsSnapshot, ThreadMeta};
 use mpich::{thread_metas, Placement, StreamHook, WorldConfig};
 use simnet::rng::splitmix64;
 use simnet::{FaultPlan, NetworkId, Protocol, Topology};
@@ -41,10 +41,12 @@ use crate::stream::{IndexRec, StreamRecorder, StreamSummary};
 pub struct Campaign {
     dir: PathBuf,
     config: SoakConfig,
-    /// Shared with the per-episode [`StreamRecorder`] sinks when
-    /// `config.stream_chunk > 0`: chunk appends happen from inside the
-    /// running episode, record/snapshot appends from [`Campaign::step`].
-    writer: Arc<Mutex<JournalWriter>>,
+    /// The journal's one writer. A streamed episode's
+    /// [`StreamRecorder`] owns it while the episode runs (chunk appends
+    /// happen from inside the kernel) and its `finish` hands it back
+    /// before [`Campaign::step`] appends the episode record; `None`
+    /// only in between.
+    writer: Option<JournalWriter>,
     episodes: Vec<EpisodeRecord>,
     totals: Totals,
     cum_digest: u64,
@@ -70,7 +72,7 @@ impl Campaign {
         Ok(Campaign {
             dir: dir.to_path_buf(),
             config,
-            writer: Arc::new(Mutex::new(writer)),
+            writer: Some(writer),
             episodes: Vec::new(),
             totals: Totals::default(),
             cum_digest: 0,
@@ -124,7 +126,7 @@ impl Campaign {
         Ok(Campaign {
             dir: dir.to_path_buf(),
             config,
-            writer: Arc::new(Mutex::new(writer)),
+            writer: Some(writer),
             episodes,
             totals,
             cum_digest,
@@ -150,8 +152,10 @@ impl Campaign {
         self.episodes_done() >= self.config.episodes
     }
 
-    fn lock_writer(&self) -> std::sync::MutexGuard<'_, JournalWriter> {
-        self.writer.lock().unwrap_or_else(|e| e.into_inner())
+    fn writer(&mut self) -> &mut JournalWriter {
+        self.writer
+            .as_mut()
+            .expect("no episode is running, so the campaign holds the writer")
     }
 
     /// Run the next episode, append its record, and snapshot at the
@@ -168,48 +172,56 @@ impl Campaign {
         let index = self.episodes_done();
         let last = index + 1 == self.config.episodes;
         let streaming = self.config.stream_chunk > 0;
-        let recorder = streaming.then(|| StreamRecorder::new(self.writer.clone(), index));
-        let trace = last || streaming;
-        let out = run_episode(
-            &self.config,
-            index,
-            trace,
-            recorder.as_ref().map(|r| (r, &self.prev_metrics)),
-        )?;
+        let recorder = self
+            .writer
+            .take_if(|_| streaming)
+            .map(|writer| StreamRecorder::new(writer, index));
         let EpisodeOutcome {
             mut ep,
             world,
             trace_json,
             metrics,
             stream,
-        } = out;
+        } = run_episode(&self.config, index, last || streaming, recorder);
+        // Streamed episodes have empty live buffers (that is the
+        // invariant under test): their digests come from the
+        // recorder's chunk chain, and its `finish` hands the writer back.
+        if let Some((sink, threads)) = stream {
+            let recorder = (sink as Box<dyn Any>)
+                .downcast::<StreamRecorder>()
+                .expect("the world hands back the recorder it was given");
+            let (writer, fin) = recorder.finish(threads, &self.prev_metrics, &metrics);
+            self.writer = Some(writer);
+            let fin = fin?;
+            ep.trace_digest = fin.cum;
+            ep.decisions_digest = fin.decisions_digest;
+            self.stream.push(fin);
+        }
         ep.cum_digest = chain(self.cum_digest, ep.own_digest());
         self.cum_digest = ep.cum_digest;
         self.totals.add_episode(&ep);
         self.trace_json = trace_json;
         self.prev_metrics = metrics;
-        self.lock_writer().append(&Record::Episode(ep.clone()))?;
+        self.writer().append(&Record::Episode(ep.clone()))?;
         self.episodes.push(ep);
-        if let Some(summary) = stream {
-            self.stream.push(summary);
-        }
         let due = self.config.snapshot_every > 0
             && (index + 1).is_multiple_of(self.config.snapshot_every);
         if due || last {
-            self.lock_writer()
-                .append(&Record::Snapshot(SnapshotRecord {
-                    episodes_done: index + 1,
-                    totals: self.totals,
-                    cum_digest: self.cum_digest,
-                    world,
-                }))?;
+            let snapshot = Record::Snapshot(SnapshotRecord {
+                episodes_done: index + 1,
+                totals: self.totals,
+                cum_digest: self.cum_digest,
+                world,
+            });
+            self.writer().append(&snapshot)?;
             if streaming {
                 // Rewrite the cumulative seekable index right after the
                 // durability point, so a reader can always jump from
                 // the newest index to any (episode, ticket).
-                self.lock_writer().append(&Record::Index(IndexRec {
+                let index = Record::Index(IndexRec {
                     entries: self.stream.clone(),
-                }))?;
+                });
+                self.writer().append(&index)?;
             }
         }
         Ok(())
@@ -220,7 +232,7 @@ impl Campaign {
         while !self.is_complete() {
             self.step()?;
         }
-        self.lock_writer().sync()
+        self.writer().sync()
     }
 
     /// The final episode's Chrome trace JSON, if that episode ran in
@@ -231,13 +243,10 @@ impl Campaign {
 
     /// Tear the journal's tail as a mid-write crash would (see
     /// [`JournalWriter::simulate_torn_tail`]). Consumes the campaign.
-    pub fn tear_tail(self) -> Result<(), JournalError> {
-        let writer = Arc::try_unwrap(self.writer)
-            .ok()
-            .expect("no episode is running, so the campaign owns the writer")
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner());
-        writer.simulate_torn_tail()
+    pub fn tear_tail(mut self) -> Result<(), JournalError> {
+        self.writer
+            .take()
+            .map_or(Ok(()), JournalWriter::simulate_torn_tail)
     }
 
     /// The campaign report: a pure function of the config and the
@@ -328,14 +337,16 @@ fn payload_byte(src: usize, i: u32, k: usize) -> u8 {
 /// What one episode run yields: the record (with `cum_digest` left at 0
 /// for the caller to chain), the quiescent world capture, the live
 /// Chrome trace JSON (non-streamed trace episodes only), the metrics
-/// snapshot (the next delta's base), and the stream index entry
-/// (streamed episodes only).
+/// snapshot (the next delta's base), and, for a streamed episode, the
+/// sink the world handed back with the thread table its `fin` chunk
+/// carries. A streamed record's trace and decision digests are left at
+/// 0: they come from the sink's chunk chain.
 struct EpisodeOutcome {
     ep: EpisodeRecord,
     world: WorldCaptureRec,
     trace_json: Option<String>,
     metrics: MetricsSnapshot,
-    stream: Option<StreamSummary>,
+    stream: Option<(Box<dyn EventSink>, Vec<ThreadMeta>)>,
 }
 
 /// Refuse a config no episode can run: a world needs two ranks, and a
@@ -354,17 +365,16 @@ fn check_runnable(config: &SoakConfig) -> Result<(), JournalError> {
     Err(JournalError::InvalidConfig { why })
 }
 
-/// Run one episode of the campaign workload. With `stream` set, the
-/// kernel drains its trace/decision buffers through the recorder's sink
-/// in `config.stream_chunk`-sized chunks as it runs, and the episode's
-/// trace/decision digests come from the streamed chain instead of
-/// in-memory buffers (which stay empty — that is the point).
+/// Run one episode of the campaign workload. With `recorder` set, the
+/// kernel drains its trace/decision buffers through it in
+/// `config.stream_chunk`-sized chunks as it runs, and the in-memory
+/// buffers stay empty — that is the point.
 fn run_episode(
     config: &SoakConfig,
     index: u32,
     trace: bool,
-    stream: Option<(&StreamRecorder, &MetricsSnapshot)>,
-) -> Result<EpisodeOutcome, JournalError> {
+    recorder: Option<StreamRecorder>,
+) -> EpisodeOutcome {
     let episode_seed = config.episode_seed(index);
     let ranks = config.ranks as usize;
     let mut topology = Topology::single_network(ranks, Protocol::Tcp);
@@ -380,12 +390,9 @@ fn run_episode(
         .trace(trace)
         .decisions(config.record_decisions)
         .force_fallback(config.force_fallback)
-        .stream(stream.map(|(recorder, _)| {
-            let recorder = recorder.clone_handle();
-            StreamHook {
-                chunk: config.stream_chunk as usize,
-                make: Arc::new(move || recorder.sink()),
-            }
+        .stream(recorder.map(|recorder| StreamHook {
+            chunk: config.stream_chunk as usize,
+            sink: Box::new(recorder),
         }))
         .build();
 
@@ -423,6 +430,9 @@ fn run_episode(
     .expect("soak episode deadlocked");
     let capture = report.capture();
     let (results, kernel, session) = (report.results, report.kernel, report.session);
+    let stream = report
+        .sink
+        .map(|sink| (sink, thread_metas(&kernel, &session)));
     let world_rec = WorldCaptureRec::from(&capture);
     let mut faults = FaultCounters::default();
     for c in &capture.session.channels {
@@ -436,44 +446,39 @@ fn run_episode(
         result_digest = splitmix64(result_digest ^ r);
     }
     let metrics_digest = crc64(metrics.to_string().as_bytes());
-    // Streamed episodes have empty live buffers (that is the invariant
-    // under test): digests come from the recorder's chunk chain, the
-    // episode record carries no in-line decisions, and the trace JSON
-    // is reconstructed offline by `replay` instead of exported here.
-    let (trace_json, trace_digest, decisions, decisions_digest, summary) = match stream {
-        Some((recorder, prev_metrics)) => {
-            let fin = recorder.finish(thread_metas(&kernel, &session), prev_metrics, &metrics)?;
-            (None, fin.cum, Vec::new(), fin.decisions_digest, Some(fin))
-        }
-        None => {
-            let trace_json = trace.then(|| {
-                let events = kernel.take_trace();
-                marcel::chrome_trace_json(&events, &thread_metas(&kernel, &session))
-            });
-            let trace_digest = trace_json
-                .as_deref()
-                .map(|j| crc64(j.as_bytes()))
-                .unwrap_or(0);
-            // The inline log does not carry `events_before`.
-            let decisions: Vec<DecisionRec> = if config.record_decisions {
-                kernel
-                    .take_decisions()
-                    .into_iter()
-                    .map(|d| DecisionRec {
-                        events_before: 0,
-                        ..d.into()
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let decisions_digest = if decisions.is_empty() {
-                0
-            } else {
-                EpisodeRecord::digest_decisions(&decisions)
-            };
-            (trace_json, trace_digest, decisions, decisions_digest, None)
-        }
+    // A streamed episode's record carries no in-line decisions, and its
+    // trace JSON is reconstructed offline by `replay` instead of
+    // exported here.
+    let (trace_json, trace_digest, decisions, decisions_digest) = if stream.is_some() {
+        (None, 0, Vec::new(), 0)
+    } else {
+        let trace_json = trace.then(|| {
+            let events = kernel.take_trace();
+            marcel::chrome_trace_json(&events, &thread_metas(&kernel, &session))
+        });
+        let trace_digest = trace_json
+            .as_deref()
+            .map(|j| crc64(j.as_bytes()))
+            .unwrap_or(0);
+        // The inline log does not carry `events_before`.
+        let decisions: Vec<DecisionRec> = if config.record_decisions {
+            kernel
+                .take_decisions()
+                .into_iter()
+                .map(|d| DecisionRec {
+                    events_before: 0,
+                    ..d.into()
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let decisions_digest = if decisions.is_empty() {
+            0
+        } else {
+            EpisodeRecord::digest_decisions(&decisions)
+        };
+        (trace_json, trace_digest, decisions, decisions_digest)
     };
     let (wire_messages, wire_bytes) = world_rec
         .channels
@@ -496,13 +501,13 @@ fn run_episode(
         cum_digest: 0,
         decisions,
     };
-    Ok(EpisodeOutcome {
+    EpisodeOutcome {
         ep,
         world: world_rec,
         trace_json,
         metrics,
-        stream: summary,
-    })
+        stream,
+    }
 }
 
 #[cfg(test)]
@@ -556,10 +561,6 @@ mod tests {
         t
     }
 
-    fn run_plain(cfg: &SoakConfig, index: u32, trace: bool) -> EpisodeOutcome {
-        run_episode(cfg, index, trace, None).expect("non-streamed episode cannot fail I/O")
-    }
-
     #[test]
     fn unrunnable_configs_are_typed_errors() {
         let invalid = |r: Result<Campaign, JournalError>| {
@@ -584,13 +585,13 @@ mod tests {
     #[test]
     fn episodes_are_deterministic() {
         let cfg = tiny();
-        let a = run_plain(&cfg, 1, false);
-        let b = run_plain(&cfg, 1, false);
+        let a = run_episode(&cfg, 1, false, None);
+        let b = run_episode(&cfg, 1, false, None);
         assert_eq!(a.ep, b.ep);
         assert_eq!(a.world, b.world);
         assert_ne!(
             a.ep.result_digest,
-            run_plain(&cfg, 2, false).ep.result_digest
+            run_episode(&cfg, 2, false, None).ep.result_digest
         );
     }
 
@@ -629,8 +630,8 @@ mod tests {
             force_fallback: 3,
             ..cfg.clone()
         };
-        let a = run_plain(&cfg, 0, false).ep;
-        let b = run_plain(&forced, 0, false).ep;
+        let a = run_episode(&cfg, 0, false, None).ep;
+        let b = run_episode(&forced, 0, false, None).ep;
         assert_eq!(a.result_digest, b.result_digest);
         assert_eq!(a.end_time_ns, b.end_time_ns);
         // Metrics DO differ — the `exec/fallback` counter counts the

@@ -48,7 +48,7 @@
 //! rebuilt on read are one fold over the same chunks.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use marcel::{
     Decision, Event, EventSink, MetricsSnapshot, SpanKind, ThreadMeta, TraceEvent, VirtualTime,
@@ -965,19 +965,55 @@ impl StreamAccum {
 // StreamRecorder: the journal's EventSink
 // ---------------------------------------------------------------------------
 
-struct StreamInner {
-    writer: Arc<Mutex<JournalWriter>>,
+/// The journal's [`EventSink`]: each chunk the kernel drains is sealed
+/// into the stream digest chain and appended to the journal as it
+/// arrives, so buffered state never exceeds one chunk. Create one per
+/// episode around the campaign's [`JournalWriter`] and install it via
+/// `Kernel::set_event_sink`; once `Kernel::finish_event_sink` hands it
+/// back, [`StreamRecorder::finish`] hands the writer back.
+pub struct StreamRecorder {
+    writer: JournalWriter,
     accum: StreamAccum,
     /// First I/O error; surfaced at `finish` (the sink runs inside a
     /// kernel operation and cannot propagate errors inline).
     io_error: Option<JournalError>,
 }
 
-impl StreamInner {
+impl EventSink for StreamRecorder {
+    fn events(&mut self, chunk: &[TraceEvent]) {
+        self.push_events(chunk, false, Vec::new());
+    }
+
+    fn decisions(&mut self, chunk: &[Decision]) {
+        if self.io_error.is_some() || chunk.is_empty() {
+            return;
+        }
+        let mut rec = DecisionChunkRec {
+            episode: self.accum.summary.episode,
+            seq: self.accum.next_decision_seq,
+            first_ticket: chunk[0].ticket,
+            decisions: chunk.iter().map(|&d| DecisionRec::from(d)).collect(),
+            cum: 0,
+        };
+        let (payload, own) = rec.seal(self.accum.summary.cum);
+        if let Some(pos) = self.append(KIND_DECISION_CHUNK, &payload) {
+            self.accum.add_decisions(&rec, own, pos);
+        }
+    }
+}
+
+impl StreamRecorder {
+    pub fn new(writer: JournalWriter, episode: u32) -> StreamRecorder {
+        StreamRecorder {
+            writer,
+            accum: StreamAccum::new(episode),
+            io_error: None,
+        }
+    }
+
     /// Append one encoded frame; on failure keep the error for `finish`.
     fn append(&mut self, kind: u8, payload: &[u8]) -> Option<(u32, u64)> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        writer
+        self.writer
             .append_payload(kind, payload)
             .map_err(|e| self.io_error = Some(e))
             .ok()
@@ -1002,108 +1038,35 @@ impl StreamInner {
         }
     }
 
-    fn push_decisions(&mut self, chunk: &[Decision]) {
-        if self.io_error.is_some() || chunk.is_empty() {
-            return;
-        }
-        let mut rec = DecisionChunkRec {
-            episode: self.accum.summary.episode,
-            seq: self.accum.next_decision_seq,
-            first_ticket: chunk[0].ticket,
-            decisions: chunk.iter().map(|&d| DecisionRec::from(d)).collect(),
-            cum: 0,
-        };
-        let (payload, own) = rec.seal(self.accum.summary.cum);
-        if let Some(pos) = self.append(KIND_DECISION_CHUNK, &payload) {
-            self.accum.add_decisions(&rec, own, pos);
-        }
-    }
-}
-
-/// Journal-side receiver of the kernel's incremental event drain: each
-/// chunk is sealed into the stream digest chain and appended to the
-/// shared [`JournalWriter`] as it arrives, so buffered state never
-/// exceeds one chunk. Create one per episode, install
-/// [`StreamRecorder::sink`] via `Kernel::set_event_sink`, and call
-/// [`StreamRecorder::finish`] after the kernel quiesces.
-pub struct StreamRecorder {
-    inner: Arc<Mutex<StreamInner>>,
-}
-
-struct ForwardSink {
-    inner: Arc<Mutex<StreamInner>>,
-}
-
-impl EventSink for ForwardSink {
-    fn events(&mut self, chunk: &[TraceEvent]) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_events(chunk, false, Vec::new());
-    }
-
-    fn decisions(&mut self, chunk: &[Decision]) {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_decisions(chunk);
-    }
-}
-
-impl StreamRecorder {
-    pub fn new(writer: Arc<Mutex<JournalWriter>>, episode: u32) -> StreamRecorder {
-        StreamRecorder {
-            inner: Arc::new(Mutex::new(StreamInner {
-                writer,
-                accum: StreamAccum::new(episode),
-                io_error: None,
-            })),
-        }
-    }
-
-    /// A second handle to the same recorder (for moving into the
-    /// sink-factory closure while the caller keeps one for `finish`).
-    pub fn clone_handle(&self) -> StreamRecorder {
-        StreamRecorder {
-            inner: self.inner.clone(),
-        }
-    }
-
-    /// A fresh forwarder to install as the kernel's event sink.
-    pub fn sink(&self) -> Box<dyn EventSink> {
-        Box::new(ForwardSink {
-            inner: self.inner.clone(),
-        })
-    }
-
     /// Seal the episode's stream: append the `fin` event chunk carrying
-    /// the thread table and the metrics delta against `prev_metrics`,
-    /// then return the episode's index entry — its `cum` is the
-    /// streamed episode's `trace_digest`, its `decisions_digest` the
-    /// episode's decision digest (0 when decisions were not recorded).
-    /// Surfaces any I/O error the sink swallowed mid-episode.
+    /// the thread table and the metrics delta against `prev_metrics`.
+    /// Hands the writer back together with the episode's index entry —
+    /// its `cum` is the streamed episode's `trace_digest`, its
+    /// `decisions_digest` the episode's decision digest (0 when
+    /// decisions were not recorded) — or with any I/O error the sink
+    /// swallowed mid-episode.
     pub fn finish(
-        &self,
+        mut self,
         threads: Vec<ThreadMeta>,
         prev_metrics: &MetricsSnapshot,
         metrics: &MetricsSnapshot,
-    ) -> Result<StreamSummary, JournalError> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+    ) -> (JournalWriter, Result<StreamSummary, JournalError>) {
         // The kernel has already flushed all remaining events and
         // decisions through the sink (`finish_event_sink`); the fin
         // chunk is empty of events but carries the thread table and
         // closes the chain.
-        inner.push_events(&[], true, threads);
-        if inner.io_error.is_none() {
-            let delta = MetricsDeltaRec::diff(inner.accum.summary.episode, prev_metrics, metrics);
-            if let Some(pos) = inner.append(KIND_METRICS_DELTA, &delta.encode()) {
-                inner.accum.summary.metrics_pos = Some(pos);
+        self.push_events(&[], true, threads);
+        if self.io_error.is_none() {
+            let delta = MetricsDeltaRec::diff(self.accum.summary.episode, prev_metrics, metrics);
+            if let Some(pos) = self.append(KIND_METRICS_DELTA, &delta.encode()) {
+                self.accum.summary.metrics_pos = Some(pos);
             }
         }
-        match inner.io_error.take() {
+        let summary = match self.io_error {
             Some(e) => Err(e),
-            None => Ok(inner.accum.summary.clone()),
-        }
+            None => Ok(self.accum.summary),
+        };
+        (self.writer, summary)
     }
 }
 

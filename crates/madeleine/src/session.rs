@@ -429,11 +429,6 @@ impl Session {
         self.kernel.metrics_snapshot().counter(RNDV_REISSUES)
     }
 
-    /// Whether forwarding across gateway nodes is enabled.
-    pub fn forwarding_enabled(&self) -> bool {
-        self.forwarding
-    }
-
     /// The rank path from `a` to `b`: `a, gateways..., b`. One rank per
     /// gateway node (the lowest-numbered rank hosted there, a
     /// deterministic choice).
@@ -671,7 +666,6 @@ mod forwarding_tests {
     fn direct_pairs_have_two_rank_routes_without_the_flag() {
         let k = Kernel::new(CostModel::free());
         let s = Session::single_network(&k, 3, Protocol::Tcp);
-        assert!(!s.forwarding_enabled());
         assert_eq!(s.route_between(0, 2).collect::<Vec<_>>(), [0, 2]);
     }
 }

@@ -335,10 +335,10 @@ pub(crate) struct Sched {
     /// [`ReadySet`]).
     pub(crate) ready: ReadySet,
     pub(crate) post_seq: u64,
-    pub(crate) trace: Option<Vec<TraceEvent>>,
-    /// Committed scheduling decisions (see [`Decision`]); `None` when
-    /// the decision log is disabled (the default).
-    pub(crate) decisions: Option<Vec<Decision>>,
+    pub(crate) trace: Recording<TraceEvent>,
+    /// Committed scheduling decisions (see [`Decision`]); off unless
+    /// the decision log is enabled.
+    pub(crate) decisions: Recording<Decision>,
     /// Next scheduling ticket [`Shared::commit_next`] will issue.
     pub(crate) next_ticket: u64,
     /// Upcoming commits still to be marked `fallback` (see
@@ -355,24 +355,90 @@ pub(crate) struct Sched {
     /// Stacks of finished fibers, reused by the next thread to start.
     stacks: Vec<Stack>,
     /// Incremental drain target for the trace / decision buffers (see
-    /// [`crate::obs::EventSink`]); `None` (the default) buffers per
-    /// episode exactly as before.
-    pub(crate) sink: Option<Box<dyn EventSink>>,
-    /// Buffered-entry threshold at which a sink drain fires.
-    pub(crate) sink_chunk: usize,
-    /// High-water mark of buffered trace+decision bytes while a sink is
-    /// installed (published as the `journal.stream.hwm` gauge by
-    /// [`Kernel::finish_event_sink`]). Only maintained with a sink, so
-    /// metrics stay independent of plain tracing.
-    pub(crate) stream_hwm: u64,
+    /// [`crate::obs::EventSink`]); `None` (the default) buffers for the
+    /// whole run.
+    stream: Option<Stream>,
     /// The kernel's metrics registry (see [`crate::obs`]): always on,
     /// never touches virtual time.
     pub(crate) metrics: Metrics,
 }
 
+/// What the kernel records, each kind into its own buffer and through
+/// its own [`EventSink`] callback: trace events and decisions.
+pub(crate) trait Recorded: Sized {
+    fn hand(sink: &mut dyn EventSink, chunk: &[Self]);
+}
+
+impl Recorded for TraceEvent {
+    fn hand(sink: &mut dyn EventSink, chunk: &[Self]) {
+        sink.events(chunk);
+    }
+}
+
+impl Recorded for Decision {
+    fn hand(sink: &mut dyn EventSink, chunk: &[Self]) {
+        sink.decisions(chunk);
+    }
+}
+
+/// One recording buffer, the trace or the decision log: `None` while
+/// recording is off, so a record costs one `Option` check. Entries are
+/// appended one kernel operation at a time with a monotone ticket, so
+/// any run of them is contiguous and ticket-ordered by construction.
+pub(crate) struct Recording<T>(Option<Vec<T>>);
+
+impl<T: Recorded> Recording<T> {
+    /// Start recording into a fresh buffer.
+    fn arm(&mut self) {
+        self.0 = Some(Vec::new());
+    }
+
+    fn bytes(&self) -> usize {
+        self.0
+            .as_ref()
+            .map_or(0, |b| b.len() * std::mem::size_of::<T>())
+    }
+
+    /// Hand the buffer to `sink` once it holds at least `min` (≥ 1)
+    /// entries. `clear()` keeps the allocation, bounding steady-state
+    /// memory at the chunk size.
+    fn drain(&mut self, sink: &mut dyn EventSink, min: usize) {
+        if let Some(buf) = self.0.as_mut().filter(|b| b.len() >= min) {
+            T::hand(sink, buf);
+            buf.clear();
+        }
+    }
+
+    /// Take the recorded entries; recording stays armed, so later
+    /// entries land in a fresh buffer instead of silently vanishing.
+    fn take(&mut self) -> Vec<T> {
+        self.0.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+}
+
+/// The installed [`EventSink`], its drain threshold in buffered
+/// entries, and the high-water mark of buffered trace + decision bytes
+/// (published as the `journal.stream.hwm` gauge by
+/// [`Kernel::finish_event_sink`]). The mark is only kept with a sink,
+/// so metrics stay independent of plain tracing.
+struct Stream {
+    sink: Box<dyn EventSink>,
+    chunk: usize,
+    hwm: u64,
+}
+
+impl Stream {
+    /// After an entry landed in `buf`: raise the high-water mark over
+    /// both buffers, then hand `buf` over if it holds a chunk.
+    fn pushed<T: Recorded, U: Recorded>(&mut self, buf: &mut Recording<T>, other: &Recording<U>) {
+        self.hwm = self.hwm.max((buf.bytes() + other.bytes()) as u64);
+        buf.drain(&mut *self.sink, self.chunk);
+    }
+}
+
 impl Sched {
     pub(crate) fn record(&mut self, tid: Tid, what: impl FnOnce() -> Event) {
-        let Some(trace) = &mut self.trace else {
+        let Some(trace) = &mut self.trace.0 else {
             return;
         };
         let time = self.threads[tid.0].vtime;
@@ -384,59 +450,8 @@ impl Sched {
             ticket,
             what: what(),
         });
-        if self.sink.is_some() {
-            self.note_stream_buffered();
-            self.drain_events_if_due();
-        }
-    }
-
-    /// Raise the buffered-bytes high-water mark. Only meaningful while
-    /// a sink is installed (the gauge proves streaming keeps buffering
-    /// bounded; without a sink nothing reads it and maintaining it
-    /// would make metrics depend on tracing).
-    fn note_stream_buffered(&mut self) {
-        let events = self
-            .trace
-            .as_ref()
-            .map_or(0, |t| t.len() * std::mem::size_of::<TraceEvent>());
-        let decisions = self
-            .decisions
-            .as_ref()
-            .map_or(0, |d| d.len() * std::mem::size_of::<Decision>());
-        self.stream_hwm = self.stream_hwm.max((events + decisions) as u64);
-    }
-
-    /// Hand the buffered trace to the sink once it reaches the chunk
-    /// threshold. The buffer is appended one kernel operation at a time
-    /// with a monotone commit sequence, so the slice is contiguous and
-    /// ticket-ordered by construction. `clear()` keeps the allocation,
-    /// bounding steady-state memory at the chunk size.
-    fn drain_events_if_due(&mut self) {
-        let due = self
-            .trace
-            .as_ref()
-            .is_some_and(|t| t.len() >= self.sink_chunk);
-        if !due {
-            return;
-        }
-        if let (Some(sink), Some(trace)) = (self.sink.as_mut(), self.trace.as_mut()) {
-            sink.events(trace);
-            trace.clear();
-        }
-    }
-
-    /// Decision-log counterpart of [`Sched::drain_events_if_due`].
-    fn drain_decisions_if_due(&mut self) {
-        let due = self
-            .decisions
-            .as_ref()
-            .is_some_and(|d| d.len() >= self.sink_chunk);
-        if !due {
-            return;
-        }
-        if let (Some(sink), Some(decisions)) = (self.sink.as_mut(), self.decisions.as_mut()) {
-            sink.decisions(decisions);
-            decisions.clear();
+        if let Some(stream) = &mut self.stream {
+            stream.pushed(&mut self.trace, &self.decisions);
         }
     }
 
@@ -590,7 +605,7 @@ impl Shared {
             sched.force_fallback -= 1;
             sched.metrics.counter_add("exec/fallback", 1);
         }
-        if let Some(log) = sched.decisions.as_mut() {
+        if let Some(log) = &mut sched.decisions.0 {
             log.push(Decision {
                 ticket,
                 tid: key.tid,
@@ -598,9 +613,8 @@ impl Shared {
                 fallback,
                 events_before: sched.record_seq,
             });
-            if sched.sink.is_some() {
-                sched.note_stream_buffered();
-                sched.drain_decisions_if_due();
+            if let Some(stream) = &mut sched.stream {
+                stream.pushed(&mut sched.decisions, &sched.trace);
             }
         }
         let next = Tid(key.tid);
@@ -857,17 +871,15 @@ impl Kernel {
                     proc_sources: Vec::new(),
                     ready: ReadySet::default(),
                     post_seq: 0,
-                    trace: None,
-                    decisions: None,
+                    trace: Recording(None),
+                    decisions: Recording(None),
                     next_ticket: 0,
                     force_fallback: 0,
                     record_seq: 0,
                     root: None,
                     leaving: None,
                     stacks: Vec::new(),
-                    sink: None,
-                    sink_chunk: 0,
-                    stream_hwm: 0,
+                    stream: None,
                     metrics: Metrics::new(),
                 }),
                 cost,
@@ -888,12 +900,7 @@ impl Kernel {
     /// Record a deterministic event trace during the run (see
     /// [`Kernel::take_trace`]).
     pub fn enable_trace(&self) {
-        self.shared.state.borrow().trace = Some(Vec::new());
-    }
-
-    /// Whether tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.shared.state.borrow().trace.is_some()
+        self.shared.state.borrow().trace.arm();
     }
 
     /// Take the recorded trace (empty if tracing was never enabled).
@@ -902,15 +909,9 @@ impl Kernel {
     /// commit order already — each kernel operation appends its own
     /// with the next [`TraceEvent::ticket`].
     pub fn take_trace(&self) -> Vec<TraceEvent> {
-        let mut sched = self.shared.state.borrow();
-        match sched.trace.take() {
-            Some(t) => {
-                sched.trace = Some(Vec::new());
-                debug_assert!(t.windows(2).all(|w| w[0].ticket < w[1].ticket));
-                t
-            }
-            None => Vec::new(),
-        }
+        let t = self.shared.state.borrow().trace.take();
+        debug_assert!(t.windows(2).all(|w| w[0].ticket < w[1].ticket));
+        t
     }
 
     /// Number of events recorded so far, without consuming the trace.
@@ -919,8 +920,9 @@ impl Kernel {
             .state
             .borrow()
             .trace
+            .0
             .as_ref()
-            .map_or(0, |t| t.len())
+            .map_or(0, Vec::len)
     }
 
     /// Record every committed scheduling decision (see [`Decision`]).
@@ -928,7 +930,7 @@ impl Kernel {
     /// trace it also captures decisions that leave no trace event, so
     /// it is the finest-grained replay/divergence probe the kernel has.
     pub fn enable_decision_log(&self) {
-        self.shared.state.borrow().decisions = Some(Vec::new());
+        self.shared.state.borrow().decisions.arm();
     }
 
     /// Take the recorded decision log (empty if never enabled).
@@ -936,14 +938,7 @@ impl Kernel {
     /// are already in commit order — the committer appends them one
     /// commit at a time.
     pub fn take_decisions(&self) -> Vec<Decision> {
-        let mut sched = self.shared.state.borrow();
-        match sched.decisions.take() {
-            Some(d) => {
-                sched.decisions = Some(Vec::new());
-                d
-            }
-            None => Vec::new(),
-        }
+        self.shared.state.borrow().decisions.take()
     }
 
     /// Install an incremental [`EventSink`]: the trace buffer (and, when
@@ -955,37 +950,26 @@ impl Kernel {
     /// bookkeeping: it never advances virtual time, so the simulated
     /// world is bit-identical with or without a sink.
     pub fn set_event_sink(&self, sink: Box<dyn EventSink>, chunk: usize) {
-        let mut sched = self.shared.state.borrow();
-        sched.sink = Some(sink);
-        sched.sink_chunk = chunk.max(1);
-        sched.stream_hwm = 0;
+        self.shared.state.borrow().stream = Some(Stream {
+            sink,
+            chunk: chunk.max(1),
+            hwm: 0,
+        });
     }
 
-    /// Remove the installed sink (if any), flushing whatever is still
-    /// buffered through it — first remaining trace events, then
-    /// remaining decisions — and publish the buffered-bytes high-water
-    /// mark as the `journal.stream.hwm` gauge. Call after
-    /// [`Kernel::run`] returns. No-op without a sink.
-    pub fn finish_event_sink(&self) {
+    /// Remove the installed sink, flush whatever is still buffered
+    /// through it — first remaining trace events, then remaining
+    /// decisions — publish the buffered-bytes high-water mark as the
+    /// `journal.stream.hwm` gauge, and hand the sink back to the caller.
+    /// Call after [`Kernel::run`] returns. `None` without a sink.
+    pub fn finish_event_sink(&self) -> Option<Box<dyn EventSink>> {
         let mut sched = self.shared.state.borrow();
-        let Some(mut sink) = sched.sink.take() else {
-            return;
-        };
-        sched.note_stream_buffered();
-        if let Some(trace) = sched.trace.as_mut() {
-            if !trace.is_empty() {
-                sink.events(trace);
-                trace.clear();
-            }
-        }
-        if let Some(decisions) = sched.decisions.as_mut() {
-            if !decisions.is_empty() {
-                sink.decisions(decisions);
-                decisions.clear();
-            }
-        }
-        let hwm = std::mem::take(&mut sched.stream_hwm);
+        let Stream { mut sink, hwm, .. } = sched.stream.take()?;
+        let hwm = hwm.max((sched.trace.bytes() + sched.decisions.bytes()) as u64);
+        sched.trace.drain(&mut *sink, 1);
+        sched.decisions.drain(&mut *sink, 1);
         sched.metrics.gauge_max("journal.stream.hwm", hwm);
+        Some(sink)
     }
 
     /// Copy of the kernel's metrics registry (see [`crate::obs`]).
@@ -1202,7 +1186,6 @@ mod tests {
         k.enable_trace();
         k.spawn("a", || thread::advance(VirtualDuration::from_micros(1)));
         k.run().unwrap();
-        assert!(k.trace_enabled());
         let n = k.trace_len();
         assert!(n > 0);
         assert_eq!(k.trace_len(), n, "trace_len must not consume");
@@ -1210,7 +1193,7 @@ mod tests {
         assert_eq!(first.len(), n);
         // Tracing stayed armed: a second take returns the (empty) fresh
         // buffer rather than silently disabling tracing.
-        assert!(k.trace_enabled());
+        assert!(k.shared.state.borrow().trace.0.is_some());
         assert!(k.take_trace().is_empty());
         assert_eq!(k.trace_len(), 0);
     }
@@ -1255,36 +1238,11 @@ mod tests {
     }
 
     #[test]
-    fn ticketed_is_bit_identical_to_seed() {
+    fn forced_fallback_reexecutes_serially() {
+        // Force the first few commits down the fallback path: each is
+        // counted, and the run stays bit-identical.
         let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated(), 0);
-        assert!(!seed_trace.is_empty());
-        let (trace, end, fallbacks) = handshake_trace(CostModel::calibrated().with_ticketed(4), 0);
-        assert_eq!(trace, seed_trace);
-        assert_eq!(end, seed_end);
-        assert_eq!(fallbacks, 0);
-    }
-
-    #[test]
-    fn ticketed_detects_deadlock_and_panic() {
-        let k = Kernel::new(CostModel::free().with_ticketed(4));
-        let sem = Semaphore::new(&k, 0);
-        k.spawn("stuck", move || {
-            sem.acquire();
-        });
-        assert!(matches!(k.run(), Err(SimError::Deadlock(_))));
-
-        let k = Kernel::new(CostModel::free().with_ticketed(4));
-        k.spawn("boom", || panic!("intentional"));
-        assert!(matches!(k.run(), Err(SimError::ThreadPanicked(_))));
-    }
-
-    #[test]
-    fn committer_fallback_reexecutes_serially() {
-        // Force the first few commits to fail re-validation: the
-        // committer must fall back to serial re-sequencing, count each
-        // fallback, and still produce a bit-identical run.
-        let (seed_trace, seed_end, _) = handshake_trace(CostModel::calibrated(), 0);
-        let (trace, end, fallbacks) = handshake_trace(CostModel::calibrated().with_ticketed(2), 3);
+        let (trace, end, fallbacks) = handshake_trace(CostModel::calibrated(), 3);
         assert_eq!(fallbacks, 3);
         assert_eq!(trace, seed_trace);
         assert_eq!(end, seed_end);
@@ -1321,6 +1279,48 @@ mod tests {
         k.spawn("t", || thread::advance(VirtualDuration::from_micros(1)));
         k.run().unwrap();
         assert!(k.take_decisions().is_empty());
+    }
+
+    /// Collects every chunk the kernel hands over.
+    #[derive(Default)]
+    struct Collect {
+        events: Vec<TraceEvent>,
+        decisions: Vec<Decision>,
+    }
+
+    impl EventSink for Collect {
+        fn events(&mut self, chunk: &[TraceEvent]) {
+            self.events.extend_from_slice(chunk);
+        }
+        fn decisions(&mut self, chunk: &[Decision]) {
+            self.decisions.extend_from_slice(chunk);
+        }
+    }
+
+    #[test]
+    fn finish_event_sink_hands_back_the_sink_with_every_record_once() {
+        let twin = Kernel::new(CostModel::calibrated());
+        twin.enable_trace();
+        twin.enable_decision_log();
+        handshake(&twin);
+
+        let k = Kernel::new(CostModel::calibrated());
+        k.enable_trace();
+        k.enable_decision_log();
+        k.set_event_sink(Box::<Collect>::default(), 3);
+        handshake(&k);
+        let sink: Box<dyn Any> = k.finish_event_sink().expect("a sink was installed");
+        let got = sink
+            .downcast::<Collect>()
+            .expect("the installed sink comes back");
+        assert_eq!(got.events, twin.take_trace());
+        assert_eq!(got.decisions, twin.take_decisions());
+        assert!(k.take_trace().is_empty() && k.take_decisions().is_empty());
+        // The gauge is published; a 3-entry chunk bounds it below what
+        // the twin run buffered.
+        let hwm = k.metrics_snapshot().gauge("journal.stream.hwm");
+        assert!(hwm > 0 && hwm < (got.events.len() * std::mem::size_of::<TraceEvent>()) as u64);
+        assert!(k.finish_event_sink().is_none(), "the sink was removed");
     }
 
     #[test]

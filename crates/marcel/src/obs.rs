@@ -647,8 +647,10 @@ impl fmt::Display for MetricsSnapshot {
 ///   panics the same way).
 /// * A final drain of whatever remains buffered happens in
 ///   [`crate::kernel::Kernel::finish_event_sink`], after the simulation
-///   has quiesced.
-pub trait EventSink: Send {
+///   has quiesced, which then hands the sink back by value: the
+///   installer upcasts it to `Box<dyn Any>` and downcasts it to its own
+///   type to take back what it lent (the journal's writer).
+pub trait EventSink: std::any::Any + Send {
     /// A contiguous, ticket-ordered run of trace events.
     fn events(&mut self, chunk: &[TraceEvent]);
     /// A contiguous, ticket-ordered run of committer decisions.

@@ -72,6 +72,11 @@ pub struct ChMadConfig {
     /// Flat threshold override for every channel, beating `policy`
     /// (used by the switch-point ablation bench).
     pub switch_point_override: Option<usize>,
+    /// Allow transitively-connected topologies: inter-node messages
+    /// between nodes without a shared network cross gateway ranks (the
+    /// §6 future-work forwarding extension). A ch_mad setting, so no
+    /// other device can be configured to forward.
+    pub forwarding: bool,
     /// Chunk size for rendezvous DATA on *forwarded* (multi-hop) routes.
     /// Chunking lets consecutive hops pipeline, so the end-to-end
     /// bandwidth approaches the slowest link instead of its half
@@ -100,6 +105,7 @@ impl Default for ChMadConfig {
             rendezvous: true,
             policy: PolicyMode::default(),
             switch_point_override: None,
+            forwarding: false,
             fwd_chunk: 128 * 1024,
             fused_progress: false,
         }

@@ -44,17 +44,17 @@ pub enum RemoteDeviceKind {
 ///
 /// Construct it with [`WorldConfig::builder`], which validates knob
 /// combinations at construction time; the struct is `#[non_exhaustive]`
-/// so adding future knobs is not a breaking change.
+/// so adding future knobs is not a breaking change. It is not `Clone`:
+/// a [`StreamHook`] owns its sink, and a world consumes its config, so
+/// a caller that runs several worlds builds one config per run.
 #[non_exhaustive]
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorldConfig {
     pub cost_model: CostModel,
     pub adi: AdiCosts,
+    /// The inter-node device; gateway forwarding is
+    /// [`ChMadConfig::forwarding`].
     pub remote: RemoteDeviceKind,
-    /// Allow transitively-connected topologies; inter-node messages
-    /// between nodes without a shared network cross gateway ranks
-    /// (the §6 future-work forwarding extension; ch_mad only).
-    pub forwarding: bool,
     /// Record the kernel's deterministic event trace (retrieve it with
     /// `Kernel::take_trace` off [`WorldReport::kernel`]; export it with
     /// [`marcel::chrome_trace_json`] and [`thread_metas`]). Tracing
@@ -90,10 +90,10 @@ pub struct WorldConfig {
     /// (after `trace`/`decisions` are enabled — streaming drains those
     /// buffers, it does not replace them) and finalized with
     /// `Kernel::finish_event_sink` as soon as the kernel quiesces, so
-    /// the sink's `journal.stream.hwm` gauge lands in the run's metrics
-    /// snapshot. The sink receives host-side copies under the scheduler
-    /// lock and never advances virtual time, so streaming cannot change
-    /// results.
+    /// the `journal.stream.hwm` gauge lands in the run's metrics
+    /// snapshot; [`WorldReport::sink`] hands the sink back. The sink
+    /// receives host-side copies inside a kernel operation and never
+    /// advances virtual time, so streaming cannot change results.
     pub stream: Option<StreamHook>,
     /// Number of VCIs (virtual communication interfaces) per rank: the
     /// matching engine is sharded into `vcis` independent stores and
@@ -106,14 +106,14 @@ pub struct WorldConfig {
     pub vcis: usize,
 }
 
-/// Factory for the event sink [`run_world_report`] installs when
+/// The event sink [`run_world_report`] installs when
 /// [`WorldConfig::stream`] is set: `chunk` is the drain threshold in
-/// buffered records, `make` builds the sink (e.g. a journal
-/// `StreamRecorder` forwarder).
-#[derive(Clone)]
+/// buffered records, `sink` the receiver (e.g. a journal
+/// `StreamRecorder`). The hook owns its sink, one per world, which is
+/// why neither it nor [`WorldConfig`] is `Clone`.
 pub struct StreamHook {
     pub chunk: usize,
-    pub make: Arc<dyn Fn() -> Box<dyn marcel::EventSink> + Send + Sync>,
+    pub sink: Box<dyn marcel::EventSink>,
 }
 
 impl std::fmt::Debug for StreamHook {
@@ -170,7 +170,6 @@ impl Default for WorldConfig {
             cost_model: CostModel::calibrated(),
             adi: AdiCosts::calibrated(),
             remote: RemoteDeviceKind::ChMad(ChMadConfig::default()),
-            forwarding: false,
             trace: false,
             coll: CollPolicy::Seed,
             decisions: false,
@@ -183,8 +182,7 @@ impl Default for WorldConfig {
 
 impl WorldConfig {
     /// Start building a configuration from the defaults. The builder
-    /// validates cross-knob constraints (`vcis ≥ 1`, forwarding needs
-    /// ch_mad) when it finishes.
+    /// validates cross-knob constraints (`vcis ≥ 1`) when it finishes.
     pub fn builder() -> WorldConfigBuilder {
         WorldConfigBuilder {
             cfg: WorldConfig::default(),
@@ -194,7 +192,10 @@ impl WorldConfig {
     /// Default ch_mad configuration with gateway forwarding enabled.
     pub fn with_forwarding() -> Self {
         WorldConfig {
-            forwarding: true,
+            remote: RemoteDeviceKind::ChMad(ChMadConfig {
+                forwarding: true,
+                ..ChMadConfig::default()
+            }),
             ..WorldConfig::default()
         }
     }
@@ -213,18 +214,12 @@ impl WorldConfig {
 pub enum ConfigError {
     /// `vcis = 0`: a world needs at least one communication lane.
     ZeroVcis,
-    /// Gateway forwarding configured with a remote device other than
-    /// ch_mad.
-    ForwardingNeedsChMad,
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroVcis => write!(f, "vcis must be at least 1"),
-            ConfigError::ForwardingNeedsChMad => {
-                write!(f, "forwarding requires the ch_mad remote device")
-            }
         }
     }
 }
@@ -242,7 +237,7 @@ impl std::error::Error for ConfigError {}
 /// assert_eq!(config.vcis, 4);
 /// assert!(WorldConfig::builder().vcis(0).try_build().is_err());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WorldConfigBuilder {
     cfg: WorldConfig,
 }
@@ -262,11 +257,6 @@ impl WorldConfigBuilder {
 
     pub fn remote(mut self, v: RemoteDeviceKind) -> Self {
         self.cfg.remote = v;
-        self
-    }
-
-    pub fn forwarding(mut self, v: bool) -> Self {
-        self.cfg.forwarding = v;
         self
     }
 
@@ -335,9 +325,6 @@ impl WorldConfigBuilder {
         if self.cfg.vcis == 0 {
             return Err(ConfigError::ZeroVcis);
         }
-        if self.cfg.forwarding && !matches!(self.cfg.remote, RemoteDeviceKind::ChMad(_)) {
-            return Err(ConfigError::ForwardingNeedsChMad);
-        }
         Ok(self.cfg)
     }
 
@@ -351,12 +338,16 @@ impl WorldConfigBuilder {
 }
 
 /// Everything a finished world run yields: per-rank results in rank
-/// order, the drained kernel (end time, trace, decisions, metrics) and
-/// the shared Madeleine session (reliability counters).
+/// order, the drained kernel (end time, trace, decisions, metrics), the
+/// shared Madeleine session (reliability counters) and the stream
+/// hook's sink, flushed and handed back.
 pub struct WorldReport<T> {
     pub results: Vec<T>,
     pub kernel: Kernel,
     pub session: Arc<madeleine::Session>,
+    /// [`StreamHook::sink`], back from [`Kernel::finish_event_sink`];
+    /// `None` without a hook.
+    pub sink: Option<Box<dyn marcel::EventSink>>,
     world: Arc<MpiWorld>,
 }
 
@@ -420,14 +411,9 @@ impl MpiWorld {
             Placement::OneRankPerCpu => builder.one_rank_per_cpu(),
             Placement::Explicit(map) => builder.place(map.clone()),
         };
-        let builder = if config.forwarding {
-            assert!(
-                matches!(config.remote, RemoteDeviceKind::ChMad(_)),
-                "forwarding requires the ch_mad device"
-            );
-            builder.allow_forwarding()
-        } else {
-            builder
+        let builder = match &config.remote {
+            RemoteDeviceKind::ChMad(cfg) if cfg.forwarding => builder.allow_forwarding(),
+            _ => builder,
         };
         let session = builder
             .vcis(vcis)
@@ -614,7 +600,7 @@ where
 pub fn run_world_report<T, F>(
     topology: Topology,
     placement: Placement,
-    config: WorldConfig,
+    mut config: WorldConfig,
     f: F,
 ) -> Result<WorldReport<T>, SimError>
 where
@@ -628,8 +614,8 @@ where
     if config.decisions {
         kernel.enable_decision_log();
     }
-    if let Some(hook) = &config.stream {
-        kernel.set_event_sink((hook.make)(), hook.chunk);
+    if let Some(StreamHook { chunk, sink }) = config.stream.take() {
+        kernel.set_event_sink(sink, chunk);
     }
     kernel.force_commit_fallback(config.force_fallback);
     let (session, world) = MpiWorld::build(&kernel, topology, &placement, &config);
@@ -667,7 +653,7 @@ where
     kernel.run()?;
     // Flush the last partial chunk through the sink and publish the
     // stream high-water-mark gauge before anyone reads the metrics.
-    kernel.finish_event_sink();
+    let sink = kernel.finish_event_sink();
     let results = handles
         .into_iter()
         .map(|h| h.join_outcome().expect("rank finished without a result"))
@@ -676,6 +662,7 @@ where
         results,
         kernel,
         session,
+        sink,
         world,
     })
 }

@@ -156,8 +156,8 @@ fn collectives_span_the_gateway() {
 /// the gateway, with the given chunk size.
 fn forwarded_oneway(n: usize, chunk: usize) -> marcel::VirtualDuration {
     let cfg = WorldConfig::builder()
-        .forwarding(true)
         .remote(RemoteDeviceKind::ChMad(ChMadConfig {
+            forwarding: true,
             fwd_chunk: chunk,
             ..ChMadConfig::default()
         }))

@@ -58,7 +58,16 @@ fn replayed_trace_is_byte_identical_to_live() {
         stream_chunk: 8,
         ..base_cfg()
     };
-    let mut streamed = run_campaign(&stream_dir, cfg);
+    // Stepped one episode at a time: each world's report hands its
+    // recorder back, the recorder hands the writer back, and the
+    // campaign appends the episode record and (snapshot_every = 1) the
+    // index before the next episode runs.
+    let mut streamed = Campaign::create(&stream_dir, cfg).unwrap();
+    for done in 1..=2 {
+        streamed.step().unwrap();
+        assert_eq!(read_journal(&stream_dir).unwrap().episodes.len(), done);
+        assert_eq!(load_index(&stream_dir).unwrap().entries.len(), done);
+    }
     assert!(
         streamed.take_trace_json().is_none(),
         "streamed episodes must not retain a live trace buffer"

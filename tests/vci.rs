@@ -204,7 +204,10 @@ fn lanes_compose_with_rails_forwarding_and_faults() {
             striped,
         ),
         ("forwarding chain", chain, || {
-            WorldConfig::builder().forwarding(true)
+            WorldConfig::builder().remote(RemoteDeviceKind::ChMad(ChMadConfig {
+                forwarding: true,
+                ..ChMadConfig::default()
+            }))
         }),
     ];
     for (name, topology, config) in shapes {
