@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""CI gate: durable-journal soak — crash-resume byte-identity + bisect.
+"""CI gate: durable-journal soak — crash-resume byte-identity + divergence.
 
-Drives the `soak` binary through the full robustness scenario:
+Drives the `soak` and `replay` binaries through the full robustness
+scenario:
 
 1. **Baseline**: an uninterrupted fault campaign; saves the report and
    the final episode's Chrome trace.
@@ -12,12 +13,13 @@ Drives the `soak` binary through the full robustness scenario:
 3. **Resume**: reopens the torn journal, truncates the tail, finishes
    the campaign. Report and Chrome trace must be **byte-identical** to
    the baseline's.
-4. **Bisect**: a twin campaign with `--force-fallback` planted must
-   bisect against the baseline to *episode 0, ticket 0* with only the
-   fallback flag differing (exit 1 = divergence found); the baseline
-   bisected against itself must report agreement (exit 0).
+4. **Divergence**: `replay diff` of a twin campaign with
+   `--force-fallback` planted against the baseline (decisions in the
+   episode records, not streamed) must name *episode 0, ticket 0* with
+   only the fallback flag differing (exit 1 = divergence found); the
+   baseline diffed against itself must report agreement (exit 0).
 
-    python3 ci/check_soak.py [path/to/soak-binary]
+    python3 ci/check_soak.py [path/to/soak] [path/to/replay]
 
 Everything the campaign emits is virtual-time or exact counts, so the
 byte comparisons cannot flake.
@@ -50,15 +52,17 @@ def run(binary: Path, args: list[str], expect: int = 0) -> str:
     if proc.returncode != expect:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(
-            f"FAIL: soak {' '.join(args[:2])} exited {proc.returncode}, expected {expect}"
+            f"FAIL: {binary.name} {' '.join(args[:2])} exited {proc.returncode}, expected {expect}"
         )
     return proc.stdout
 
 
 def main() -> None:
     binary = Path(sys.argv[1] if len(sys.argv) > 1 else "target/release/soak")
-    if not binary.exists():
-        raise SystemExit(f"FAIL: {binary} not built (cargo build --release -p bench)")
+    replay = Path(sys.argv[2] if len(sys.argv) > 2 else "target/release/replay")
+    for b in (binary, replay):
+        if not b.exists():
+            raise SystemExit(f"FAIL: {b} not built (cargo build --release -p bench)")
     work = Path(tempfile.mkdtemp(prefix="soak-ci-"))
 
     base = work / "base"
@@ -90,15 +94,15 @@ def main() -> None:
     run(binary, [
         "run", "--dir", str(forced), *CONFIG, "--force-fallback", FORCE_FALLBACK,
     ])
-    verdict = run(binary, ["bisect", "--a", str(base), "--b", str(forced)], expect=1)
+    verdict = run(replay, ["diff", "--a", str(base), "--b", str(forced)], expect=1)
     if "episode 0, ticket 0" not in verdict or "fallback flag" not in verdict:
-        raise SystemExit(f"FAIL: bisect did not pinpoint the planted divergence: {verdict!r}")
-    print(f"soak gate: bisect pinpointed the planted divergence: {verdict.strip()}")
+        raise SystemExit(f"FAIL: diff did not pinpoint the planted divergence: {verdict!r}")
+    print(f"soak gate: diff pinpointed the planted divergence: {verdict.splitlines()[0]}")
 
-    agree = run(binary, ["bisect", "--a", str(base), "--b", str(base)])
+    agree = run(replay, ["diff", "--a", str(base), "--b", str(base)])
     if "agree" not in agree:
-        raise SystemExit(f"FAIL: self-bisect did not report agreement: {agree!r}")
-    print("soak gate: self-bisect agrees — OK")
+        raise SystemExit(f"FAIL: self-diff did not report agreement: {agree!r}")
+    print("soak gate: self-diff agrees — OK")
 
 
 if __name__ == "__main__":

@@ -149,6 +149,10 @@ r_shared_writer() { grep -rnE 'ForwardSink|clone_handle|StreamInner|Mutex<Journa
 rule forwarding_knob 0 crates/mpich/src/world.rs '    pub forwarding: bool,'
 r_forwarding_knob() { grep -nE 'ForwardingNeedsChMad|pub forwarding:' crates/mpich/src/world.rs; }
 
+# One divergence query: `replay diff` answers where two journals first differ; no second report type, entry point or subcommand ("One divergence query"). The split quotes keep this file from matching its own rule.
+rule bisect_tool 0 crates/journal/src/planted.rs 'pub fn bisec''t(a: &Path, b: &Path) -> Result<Bisect''Report, JournalError> {'
+r_bisect_tool() { grep -rnE 'Bisect''Report|fn bisec''t\(|soak bisec''t' crates tests ci; }
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

@@ -14,10 +14,12 @@
 //! what the live run would have exported (`cmp`-able in CI). `metrics`
 //! folds the recorded per-episode deltas into the exact registry
 //! snapshot at episode boundary K, cross-checked against the episode's
-//! digest. `diff` walks two journals' decision streams to the first
+//! digest. `diff` finds the first episode where two journals differ;
+//! when their decision streams differ there it names the first
 //! divergent ticket and renders both runs' traces side by side in the
-//! event window around it; exits 1 when a divergence is found, 0 when
-//! the runs agree (CI keys off this).
+//! event window around it, else it names the differing record fields.
+//! It exits 1 when a divergence is found, 0 when the runs agree (CI
+//! keys off this).
 
 use std::path::Path;
 use std::process::exit;
@@ -79,7 +81,7 @@ fn main() {
                     exit(1);
                 }
                 Ok(None) => {
-                    println!("runs agree on every compared decision");
+                    println!("runs agree on every compared episode");
                     exit(0);
                 }
                 Err(e) => cli.die(&format!("diff: {e}")),

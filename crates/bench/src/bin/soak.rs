@@ -1,4 +1,4 @@
-//! Soak harness: durable fault campaigns with crash-resume and bisect.
+//! Soak harness: durable fault campaigns with crash-resume.
 //!
 //! ```text
 //! cargo run -p bench --bin soak -- run    --dir D [config flags]
@@ -6,7 +6,6 @@
 //!                                         [--report PATH] [--chrome PATH]
 //! cargo run -p bench --bin soak -- resume --dir D [--force]
 //!                                         [--report PATH] [--chrome PATH]
-//! cargo run -p bench --bin soak -- bisect --a DIR --b DIR
 //! ```
 //!
 //! Config flags for `run`: `--seed S --episodes N --ranks R --messages M
@@ -24,12 +23,14 @@
 //! and then SIGKILLs itself — no destructors, no flushes. A subsequent
 //! `resume` must finish the campaign and emit a report and final-episode
 //! Chrome trace *byte-identical* to an uninterrupted baseline run.
+//!
+//! Where two campaigns' journals first differ is `replay diff`'s
+//! question.
 
 use std::path::Path;
-use std::process::exit;
 
 use bench::cli::Cli;
-use journal::{bisect, Campaign, SoakConfig};
+use journal::{Campaign, SoakConfig};
 
 fn config_from(cli: &Cli) -> SoakConfig {
     let mut cfg = SoakConfig::default();
@@ -153,19 +154,6 @@ fn main() {
             );
             drive(campaign, &cli);
         }
-        Some("bisect") => {
-            let a = cli.dir("--a");
-            let b = cli.dir("--b");
-            match bisect(&a, &b) {
-                Ok(report) => {
-                    println!("{report}");
-                    // Exit 0 when identical, 1 when divergent — CI keys
-                    // off this.
-                    exit(report.first_divergent_episode.is_some() as i32);
-                }
-                Err(e) => cli.die(&format!("bisect: {e}")),
-            }
-        }
-        _ => cli.die("usage: soak run|resume|bisect (see --help in the source header)"),
+        _ => cli.die("usage: soak run|resume (see --help in the source header)"),
     }
 }

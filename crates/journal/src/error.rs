@@ -111,10 +111,15 @@ pub enum JournalError {
     },
     /// `resume` found the campaign already complete.
     AlreadyComplete { episodes: u32 },
-    /// `bisect` needs two journals over the same campaign shape.
-    BisectMismatch { why: String },
+    /// `diff_runs` needs two journals over the same campaign shape.
+    Incomparable { why: String },
     /// The campaign config describes a world no episode can run.
     InvalidConfig { why: String },
+    /// An episode's world failed: it deadlocked or a rank panicked.
+    EpisodeFailed { episode: u32, why: String },
+    /// A streamed episode failed and its world dropped the journal
+    /// writer it held; only `resume` can continue the campaign.
+    WriterLost { episode: u32 },
 }
 
 impl JournalError {
@@ -234,12 +239,20 @@ impl std::fmt::Display for JournalError {
             JournalError::AlreadyComplete { episodes } => {
                 write!(f, "campaign already complete ({episodes} episodes)")
             }
-            JournalError::BisectMismatch { why } => {
+            JournalError::Incomparable { why } => {
                 write!(f, "journals not comparable: {why}")
             }
             JournalError::InvalidConfig { why } => {
                 write!(f, "invalid campaign config: {why}")
             }
+            JournalError::EpisodeFailed { episode, why } => {
+                write!(f, "episode {episode} failed: {why}")
+            }
+            JournalError::WriterLost { episode } => write!(
+                f,
+                "streamed episode {episode} failed and took the journal writer with it; \
+                 resume the campaign from its journal"
+            ),
         }
     }
 }

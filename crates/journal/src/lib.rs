@@ -1,5 +1,5 @@
 //! Durable journal for million-message fault campaigns: `record`,
-//! `resume`, `bisect`.
+//! `resume`, and replay's divergence query.
 //!
 //! The simulator's determinism makes every campaign a pure function of
 //! its config — this crate makes that durable. A soak campaign
@@ -20,18 +20,18 @@
 //!   run: the CI soak leg SIGKILLs a campaign mid-flight, resumes it,
 //!   and byte-diffs both the report and the final episode's Chrome
 //!   trace against a baseline.
-//! * **bisect** — [`bisect::bisect`] binary-searches two journals'
+//! * **diff** — [`replay::diff_runs`] binary-searches two journals'
 //!   chained episode digests for the first divergent episode and walks
 //!   its recorded committer-decision streams to the exact first
-//!   divergent ticket (acceptance: a campaign with
-//!   `force_fallback` planted reports ticket 0, fallback-flag-only).
+//!   divergent ticket, or names the differing record fields when the
+//!   decisions agree (acceptance: a campaign with `force_fallback`
+//!   planted reports ticket 0, fallback-flag-only).
 //!
 //! Reader hardening is a hard contract: truncated, bit-flipped,
 //! version-skewed or garbage journals yield typed [`JournalError`]s
 //! carrying a best-effort [`RecoveryPoint`] — never a panic
 //! (`tests/journal_corruption.rs` fuzzes this).
 
-pub mod bisect;
 pub mod codec;
 pub mod crc;
 pub mod error;
@@ -41,7 +41,6 @@ pub mod soak;
 pub mod store;
 pub mod stream;
 
-pub use bisect::{bisect, BisectReport};
 pub use crc::crc64;
 pub use error::{JournalError, RecoveryPoint};
 pub use record::{

@@ -2,7 +2,7 @@
 //!
 //! Three record kinds travel in checksummed frames (see
 //! [`crate::store`]): the campaign [`SoakConfig`] (first record of
-//! segment 0 — a journal is self-contained, `resume` and `bisect` need
+//! segment 0 — a journal is self-contained, `resume` and `replay diff` need
 //! no side channel), one [`EpisodeRecord`] per finished episode, and a
 //! [`SnapshotRecord`] at the configured cadence carrying the quiescent
 //! [`WorldCapture`] of the episode it follows. Every encoding is
@@ -52,11 +52,11 @@ pub struct SoakConfig {
     /// snapshots entirely (tail-only journal).
     pub snapshot_every: u32,
     /// Record per-ticket committer decisions in episode records (the
-    /// bisect substrate; costs journal bytes, never virtual time).
+    /// `replay diff` substrate; costs journal bytes, never virtual time).
     pub record_decisions: bool,
     /// Mark the first N scheduling decisions of *every* episode
-    /// `fallback` (0 = none) — plants a known divergence for the bisect
-    /// acceptance test without changing any result byte.
+    /// `fallback` (0 = none) — plants a known divergence for the
+    /// `replay diff` acceptance test without changing any result byte.
     pub force_fallback: u32,
     /// Streaming flight recorder: when > 0, every episode runs with
     /// tracing on and an incremental [`marcel::EventSink`] that flushes
@@ -269,8 +269,8 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// The first-divergence comparator shared by [`crate::bisect`] and
-/// [`crate::replay::diff_runs`]; `None` when the streams are equal.
+/// The decision-stream comparator of [`crate::replay::diff_runs`];
+/// `None` when the streams are equal.
 pub fn first_divergence(a: &[DecisionRec], b: &[DecisionRec]) -> Option<Divergence> {
     let shared = a.len().min(b.len());
     if let Some(index) = (0..shared).find(|&i| a[i] != b[i]) {
@@ -309,7 +309,7 @@ pub fn first_divergence(a: &[DecisionRec], b: &[DecisionRec]) -> Option<Divergen
 /// fault outcome, and (optionally) the full committer decision stream.
 /// `cum_digest` chains every prior episode — two campaigns agree on a
 /// prefix exactly when their last common record's `cum_digest` agrees,
-/// which is what bisect binary-searches on.
+/// which is what `replay diff` binary-searches on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpisodeRecord {
     pub index: u32,

@@ -25,15 +25,16 @@ use std::path::Path;
 
 use marcel::{chrome_trace_json, MetricsSnapshot, ThreadMeta, TraceEvent};
 
-use crate::bisect::{decision_stream, first_divergent_episode};
 use crate::codec::DecodeError;
 use crate::crc::crc64;
 use crate::error::{JournalError, RecoveryPoint};
 use crate::record::{
-    first_divergence, DecisionRec, Divergence, KIND_DECISION_CHUNK, KIND_EVENT_CHUNK, KIND_INDEX,
+    first_divergence, DecisionRec, Divergence, EpisodeRecord, SoakConfig, KIND_DECISION_CHUNK,
+    KIND_EVENT_CHUNK, KIND_INDEX,
 };
 use crate::store::{
-    list_segments, read_journal, read_segment, scan_frame, JournalContents, HEADER_LEN,
+    list_segments, read_journal, read_journal_recovering, read_segment, scan_frame,
+    JournalContents, HEADER_LEN,
 };
 use crate::stream::{DecisionChunkRec, EventChunkRec, IndexRec, StreamSummary};
 
@@ -269,19 +270,24 @@ pub struct TicketWindow {
     pub end_event_ticket: u64,
 }
 
-/// Where two journals' decision streams first part ways, with the
-/// reconstructed Chrome traces of both runs sliced to the window around
-/// the divergent ticket.
+/// Where two journals first part ways: the first divergent episode,
+/// and — when both runs recorded that episode's decisions and they
+/// differ — the first divergent ticket, with the reconstructed Chrome
+/// traces of both runs sliced to the window around it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplayDiff {
     pub episode: u32,
-    pub ticket: u64,
-    /// What differs at that ticket, in words.
+    /// First divergent committer ticket; `None` when the episode's
+    /// decision streams agree or were not recorded.
+    pub ticket: Option<u64>,
+    /// What differs, in words: the decision at `ticket`, or else every
+    /// differing field of the two episode records.
     pub detail: String,
-    pub window: TicketWindow,
-    /// Chrome trace JSON of run A, sliced to `window`.
+    /// The event window around `ticket`; `None` without a ticket.
+    pub window: Option<TicketWindow>,
+    /// Chrome trace JSON of run A, sliced to `window` (empty without one).
     pub trace_a: String,
-    /// Chrome trace JSON of run B, sliced to `window`.
+    /// Chrome trace JSON of run B, sliced to `window` (empty without one).
     pub trace_b: String,
 }
 
@@ -291,15 +297,21 @@ impl ReplayDiff {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
+        let ticket = self.ticket.map(|t| format!(", ticket {t}"));
         let _ = writeln!(
             out,
-            "first divergence at episode {}, ticket {}: {}",
-            self.episode, self.ticket, self.detail
+            "first divergence at episode {}{}: {}",
+            self.episode,
+            ticket.unwrap_or_default(),
+            self.detail
         );
+        let Some(window) = self.window else {
+            return out;
+        };
         let _ = writeln!(
             out,
             "event-ticket window [{}, {}):",
-            self.window.first_event_ticket, self.window.end_event_ticket
+            window.first_event_ticket, window.end_event_ticket
         );
         let a: Vec<&str> = self.trace_a.lines().collect();
         let b: Vec<&str> = self.trace_b.lines().collect();
@@ -318,65 +330,339 @@ impl ReplayDiff {
     }
 }
 
-/// Compare two journals' decision streams and reconstruct the trace
-/// window around the first divergent ticket (`radius` decisions on each
-/// side). Returns `Ok(None)` when every compared decision agrees.
+/// Two campaigns are comparable when every config field that shapes the
+/// *workload* agrees; `force_fallback` is exempt (planting a forced
+/// divergence is the diff's acceptance scenario) and so is `workers`
+/// (the execution policy must not change results — catching it when it
+/// does is also what the diff is for).
+fn comparable(a: &SoakConfig, b: &SoakConfig) -> Result<(), JournalError> {
+    let strip = |c: &SoakConfig| SoakConfig {
+        force_fallback: 0,
+        workers: 0,
+        ..c.clone()
+    };
+    if strip(a) != strip(b) {
+        return Err(JournalError::Incomparable {
+            why: format!(
+                "campaign configs disagree (fingerprints {:#x} vs {:#x})",
+                a.fingerprint(),
+                b.fingerprint()
+            ),
+        });
+    }
+    Ok(())
+}
+
+/// The first episode of two journals' common prefix whose chained
+/// digest differs, found by binary search: the chain makes the agreeing
+/// episodes a prefix, and episodes before `lo` agree.
+fn first_divergent_episode(a: &[EpisodeRecord], b: &[EpisodeRecord]) -> Option<usize> {
+    let n = a.len().min(b.len());
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if a[mid].cum_digest == b[mid].cum_digest {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo < n).then_some(lo)
+}
+
+/// Decision stream of episode `episode` in a journal: from the chunk
+/// stream when the episode streamed, else from the in-record decision
+/// log (whose entries carry no `events_before` bridge — it reads as 0).
+fn decision_stream(
+    dir: &Path,
+    contents: &JournalContents,
+    episode: usize,
+) -> Result<Vec<DecisionRec>, JournalError> {
+    match contents.stream.iter().find(|s| s.episode == episode as u32) {
+        Some(summary) if summary.decisions > 0 => read_episode_decisions(dir, summary),
+        _ => Ok(contents.episodes[episode].decisions.clone()),
+    }
+}
+
+/// Name the differing fields of two episode records.
+fn differing_fields(x: &EpisodeRecord, y: &EpisodeRecord) -> String {
+    let fields: Vec<String> = [
+        ("episode_seed", x.episode_seed, y.episode_seed),
+        ("end_time_ns", x.end_time_ns, y.end_time_ns),
+        ("result_digest", x.result_digest, y.result_digest),
+        ("metrics_digest", x.metrics_digest, y.metrics_digest),
+        ("trace_digest", x.trace_digest, y.trace_digest),
+        ("decisions_digest", x.decisions_digest, y.decisions_digest),
+        ("wire_messages", x.wire_messages, y.wire_messages),
+        ("wire_bytes", x.wire_bytes, y.wire_bytes),
+        ("failovers", x.failovers, y.failovers),
+        ("rndv_reissues", x.rndv_reissues, y.rndv_reissues),
+    ]
+    .into_iter()
+    .filter(|(_, a, b)| a != b)
+    .map(|(name, a, b)| format!("{name} ({a:#x} vs {b:#x})"))
+    .collect();
+    if fields.is_empty() {
+        return "episode digests differ but no recorded field does (fault counters?)".into();
+    }
+    fields.join("; ")
+}
+
+/// Find the first episode where two journals part ways and say why.
+///
+/// Divergence is monotone under the digest chain, so the first
+/// divergent episode is a binary search over the episode records. When
+/// both runs recorded that episode's decisions and they differ, the
+/// report names the first divergent ticket and slices both runs' traces
+/// to the event window `radius` decisions on each side of it; otherwise
+/// it names the differing record fields. Returns `Ok(None)` when the
+/// common prefix agrees. Reads are best-effort: a torn or damaged tail
+/// limits the comparison to the valid prefixes (the journal of a
+/// crashed run is exactly when this matters).
 pub fn diff_runs(
     dir_a: &Path,
     dir_b: &Path,
     radius: usize,
 ) -> Result<Option<ReplayDiff>, JournalError> {
-    let a = read_journal(dir_a)?;
-    let b = read_journal(dir_b)?;
-    let n = a.episodes.len().min(b.episodes.len());
+    let (a, _) = read_journal_recovering(dir_a)?;
+    let (b, _) = read_journal_recovering(dir_b)?;
+    comparable(&a.config, &b.config)?;
+    if a.episodes.is_empty() || b.episodes.is_empty() {
+        return Err(JournalError::Incomparable {
+            why: "one journal has no complete episodes".into(),
+        });
+    }
     // Episodes before the first chain divergence agree on every digest,
     // decisions and (streamed) `events_before` bridges included.
-    let Some(first) = first_divergent_episode(&a.episodes, &b.episodes) else {
+    let Some(ep) = first_divergent_episode(&a.episodes, &b.episodes) else {
         return Ok(None);
     };
-    for ep in first..n {
-        let da = decision_stream(dir_a, &a, ep)?;
-        let db = decision_stream(dir_b, &b, ep)?;
-        let Some(Divergence {
-            index: i,
-            ticket,
-            detail,
-        }) = first_divergence(&da, &db)
-        else {
-            continue;
-        };
-        // The window: `events_before` of the decision `radius` before
-        // the divergence opens it; the decision `radius + 1` after
-        // closes it (end of episode when the stream ends first).
-        let longest = if da.len() >= db.len() { &da } else { &db };
-        let lo = longest[i.saturating_sub(radius).min(longest.len() - 1)].events_before;
-        let hi = longest
-            .get(i + radius + 1)
-            .map(|d| d.events_before)
-            .unwrap_or(u64::MAX);
-        let window = TicketWindow {
-            first_event_ticket: lo,
-            end_event_ticket: hi,
-        };
-        let slice = |dir: &Path, contents: &JournalContents| {
-            match contents.stream.iter().find(|s| s.episode == ep as u32) {
-                Some(summary) => {
-                    let (mut events, threads) = read_episode_events(dir, summary)?;
-                    events.retain(|e| e.ticket >= lo && e.ticket < hi);
-                    Ok::<String, JournalError>(chrome_trace_json(&events, &threads))
-                }
-                // Non-streamed journal: no events to reconstruct.
-                None => Ok(chrome_trace_json(&[], &[])),
-            }
-        };
+    let da = decision_stream(dir_a, &a, ep)?;
+    let db = decision_stream(dir_b, &b, ep)?;
+    let Some(Divergence {
+        index: i,
+        ticket,
+        detail,
+    }) = first_divergence(&da, &db)
+    else {
         return Ok(Some(ReplayDiff {
             episode: ep as u32,
-            ticket,
-            detail,
-            window,
-            trace_a: slice(dir_a, &a)?,
-            trace_b: slice(dir_b, &b)?,
+            ticket: None,
+            detail: differing_fields(&a.episodes[ep], &b.episodes[ep]),
+            window: None,
+            trace_a: String::new(),
+            trace_b: String::new(),
         }));
+    };
+    // The window: `events_before` of the decision `radius` before the
+    // divergence opens it; the decision `radius + 1` after closes it
+    // (end of episode when the stream ends first).
+    let longest = if da.len() >= db.len() { &da } else { &db };
+    let lo = longest[i.saturating_sub(radius).min(longest.len() - 1)].events_before;
+    let hi = longest
+        .get(i + radius + 1)
+        .map(|d| d.events_before)
+        .unwrap_or(u64::MAX);
+    let slice = |dir: &Path, contents: &JournalContents| {
+        match contents.stream.iter().find(|s| s.episode == ep as u32) {
+            Some(summary) => {
+                let (mut events, threads) = read_episode_events(dir, summary)?;
+                events.retain(|e| e.ticket >= lo && e.ticket < hi);
+                Ok::<String, JournalError>(chrome_trace_json(&events, &threads))
+            }
+            // Non-streamed journal: no events to reconstruct.
+            None => Ok(chrome_trace_json(&[], &[])),
+        }
+    };
+    Ok(Some(ReplayDiff {
+        episode: ep as u32,
+        ticket: Some(ticket),
+        detail,
+        window: Some(TicketWindow {
+            first_event_ticket: lo,
+            end_event_ticket: hi,
+        }),
+        trace_a: slice(dir_a, &a)?,
+        trace_b: slice(dir_b, &b)?,
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::record::Record;
+    use crate::soak::Campaign;
+    use crate::store::{chain, JournalWriter};
+    use std::fs;
+    use std::path::PathBuf;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("journal-diff-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
     }
-    Ok(None)
+
+    fn small() -> SoakConfig {
+        SoakConfig {
+            episodes: 2,
+            ranks: 3,
+            messages_per_episode: 4,
+            payload: 64,
+            ..SoakConfig::default()
+        }
+    }
+
+    /// Run a baseline campaign and its `force_fallback: 2` twin to
+    /// completion, diff them, and remove both journals.
+    fn diff_forced_fallback(tag: &str, cfg: SoakConfig) -> ReplayDiff {
+        let dir_a = tmpdir(&format!("{tag}-base"));
+        Campaign::create(&dir_a, cfg.clone())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        let dir_b = tmpdir(&format!("{tag}-forced"));
+        Campaign::create(
+            &dir_b,
+            SoakConfig {
+                force_fallback: 2,
+                ..cfg
+            },
+        )
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+        let diff = diff_runs(&dir_a, &dir_b, 2).unwrap().expect("planted");
+        fs::remove_dir_all(&dir_a).unwrap();
+        fs::remove_dir_all(&dir_b).unwrap();
+        diff
+    }
+
+    /// End to end on real campaigns: a baseline and a forced-fallback
+    /// twin must diverge at episode 0, ticket 0, fallback-flag-only —
+    /// whether the decisions sit in the episode records or, with
+    /// `stream_chunk > 0`, only in the chunk stream.
+    fn forced_fallback_at_ticket_zero(tag: &str, stream_chunk: u32) {
+        let diff = diff_forced_fallback(
+            tag,
+            SoakConfig {
+                record_decisions: true,
+                workers: 2,
+                stream_chunk,
+                ..small()
+            },
+        );
+        assert_eq!((diff.episode, diff.ticket), (0, Some(0)));
+        assert!(
+            diff.detail.contains("only the fallback flag differs"),
+            "{}",
+            diff.detail
+        );
+        assert!(diff.window.is_some());
+    }
+
+    #[test]
+    fn forced_fallback_diverges_at_ticket_zero() {
+        forced_fallback_at_ticket_zero("inline", 0);
+    }
+
+    #[test]
+    fn streamed_forced_fallback_diverges_at_ticket_zero() {
+        forced_fallback_at_ticket_zero("streamed", 64);
+    }
+
+    /// Without recorded decisions the planted fallback shows only in the
+    /// metrics (`exec/fallback`): the diff still names episode 0, with
+    /// the differing field and no ticket.
+    #[test]
+    fn digest_only_divergence_names_its_fields() {
+        let diff = diff_forced_fallback("digest", small());
+        assert_eq!((diff.episode, diff.ticket, diff.window), (0, None, None));
+        assert!(diff.detail.contains("metrics_digest"), "{}", diff.detail);
+        assert!(!diff.detail.contains("result_digest"), "{}", diff.detail);
+        assert_eq!(
+            diff.render(),
+            format!("first divergence at episode 0: {}\n", diff.detail)
+        );
+    }
+
+    fn synthetic(index: u32, cum: u64, decisions: Vec<DecisionRec>) -> EpisodeRecord {
+        let mut ep = EpisodeRecord {
+            index,
+            episode_seed: 0x1000 + index as u64,
+            end_time_ns: 10,
+            result_digest: 1,
+            metrics_digest: 2,
+            trace_digest: 0,
+            decisions_digest: if decisions.is_empty() {
+                0
+            } else {
+                EpisodeRecord::digest_decisions(&decisions)
+            },
+            faults: Default::default(),
+            failovers: 0,
+            rndv_reissues: 0,
+            wire_messages: 5,
+            wire_bytes: 320,
+            cum_digest: 0,
+            decisions,
+        };
+        ep.cum_digest = chain(cum, ep.own_digest());
+        ep
+    }
+
+    #[test]
+    fn binary_search_finds_a_mid_campaign_divergence() {
+        let cfg = SoakConfig {
+            episodes: 16,
+            ..SoakConfig::default()
+        };
+        let d = |t: u64, fb: bool| DecisionRec {
+            ticket: t,
+            tid: 1,
+            at_ns: 7 * t,
+            fallback: fb,
+            events_before: 0,
+        };
+        let write = |dir: &Path, diverge_at: u32| {
+            let mut w = JournalWriter::create(dir, &cfg).unwrap();
+            let mut cum = 0;
+            for i in 0..16u32 {
+                let flips = i >= diverge_at;
+                let ep = synthetic(i, cum, vec![d(0, false), d(1, flips), d(2, false)]);
+                cum = ep.cum_digest;
+                w.append(&Record::Episode(ep)).unwrap();
+            }
+        };
+        let dir_a = tmpdir("mid-a");
+        let dir_b = tmpdir("mid-b");
+        write(&dir_a, u32::MAX);
+        write(&dir_b, 11);
+        read_journal(&dir_a).unwrap();
+        let diff = diff_runs(&dir_a, &dir_b, 2).unwrap().expect("planted");
+        assert_eq!((diff.episode, diff.ticket), (11, Some(1)));
+        fs::remove_dir_all(&dir_a).unwrap();
+        fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    #[test]
+    fn incomparable_configs_are_rejected() {
+        let dir_a = tmpdir("cfg-a");
+        let dir_b = tmpdir("cfg-b");
+        let cfg = SoakConfig::default();
+        let other = SoakConfig {
+            ranks: cfg.ranks + 1,
+            ..cfg.clone()
+        };
+        for (dir, c) in [(&dir_a, &cfg), (&dir_b, &other)] {
+            let mut w = JournalWriter::create(dir, c).unwrap();
+            w.append(&Record::Episode(synthetic(0, 0, Vec::new())))
+                .unwrap();
+        }
+        assert!(matches!(
+            diff_runs(&dir_a, &dir_b, 2),
+            Err(JournalError::Incomparable { .. })
+        ));
+        fs::remove_dir_all(&dir_a).unwrap();
+        fs::remove_dir_all(&dir_b).unwrap();
+    }
 }

@@ -45,7 +45,8 @@ pub struct Campaign {
     /// [`StreamRecorder`] owns it while the episode runs (chunk appends
     /// happen from inside the kernel) and its `finish` hands it back
     /// before [`Campaign::step`] appends the episode record; `None`
-    /// only in between.
+    /// while it runs, and for good once a streamed episode's world
+    /// failed and dropped the recorder with the writer in it.
     writer: Option<JournalWriter>,
     episodes: Vec<EpisodeRecord>,
     totals: Totals,
@@ -152,17 +153,20 @@ impl Campaign {
         self.episodes_done() >= self.config.episodes
     }
 
-    fn writer(&mut self) -> &mut JournalWriter {
+    fn writer(&mut self) -> Result<&mut JournalWriter, JournalError> {
+        let episode = self.episodes_done();
         self.writer
             .as_mut()
-            .expect("no episode is running, so the campaign holds the writer")
+            .ok_or(JournalError::WriterLost { episode })
     }
 
     /// Run the next episode, append its record, and snapshot at the
     /// configured cadence. With `stream_chunk > 0` the episode's events,
     /// decisions, and metrics delta were already appended incrementally
     /// by the time the episode record lands, and every snapshot is
-    /// followed by a rewritten cumulative stream index.
+    /// followed by a rewritten cumulative stream index. A step that
+    /// fails before its episode record is appended leaves the campaign
+    /// as it was.
     pub fn step(&mut self) -> Result<(), JournalError> {
         if self.is_complete() {
             return Err(JournalError::AlreadyComplete {
@@ -172,6 +176,8 @@ impl Campaign {
         let index = self.episodes_done();
         let last = index + 1 == self.config.episodes;
         let streaming = self.config.stream_chunk > 0;
+        // A failed streamed episode took the writer down with its world.
+        self.writer()?;
         let recorder = self
             .writer
             .take_if(|_| streaming)
@@ -182,10 +188,11 @@ impl Campaign {
             trace_json,
             metrics,
             stream,
-        } = run_episode(&self.config, index, last || streaming, recorder);
+        } = run_episode(&self.config, index, last || streaming, recorder)?;
         // Streamed episodes have empty live buffers (that is the
         // invariant under test): their digests come from the
         // recorder's chunk chain, and its `finish` hands the writer back.
+        let mut summary = None;
         if let Some((sink, threads)) = stream {
             let recorder = (sink as Box<dyn Any>)
                 .downcast::<StreamRecorder>()
@@ -195,14 +202,16 @@ impl Campaign {
             let fin = fin?;
             ep.trace_digest = fin.cum;
             ep.decisions_digest = fin.decisions_digest;
-            self.stream.push(fin);
+            summary = Some(fin);
         }
         ep.cum_digest = chain(self.cum_digest, ep.own_digest());
+        self.writer()?.append(&Record::Episode(ep.clone()))?;
+        // Fold the episode in only once its record is written.
         self.cum_digest = ep.cum_digest;
         self.totals.add_episode(&ep);
+        self.stream.extend(summary);
         self.trace_json = trace_json;
         self.prev_metrics = metrics;
-        self.writer().append(&Record::Episode(ep.clone()))?;
         self.episodes.push(ep);
         let due = self.config.snapshot_every > 0
             && (index + 1).is_multiple_of(self.config.snapshot_every);
@@ -213,7 +222,7 @@ impl Campaign {
                 cum_digest: self.cum_digest,
                 world,
             });
-            self.writer().append(&snapshot)?;
+            self.writer()?.append(&snapshot)?;
             if streaming {
                 // Rewrite the cumulative seekable index right after the
                 // durability point, so a reader can always jump from
@@ -221,7 +230,7 @@ impl Campaign {
                 let index = Record::Index(IndexRec {
                     entries: self.stream.clone(),
                 });
-                self.writer().append(&index)?;
+                self.writer()?.append(&index)?;
             }
         }
         Ok(())
@@ -232,7 +241,7 @@ impl Campaign {
         while !self.is_complete() {
             self.step()?;
         }
-        self.writer().sync()
+        self.writer()?.sync()
     }
 
     /// The final episode's Chrome trace JSON, if that episode ran in
@@ -368,13 +377,15 @@ fn check_runnable(config: &SoakConfig) -> Result<(), JournalError> {
 /// Run one episode of the campaign workload. With `recorder` set, the
 /// kernel drains its trace/decision buffers through it in
 /// `config.stream_chunk`-sized chunks as it runs, and the in-memory
-/// buffers stay empty — that is the point.
+/// buffers stay empty — that is the point. A world that deadlocks or
+/// whose rank panics is an [`JournalError::EpisodeFailed`]; it drops
+/// the recorder.
 fn run_episode(
     config: &SoakConfig,
     index: u32,
     trace: bool,
     recorder: Option<StreamRecorder>,
-) -> EpisodeOutcome {
+) -> Result<EpisodeOutcome, JournalError> {
     let episode_seed = config.episode_seed(index);
     let ranks = config.ranks as usize;
     let mut topology = Topology::single_network(ranks, Protocol::Tcp);
@@ -427,7 +438,10 @@ fn run_episode(
         }
         digest
     })
-    .expect("soak episode deadlocked");
+    .map_err(|e| JournalError::EpisodeFailed {
+        episode: index,
+        why: e.to_string(),
+    })?;
     let capture = report.capture();
     let (results, kernel, session) = (report.results, report.kernel, report.session);
     let stream = report
@@ -501,13 +515,13 @@ fn run_episode(
         cum_digest: 0,
         decisions,
     };
-    EpisodeOutcome {
+    Ok(EpisodeOutcome {
         ep,
         world: world_rec,
         trace_json,
         metrics,
         stream,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -585,14 +599,11 @@ mod tests {
     #[test]
     fn episodes_are_deterministic() {
         let cfg = tiny();
-        let a = run_episode(&cfg, 1, false, None);
-        let b = run_episode(&cfg, 1, false, None);
+        let run = |index| run_episode(&cfg, index, false, None).unwrap();
+        let (a, b) = (run(1), run(1));
         assert_eq!(a.ep, b.ep);
         assert_eq!(a.world, b.world);
-        assert_ne!(
-            a.ep.result_digest,
-            run_episode(&cfg, 2, false, None).ep.result_digest
-        );
+        assert_ne!(a.ep.result_digest, run(2).ep.result_digest);
     }
 
     #[test]
@@ -630,8 +641,8 @@ mod tests {
             force_fallback: 3,
             ..cfg.clone()
         };
-        let a = run_episode(&cfg, 0, false, None).ep;
-        let b = run_episode(&forced, 0, false, None).ep;
+        let a = run_episode(&cfg, 0, false, None).unwrap().ep;
+        let b = run_episode(&forced, 0, false, None).unwrap().ep;
         assert_eq!(a.result_digest, b.result_digest);
         assert_eq!(a.end_time_ns, b.end_time_ns);
         // Metrics DO differ — the `exec/fallback` counter counts the
@@ -649,5 +660,36 @@ mod tests {
             .expect("a divergent decision");
         assert_eq!(first.0.ticket, 0, "forced fallback starts at ticket 0");
         assert!(!first.0.fallback && first.1.fallback);
+    }
+
+    /// A world in which every rail dies fails its episode with a typed
+    /// error and leaves the campaign as it was. Inline, the campaign
+    /// keeps its writer and a retry fails the same way; streamed, the
+    /// writer went down with the world and every later call says so.
+    #[test]
+    fn failed_world_is_a_typed_error_and_changes_nothing() {
+        for stream_chunk in [0, 8] {
+            let cfg = SoakConfig {
+                loss_milli: 999,
+                stream_chunk,
+                ..tiny()
+            };
+            let dir = tmpdir(&format!("failed-{stream_chunk}"));
+            let mut c = Campaign::create(&dir, cfg).unwrap();
+            let report = c.report();
+            let failed = c.step().unwrap_err();
+            assert!(
+                matches!(&failed, JournalError::EpisodeFailed { episode: 0, why }
+                    if why.contains("dead")),
+                "{failed}"
+            );
+            assert_eq!((c.episodes_done(), c.report()), (0, report.clone()));
+            let lost = JournalError::WriterLost { episode: 0 };
+            let again = if stream_chunk == 0 { failed } else { lost };
+            assert_eq!(c.step().unwrap_err(), again);
+            assert_eq!(c.run_to_completion().unwrap_err(), again);
+            assert_eq!((c.episodes_done(), c.report()), (0, report));
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

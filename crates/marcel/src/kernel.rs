@@ -233,7 +233,7 @@ pub struct TraceEvent {
 /// divergence probe: two runs that produce bit-identical results and
 /// traces can still differ here ([`Kernel::force_commit_fallback`]
 /// flips `fallback` at exactly the marked tickets), which is what lets
-/// `bisect` pinpoint the first divergent ticket. Recording is pure
+/// `replay diff` pinpoint the first divergent ticket. Recording is pure
 /// host-side bookkeeping — it never advances virtual time — and costs
 /// one `Option` check per commit when disabled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1037,7 +1037,7 @@ impl Kernel {
     /// Mark the next `n` commits `fallback` in the decision log and
     /// count them in the `exec/fallback` metric; nothing else about
     /// them changes. Test hook: plants a known first divergent ticket
-    /// for the journal's bisect.
+    /// for `replay diff`.
     #[doc(hidden)]
     pub fn force_commit_fallback(&self, n: u32) {
         self.shared.state.borrow().force_fallback = n;
@@ -1328,7 +1328,7 @@ mod tests {
         // A forced committer fallback re-sequences against an unchanged
         // world: the committed (ticket, tid, at) stream is identical,
         // and exactly the forced prefix carries the fallback flag —
-        // the divergence signature the journal's bisect keys on.
+        // the divergence signature `replay diff` keys on.
         let base = handshake_decisions(CostModel::calibrated(), 0);
         let forced = handshake_decisions(CostModel::calibrated(), 3);
         assert_eq!(base.len(), forced.len());

@@ -75,14 +75,14 @@ pub struct WorldConfig {
     /// Record the kernel's decision log ([`marcel::Decision`] per
     /// committed ticket; retrieve with `Kernel::take_decisions` after
     /// the run). Like tracing it never advances virtual time. The
-    /// journal records these streams so divergence bisect can name the
+    /// journal records these streams so `replay diff` can name the
     /// exact first ticket where two campaigns differ.
     pub decisions: bool,
     /// Mark the first N scheduling decisions `fallback` in the decision
     /// log (0 = none; see `Kernel::force_commit_fallback`). Results and
     /// traces stay bit-identical — only those flags and the
-    /// `exec/fallback` counter change — which is how the journal's
-    /// bisect acceptance test plants a known first divergent ticket.
+    /// `exec/fallback` counter change — which is how `replay diff`'s
+    /// acceptance test plants a known first divergent ticket.
     pub force_fallback: u32,
     /// Stream the trace/decision buffers out of the kernel in bounded
     /// chunks instead of accumulating them for the whole run: when set,

@@ -219,9 +219,10 @@ fn diff_localizes_planted_fallback_divergence() {
         .unwrap()
         .expect("divergence planted");
     assert_eq!(diff.episode, 0);
-    assert_eq!(diff.ticket, 0);
+    assert_eq!(diff.ticket, Some(0));
     assert!(diff.detail.contains("fallback"), "{}", diff.detail);
-    assert!(diff.window.first_event_ticket < diff.window.end_event_ticket);
+    let window = diff.window.expect("a ticket has a window");
+    assert!(window.first_event_ticket < window.end_event_ticket);
 
     let rendered = diff.render();
     assert!(
