@@ -78,8 +78,11 @@ def main() -> None:
     for b in (soak, replay):
         if not b.exists():
             raise SystemExit(f"FAIL: {b} not built (cargo build --release -p bench)")
-    work = Path(tempfile.mkdtemp(prefix="replay-ci-"))
+    with tempfile.TemporaryDirectory(prefix="replay-ci-") as work:
+        gate(soak, replay, Path(work))
 
+
+def gate(soak: Path, replay: Path, work: Path) -> None:
     # 1. Live Chrome export vs offline reconstruction, byte for byte.
     base = work / "base"
     live = work / "live.json"

@@ -63,8 +63,11 @@ def main() -> None:
     for b in (binary, replay):
         if not b.exists():
             raise SystemExit(f"FAIL: {b} not built (cargo build --release -p bench)")
-    work = Path(tempfile.mkdtemp(prefix="soak-ci-"))
+    with tempfile.TemporaryDirectory(prefix="soak-ci-") as work:
+        gate(binary, replay, Path(work))
 
+
+def gate(binary: Path, replay: Path, work: Path) -> None:
     base = work / "base"
     run(binary, [
         "run", "--dir", str(base), *CONFIG,

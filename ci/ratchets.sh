@@ -153,6 +153,13 @@ r_forwarding_knob() { grep -nE 'ForwardingNeedsChMad|pub forwarding:' crates/mpi
 rule bisect_tool 0 crates/journal/src/planted.rs 'pub fn bisec''t(a: &Path, b: &Path) -> Result<Bisect''Report, JournalError> {'
 r_bisect_tool() { grep -rnE 'Bisect''Report|fn bisec''t\(|soak bisec''t' crates tests ci; }
 
+# A snapshot carries the cursor, totals and digest chain the reader checks: no layer exports a world capture for it, and a fault plan needs no fingerprint ("Snapshots carry what the reader checks").
+rule world_capture 0 crates/madeleine/src/planted.rs 'pub fn capture(&self, metrics: &MetricsSnapshot) -> ChannelCapture {'
+r_world_capture() {
+    grep -rnE 'KernelCapture|ThreadCapture|ChannelCapture|SessionCapture|EngineCapture|WorldCapture|ChannelRec' crates tests examples
+    grep -rn 'fn fingerprint' crates/simnet/src
+}
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

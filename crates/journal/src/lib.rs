@@ -5,12 +5,11 @@
 //! its config — this crate makes that durable. A soak campaign
 //! ([`soak::Campaign`]) appends one checksummed [`record::EpisodeRecord`]
 //! per finished episode and an fsynced [`record::SnapshotRecord`] (the
-//! quiescent world: marcel kernel clocks and ticket cursor, madeleine
-//! per-channel sequencing state, mpich engine depths) at a configured
+//! campaign cursor, running totals and digest chain) at a configured
 //! cadence to a segment-rotated on-disk journal ([`store`], wire format
 //! in DESIGN §11). Three operations:
 //!
-//! * **record** — zero virtual-time cost (captures and decision logs are
+//! * **record** — zero virtual-time cost (metrics and decision logs are
 //!   host-side reads after the kernel quiesces); disabled, nothing is
 //!   touched at all.
 //! * **resume** — [`soak::Campaign::resume`] reloads the journal, folds
@@ -43,9 +42,7 @@ pub mod stream;
 
 pub use crc::crc64;
 pub use error::{JournalError, RecoveryPoint};
-pub use record::{
-    DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals, WorldCaptureRec,
-};
+pub use record::{DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals};
 pub use replay::{
     diff_runs, load_index, metrics_at, read_episode_decisions, read_episode_events, trace_json_for,
     ReplayDiff, TicketWindow,

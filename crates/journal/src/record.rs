@@ -4,10 +4,10 @@
 //! [`crate::store`]): the campaign [`SoakConfig`] (first record of
 //! segment 0 — a journal is self-contained, `resume` and `replay diff` need
 //! no side channel), one [`EpisodeRecord`] per finished episode, and a
-//! [`SnapshotRecord`] at the configured cadence carrying the quiescent
-//! [`WorldCapture`] of the episode it follows. Every encoding is
-//! little-endian via [`crate::codec`]; every decode is total (typed
-//! errors, no panics).
+//! [`SnapshotRecord`] at the configured cadence carrying the campaign
+//! cursor, totals and digest chain of the episode it follows. Every
+//! encoding is little-endian via [`crate::codec`]; every decode is
+//! total (typed errors, no panics).
 
 use madeleine::FaultCounters;
 use simnet::rng::{splitmix64, GOLDEN_GAMMA};
@@ -435,211 +435,11 @@ impl EpisodeRecord {
     }
 }
 
-/// The quiescent world state after an episode, flattened for the wire:
-/// marcel kernel clocks and cursors, madeleine per-channel sequencing
-/// state, mpich per-rank engine depths. This is the "snapshot" half of
-/// snapshot + journal-tail resume.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorldCaptureRec {
-    /// Kernel: final virtual time, next ticket, trace cursor, threads
-    /// as (vtime_ns, done).
-    pub kernel_end_ns: u64,
-    pub next_ticket: u64,
-    pub record_seq: u64,
-    pub threads: Vec<(u64, bool)>,
-    /// Channels: (fault fingerprint, counters[5], wire msgs, wire
-    /// bytes, conns (from,to,seq,msg_seq), recv (rank,from,expected),
-    /// dead pairs).
-    pub channels: Vec<ChannelRec>,
-    /// Engines: (posted, unexpected, rndv, next_rhandle) per rank.
-    pub engines: Vec<(u32, u32, u32, u64)>,
-    pub failovers: u64,
-    pub rndv_reissues: u64,
-}
-
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChannelRec {
-    pub fault_fingerprint: u64,
-    pub counters: [u64; 5],
-    pub wire_messages: u64,
-    pub wire_bytes: u64,
-    pub conns: Vec<(u32, u32, u64, u64)>,
-    pub recv: Vec<(u32, u32, u64)>,
-    pub dead: Vec<(u32, u32)>,
-}
-
-impl From<&mpich::WorldCapture> for WorldCaptureRec {
-    fn from(w: &mpich::WorldCapture) -> Self {
-        WorldCaptureRec {
-            kernel_end_ns: w.kernel.end_time.0,
-            next_ticket: w.kernel.next_ticket,
-            record_seq: w.kernel.record_seq,
-            threads: w
-                .kernel
-                .threads
-                .iter()
-                .map(|t| (t.vtime.0, t.done))
-                .collect(),
-            channels: w
-                .session
-                .channels
-                .iter()
-                .map(|c| ChannelRec {
-                    fault_fingerprint: c.fault_fingerprint,
-                    counters: [
-                        c.counters.retransmits,
-                        c.counters.drops,
-                        c.counters.duplicates,
-                        c.counters.deferrals,
-                        c.counters.dead_pairs,
-                    ],
-                    wire_messages: c.wire_messages,
-                    wire_bytes: c.wire_bytes,
-                    conns: c
-                        .conns
-                        .iter()
-                        .map(|&(f, t, s, m)| (f as u32, t as u32, s, m))
-                        .collect(),
-                    recv: c
-                        .recv
-                        .iter()
-                        .map(|&(r, f, e)| (r as u32, f as u32, e))
-                        .collect(),
-                    dead: c.dead.iter().map(|&(f, t)| (f as u32, t as u32)).collect(),
-                })
-                .collect(),
-            engines: w
-                .engines
-                .iter()
-                .map(|e| {
-                    (
-                        e.posted as u32,
-                        e.unexpected as u32,
-                        e.rndv as u32,
-                        e.next_rhandle,
-                    )
-                })
-                .collect(),
-            failovers: w.session.failovers,
-            rndv_reissues: w.session.rndv_reissues,
-        }
-    }
-}
-
-impl WorldCaptureRec {
-    fn encode(&self, e: &mut Enc) {
-        e.u64(self.kernel_end_ns);
-        e.u64(self.next_ticket);
-        e.u64(self.record_seq);
-        e.u32(self.threads.len() as u32);
-        for &(v, done) in &self.threads {
-            e.u64(v);
-            e.bool(done);
-        }
-        e.u32(self.channels.len() as u32);
-        for c in &self.channels {
-            e.u64(c.fault_fingerprint);
-            for &x in &c.counters {
-                e.u64(x);
-            }
-            e.u64(c.wire_messages);
-            e.u64(c.wire_bytes);
-            e.u32(c.conns.len() as u32);
-            for &(f, t, s, m) in &c.conns {
-                e.u32(f);
-                e.u32(t);
-                e.u64(s);
-                e.u64(m);
-            }
-            e.u32(c.recv.len() as u32);
-            for &(r, f, ex) in &c.recv {
-                e.u32(r);
-                e.u32(f);
-                e.u64(ex);
-            }
-            e.u32(c.dead.len() as u32);
-            for &(f, t) in &c.dead {
-                e.u32(f);
-                e.u32(t);
-            }
-        }
-        e.u32(self.engines.len() as u32);
-        for &(p, u, r, n) in &self.engines {
-            e.u32(p);
-            e.u32(u);
-            e.u32(r);
-            e.u64(n);
-        }
-        e.u64(self.failovers);
-        e.u64(self.rndv_reissues);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<WorldCaptureRec, DecodeError> {
-        let mut w = WorldCaptureRec {
-            kernel_end_ns: d.u64("world.kernel_end_ns")?,
-            next_ticket: d.u64("world.next_ticket")?,
-            record_seq: d.u64("world.record_seq")?,
-            ..WorldCaptureRec::default()
-        };
-        let n = d.u32("world.thread_count")?;
-        for _ in 0..n {
-            w.threads
-                .push((d.u64("world.thread.vtime")?, d.bool("world.thread.done")?));
-        }
-        let n = d.u32("world.channel_count")?;
-        for _ in 0..n {
-            let mut c = ChannelRec {
-                fault_fingerprint: d.u64("world.channel.fault_fingerprint")?,
-                ..ChannelRec::default()
-            };
-            for slot in c.counters.iter_mut() {
-                *slot = d.u64("world.channel.counter")?;
-            }
-            c.wire_messages = d.u64("world.channel.wire_messages")?;
-            c.wire_bytes = d.u64("world.channel.wire_bytes")?;
-            let k = d.u32("world.channel.conn_count")?;
-            for _ in 0..k {
-                c.conns.push((
-                    d.u32("world.conn.from")?,
-                    d.u32("world.conn.to")?,
-                    d.u64("world.conn.seq")?,
-                    d.u64("world.conn.msg_seq")?,
-                ));
-            }
-            let k = d.u32("world.channel.recv_count")?;
-            for _ in 0..k {
-                c.recv.push((
-                    d.u32("world.recv.rank")?,
-                    d.u32("world.recv.from")?,
-                    d.u64("world.recv.expected")?,
-                ));
-            }
-            let k = d.u32("world.channel.dead_count")?;
-            for _ in 0..k {
-                c.dead
-                    .push((d.u32("world.dead.from")?, d.u32("world.dead.to")?));
-            }
-            w.channels.push(c);
-        }
-        let n = d.u32("world.engine_count")?;
-        for _ in 0..n {
-            w.engines.push((
-                d.u32("world.engine.posted")?,
-                d.u32("world.engine.unexpected")?,
-                d.u32("world.engine.rndv")?,
-                d.u64("world.engine.next_rhandle")?,
-            ));
-        }
-        w.failovers = d.u64("world.failovers")?;
-        w.rndv_reissues = d.u64("world.rndv_reissues")?;
-        Ok(w)
-    }
-}
-
-/// A durable point: campaign cursor + running totals + the quiescent
-/// world after the last recorded episode. The writer fsyncs after every
-/// snapshot, so resume is guaranteed to find at least the newest one on
-/// disk after a crash.
+/// A durable point: the campaign cursor, the running totals and the
+/// digest chain after the last recorded episode — the three fields the
+/// reader cross-checks against the episode records before them. The
+/// writer fsyncs after every snapshot, so resume is guaranteed to find
+/// at least the newest one on disk after a crash.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SnapshotRecord {
     /// Episodes fully recorded before this snapshot (the resume
@@ -648,7 +448,6 @@ pub struct SnapshotRecord {
     pub totals: Totals,
     /// `cum_digest` of the last episode record (0 when none).
     pub cum_digest: u64,
-    pub world: WorldCaptureRec,
 }
 
 impl SnapshotRecord {
@@ -657,7 +456,6 @@ impl SnapshotRecord {
         e.u32(self.episodes_done);
         self.totals.encode(&mut e);
         e.u64(self.cum_digest);
-        self.world.encode(&mut e);
         e.into_vec()
     }
 
@@ -667,7 +465,6 @@ impl SnapshotRecord {
             episodes_done: d.u32("snapshot.episodes_done")?,
             totals: Totals::decode(&mut d)?,
             cum_digest: d.u64("snapshot.cum_digest")?,
-            world: WorldCaptureRec::decode(&mut d)?,
         };
         d.finish("snapshot")?;
         Ok(snap)
@@ -787,24 +584,6 @@ mod tests {
             episodes_done: 4,
             totals,
             cum_digest: 0xFEED,
-            world: WorldCaptureRec {
-                kernel_end_ns: 99,
-                next_ticket: 1000,
-                record_seq: 50,
-                threads: vec![(99, true), (42, true)],
-                channels: vec![ChannelRec {
-                    fault_fingerprint: 7,
-                    counters: [1, 2, 3, 4, 5],
-                    wire_messages: 10,
-                    wire_bytes: 640,
-                    conns: vec![(0, 1, 9, 5), (1, 0, 8, 4)],
-                    recv: vec![(0, 1, 4), (1, 0, 5)],
-                    dead: vec![(0, 1)],
-                }],
-                engines: vec![(0, 0, 0, 3), (0, 0, 0, 1)],
-                failovers: 1,
-                rndv_reissues: 0,
-            },
         };
         assert_eq!(SnapshotRecord::decode(&snap.encode()).unwrap(), snap);
     }

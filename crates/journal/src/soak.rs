@@ -13,11 +13,11 @@
 //! *byte-identical* to an uninterrupted one (the CI soak leg diffs
 //! them).
 //!
-//! OS thread stacks cannot be serialized, so snapshots happen at
-//! episode quiescence: the [`WorldCaptureRec`] inside each snapshot is
-//! the fully-drained world (kernel clocks and ticket cursor, per-channel
-//! sequencing state, per-rank engine depths) — an auditable invariant
-//! record, with the resume cursor carried by `episodes_done`.
+//! OS thread stacks cannot be serialized, so a snapshot holds no world
+//! state: it carries the resume cursor (`episodes_done`), the running
+//! totals and the digest chain, which the reader cross-checks against
+//! the episode records before it. Resume recovers the world by
+//! re-running the next episode from its seed.
 
 use std::any::Any;
 use std::path::{Path, PathBuf};
@@ -30,9 +30,7 @@ use simnet::{FaultPlan, NetworkId, Protocol, Topology};
 
 use crate::crc::crc64;
 use crate::error::JournalError;
-use crate::record::{
-    DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals, WorldCaptureRec,
-};
+use crate::record::{DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals};
 use crate::store::{chain, read_journal_recovering, JournalContents, JournalWriter};
 use crate::stream::{IndexRec, StreamRecorder, StreamSummary};
 
@@ -184,7 +182,6 @@ impl Campaign {
             .map(|writer| StreamRecorder::new(writer, index));
         let EpisodeOutcome {
             mut ep,
-            world,
             trace_json,
             metrics,
             stream,
@@ -220,7 +217,6 @@ impl Campaign {
                 episodes_done: index + 1,
                 totals: self.totals,
                 cum_digest: self.cum_digest,
-                world,
             });
             self.writer()?.append(&snapshot)?;
             if streaming {
@@ -344,15 +340,14 @@ fn payload_byte(src: usize, i: u32, k: usize) -> u8 {
 }
 
 /// What one episode run yields: the record (with `cum_digest` left at 0
-/// for the caller to chain), the quiescent world capture, the live
-/// Chrome trace JSON (non-streamed trace episodes only), the metrics
-/// snapshot (the next delta's base), and, for a streamed episode, the
-/// sink the world handed back with the thread table its `fin` chunk
-/// carries. A streamed record's trace and decision digests are left at
-/// 0: they come from the sink's chunk chain.
+/// for the caller to chain), the live Chrome trace JSON (non-streamed
+/// trace episodes only), the metrics snapshot (the next delta's base),
+/// and, for a streamed episode, the sink the world handed back with the
+/// thread table its `fin` chunk carries. A streamed record's trace and
+/// decision digests are left at 0: they come from the sink's chunk
+/// chain.
 struct EpisodeOutcome {
     ep: EpisodeRecord,
-    world: WorldCaptureRec,
     trace_json: Option<String>,
     metrics: MetricsSnapshot,
     stream: Option<(Box<dyn EventSink>, Vec<ThreadMeta>)>,
@@ -442,18 +437,21 @@ fn run_episode(
         episode: index,
         why: e.to_string(),
     })?;
-    let capture = report.capture();
     let (results, kernel, session) = (report.results, report.kernel, report.session);
     let stream = report
         .sink
         .map(|sink| (sink, thread_metas(&kernel, &session)));
-    let world_rec = WorldCaptureRec::from(&capture);
+    // Every count of the record comes from one registry snapshot.
+    let metrics = kernel.metrics_snapshot();
     let mut faults = FaultCounters::default();
-    for c in &capture.session.channels {
-        faults += c.counters;
+    let (mut wire_messages, mut wire_bytes) = (0, 0);
+    for c in session.channels() {
+        faults += c.counters_in(&metrics);
+        wire_messages += metrics.counter(&format!("net/{}/messages", c.name()));
+        wire_bytes += metrics.counter(&format!("net/{}/bytes", c.name()));
     }
-    let (failovers, rndv_reissues) = (capture.session.failovers, capture.session.rndv_reissues);
-    let metrics = capture.metrics;
+    let failovers = metrics.counter("chmad/failovers");
+    let rndv_reissues = metrics.counter("chmad/rndv_reissues");
 
     let mut result_digest = splitmix64(episode_seed);
     for r in &results {
@@ -494,11 +492,6 @@ fn run_episode(
         };
         (trace_json, trace_digest, decisions, decisions_digest)
     };
-    let (wire_messages, wire_bytes) = world_rec
-        .channels
-        .iter()
-        .fold((0, 0), |(m, b), c| (m + c.wire_messages, b + c.wire_bytes));
-
     let ep = EpisodeRecord {
         index,
         episode_seed,
@@ -517,7 +510,6 @@ fn run_episode(
     };
     Ok(EpisodeOutcome {
         ep,
-        world: world_rec,
         trace_json,
         metrics,
         stream,
@@ -602,7 +594,6 @@ mod tests {
         let run = |index| run_episode(&cfg, index, false, None).unwrap();
         let (a, b) = (run(1), run(1));
         assert_eq!(a.ep, b.ep);
-        assert_eq!(a.world, b.world);
         assert_ne!(a.ep.result_digest, run(2).ep.result_digest);
     }
 

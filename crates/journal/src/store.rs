@@ -42,7 +42,7 @@ use crate::stream::{
 };
 
 pub const MAGIC: &[u8; 8] = b"MADJRNL1";
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 pub const HEADER_LEN: u64 = 32;
 /// Rotation threshold: a frame that would push a segment past this
 /// starts a new segment (one oversized frame per segment is legal).
@@ -803,7 +803,6 @@ mod tests {
             episodes_done: 3,
             totals,
             cum_digest: cum,
-            world: Default::default(),
         }))
         .unwrap();
         drop(w);
@@ -884,11 +883,18 @@ mod tests {
         drop(JournalWriter::create(&dir, &cfg).unwrap());
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
-        bytes[8] = 9; // version 9
-        fs::write(&path, &bytes).unwrap();
-        match read_journal(&dir) {
-            Err(JournalError::UnsupportedVersion { found: 9, .. }) => {}
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
+        // Version 1 journals carried world captures in their snapshots.
+        for found in [9, 1] {
+            bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
+            fs::write(&path, &bytes).unwrap();
+            match read_journal(&dir) {
+                Err(JournalError::UnsupportedVersion {
+                    found: f,
+                    supported: 2,
+                    ..
+                }) if f == found => {}
+                other => panic!("expected UnsupportedVersion {found}, got {other:?}"),
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -136,34 +136,6 @@ impl std::ops::AddAssign for FaultCounters {
     }
 }
 
-/// Quiescent snapshot of one channel's reliable-delivery state: the
-/// sender/receiver sequencing cursors plus the wire accounting. Taken by
-/// the journal at episode boundaries (no simulated thread inside the
-/// channel), so the connection cursors can be read from their
-/// [`SimMutex`]es' slots through `read_quiesced`, without a running
-/// kernel. All collections are sorted, making the encoding deterministic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChannelCapture {
-    pub name: String,
-    /// Protocol short name (`"TCP"`, `"SCI"`, `"BIP"`).
-    pub protocol: &'static str,
-    /// [`FaultPlan::fingerprint`] of the attached plan (0 = reliable
-    /// wire, which no real plan fingerprint can collide with in
-    /// practice since fingerprints are splitmix64-mixed).
-    pub fault_fingerprint: u64,
-    pub counters: FaultCounters,
-    /// Wire-level utilization: messages injected, payload bytes (the
-    /// `net/{name}/*` registry counters; loop-back is not counted).
-    pub wire_messages: u64,
-    pub wire_bytes: u64,
-    /// Sender-side cursors per ordered pair: `(from, to, seq, msg_seq)`.
-    pub conns: Vec<(usize, usize, u64, u64)>,
-    /// Receiver-side dedup cursors: `(rank, from, expected)`.
-    pub recv: Vec<(usize, usize, u64)>,
-    /// Ordered pairs declared dead (retransmit budget exhausted).
-    pub dead: Vec<(usize, usize)>,
-}
-
 /// A Madeleine channel: one protocol, a set of member ranks, one
 /// incoming message source per member lane, one connection per ordered
 /// pair and lane.
@@ -377,8 +349,9 @@ impl Channel {
         self.counters_in(&self.kernel.metrics_snapshot())
     }
 
-    /// This channel's reliable-delivery counters in `metrics`.
-    pub(crate) fn counters_in(&self, metrics: &MetricsSnapshot) -> FaultCounters {
+    /// This channel's reliable-delivery counters in `metrics`, a
+    /// snapshot of the channel's kernel.
+    pub fn counters_in(&self, metrics: &MetricsSnapshot) -> FaultCounters {
         let k = &self.keys;
         FaultCounters {
             retransmits: metrics.counter(&k.retransmits),
@@ -386,58 +359,6 @@ impl Channel {
             duplicates: metrics.counter(&k.dedup_drops),
             deferrals: metrics.counter(&k.deferrals),
             dead_pairs: metrics.counter(&k.dead_pairs),
-        }
-    }
-
-    /// Snapshot the channel's reliable-delivery state, its counts read
-    /// from `metrics` (a snapshot of the channel's kernel). Must be
-    /// called from the host at a quiescent point (after `Kernel::run`
-    /// returned, or between episodes) — the connection cursors are read
-    /// out of their [`SimMutex`]es' scheduler slots.
-    pub fn capture(&self, metrics: &MetricsSnapshot) -> ChannelCapture {
-        // Aggregate lanes per ordered pair: summed cursors are the
-        // identity at vcis=1, and at vcis>1 the encoding stays stable
-        // in shape (one row per pair / per peer) so journal snapshots
-        // do not depend on the lane count. Only touched pairs have
-        // state (and hence rows) — the lazy maps hold O(active pairs),
-        // and an untouched pair's row would be all-zero anyway.
-        let (conns, recv, dead) = self.host.with(|host| {
-            let mut conn_sums: BTreeMap<(usize, usize), (u64, u64)> = BTreeMap::new();
-            for (&(from, to, _vci), c) in &host.conns {
-                let (seq, msg_seq) = c.read_quiesced(|s| (s.seq, s.msg_seq));
-                let e = conn_sums.entry((from, to)).or_insert((0, 0));
-                e.0 += seq;
-                e.1 += msg_seq;
-            }
-            let mut recv_sums: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-            for (lane, st) in host.lanes.iter().enumerate() {
-                let rank = self.members[lane / self.vcis];
-                for (&from, peer) in &st.peers {
-                    *recv_sums.entry((rank, from)).or_insert(0) += peer.expected;
-                }
-            }
-            let mut dead: Vec<_> = host.dead.iter().copied().collect();
-            dead.sort_unstable();
-            (conn_sums, recv_sums, dead)
-        });
-        let conns: Vec<_> = conns
-            .into_iter()
-            .map(|((from, to), (seq, msg_seq))| (from, to, seq, msg_seq))
-            .collect();
-        let recv: Vec<_> = recv
-            .into_iter()
-            .map(|((rank, from), expected)| (rank, from, expected))
-            .collect();
-        ChannelCapture {
-            name: self.name.to_string(),
-            protocol: self.protocol.name(),
-            fault_fingerprint: self.fault.as_ref().map_or(0, FaultPlan::fingerprint),
-            counters: self.counters_in(metrics),
-            wire_messages: metrics.counter(&self.keys.net_messages),
-            wire_bytes: metrics.counter(&self.keys.net_bytes),
-            conns,
-            recv,
-            dead,
         }
     }
 
@@ -1184,8 +1105,14 @@ mod tests {
         k.run().unwrap();
         assert_eq!(h.join_outcome().unwrap(), (b'A', b'B'));
         assert_eq!(ch.counters().duplicates, 1);
-        // One row per (rank, from), lanes summed.
-        assert_eq!(ch.capture(&k.metrics_snapshot()).recv, vec![(1, 0, 2)]);
+        // Rank 1's two lanes (2 and 3) each expect sender 0's seq 1.
+        let expected = ch.host.with(|h| {
+            h.lanes
+                .iter()
+                .map(|st| st.peers.get(&0).map(|p| p.expected))
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(expected, [None, None, Some(1), Some(1)]);
     }
 
     #[test]

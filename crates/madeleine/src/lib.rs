@@ -26,13 +26,13 @@ pub mod modes;
 pub mod session;
 
 pub use channel::{
-    Channel, ChannelCapture, Endpoint, FaultCounters, PackingConnection, UnpackingConnection,
-    MAX_SEND_ATTEMPTS, PACK_CALL_CPU,
+    Channel, Endpoint, FaultCounters, PackingConnection, UnpackingConnection, MAX_SEND_ATTEMPTS,
+    PACK_CALL_CPU,
 };
 pub use error::{ChannelError, MadError};
 pub use message::{Block, WireMessage};
 pub use modes::{ReceiveMode, SendMode};
-pub use session::{Rails, Session, SessionBuilder, SessionCapture};
+pub use session::{Rails, Session, SessionBuilder};
 
 use marcel::VirtualDuration;
 

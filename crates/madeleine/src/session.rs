@@ -7,10 +7,10 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use marcel::{Kernel, MetricsSnapshot};
+use marcel::Kernel;
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
-use crate::channel::{Channel, ChannelCapture, FaultCounters};
+use crate::channel::{Channel, FaultCounters};
 use crate::error::MadError;
 
 /// Declarative session description; build with [`SessionBuilder::build`].
@@ -243,16 +243,6 @@ impl<'a> Iterator for Rails<'a> {
     }
 }
 
-/// Quiescent snapshot of a whole session's transport state: one
-/// [`ChannelCapture`] per channel (in channel order) plus the
-/// session-level device counters, all read from one registry snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SessionCapture {
-    pub channels: Vec<ChannelCapture>,
-    pub failovers: u64,
-    pub rndv_reissues: u64,
-}
-
 /// A running Madeleine session: ranks placed on nodes, channels built.
 pub struct Session {
     topology: Topology,
@@ -393,20 +383,6 @@ impl Session {
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         rows
-    }
-
-    /// Quiescent snapshot of every channel's reliable-delivery state
-    /// plus the session-level failover counters, in channel order, with
-    /// every count read from `metrics` — a snapshot of the session's
-    /// kernel ([`Kernel::metrics_snapshot`]). Host side only (see
-    /// [`crate::channel::Channel::capture`]) — this is what the journal
-    /// writes into world snapshots.
-    pub fn capture(&self, metrics: &MetricsSnapshot) -> SessionCapture {
-        SessionCapture {
-            channels: self.channels.iter().map(|c| c.capture(metrics)).collect(),
-            failovers: metrics.counter(FAILOVERS),
-            rndv_reissues: metrics.counter(RNDV_REISSUES),
-        }
     }
 
     /// Record that a device moved traffic off a dead rail.

@@ -819,31 +819,6 @@ impl Shared {
     }
 }
 
-/// Post-run snapshot of the kernel's scheduling state (see
-/// [`Kernel::capture`]): the per-layer piece the durable journal
-/// serializes for marcel.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KernelCapture {
-    /// Maximum thread clock (equals [`Kernel::end_time`]).
-    pub end_time: VirtualTime,
-    /// Next scheduling ticket the sequencer would issue.
-    pub next_ticket: u64,
-    /// Next trace-event commit sequence number.
-    pub record_seq: u64,
-    /// Threads not yet `Done` (zero after a completed run).
-    pub live: usize,
-    /// Every thread ever spawned, in tid order.
-    pub threads: Vec<ThreadCapture>,
-}
-
-/// One thread's entry in a [`KernelCapture`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ThreadCapture {
-    pub name: String,
-    pub vtime: VirtualTime,
-    pub done: bool,
-}
-
 /// Handle to a virtual-time simulation.
 ///
 /// Spawn the root threads with [`Kernel::spawn`], then call
@@ -1043,34 +1018,6 @@ impl Kernel {
         self.shared.state.borrow().force_fallback = n;
     }
 
-    /// Capture the kernel's scheduling state for the durable journal:
-    /// taken at a quiescence boundary (after [`Kernel::run`] returned),
-    /// it summarizes every thread's final clock plus the ticket and
-    /// trace cursors. Pure host-side read — no virtual-time effect.
-    pub fn capture(&self) -> KernelCapture {
-        let sched = self.shared.state.borrow();
-        KernelCapture {
-            end_time: sched
-                .threads
-                .iter()
-                .map(|t| t.vtime)
-                .max()
-                .unwrap_or(VirtualTime::ZERO),
-            next_ticket: sched.next_ticket,
-            record_seq: sched.record_seq,
-            live: sched.live,
-            threads: sched
-                .threads
-                .iter()
-                .map(|t| ThreadCapture {
-                    name: t.name.clone(),
-                    vtime: t.vtime,
-                    done: matches!(t.state, TState::Done),
-                })
-                .collect(),
-        }
-    }
-
     /// Virtual time at which the last simulated thread finished.
     pub fn end_time(&self) -> VirtualTime {
         let sched = self.shared.state.borrow();
@@ -1205,6 +1152,14 @@ mod tests {
         k.spawn("long", || thread::advance(VirtualDuration::from_micros(90)));
         k.run().unwrap();
         assert_eq!(k.end_time(), VirtualTime(90_000));
+        assert_eq!(k.thread_names(), ["short", "long"]);
+        let sched = k.shared.state.borrow();
+        let done = sched
+            .threads
+            .iter()
+            .filter(|t| matches!(t.state, TState::Done));
+        assert_eq!((sched.live, done.count()), (0, 2));
+        assert!(sched.next_ticket > 0);
     }
 
     /// Run a ten-round producer/consumer semaphore handshake on `k`.
@@ -1336,21 +1291,6 @@ mod tests {
             assert_eq!((a.ticket, a.tid, a.at), (b.ticket, b.tid, b.at));
             assert_eq!(b.fallback, i < 3, "at ticket {i}");
         }
-    }
-
-    #[test]
-    fn capture_reflects_finished_run() {
-        let k = Kernel::new(CostModel::free());
-        k.spawn("short", || thread::advance(VirtualDuration::from_micros(1)));
-        k.spawn("long", || thread::advance(VirtualDuration::from_micros(90)));
-        k.run().unwrap();
-        let cap = k.capture();
-        assert_eq!(cap.end_time, VirtualTime(90_000));
-        assert_eq!(cap.live, 0);
-        assert_eq!(cap.threads.len(), 2);
-        assert_eq!(cap.threads[0].name, "short");
-        assert!(cap.threads.iter().all(|t| t.done));
-        assert!(cap.next_ticket > 0);
     }
 
     #[test]

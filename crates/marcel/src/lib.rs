@@ -49,7 +49,7 @@ pub mod thread;
 pub mod time;
 
 pub use cost::{CostModel, ExecPolicy, PollPolicy};
-pub use kernel::{Decision, Kernel, KernelCapture, ProcId, SimError, ThreadCapture, TraceEvent};
+pub use kernel::{Decision, Kernel, ProcId, SimError, TraceEvent};
 pub use obs::{
     chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer,
     MetricsSnapshot, SpanKind, ThreadMeta,

@@ -491,6 +491,7 @@ mod tests {
     #[test]
     fn close_wakes_poller_with_none() {
         let k = Kernel::new(CostModel::free());
+        k.enable_decision_log();
         let src = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let rx = src.clone();
         let h = k.spawn("poller", move || rx.poll_wait().is_none());
@@ -501,7 +502,7 @@ mod tests {
         k.run().unwrap();
         assert!(h.join_outcome().unwrap());
         // The woken poller returns without another scheduling decision.
-        assert_eq!(k.capture().next_ticket, 5);
+        assert_eq!(k.take_decisions().len(), 5);
     }
 
     #[test]
@@ -510,6 +511,7 @@ mod tests {
         // wakes it, and it returns `None` without rescheduling, as a
         // lone member's wait does (a reschedule there would make 8).
         let k = Kernel::new(CostModel::free());
+        k.enable_decision_log();
         let a = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let b = PollSource::<u32>::new(&k, ProcId(0), us(1));
         let set = [a.clone(), b.clone()];
@@ -521,7 +523,7 @@ mod tests {
         });
         k.run().unwrap();
         assert!(h.join_outcome().unwrap());
-        assert_eq!(k.capture().next_ticket, 7);
+        assert_eq!(k.take_decisions().len(), 7);
     }
 
     #[test]

@@ -316,12 +316,12 @@ impl<T: Send + 'static> SimMutex<T> {
     }
 
     /// Host-side read of the protected data while the simulation is
-    /// quiescent (before [`Kernel::run`] or after it returned). State
-    /// capture for the durable journal goes through here: it bypasses
-    /// the virtual-time semaphore — which would require a simulated
-    /// calling thread — and reads the slot in a borrow of the scheduler,
-    /// so it can never advance virtual time or perturb a replay. `f`
-    /// must not enter the kernel.
+    /// quiescent (before [`Kernel::run`] or after it returned), e.g. a
+    /// test checking post-run state. It bypasses the virtual-time
+    /// semaphore — which would require a simulated calling thread — and
+    /// reads the slot in a borrow of the scheduler, so it can never
+    /// advance virtual time or perturb a replay. `f` must not enter the
+    /// kernel.
     pub fn read_quiesced<R>(&self, f: impl FnOnce(&T) -> R) -> R {
         self.sem.host(|sem| f(state(&mut sem.payload)))
     }

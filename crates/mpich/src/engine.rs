@@ -233,21 +233,6 @@ pub(crate) struct ProbeHandle {
     pub(crate) arrival: Handle,
 }
 
-/// Quiescent snapshot of one rank's matching engine (see
-/// [`Engine::capture`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCapture {
-    pub rank: usize,
-    /// Posted-receive queue depth.
-    pub posted: usize,
-    /// Unexpected-message queue depth.
-    pub unexpected: usize,
-    /// Live (incomplete) rendezvous transactions.
-    pub rndv: usize,
-    /// Next rhandle token the engine would issue.
-    pub next_rhandle: u64,
-}
-
 /// The matching engine of one rank.
 ///
 /// # Locking
@@ -787,32 +772,6 @@ impl Engine {
             p += self.wild.lock().len();
         }
         (p, u, r)
-    }
-
-    /// Quiescent snapshot of the matching stores, host side only (after
-    /// `Kernel::run` returned): queue depths plus the rhandle allocator
-    /// cursor, summed across shards. At a clean episode boundary all
-    /// depths are zero — the journal records the capture so `resume`
-    /// can verify it re-enters from a drained world.
-    pub fn capture(&self) -> EngineCapture {
-        let (mut posted, mut unexpected, mut rndv) = (0, 0, 0);
-        for s in &self.shards {
-            s.read_quiesced(|st| {
-                posted += st.posted.len();
-                unexpected += st.unexpected.len();
-                rndv += st.rndv.len();
-            });
-        }
-        if self.vcis > 1 {
-            posted += self.wild.read_quiesced(|wl| wl.len());
-        }
-        EngineCapture {
-            rank: self.rank,
-            posted,
-            unexpected,
-            rndv,
-            next_rhandle: self.next.with(|a| a.rhandle),
-        }
     }
 
     /// Diagnostics: envelopes of the unexpected-message queue, in

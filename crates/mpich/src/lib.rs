@@ -57,7 +57,7 @@ pub use comm::{
 };
 pub use datatype::{from_bytes, to_bytes, BaseType, Datatype, MpiScalar};
 pub use device::{ChMadConfig, ChP4Costs, Packet};
-pub use engine::{EngineCapture, EngineError};
+pub use engine::EngineError;
 pub use group::Group;
 pub use marcel::{ExecPolicy, PollPolicy};
 pub use matching::{PostedStore, UnexpectedStore};
@@ -67,7 +67,7 @@ pub use types::{Envelope, MatchSpec, Status, Tag};
 pub use vci::vci_for;
 pub use world::{
     run_world, run_world_report, thread_metas, ConfigError, Placement, RemoteDeviceKind,
-    StreamHook, WorldCapture, WorldConfig, WorldConfigBuilder, WorldReport,
+    StreamHook, WorldConfig, WorldConfigBuilder, WorldReport,
 };
 
 /// Every label the stack writes into a trace event's `&'static str`

@@ -124,21 +124,6 @@ impl std::fmt::Debug for StreamHook {
     }
 }
 
-/// Quiescent post-run snapshot of the whole world, one layer each:
-/// marcel ([`marcel::KernelCapture`]), madeleine
-/// ([`madeleine::SessionCapture`]) and the per-rank mpich engines
-/// ([`crate::engine::EngineCapture`]) — what the durable journal stores
-/// in its world snapshots. Assembled by [`WorldReport::capture`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorldCapture {
-    pub kernel: marcel::KernelCapture,
-    pub session: madeleine::SessionCapture,
-    pub engines: Vec<crate::engine::EngineCapture>,
-    /// The kernel's metrics registry at capture time: the one snapshot
-    /// `session`'s counts were read from.
-    pub metrics: marcel::MetricsSnapshot,
-}
-
 /// Build the Chrome-exporter thread table for a finished world run: one
 /// entry per Marcel thread (in tid order), each mapped to the virtual
 /// "process" of the cluster node hosting it. The node is recovered from
@@ -348,21 +333,6 @@ pub struct WorldReport<T> {
     /// [`StreamHook::sink`], back from [`Kernel::finish_event_sink`];
     /// `None` without a hook.
     pub sink: Option<Box<dyn marcel::EventSink>>,
-    world: Arc<MpiWorld>,
-}
-
-impl<T> WorldReport<T> {
-    /// The quiescent [`WorldCapture`] of the finished world. Pure
-    /// host-side reads, so taking it cannot change anything.
-    pub fn capture(&self) -> WorldCapture {
-        let metrics = self.kernel.metrics_snapshot();
-        WorldCapture {
-            kernel: self.kernel.capture(),
-            session: self.session.capture(&metrics),
-            engines: self.world.engines.iter().map(Engine::capture).collect(),
-            metrics,
-        }
-    }
 }
 
 /// One world's MPI layer, indexed by world rank and shared by every
@@ -663,6 +633,5 @@ where
         kernel,
         session,
         sink,
-        world,
     })
 }

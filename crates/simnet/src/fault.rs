@@ -154,31 +154,6 @@ impl FaultPlan {
     pub fn is_survivable(&self) -> bool {
         self.loss < 1.0 && self.down.iter().all(|&(_, until)| until.0 != u64::MAX)
     }
-
-    /// Order-sensitive 64-bit digest of the full plan. Because a plan is
-    /// pure data (no runtime cursors — `fate` depends only on its inputs),
-    /// this fingerprint *is* the fault-injection state: two runs whose
-    /// networks carry equal fingerprints replay identical fault decisions.
-    /// The journal stores it in snapshots so `resume` can verify the
-    /// reconstructed world before continuing.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = rng::splitmix64(self.seed ^ 0x464E_4750_0000_0001); // "FNGP"
-        let mut mix = |v: u64| h = rng::splitmix64(h ^ v);
-        mix(self.loss.to_bits());
-        mix(self.ack_loss.to_bits());
-        mix(self.down.len() as u64);
-        for &(from, until) in &self.down {
-            mix(from.0);
-            mix(until.0);
-        }
-        mix(self.degraded.len() as u64);
-        for &(from, until, extra) in &self.degraded {
-            mix(from.0);
-            mix(until.0);
-            mix(extra.as_nanos());
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -194,33 +169,6 @@ mod tests {
         assert_eq!(p.extra_delay(VirtualTime(5)), VirtualDuration::ZERO);
         assert!(!p.ack_lost(3, 64));
         assert!(p.is_survivable());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_plans_and_is_stable() {
-        let a = FaultPlan::new(7).with_loss(0.1);
-        assert_eq!(a.fingerprint(), a.clone().fingerprint());
-        let b = FaultPlan::new(7).with_loss(0.2);
-        let c = FaultPlan::new(8).with_loss(0.1);
-        let d = a
-            .clone()
-            .with_down(VirtualTime(10), VirtualTime(20))
-            .with_degraded(
-                VirtualTime(30),
-                VirtualTime(40),
-                VirtualDuration::from_micros(5),
-            );
-        let fps = [
-            a.fingerprint(),
-            b.fingerprint(),
-            c.fingerprint(),
-            d.fingerprint(),
-        ];
-        for i in 0..fps.len() {
-            for j in i + 1..fps.len() {
-                assert_ne!(fps[i], fps[j], "plans {i} and {j} collide");
-            }
-        }
     }
 
     #[test]

@@ -315,12 +315,15 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
         }
     );
     assert_eq!(session.rndv_reissues(), 1);
-    let wire: Vec<(String, u64, u64)> = report
-        .capture()
-        .session
-        .channels
-        .into_iter()
-        .map(|c| (c.name, c.wire_messages, c.wire_bytes))
+    let metrics = report.kernel.metrics_snapshot();
+    let wire: Vec<(String, u64, u64)> = session
+        .channels()
+        .iter()
+        .map(|c| {
+            let name = c.name();
+            let count = |what: &str| metrics.counter(&format!("net/{name}/{what}"));
+            (name.to_string(), count("messages"), count("bytes"))
+        })
         .collect();
     assert_eq!(
         wire,

@@ -78,7 +78,6 @@ fn build_target(dir: &Path) -> (SoakConfig, usize) {
                 episodes_done: i + 1,
                 totals,
                 cum_digest: cum,
-                world: Default::default(),
             }))
             .unwrap();
         }

@@ -268,13 +268,13 @@ fn segment_bytes_are_pinned() {
             "pin-streamed",
             streamed,
             &[
-                0x33a34d36f6b4d8a3,
-                0x5ae1327e26aa2c65,
-                0xc2676c1ad8011b16,
-                0xf68ef635b1c49e2e,
+                0xc5d45cf3b483bcbe,
+                0x5adadbb57fcf11a6,
+                0x2311495cfeb86303,
+                0x65af4dae0aab436e,
             ],
         ),
-        ("pin-fallback", fallback, &[0xe05c8c3ce5ee9171]),
+        ("pin-fallback", fallback, &[0xf2307171939d546d]),
     ];
     for (tag, cfg, pinned) in cases {
         let dir = tmpdir(tag, 0);

@@ -373,11 +373,7 @@ fn a_world_used_from_another_os_thread_panics_naming_its_owner() {
     });
     k.run().unwrap();
     assert_eq!(h.join_outcome(), Some(7));
-    assert_eq!(
-        k.capture().threads.len(),
-        1,
-        "the stray spawn left no thread"
-    );
+    assert_eq!(k.thread_names().len(), 1, "the stray spawn left no thread");
 }
 
 #[test]
