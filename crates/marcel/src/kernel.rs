@@ -1152,14 +1152,6 @@ mod tests {
         k.spawn("long", || thread::advance(VirtualDuration::from_micros(90)));
         k.run().unwrap();
         assert_eq!(k.end_time(), VirtualTime(90_000));
-        assert_eq!(k.thread_names(), ["short", "long"]);
-        let sched = k.shared.state.borrow();
-        let done = sched
-            .threads
-            .iter()
-            .filter(|t| matches!(t.state, TState::Done));
-        assert_eq!((sched.live, done.count()), (0, 2));
-        assert!(sched.next_ticket > 0);
     }
 
     /// Run a ten-round producer/consumer semaphore handshake on `k`.
@@ -1291,6 +1283,23 @@ mod tests {
             assert_eq!((a.ticket, a.tid, a.at), (b.ticket, b.tid, b.at));
             assert_eq!(b.fallback, i < 3, "at ticket {i}");
         }
+    }
+
+    #[test]
+    fn capture_reflects_finished_run() {
+        let k = Kernel::new(CostModel::free());
+        k.spawn("short", || thread::advance(VirtualDuration::from_micros(1)));
+        k.spawn("long", || thread::advance(VirtualDuration::from_micros(90)));
+        k.run().unwrap();
+        assert_eq!(k.end_time(), VirtualTime(90_000));
+        assert_eq!(k.thread_names(), ["short", "long"]);
+        let sched = k.shared.state.borrow();
+        let done = sched
+            .threads
+            .iter()
+            .filter(|t| matches!(t.state, TState::Done));
+        assert_eq!((sched.live, done.count()), (0, 2));
+        assert!(sched.next_ticket > 0);
     }
 
     #[test]
