@@ -37,8 +37,8 @@ run trace-4 trace 4 --chrome "$out/trace-4.chrome.json"
 run hotpath-2 hotpath 2
 
 # Four soak campaigns at check_soak.py's shape: clean, lossy, lossy
-# streamed, and lossy streamed with a planted forced fallback. No
-# --workers flag: the host execution policy moves no byte.
+# streamed, and a lossier streamed twin (loss 70 against 60) that
+# plants the divergence `replay diff` finds.
 soak=(--episodes 6 --ranks 4 --messages 16 --payload 128 --snapshot-every 2 --decisions)
 lossy=(--loss 60 --ack-loss 25)
 campaign() {
@@ -51,13 +51,13 @@ campaign() {
 campaign clean --loss 0 --ack-loss 0
 campaign lossy "${lossy[@]}"
 campaign stream "${lossy[@]}" --stream 8
-campaign forced "${lossy[@]}" --stream 8 --force-fallback 4
+campaign lossier --loss 70 --ack-loss 25 --stream 8
 
 # The replay tools over the streamed pair. `diff` exits 1 on the
 # divergence it is meant to find.
 "$bin/replay" trace --dir "$out/soak/stream" >"$out/replay-trace.txt"
 "$bin/replay" metrics --dir "$out/soak/stream" --at-episode 5 --json >"$out/replay-metrics.txt"
-"$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/forced" >"$out/replay-diff.txt" || test $? -eq 1
+"$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/lossier" >"$out/replay-diff.txt" || test $? -eq 1
 
 cd "$out"
 find . -type f ! -name 'manifest.sha256*' | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum >manifest.sha256.tmp

@@ -16,10 +16,10 @@ acceptance scenario:
    unbounded-buffer hwm of the same workload — the measured form of
    "resident observability state is set by chunk size, not episode
    length".
-4. **Divergence window**: `replay diff` against a planted
-   `--force-fallback` twin must exit 1 and name episode 0, ticket 0
-   (fallback-flag-only); the baseline diffed against itself must
-   report agreement (exit 0).
+4. **Divergence window**: `replay diff` against a twin at a higher
+   loss rate (`--loss 80` against the default 50) must exit 1 and name
+   episode 1, ticket 21 with its event window; the baseline diffed
+   against itself must report agreement (exit 0).
 
     python3 ci/check_replay.py [path/to/soak] [path/to/replay]
 
@@ -39,10 +39,9 @@ CONFIG = [
     "--payload", "64",
     "--snapshot-every", "1",
     "--decisions",
-    "--workers", "2",
 ]
 STREAM = "8"
-FORCE_FALLBACK = "2"
+LOSSIER = "80"
 
 
 def run(binary: Path, args: list[str], expect: int = 0) -> str:
@@ -126,18 +125,17 @@ def gate(soak: Path, replay: Path, work: Path) -> None:
     print(f"replay gate: hwm flat at {small} B streamed vs {unbounded} B unbounded")
 
     # 4. Planted divergence localized with its event window attached.
-    forced = work / "forced"
-    run(soak, ["run", "--dir", str(forced), *CONFIG, "--stream", STREAM,
-               "--force-fallback", FORCE_FALLBACK])
-    verdict = run(replay, ["diff", "--a", str(base), "--b", str(forced)], expect=1)
-    if "first divergence at episode 0, ticket 0" not in verdict:
+    lossier = work / "lossier"
+    run(soak, ["run", "--dir", str(lossier), *CONFIG, "--stream", STREAM, "--loss", LOSSIER])
+    verdict = run(replay, ["diff", "--a", str(base), "--b", str(lossier)], expect=1)
+    if "first divergence at episode 1, ticket 21: decision" not in verdict:
         raise SystemExit(f"FAIL: diff did not pinpoint the planted divergence: {verdict!r}")
-    if "fallback" not in verdict:
-        raise SystemExit(f"FAIL: diff verdict does not mention the fallback flag: {verdict!r}")
+    if "event-ticket window" not in verdict:
+        raise SystemExit(f"FAIL: diff verdict carries no event window: {verdict!r}")
     agree = run(replay, ["diff", "--a", str(base), "--b", str(base)])
     if "agree" not in agree:
         raise SystemExit(f"FAIL: self-diff did not report agreement: {agree!r}")
-    print("replay gate: diff pinpointed episode 0, ticket 0 (fallback-only); self-diff agrees — OK")
+    print("replay gate: diff pinpointed episode 1, ticket 21 with its window; self-diff agrees — OK")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,12 @@ scenario:
 3. **Resume**: reopens the torn journal, truncates the tail, finishes
    the campaign. Report and Chrome trace must be **byte-identical** to
    the baseline's.
-4. **Divergence**: `replay diff` of a twin campaign with
-   `--force-fallback` planted against the baseline (decisions in the
-   episode records, not streamed) must name *episode 0, ticket 0* with
-   only the fallback flag differing (exit 1 = divergence found); the
-   baseline diffed against itself must report agreement (exit 0).
+4. **Divergence**: `replay diff` of a twin campaign at a higher loss
+   rate (`--loss 70` against 60; decisions in the episode records, not
+   streamed) against the baseline must name *episode 2, ticket 1553*,
+   where the first packet whose fate flips first moves a scheduling
+   decision (exit 1 = divergence found); the baseline diffed against
+   itself must report agreement (exit 0).
 
     python3 ci/check_soak.py [path/to/soak] [path/to/replay]
 
@@ -39,10 +40,12 @@ CONFIG = [
     "--ack-loss", "25",
     "--snapshot-every", "2",
     "--decisions",
-    "--workers", "2",
 ]
 CRASH_AFTER = "3"
-FORCE_FALLBACK = "4"
+# The twin differs only in its loss rate: it keeps every packet the
+# baseline keeps, so the two agree up to the first flipped fate.
+LOSSIER = list(CONFIG)
+LOSSIER[LOSSIER.index("--loss") + 1] = "70"
 
 
 def run(binary: Path, args: list[str], expect: int = 0) -> str:
@@ -93,12 +96,10 @@ def gate(binary: Path, replay: Path, work: Path) -> None:
             raise SystemExit(f"FAIL: resumed base.{name} differs from baseline ({len(a)} vs {len(b)} bytes)")
     print("soak gate: resumed report and Chrome trace are byte-identical to baseline")
 
-    forced = work / "forced"
-    run(binary, [
-        "run", "--dir", str(forced), *CONFIG, "--force-fallback", FORCE_FALLBACK,
-    ])
-    verdict = run(replay, ["diff", "--a", str(base), "--b", str(forced)], expect=1)
-    if "episode 0, ticket 0" not in verdict or "fallback flag" not in verdict:
+    lossier = work / "lossier"
+    run(binary, ["run", "--dir", str(lossier), *LOSSIER])
+    verdict = run(replay, ["diff", "--a", str(base), "--b", str(lossier)], expect=1)
+    if "first divergence at episode 2, ticket 1553: decision" not in verdict:
         raise SystemExit(f"FAIL: diff did not pinpoint the planted divergence: {verdict!r}")
     print(f"soak gate: diff pinpointed the planted divergence: {verdict.splitlines()[0]}")
 

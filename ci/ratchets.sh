@@ -160,6 +160,13 @@ r_world_capture() {
     grep -rn 'fn fingerprint' crates/simnet/src
 }
 
+# The journal keeps only what a reader or a run uses: no planted decision marker, no snapshot record, no heap cross-check knob and no soak flag for either ("Journal v3"). The split quotes keep this file from matching its own rule.
+rule planted_marker 0 crates/marcel/src/planted.rs 'pub fn force_commit_fall''back(&self, n: u32) {'
+r_planted_marker() {
+    grep -rnE 'force_commit_fall''back|exec/fall''back|Snapshot''Record|KIND_SNAP''SHOT|last_snap''shot|sched_''xcheck|--force-fall''back|--wor''kers' \
+        crates tests ci examples
+}
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

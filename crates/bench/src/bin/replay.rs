@@ -14,7 +14,8 @@
 //! what the live run would have exported (`cmp`-able in CI). `metrics`
 //! folds the recorded per-episode deltas into the exact registry
 //! snapshot at episode boundary K, cross-checked against the episode's
-//! digest. `diff` finds the first episode where two journals differ;
+//! digest. `diff` finds the first episode where two journals differ
+//! (their campaigns may differ only in `--loss` and `--ack-loss`);
 //! when their decision streams differ there it names the first
 //! divergent ticket and renders both runs' traces side by side in the
 //! event window around it, else it names the differing record fields.

@@ -9,13 +9,13 @@
 //! ```
 //!
 //! Config flags for `run`: `--seed S --episodes N --ranks R --messages M
-//! --payload B --workers W --loss L --ack-loss A --snapshot-every K
-//! --decisions --force-fallback N --stream C` (all integers; loss and
-//! ack-loss in thousandths). `--stream C` turns on the journaled flight
-//! recorder: every episode's events and decisions land in the journal
-//! in ~C-entry chunks, and `--chrome` exports are reconstructed from
-//! those chunks by the `replay` machinery (byte-identical to a live
-//! export).
+//! --payload B --loss L --ack-loss A --snapshot-every K --decisions
+//! --stream C` (all integers; loss and ack-loss in thousandths;
+//! `--snapshot-every` is the fsync cadence). `--stream C` turns on the
+//! journaled flight recorder: every episode's events and decisions land
+//! in the journal in ~C-entry chunks, and `--chrome` exports are
+//! reconstructed from those chunks by the `replay` machinery
+//! (byte-identical to a live export).
 //!
 //! `--crash-after K` is `ci/check_soak.py`'s kill switch: after K
 //! episodes the process optionally tears the journal tail mid-frame (`--torn`,
@@ -25,7 +25,8 @@
 //! Chrome trace *byte-identical* to an uninterrupted baseline run.
 //!
 //! Where two campaigns' journals first differ is `replay diff`'s
-//! question.
+//! question; two runs that differ only in `--loss`/`--ack-loss` are
+//! comparable, which is how CI plants a divergence.
 
 use std::path::Path;
 
@@ -49,9 +50,6 @@ fn config_from(cli: &Cli) -> SoakConfig {
     if let Some(v) = cli.int("--payload") {
         cfg.payload = v;
     }
-    if let Some(v) = cli.int("--workers") {
-        cfg.workers = v;
-    }
     if let Some(v) = cli.int("--loss") {
         cfg.loss_milli = v;
     }
@@ -63,9 +61,6 @@ fn config_from(cli: &Cli) -> SoakConfig {
     }
     if cli.set("--decisions") {
         cfg.record_decisions = true;
-    }
-    if let Some(v) = cli.int("--force-fallback") {
-        cfg.force_fallback = v;
     }
     if let Some(v) = cli.int("--stream") {
         cfg.stream_chunk = v;

@@ -24,17 +24,14 @@ pub struct RecoveryPoint {
     pub records: u64,
     /// Index of the last fully valid episode record, if any.
     pub last_episode: Option<u32>,
-    /// Campaign cursor of the last fully valid snapshot record, if any.
-    pub last_snapshot: Option<u32>,
 }
 
 impl std::fmt::Display for RecoveryPoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "recovery point: segment {} offset {} ({} valid records, last episode {:?}, \
-             last snapshot {:?})",
-            self.segment, self.offset, self.records, self.last_episode, self.last_snapshot
+            "recovery point: segment {} offset {} ({} valid records, last episode {:?})",
+            self.segment, self.offset, self.records, self.last_episode
         )
     }
 }

@@ -4,10 +4,9 @@
 //! The simulator's determinism makes every campaign a pure function of
 //! its config — this crate makes that durable. A soak campaign
 //! ([`soak::Campaign`]) appends one checksummed [`record::EpisodeRecord`]
-//! per finished episode and an fsynced [`record::SnapshotRecord`] (the
-//! campaign cursor, running totals and digest chain) at a configured
-//! cadence to a segment-rotated on-disk journal ([`store`], wire format
-//! in DESIGN §11). Three operations:
+//! per finished episode, each chaining the digests of all before it, to
+//! a segment-rotated on-disk journal ([`store`], wire format in DESIGN
+//! §11) and fsyncs it at a configured cadence. Three operations:
 //!
 //! * **record** — zero virtual-time cost (metrics and decision logs are
 //!   host-side reads after the kernel quiesces); disabled, nothing is
@@ -23,8 +22,9 @@
 //!   chained episode digests for the first divergent episode and walks
 //!   its recorded committer-decision streams to the exact first
 //!   divergent ticket, or names the differing record fields when the
-//!   decisions agree (acceptance: a campaign with `force_fallback`
-//!   planted reports ticket 0, fallback-flag-only).
+//!   decisions agree. Two campaigns are comparable when they differ at
+//!   most in their loss rates; a lossier twin is the planted divergence
+//!   the tests and CI pin to an exact (episode, ticket).
 //!
 //! Reader hardening is a hard contract: truncated, bit-flipped,
 //! version-skewed or garbage journals yield typed [`JournalError`]s
@@ -42,7 +42,7 @@ pub mod stream;
 
 pub use crc::crc64;
 pub use error::{JournalError, RecoveryPoint};
-pub use record::{DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals};
+pub use record::{DecisionRec, EpisodeRecord, Record, SoakConfig, Totals};
 pub use replay::{
     diff_runs, load_index, metrics_at, read_episode_decisions, read_episode_events, trace_json_for,
     ReplayDiff, TicketWindow,

@@ -14,9 +14,9 @@
 //! exports — the CI replay leg `cmp`s the two files.
 //!
 //! Seekability: [`load_index`] finds the newest cumulative
-//! [`IndexRec`] by scanning only the last segment (every snapshot
-//! rewrites the index, and snapshots are the last thing written before
-//! rotation-heavy stretches), falling back to a full validated read.
+//! [`IndexRec`] by scanning only the last segment (every durability
+//! point rewrites the index right after its fsync), falling back to a
+//! full validated read.
 //! From the index, chunk reads start at the episode's recorded
 //! `(segment, offset)` instead of scanning the campaign, parsing frames
 //! with the store's one frame scanner.
@@ -330,15 +330,15 @@ impl ReplayDiff {
     }
 }
 
-/// Two campaigns are comparable when every config field that shapes the
-/// *workload* agrees; `force_fallback` is exempt (planting a forced
-/// divergence is the diff's acceptance scenario) and so is `workers`
-/// (the execution policy must not change results — catching it when it
-/// does is also what the diff is for).
+/// Two campaigns are comparable when every config field agrees except
+/// the fault rates. A twin at a higher `loss_milli` keeps every packet
+/// the base run keeps (a packet is lost when its hash falls below the
+/// rate), so the two agree up to the first packet whose fate flips:
+/// that is the divergence the diff is meant to find.
 fn comparable(a: &SoakConfig, b: &SoakConfig) -> Result<(), JournalError> {
     let strip = |c: &SoakConfig| SoakConfig {
-        force_fallback: 0,
-        workers: 0,
+        loss_milli: 0,
+        ack_loss_milli: 0,
         ..c.clone()
     };
     if strip(a) != strip(b) {
@@ -512,19 +512,19 @@ mod tests {
         }
     }
 
-    /// Run a baseline campaign and its `force_fallback: 2` twin to
+    /// Run a baseline campaign and its twin at 80/1000 loss to
     /// completion, diff them, and remove both journals.
-    fn diff_forced_fallback(tag: &str, cfg: SoakConfig) -> ReplayDiff {
+    fn diff_lossier(tag: &str, cfg: SoakConfig) -> ReplayDiff {
         let dir_a = tmpdir(&format!("{tag}-base"));
         Campaign::create(&dir_a, cfg.clone())
             .unwrap()
             .run_to_completion()
             .unwrap();
-        let dir_b = tmpdir(&format!("{tag}-forced"));
+        let dir_b = tmpdir(&format!("{tag}-lossier"));
         Campaign::create(
             &dir_b,
             SoakConfig {
-                force_fallback: 2,
+                loss_milli: 80,
                 ..cfg
             },
         )
@@ -537,51 +537,46 @@ mod tests {
         diff
     }
 
-    /// End to end on real campaigns: a baseline and a forced-fallback
-    /// twin must diverge at episode 0, ticket 0, fallback-flag-only —
-    /// whether the decisions sit in the episode records or, with
-    /// `stream_chunk > 0`, only in the chunk stream.
-    fn forced_fallback_at_ticket_zero(tag: &str, stream_chunk: u32) {
-        let diff = diff_forced_fallback(
+    /// End to end on real campaigns: a baseline and its lossier twin
+    /// first diverge at one pinned (episode, ticket) — whether the
+    /// decisions sit in the episode records or, with `stream_chunk > 0`,
+    /// only in the chunk stream.
+    fn lossier_twin_at_pinned_ticket(tag: &str, stream_chunk: u32) {
+        let diff = diff_lossier(
             tag,
             SoakConfig {
                 record_decisions: true,
-                workers: 2,
                 stream_chunk,
                 ..small()
             },
         );
-        assert_eq!((diff.episode, diff.ticket), (0, Some(0)));
-        assert!(
-            diff.detail.contains("only the fallback flag differs"),
-            "{}",
-            diff.detail
-        );
+        assert_eq!((diff.episode, diff.ticket), (1, Some(21)));
+        assert!(diff.detail.starts_with("decision (tid "), "{}", diff.detail);
         assert!(diff.window.is_some());
     }
 
     #[test]
-    fn forced_fallback_diverges_at_ticket_zero() {
-        forced_fallback_at_ticket_zero("inline", 0);
+    fn lossier_twin_diverges_at_a_pinned_ticket() {
+        lossier_twin_at_pinned_ticket("inline", 0);
     }
 
     #[test]
-    fn streamed_forced_fallback_diverges_at_ticket_zero() {
-        forced_fallback_at_ticket_zero("streamed", 64);
+    fn streamed_lossier_twin_diverges_at_a_pinned_ticket() {
+        lossier_twin_at_pinned_ticket("streamed", 64);
     }
 
-    /// Without recorded decisions the planted fallback shows only in the
-    /// metrics (`exec/fallback`): the diff still names episode 0, with
-    /// the differing field and no ticket.
+    /// Without recorded decisions the lossier twin shows only in the
+    /// record's digests and counts: the diff still names the episode,
+    /// with the differing fields and no ticket.
     #[test]
     fn digest_only_divergence_names_its_fields() {
-        let diff = diff_forced_fallback("digest", small());
-        assert_eq!((diff.episode, diff.ticket, diff.window), (0, None, None));
+        let diff = diff_lossier("digest", small());
+        assert_eq!((diff.episode, diff.ticket, diff.window), (1, None, None));
         assert!(diff.detail.contains("metrics_digest"), "{}", diff.detail);
         assert!(!diff.detail.contains("result_digest"), "{}", diff.detail);
         assert_eq!(
             diff.render(),
-            format!("first divergence at episode 0: {}\n", diff.detail)
+            format!("first divergence at episode 1: {}\n", diff.detail)
         );
     }
 
@@ -616,11 +611,10 @@ mod tests {
             episodes: 16,
             ..SoakConfig::default()
         };
-        let d = |t: u64, fb: bool| DecisionRec {
+        let d = |t: u64, late: bool| DecisionRec {
             ticket: t,
             tid: 1,
-            at_ns: 7 * t,
-            fallback: fb,
+            at_ns: 7 * t + late as u64,
             events_before: 0,
         };
         let write = |dir: &Path, diverge_at: u32| {

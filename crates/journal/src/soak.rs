@@ -4,20 +4,19 @@
 //! lossy single-network topology, seeded as
 //! `splitmix64(campaign_seed ^ i·GOLDEN_GAMMA)` so episode `i` is a pure
 //! function of the config. The journal records one [`EpisodeRecord`]
-//! per finished episode and a fsynced [`SnapshotRecord`] every
-//! `snapshot_every` episodes; a crash between records loses at most the
-//! in-flight episode, which resume simply re-runs — episodes are
-//! deterministic, so a re-run reproduces the lost record byte for byte.
+//! per finished episode and fsyncs every `snapshot_every` episodes; a
+//! crash between records loses at most the in-flight episode, which
+//! resume simply re-runs — episodes are deterministic, so a re-run
+//! reproduces the lost record byte for byte.
 //! The campaign report is a pure function of the config and the episode
 //! records, which is what makes a crash-resumed campaign's report
 //! *byte-identical* to an uninterrupted one (the CI soak leg diffs
 //! them).
 //!
-//! OS thread stacks cannot be serialized, so a snapshot holds no world
-//! state: it carries the resume cursor (`episodes_done`), the running
-//! totals and the digest chain, which the reader cross-checks against
-//! the episode records before it. Resume recovers the world by
-//! re-running the next episode from its seed.
+//! Fiber stacks cannot be serialized, so the journal holds no world
+//! state: the resume cursor is the number of valid episode records, and
+//! the running totals and digest chain fold from them. Resume recovers
+//! the world by re-running the next episode from its seed.
 
 use std::any::Any;
 use std::path::{Path, PathBuf};
@@ -30,7 +29,7 @@ use simnet::{FaultPlan, NetworkId, Protocol, Topology};
 
 use crate::crc::crc64;
 use crate::error::JournalError;
-use crate::record::{DecisionRec, EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals};
+use crate::record::{DecisionRec, EpisodeRecord, Record, SoakConfig, Totals};
 use crate::store::{chain, read_journal_recovering, JournalContents, JournalWriter};
 use crate::stream::{IndexRec, StreamRecorder, StreamSummary};
 
@@ -158,11 +157,11 @@ impl Campaign {
             .ok_or(JournalError::WriterLost { episode })
     }
 
-    /// Run the next episode, append its record, and snapshot at the
+    /// Run the next episode, append its record, and fsync at the
     /// configured cadence. With `stream_chunk > 0` the episode's events,
     /// decisions, and metrics delta were already appended incrementally
-    /// by the time the episode record lands, and every snapshot is
-    /// followed by a rewritten cumulative stream index. A step that
+    /// by the time the episode record lands, and every durability point
+    /// is followed by a rewritten cumulative stream index. A step that
     /// fails before its episode record is appended leaves the campaign
     /// as it was.
     pub fn step(&mut self) -> Result<(), JournalError> {
@@ -213,12 +212,7 @@ impl Campaign {
         let due = self.config.snapshot_every > 0
             && (index + 1).is_multiple_of(self.config.snapshot_every);
         if due || last {
-            let snapshot = Record::Snapshot(SnapshotRecord {
-                episodes_done: index + 1,
-                totals: self.totals,
-                cum_digest: self.cum_digest,
-            });
-            self.writer()?.append(&snapshot)?;
+            self.writer()?.sync()?;
             if streaming {
                 // Rewrite the cumulative seekable index right after the
                 // durability point, so a reader can always jump from
@@ -267,21 +261,22 @@ pub fn render_report(config: &SoakConfig, episodes: &[EpisodeRecord], totals: &T
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "soak campaign {:#018x}", config.fingerprint());
+    // `workers=0` and `force_fallback=0` name deleted fields; they stay
+    // because benchmark/golden.json pins these bytes, and go when it is
+    // re-blessed.
     let _ = write!(
         out,
-        "config: seed={:#x} episodes={} ranks={} messages={} payload={}B workers={} \
-         loss={}/1000 ack_loss={}/1000 snapshot_every={} decisions={} force_fallback={}",
+        "config: seed={:#x} episodes={} ranks={} messages={} payload={}B workers=0 \
+         loss={}/1000 ack_loss={}/1000 snapshot_every={} decisions={} force_fallback=0",
         config.campaign_seed,
         config.episodes,
         config.ranks,
         config.messages_per_episode,
         config.payload,
-        config.workers,
         config.loss_milli,
         config.ack_loss_milli,
         config.snapshot_every,
         config.record_decisions,
-        config.force_fallback,
     );
     // Appended only when streaming, so non-streamed reports keep their
     // exact historical bytes (the CI resume leg byte-diffs them).
@@ -395,7 +390,6 @@ fn run_episode(
     let world = WorldConfig::builder()
         .trace(trace)
         .decisions(config.record_decisions)
-        .force_fallback(config.force_fallback)
         .stream(recorder.map(|recorder| StreamHook {
             chunk: config.stream_chunk as usize,
             sink: Box::new(recorder),
@@ -550,8 +544,6 @@ mod tests {
         drop(c);
         let contents = read_journal(&dir).unwrap();
         assert_eq!(contents.episodes.len(), 3);
-        // snapshots at episode 2 (cadence) and 3 (final).
-        assert_eq!(contents.snapshots.len(), 2);
         assert_eq!(
             report,
             render_report(&contents.config, &contents.episodes, &fold(&contents)),
@@ -619,38 +611,6 @@ mod tests {
 
         fs::remove_dir_all(&base_dir).unwrap();
         fs::remove_dir_all(&crash_dir).unwrap();
-    }
-
-    #[test]
-    fn forced_fallback_changes_no_result_byte() {
-        let cfg = SoakConfig {
-            record_decisions: true,
-            workers: 2,
-            ..tiny()
-        };
-        let forced = SoakConfig {
-            force_fallback: 3,
-            ..cfg.clone()
-        };
-        let a = run_episode(&cfg, 0, false, None).unwrap().ep;
-        let b = run_episode(&forced, 0, false, None).unwrap().ep;
-        assert_eq!(a.result_digest, b.result_digest);
-        assert_eq!(a.end_time_ns, b.end_time_ns);
-        // Metrics DO differ — the `exec/fallback` counter counts the
-        // forced picks; results and virtual time never move.
-        assert_ne!(a.metrics_digest, b.metrics_digest);
-        assert_ne!(
-            a.decisions_digest, b.decisions_digest,
-            "fallback flags must diverge"
-        );
-        let first = a
-            .decisions
-            .iter()
-            .zip(&b.decisions)
-            .find(|(x, y)| x != y)
-            .expect("a divergent decision");
-        assert_eq!(first.0.ticket, 0, "forced fallback starts at ticket 0");
-        assert!(!first.0.fallback && first.1.fallback);
     }
 
     /// A world in which every rail dies fails its episode with a typed

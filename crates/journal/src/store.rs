@@ -18,8 +18,9 @@
 //! flipped length fails the checksum; an out-of-bounds one reads as a
 //! torn record). All integers are little-endian. Frames never span
 //! segments; the writer rotates *before* a frame that would push the
-//! segment past its limit. Snapshot appends fsync the segment — those
-//! are the durability points crash-resume relies on.
+//! segment past its limit. The campaign fsyncs at its durability points
+//! (every `snapshot_every` episodes, the last one, and before each
+//! rotation); crash-resume relies on nothing else.
 //!
 //! Frames are parsed in one place, [`scan_frame`]: the full reader
 //! ([`read_journal`]) and replay's seek-and-walk both go through it. A
@@ -33,8 +34,8 @@ use std::path::{Path, PathBuf};
 use crate::crc::crc64;
 use crate::error::{JournalError, RecoveryPoint};
 use crate::record::{
-    EpisodeRecord, Record, SnapshotRecord, SoakConfig, Totals, KIND_CONFIG, KIND_DECISION_CHUNK,
-    KIND_EPISODE, KIND_EVENT_CHUNK, KIND_INDEX, KIND_METRICS_DELTA, KIND_SNAPSHOT,
+    EpisodeRecord, Record, SoakConfig, KIND_CONFIG, KIND_DECISION_CHUNK, KIND_EPISODE,
+    KIND_EVENT_CHUNK, KIND_INDEX, KIND_METRICS_DELTA,
 };
 use crate::stream::{
     chunk_own_digest, DecisionChunkRec, EventChunkRec, IndexRec, MetricsDeltaRec, StreamAccum,
@@ -42,7 +43,7 @@ use crate::stream::{
 };
 
 pub const MAGIC: &[u8; 8] = b"MADJRNL1";
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 pub const HEADER_LEN: u64 = 32;
 /// Rotation threshold: a frame that would push a segment past this
 /// starts a new segment (one oversized frame per segment is legal).
@@ -284,9 +285,6 @@ impl JournalWriter {
             .write_all(&frame)
             .map_err(|e| JournalError::io(segment_path(&self.dir, self.segment), "write", e))?;
         self.segment_len += frame.len() as u64;
-        if kind == KIND_SNAPSHOT {
-            self.sync()?;
-        }
         Ok(pos)
     }
 
@@ -315,8 +313,8 @@ impl JournalWriter {
 }
 
 /// Everything read from a journal: the campaign config, episode records
-/// in order, snapshots in order, and the recovery point marking the end
-/// of the valid prefix. For streamed campaigns it also carries the
+/// in order, and the recovery point marking the end of the valid
+/// prefix. For streamed campaigns it also carries the
 /// per-episode [`StreamSummary`] index entries, the metrics deltas, and
 /// the newest seekable [`IndexRec`] — but **not** the event chunks
 /// themselves: the reader validates each chunk's chain link and drops
@@ -326,7 +324,6 @@ impl JournalWriter {
 pub struct JournalContents {
     pub config: SoakConfig,
     pub episodes: Vec<EpisodeRecord>,
-    pub snapshots: Vec<SnapshotRecord>,
     /// One entry per streamed episode, in order (empty when the
     /// campaign did not stream).
     pub stream: Vec<StreamSummary>,
@@ -396,7 +393,6 @@ fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalErro
     let Fold {
         config,
         episodes,
-        snapshots,
         stream,
         metrics_deltas,
         index,
@@ -409,7 +405,6 @@ fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalErro
         JournalContents {
             config,
             episodes,
-            snapshots,
             stream,
             metrics_deltas,
             index,
@@ -424,13 +419,11 @@ fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalErro
 struct Fold {
     config: Option<SoakConfig>,
     episodes: Vec<EpisodeRecord>,
-    snapshots: Vec<SnapshotRecord>,
     stream: Vec<StreamSummary>,
     metrics_deltas: Vec<MetricsDeltaRec>,
     index: Option<IndexRec>,
     /// The episode whose chunk stream is accumulating.
     accum: Option<StreamAccum>,
-    totals: Totals,
 }
 
 /// The header fields the reader checks on an event or a decision chunk.
@@ -483,7 +476,6 @@ impl Fold {
                     self.stream.push(summary);
                     self.metrics_deltas.push(delta);
                 }
-                self.totals.add_episode(&ep);
                 recovery.last_episode = Some(ep.index);
                 self.episodes.push(ep);
             }
@@ -537,21 +529,6 @@ impl Fold {
                     return Err(JournalError::inconsistent(recovery, why));
                 }
                 self.index = Some(idx);
-            }
-            Record::Snapshot(snap) => {
-                if snap.episodes_done as usize != self.episodes.len()
-                    || snap.cum_digest != cum_digest
-                    || snap.totals != self.totals
-                {
-                    let why = format!(
-                        "snapshot cursor {} disagrees with {} recorded episodes",
-                        snap.episodes_done,
-                        self.episodes.len()
-                    );
-                    return Err(JournalError::inconsistent(recovery, why));
-                }
-                recovery.last_snapshot = Some(snap.episodes_done);
-                self.snapshots.push(snap);
             }
         }
         Ok(frame.end)
@@ -711,7 +688,6 @@ fn decode_record(
     let decoded = match kind {
         KIND_CONFIG => SoakConfig::decode(payload).map(Record::Config),
         KIND_EPISODE => EpisodeRecord::decode(payload).map(Record::Episode),
-        KIND_SNAPSHOT => SnapshotRecord::decode(payload).map(Record::Snapshot),
         KIND_EVENT_CHUNK => EventChunkRec::decode(payload).map(Record::EventChunk),
         KIND_DECISION_CHUNK => DecisionChunkRec::decode(payload).map(Record::DecisionChunk),
         KIND_METRICS_DELTA => MetricsDeltaRec::decode(payload).map(Record::MetricsDelta),
@@ -757,7 +733,6 @@ pub fn chain(cum: u64, own: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Totals;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("journal-store-{tag}-{}", std::process::id()));
@@ -786,32 +761,29 @@ mod tests {
         ep
     }
 
+    /// Episodes written up to a durability point (the fsync a campaign
+    /// makes every `snapshot_every` episodes) read back whole.
     #[test]
     fn write_read_round_trip_with_snapshot() {
         let dir = tmpdir("roundtrip");
         let cfg = SoakConfig::default();
         let mut w = JournalWriter::create(&dir, &cfg).unwrap();
         let mut cum = 0;
-        let mut totals = Totals::default();
+        let mut written = Vec::new();
         for i in 0..3 {
             let ep = episode(i, cum, &cfg);
             cum = ep.cum_digest;
-            totals.add_episode(&ep);
-            w.append(&Record::Episode(ep)).unwrap();
+            w.append(&Record::Episode(ep.clone())).unwrap();
+            written.push(ep);
         }
-        w.append(&Record::Snapshot(SnapshotRecord {
-            episodes_done: 3,
-            totals,
-            cum_digest: cum,
-        }))
-        .unwrap();
+        w.sync().unwrap();
+        let end = w.position();
         drop(w);
         let contents = read_journal(&dir).unwrap();
         assert_eq!(contents.config, cfg);
-        assert_eq!(contents.episodes.len(), 3);
-        assert_eq!(contents.snapshots.len(), 1);
+        assert_eq!(contents.episodes, written);
         assert_eq!(contents.recovery.last_episode, Some(2));
-        assert_eq!(contents.recovery.last_snapshot, Some(3));
+        assert_eq!((contents.recovery.segment, contents.recovery.offset), end);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -883,14 +855,15 @@ mod tests {
         drop(JournalWriter::create(&dir, &cfg).unwrap());
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
-        // Version 1 journals carried world captures in their snapshots.
-        for found in [9, 1] {
+        // Version 1 journals carried world captures in their snapshots,
+        // version 2 journals snapshot records and fallback flags.
+        for found in [9, 1, 2] {
             bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
             fs::write(&path, &bytes).unwrap();
             match read_journal(&dir) {
                 Err(JournalError::UnsupportedVersion {
                     found: f,
-                    supported: 2,
+                    supported: 3,
                     ..
                 }) if f == found => {}
                 other => panic!("expected UnsupportedVersion {found}, got {other:?}"),

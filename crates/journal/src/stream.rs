@@ -500,7 +500,12 @@ impl DecisionChunkRec {
             debug_assert_eq!(d.ticket, self.first_ticket.wrapping_add(i as u64));
             e.vu64(d.tid as u64);
             e.vu64(d.at_ns);
-            e.bool(d.fallback);
+            // A zero byte stands where the deleted fallback flag was:
+            // the stream chain hashes these bytes, and the episode's
+            // trace digest, which benchmark/golden.json pins through the
+            // report, is that chain. It goes when golden.json is
+            // re-blessed.
+            e.u8(0);
             // events_before is monotone non-decreasing → delta-code it.
             e.vu64(d.events_before.wrapping_sub(prev_events_before));
             prev_events_before = d.events_before;
@@ -531,13 +536,18 @@ impl DecisionChunkRec {
         for i in 0..count {
             let tid = d.vu32("decision_chunk.tid")?;
             let at_ns = d.vu64("decision_chunk.at_ns")?;
-            let fallback = d.bool("decision_chunk.fallback")?;
+            if d.u8("decision_chunk.reserved")? != 0 {
+                let at = d.pos() - 1;
+                return Err(DecodeError {
+                    what: "decision_chunk.reserved",
+                    at,
+                });
+            }
             events_before = events_before.wrapping_add(d.vu64("decision_chunk.events_delta")?);
             decisions.push(DecisionRec {
                 ticket: first_ticket + i as u64,
                 tid,
                 at_ns,
-                fallback,
                 events_before,
             });
         }
@@ -1203,7 +1213,6 @@ mod tests {
                 ticket: 100 + i,
                 tid: (i % 4) as u32,
                 at_ns: 1_000 * i,
-                fallback: i == 3,
                 events_before: 7 * i,
             })
             .collect();

@@ -52,8 +52,8 @@ pub enum ExecPolicy {
 }
 
 /// Virtual cost of each kernel primitive, and the polling knobs that
-/// shape detection delays. The last two fields move no virtual time: a
-/// write-only label and a host-side debug check.
+/// shape detection delays. The last field moves no virtual time: it is
+/// a write-only label.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     /// Switching execution from one user-level thread to another
@@ -77,10 +77,6 @@ pub struct CostModel {
     pub poll_policy: PollPolicy,
     /// Write-only label (see [`ExecPolicy`]).
     pub exec_policy: ExecPolicy,
-    /// Debug cross-check: on every scheduling decision also compute the
-    /// minimum key with an O(threads) linear scan and assert the ready
-    /// heap's peek agrees.
-    pub sched_xcheck: bool,
 }
 
 impl CostModel {
@@ -95,7 +91,6 @@ impl CostModel {
             poll_cycle_scale: 100,
             poll_policy: PollPolicy::Seed,
             exec_policy: ExecPolicy::Seed,
-            sched_xcheck: false,
         }
     }
 
@@ -130,14 +125,6 @@ impl CostModel {
     /// `self` labelled [`ExecPolicy::Ticketed`] (inert).
     pub fn with_ticketed(mut self, workers: usize) -> Self {
         self.exec_policy = ExecPolicy::Ticketed { workers };
-        self
-    }
-
-    /// Cross-checking variant of `self`: every scheduling decision runs
-    /// both the ready-heap peek and the linear scan and asserts they
-    /// agree.
-    pub fn with_sched_xcheck(mut self) -> Self {
-        self.sched_xcheck = true;
         self
     }
 

@@ -78,12 +78,6 @@ pub struct WorldConfig {
     /// journal records these streams so `replay diff` can name the
     /// exact first ticket where two campaigns differ.
     pub decisions: bool,
-    /// Mark the first N scheduling decisions `fallback` in the decision
-    /// log (0 = none; see `Kernel::force_commit_fallback`). Results and
-    /// traces stay bit-identical — only those flags and the
-    /// `exec/fallback` counter change — which is how `replay diff`'s
-    /// acceptance test plants a known first divergent ticket.
-    pub force_fallback: u32,
     /// Stream the trace/decision buffers out of the kernel in bounded
     /// chunks instead of accumulating them for the whole run: when set,
     /// the hook's sink is installed via [`marcel::Kernel::set_event_sink`]
@@ -158,7 +152,6 @@ impl Default for WorldConfig {
             trace: false,
             coll: CollPolicy::Seed,
             decisions: false,
-            force_fallback: 0,
             stream: None,
             vcis: 1,
         }
@@ -277,11 +270,6 @@ impl WorldConfigBuilder {
 
     pub fn decisions(mut self, v: bool) -> Self {
         self.cfg.decisions = v;
-        self
-    }
-
-    pub fn force_fallback(mut self, v: u32) -> Self {
-        self.cfg.force_fallback = v;
         self
     }
 
@@ -587,7 +575,6 @@ where
     if let Some(StreamHook { chunk, sink }) = config.stream.take() {
         kernel.set_event_sink(sink, chunk);
     }
-    kernel.force_commit_fallback(config.force_fallback);
     let (session, world) = MpiWorld::build(&kernel, topology, &placement, &config);
     let n = session.n_ranks();
     // Kernel-level (non-MPI) quiescence barrier: no rank may terminate

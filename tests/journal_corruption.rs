@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use journal::{
     read_journal, read_journal_recovering, DecisionRec, EpisodeRecord, JournalError, JournalWriter,
-    Record, SnapshotRecord, SoakConfig, Totals,
+    Record, SoakConfig,
 };
 use simnet::rng::splitmix64;
 
@@ -33,7 +33,6 @@ fn episode(index: u32, cum: u64, cfg: &SoakConfig) -> EpisodeRecord {
             ticket: t,
             tid: (t % 7) as u32,
             at_ns: 13 * t,
-            fallback: false,
             events_before: 0,
         })
         .collect();
@@ -58,7 +57,7 @@ fn episode(index: u32, cum: u64, cfg: &SoakConfig) -> EpisodeRecord {
 }
 
 /// Build the attack target: a valid journal spanning several segments,
-/// with episodes, snapshots, and decision streams.
+/// with episodes and their decision streams.
 fn build_target(dir: &Path) -> (SoakConfig, usize) {
     let cfg = SoakConfig {
         episodes: 24,
@@ -67,20 +66,10 @@ fn build_target(dir: &Path) -> (SoakConfig, usize) {
     };
     let mut w = JournalWriter::create(dir, &cfg).unwrap();
     let mut cum = 0;
-    let mut totals = Totals::default();
     for i in 0..cfg.episodes {
         let ep = episode(i, cum, &cfg);
         cum = ep.cum_digest;
-        totals.add_episode(&ep);
         w.append(&Record::Episode(ep)).unwrap();
-        if (i + 1) % cfg.snapshot_every == 0 {
-            w.append(&Record::Snapshot(SnapshotRecord {
-                episodes_done: i + 1,
-                totals,
-                cum_digest: cum,
-            }))
-            .unwrap();
-        }
     }
     drop(w);
     let segments = fs::read_dir(dir).unwrap().count();
@@ -322,7 +311,6 @@ fn corrupted_event_chunks_are_typed_with_recovery_never_a_panic() {
         ranks: 3,
         messages_per_episode: 4,
         payload: 64,
-        workers: 2,
         snapshot_every: 1,
         record_decisions: true,
         stream_chunk: 8,
@@ -414,9 +402,6 @@ fn recovery_point_names_the_exact_cut() {
     let recovery = err.recovery().expect("frame-level error carries recovery");
     assert_eq!(recovery.segment, 1);
     assert!(recovery.offset <= mid as u64, "recovery past the damage");
-    assert_eq!(
-        recovery.records,
-        1 + contents.episodes.len() as u64 + contents.snapshots.len() as u64
-    );
+    assert_eq!(recovery.records, 1 + contents.episodes.len() as u64);
     fs::remove_dir_all(&dir).unwrap();
 }

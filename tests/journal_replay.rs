@@ -28,7 +28,6 @@ fn base_cfg() -> SoakConfig {
         ranks: 3,
         messages_per_episode: 4,
         payload: 64,
-        workers: 2,
         snapshot_every: 1,
         record_decisions: true,
         ..SoakConfig::default()
@@ -195,18 +194,19 @@ fn streamed_campaign_survives_crash_resume() {
     fs::remove_dir_all(&base_dir).unwrap();
 }
 
-/// `diff_runs` localizes a planted `force_fallback` divergence to
-/// episode 0, ticket 0, and reconstructs the trace window around it
-/// from both journals' chunk streams — the episode records themselves
-/// carry no decisions (they streamed), so only replay can find it.
+/// `diff_runs` localizes the divergence a lossier twin plants (200/1000
+/// loss against the default 50) to episode 1, ticket 67, and
+/// reconstructs the trace window around it from both journals' chunk
+/// streams — the episode records themselves carry no decisions (they
+/// streamed), so only replay can find it.
 #[test]
-fn diff_localizes_planted_fallback_divergence() {
+fn diff_localizes_planted_loss_divergence() {
     let cfg = SoakConfig {
         stream_chunk: 8,
         ..base_cfg()
     };
     let twin = SoakConfig {
-        force_fallback: 2,
+        loss_milli: 200,
         ..cfg.clone()
     };
 
@@ -218,15 +218,15 @@ fn diff_localizes_planted_fallback_divergence() {
     let diff = diff_runs(&dir_a, &dir_b, 2)
         .unwrap()
         .expect("divergence planted");
-    assert_eq!(diff.episode, 0);
-    assert_eq!(diff.ticket, Some(0));
-    assert!(diff.detail.contains("fallback"), "{}", diff.detail);
+    assert_eq!(diff.episode, 1);
+    assert_eq!(diff.ticket, Some(67));
+    assert!(diff.detail.starts_with("decision (tid "), "{}", diff.detail);
     let window = diff.window.expect("a ticket has a window");
     assert!(window.first_event_ticket < window.end_event_ticket);
 
     let rendered = diff.render();
     assert!(
-        rendered.contains("first divergence at episode 0, ticket 0"),
+        rendered.contains("first divergence at episode 1, ticket 67"),
         "{rendered}"
     );
     assert!(!diff.trace_a.is_empty() && !diff.trace_b.is_empty());
@@ -248,10 +248,10 @@ fn diff_localizes_planted_fallback_divergence() {
 }
 
 /// The journal's on-disk bytes are pinned: the CRC-64 of every segment
-/// of two small campaigns — one streamed and lossy, with decisions and
-/// two snapshots, one non-streamed with `force_fallback` — must equal
-/// the values recorded when the format was fixed. Any codec change that
-/// moves a byte fails here.
+/// of two small campaigns with decisions — one streamed, one with its
+/// decisions inline in the episode records — must equal the values
+/// recorded when the format was fixed. Any codec change that moves a
+/// byte fails here.
 #[test]
 fn segment_bytes_are_pinned() {
     let streamed = SoakConfig {
@@ -259,22 +259,18 @@ fn segment_bytes_are_pinned() {
         stream_chunk: 8,
         ..base_cfg()
     };
-    let fallback = SoakConfig {
-        force_fallback: 2,
-        ..base_cfg()
-    };
     let cases: [(&str, SoakConfig, &[u64]); 2] = [
         (
             "pin-streamed",
             streamed,
             &[
-                0xc5d45cf3b483bcbe,
-                0x5adadbb57fcf11a6,
-                0x2311495cfeb86303,
-                0x65af4dae0aab436e,
+                0x5f6ab68e2ec5c1f6,
+                0x17c0de4dd7e8443d,
+                0x2a7d6f626d14854c,
+                0x89470f43dc805382,
             ],
         ),
-        ("pin-fallback", fallback, &[0xf2307171939d546d]),
+        ("pin-inline", base_cfg(), &[0xc1663a4ea4480be1]),
     ];
     for (tag, cfg, pinned) in cases {
         let dir = tmpdir(tag, 0);

@@ -262,7 +262,7 @@ proptest! {
         episode in 0u32..1 << 16,
         seq in 0u32..1 << 10,
         first_ticket in 0u64..1 << 40,
-        rows in vec(((0u32..64, any::<u64>()), (any::<bool>(), 0u64..1 << 20)), 0..48),
+        rows in vec(((0u32..64, any::<u64>()), 0u64..1 << 20), 0..48),
         prev in any::<u64>(),
     ) {
         let mut events_before = 0u64;
@@ -270,13 +270,12 @@ proptest! {
             .clone()
             .into_iter()
             .enumerate()
-            .map(|(i, ((tid, at_ns), (fallback, gap)))| {
+            .map(|(i, ((tid, at_ns), gap))| {
                 events_before += gap; // monotone, as the kernel guarantees
                 DecisionRec {
                     ticket: first_ticket + i as u64,
                     tid,
                     at_ns,
-                    fallback,
                     events_before,
                 }
             })
@@ -361,7 +360,6 @@ fn decision_chunk_ticket_overflow_is_a_decode_error() {
         ticket,
         tid: 0,
         at_ns: 0,
-        fallback: false,
         events_before: 0,
     };
     let mut chunk = DecisionChunkRec {
