@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour manifest: run every deterministic artifact of the stack —
 # the paper's tables and figures, the extension reports, the event
-# traces, four soak journals and the replay tools — and write one
+# traces, three soak journals and the replay tools — and write one
 # `sha256sum` line per artifact to target/behaviour/manifest.sha256.
 #
 #     ci/behaviour.sh && diff ci/behaviour.sha256 target/behaviour/manifest.sha256
@@ -36,10 +36,10 @@ run trace-2 trace 2
 run trace-4 trace 4 --chrome "$out/trace-4.chrome.json"
 run hotpath-2 hotpath 2
 
-# Four soak campaigns at check_soak.py's shape: clean, lossy, lossy
-# streamed, and a lossier streamed twin (loss 70 against 60) that
+# Three soak campaigns at check_soak.py's shape, every one streamed:
+# clean, lossy (`stream`), and a lossier twin (loss 70 against 60) that
 # plants the divergence `replay diff` finds.
-soak=(--episodes 6 --ranks 4 --messages 16 --payload 128 --snapshot-every 2 --decisions)
+soak=(--episodes 6 --ranks 4 --messages 16 --payload 128 --snapshot-every 2 --stream 8 --decisions)
 lossy=(--loss 60 --ack-loss 25)
 campaign() {
     local name=$1
@@ -49,11 +49,10 @@ campaign() {
         >/dev/null 2>&1
 }
 campaign clean --loss 0 --ack-loss 0
-campaign lossy "${lossy[@]}"
-campaign stream "${lossy[@]}" --stream 8
-campaign lossier --loss 70 --ack-loss 25 --stream 8
+campaign stream "${lossy[@]}"
+campaign lossier --loss 70 --ack-loss 25
 
-# The replay tools over the streamed pair. `diff` exits 1 on the
+# The replay tools over the lossy pair. `diff` exits 1 on the
 # divergence it is meant to find.
 "$bin/replay" trace --dir "$out/soak/stream" >"$out/replay-trace.txt"
 "$bin/replay" metrics --dir "$out/soak/stream" --at-episode 5 --json >"$out/replay-metrics.txt"

@@ -4,9 +4,10 @@
 Drives the `soak` and `replay` binaries through the DESIGN §12
 acceptance scenario:
 
-1. **Byte-identity**: a streamed campaign (`--stream 8`) exports its
-   final-episode Chrome trace live; `replay trace` must reconstruct
-   the same JSON **byte-identically** from the journal alone.
+1. **One reconstruction**: a streamed campaign (`--stream 8`) exports
+   its final-episode Chrome trace with `soak --chrome`; `replay trace`
+   must rebuild the same JSON **byte-identically** from the journal
+   (`tests/journal_replay.rs` pins that JSON against a live export).
 2. **Metrics shape + digest**: `replay metrics --json` at every
    episode boundary must parse, carry the expected top-level keys,
    and include the `journal.stream.hwm` gauge (the folded registry is
@@ -82,20 +83,20 @@ def main() -> None:
 
 
 def gate(soak: Path, replay: Path, work: Path) -> None:
-    # 1. Live Chrome export vs offline reconstruction, byte for byte.
+    # 1. `soak --chrome` vs `replay trace`, byte for byte.
     base = work / "base"
-    live = work / "live.json"
+    live = work / "soak.json"
     run(soak, ["run", "--dir", str(base), *CONFIG, "--stream", STREAM, "--chrome", str(live)])
     replayed = work / "replayed.json"
     run(replay, ["trace", "--dir", str(base), "--out", str(replayed)])
     a, b = live.read_bytes(), replayed.read_bytes()
     if a != b:
         raise SystemExit(
-            f"FAIL: replayed trace differs from live export ({len(a)} vs {len(b)} bytes)"
+            f"FAIL: replay trace differs from soak --chrome ({len(a)} vs {len(b)} bytes)"
         )
     if not a:
-        raise SystemExit("FAIL: live Chrome trace is empty")
-    print(f"replay gate: offline trace is byte-identical to live export ({len(a)} bytes)")
+        raise SystemExit("FAIL: soak --chrome trace is empty")
+    print(f"replay gate: replay trace is byte-identical to soak --chrome ({len(a)} bytes)")
 
     # A ticket window must be a strict, non-empty subset of the episode.
     window = run(replay, ["trace", "--dir", str(base), "--episode", "1",

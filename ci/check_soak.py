@@ -4,8 +4,9 @@
 Drives the `soak` and `replay` binaries through the full robustness
 scenario:
 
-1. **Baseline**: an uninterrupted fault campaign; saves the report and
-   the final episode's Chrome trace.
+1. **Baseline**: an uninterrupted fault campaign, streamed into its
+   journal by the flight recorder; saves the report and the final
+   episode's Chrome trace, rebuilt from the journal.
 2. **Crash**: the same campaign with `--crash-after K --torn` — after K
    episodes the process tears the journal tail mid-frame (exactly what
    a SIGKILL between `write` and frame completion leaves) and SIGKILLs
@@ -14,11 +15,11 @@ scenario:
    the campaign. Report and Chrome trace must be **byte-identical** to
    the baseline's.
 4. **Divergence**: `replay diff` of a twin campaign at a higher loss
-   rate (`--loss 70` against 60; decisions in the episode records, not
-   streamed) against the baseline must name *episode 2, ticket 1553*,
-   where the first packet whose fate flips first moves a scheduling
-   decision (exit 1 = divergence found); the baseline diffed against
-   itself must report agreement (exit 0).
+   rate (`--loss 70` against 60) against the baseline must name
+   *episode 2, ticket 1553*, where the first packet whose fate flips
+   first moves a scheduling decision, and its event-ticket window
+   *[1485, 1490)* (exit 1 = divergence found); the baseline diffed
+   against itself must report agreement (exit 0).
 
     python3 ci/check_soak.py [path/to/soak] [path/to/replay]
 
@@ -39,6 +40,7 @@ CONFIG = [
     "--loss", "60",
     "--ack-loss", "25",
     "--snapshot-every", "2",
+    "--stream", "8",
     "--decisions",
 ]
 CRASH_AFTER = "3"
@@ -101,6 +103,8 @@ def gate(binary: Path, replay: Path, work: Path) -> None:
     verdict = run(replay, ["diff", "--a", str(base), "--b", str(lossier)], expect=1)
     if "first divergence at episode 2, ticket 1553: decision" not in verdict:
         raise SystemExit(f"FAIL: diff did not pinpoint the planted divergence: {verdict!r}")
+    if "event-ticket window [1485, 1490)" not in verdict:
+        raise SystemExit(f"FAIL: diff did not name the divergence's event window: {verdict!r}")
     print(f"soak gate: diff pinpointed the planted divergence: {verdict.splitlines()[0]}")
 
     agree = run(replay, ["diff", "--a", str(base), "--b", str(base)])

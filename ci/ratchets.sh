@@ -167,6 +167,14 @@ r_planted_marker() {
         crates tests ci examples
 }
 
+# The journal has one recorder, the stream: no inline decision log, no live trace export, no lost writer ("One flight recorder"). The split quotes keep this file from matching its own rule.
+rule inline_recorder 0 crates/journal/src/planted.rs 'pub fn take_trace''_json(&mut self) -> Option<String> {'
+r_inline_recorder() { grep -rnE 'take_trace''_json|Writer''Lost|decision''_count' crates tests ci examples; }
+
+# The journal reads another crate's counts through that crate's reader, never by spelling its registry keys ("One flight recorder").
+rule journal_spelled_keys 0 crates/journal/src/planted.rs 'let failovers = metrics.counter("chmad/failovers");'
+r_journal_spelled_keys() { grep -rnE '"net/|"chmad/' crates/journal; }
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

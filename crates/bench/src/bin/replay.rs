@@ -20,13 +20,18 @@
 //! divergent ticket and renders both runs' traces side by side in the
 //! event window around it, else it names the differing record fields.
 //! It exits 1 when a divergence is found, 0 when the runs agree (CI
-//! keys off this).
+//! keys off this). An unknown or repeated flag exits 2.
 
 use std::path::Path;
 use std::process::exit;
 
-use bench::cli::Cli;
+use bench::cli::{Cli, Flags};
 use journal::{diff_runs, load_index, metrics_at, trace_json_for};
+
+const FLAGS: Flags = Flags {
+    values: "--dir --episode --from-ticket --to-ticket --out --at-episode --a --b --radius",
+    switches: "--json",
+};
 
 fn write_or_print(cli: &Cli, text: &str) {
     match cli.value("--out") {
@@ -36,7 +41,7 @@ fn write_or_print(cli: &Cli, text: &str) {
 }
 
 fn main() {
-    let cli = Cli::new("replay", std::env::args().skip(1).collect());
+    let cli = Cli::new("replay", std::env::args().skip(1).collect(), &FLAGS);
     match cli.subcommand() {
         Some("trace") => {
             let dir = cli.dir("--dir");

@@ -9,13 +9,16 @@
 //! ```
 //!
 //! Config flags for `run`: `--seed S --episodes N --ranks R --messages M
-//! --payload B --loss L --ack-loss A --snapshot-every K --decisions
-//! --stream C` (all integers; loss and ack-loss in thousandths;
-//! `--snapshot-every` is the fsync cadence). `--stream C` turns on the
-//! journaled flight recorder: every episode's events and decisions land
-//! in the journal in ~C-entry chunks, and `--chrome` exports are
-//! reconstructed from those chunks by the `replay` machinery
-//! (byte-identical to a live export).
+//! --payload B --loss L --ack-loss A --snapshot-every K --stream C
+//! --decisions` (integers but the `--decisions` switch; loss and
+//! ack-loss in thousandths; `--snapshot-every` is the fsync cadence).
+//! `--stream C` turns on the journal's flight recorder: every episode's
+//! events (and, with `--decisions`, its decisions) land in the journal
+//! in ~C-entry chunks; without it a campaign records digests only, so
+//! `--decisions` and `--chrome` both need `--stream`. `--chrome`
+//! rebuilds the final episode's trace from the journal's chunks, also
+//! when `resume` finds the campaign already complete. An unknown or
+//! repeated flag exits 2.
 //!
 //! `--crash-after K` is `ci/check_soak.py`'s kill switch: after K
 //! episodes the process optionally tears the journal tail mid-frame (`--torn`,
@@ -30,8 +33,14 @@
 
 use std::path::Path;
 
-use bench::cli::Cli;
+use bench::cli::{Cli, Flags};
 use journal::{Campaign, SoakConfig};
+
+const FLAGS: Flags = Flags {
+    values: "--dir --seed --episodes --ranks --messages --payload --loss --ack-loss \
+             --snapshot-every --stream --crash-after --report --chrome",
+    switches: "--decisions --torn --force",
+};
 
 fn config_from(cli: &Cli) -> SoakConfig {
     let mut cfg = SoakConfig::default();
@@ -68,6 +77,13 @@ fn config_from(cli: &Cli) -> SoakConfig {
     cfg
 }
 
+/// Refuse `--chrome` for a campaign that keeps no trace to export.
+fn check_chrome(cli: &Cli, config: &SoakConfig) {
+    if cli.set("--chrome") && config.stream_chunk == 0 {
+        cli.die("--chrome needs --stream: a campaign without the flight recorder keeps no trace");
+    }
+}
+
 /// Drive a campaign to completion (or to the planted crash), then emit
 /// the report and the final episode's Chrome trace.
 fn drive(mut campaign: Campaign, cli: &Cli) {
@@ -85,28 +101,20 @@ fn drive(mut campaign: Campaign, cli: &Cli) {
             crash(campaign, cli.set("--torn"));
         }
     }
-    let trace = campaign.take_trace_json();
     let report = campaign.report();
     print!("{report}");
     if let Some(path) = cli.value("--report") {
         cli.write(Path::new(&path), report.as_bytes());
     }
     if let Some(path) = cli.value("--chrome") {
-        match &trace {
-            Some(json) => cli.write(Path::new(&path), json.as_bytes()),
-            // Streamed campaigns keep no live trace buffer: the final
-            // episode's events exist only as journal chunks, so
-            // reconstruct the export from them (byte-identical).
-            None if campaign.config().stream_chunk > 0 => {
-                let last = campaign.config().episodes - 1;
-                let json = journal::trace_json_for(campaign.dir(), last, None, None)
-                    .unwrap_or_else(|e| cli.die(&format!("--chrome: replay failed: {e}")));
-                cli.write(Path::new(&path), json.as_bytes());
-            }
-            // Resuming an already-complete campaign re-runs nothing, so
-            // there is no in-process trace to export.
-            None => cli.die("--chrome: the final episode did not run in this process"),
-        }
+        let last = campaign
+            .config()
+            .episodes
+            .checked_sub(1)
+            .unwrap_or_else(|| cli.die("--chrome: the campaign has no episodes"));
+        let json = journal::trace_json_for(campaign.dir(), last, None, None)
+            .unwrap_or_else(|e| cli.die(&format!("--chrome: replay failed: {e}")));
+        cli.write(Path::new(&path), json.as_bytes());
     }
 }
 
@@ -129,11 +137,12 @@ fn crash(campaign: Campaign, torn: bool) -> ! {
 }
 
 fn main() {
-    let cli = Cli::new("soak", std::env::args().skip(1).collect());
+    let cli = Cli::new("soak", std::env::args().skip(1).collect(), &FLAGS);
     match cli.subcommand() {
         Some("run") => {
             let dir = cli.dir("--dir");
             let cfg = config_from(&cli);
+            check_chrome(&cli, &cfg);
             let campaign = Campaign::create(&dir, cfg)
                 .unwrap_or_else(|e| cli.die(&format!("create {}: {e}", dir.display())));
             drive(campaign, &cli);
@@ -142,6 +151,7 @@ fn main() {
             let dir = cli.dir("--dir");
             let campaign = Campaign::resume(&dir, cli.set("--force"))
                 .unwrap_or_else(|e| cli.die(&format!("resume {}: {e}", dir.display())));
+            check_chrome(&cli, campaign.config());
             eprintln!(
                 "soak: resuming at episode {}/{}",
                 campaign.episodes_done(),

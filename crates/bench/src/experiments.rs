@@ -418,8 +418,11 @@ pub fn degraded_with_channels(iters: usize) -> (Report, Vec<(&'static str, Chann
         &sizes,
         iters,
     );
-    let (lossy_c, dead_c) = (lossy_sess.fault_counters(), dead_sess.fault_counters());
-    let dead_failovers = dead_sess.failovers();
+    let (clean_c, lossy_c, dead_c) = (
+        clean_sess.counters(),
+        lossy_sess.counters(),
+        dead_sess.counters(),
+    );
     r.add_series("dual_rail_clean", &clean);
     r.add_series("BIP_5pct_loss", &lossy);
     r.add_series("BIP_hard_down", &dead);
@@ -444,7 +447,7 @@ pub fn degraded_with_channels(iters: usize) -> (Report, Vec<(&'static str, Chann
     r.add_anchor(Anchor::new(
         "lossy rail retransmissions over the sweep (nonzero)",
         2.0,
-        lossy_c.retransmits as f64,
+        lossy_c.faults.retransmits as f64,
         "n",
     ));
     // Only the first sender storms the dead rail; the reverse
@@ -452,19 +455,19 @@ pub fn degraded_with_channels(iters: usize) -> (Report, Vec<(&'static str, Chann
     r.add_anchor(Anchor::new(
         "hard-down rail failovers (first sender discovers)",
         1.0,
-        dead_failovers as f64,
+        dead_c.failovers as f64,
         "n",
     ));
     r.add_anchor(Anchor::new(
         "hard-down rank pairs declared dead",
         1.0,
-        dead_c.dead_pairs as f64,
+        dead_c.faults.dead_pairs as f64,
         "n",
     ));
     let channels = vec![
-        ("dual_rail_clean", clean_sess.per_channel_counters()),
-        ("BIP_5pct_loss", lossy_sess.per_channel_counters()),
-        ("BIP_hard_down", dead_sess.per_channel_counters()),
+        ("dual_rail_clean", clean_c.channels),
+        ("BIP_5pct_loss", lossy_c.channels),
+        ("BIP_hard_down", dead_c.channels),
     ];
     (r, channels)
 }

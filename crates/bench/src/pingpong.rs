@@ -32,7 +32,7 @@ pub fn mpi_pingpong(
 
 /// Like [`mpi_pingpong`], additionally returning the finished Madeleine
 /// session itself — callers that want the per-channel reliability
-/// breakdown ([`Session::per_channel_counters`]) rather than the
+/// breakdown ([`Session::counters`]) rather than the
 /// aggregate totals read it off after the run.
 pub fn mpi_pingpong_session(
     topology: Topology,

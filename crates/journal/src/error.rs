@@ -110,13 +110,11 @@ pub enum JournalError {
     AlreadyComplete { episodes: u32 },
     /// `diff_runs` needs two journals over the same campaign shape.
     Incomparable { why: String },
-    /// The campaign config describes a world no episode can run.
+    /// The campaign config describes a world no episode can run, or a
+    /// recording no recorder makes.
     InvalidConfig { why: String },
     /// An episode's world failed: it deadlocked or a rank panicked.
     EpisodeFailed { episode: u32, why: String },
-    /// A streamed episode failed and its world dropped the journal
-    /// writer it held; only `resume` can continue the campaign.
-    WriterLost { episode: u32 },
 }
 
 impl JournalError {
@@ -245,11 +243,6 @@ impl std::fmt::Display for JournalError {
             JournalError::EpisodeFailed { episode, why } => {
                 write!(f, "episode {episode} failed: {why}")
             }
-            JournalError::WriterLost { episode } => write!(
-                f,
-                "streamed episode {episode} failed and took the journal writer with it; \
-                 resume the campaign from its journal"
-            ),
         }
     }
 }

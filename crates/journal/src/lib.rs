@@ -6,21 +6,24 @@
 //! ([`soak::Campaign`]) appends one checksummed [`record::EpisodeRecord`]
 //! per finished episode, each chaining the digests of all before it, to
 //! a segment-rotated on-disk journal ([`store`], wire format in DESIGN
-//! §11) and fsyncs it at a configured cadence. Three operations:
+//! §11) and fsyncs it at a configured cadence. One recorder, the
+//! [`stream`] flight recorder, writes each episode's events (and
+//! decisions) as chunks ahead of its record; without it a campaign
+//! records digests only. Three operations:
 //!
-//! * **record** — zero virtual-time cost (metrics and decision logs are
-//!   host-side reads after the kernel quiesces); disabled, nothing is
-//!   touched at all.
+//! * **record** — zero virtual-time cost (the recorder runs host-side
+//!   inside kernel operations, metrics are read after the kernel
+//!   quiesces); disabled, nothing is touched at all.
 //! * **resume** — [`soak::Campaign::resume`] reloads the journal, folds
 //!   the record stream back into campaign state, truncates a torn tail
 //!   (the mid-write crash signature) and re-runs from the last complete
 //!   episode. The continuation is *byte-identical* to an uninterrupted
 //!   run: the CI soak leg SIGKILLs a campaign mid-flight, resumes it,
-//!   and byte-diffs both the report and the final episode's Chrome
-//!   trace against a baseline.
+//!   and byte-diffs both the report and the final episode's replayed
+//!   Chrome trace against a baseline.
 //! * **diff** — [`replay::diff_runs`] binary-searches two journals'
 //!   chained episode digests for the first divergent episode and walks
-//!   its recorded committer-decision streams to the exact first
+//!   its streamed committer decisions to the exact first
 //!   divergent ticket, or names the differing record fields when the
 //!   decisions agree. Two campaigns are comparable when they differ at
 //!   most in their loss rates; a lossier twin is the planted divergence

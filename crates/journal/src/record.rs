@@ -4,11 +4,12 @@
 //! [`crate::store`]) beside the streamed chunks of [`crate::stream`]:
 //! the campaign [`SoakConfig`] (first record of segment 0 — a journal is
 //! self-contained, `resume` and `replay diff` need no side channel) and
-//! one [`EpisodeRecord`] per finished episode, whose `cum_digest` chains
-//! every episode before it. The reader folds the campaign's totals and
-//! cursor from the episodes themselves. Every encoding is little-endian
-//! via [`crate::codec`]; every decode is total (typed errors, no
-//! panics).
+//! one [`EpisodeRecord`] per finished episode — digests and counts; its
+//! events and decisions travel only as chunks — whose `cum_digest`
+//! chains every episode before it. The reader folds the campaign's
+//! totals and cursor from the episodes themselves. Every encoding is
+//! little-endian via [`crate::codec`]; every decode is total (typed
+//! errors, no panics).
 
 use madeleine::FaultCounters;
 use simnet::rng::{splitmix64, GOLDEN_GAMMA};
@@ -50,15 +51,14 @@ pub struct SoakConfig {
     /// `snapshot_every`-th episode and after the last; 0 leaves only
     /// the last.
     pub snapshot_every: u32,
-    /// Record per-ticket committer decisions in episode records (the
-    /// `replay diff` substrate; costs journal bytes, never virtual time).
+    /// Also stream every episode's per-ticket committer decisions (the
+    /// `replay diff` substrate; costs journal bytes, never virtual
+    /// time). Needs `stream_chunk > 0`.
     pub record_decisions: bool,
-    /// Streaming flight recorder: when > 0, every episode runs with
-    /// tracing on and an incremental [`marcel::EventSink`] that flushes
-    /// events/decisions to the journal in chunks of roughly this many
-    /// entries (see [`crate::stream`]). 0 (the default) keeps the PR-7
-    /// behaviour: buffers accumulate per episode and only digests reach
-    /// the journal.
+    /// The flight recorder: when > 0, every episode runs with tracing on
+    /// and a [`crate::stream::StreamRecorder`] that flushes its events
+    /// (and decisions) to the journal in chunks of roughly this many
+    /// entries. 0 (the default) records digests only.
     pub stream_chunk: u32,
 }
 
@@ -177,18 +177,16 @@ impl Totals {
     }
 }
 
-/// One committed scheduling decision: the journal's single mirror of
+/// One committed scheduling decision: the journal's mirror of
 /// [`marcel::Decision`] (kept separate so the wire format does not
-/// depend on marcel's in-memory layout), read and written by both the
-/// episode's inline decision log and the streamed decision chunks.
+/// depend on marcel's in-memory layout), as decision chunks carry it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DecisionRec {
     pub ticket: u64,
     pub tid: u32,
     pub at_ns: u64,
     /// Trace events recorded strictly before this decision committed
-    /// (see [`marcel::Decision::events_before`]). Only decision chunks
-    /// store it; the inline log does not, and reads it back as 0.
+    /// (see [`marcel::Decision::events_before`]).
     pub events_before: u64,
 }
 
@@ -208,8 +206,8 @@ pub const DECISION_DIGEST_SEED: u64 = 0x4445_4353; // "DECS"
 
 impl DecisionRec {
     /// Fold this decision into a running decision digest (order
-    /// sensitive, `events_before` excluded). The streamed fold and
-    /// [`EpisodeRecord::digest_decisions`] are both this step.
+    /// sensitive, `events_before` excluded): the step of the streamed
+    /// fold and of [`EpisodeRecord::digest_decisions`].
     pub fn fold_digest(&self, h: u64) -> u64 {
         splitmix64(h ^ self.ticket.wrapping_mul(GOLDEN_GAMMA) ^ self.tid as u64 ^ self.at_ns)
     }
@@ -253,11 +251,12 @@ pub fn first_divergence(a: &[DecisionRec], b: &[DecisionRec]) -> Option<Divergen
     })
 }
 
-/// One finished episode: its identity, result/trace/metrics digests,
-/// fault outcome, and (optionally) the full committer decision stream.
-/// `cum_digest` chains every prior episode — two campaigns agree on a
-/// prefix exactly when their last common record's `cum_digest` agrees,
-/// which is what `replay diff` binary-searches on.
+/// One finished episode: its identity, result/trace/metrics/decision
+/// digests and fault outcome; a streamed episode's events and decisions
+/// sit in the chunks before it. `cum_digest` chains every prior
+/// episode — two campaigns agree on a prefix exactly when their last
+/// common record's `cum_digest` agrees, which is what `replay diff`
+/// binary-searches on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpisodeRecord {
     pub index: u32,
@@ -268,9 +267,9 @@ pub struct EpisodeRecord {
     pub result_digest: u64,
     /// CRC-64 of the metrics-registry snapshot rendering.
     pub metrics_digest: u64,
-    /// CRC-64 of the Chrome trace JSON (0 when tracing was off).
+    /// The episode's stream digest chain (0 when not streamed).
     pub trace_digest: u64,
-    /// Digest of the decision stream (0 when not recorded).
+    /// Digest of the streamed decisions (0 when not recorded).
     pub decisions_digest: u64,
     pub faults: FaultCounters,
     pub failovers: u64,
@@ -279,9 +278,6 @@ pub struct EpisodeRecord {
     pub wire_bytes: u64,
     /// Chained digest over all episodes up to and including this one.
     pub cum_digest: u64,
-    /// Full decision stream, with every `events_before` 0 (empty unless
-    /// `record_decisions`, and always empty for a streamed episode).
-    pub decisions: Vec<DecisionRec>,
 }
 
 impl EpisodeRecord {
@@ -306,7 +302,8 @@ impl EpisodeRecord {
         h
     }
 
-    /// Digest of a decision stream (order sensitive).
+    /// Digest of a decision stream (order sensitive): the reference the
+    /// streamed fold is tested against.
     pub fn digest_decisions(decisions: &[DecisionRec]) -> u64 {
         decisions
             .iter()
@@ -332,18 +329,12 @@ impl EpisodeRecord {
         e.u64(self.wire_messages);
         e.u64(self.wire_bytes);
         e.u64(self.cum_digest);
-        e.u32(self.decisions.len() as u32);
-        for d in &self.decisions {
-            e.u64(d.ticket);
-            e.u32(d.tid);
-            e.u64(d.at_ns);
-        }
         e.into_vec()
     }
 
     pub fn decode(buf: &[u8]) -> Result<EpisodeRecord, DecodeError> {
         let mut d = Dec::new(buf);
-        let mut ep = EpisodeRecord {
+        let ep = EpisodeRecord {
             index: d.u32("episode.index")?,
             episode_seed: d.u64("episode.seed")?,
             end_time_ns: d.u64("episode.end_time_ns")?,
@@ -363,18 +354,7 @@ impl EpisodeRecord {
             wire_messages: d.u64("episode.wire_messages")?,
             wire_bytes: d.u64("episode.wire_bytes")?,
             cum_digest: d.u64("episode.cum_digest")?,
-            decisions: Vec::new(),
         };
-        let n = d.u32("episode.decision_count")?;
-        ep.decisions.reserve(n.min(1 << 20) as usize);
-        for _ in 0..n {
-            ep.decisions.push(DecisionRec {
-                ticket: d.u64("episode.decision.ticket")?,
-                tid: d.u32("episode.decision.tid")?,
-                at_ns: d.u64("episode.decision.at_ns")?,
-                events_before: 0,
-            });
-        }
         d.finish("episode")?;
         Ok(ep)
     }
@@ -454,7 +434,6 @@ mod tests {
             wire_messages: 100,
             wire_bytes: 6400,
             cum_digest: 0xFEED,
-            decisions,
         }
     }
 

@@ -10,8 +10,9 @@
 //! surrounding event-ticket window. Because the chunk codec is
 //! lossless and [`marcel::chrome_trace_json`] is a pure function of
 //! the events and thread table, a replayed Chrome trace is
-//! **byte-identical** to what a live traced run of the same episode
-//! exports — the CI replay leg `cmp`s the two files.
+//! **byte-identical** to what exporting a live traced run of the same
+//! episode gives (`tests/journal_replay.rs` pins it against such an
+//! export).
 //!
 //! Seekability: [`load_index`] finds the newest cumulative
 //! [`IndexRec`] by scanning only the last segment (every durability
@@ -33,7 +34,7 @@ use crate::record::{
     KIND_EVENT_CHUNK, KIND_INDEX,
 };
 use crate::store::{
-    list_segments, read_journal, read_journal_recovering, read_segment, scan_frame,
+    check_header, list_segments, read_journal, read_journal_recovering, read_segment, scan_frame,
     JournalContents, HEADER_LEN,
 };
 use crate::stream::{DecisionChunkRec, EventChunkRec, IndexRec, StreamSummary};
@@ -47,9 +48,10 @@ fn undecodable(e: DecodeError) -> JournalError {
 }
 
 /// Iterate validated frames from `(segment, offset)` to the end of the
-/// journal, calling `f(kind, payload)` until it returns `false`. Frames
-/// that fail the checksum are typed errors; a torn tail ends the walk
-/// silently (the valid prefix simply ends there).
+/// journal, calling `f(kind, payload)` until it returns `false`. A
+/// segment header of another format version and frames that fail the
+/// checksum are typed errors; a torn tail ends the walk silently (the
+/// valid prefix simply ends there).
 fn walk_frames(
     dir: &Path,
     from: (u32, u64),
@@ -58,7 +60,11 @@ fn walk_frames(
     let segments = list_segments(dir)?;
     let last = *segments.last().expect("list_segments is non-empty");
     for seg in from.0..=last {
-        let (_, buf) = read_segment(dir, seg)?;
+        let (path, buf) = read_segment(dir, seg)?;
+        match check_header(&path, &buf, seg, &None) {
+            Err(JournalError::TruncatedHeader { .. }) if seg > 0 => return Ok(()),
+            checked => checked?,
+        }
         let start = if seg == from.0 { from.1 } else { 0 };
         let mut pos = start.max(HEADER_LEN) as usize;
         while pos < buf.len() {
@@ -370,17 +376,16 @@ fn first_divergent_episode(a: &[EpisodeRecord], b: &[EpisodeRecord]) -> Option<u
     (lo < n).then_some(lo)
 }
 
-/// Decision stream of episode `episode` in a journal: from the chunk
-/// stream when the episode streamed, else from the in-record decision
-/// log (whose entries carry no `events_before` bridge — it reads as 0).
+/// Decision stream of episode `episode` in a journal, read from its
+/// chunks (empty when it recorded none).
 fn decision_stream(
     dir: &Path,
     contents: &JournalContents,
     episode: usize,
 ) -> Result<Vec<DecisionRec>, JournalError> {
     match contents.stream.iter().find(|s| s.episode == episode as u32) {
-        Some(summary) if summary.decisions > 0 => read_episode_decisions(dir, summary),
-        _ => Ok(contents.episodes[episode].decisions.clone()),
+        Some(summary) => read_episode_decisions(dir, summary),
+        None => Ok(Vec::new()),
     }
 }
 
@@ -470,7 +475,7 @@ pub fn diff_runs(
                 events.retain(|e| e.ticket >= lo && e.ticket < hi);
                 Ok::<String, JournalError>(chrome_trace_json(&events, &threads))
             }
-            // Non-streamed journal: no events to reconstruct.
+            // No stream for the episode: no events to reconstruct.
             None => Ok(chrome_trace_json(&[], &[])),
         }
     };
@@ -493,6 +498,8 @@ mod tests {
     use crate::record::Record;
     use crate::soak::Campaign;
     use crate::store::{chain, JournalWriter};
+    use crate::stream::StreamRecorder;
+    use marcel::{Decision, EventSink, VirtualTime};
     use std::fs;
     use std::path::PathBuf;
 
@@ -538,31 +545,21 @@ mod tests {
     }
 
     /// End to end on real campaigns: a baseline and its lossier twin
-    /// first diverge at one pinned (episode, ticket) — whether the
-    /// decisions sit in the episode records or, with `stream_chunk > 0`,
-    /// only in the chunk stream.
-    fn lossier_twin_at_pinned_ticket(tag: &str, stream_chunk: u32) {
+    /// first diverge at one pinned (episode, ticket), found in their
+    /// streamed decision chunks.
+    #[test]
+    fn streamed_lossier_twin_diverges_at_a_pinned_ticket() {
         let diff = diff_lossier(
-            tag,
+            "streamed",
             SoakConfig {
                 record_decisions: true,
-                stream_chunk,
+                stream_chunk: 64,
                 ..small()
             },
         );
         assert_eq!((diff.episode, diff.ticket), (1, Some(21)));
         assert!(diff.detail.starts_with("decision (tid "), "{}", diff.detail);
         assert!(diff.window.is_some());
-    }
-
-    #[test]
-    fn lossier_twin_diverges_at_a_pinned_ticket() {
-        lossier_twin_at_pinned_ticket("inline", 0);
-    }
-
-    #[test]
-    fn streamed_lossier_twin_diverges_at_a_pinned_ticket() {
-        lossier_twin_at_pinned_ticket("streamed", 64);
     }
 
     /// Without recorded decisions the lossier twin shows only in the
@@ -580,26 +577,23 @@ mod tests {
         );
     }
 
-    fn synthetic(index: u32, cum: u64, decisions: Vec<DecisionRec>) -> EpisodeRecord {
+    /// An episode record closing a stream whose chain is `trace` and
+    /// decision digest `decisions` (both 0 without a stream).
+    fn synthetic(index: u32, cum: u64, trace: u64, decisions: u64) -> EpisodeRecord {
         let mut ep = EpisodeRecord {
             index,
             episode_seed: 0x1000 + index as u64,
             end_time_ns: 10,
             result_digest: 1,
             metrics_digest: 2,
-            trace_digest: 0,
-            decisions_digest: if decisions.is_empty() {
-                0
-            } else {
-                EpisodeRecord::digest_decisions(&decisions)
-            },
+            trace_digest: trace,
+            decisions_digest: decisions,
             faults: Default::default(),
             failovers: 0,
             rndv_reissues: 0,
             wire_messages: 5,
             wire_bytes: 320,
             cum_digest: 0,
-            decisions,
         };
         ep.cum_digest = chain(cum, ep.own_digest());
         ep
@@ -609,21 +603,29 @@ mod tests {
     fn binary_search_finds_a_mid_campaign_divergence() {
         let cfg = SoakConfig {
             episodes: 16,
+            record_decisions: true,
+            stream_chunk: 8,
             ..SoakConfig::default()
         };
-        let d = |t: u64, late: bool| DecisionRec {
+        let d = |t: u64, late: bool| Decision {
             ticket: t,
             tid: 1,
-            at_ns: 7 * t + late as u64,
+            at: VirtualTime(7 * t + late as u64),
             events_before: 0,
         };
+        let metrics = MetricsSnapshot::default();
         let write = |dir: &Path, diverge_at: u32| {
             let mut w = JournalWriter::create(dir, &cfg).unwrap();
             let mut cum = 0;
             for i in 0..16u32 {
                 let flips = i >= diverge_at;
-                let ep = synthetic(i, cum, vec![d(0, false), d(1, flips), d(2, false)]);
+                let mut recorder = StreamRecorder::new(w, i);
+                recorder.decisions(&[d(0, false), d(1, flips), d(2, false)]);
+                let (writer, fin) = recorder.finish(Vec::new(), &metrics, &metrics);
+                let fin = fin.unwrap();
+                let ep = synthetic(i, cum, fin.cum, fin.decisions_digest);
                 cum = ep.cum_digest;
+                w = writer;
                 w.append(&Record::Episode(ep)).unwrap();
             }
         };
@@ -649,8 +651,7 @@ mod tests {
         };
         for (dir, c) in [(&dir_a, &cfg), (&dir_b, &other)] {
             let mut w = JournalWriter::create(dir, c).unwrap();
-            w.append(&Record::Episode(synthetic(0, 0, Vec::new())))
-                .unwrap();
+            w.append(&Record::Episode(synthetic(0, 0, 0, 0))).unwrap();
         }
         assert!(matches!(
             diff_runs(&dir_a, &dir_b, 2),

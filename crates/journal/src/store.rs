@@ -43,7 +43,7 @@ use crate::stream::{
 };
 
 pub const MAGIC: &[u8; 8] = b"MADJRNL1";
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 pub const HEADER_LEN: u64 = 32;
 /// Rotation threshold: a frame that would push a segment past this
 /// starts a new segment (one oversized frame per segment is legal).
@@ -616,10 +616,7 @@ fn seal_stream_episode(
         format!("episode {i} record before its stream fin chunk")
     } else if ep.trace_digest != s.cum {
         format!("episode {i}: trace digest does not match its streamed chunk chain")
-    } else if s.decisions > 0
-        && ep.decisions.is_empty()
-        && ep.decisions_digest != s.decisions_digest
-    {
+    } else if ep.decisions_digest != s.decisions_digest {
         format!("episode {i}: decision digest does not match its streamed decisions")
     } else {
         match acc.pending_metrics {
@@ -634,7 +631,7 @@ fn campaign_of(buf: &[u8]) -> u64 {
     u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"))
 }
 
-fn check_header(
+pub(crate) fn check_header(
     path: &Path,
     buf: &[u8],
     seg: u32,
@@ -712,13 +709,6 @@ fn validate_episode(
         format!("episode {} after {seen} episodes", ep.index)
     } else if ep.cum_digest != chain(cum_digest, ep.own_digest()) {
         format!("episode {}: cumulative digest chain broken", ep.index)
-    } else if !ep.decisions.is_empty()
-        && EpisodeRecord::digest_decisions(&ep.decisions) != ep.decisions_digest
-    {
-        format!(
-            "episode {}: decision stream does not match its digest",
-            ep.index
-        )
     } else {
         return Ok(());
     };
@@ -755,7 +745,6 @@ mod tests {
             wire_messages: 10,
             wire_bytes: 640,
             cum_digest: 0,
-            decisions: Vec::new(),
         };
         ep.cum_digest = chain(cum, ep.own_digest());
         ep
@@ -790,10 +779,7 @@ mod tests {
     #[test]
     fn segments_rotate_and_read_back() {
         let dir = tmpdir("rotate");
-        let cfg = SoakConfig {
-            record_decisions: true,
-            ..SoakConfig::default()
-        };
+        let cfg = SoakConfig::default();
         let mut w = JournalWriter::create(&dir, &cfg).unwrap();
         w.segment_limit = 512; // force rotation quickly
         let mut cum = 0;
@@ -851,23 +837,39 @@ mod tests {
     #[test]
     fn version_skew_is_typed() {
         let dir = tmpdir("version");
-        let cfg = SoakConfig::default();
-        drop(JournalWriter::create(&dir, &cfg).unwrap());
+        let cfg = SoakConfig {
+            episodes: 1,
+            ranks: 2,
+            messages_per_episode: 1,
+            stream_chunk: 8,
+            ..SoakConfig::default()
+        };
+        crate::Campaign::create(&dir, cfg)
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
         // Version 1 journals carried world captures in their snapshots,
-        // version 2 journals snapshot records and fallback flags.
-        for found in [9, 1, 2] {
+        // version 2 journals snapshot records and fallback flags, and
+        // version 3 journals inline decision logs in episode records.
+        // Every reader refuses them, replay's index walk included, and
+        // a forced resume leaves their bytes as they were.
+        for found in [9, 1, 2, 3] {
             bytes[8..12].copy_from_slice(&u32::to_le_bytes(found));
             fs::write(&path, &bytes).unwrap();
-            match read_journal(&dir) {
+            let refused = |r: Result<(), JournalError>| match r {
                 Err(JournalError::UnsupportedVersion {
                     found: f,
-                    supported: 3,
+                    supported: 4,
                     ..
                 }) if f == found => {}
                 other => panic!("expected UnsupportedVersion {found}, got {other:?}"),
-            }
+            };
+            refused(read_journal(&dir).map(drop));
+            refused(crate::replay::trace_json_for(&dir, 0, None, None).map(drop));
+            refused(crate::Campaign::resume(&dir, true).map(drop));
+            assert_eq!(fs::read(&path).unwrap(), bytes);
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,13 +1,13 @@
 //! Streaming flight recorder: typed event/decision chunks, metrics
 //! deltas, and the seekable (episode, ticket) index (DESIGN §12).
 //!
-//! With `SoakConfig::stream_chunk > 0` every episode runs with tracing
-//! on and a [`StreamRecorder`] installed as the kernel's
-//! [`marcel::EventSink`]: the trace and decision buffers are flushed to
-//! the journal in bounded chunks instead of accumulating per episode,
-//! so buffered bytes stay constant in episode length (the
-//! `journal.stream.hwm` gauge proves it) and the full event history of
-//! a million-message campaign survives on disk.
+//! The journal's only recorder. With `SoakConfig::stream_chunk > 0`
+//! every episode runs with tracing on and a [`StreamRecorder`]
+//! installed as the kernel's [`marcel::EventSink`]: the trace and
+//! decision buffers are flushed to the journal in bounded chunks
+//! instead of accumulating per episode, so buffered bytes stay constant
+//! in episode length (the `journal.stream.hwm` gauge proves it) and the
+//! full event history of a million-message campaign survives on disk.
 //!
 //! Four frame kinds carry the stream:
 //!
@@ -37,7 +37,7 @@
 //! trailing 8 bytes))` folded over the episode's event *and* decision
 //! chunks in append order. A streamed episode's `trace_digest` in its
 //! [`crate::record::EpisodeRecord`] is the final chain value, tying the
-//! chunk stream into the PR-7 episode chain: corrupt or reorder any
+//! chunk stream into the episode chain: corrupt or reorder any
 //! chunk and the episode record no longer validates.
 //!
 //! One accumulator: `StreamAccum` holds an episode's stream bookkeeping
@@ -980,7 +980,8 @@ impl StreamAccum {
 /// arrives, so buffered state never exceeds one chunk. Create one per
 /// episode around the campaign's [`JournalWriter`] and install it via
 /// `Kernel::set_event_sink`; once `Kernel::finish_event_sink` hands it
-/// back, [`StreamRecorder::finish`] hands the writer back.
+/// back, [`StreamRecorder::finish`] hands the writer back, or
+/// [`StreamRecorder::into_writer`] when the episode's world failed.
 pub struct StreamRecorder {
     writer: JournalWriter,
     accum: StreamAccum,
@@ -1019,6 +1020,13 @@ impl StreamRecorder {
             accum: StreamAccum::new(episode),
             io_error: None,
         }
+    }
+
+    /// The writer of an episode whose world failed: its chunks stay in
+    /// the journal unsealed, and a re-run of the episode restarts the
+    /// stream at sequence 0 (DESIGN §12).
+    pub fn into_writer(self) -> JournalWriter {
+        self.writer
     }
 
     /// Append one encoded frame; on failure keep the error for `finish`.
@@ -1226,21 +1234,13 @@ mod tests {
         rec.seal(42);
         let back = DecisionChunkRec::decode(&rec.encode()).unwrap();
         assert_eq!(back, rec);
-        // The streamed fold reproduces EpisodeRecord::digest_decisions,
-        // which ignores `events_before`.
+        // The streamed fold reproduces EpisodeRecord::digest_decisions.
         let mut acc = StreamAccum::new(1);
         acc.summary.cum = 42;
         acc.add_decisions(&back, chunk_own_digest(&rec.encode()).unwrap(), (0, 32));
-        let inline: Vec<DecisionRec> = decisions
-            .iter()
-            .map(|&d| DecisionRec {
-                events_before: 0,
-                ..d
-            })
-            .collect();
         assert_eq!(
             acc.summary.decisions_digest,
-            EpisodeRecord::digest_decisions(&inline)
+            EpisodeRecord::digest_decisions(&decisions)
         );
         assert_eq!(acc.summary.cum, rec.cum);
     }

@@ -362,6 +362,16 @@ impl Channel {
         }
     }
 
+    /// The messages and payload bytes this channel put on the wire, in
+    /// `metrics` (the `net/{name}/*` keys).
+    pub(crate) fn wire_in(&self, metrics: &MetricsSnapshot) -> (u64, u64) {
+        let k = &self.keys;
+        (
+            metrics.counter(&k.net_messages),
+            metrics.counter(&k.net_bytes),
+        )
+    }
+
     /// Whether the ordered pair `(from, to)` exhausted its retransmit
     /// budget (see [`ChannelError::LinkDead`]). A dead pair stays dead.
     /// Only the reliable sublayer declares pairs dead, so a channel

@@ -32,7 +32,7 @@ pub use channel::{
 pub use error::{ChannelError, MadError};
 pub use message::{Block, WireMessage};
 pub use modes::{ReceiveMode, SendMode};
-pub use session::{Rails, Session, SessionBuilder};
+pub use session::{Rails, Session, SessionBuilder, SessionCounters};
 
 use marcel::VirtualDuration;
 

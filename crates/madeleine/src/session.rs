@@ -7,7 +7,7 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use marcel::Kernel;
+use marcel::{Kernel, MetricsSnapshot};
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
 use crate::channel::{Channel, FaultCounters};
@@ -272,6 +272,25 @@ pub struct Session {
     kernel: Kernel,
 }
 
+/// What a session counted, as [`Session::counters_in`] reads it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SessionCounters {
+    /// Reliable-delivery counters summed over every channel.
+    pub faults: FaultCounters,
+    /// Wire injections on every network (`net/{name}/messages`).
+    pub wire_messages: u64,
+    /// Payload bytes of those injections (`net/{name}/bytes`).
+    pub wire_bytes: u64,
+    /// Rail failovers recorded by devices.
+    pub failovers: u64,
+    /// Rendezvous REQUEST re-issues recorded by devices.
+    pub rndv_reissues: u64,
+    /// Per-channel reliable-delivery counters, sorted by channel name
+    /// (not channel order), so reports print identically no matter how
+    /// the topology enumerated its networks.
+    pub channels: Vec<(String, FaultCounters)>,
+}
+
 /// Registry keys of the device-level events a session counts.
 const FAILOVERS: &str = "chmad/failovers";
 const RNDV_REISSUES: &str = "chmad/rndv_reissues";
@@ -358,31 +377,32 @@ impl Session {
         self.vcis
     }
 
-    /// Aggregate reliable-delivery counters across every channel, read
-    /// from one snapshot of the kernel's metrics registry — so
-    /// [`marcel::obs::reset_metrics`] restarts them from zero.
-    pub fn fault_counters(&self) -> FaultCounters {
-        let metrics = self.kernel.metrics_snapshot();
-        let mut total = FaultCounters::default();
+    /// Every count the session keeps, read from `metrics`, a snapshot
+    /// of the session's kernel: one reader, so a caller that wants
+    /// several counts clones the registry once.
+    pub fn counters_in(&self, metrics: &MetricsSnapshot) -> SessionCounters {
+        let mut counters = SessionCounters {
+            failovers: metrics.counter(FAILOVERS),
+            rndv_reissues: metrics.counter(RNDV_REISSUES),
+            ..SessionCounters::default()
+        };
         for c in &self.channels {
-            total += c.counters_in(&metrics);
+            let faults = c.counters_in(metrics);
+            let (messages, bytes) = c.wire_in(metrics);
+            counters.faults += faults;
+            counters.wire_messages += messages;
+            counters.wire_bytes += bytes;
+            counters.channels.push((c.name().to_string(), faults));
         }
-        total
+        counters.channels.sort_by(|a, b| a.0.cmp(&b.0));
+        counters
     }
 
-    /// Per-channel reliable-delivery counters, sorted by channel name —
-    /// the breakdown the `degraded` bench reports next to aggregate
-    /// totals. Sorted (not channel order) so reports print identically
-    /// no matter how the topology enumerated its networks.
-    pub fn per_channel_counters(&self) -> Vec<(String, FaultCounters)> {
-        let metrics = self.kernel.metrics_snapshot();
-        let mut rows: Vec<(String, FaultCounters)> = self
-            .channels
-            .iter()
-            .map(|c| (c.name().to_string(), c.counters_in(&metrics)))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+    /// [`Session::counters_in`] a fresh snapshot of the session's
+    /// kernel — so [`marcel::obs::reset_metrics`] restarts them from
+    /// zero.
+    pub fn counters(&self) -> SessionCounters {
+        self.counters_in(&self.kernel.metrics_snapshot())
     }
 
     /// Record that a device moved traffic off a dead rail.
@@ -393,16 +413,6 @@ impl Session {
     /// Record that an in-flight rendezvous REQUEST was re-issued.
     pub fn note_rndv_reissue(&self) {
         marcel::obs::counter_add(RNDV_REISSUES, 1);
-    }
-
-    /// Number of rail failovers recorded by devices.
-    pub fn failovers(&self) -> u64 {
-        self.kernel.metrics_snapshot().counter(FAILOVERS)
-    }
-
-    /// Number of rendezvous REQUEST re-issues recorded by devices.
-    pub fn rndv_reissues(&self) -> u64 {
-        self.kernel.metrics_snapshot().counter(RNDV_REISSUES)
     }
 
     /// The rank path from `a` to `b`: `a, gateways..., b`. One rank per

@@ -67,7 +67,7 @@ pub use types::{Envelope, MatchSpec, Status, Tag};
 pub use vci::vci_for;
 pub use world::{
     run_world, run_world_report, thread_metas, ConfigError, Placement, RemoteDeviceKind,
-    StreamHook, WorldConfig, WorldConfigBuilder, WorldReport,
+    StreamHook, WorldConfig, WorldConfigBuilder, WorldFailure, WorldReport,
 };
 
 /// Every label the stack writes into a trace event's `&'static str`

@@ -323,6 +323,26 @@ pub struct WorldReport<T> {
     pub sink: Option<Box<dyn marcel::EventSink>>,
 }
 
+/// A world that failed: the kernel's error and, as in [`WorldReport`],
+/// the stream hook's sink, so a caller that lent the world its sink
+/// gets it back either way. `?` converts it into the [`SimError`].
+pub struct WorldFailure {
+    pub error: SimError,
+    pub sink: Option<Box<dyn marcel::EventSink>>,
+}
+
+impl From<WorldFailure> for SimError {
+    fn from(failure: WorldFailure) -> SimError {
+        failure.error
+    }
+}
+
+impl std::fmt::Debug for WorldFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.error, f)
+    }
+}
+
 /// One world's MPI layer, indexed by world rank and shared by every
 /// communicator through one `Arc`. It owns, by value, each rank's
 /// matching engine, the node map and intra-node costs the locality
@@ -551,16 +571,17 @@ where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Send + Sync + 'static,
 {
-    run_world_report(topology, placement, config, f).map(|r| r.results)
+    Ok(run_world_report(topology, placement, config, f)?.results)
 }
 
-/// [`run_world`], returning the whole [`WorldReport`].
+/// [`run_world`], returning the whole [`WorldReport`], or on failure
+/// the [`WorldFailure`] that carries the stream hook's sink back too.
 pub fn run_world_report<T, F>(
     topology: Topology,
     placement: Placement,
     mut config: WorldConfig,
     f: F,
-) -> Result<WorldReport<T>, SimError>
+) -> Result<WorldReport<T>, WorldFailure>
 where
     T: Send + 'static,
     F: Fn(&Communicator) -> T + Send + Sync + 'static,
@@ -607,10 +628,13 @@ where
             result
         }));
     }
-    kernel.run()?;
+    let ran = kernel.run();
     // Flush the last partial chunk through the sink and publish the
     // stream high-water-mark gauge before anyone reads the metrics.
     let sink = kernel.finish_event_sink();
+    if let Err(error) = ran {
+        return Err(WorldFailure { error, sink });
+    }
     let results = handles
         .into_iter()
         .map(|h| h.join_outcome().expect("rank finished without a result"))

@@ -176,13 +176,13 @@ fn rail_hard_down_mid_stream_fails_over() {
         vec![true, true],
         "payloads survived the failover"
     );
-    let session = report.session;
+    let counters = report.session.counters();
     assert!(
-        session.failovers() >= 1,
+        counters.failovers >= 1,
         "expected at least one rail failover, got {}",
-        session.failovers()
+        counters.failovers
     );
-    let c = session.fault_counters();
+    let c = counters.faults;
     assert!(c.dead_pairs >= 1, "BIP pair should be declared dead: {c:?}");
     assert!(
         c.drops >= madeleine::MAX_SEND_ATTEMPTS as u64,
@@ -230,9 +230,7 @@ fn faulted_runs_are_seed_deterministic() {
         (
             report.results,
             report.kernel.end_time(),
-            report.session.fault_counters(),
-            report.session.failovers(),
-            report.session.rndv_reissues(),
+            report.session.counters(),
         )
     };
     assert_eq!(run(), run());
@@ -298,14 +296,16 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
     for ((time, what), (want_time, want_what)) in failovers.iter().zip(expected) {
         assert_eq!((*time, what.as_str()), (want_time, want_what));
     }
-    assert_eq!(session.failovers(), 2);
+    let metrics = report.kernel.metrics_snapshot();
+    let counters = session.counters_in(&metrics);
+    assert_eq!(counters.failovers, 2);
     // The counts are pinned too: a hard-down window drops every
     // attempt whatever the plan's seed, so they hold for any
     // `FAULT_SEED`. BIP's two directions each burn the 30-attempt
     // budget (one drop per attempt, a retransmit before every attempt
     // but the first) and die.
     assert_eq!(
-        session.fault_counters(),
+        counters.faults,
         madeleine::FaultCounters {
             retransmits: 58,
             drops: 60,
@@ -314,8 +314,11 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
             dead_pairs: 2,
         }
     );
-    assert_eq!(session.rndv_reissues(), 1);
-    let metrics = report.kernel.metrics_snapshot();
+    assert_eq!(counters.rndv_reissues, 1);
+    assert_eq!(
+        (counters.wire_messages, counters.wire_bytes),
+        (7 + 4, 5_887_774 + 2_501_149)
+    );
     let wire: Vec<(String, u64, u64)> = session
         .channels()
         .iter()

@@ -14,8 +14,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use journal::{
-    read_journal, read_journal_recovering, DecisionRec, EpisodeRecord, JournalError, JournalWriter,
-    Record, SoakConfig,
+    read_journal, read_journal_recovering, EpisodeRecord, JournalError, JournalWriter, Record,
+    SoakConfig,
 };
 use simnet::rng::splitmix64;
 
@@ -25,17 +25,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A synthetic but internally consistent episode, padded with a decision
-/// stream so the journal grows past one segment.
+/// Campaign seed of an attack target.
+const SEED: u64 = 0x50AC_0001;
+
+/// Episodes in an attack target: enough 145-byte episode frames to
+/// span two 64 KiB segments.
+const EPISODES: u32 = 600;
+
+/// A synthetic but internally consistent episode of a campaign that
+/// records digests only.
 fn episode(index: u32, cum: u64, cfg: &SoakConfig) -> EpisodeRecord {
-    let decisions: Vec<DecisionRec> = (0..200)
-        .map(|t| DecisionRec {
-            ticket: t,
-            tid: (t % 7) as u32,
-            at_ns: 13 * t,
-            events_before: 0,
-        })
-        .collect();
     let mut ep = EpisodeRecord {
         index,
         episode_seed: cfg.episode_seed(index),
@@ -43,25 +42,24 @@ fn episode(index: u32, cum: u64, cfg: &SoakConfig) -> EpisodeRecord {
         result_digest: splitmix64(index as u64 ^ 0xBEEF),
         metrics_digest: splitmix64(index as u64 ^ 0xCAFE),
         trace_digest: 0,
-        decisions_digest: EpisodeRecord::digest_decisions(&decisions),
+        decisions_digest: 0,
         faults: Default::default(),
         failovers: 0,
         rndv_reissues: 0,
         wire_messages: 64,
         wire_bytes: 16_384,
         cum_digest: 0,
-        decisions,
     };
     ep.cum_digest = journal::store::chain(cum, ep.own_digest());
     ep
 }
 
-/// Build the attack target: a valid journal spanning several segments,
-/// with episodes and their decision streams.
-fn build_target(dir: &Path) -> (SoakConfig, usize) {
+/// Build the attack target: a valid journal of campaign `seed`'s
+/// episode records, spanning several segments.
+fn build_target(dir: &Path, seed: u64) {
     let cfg = SoakConfig {
-        episodes: 24,
-        record_decisions: true,
+        campaign_seed: seed,
+        episodes: EPISODES,
         ..SoakConfig::default()
     };
     let mut w = JournalWriter::create(dir, &cfg).unwrap();
@@ -73,11 +71,7 @@ fn build_target(dir: &Path) -> (SoakConfig, usize) {
     }
     drop(w);
     let segments = fs::read_dir(dir).unwrap().count();
-    assert!(
-        segments >= 2,
-        "attack target should span segments, has {segments}"
-    );
-    (cfg, segments)
+    assert!(segments >= 2, "attack target spans {segments} segment");
 }
 
 fn copy_journal(src: &Path, dst: &Path) {
@@ -131,7 +125,7 @@ fn read_must_not_panic(dir: &Path, what: &str) -> Result<usize, JournalError> {
 #[test]
 fn truncations_never_panic_and_recover_a_prefix() {
     let target = tmpdir("trunc-target");
-    let (_cfg, _) = build_target(&target);
+    build_target(&target, SEED);
     let full = read_journal(&target).unwrap().episodes.len();
     let mutant = tmpdir("trunc-mutant");
 
@@ -170,7 +164,7 @@ fn truncations_never_panic_and_recover_a_prefix() {
 #[test]
 fn bit_flips_never_panic_and_never_lie() {
     let target = tmpdir("flip-target");
-    build_target(&target);
+    build_target(&target, SEED);
     let baseline = read_journal(&target).unwrap();
     let mutant = tmpdir("flip-mutant");
     let paths = segment_paths(&target);
@@ -239,7 +233,7 @@ fn structural_garbage_is_typed_not_fatal() {
 
     // A gap in the segment sequence.
     let gap = tmpdir("gap");
-    build_target(&gap);
+    build_target(&gap, SEED);
     fs::remove_file(segment_paths(&gap).remove(0)).unwrap();
     assert!(matches!(
         read_journal(&gap),
@@ -248,22 +242,9 @@ fn structural_garbage_is_typed_not_fatal() {
 
     // Segments from two different campaigns mixed together.
     let a = tmpdir("mix-a");
-    build_target(&a);
+    build_target(&a, SEED);
     let b = tmpdir("mix-b");
-    let cfg_b = SoakConfig {
-        campaign_seed: 0xD1FF,
-        episodes: 24,
-        record_decisions: true,
-        ..SoakConfig::default()
-    };
-    let mut w = JournalWriter::create(&b, &cfg_b).unwrap();
-    let mut cum = 0;
-    for i in 0..cfg_b.episodes {
-        let ep = episode(i, cum, &cfg_b);
-        cum = ep.cum_digest;
-        w.append(&Record::Episode(ep)).unwrap();
-    }
-    drop(w);
+    build_target(&b, 0xD1FF);
     let foreign = segment_paths(&b).pop().unwrap();
     fs::copy(&foreign, a.join(foreign.file_name().unwrap())).unwrap();
     match read_must_not_panic(&a, "mixed campaigns") {
@@ -386,7 +367,7 @@ fn corrupted_event_chunks_are_typed_with_recovery_never_a_panic() {
 #[test]
 fn recovery_point_names_the_exact_cut() {
     let dir = tmpdir("exact");
-    build_target(&dir);
+    build_target(&dir, SEED);
     // Flip one bit in the middle of segment 1's frames; the recovery
     // point must land exactly at the start of the damaged frame, and
     // every record before it must be preserved.

@@ -13,7 +13,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use journal::{read_journal, Campaign, SoakConfig};
+use journal::{read_journal, trace_json_for, Campaign, SoakConfig};
 use proptest::prelude::*;
 use simnet::FaultPlan;
 
@@ -49,8 +49,9 @@ proptest! {
             ack_loss_milli: ack_loss,
             snapshot_every,
             record_decisions: true,
-            stream_chunk: 0,
+            stream_chunk: 8,
         };
+        let last = cfg.episodes - 1;
         // The sampled fault intensities must be survivable, or the
         // campaign itself (not the journal) would hang: mirror the
         // fault plan the episodes will run and check.
@@ -64,8 +65,8 @@ proptest! {
         let mut base = Campaign::create(&base_dir, cfg.clone()).unwrap();
         base.run_to_completion().unwrap();
         let base_report = base.report();
-        let base_trace = base.take_trace_json().expect("final episode traces");
         drop(base);
+        let base_trace = trace_json_for(&base_dir, last, None, None).unwrap();
 
         // Crash run: stop after `crash_after` episodes, optionally
         // tearing the tail, then resume in a "new process" (a fresh
@@ -89,10 +90,10 @@ proptest! {
 
         // Byte-identical report and final-episode trace.
         prop_assert_eq!(resumed.report(), base_report);
-        prop_assert_eq!(resumed.take_trace_json().unwrap(), base_trace);
+        prop_assert_eq!(trace_json_for(&crash_dir, last, None, None).unwrap(), base_trace);
 
-        // Identical record streams on disk: every episode record —
-        // results, metrics, decision streams, chained digests — must
+        // Identical records on disk: every episode record — results,
+        // metrics, stream and decision digests, chained digests — must
         // match, and the journals must both read back strictly clean.
         let a = read_journal(&base_dir).unwrap();
         let b = read_journal(&crash_dir).unwrap();

@@ -116,7 +116,7 @@ fn retransmits_match_injected_losses() {
     )
     .expect("lossy world completes");
     let (kernel, session) = (report.kernel, report.session);
-    let c = session.fault_counters();
+    let c = session.counters().faults;
     assert!(c.drops > 0, "the plan injected no losses: {c:?}");
     assert_eq!(
         c.retransmits, c.drops,
