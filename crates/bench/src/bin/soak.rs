@@ -34,7 +34,7 @@
 use std::path::Path;
 
 use bench::cli::{Cli, Flags};
-use journal::{Campaign, SoakConfig};
+use journal::{Campaign, JournalError, SoakConfig};
 
 const FLAGS: Flags = Flags {
     values: "--dir --seed --episodes --ranks --messages --payload --loss --ack-loss \
@@ -90,7 +90,11 @@ fn drive(mut campaign: Campaign, cli: &Cli) {
     let crash_after = cli.int::<u32>("--crash-after");
     while !campaign.is_complete() {
         if let Err(e) = campaign.step() {
-            cli.die(&format!("episode {} failed: {e}", campaign.episodes_done()));
+            match e {
+                // Its text names the episode already.
+                JournalError::EpisodeFailed { .. } => cli.die(&e.to_string()),
+                e => cli.die(&format!("episode {} failed: {e}", campaign.episodes_done())),
+            }
         }
         eprintln!(
             "soak: episode {}/{} done",

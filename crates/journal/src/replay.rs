@@ -599,35 +599,51 @@ mod tests {
         ep
     }
 
-    #[test]
-    fn binary_search_finds_a_mid_campaign_divergence() {
-        let cfg = SoakConfig {
-            episodes: 16,
+    /// Write a streamed campaign of `cfg.episodes` synthetic episodes,
+    /// episode `i` recording `decisions(i)`.
+    fn write_decisions(dir: &Path, cfg: &SoakConfig, decisions: impl Fn(u32) -> Vec<Decision>) {
+        let metrics = MetricsSnapshot::default();
+        let mut w = JournalWriter::create(dir, cfg).unwrap();
+        let mut cum = 0;
+        for i in 0..cfg.episodes {
+            let mut recorder = StreamRecorder::new(w, i);
+            recorder.decisions(&decisions(i));
+            let (writer, fin) = recorder.finish(Vec::new(), &metrics, &metrics);
+            let fin = fin.unwrap();
+            let ep = synthetic(i, cum, fin.cum, fin.decisions_digest);
+            cum = ep.cum_digest;
+            w = writer;
+            w.append(&Record::Episode(ep)).unwrap();
+        }
+    }
+
+    fn streamed(episodes: u32) -> SoakConfig {
+        SoakConfig {
+            episodes,
             record_decisions: true,
             stream_chunk: 8,
             ..SoakConfig::default()
-        };
-        let d = |t: u64, late: bool| Decision {
+        }
+    }
+
+    /// Decision `t` of a synthetic stream: due at `7 t`, one nanosecond
+    /// later when `late`, after `5 t` trace events.
+    fn d(t: u64, late: bool) -> Decision {
+        Decision {
             ticket: t,
             tid: 1,
             at: VirtualTime(7 * t + late as u64),
-            events_before: 0,
-        };
-        let metrics = MetricsSnapshot::default();
+            events_before: 5 * t,
+        }
+    }
+
+    #[test]
+    fn binary_search_finds_a_mid_campaign_divergence() {
+        let cfg = streamed(16);
         let write = |dir: &Path, diverge_at: u32| {
-            let mut w = JournalWriter::create(dir, &cfg).unwrap();
-            let mut cum = 0;
-            for i in 0..16u32 {
-                let flips = i >= diverge_at;
-                let mut recorder = StreamRecorder::new(w, i);
-                recorder.decisions(&[d(0, false), d(1, flips), d(2, false)]);
-                let (writer, fin) = recorder.finish(Vec::new(), &metrics, &metrics);
-                let fin = fin.unwrap();
-                let ep = synthetic(i, cum, fin.cum, fin.decisions_digest);
-                cum = ep.cum_digest;
-                w = writer;
-                w.append(&Record::Episode(ep)).unwrap();
-            }
+            write_decisions(dir, &cfg, |i| {
+                vec![d(0, false), d(1, i >= diverge_at), d(2, false)]
+            })
         };
         let dir_a = tmpdir("mid-a");
         let dir_b = tmpdir("mid-b");
@@ -636,6 +652,29 @@ mod tests {
         read_journal(&dir_a).unwrap();
         let diff = diff_runs(&dir_a, &dir_b, 2).unwrap().expect("planted");
         assert_eq!((diff.episode, diff.ticket), (11, Some(1)));
+        fs::remove_dir_all(&dir_a).unwrap();
+        fs::remove_dir_all(&dir_b).unwrap();
+    }
+
+    /// The event window opens at the `events_before` of the decision
+    /// `radius` before the divergent one — not one decision earlier,
+    /// whose cursor differs — and closes at the one `radius + 1` after.
+    #[test]
+    fn diff_window_spans_radius_decisions_around_the_divergence() {
+        let cfg = streamed(1);
+        let run = |late_from: u64| move |_| (0..10).map(|t| d(t, t >= late_from)).collect();
+        let dir_a = tmpdir("window-a");
+        let dir_b = tmpdir("window-b");
+        write_decisions(&dir_a, &cfg, run(u64::MAX));
+        write_decisions(&dir_b, &cfg, run(6));
+        let diff = diff_runs(&dir_a, &dir_b, 2).unwrap().expect("planted");
+        assert_eq!((diff.episode, diff.ticket), (0, Some(6)));
+        assert_ne!(d(3, false).events_before, d(4, false).events_before);
+        let window = TicketWindow {
+            first_event_ticket: d(4, false).events_before,
+            end_event_ticket: d(9, false).events_before,
+        };
+        assert_eq!(diff.window, Some(window));
         fs::remove_dir_all(&dir_a).unwrap();
         fs::remove_dir_all(&dir_b).unwrap();
     }

@@ -153,7 +153,8 @@ impl Campaign {
     /// by the time the episode record lands, and every durability point
     /// is followed by a rewritten cumulative stream index. A step that
     /// fails before its episode record is appended leaves the campaign
-    /// as it was, and the next step re-runs the same episode.
+    /// as it was — a failed world's streamed chunks are cut off the
+    /// journal again — and the next step re-runs the same episode.
     pub fn step(&mut self) -> Result<(), JournalError> {
         if self.is_complete() {
             return Err(JournalError::AlreadyComplete {
@@ -163,6 +164,7 @@ impl Campaign {
         let index = self.episodes_done();
         let last = index + 1 == self.config.episodes;
         let streaming = self.config.stream_chunk > 0;
+        let start = self.writer().position();
         let recorder = self
             .writer
             .take_if(|_| streaming)
@@ -175,10 +177,13 @@ impl Campaign {
         } = match outcome {
             Ok(outcome) => outcome,
             Err(e) => {
-                // The failed world's chunks stay behind as an orphan
-                // stream; a re-run restarts it at sequence 0.
+                // Cut the failed world's chunks off again: the journal
+                // stays at its last good episode, however often the
+                // episode is re-run and fails.
                 if let Some(recorder) = recorder {
-                    self.writer = Some(recorder.into_writer());
+                    self.writer
+                        .insert(recorder.into_writer())
+                        .truncate_to(start)?;
                 }
                 return Err(e);
             }
@@ -608,6 +613,16 @@ mod tests {
             let dir = tmpdir(&format!("failed-{stream_chunk}"));
             let mut c = Campaign::create(&dir, cfg).unwrap();
             let report = c.report();
+            let segments = || {
+                let mut all: Vec<_> = fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .map(|p| (fs::read(&p).unwrap(), p))
+                    .collect();
+                all.sort_by(|a, b| a.1.cmp(&b.1));
+                all
+            };
+            let journal = segments();
             let failed = c.step().unwrap_err();
             assert!(
                 matches!(&failed, JournalError::EpisodeFailed { episode: 0, why }
@@ -618,6 +633,10 @@ mod tests {
             assert_eq!(c.step().unwrap_err(), failed);
             assert_eq!(c.run_to_completion().unwrap_err(), failed);
             assert_eq!((c.episodes_done(), c.report()), (0, report));
+            assert!(
+                segments() == journal,
+                "the failed world's chunks were cut off"
+            );
             drop(c);
             assert!(read_journal(&dir).unwrap().episodes.is_empty());
             fs::remove_dir_all(&dir).unwrap();

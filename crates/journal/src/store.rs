@@ -209,33 +209,51 @@ impl JournalWriter {
                 .map_err(|e| JournalError::io(&path, "stat", e))?
                 .len();
         }
-        for &idx in segments.iter().filter(|&&i| i > last) {
-            let path = segment_path(dir, idx);
-            fs::remove_file(&path).map_err(|e| JournalError::io(&path, "remove", e))?;
-        }
-        let path = segment_path(dir, last);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)
-            .map_err(|e| JournalError::io(&path, "open", e))?;
-        file.set_len(keep_len)
-            .map_err(|e| JournalError::io(&path, "truncate", e))?;
-        file.sync_data()
-            .map_err(|e| JournalError::io(&path, "fsync", e))?;
-        let mut w = JournalWriter {
+        let file = Self::cut_back(dir, &segments, last, keep_len)?;
+        Ok(JournalWriter {
             dir: dir.to_path_buf(),
             file,
             segment: last,
             segment_len: keep_len,
             segment_limit: DEFAULT_SEGMENT_BYTES,
             campaign,
-        };
+        })
+    }
+
+    /// Cut the journal back to `pos`, an earlier [`JournalWriter::position`]
+    /// of this writer: every frame appended since goes, with the
+    /// segments rotated in meanwhile, and appending continues there.
+    pub(crate) fn truncate_to(&mut self, pos: (u32, u64)) -> Result<(), JournalError> {
+        let (segment, len) = pos;
+        debug_assert!(pos <= self.position(), "truncate_to moves back only");
+        let later: Vec<u32> = (segment + 1..=self.segment).collect();
+        self.file = Self::cut_back(&self.dir, &later, segment, len)?;
+        self.segment = segment;
+        self.segment_len = len;
+        Ok(())
+    }
+
+    /// Remove the `segments` after `last`, cut `last` to `len` bytes,
+    /// make that durable, and return it opened at its end.
+    fn cut_back(dir: &Path, segments: &[u32], last: u32, len: u64) -> Result<File, JournalError> {
+        for &idx in segments.iter().filter(|&&i| i > last) {
+            let path = segment_path(dir, idx);
+            fs::remove_file(&path).map_err(|e| JournalError::io(&path, "remove", e))?;
+        }
+        let path = segment_path(dir, last);
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .map_err(|e| JournalError::io(&path, "open", e))?;
+        file.set_len(len)
+            .map_err(|e| JournalError::io(&path, "truncate", e))?;
+        file.sync_data()
+            .map_err(|e| JournalError::io(&path, "fsync", e))?;
         use std::io::Seek;
-        w.file
-            .seek(std::io::SeekFrom::End(0))
+        file.seek(std::io::SeekFrom::End(0))
             .map_err(|e| JournalError::io(&path, "seek", e))?;
-        Ok(w)
+        Ok(file)
     }
 
     fn open_segment(dir: &Path, segment: u32, campaign: u64) -> Result<File, JournalError> {

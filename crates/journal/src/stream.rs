@@ -1022,9 +1022,8 @@ impl StreamRecorder {
         }
     }
 
-    /// The writer of an episode whose world failed: its chunks stay in
-    /// the journal unsealed, and a re-run of the episode restarts the
-    /// stream at sequence 0 (DESIGN §12).
+    /// The writer of an episode whose world failed; the campaign cuts
+    /// the episode's chunks off again before a re-run (DESIGN §12).
     pub fn into_writer(self) -> JournalWriter {
         self.writer
     }

@@ -20,22 +20,31 @@
 //!   page, `MADV_NOHUGEPAGE` so a touched stack costs pages rather than
 //!   a huge page, below it one `PROT_NONE` guard page: two kernel
 //!   mappings per fiber. Overflow faults on the guard page and the
-//!   process dies with SIGSEGV; there is no growth.
-//! * **One OS thread**: a [`Suspended`] context may only be resumed on
-//!   the OS thread it was suspended on (checked), so thread-locals and
-//!   `!Send` values in its frames never migrate.
-//! * **No unwinding of abandoned fibers**: dropping a [`Suspended`]
-//!   unmaps its stack without running the destructors of the frames on
-//!   it. Whatever those frames own leaks; nothing else may hold a
-//!   borrow into them (simulated threads are `'static` closures, so
-//!   nothing does).
+//!   process dies with SIGSEGV; there is no growth. A [`Stack`] is a
+//!   plain owned mapping: whoever holds it (the kernel, in the fiber's
+//!   slot for the fiber's whole life) keeps it mapped while a context
+//!   runs or is suspended on it, and lays a fresh [`Context`] out only
+//!   on a stack nothing runs on.
+//! * **A switch moves one stack pointer**: [`switch`] writes the
+//!   outgoing stack pointer straight into the [`Context`] the caller
+//!   names — in place, wherever it lives — and loads the incoming one.
+//!   Nothing else travels: who is running is the kernel's business.
+//! * **One OS thread**: a [`Context`] may only be resumed on the OS
+//!   thread it was suspended on (checked on every resume), so
+//!   thread-locals and `!Send` values in its frames never migrate.
+//! * **No unwinding of abandoned fibers**: a context that is never
+//!   resumed is abandoned as it stands; dropping its stack unmaps it
+//!   without running the destructors of the frames on it. Whatever
+//!   those frames own leaks; nothing else may hold a borrow into them
+//!   (simulated threads are `'static` closures, so nothing does).
 //! * **Panics stop at the entry function**: an [`Entry`] never returns
 //!   and must not unwind; one that does aborts the process at the
 //!   `extern "C"` boundary below it.
 
-use std::cell::Cell;
 use std::ffi::{c_int, c_void};
 use std::ptr::NonNull;
+
+use crate::owned::OwnedMut;
 
 #[cfg(not(all(
     target_os = "linux",
@@ -136,53 +145,30 @@ impl Stack {
 impl Drop for Stack {
     fn drop(&mut self) {
         // SAFETY: `base..base+len` is exactly the mapping `map` created
-        // and nothing executes on it: the only running stack is held by
-        // the `RUNNING` thread-local, never dropped while in use.
+        // and nothing executes on it: its holder drops it only once no
+        // context runs there (see the module contract).
         unsafe {
             munmap(self.base.as_ptr().cast(), self.len);
         }
     }
 }
 
-/// What a fiber starts in. Receives the context that resumed it first.
-pub(crate) type Entry = fn(Prev) -> !;
+/// What a fiber starts in.
+pub(crate) type Entry = fn() -> !;
 
-/// A suspended execution context: a fiber that is not running, or the
-/// OS-thread context (`Kernel::run`'s frame) while fibers run. Linear —
-/// resuming consumes it, so a context is resumed at most once per
-/// suspension.
-pub(crate) struct Suspended {
+/// A suspended execution context, kept in place by whatever holds it —
+/// a simulated thread's slot, or the kernel's slot for `Kernel::run`'s
+/// own frame while fibers run: the stack pointer its last switch saved
+/// there and the OS thread it was saved on. Empty while nothing is
+/// suspended there. Linear: resuming takes it, so a context is resumed
+/// at most once per suspension.
+#[derive(Default)]
+pub(crate) struct Context {
     /// Saved stack pointer; the callee-saved registers and the resume
-    /// address sit just above it.
+    /// address sit just above it. 0: empty.
     sp: usize,
-    /// The stack `sp` points into, owned by the context suspended on it.
-    /// `None`: an OS thread's own stack.
-    stack: Option<Stack>,
     /// OS thread the context was suspended on.
     thread: usize,
-}
-
-// SAFETY: moving the token between OS threads moves no frame; `resume`
-// refuses to run it anywhere but on the thread it was suspended on, and
-// dropping it only unmaps the stack (see `Stack`).
-unsafe impl Send for Suspended {}
-
-/// The context that was running before the current one was resumed.
-pub(crate) enum Prev {
-    /// It suspended itself and can be resumed later.
-    Suspended(Suspended),
-    /// It was a fiber that finished; its stack is free for reuse.
-    Exited(Stack),
-}
-
-thread_local! {
-    /// The fiber stack the code now executing on this OS thread runs
-    /// on; `None` on the OS thread's own stack.
-    static RUNNING: Cell<Option<Stack>> = const { Cell::new(None) };
-    /// What the outgoing side of a switch leaves for the incoming one,
-    /// immediately before it: itself, less the stack pointer only the
-    /// switch knows.
-    static HANDOFF: Cell<Option<Prev>> = const { Cell::new(None) };
 }
 
 /// A value unique to the calling OS thread while it lives.
@@ -192,13 +178,15 @@ pub(crate) fn os_thread() -> usize {
     MARK.with(|m| m as *const u8 as usize)
 }
 
-impl Suspended {
-    /// A context that, when first resumed, calls `entry` on `stack`.
-    pub(crate) fn new(stack: Stack, entry: Entry) -> Suspended {
+impl Context {
+    /// A context that, when first resumed, calls `entry` on `stack`,
+    /// which nothing may run on (a fresh or a finished fiber's stack).
+    pub(crate) fn start(stack: &mut Stack, entry: Entry) -> Context {
         let top = stack.top() as *mut usize;
         // SAFETY: the frame lies in the writable part of the mapping,
         // directly below its 16-aligned top (the reserve is far larger
-        // than one frame), and nothing else references the stack yet.
+        // than one frame), and no context runs or is suspended on the
+        // stack, so no live frame is overwritten.
         let sp = unsafe {
             let frame = top.sub(FRAME_WORDS);
             std::ptr::write_bytes(frame, 0, FRAME_WORDS);
@@ -208,75 +196,106 @@ impl Suspended {
                 .write(start_trampoline as unsafe extern "C" fn() as usize);
             frame as usize
         };
-        Suspended {
+        Context {
             sp,
-            stack: Some(stack),
             thread: os_thread(),
         }
     }
 
-    /// Suspend the calling context and run `self`. Returns when some
-    /// context resumes the caller, with the context that did so.
-    pub(crate) fn resume(self) -> Prev {
-        self.switch_from(|mine, thread| {
-            Prev::Suspended(Suspended {
-                sp: 0,
-                stack: mine,
-                thread,
-            })
-        })
+    /// True while a context is suspended here.
+    #[inline]
+    pub(crate) fn is_saved(&self) -> bool {
+        self.sp != 0
     }
 
-    /// Run `self` in place of the calling fiber, which is finished: its
-    /// stack is handed to `self` as [`Prev::Exited`]. The caller's
-    /// frames are abandoned as they stand, so it must own nothing it
-    /// still needs dropped.
-    pub(crate) fn resume_final(self) -> ! {
-        self.switch_from(|mine, _| Prev::Exited(mine.expect("only a fiber can exit")));
-        unreachable!("a finished fiber was resumed")
-    }
-
-    /// Switch to `self`, leaving `outgoing(current stack, OS thread)`
-    /// for it to collect.
-    fn switch_from(self, outgoing: impl FnOnce(Option<Stack>, usize) -> Prev) -> Prev {
-        let Suspended { sp, stack, thread } = self;
-        assert_eq!(thread, os_thread(), "fiber resumed on a foreign OS thread");
-        HANDOFF.set(Some(outgoing(RUNNING.replace(stack), thread)));
-        // SAFETY: `sp` was saved by `switch` or laid out by `new` and,
-        // the token being linear, not resumed since; its stack is alive
-        // (just moved into `RUNNING`); the thread check above keeps the
-        // frames on their OS thread. An exiting fiber's stack stays
-        // mapped until the incoming side, on its own stack, takes it
-        // from `HANDOFF`; the context saved on it is never resumed.
-        collect(unsafe { switch(sp) })
+    /// The stack pointer to resume, after refusing an empty context and
+    /// a foreign OS thread.
+    #[inline]
+    fn resumable(&self) -> usize {
+        if self.sp == 0 || self.thread != os_thread() {
+            refuse(self.sp);
+        }
+        self.sp
     }
 }
 
-/// Incoming side of a switch: name the context we came from.
-fn collect(prev_sp: usize) -> Prev {
-    let mut prev = HANDOFF.take().expect("context resumed without a hand-off");
-    if let Prev::Suspended(ctx) = &mut prev {
-        ctx.sp = prev_sp;
+#[cold]
+#[inline(never)]
+fn refuse(sp: usize) -> ! {
+    if sp == 0 {
+        panic!("resumed an empty fiber context");
     }
-    prev
+    panic!("fiber resumed on a foreign OS thread")
+}
+
+/// The hand-off: suspend the running context into the slot `save`
+/// names inside `world`, end `world`'s borrow, resume `to`, and borrow
+/// `world` again once some context resumes the one saved here. The
+/// switch writes the outgoing stack pointer straight into that slot.
+///
+/// `to` runs with `world` unborrowed, so it can borrow it in turn.
+pub(crate) fn switch<T>(
+    world: &mut OwnedMut<'_, T>,
+    save: impl FnOnce(&mut T) -> &mut Context,
+    to: Context,
+) {
+    let slot: *mut Context = save(world);
+    // SAFETY: `slot` points into `world`'s value, which stays put, and
+    // whoever touches it next does so through a borrow of `world`
+    // taken after the switch has left this stack.
+    OwnedMut::unborrowed(world, || unsafe { suspend(slot, to) });
+}
+
+/// Suspend the running context into `*save` and resume `to`; returns
+/// when some context resumes the one saved.
+///
+/// # Safety
+///
+/// `save` must be valid for writes, and nothing may access it through
+/// a reference that lives across the switch.
+unsafe fn suspend(save: *mut Context, to: Context) {
+    let to = to.resumable();
+    // SAFETY: `save` is valid for writes (the caller's contract). `to`
+    // was saved by `switch_raw` or laid out by `Context::start` on a
+    // stack its holder keeps mapped, on this OS thread (`resumable`
+    // checked it), and, the context being linear, not resumed since.
+    unsafe {
+        save.write(Context {
+            sp: 0,
+            thread: os_thread(),
+        });
+        switch_raw(to, &raw mut (*save).sp);
+    }
+}
+
+/// Resume `to` in place of the running fiber, which is finished: its
+/// frames are abandoned as they stand, so it must own nothing it still
+/// needs dropped, and its stack must stay mapped until `to` runs (the
+/// kernel lays no new context out on it before then).
+pub(crate) fn exit(to: Context) -> ! {
+    let mut abandoned = Context::default();
+    // SAFETY: the saved context lands in this frame and is never
+    // resumed.
+    unsafe { suspend(&mut abandoned, to) };
+    unreachable!("a finished fiber was resumed")
 }
 
 /// First Rust frame of every fiber, entered from `start_trampoline`
 /// with a zero return address below it (which ends backtraces).
-extern "C" fn fiber_start(prev_sp: usize, entry: usize) -> ! {
-    // SAFETY: `entry` is the `Entry` that `Suspended::new` stored in the
+extern "C" fn fiber_start(entry: usize) -> ! {
+    // SAFETY: `entry` is the `Entry` that `Context::start` stored in the
     // initial frame; fn pointers round-trip through `usize`.
     let entry = unsafe { std::mem::transmute::<usize, Entry>(entry) };
-    entry(collect(prev_sp))
+    entry()
 }
 
 // ---------------------------------------------------------------------------
 // x86_64 (System V): callee-saved rbx, rbp, r12–r15; the return address
-// pushed by `call switch` is the resume address.
+// pushed by `call switch_raw` is the resume address.
 // ---------------------------------------------------------------------------
 
 /// Initial frame, from the saved `sp` up: r15 r14 r13 r12 rbx rbp, the
-/// address `switch` returns to, and a zero "return address" for
+/// address `switch_raw` returns to, and a zero "return address" for
 /// `fiber_start` that also keeps the ABI's `rsp % 16 == 8` at entry.
 #[cfg(target_arch = "x86_64")]
 const FRAME_WORDS: usize = 8;
@@ -285,18 +304,19 @@ const FRAME_ENTRY: usize = 3; // r12
 #[cfg(target_arch = "x86_64")]
 const FRAME_RESUME: usize = 6;
 
-/// Save the callee-saved registers on the current stack, switch to the
-/// stack at `to_sp`, restore from it and return there with the old
-/// stack pointer as the result.
+/// Save the callee-saved registers on the current stack, store the
+/// stack pointer at `save`, switch to the stack at `to_sp`, restore from
+/// it and return there.
 ///
 /// # Safety
 ///
 /// `to_sp` must be a stack pointer this function saved (or
-/// [`Suspended::new`] laid out), on a live stack, suspended on the
-/// calling OS thread and not resumed since.
+/// [`Context::start`] laid out), on a live stack, suspended on the
+/// calling OS thread and not resumed since; `save` must be valid for a
+/// write.
 #[cfg(target_arch = "x86_64")]
 #[unsafe(naked)]
-unsafe extern "C" fn switch(to_sp: usize) -> usize {
+unsafe extern "C" fn switch_raw(to_sp: usize, save: *mut usize) {
     core::arch::naked_asm!(
         "push rbp",
         "push rbx",
@@ -304,7 +324,7 @@ unsafe extern "C" fn switch(to_sp: usize) -> usize {
         "push r13",
         "push r14",
         "push r15",
-        "mov rax, rsp",
+        "mov [rsi], rsp",
         "mov rsp, rdi",
         "pop r15",
         "pop r14",
@@ -316,14 +336,13 @@ unsafe extern "C" fn switch(to_sp: usize) -> usize {
     )
 }
 
-/// Where a new fiber's first `switch` "returns": forward the previous
-/// stack pointer (rax) and the entry (r12) as C arguments.
+/// Where a new fiber's first switch "returns": forward the entry (r12)
+/// as the C argument.
 #[cfg(target_arch = "x86_64")]
 #[unsafe(naked)]
 unsafe extern "C" fn start_trampoline() {
     core::arch::naked_asm!(
-        "mov rdi, rax",
-        "mov rsi, r12",
+        "mov rdi, r12",
         "jmp {start}",
         start = sym fiber_start,
     )
@@ -342,14 +361,14 @@ const FRAME_ENTRY: usize = 0; // x19
 #[cfg(target_arch = "aarch64")]
 const FRAME_RESUME: usize = 11; // x30
 
-/// See the x86_64 `switch`.
+/// See the x86_64 `switch_raw`.
 ///
 /// # Safety
 ///
-/// As for the x86_64 `switch`.
+/// As for the x86_64 `switch_raw`.
 #[cfg(target_arch = "aarch64")]
 #[unsafe(naked)]
-unsafe extern "C" fn switch(to_sp: usize) -> usize {
+unsafe extern "C" fn switch_raw(to_sp: usize, save: *mut usize) {
     core::arch::naked_asm!(
         "sub sp, sp, #160",
         "stp x19, x20, [sp, #0]",
@@ -363,8 +382,8 @@ unsafe extern "C" fn switch(to_sp: usize) -> usize {
         "stp d12, d13, [sp, #128]",
         "stp d14, d15, [sp, #144]",
         "mov x9, sp",
+        "str x9, [x1]",
         "mov sp, x0",
-        "mov x0, x9",
         "ldp x19, x20, [sp, #0]",
         "ldp x21, x22, [sp, #16]",
         "ldp x23, x24, [sp, #32]",
@@ -380,14 +399,13 @@ unsafe extern "C" fn switch(to_sp: usize) -> usize {
     )
 }
 
-/// Where a new fiber's first `switch` "returns": x0 already holds the
-/// previous stack pointer; forward the entry (x19) and zero lr so
-/// backtraces end here.
+/// Where a new fiber's first switch "returns": forward the entry (x19)
+/// and zero lr so backtraces end here.
 #[cfg(target_arch = "aarch64")]
 #[unsafe(naked)]
 unsafe extern "C" fn start_trampoline() {
     core::arch::naked_asm!(
-        "mov x1, x19",
+        "mov x0, x19",
         "mov x30, xzr",
         "b {start}",
         start = sym fiber_start,
@@ -397,8 +415,16 @@ unsafe extern "C" fn start_trampoline() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
-    thread_local!(static LOG: Cell<Vec<u32>> = const { Cell::new(Vec::new()) });
+    thread_local! {
+        static LOG: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+        /// The creator's context and the fiber's.
+        static ROOT: Cell<Context> = Cell::new(Context::default());
+        static FIBER: Cell<Context> = Cell::new(Context::default());
+    }
+
+    type Slot = &'static std::thread::LocalKey<Cell<Context>>;
 
     fn log(v: u32) {
         let mut l = LOG.take();
@@ -406,19 +432,28 @@ mod tests {
         LOG.set(l);
     }
 
-    /// Logs 0, 1, 2, yielding to whoever resumed it after each.
-    fn ping(prev: Prev) -> ! {
-        let Prev::Suspended(mut root) = prev else {
-            unreachable!("started by a live context")
-        };
+    /// Suspend the running context into `save` and resume `to`'s.
+    fn hand(save: Slot, to: Slot) {
+        let to = to.take();
+        // SAFETY: a thread-local outlives the switch, and `Cell` lends
+        // no reference to it.
+        unsafe { suspend(save.with(Cell::as_ptr), to) }
+    }
+
+    fn saved(slot: Slot) -> bool {
+        let context = slot.take();
+        let saved = context.is_saved();
+        slot.set(context);
+        saved
+    }
+
+    /// Logs 0, 1, 2, yielding to its creator after each, then exits.
+    fn ping() -> ! {
         for i in 0..3 {
             log(i);
-            let Prev::Suspended(back) = root.resume() else {
-                unreachable!("the creator never exits")
-            };
-            root = back;
+            hand(&FIBER, &ROOT);
         }
-        root.resume_final()
+        exit(ROOT.take())
     }
 
     #[test]
@@ -426,18 +461,14 @@ mod tests {
         let mut stack = Stack::map();
         // Second lap on the recycled stack.
         for _ in 0..2 {
-            let mut fiber = Suspended::new(stack, ping);
+            FIBER.set(Context::start(&mut stack, ping));
             for round in 0..3 {
-                let Prev::Suspended(f) = fiber.resume() else {
-                    panic!("exited early in round {round}")
-                };
-                fiber = f;
+                hand(&ROOT, &FIBER);
+                assert!(saved(&FIBER));
                 log(100 + round);
             }
-            let Prev::Exited(s) = fiber.resume() else {
-                panic!("fiber should have finished")
-            };
-            stack = s;
+            hand(&ROOT, &FIBER);
+            assert!(!saved(&FIBER), "the fiber finished and saved nothing");
             assert_eq!(LOG.take(), vec![0, 100, 1, 101, 2, 102]);
         }
     }
@@ -445,8 +476,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "foreign OS thread")]
     fn resuming_on_another_os_thread_is_refused() {
-        let fiber = Suspended::new(Stack::map(), ping);
-        let moved = std::thread::spawn(move || fiber.resume()).join();
-        std::panic::resume_unwind(moved.err().expect("resume must panic"));
+        let mut stack = Stack::map();
+        let fiber = Context::start(&mut stack, ping);
+        let moved = std::thread::spawn(move || exit(fiber)).join();
+        std::panic::resume_unwind(moved.expect_err("resume must panic"));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty fiber context")]
+    fn resuming_an_empty_context_is_refused() {
+        exit(Context::default())
     }
 }

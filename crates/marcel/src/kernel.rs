@@ -47,7 +47,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::cost::{CostModel, PARK_AFTER};
-use crate::fiber::{Prev, Stack, Suspended};
+use crate::fiber::{self, Context, Stack};
 use crate::obs::{Event, EventSink, Metrics, MetricsSnapshot};
 use crate::owned::{OwnedCell, OwnedMut};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
@@ -156,8 +156,11 @@ pub(crate) struct ThreadSlot {
     /// What the thread returned, once it finished, until its
     /// [`crate::thread::JoinHandle`] takes or drops it.
     pub(crate) result: Option<Box<dyn Any + Send>>,
-    /// The thread's saved context while it is started and not running.
-    pub(crate) fiber: Option<Suspended>,
+    /// The thread's stack, from its first dispatch until it exits.
+    pub(crate) stack: Option<Stack>,
+    /// The thread's saved context while it is started and not running;
+    /// the switch that suspends the thread writes it here in place.
+    pub(crate) context: Context,
     /// Ticket of the scheduling decision that last committed this
     /// thread to run.
     pub(crate) ticket: u64,
@@ -270,7 +273,8 @@ pub struct Decision {
 /// live set plus at most one stale entry per pending deadline.
 #[derive(Default)]
 pub(crate) struct ReadySet {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Keys packed as `at << 64 | tid`, so a sift compares one integer.
+    heap: BinaryHeap<Reverse<u128>>,
     due: Vec<Option<u64>>,
 }
 
@@ -286,29 +290,60 @@ impl ReadySet {
             return;
         }
         self.due[tid] = Some(at);
-        self.heap.push(Reverse((at, tid)));
+        self.heap.push(Reverse(pack(at, tid)));
         self.drop_stale();
     }
 
-    /// Take thread `tid` out of the set (it was committed to run).
+    /// Take thread `tid` out of the set.
     pub(crate) fn remove(&mut self, tid: usize) {
         self.due[tid] = None;
         self.drop_stale();
     }
 
+    /// Take the minimum out of the set (it was committed to run).
+    pub(crate) fn pop(&mut self) -> Option<(u64, usize)> {
+        let min = self.peek()?;
+        self.remove(min.1);
+        Some(min)
+    }
+
+    /// Take the minimum out of the set and index thread `tid` (not in
+    /// the set) as due at `at` in its place: one sift down instead of a
+    /// push and a pop — the step of a running thread that stays
+    /// schedulable but is no longer the minimum. Panics when empty.
+    pub(crate) fn replace_top(&mut self, tid: usize, at: u64) -> (u64, usize) {
+        let mut top = self.heap.peek_mut().expect("replace_top on an empty set");
+        let Reverse(min) = std::mem::replace(&mut *top, Reverse(pack(at, tid)));
+        drop(top);
+        let min = unpack(min);
+        self.due[min.1] = None;
+        self.due[tid] = Some(at);
+        self.drop_stale();
+        min
+    }
+
     /// The minimum `(at, tid)`, or `None` when nothing is schedulable.
     pub(crate) fn peek(&self) -> Option<(u64, usize)> {
-        self.heap.peek().map(|&Reverse(key)| key)
+        self.heap.peek().map(|&Reverse(key)| unpack(key))
     }
 
     fn drop_stale(&mut self) {
-        while let Some(&Reverse((at, tid))) = self.heap.peek() {
+        while let Some((at, tid)) = self.peek() {
             if self.due[tid] == Some(at) {
                 break;
             }
             self.heap.pop();
         }
     }
+}
+
+/// A scheduling key as one integer ordered like `(at, tid)`.
+fn pack(at: u64, tid: usize) -> u128 {
+    u128::from(at) << 64 | tid as u128
+}
+
+fn unpack(key: u128) -> (u64, usize) {
+    ((key >> 64) as u64, key as u64 as usize)
 }
 
 pub(crate) struct Sched {
@@ -339,11 +374,10 @@ pub(crate) struct Sched {
     /// [`TraceEvent::ticket`]).
     pub(crate) record_seq: u64,
     /// [`Kernel::run`]'s own context while fibers run.
-    root: Option<Suspended>,
-    /// Who is switching away right now (`None`: the root), so the
-    /// context it resumes knows where to file the saved context.
-    leaving: Option<Tid>,
+    root: Context,
     /// Stacks of finished fibers, reused by the next thread to start.
+    /// An exiting fiber files its own here, still running on it, once
+    /// the context it hands over to is laid out.
     stacks: Vec<Stack>,
     /// Incremental drain target for the trace / decision buffers (see
     /// [`crate::obs::EventSink`]); `None` (the default) buffers for the
@@ -457,19 +491,6 @@ impl Sched {
         }
     }
 
-    /// Incoming side of a context switch: file what the switch handed
-    /// over — the previous context under whoever was leaving, or a
-    /// finished fiber's stack in the cache.
-    pub(crate) fn arrive(&mut self, prev: Prev) {
-        match prev {
-            Prev::Suspended(ctx) => match self.leaving.take() {
-                Some(t) => self.threads[t.0].fiber = Some(ctx),
-                None => self.root = Some(ctx),
-            },
-            Prev::Exited(stack) => self.stacks.push(stack),
-        }
-    }
-
     fn dump(&self) -> String {
         let mut out = String::new();
         for (i, t) in self.threads.iter().enumerate() {
@@ -549,28 +570,12 @@ impl Shared {
         }
     }
 
-    /// The scheduling key of every runnable thread: Ready threads are
-    /// due at their clock, Sleepers at their wake time, timed semaphore
-    /// waiters at their deadline. Returns the minimum, or `None` when
-    /// nothing can run — the top of the [`ReadySet`] heap. Under
-    /// `cfg(test)` every peek is checked against the linear scan, so
-    /// every marcel unit test checks every decision.
-    fn best_candidate(&self, sched: &Sched) -> Option<SchedKey> {
-        let peeked = sched.ready.peek().map(|(at, tid)| SchedKey {
-            at: VirtualTime(at),
-            tid,
-        });
-        #[cfg(test)]
-        assert_eq!(
-            peeked,
-            Self::scan_candidate(sched),
-            "ready heap diverged from the linear-scan reference"
-        );
-        peeked
-    }
-
-    /// The O(threads) linear-scan reference for
-    /// [`Shared::best_candidate`].
+    /// The O(threads) linear-scan reference for the scheduling step's
+    /// pick: the minimum scheduling key over every runnable thread —
+    /// Ready threads at their clock, Sleepers at their wake time, timed
+    /// semaphore waiters at their deadline. Under `cfg(test)` every
+    /// pick is checked against it, so every marcel unit test checks
+    /// every decision.
     #[cfg(test)]
     fn scan_candidate(sched: &Sched) -> Option<SchedKey> {
         let mut best: Option<SchedKey> = None;
@@ -593,11 +598,35 @@ impl Shared {
 
     /// The one scheduling step: pick the thread with the smallest
     /// scheduling key, stamp the decision with the next monotonic
-    /// ticket and its deterministic seed, log it, perform the wake-up
-    /// semantics and give the run token to the chosen thread (the
-    /// caller then switches to it). `false` when nothing can run.
-    fn commit_next(&self, sched: &mut Sched) -> bool {
-        let Some(key) = self.best_candidate(sched) else {
+    /// ticket, log it, perform the wake-up semantics and give the run
+    /// token to the chosen thread (the caller then switches to it).
+    /// `false` when nothing can run.
+    ///
+    /// `caller` is the thread that just stopped running with the key it
+    /// is due at again, if it stays schedulable. It is not in the ready
+    /// heap, so the pick is the smaller of its key and the heap's top:
+    /// a caller that stays the minimum is committed again without
+    /// touching the heap, and otherwise it takes the top's place in one
+    /// sift ([`ReadySet::replace_top`]).
+    fn commit_next(&self, sched: &mut Sched, caller: Option<(Tid, VirtualTime)>) -> bool {
+        let picked = match caller {
+            Some((me, at)) if sched.ready.peek().is_none_or(|top| (at.0, me.0) < top) => {
+                Some((at.0, me.0))
+            }
+            Some((me, at)) => Some(sched.ready.replace_top(me.0, at.0)),
+            None => sched.ready.pop(),
+        };
+        let key = picked.map(|(at, tid)| SchedKey {
+            at: VirtualTime(at),
+            tid,
+        });
+        #[cfg(test)]
+        assert_eq!(
+            key,
+            Self::scan_candidate(sched),
+            "the scheduling step diverged from the linear-scan reference"
+        );
+        let Some(key) = key else {
             return false;
         };
         let ticket = sched.next_ticket;
@@ -614,8 +643,6 @@ impl Shared {
             }
         }
         let next = Tid(key.tid);
-        // The committed thread leaves the schedulable set.
-        sched.ready.remove(next.0);
         let wake = match sched.threads[next.0].state {
             TState::Sleeping(wake) => Some((None, wake)),
             // Scheduled *at the deadline*: the wait timed out. Leave the
@@ -639,13 +666,15 @@ impl Shared {
         true
     }
 
-    /// Commit the next thread after the current one stopped running
-    /// (blocked or exited). With nothing left to commit the run token
-    /// goes back to [`Kernel::run`]: normal termination when no thread
-    /// is live, a deadlock otherwise.
-    fn dispatch(&self, sched: &mut Sched) {
+    /// Commit the next thread after the current one stopped running:
+    /// `caller` as for [`Shared::commit_next`] (a sleeper or a timed
+    /// waiter stays schedulable; a blocked or finished thread does
+    /// not). With nothing left to commit the run token goes back to
+    /// [`Kernel::run`]: normal termination when no thread is live, a
+    /// deadlock otherwise.
+    fn dispatch(&self, sched: &mut Sched, caller: Option<(Tid, VirtualTime)>) {
         sched.running = None;
-        if !self.commit_next(sched) && sched.live > 0 {
+        if !self.commit_next(sched, caller) && sched.live > 0 {
             sched.deadlock = Some(format!(
                 "no runnable thread among {} live:\n{}",
                 sched.live,
@@ -659,10 +688,10 @@ impl Shared {
     /// scheduling key, switch to it and park until rescheduled.
     pub(crate) fn reschedule(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Tid) {
         debug_assert!(matches!(sched.threads[me.0].state, TState::Running));
-        sched.threads[me.0].state = TState::Ready;
-        let due = sched.threads[me.0].vtime;
-        sched.ready.upsert(me.0, due.0);
-        let committed = self.commit_next(sched);
+        let slot = &mut sched.threads[me.0];
+        slot.state = TState::Ready;
+        let due = slot.vtime;
+        let committed = self.commit_next(sched, Some((me, due)));
         assert!(committed, "running thread is always a candidate");
         self.wait_until_running(sched, me);
     }
@@ -673,15 +702,12 @@ impl Shared {
         // Sleepers and timed waiters stay schedulable (due at their
         // wake/deadline); other blocked states leave the index.
         let due = match state {
-            TState::Sleeping(wake) => Some(wake),
-            TState::BlockedSemTimeout(_, deadline) => Some(deadline),
+            TState::Sleeping(wake) => Some((me, wake)),
+            TState::BlockedSemTimeout(_, deadline) => Some((me, deadline)),
             _ => None,
         };
         sched.threads[me.0].state = state;
-        if let Some(at) = due {
-            sched.ready.upsert(me.0, at.0);
-        }
-        self.dispatch(sched);
+        self.dispatch(sched, due);
         self.wait_until_running(sched, me);
     }
 
@@ -715,41 +741,48 @@ impl Shared {
     }
 
     /// The context of whoever holds the run token now: the committed
-    /// thread's — laid out on a cached or fresh stack if this is its
-    /// first dispatch — or [`Kernel::run`]'s once nothing is committed.
-    fn committed_context(self: &Arc<Self>, sched: &mut Sched) -> Suspended {
+    /// thread's — laid out on a cached or fresh stack, which then stays
+    /// in its slot, if this is its first dispatch — or [`Kernel::run`]'s
+    /// once nothing is committed.
+    fn committed_context(self: &Arc<Self>, sched: &mut Sched) -> Context {
         let Some(next) = sched.running else {
-            return sched
-                .root
-                .take()
-                .expect("run() is suspended while fibers run");
+            return std::mem::take(&mut sched.root);
         };
-        if let Some(ctx) = sched.threads[next.0].fiber.take() {
-            return ctx;
+        let slot = &mut sched.threads[next.0];
+        if slot.context.is_saved() {
+            return std::mem::take(&mut slot.context);
         }
         // A starting fiber finds its identity where a resumed one left
         // its own: in the thread-local the switching context vacated.
         crate::thread::set_current(Some((self.clone(), next)));
-        let stack = sched.stacks.pop().unwrap_or_else(Stack::map);
-        Suspended::new(stack, crate::thread::fiber_main)
+        let mut stack = sched.stacks.pop().unwrap_or_else(Stack::map);
+        let context = Context::start(&mut stack, crate::thread::fiber_main);
+        sched.threads[next.0].stack = Some(stack);
+        context
     }
 
-    /// The hand-off: end the borrow of the world, switch to the
-    /// committed context, and borrow again once some context switches
-    /// back to `me` (`None`: the root) — for a thread, when it is
+    /// The hand-off: switch to the committed context and save the
+    /// caller's in place, in `me`'s slot (`None`: the root's). The
+    /// borrow of the world ends while others run and is taken again
+    /// once some context switches back: for a thread, when it is
     /// committed again; for the root, when the run is over. On abort or
     /// deadlock the root is resumed instead and the calling fiber is
     /// abandoned where it stands, its borrow already ended.
     fn switch_away(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Option<Tid>) {
-        let target = self.committed_context(sched);
-        sched.leaving = me;
-        let prev = OwnedMut::unborrowed(sched, || target.resume());
-        sched.arrive(prev);
+        let to = self.committed_context(sched);
+        fiber::switch(
+            sched,
+            |s| match me {
+                Some(me) => &mut s.threads[me.0].context,
+                None => &mut s.root,
+            },
+            to,
+        );
     }
 
     /// Park the descheduled thread `me` until it is committed again —
     /// at once when the commit that descheduled it picked it again (a
-    /// sleeper that is itself the next thread due).
+    /// caller that stays the next thread due).
     fn wait_until_running(self: &Arc<Self>, sched: &mut OwnedMut<'_, Sched>, me: Tid) {
         if sched.running != Some(me) {
             self.switch_away(sched, Some(me));
@@ -760,10 +793,10 @@ impl Shared {
     /// Bookkeeping when a simulated thread finishes (normally or by
     /// panic): file its result for the joiner, wake joiners, then leave
     /// its fiber for good — to the next committed thread, or to
-    /// [`Kernel::run`] when the run is over or a panic aborts it.
-    /// Consumes the caller's kernel handle: the frames below the final
-    /// switch are never unwound, so everything they own is dropped
-    /// before it.
+    /// [`Kernel::run`] when the run is over or a panic aborts it — and
+    /// its stack to the cache. Consumes the caller's kernel handle: the
+    /// frames below the final switch are never unwound, so everything
+    /// they own is dropped before it.
     pub(crate) fn thread_exit(
         this: Arc<Shared>,
         me: Tid,
@@ -791,12 +824,18 @@ impl Shared {
                 sched.abort = panic_msg;
                 sched.running = None;
             } else {
-                this.dispatch(&mut sched);
+                this.dispatch(&mut sched, None);
             }
-            this.committed_context(&mut sched)
+            let target = this.committed_context(&mut sched);
+            // Only now may the cache hand this stack out: the next
+            // context is laid out, and nothing else is before the
+            // final switch leaves it.
+            let stack = sched.threads[me.0].stack.take();
+            sched.stacks.extend(stack);
+            target
         };
         drop(this);
-        target.resume_final()
+        fiber::exit(target)
     }
 
     /// Committer-order gate for kernel operations: borrow the world and
@@ -846,8 +885,7 @@ impl Kernel {
                     decisions: Recording(None),
                     next_ticket: 0,
                     record_seq: 0,
-                    root: None,
-                    leaving: None,
+                    root: Context::default(),
                     stacks: Vec::new(),
                     stream: None,
                     metrics: Metrics::new(),
@@ -983,7 +1021,7 @@ impl Kernel {
         assert!(!sched.started, "Kernel::run called twice");
         sched.started = true;
         if sched.live > 0 {
-            self.shared.dispatch(&mut sched);
+            self.shared.dispatch(&mut sched, None);
         }
         if sched.running.is_some() {
             let outer = crate::thread::set_current(None);
@@ -992,7 +1030,8 @@ impl Kernel {
         }
         sched.stacks.clear();
         for t in &mut sched.threads {
-            t.fiber = None;
+            t.stack = None;
+            t.context = Context::default();
             t.body = None;
         }
         if let Some(msg) = &sched.abort {
@@ -1271,6 +1310,47 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), vec!["early", "mid", "late"]);
     }
 
+    #[test]
+    fn caller_that_stays_the_minimum_resumes_without_the_heap() {
+        // `a` advances 1 us at a time and stays due first for two of its
+        // steps; `b` interleaves. A decision that re-commits the caller
+        // takes the same ticket, and logs the same key, as one that
+        // comes off the heap.
+        let k = Kernel::new(CostModel::free());
+        k.enable_decision_log();
+        k.spawn("a", || {
+            for _ in 0..3 {
+                thread::advance(VirtualDuration::from_micros(1));
+            }
+            thread::advance(VirtualDuration::from_micros(10));
+        });
+        k.spawn("b", || {
+            for _ in 0..2 {
+                thread::advance(VirtualDuration::from_micros(5));
+            }
+        });
+        k.run().unwrap();
+        let got: Vec<_> = k
+            .take_decisions()
+            .iter()
+            .map(|d| (d.ticket, d.tid, d.at.as_nanos()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, 0),
+                (1, 1, 0),
+                (2, 0, 1_000),
+                (3, 0, 2_000),
+                (4, 0, 3_000),
+                (5, 1, 5_000),
+                (6, 1, 10_000),
+                (7, 0, 13_000),
+            ]
+        );
+        assert!(k.shared.state.borrow().ready.heap.is_empty());
+    }
+
     /// Reference for the [`ReadySet`] tests: a linear scan over a shadow
     /// of `due`.
     fn scan_min(due: &[Option<u64>]) -> Option<(u64, usize)> {
@@ -1357,7 +1437,7 @@ mod tests {
         let mut cursor = 0u64;
         for _ in 0..5_000 {
             assert_eq!(r.peek(), scan_min(&shadow));
-            match rng() % 4 {
+            match rng() % 5 {
                 // Commit the minimum; it usually comes back later.
                 0 | 1 => {
                     if let Some((at, tid)) = scan_min(&shadow) {
@@ -1376,10 +1456,22 @@ mod tests {
                     shadow[tid] = Some(at);
                 }
                 // Block a random thread (leave the schedulable set).
-                _ => {
+                3 => {
                     let tid = (rng() as usize) % n;
                     r.remove(tid);
                     shadow[tid] = None;
+                }
+                // A running thread (one out of the set) files its next
+                // key in the minimum's place, and the minimum leaves.
+                _ => {
+                    let tid = (rng() as usize) % n;
+                    if let (None, Some((at, min))) = (shadow[tid], scan_min(&shadow)) {
+                        cursor = cursor.max(at);
+                        let back = cursor + (rng() % (1 << (rng() % 30)));
+                        assert_eq!(r.replace_top(tid, back), (at, min));
+                        shadow[min] = None;
+                        shadow[tid] = Some(back);
+                    }
                 }
             }
         }
@@ -1468,9 +1560,12 @@ mod tests {
         /// Random fibers pass through every schedulable state — Ready
         /// (advance, yield, release), Sleeping and BlockedSemTimeout,
         /// with timed waiters often released before their deadline, which
-        /// re-keys them. `best_candidate` checks the ready heap against
-        /// the linear scan at every decision, so finishing is the
-        /// assertion; a second run must commit the same decisions.
+        /// re-keys them. `commit_next` checks every pick — the caller
+        /// resumed without the heap, or the heap's top — against the
+        /// linear scan, so finishing is the assertion; a second run must
+        /// commit the same decisions. A last fiber sleeps past every
+        /// script and then advances alone, so each case also resumes a
+        /// caller that stays the minimum.
         #[test]
         fn ready_heap_matches_scan_on_random_fibers(
             scripts in proptest::collection::vec(proptest::collection::vec(step(), 1..24), 1..6)
@@ -1495,10 +1590,19 @@ mod tests {
                         }
                     });
                 }
+                k.spawn("last", || {
+                    thread::sleep(VirtualDuration::from_millis(10));
+                    for _ in 0..3 {
+                        thread::advance(VirtualDuration::from_nanos(1));
+                    }
+                });
                 k.run().unwrap();
                 k.take_decisions()
             };
-            proptest::prop_assert_eq!(run(), run());
+            let decisions = run();
+            let resumed = decisions.windows(2).filter(|w| w[0].tid == w[1].tid).count();
+            proptest::prop_assert!(resumed >= 3, "the caller was resumed {resumed} times");
+            proptest::prop_assert_eq!(decisions, run());
         }
     }
 }

@@ -12,25 +12,36 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::marker::PhantomData;
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
 
-use crate::fiber::Prev;
+use crate::fiber::Context;
 use crate::kernel::{Shared, TState, ThreadSlot, Tid};
 use crate::time::{VirtualDuration, VirtualTime};
 
 type Identity = (Arc<Shared>, Tid);
 
+/// An identity as the thread-local keeps it: without drop glue, so the
+/// thread-local needs no destructor registration and checking it out
+/// and back is two plain moves. It is only ever set while a simulated
+/// thread runs on this OS thread, which cannot end meanwhile, so
+/// nothing is left in it to drop when the OS thread exits.
+type Held = (ManuallyDrop<Arc<Shared>>, Tid);
+
 thread_local! {
     /// The simulated thread executing user code on this OS thread.
     /// `None` outside a simulation — and while that thread is inside a
     /// kernel operation, which holds the identity itself.
-    static CURRENT: Cell<Option<Identity>> = const { Cell::new(None) };
+    static CURRENT: Cell<Option<Held>> = const { Cell::new(None) };
 }
 
 /// Replace the ambient identity, returning the old one.
 pub(crate) fn set_current(identity: Option<Identity>) -> Option<Identity> {
-    CURRENT.with(|c| c.replace(identity))
+    let held = identity.map(|(shared, me)| (ManuallyDrop::new(shared), me));
+    CURRENT
+        .replace(held)
+        .map(|(shared, me)| (ManuallyDrop::into_inner(shared), me))
 }
 
 /// Run one kernel operation as the current simulated thread: `f` borrows
@@ -38,17 +49,20 @@ pub(crate) fn set_current(identity: Option<Identity>) -> Option<Identity> {
 /// fibers; `None` outside a simulated thread.
 ///
 /// `f` must not re-enter the ambient API (`now`, `obs::emit`, ...): the
-/// identity is checked out while it runs.
+/// identity is checked out while it runs, so a re-entering call finds
+/// none.
+#[inline]
 pub(crate) fn try_with_current<R>(f: impl FnOnce(&Arc<Shared>, Tid) -> R) -> Option<R> {
     /// Puts the identity back when the operation ends — or unwinds, so a
     /// destructor further up can still perform kernel operations.
-    struct CheckedOut(Option<Identity>);
+    struct CheckedOut(Option<Held>);
     impl Drop for CheckedOut {
+        #[inline]
         fn drop(&mut self) {
-            set_current(self.0.take());
+            CURRENT.set(self.0.take());
         }
     }
-    let identity = CheckedOut(set_current(None));
+    let identity = CheckedOut(CURRENT.take());
     let (shared, me) = identity.0.as_ref()?;
     Some(f(shared, *me))
 }
@@ -57,6 +71,7 @@ pub(crate) fn try_with_current<R>(f: impl FnOnce(&Arc<Shared>, Tid) -> R) -> Opt
 /// simulation.
 ///
 /// Panics when called from outside a simulated thread.
+#[inline]
 pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Shared>, Tid) -> R) -> R {
     try_with_current(f).expect("marcel operation outside a simulated thread")
 }
@@ -171,7 +186,8 @@ where
         woke_source: None,
         body: Some(Box::new(body)),
         result: None,
-        fiber: None,
+        stack: None,
+        context: Context::default(),
         ticket: 0,
     });
     sched.live += 1;
@@ -185,16 +201,14 @@ where
     }
 }
 
-/// What every fiber starts in (see [`crate::fiber::Entry`]): finish the
-/// switch that started it, run the thread's body, exit. Its frame is
-/// never unwound, so it keeps nothing alive across the final switch —
-/// the body (user closure) is consumed by the call, its result and the
-/// kernel handle by [`Shared::thread_exit`].
-pub(crate) fn fiber_main(prev: Prev) -> ! {
+/// What every fiber starts in (see [`crate::fiber::Entry`]): take the
+/// thread's body, run it, exit. Its frame is never unwound, so it keeps
+/// nothing alive across the final switch — the body (user closure) is
+/// consumed by the call, its result and the kernel handle by
+/// [`Shared::thread_exit`].
+pub(crate) fn fiber_main() -> ! {
     let body = with_current(|shared, me| {
-        let mut sched = shared.state.borrow();
-        sched.arrive(prev);
-        sched.threads[me.0]
+        shared.state.borrow().threads[me.0]
             .body
             .take()
             .expect("a thread starts once")
