@@ -175,6 +175,13 @@ r_inline_recorder() { grep -rnE 'take_trace''_json|Writer''Lost|decision''_count
 rule journal_spelled_keys 0 crates/journal/src/planted.rs 'let failovers = metrics.counter("chmad/failovers");'
 r_journal_spelled_keys() { grep -rnE '"net/|"chmad/' crates/journal; }
 
+# The journal has one frame walker: only the store lists segments, reads them, checks headers and parses frames ("One journal reader").
+rule frame_walker 0 crates/journal/src/replay.rs 'let frame = scan_frame(&buf, pos, &recovery)?;'
+r_frame_walker() {
+    grep -rnE '\b(scan_frame|check_header|read_segment|list_segments)\(' crates tests src examples --include='*.rs' |
+        grep -v '^crates/journal/src/store.rs:'
+}
+
 hits() { (cd "$1" && "r_$2" 2>/dev/null); }
 
 status=0

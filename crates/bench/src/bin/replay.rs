@@ -11,7 +11,9 @@
 //!
 //! `trace` emits Chrome trace JSON reconstructed purely from the
 //! journal's event chunks — for a whole episode it is byte-identical to
-//! what the live run would have exported (`cmp`-able in CI). `metrics`
+//! what the live run would have exported (`cmp`-able in CI). Without
+//! `--episode` it exports the newest complete episode, also of a
+//! campaign that crashed before its index listed that episode. `metrics`
 //! folds the recorded per-episode deltas into the exact registry
 //! snapshot at episode boundary K, cross-checked against the episode's
 //! digest. `diff` finds the first episode where two journals differ
@@ -45,7 +47,7 @@ fn main() {
     match cli.subcommand() {
         Some("trace") => {
             let dir = cli.dir("--dir");
-            // Default to the newest streamed episode in the index.
+            // Default to the newest complete episode.
             let episode = match cli.int::<u32>("--episode") {
                 Some(k) => k,
                 None => {

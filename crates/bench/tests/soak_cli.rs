@@ -1,6 +1,10 @@
-//! The `soak` binary on a campaign whose first episode always fails:
-//! the error line names the episode once, and neither the failed run
-//! nor any number of failing resumes grows the journal.
+//! The `soak` and `replay` binaries end to end.
+//!
+//! - A campaign whose first episode always fails: the error line names
+//!   the episode once, and neither the failed run nor any number of
+//!   failing resumes grows the journal.
+//! - A campaign killed after 3 of 6 episodes: replay reads every
+//!   complete episode, byte for byte as the uninterrupted run's.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -11,6 +15,13 @@ fn soak(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("soak runs")
+}
+
+fn replay(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_replay"))
+        .args(args)
+        .output()
+        .expect("replay runs")
 }
 
 /// Total bytes of every journal segment in `dir`.
@@ -74,4 +85,85 @@ fn a_failing_episode_is_reported_once_and_leaves_the_journal_as_it_was() {
         );
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// stdout of a `replay` run that must succeed.
+fn replayed(args: &[&str]) -> Vec<u8> {
+    let out = replay(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "replay {args:?} failed: {stderr}");
+    out.stdout
+}
+
+/// SIGKILLed after 3 of 6 episodes, between the index written after
+/// episode 1 and the one episode 3 would have written: the journal's
+/// last frame is episode 2's record, which no index lists yet. Replay
+/// still reads episode 2, and `trace` without `--episode` picks it.
+/// Two shapes: the default one, whose last segment holds no index, and
+/// a small one, whose only segment holds the index that misses episode 2.
+#[test]
+fn a_crashed_campaign_replays_its_newest_complete_episode() {
+    let small = ["--ranks", "3", "--messages", "4"];
+    for (tag, shape, segments) in [("default", &[][..], 4), ("small", &small[..], 1)] {
+        crashed_campaign_replays(tag, shape, segments);
+    }
+}
+
+fn crashed_campaign_replays(tag: &str, shape: &[&str], segments: usize) {
+    let root: PathBuf =
+        std::env::temp_dir().join(format!("soak-cli-crash-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let (crashed, full) = (root.join("crashed"), root.join("full"));
+    let (c, f) = (crashed.to_str().unwrap(), full.to_str().unwrap());
+    let flags = [
+        "--episodes",
+        "6",
+        "--snapshot-every",
+        "2",
+        "--stream",
+        "8",
+        "--decisions",
+    ];
+    let flags = [&flags[..], shape].concat();
+    let killed = soak(&[&["run", "--dir", c, "--crash-after", "3"], &flags[..]].concat());
+    assert_eq!(
+        killed.status.code(),
+        None,
+        "{tag}: the campaign dies by SIGKILL"
+    );
+    let done = soak(&[&["run", "--dir", f], &flags[..]].concat());
+    assert!(
+        done.status.success(),
+        "{tag}: the uninterrupted run completes"
+    );
+    assert_eq!(fs::read_dir(&crashed).unwrap().count(), segments, "{tag}");
+
+    let baseline = replayed(&["trace", "--dir", f, "--episode", "2"]);
+    assert_eq!(replayed(&["trace", "--dir", c, "--episode", "2"]), baseline);
+    let index = journal::load_index(&crashed).unwrap();
+    let listed: Vec<u32> = index.entries.iter().map(|s| s.episode).collect();
+    assert_eq!(listed, [0, 1, 2], "{tag}");
+    assert_eq!(
+        replayed(&["trace", "--dir", c]),
+        baseline,
+        "{tag}: the default is episode 2"
+    );
+    let metrics = ["metrics", "--at-episode", "2", "--dir"];
+    assert_eq!(
+        replayed(&[&metrics[..], &[c]].concat()),
+        replayed(&[&metrics[..], &[f]].concat())
+    );
+
+    // An episode the crash lost is named, with no made-up coordinates.
+    let lost = replay(&["trace", "--dir", c, "--episode", "3"]);
+    let stderr = String::from_utf8(lost.stderr).unwrap();
+    assert_eq!(
+        stderr.trim_end(),
+        "replay: episode 3: episode 3 is not in the journal, which holds 3 complete streamed episodes"
+    );
+    assert!(
+        !stderr.contains("segment 0 offset 0 (0 valid records"),
+        "{stderr}"
+    );
+    fs::remove_dir_all(&root).unwrap();
 }

@@ -20,9 +20,12 @@ pub struct RecoveryPoint {
     /// Byte offset inside that segment where the bad frame starts
     /// (equivalently: the length the segment should be truncated to).
     pub offset: u64,
-    /// Valid records read across the whole journal up to this point.
+    /// Valid records the read walked before this point: from segment 0
+    /// for the journal reader, from its seek for a replay read (none for
+    /// a frame replay locates through the index).
     pub records: u64,
-    /// Index of the last fully valid episode record, if any.
+    /// Index of the last fully valid episode record the read walked
+    /// past, if any (replay's seeks walk past none).
     pub last_episode: Option<u32>,
 }
 
@@ -106,6 +109,9 @@ pub enum JournalError {
         recovery: RecoveryPoint,
         why: String,
     },
+    /// Replay asked for an episode the journal holds no complete stream
+    /// of; it holds episodes `0..complete`.
+    MissingEpisode { episode: u32, complete: u32 },
     /// `resume` found the campaign already complete.
     AlreadyComplete { episodes: u32 },
     /// `diff_runs` needs two journals over the same campaign shape.
@@ -231,6 +237,11 @@ impl std::fmt::Display for JournalError {
             JournalError::Inconsistent { recovery, why } => {
                 write!(f, "inconsistent journal: {why}; {recovery}")
             }
+            JournalError::MissingEpisode { episode, complete } => write!(
+                f,
+                "episode {episode} is not in the journal, which holds {complete} complete \
+                 streamed episodes"
+            ),
             JournalError::AlreadyComplete { episodes } => {
                 write!(f, "campaign already complete ({episodes} episodes)")
             }

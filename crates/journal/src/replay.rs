@@ -14,13 +14,15 @@
 //! episode gives (`tests/journal_replay.rs` pins it against such an
 //! export).
 //!
-//! Seekability: [`load_index`] finds the newest cumulative
-//! [`IndexRec`] by scanning only the last segment (every durability
-//! point rewrites the index right after its fsync), falling back to a
-//! full validated read.
-//! From the index, chunk reads start at the episode's recorded
-//! `(segment, offset)` instead of scanning the campaign, parsing frames
-//! with the store's one frame scanner.
+//! Every read goes through the store's one frame walker, so replay sees
+//! the journal the reader validates: the same headers, the same
+//! campaign check, and a torn tail as the end of the valid prefix.
+//! Seekability: [`load_index`] trusts the newest [`IndexRec`] only when
+//! it is the journal's last frame — a complete campaign ends with one,
+//! so that costs a walk of the last segment. Otherwise (a crash, a
+//! torn tail) it returns the full read's summaries, which list every
+//! complete episode. From the index, chunk reads start at the episode's
+//! recorded `(segment, offset)` instead of scanning the campaign.
 
 use std::path::Path;
 
@@ -33,100 +35,89 @@ use crate::record::{
     first_divergence, DecisionRec, Divergence, EpisodeRecord, SoakConfig, KIND_DECISION_CHUNK,
     KIND_EVENT_CHUNK, KIND_INDEX,
 };
-use crate::store::{
-    check_header, list_segments, read_journal, read_journal_recovering, read_segment, scan_frame,
-    JournalContents, HEADER_LEN,
-};
+use crate::store::{read_journal_recovering, JournalContents, Walker, HEADER_LEN};
 use crate::stream::{DecisionChunkRec, EventChunkRec, IndexRec, StreamSummary};
 
-fn inconsistent(why: String) -> JournalError {
-    JournalError::inconsistent(&RecoveryPoint::default(), why)
-}
-
-fn undecodable(e: DecodeError) -> JournalError {
-    JournalError::decode(&RecoveryPoint::default(), e)
-}
-
-/// Iterate validated frames from `(segment, offset)` to the end of the
-/// journal, calling `f(kind, payload)` until it returns `false`. A
-/// segment header of another format version and frames that fail the
-/// checksum are typed errors; a torn tail ends the walk silently (the
-/// valid prefix simply ends there).
-fn walk_frames(
-    dir: &Path,
-    from: (u32, u64),
-    mut f: impl FnMut(u8, &[u8]) -> Result<bool, JournalError>,
-) -> Result<(), JournalError> {
-    let segments = list_segments(dir)?;
-    let last = *segments.last().expect("list_segments is non-empty");
-    for seg in from.0..=last {
-        let (path, buf) = read_segment(dir, seg)?;
-        match check_header(&path, &buf, seg, &None) {
-            Err(JournalError::TruncatedHeader { .. }) if seg > 0 => return Ok(()),
-            checked => checked?,
-        }
-        let start = if seg == from.0 { from.1 } else { 0 };
-        let mut pos = start.max(HEADER_LEN) as usize;
-        while pos < buf.len() {
-            let recovery = RecoveryPoint {
-                segment: seg,
-                offset: pos as u64,
-                ..RecoveryPoint::default()
-            };
-            let frame = match scan_frame(&buf, pos, &recovery) {
-                Ok(frame) => frame,
-                // A torn tail: the valid prefix ends here.
-                Err(JournalError::TruncatedRecord { .. }) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            if !f(frame.kind, frame.payload)? {
-                return Ok(());
-            }
-            pos = frame.end;
-        }
+/// Replay's side of the walker's torn-tail rule: a torn tail is the end
+/// of the valid prefix, any other stop is an error.
+fn prefix<T>((read, stopped): (T, Option<JournalError>)) -> Result<T, JournalError> {
+    match stopped {
+        None | Some(JournalError::TruncatedRecord { .. }) => Ok(read),
+        Some(e) => Err(e),
     }
-    Ok(())
 }
 
-/// Load the newest seekable stream index: scan only the last segment
-/// (the cumulative index is rewritten there after every snapshot and at
-/// completion); when that segment holds none — e.g. a crash landed
-/// mid-episode after a rotation — fall back to a full validated read,
-/// whose accumulated summaries *are* the index.
+/// Load the stream index. The newest [`IndexRec`] is used only when it
+/// is the journal's last frame: a complete campaign ends with one, and
+/// finding it reads only the last segment. Any other journal — one that
+/// crashed after an episode the index does not list yet, or ends torn —
+/// gets the full read's summaries of its complete episodes.
 pub fn load_index(dir: &Path) -> Result<IndexRec, JournalError> {
-    let segments = list_segments(dir)?;
-    let last = *segments.last().expect("list_segments is non-empty");
-    let mut newest: Option<IndexRec> = None;
-    let walked = walk_frames(dir, (last, HEADER_LEN), |kind, payload| {
-        if kind == KIND_INDEX {
-            newest = Some(IndexRec::decode(payload).map_err(undecodable)?);
-        }
+    let walker = Walker::open(dir)?;
+    let mut last = None;
+    let (_, stopped) = walker.walk((walker.segments - 1, HEADER_LEN), |kind, payload, at| {
+        // An index is the journal's last word only if no frame follows.
+        last = match kind {
+            KIND_INDEX => Some(IndexRec::decode(payload).map_err(|e| JournalError::decode(at, e))?),
+            _ => None,
+        };
         Ok(true)
-    });
-    match (walked, newest) {
-        (Ok(()), Some(idx)) => Ok(idx),
-        // No index in the last segment (or it was damaged): the full
-        // reader revalidates everything and rebuilds the summaries.
-        _ => {
-            let contents = read_journal(dir)?;
-            Ok(contents.index.unwrap_or(IndexRec {
-                entries: contents.stream,
-            }))
-        }
+    })?;
+    match (stopped, last) {
+        (None, Some(index)) => Ok(index),
+        _ => Ok(IndexRec {
+            entries: prefix(read_journal_recovering(dir)?)?.stream,
+        }),
     }
 }
 
-fn summary_for(index: &IndexRec, episode: u32) -> Result<&StreamSummary, JournalError> {
-    index
-        .entries
+fn summary_for(entries: &[StreamSummary], episode: u32) -> Result<&StreamSummary, JournalError> {
+    entries
         .iter()
         .find(|s| s.episode == episode)
-        .ok_or_else(|| {
-            inconsistent(format!(
-                "episode {episode} is not in the stream index ({} streamed episodes)",
-                index.entries.len()
-            ))
+        .ok_or(JournalError::MissingEpisode {
+            episode,
+            complete: entries.len() as u32,
         })
+}
+
+/// The chunk loop both stream reads share: walk from `from` (nothing
+/// when the episode recorded no such chunk) and hand the payload of
+/// every `kind` chunk (`what` in errors) to `take`, which decodes it and returns its
+/// episode, the entries read so far and whether the stream is complete.
+/// A chunk of another episode, a journal that ends first, and a count
+/// the index disagrees with are errors at their real point.
+fn read_chunks(
+    dir: &Path,
+    summary: &StreamSummary,
+    (from, kind, what, indexed): (Option<(u32, u64)>, u8, &str, u64),
+    mut take: impl FnMut(&[u8]) -> Result<(u32, usize, bool), DecodeError>,
+) -> Result<(), JournalError> {
+    let Some(from) = from else {
+        return Ok(());
+    };
+    let episode = summary.episode;
+    let mut read = (0, false);
+    let end = prefix(Walker::open(dir)?.walk(from, |k, payload, at| {
+        if k != kind {
+            return Ok(true);
+        }
+        let (of, n, last) = take(payload).map_err(|e| JournalError::decode(at, e))?;
+        if of != episode {
+            let why = format!("{what} chunk for episode {of} inside episode {episode}'s stream");
+            return Err(JournalError::inconsistent(at, why));
+        }
+        read = (n, last);
+        Ok(!last)
+    })?)?;
+    let why = match read {
+        (_, false) => format!("episode {episode}'s {what} stream ends before its last chunk"),
+        (n, true) if n as u64 != indexed => {
+            format!("episode {episode}: read {n} {what}s, index says {indexed}")
+        }
+        _ => return Ok(()),
+    };
+    Err(JournalError::inconsistent(&end, why))
 }
 
 /// Read back one streamed episode's full event trace and thread table,
@@ -136,48 +127,17 @@ pub fn read_episode_events(
     dir: &Path,
     summary: &StreamSummary,
 ) -> Result<(Vec<TraceEvent>, Vec<ThreadMeta>), JournalError> {
-    let from = summary.event_pos.ok_or_else(|| {
-        inconsistent(format!(
-            "episode {} has no recorded event chunks",
-            summary.episode
-        ))
-    })?;
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut threads: Vec<ThreadMeta> = Vec::new();
-    let mut fin = false;
-    walk_frames(dir, from, |kind, payload| {
-        if kind != KIND_EVENT_CHUNK {
-            return Ok(true);
-        }
-        let chunk = EventChunkRec::decode(payload).map_err(undecodable)?;
-        if chunk.episode != summary.episode {
-            return Err(inconsistent(format!(
-                "event chunk for episode {} inside episode {}'s stream",
-                chunk.episode, summary.episode
-            )));
-        }
+    let stream = (summary.event_pos, KIND_EVENT_CHUNK, "event", summary.events);
+    read_chunks(dir, summary, stream, |payload| {
+        let chunk = EventChunkRec::decode(payload)?;
         events.extend(chunk.events);
         if chunk.fin {
             threads = chunk.threads;
-            fin = true;
-            return Ok(false);
         }
-        Ok(true)
+        Ok((chunk.episode, events.len(), chunk.fin))
     })?;
-    if !fin {
-        return Err(inconsistent(format!(
-            "episode {}'s event stream ends without a fin chunk",
-            summary.episode
-        )));
-    }
-    if events.len() as u64 != summary.events {
-        return Err(inconsistent(format!(
-            "episode {}: read {} events, index says {}",
-            summary.episode,
-            events.len(),
-            summary.events
-        )));
-    }
     Ok((events, threads))
 }
 
@@ -186,32 +146,19 @@ pub fn read_episode_decisions(
     dir: &Path,
     summary: &StreamSummary,
 ) -> Result<Vec<DecisionRec>, JournalError> {
-    let Some(from) = summary.decision_pos else {
-        return Ok(Vec::new());
-    };
     let mut decisions: Vec<DecisionRec> = Vec::new();
-    walk_frames(dir, from, |kind, payload| {
-        if kind != KIND_DECISION_CHUNK {
-            return Ok(true);
-        }
-        let chunk = DecisionChunkRec::decode(payload).map_err(undecodable)?;
-        if chunk.episode != summary.episode {
-            return Err(inconsistent(format!(
-                "decision chunk for episode {} inside episode {}'s stream",
-                chunk.episode, summary.episode
-            )));
-        }
+    let stream = (
+        summary.decision_pos,
+        KIND_DECISION_CHUNK,
+        "decision",
+        summary.decisions,
+    );
+    read_chunks(dir, summary, stream, |payload| {
+        let chunk = DecisionChunkRec::decode(payload)?;
         decisions.extend(chunk.decisions);
-        Ok(decisions.len() < summary.decisions as usize)
+        let done = decisions.len() as u64 >= summary.decisions;
+        Ok((chunk.episode, decisions.len(), done))
     })?;
-    if decisions.len() as u64 != summary.decisions {
-        return Err(inconsistent(format!(
-            "episode {}: read {} decisions, index says {}",
-            summary.episode,
-            decisions.len(),
-            summary.decisions
-        )));
-    }
     Ok(decisions)
 }
 
@@ -227,7 +174,7 @@ pub fn trace_json_for(
     to_ticket: Option<u64>,
 ) -> Result<String, JournalError> {
     let index = load_index(dir)?;
-    let summary = summary_for(&index, episode)?;
+    let summary = summary_for(&index.entries, episode)?;
     let (mut events, threads) = read_episode_events(dir, summary)?;
     if from_ticket.is_some() || to_ticket.is_some() {
         let lo = from_ticket.unwrap_or(0);
@@ -241,31 +188,41 @@ pub fn trace_json_for(
 /// `episode` (after that episode finished) by folding the recorded
 /// deltas `0..=episode`, and cross-check it against the episode
 /// record's `metrics_digest` — a fold that drifts from what the live
-/// registry held is a hard error, not a silently wrong answer.
+/// registry held is a hard error at the delta's frame, not a silently
+/// wrong answer.
 pub fn metrics_at(dir: &Path, episode: u32) -> Result<MetricsSnapshot, JournalError> {
-    let contents = read_journal(dir)?;
+    let contents = prefix(read_journal_recovering(dir)?)?;
+    // Episode `i` streamed the `i`th summary and metrics delta.
     let upto = episode as usize;
-    if upto >= contents.metrics_deltas.len() {
-        return Err(inconsistent(format!(
-            "episode {episode} has no metrics delta ({} recorded)",
-            contents.metrics_deltas.len()
-        )));
-    }
+    let summary = summary_for(&contents.stream, episode)?;
     let mut snapshot = MetricsSnapshot::default();
-    for delta in &contents.metrics_deltas[..=upto] {
+    let deltas = contents.metrics_deltas.iter().zip(&contents.stream);
+    for (delta, s) in deltas.take(upto + 1) {
         delta
             .apply(&mut snapshot)
-            .map_err(|why| inconsistent(format!("episode {}: {why}", delta.episode)))?;
+            .map_err(|why| delta_error(s, why))?;
     }
     let digest = crc64(snapshot.to_string().as_bytes());
     let expect = contents.episodes[upto].metrics_digest;
     if digest != expect {
-        return Err(inconsistent(format!(
-            "episode {episode}: folded metrics digest {digest:#018x} \
-             does not match the recorded {expect:#018x}"
-        )));
+        let why = format!(
+            "folded metrics digest {digest:#018x} does not match the recorded {expect:#018x}"
+        );
+        return Err(delta_error(summary, why));
     }
     Ok(snapshot)
+}
+
+/// A metrics delta that disagrees with its episode, at the delta's
+/// frame (located through its index entry: no records walked).
+fn delta_error(summary: &StreamSummary, why: String) -> JournalError {
+    let (segment, offset) = summary.metrics_pos.unwrap_or_default();
+    let at = RecoveryPoint {
+        segment,
+        offset,
+        ..RecoveryPoint::default()
+    };
+    JournalError::inconsistent(&at, format!("episode {}: {why}", summary.episode))
 }
 
 /// The event-ticket window replay slices around a divergent decision:
@@ -376,19 +333,6 @@ fn first_divergent_episode(a: &[EpisodeRecord], b: &[EpisodeRecord]) -> Option<u
     (lo < n).then_some(lo)
 }
 
-/// Decision stream of episode `episode` in a journal, read from its
-/// chunks (empty when it recorded none).
-fn decision_stream(
-    dir: &Path,
-    contents: &JournalContents,
-    episode: usize,
-) -> Result<Vec<DecisionRec>, JournalError> {
-    match contents.stream.iter().find(|s| s.episode == episode as u32) {
-        Some(summary) => read_episode_decisions(dir, summary),
-        None => Ok(Vec::new()),
-    }
-}
-
 /// Name the differing fields of two episode records.
 fn differing_fields(x: &EpisodeRecord, y: &EpisodeRecord) -> String {
     let fields: Vec<String> = [
@@ -442,8 +386,19 @@ pub fn diff_runs(
     let Some(ep) = first_divergent_episode(&a.episodes, &b.episodes) else {
         return Ok(None);
     };
-    let da = decision_stream(dir_a, &a, ep)?;
-    let db = decision_stream(dir_b, &b, ep)?;
+    // A streamed campaign holds a summary of every complete episode.
+    let summary = |c: &JournalContents| {
+        (c.config.stream_chunk > 0)
+            .then(|| summary_for(&c.stream, ep as u32).cloned())
+            .transpose()
+    };
+    let (sa, sb) = (summary(&a)?, summary(&b)?);
+    let decisions = |dir: &Path, s: &Option<StreamSummary>| match s {
+        Some(s) => read_episode_decisions(dir, s),
+        None => Ok(Vec::new()),
+    };
+    let da = decisions(dir_a, &sa)?;
+    let db = decisions(dir_b, &sb)?;
     let Some(Divergence {
         index: i,
         ticket,
@@ -468,16 +423,14 @@ pub fn diff_runs(
         .get(i + radius + 1)
         .map(|d| d.events_before)
         .unwrap_or(u64::MAX);
-    let slice = |dir: &Path, contents: &JournalContents| {
-        match contents.stream.iter().find(|s| s.episode == ep as u32) {
-            Some(summary) => {
-                let (mut events, threads) = read_episode_events(dir, summary)?;
-                events.retain(|e| e.ticket >= lo && e.ticket < hi);
-                Ok::<String, JournalError>(chrome_trace_json(&events, &threads))
-            }
-            // No stream for the episode: no events to reconstruct.
-            None => Ok(chrome_trace_json(&[], &[])),
-        }
+    let slice = |dir: &Path, s: &Option<StreamSummary>| {
+        // Without a stream there are no events to reconstruct.
+        let (mut events, threads) = match s {
+            Some(s) => read_episode_events(dir, s)?,
+            None => Default::default(),
+        };
+        events.retain(|e| e.ticket >= lo && e.ticket < hi);
+        Ok::<String, JournalError>(chrome_trace_json(&events, &threads))
     };
     Ok(Some(ReplayDiff {
         episode: ep as u32,
@@ -487,8 +440,8 @@ pub fn diff_runs(
             first_event_ticket: lo,
             end_event_ticket: hi,
         }),
-        trace_a: slice(dir_a, &a)?,
-        trace_b: slice(dir_b, &b)?,
+        trace_a: slice(dir_a, &sa)?,
+        trace_b: slice(dir_b, &sb)?,
     }))
 }
 
@@ -497,7 +450,7 @@ mod tests {
     use super::*;
     use crate::record::Record;
     use crate::soak::Campaign;
-    use crate::store::{chain, JournalWriter};
+    use crate::store::{chain, read_journal, JournalWriter};
     use crate::stream::StreamRecorder;
     use marcel::{Decision, EventSink, VirtualTime};
     use std::fs;

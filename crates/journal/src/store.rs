@@ -22,13 +22,19 @@
 //! (every `snapshot_every` episodes, the last one, and before each
 //! rotation); crash-resume relies on nothing else.
 //!
-//! Frames are parsed in one place, [`scan_frame`]: the full reader
-//! ([`read_journal`]) and replay's seek-and-walk both go through it. A
-//! frame cut short is a torn tail — a typed error for the reader, the
-//! silent end of the valid prefix for replay.
+//! One frame walker, [`Walker`], is the only code that lists segments,
+//! reads them, checks their headers and parses frames. Every segment's
+//! header must carry the magic, this format's version, its own index and
+//! segment 0's campaign fingerprint. Its one torn-tail rule: a frame cut
+//! short, or a later segment cut inside its header, ends the valid
+//! prefix at its real `(segment, offset)`. The strict reader
+//! ([`read_journal`]) reports that as an error, [`read_journal_recovering`]
+//! returns it as the error that stopped the read, and replay's seeks
+//! treat it as the end of the journal.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::crc::crc64;
@@ -62,22 +68,17 @@ fn encode_header(segment: u32, campaign: u64) -> [u8; HEADER_LEN as usize] {
     h
 }
 
-/// List the journal's segment indices, sorted, verifying contiguity.
-pub(crate) fn list_segments(dir: &Path) -> Result<Vec<u32>, JournalError> {
-    let entries = fs::read_dir(dir).map_err(|e| JournalError::io(dir, "read_dir", e))?;
+/// Count the journal's segments, verifying they are contiguous from zero.
+fn list_segments(dir: &Path) -> Result<u32, JournalError> {
     let mut found = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| JournalError::io(dir, "read_dir", e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("seg-")
-            .and_then(|rest| rest.strip_suffix(".jrnl"))
-        {
-            if let Ok(idx) = num.parse::<u32>() {
-                found.push(idx);
-            }
-        }
+    for entry in fs::read_dir(dir).map_err(|e| JournalError::io(dir, "read_dir", e))? {
+        let name = entry
+            .map_err(|e| JournalError::io(dir, "read_dir", e))?
+            .file_name();
+        let name = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("seg-")?.strip_suffix(".jrnl"));
+        found.extend(name.and_then(|num| num.parse::<u32>().ok()));
     }
     found.sort_unstable();
     if found.is_empty() {
@@ -85,64 +86,117 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<u32>, JournalError> {
             dir: dir.to_path_buf(),
         });
     }
-    for (want, &got) in found.iter().enumerate() {
-        if got != want as u32 {
-            return Err(JournalError::MissingSegment {
-                dir: dir.to_path_buf(),
-                expected: want as u32,
-            });
-        }
+    match (0..).zip(&found).find(|&(want, &got)| got != want) {
+        Some((expected, _)) => Err(JournalError::MissingSegment {
+            dir: dir.to_path_buf(),
+            expected,
+        }),
+        None => Ok(found.len() as u32),
     }
-    Ok(found)
 }
 
-/// Read one whole segment file.
-pub(crate) fn read_segment(dir: &Path, seg: u32) -> Result<(PathBuf, Vec<u8>), JournalError> {
-    let path = segment_path(dir, seg);
-    let mut buf = Vec::new();
-    File::open(&path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| JournalError::io(&path, "read", e))?;
-    Ok((path, buf))
-}
-
-/// One checksummed frame of a segment buffer.
-pub(crate) struct Frame<'a> {
-    pub kind: u8,
-    pub payload: &'a [u8],
-    /// Offset just past the frame: where the next one starts.
-    pub end: usize,
-}
-
-/// The frame scanner: parse the frame that starts at `pos` (with `pos <
-/// buf.len()`). A frame running past the buffer is a `TruncatedRecord`
-/// (a torn tail), one whose bytes disagree with its CRC a
-/// `ChecksumMismatch`; both carry `recovery`.
-pub(crate) fn scan_frame<'a>(
+/// Parse the frame that starts at `pos` (with `pos < buf.len()`) into
+/// its kind, payload and end. A frame running past the buffer is a
+/// `TruncatedRecord` (a torn tail), one whose bytes disagree with its
+/// CRC a `ChecksumMismatch`; both carry `at`.
+fn scan_frame<'a>(
     buf: &'a [u8],
     pos: usize,
-    recovery: &RecoveryPoint,
-) -> Result<Frame<'a>, JournalError> {
-    let torn = || JournalError::TruncatedRecord {
-        recovery: recovery.clone(),
-    };
-    let len = buf.get(pos + 1..pos + 5).ok_or_else(torn)?;
+    at: &RecoveryPoint,
+) -> Result<(u8, &'a [u8], usize), JournalError> {
+    let len = buf.get(pos + 1..pos + 5).ok_or_else(|| torn(at))?;
     let end = pos + 5 + u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize + 8;
-    let stored = buf.get(end - 8..end).ok_or_else(torn)?;
+    let stored = buf.get(end - 8..end).ok_or_else(|| torn(at))?;
     let stored = u64::from_le_bytes(stored.try_into().expect("8 bytes"));
     let computed = crc64(&buf[pos..end - 8]);
     if stored != computed {
         return Err(JournalError::ChecksumMismatch {
-            recovery: recovery.clone(),
+            recovery: at.clone(),
             stored,
             computed,
         });
     }
-    Ok(Frame {
-        kind: buf[pos],
-        payload: &buf[pos + 5..end - 8],
-        end,
-    })
+    Ok((buf[pos], &buf[pos + 5..end - 8], end))
+}
+
+fn torn(at: &RecoveryPoint) -> JournalError {
+    JournalError::TruncatedRecord {
+        recovery: at.clone(),
+    }
+}
+
+/// The frame walker over one journal: its segment count, and segment
+/// 0's campaign fingerprint, which every segment's header must carry.
+pub(crate) struct Walker {
+    dir: PathBuf,
+    pub(crate) segments: u32,
+    pub(crate) campaign: u64,
+}
+
+impl Walker {
+    /// List the segments and check segment 0's header, reading only its
+    /// 32 bytes. A journal without segments, with a gap, or whose
+    /// segment 0 has a bad header is a hard error.
+    pub(crate) fn open(dir: &Path) -> Result<Walker, JournalError> {
+        let segments = list_segments(dir)?;
+        let path = segment_path(dir, 0);
+        let mut head = Vec::new();
+        File::open(&path)
+            .and_then(|f| f.take(HEADER_LEN).read_to_end(&mut head))
+            .map_err(|e| JournalError::io(&path, "read", e))?;
+        let campaign = check_header(&path, &head, 0, None)?;
+        Ok(Walker {
+            dir: dir.to_path_buf(),
+            segments,
+            campaign,
+        })
+    }
+
+    /// Hand every valid frame from `from` on to `visit`, as its kind,
+    /// its payload and its point: the frame's `(segment, offset)` and
+    /// the records walked before it. `visit` may note the last episode
+    /// in the point, and returns `false` to stop at the frame.
+    ///
+    /// Returns the point where the walk ended and, when the valid prefix
+    /// ended first, the error that ended it: a torn tail
+    /// (`TruncatedRecord`), a checksum mismatch, or `visit`'s own error.
+    /// A segment that cannot be read or has a bad header is `Err`.
+    pub(crate) fn walk(
+        &self,
+        from: (u32, u64),
+        mut visit: impl FnMut(u8, &[u8], &mut RecoveryPoint) -> Result<bool, JournalError>,
+    ) -> Result<(RecoveryPoint, Option<JournalError>), JournalError> {
+        let (segment, offset) = from;
+        let mut at = RecoveryPoint {
+            segment,
+            offset,
+            ..RecoveryPoint::default()
+        };
+        for seg in segment..self.segments {
+            let path = segment_path(&self.dir, seg);
+            let buf = fs::read(&path).map_err(|e| JournalError::io(&path, "read", e))?;
+            (at.segment, at.offset) = (seg, 0);
+            match check_header(&path, &buf, seg, Some(self.campaign)) {
+                // Segment 0's was checked by `open`: this is a later
+                // segment cut inside its header, a torn rotation.
+                Err(JournalError::TruncatedHeader { .. }) => {
+                    return Ok((at.clone(), Some(torn(&at))))
+                }
+                checked => checked?,
+            };
+            at.offset = HEADER_LEN.max(if seg == segment { offset } else { 0 });
+            while at.offset < buf.len() as u64 {
+                let stopped = scan_frame(&buf, at.offset as usize, &at)
+                    .and_then(|(kind, payload, end)| Ok((visit(kind, payload, &mut at)?, end)));
+                match stopped {
+                    Ok((true, end)) => (at.records, at.offset) = (at.records + 1, end as u64),
+                    Ok((false, _)) => return Ok((at, None)),
+                    Err(e) => return Ok((at, Some(e))),
+                }
+            }
+        }
+        Ok((at, None))
+    }
 }
 
 /// Appending side of the journal.
@@ -209,7 +263,7 @@ impl JournalWriter {
                 .map_err(|e| JournalError::io(&path, "stat", e))?
                 .len();
         }
-        let file = Self::cut_back(dir, &segments, last, keep_len)?;
+        let file = Self::cut_back(dir, last + 1..segments, last, keep_len)?;
         Ok(JournalWriter {
             dir: dir.to_path_buf(),
             file,
@@ -226,17 +280,16 @@ impl JournalWriter {
     pub(crate) fn truncate_to(&mut self, pos: (u32, u64)) -> Result<(), JournalError> {
         let (segment, len) = pos;
         debug_assert!(pos <= self.position(), "truncate_to moves back only");
-        let later: Vec<u32> = (segment + 1..=self.segment).collect();
-        self.file = Self::cut_back(&self.dir, &later, segment, len)?;
+        self.file = Self::cut_back(&self.dir, segment + 1..self.segment + 1, segment, len)?;
         self.segment = segment;
         self.segment_len = len;
         Ok(())
     }
 
-    /// Remove the `segments` after `last`, cut `last` to `len` bytes,
-    /// make that durable, and return it opened at its end.
-    fn cut_back(dir: &Path, segments: &[u32], last: u32, len: u64) -> Result<File, JournalError> {
-        for &idx in segments.iter().filter(|&&i| i > last) {
+    /// Remove the `later` segments, cut `last` to `len` bytes, make
+    /// that durable, and return it opened at its end.
+    fn cut_back(dir: &Path, later: Range<u32>, last: u32, len: u64) -> Result<File, JournalError> {
+        for idx in later {
             let path = segment_path(dir, idx);
             fs::remove_file(&path).map_err(|e| JournalError::io(&path, "remove", e))?;
         }
@@ -333,11 +386,11 @@ impl JournalWriter {
 /// Everything read from a journal: the campaign config, episode records
 /// in order, and the recovery point marking the end of the valid
 /// prefix. For streamed campaigns it also carries the
-/// per-episode [`StreamSummary`] index entries, the metrics deltas, and
-/// the newest seekable [`IndexRec`] — but **not** the event chunks
-/// themselves: the reader validates each chunk's chain link and drops
-/// its events, so reading an arbitrarily long campaign stays bounded in
-/// memory (replay re-reads chunks by position, see [`crate::replay`]).
+/// per-episode [`StreamSummary`] index entries and the metrics deltas
+/// — but **not** the event chunks themselves: the reader validates each
+/// chunk's chain link and drops its events, so reading an arbitrarily
+/// long campaign stays bounded in memory (replay re-reads chunks by
+/// position, see [`crate::replay`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JournalContents {
     pub config: SoakConfig,
@@ -347,14 +400,12 @@ pub struct JournalContents {
     pub stream: Vec<StreamSummary>,
     /// One metrics delta per streamed episode, in order.
     pub metrics_deltas: Vec<MetricsDeltaRec>,
-    /// The newest seekable index, when one was written.
-    pub index: Option<IndexRec>,
     pub recovery: RecoveryPoint,
 }
 
 /// Strict read: the journal must be perfectly well formed end to end.
 pub fn read_journal(dir: &Path) -> Result<JournalContents, JournalError> {
-    match read_journal_inner(dir)? {
+    match read_journal_recovering(dir)? {
         (contents, None) => Ok(contents),
         (_, Some(err)) => Err(err),
     }
@@ -368,68 +419,25 @@ pub fn read_journal(dir: &Path) -> Result<JournalContents, JournalError> {
 pub fn read_journal_recovering(
     dir: &Path,
 ) -> Result<(JournalContents, Option<JournalError>), JournalError> {
-    read_journal_inner(dir)
-}
-
-fn read_journal_inner(dir: &Path) -> Result<(JournalContents, Option<JournalError>), JournalError> {
-    let segments = list_segments(dir)?;
-    let mut fold = Fold::default();
-    let mut recovery = RecoveryPoint::default();
-    let mut stopped: Option<JournalError> = None;
-
-    'segments: for &seg in &segments {
-        let (path, buf) = read_segment(dir, seg)?;
-        recovery.segment = seg;
-        // Header. A bad header on segment 0 dooms the journal; on a
-        // later segment it is a torn rotation — recoverable at the
-        // previous segment's end.
-        if let Err(e) = check_header(&path, &buf, seg, &fold.config) {
-            if seg == 0 || !matches!(e, JournalError::TruncatedHeader { .. }) {
-                return Err(e);
-            }
-            recovery.offset = 0;
-            stopped = Some(JournalError::TruncatedRecord {
-                recovery: recovery.clone(),
-            });
-            break;
-        }
-        recovery.offset = HEADER_LEN;
-        while (recovery.offset as usize) < buf.len() {
-            match fold.take_frame(&buf, &mut recovery) {
-                Ok(end) => {
-                    recovery.records += 1;
-                    recovery.offset = end as u64;
-                }
-                Err(e) => {
-                    stopped = Some(e);
-                    break 'segments;
-                }
-            }
-        }
-    }
-
-    let Fold {
-        config,
-        episodes,
-        stream,
-        metrics_deltas,
-        index,
-        ..
-    } = fold;
-    let config = config.ok_or_else(|| JournalError::NoConfig {
+    let walker = Walker::open(dir)?;
+    let mut fold = Fold {
+        campaign: walker.campaign,
+        ..Fold::default()
+    };
+    let (recovery, stopped) = walker.walk((0, HEADER_LEN), |kind, payload, at| {
+        fold.take_frame(kind, payload, at).map(|()| true)
+    })?;
+    let config = fold.config.ok_or_else(|| JournalError::NoConfig {
         dir: dir.to_path_buf(),
     })?;
-    Ok((
-        JournalContents {
-            config,
-            episodes,
-            stream,
-            metrics_deltas,
-            index,
-            recovery,
-        },
-        stopped,
-    ))
+    let contents = JournalContents {
+        config,
+        episodes: fold.episodes,
+        stream: fold.stream,
+        metrics_deltas: fold.metrics_deltas,
+        recovery,
+    };
+    Ok((contents, stopped))
 }
 
 /// The reader's state, folded frame by frame over the valid prefix.
@@ -439,7 +447,8 @@ struct Fold {
     episodes: Vec<EpisodeRecord>,
     stream: Vec<StreamSummary>,
     metrics_deltas: Vec<MetricsDeltaRec>,
-    index: Option<IndexRec>,
+    /// Segment 0's campaign fingerprint, which the config must match.
+    campaign: u64,
     /// The episode whose chunk stream is accumulating.
     accum: Option<StreamAccum>,
 }
@@ -455,17 +464,16 @@ struct ChunkHead {
 }
 
 impl Fold {
-    /// Scan, decode, check and fold the frame at `recovery.offset`;
-    /// returns the offset where the next frame starts.
+    /// Decode, check and fold the frame of `kind` at `recovery`.
     fn take_frame(
         &mut self,
-        buf: &[u8],
+        kind: u8,
+        payload: &[u8],
         recovery: &mut RecoveryPoint,
-    ) -> Result<usize, JournalError> {
+    ) -> Result<(), JournalError> {
         let at = (recovery.segment, recovery.offset);
-        let frame = scan_frame(buf, at.1 as usize, recovery)?;
         let cum_digest = self.episodes.last().map_or(0, |e| e.cum_digest);
-        match decode_record(frame.kind, frame.payload, recovery)? {
+        match decode_record(kind, payload, recovery)? {
             Record::Config(cfg) => {
                 if at != (0, HEADER_LEN) {
                     return Err(JournalError::inconsistent(
@@ -473,7 +481,7 @@ impl Fold {
                         "config record after the first frame",
                     ));
                 }
-                if cfg.fingerprint() != campaign_of(buf) {
+                if cfg.fingerprint() != self.campaign {
                     return Err(JournalError::inconsistent(
                         recovery,
                         "config fingerprint disagrees with segment header",
@@ -506,7 +514,7 @@ impl Fold {
                     entries: chunk.events.len(),
                     cum: chunk.cum,
                 };
-                let (acc, own) = self.check_chunk(head, frame.payload, recovery)?;
+                let (acc, own) = self.check_chunk(head, payload, recovery)?;
                 acc.add_events(&chunk, own, at);
             }
             Record::DecisionChunk(chunk) => {
@@ -518,7 +526,7 @@ impl Fold {
                     entries: chunk.decisions.len(),
                     cum: chunk.cum,
                 };
-                let (acc, own) = self.check_chunk(head, frame.payload, recovery)?;
+                let (acc, own) = self.check_chunk(head, payload, recovery)?;
                 acc.add_decisions(&chunk, own, at);
             }
             Record::MetricsDelta(delta) => {
@@ -546,10 +554,9 @@ impl Fold {
                     );
                     return Err(JournalError::inconsistent(recovery, why));
                 }
-                self.index = Some(idx);
             }
         }
-        Ok(frame.end)
+        Ok(())
     }
 
     /// The reader's checks on one event or decision chunk, run before
@@ -645,54 +652,49 @@ fn seal_stream_episode(
     Err(JournalError::inconsistent(recovery, why))
 }
 
-fn campaign_of(buf: &[u8]) -> u64 {
-    u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes"))
-}
-
-pub(crate) fn check_header(
+/// Check a segment header: magic, version, the segment's own index
+/// and, given `campaign`, segment 0's campaign fingerprint. Returns the
+/// header's campaign.
+fn check_header(
     path: &Path,
     buf: &[u8],
     seg: u32,
-    config: &Option<SoakConfig>,
-) -> Result<(), JournalError> {
-    if (buf.len() as u64) < HEADER_LEN {
+    campaign: Option<u64>,
+) -> Result<u64, JournalError> {
+    let Some(head) = buf.get(..HEADER_LEN as usize) else {
         return Err(JournalError::TruncatedHeader {
             path: path.to_path_buf(),
             len: buf.len() as u64,
         });
+    };
+    let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+    let path = path.to_path_buf();
+    if &head[..8] != MAGIC {
+        return Err(JournalError::BadMagic { path });
     }
-    if &buf[..8] != MAGIC {
-        return Err(JournalError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    if version != VERSION {
+    if word(8) != VERSION {
         return Err(JournalError::UnsupportedVersion {
-            path: path.to_path_buf(),
-            found: version,
+            path,
+            found: word(8),
             supported: VERSION,
         });
     }
-    let declared = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes"));
-    if declared != seg {
+    if word(12) != seg {
         return Err(JournalError::SegmentIndexMismatch {
-            path: path.to_path_buf(),
+            path,
             expected: seg,
-            found: declared,
+            found: word(12),
         });
     }
-    if let Some(cfg) = config {
-        let campaign = campaign_of(buf);
-        if campaign != cfg.fingerprint() {
-            return Err(JournalError::CampaignMismatch {
-                path: path.to_path_buf(),
-                expected: cfg.fingerprint(),
-                found: campaign,
-            });
-        }
+    let found = u64::from(word(16)) | u64::from(word(20)) << 32;
+    match campaign {
+        Some(expected) if expected != found => Err(JournalError::CampaignMismatch {
+            path,
+            expected,
+            found,
+        }),
+        _ => Ok(found),
     }
-    Ok(())
 }
 
 fn decode_record(

@@ -848,9 +848,10 @@ fn dec_pos(d: &mut Dec<'_>, what: &'static str) -> Result<Option<(u32, u64)>, De
 
 /// The cumulative seekable index: one [`StreamSummary`] per completed
 /// episode. Rewritten in full after every snapshot and at campaign
-/// completion; [`crate::replay::load_index`] finds the newest copy by
-/// scanning only the last segment (with a full-scan fallback), so a
-/// reader can jump to any (episode, ticket) in one seek.
+/// completion; [`crate::replay::load_index`] uses the newest copy when
+/// it is the journal's last frame, found by walking only the last
+/// segment (and otherwise the full read's summaries), so a reader can
+/// jump to any (episode, ticket) in one seek.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexRec {
     pub entries: Vec<StreamSummary>,

@@ -4,19 +4,22 @@
 //! version-skewed, or outright garbage — may panic the reader.* Every
 //! failure must surface as a typed [`JournalError`], and frame-level
 //! failures must carry a best-effort [`RecoveryPoint`] naming the valid
-//! prefix. These tests build one real multi-segment journal, then
-//! attack copies of it with seeded truncations and bit flips, reading
-//! every mutant with both the strict and the recovering reader under
-//! `catch_unwind` so any panic is reported with the seed that found it.
+//! prefix. These tests build real multi-segment journals — one of
+//! digests only, one streamed — then attack copies of them with seeded
+//! truncations and bit flips, reading every mutant with the strict and
+//! the recovering reader and with replay's reads (`load_index`,
+//! `trace_json_for`, `metrics_at`), all under `catch_unwind` so any
+//! panic is reported with the seed that found it.
 
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use journal::{
-    read_journal, read_journal_recovering, EpisodeRecord, JournalError, JournalWriter, Record,
-    SoakConfig,
+    load_index, metrics_at, read_journal, read_journal_recovering, trace_json_for, EpisodeRecord,
+    IndexRec, JournalError, JournalWriter, Record, SoakConfig, HEADER_LEN,
 };
+use marcel::MetricsSnapshot;
 use simnet::rng::splitmix64;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -74,6 +77,36 @@ fn build_target(dir: &Path, seed: u64) {
     assert!(segments >= 2, "attack target spans {segments} segment");
 }
 
+/// The streamed attack target: a real campaign whose flight recorder
+/// streams two episodes' events and decisions over four segments.
+fn build_streamed_target(dir: &Path) {
+    let cfg = SoakConfig {
+        episodes: 2,
+        ranks: 3,
+        messages_per_episode: 64,
+        payload: 64,
+        snapshot_every: 1,
+        record_decisions: true,
+        stream_chunk: 8,
+        ..SoakConfig::default()
+    };
+    journal::Campaign::create(dir, cfg)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    let segments = fs::read_dir(dir).unwrap().count();
+    assert!(segments >= 2, "streamed target spans {segments} segment");
+}
+
+/// Builds an attack target in a directory.
+type Build = fn(&Path);
+
+/// The targets the seeded truncations and bit flips attack.
+const TARGETS: [(&str, Build); 2] = [
+    ("digests", |dir| build_target(dir, SEED)),
+    ("streamed", build_streamed_target),
+];
+
 fn copy_journal(src: &Path, dst: &Path) {
     let _ = fs::remove_dir_all(dst);
     fs::create_dir_all(dst).unwrap();
@@ -122,15 +155,75 @@ fn read_must_not_panic(dir: &Path, what: &str) -> Result<usize, JournalError> {
     strict.map(|c| c.episodes.len())
 }
 
+/// What replay's reads return on one journal: the index, and the trace
+/// and the metrics of each of `episodes` episodes.
+#[derive(Debug, PartialEq)]
+struct Replayed {
+    index: Result<IndexRec, JournalError>,
+    traces: Vec<Result<String, JournalError>>,
+    metrics: Vec<Result<MetricsSnapshot, JournalError>>,
+}
+
+/// Replay's reads, each under catch_unwind: a typed result, never a
+/// panic.
+fn replay_must_not_panic(dir: &Path, episodes: u32, what: &str) -> Replayed {
+    fn guarded<T>(read: impl FnOnce() -> T, name: &str, what: &str) -> T {
+        catch_unwind(AssertUnwindSafe(read)).unwrap_or_else(|_| panic!("{name} panicked on {what}"))
+    }
+    Replayed {
+        index: guarded(|| load_index(dir), "load_index", what),
+        traces: (0..episodes)
+            .map(|e| {
+                guarded(
+                    || trace_json_for(dir, e, None, None),
+                    "trace_json_for",
+                    what,
+                )
+            })
+            .collect(),
+        metrics: (0..episodes)
+            .map(|e| guarded(|| metrics_at(dir, e), "metrics_at", what))
+            .collect(),
+    }
+}
+
+/// Replay of a journal whose valid prefix holds `complete` streamed
+/// episodes: each reads as it did intact, and no later one is read.
+fn assert_replays_prefix(got: &Replayed, intact: &Replayed, complete: usize, what: &str) {
+    for (e, (trace, metrics)) in got.traces.iter().zip(&got.metrics).enumerate() {
+        if e < complete {
+            assert_eq!(trace, &intact.traces[e], "{what}: episode {e}");
+            assert_eq!(metrics, &intact.metrics[e], "{what}: episode {e}");
+        } else {
+            let missing = JournalError::MissingEpisode {
+                episode: e as u32,
+                complete: complete as u32,
+            };
+            assert_eq!(trace.as_ref().err(), Some(&missing), "{what}");
+            assert_eq!(metrics.as_ref().err(), Some(&missing), "{what}");
+        }
+    }
+}
+
 #[test]
 fn truncations_never_panic_and_recover_a_prefix() {
-    let target = tmpdir("trunc-target");
-    build_target(&target, SEED);
-    let full = read_journal(&target).unwrap().episodes.len();
-    let mutant = tmpdir("trunc-mutant");
+    for (tag, build) in TARGETS {
+        truncations(tag, build);
+    }
+}
+
+fn truncations(tag: &str, build: Build) {
+    let target = tmpdir(&format!("trunc-target-{tag}"));
+    build(&target);
+    let full = read_journal(&target).unwrap();
+    // The digest target streams nothing: replay refuses its episode 0.
+    let episodes = full.stream.len().max(1) as u32;
+    let intact = replay_must_not_panic(&target, episodes, "the intact journal");
+    let mutant = tmpdir(&format!("trunc-mutant-{tag}"));
 
     let paths = segment_paths(&target);
     let last = paths.last().unwrap();
+    let last_seg = paths.len() as u32 - 1;
     let last_len = fs::metadata(last).unwrap().len();
 
     // Every cut in the first 200 bytes of the last segment (header and
@@ -149,12 +242,33 @@ fn truncations_never_panic_and_recover_a_prefix() {
             .unwrap();
         f.set_len(cut).unwrap();
         drop(f);
-        let what = format!("truncation at {cut}/{last_len}");
+        let what = format!("{tag}: truncation at {cut}/{last_len}");
         let strict = read_must_not_panic(&mutant, &what);
+        let replayed = replay_must_not_panic(&mutant, episodes, &what);
         if cut == last_len {
-            assert_eq!(strict.unwrap(), full, "{what}");
-        } else if let Ok((contents, _)) = read_journal_recovering(&mutant) {
-            assert!(contents.episodes.len() <= full, "{what}");
+            assert_eq!(strict.unwrap(), full.episodes.len(), "{what}");
+            assert_eq!(replayed, intact, "{what}");
+            continue;
+        }
+        let recovering = read_journal_recovering(&mutant);
+        if cut < HEADER_LEN {
+            // A later segment cut inside its header is a torn rotation:
+            // the valid prefix ends where that segment starts.
+            let stop = recovering.as_ref().map(|(_, stopped)| stopped);
+            match stop {
+                Ok(Some(JournalError::TruncatedRecord { recovery })) => {
+                    assert_eq!((recovery.segment, recovery.offset), (last_seg, 0), "{what}")
+                }
+                other => panic!("{what}: expected a torn tail, got {other:?}"),
+            }
+        }
+        if let Ok((contents, _)) = recovering {
+            assert!(contents.episodes.len() <= full.episodes.len(), "{what}");
+            // A cut is a torn tail, the end of what replay reads: its
+            // index lists every complete episode, and only those.
+            let entries = replayed.index.as_ref().map(|i| &i.entries);
+            assert_eq!(entries, Ok(&contents.stream), "{what}");
+            assert_replays_prefix(&replayed, &intact, contents.stream.len(), &what);
         }
     }
     fs::remove_dir_all(&target).unwrap();
@@ -163,10 +277,18 @@ fn truncations_never_panic_and_recover_a_prefix() {
 
 #[test]
 fn bit_flips_never_panic_and_never_lie() {
-    let target = tmpdir("flip-target");
-    build_target(&target, SEED);
+    for (tag, build) in TARGETS {
+        bit_flips(tag, build);
+    }
+}
+
+fn bit_flips(tag: &str, build: Build) {
+    let target = tmpdir(&format!("flip-target-{tag}"));
+    build(&target);
     let baseline = read_journal(&target).unwrap();
-    let mutant = tmpdir("flip-mutant");
+    let episodes = baseline.stream.len().max(1) as u32;
+    let intact = replay_must_not_panic(&target, episodes, "the intact journal");
+    let mutant = tmpdir(&format!("flip-mutant-{tag}"));
     let paths = segment_paths(&target);
 
     let mut h = 0x464C_4950u64; // "FLIP"
@@ -181,12 +303,17 @@ fn bit_flips_never_panic_and_never_lie() {
         copy_journal(&target, &mutant);
         fs::write(mutant.join(path.file_name().unwrap()), &bytes).unwrap();
 
-        let what = format!("bit flip #{round} at {}:{byte}.{bit}", path.display());
+        let what = format!(
+            "{tag}: bit flip #{round} at {}:{byte}.{bit}",
+            path.display()
+        );
         let strict = read_must_not_panic(&mutant, &what);
+        let replayed = replay_must_not_panic(&mutant, episodes, &what);
         // A flip may land in a header's reserved bytes (not covered by
         // any check — benign by design). If the strict read still
-        // passes, it must have read the *same* journal; anything else
-        // means corruption went undetected.
+        // passes, it must have read the *same* journal, and replay must
+        // read it as before; anything else means corruption went
+        // undetected.
         if let Ok(n) = strict {
             assert_eq!(n, baseline.episodes.len(), "silent corruption: {what}");
             assert_eq!(
@@ -194,6 +321,7 @@ fn bit_flips_never_panic_and_never_lie() {
                 baseline.episodes,
                 "silent corruption: {what}"
             );
+            assert_eq!(replayed, intact, "silent corruption: {what}");
         }
     }
     fs::remove_dir_all(&target).unwrap();
@@ -362,6 +490,35 @@ fn corrupted_event_chunks_are_typed_with_recovery_never_a_panic() {
     );
     fs::remove_dir_all(&target).unwrap();
     fs::remove_dir_all(&mutant).unwrap();
+}
+
+/// A whole chunk frame cut out of the stream — every frame left intact
+/// — is a sequence gap, reported at the frame that follows the cut,
+/// before the stream's digest chain is even consulted.
+#[test]
+fn a_dropped_chunk_frame_is_a_sequence_gap_at_its_offset() {
+    let dir = tmpdir("dropped-chunk");
+    build_streamed_target(&dir);
+    let seg0 = &segment_paths(&dir)[0];
+    // Episode 0's first event chunk `k > 0` whose next frame is an
+    // event chunk too (a decision chunk would find the chain broken).
+    let events = frame_offsets(seg0, journal::record::KIND_EVENT_CHUNK);
+    let k = (1..events.len() - 1)
+        .find(|&k| events[k].0 + 5 + events[k].1 as u64 + 8 == events[k + 1].0)
+        .expect("two adjacent event chunks");
+    let (at, len) = events[k];
+    let mut bytes = fs::read(seg0).unwrap();
+    bytes.drain(at as usize..at as usize + 5 + len + 8);
+    fs::write(seg0, &bytes).unwrap();
+    match read_journal(&dir) {
+        Err(JournalError::Inconsistent { recovery, why }) => {
+            assert_eq!((recovery.segment, recovery.offset), (0, at), "{why}");
+            let gap = format!("got {}, expected {k}", k + 1);
+            assert_eq!(why, format!("event chunk sequence gap in episode 0: {gap}"));
+        }
+        other => panic!("expected a sequence gap, got {other:?}"),
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

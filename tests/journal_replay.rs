@@ -9,7 +9,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use journal::{
-    diff_runs, load_index, metrics_at, read_journal, trace_json_for, Campaign, SoakConfig,
+    diff_runs, load_index, metrics_at, read_journal, trace_json_for, Campaign, JournalError,
+    SoakConfig,
 };
 
 fn tmpdir(tag: &str, salt: u64) -> PathBuf {
@@ -266,4 +267,79 @@ fn segment_bytes_are_pinned() {
         assert_eq!(crcs, pinned, "{tag}: segment bytes moved");
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A journal whose `seg-000001.jrnl` comes from another campaign of the
+/// same shape: its frames are well formed, but its header carries the
+/// other campaign's fingerprint. Every replay read that crosses it
+/// refuses it with a `CampaignMismatch` naming the segment, as the full
+/// reader does; a read that does not cross it is unchanged.
+#[test]
+fn a_foreign_later_segment_is_refused_by_every_replay_read() {
+    // Two segments: segment 1 is the last, so every read meets it.
+    let last = SoakConfig {
+        episodes: 6,
+        messages_per_episode: 8,
+        snapshot_every: 2,
+        ..base_cfg()
+    };
+    foreign_segment("last", last, 2, 0..6);
+    // `ci/behaviour.sh`'s soak shape: four segments, and only episodes
+    // 1 to 3 have frames in segment 1.
+    let middle = SoakConfig {
+        campaign_seed: SoakConfig::default().campaign_seed,
+        episodes: 6,
+        ranks: 4,
+        messages_per_episode: 16,
+        payload: 128,
+        snapshot_every: 2,
+        ..base_cfg()
+    };
+    foreign_segment("middle", middle, 4, 1..4);
+}
+
+fn foreign_segment(tag: &str, cfg: SoakConfig, segments: usize, crossing: std::ops::Range<u32>) {
+    let dir = tmpdir(&format!("foreign-{tag}"), 0);
+    let other = tmpdir(&format!("foreign-{tag}"), 1);
+    run_campaign(&dir, cfg.clone());
+    let other_cfg = SoakConfig {
+        campaign_seed: cfg.campaign_seed + 1,
+        ..cfg.clone()
+    };
+    run_campaign(&other, other_cfg);
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), segments, "{tag}");
+    let clean_index = load_index(&dir).unwrap();
+    let clean: Vec<String> = (0..cfg.episodes)
+        .map(|ep| trace_json_for(&dir, ep, None, None).unwrap())
+        .collect();
+    let seg = "seg-000001.jrnl";
+    fs::copy(other.join(seg), dir.join(seg)).unwrap();
+
+    let refused = |what: &str, err: Option<JournalError>| match err {
+        Some(JournalError::CampaignMismatch { ref path, .. }) if path.ends_with(seg) => {
+            let text = err.unwrap().to_string();
+            assert!(
+                !text.contains("segment 0 offset 0 (0 valid records"),
+                "{text}"
+            );
+        }
+        other => panic!("{tag}: {what}: expected CampaignMismatch on {seg}, got {other:?}"),
+    };
+    refused("read_journal", read_journal(&dir).err());
+    refused("diff_runs", diff_runs(&dir, &dir, 2).err());
+    match segments {
+        2 => refused("load_index", load_index(&dir).err()),
+        _ => assert_eq!(load_index(&dir).unwrap(), clean_index, "{tag}"),
+    }
+    for ep in 0..cfg.episodes {
+        let what = format!("episode {ep}");
+        refused(&what, metrics_at(&dir, ep).err());
+        let trace = trace_json_for(&dir, ep, None, None);
+        match crossing.contains(&ep) {
+            true => refused(&what, trace.err()),
+            false => assert_eq!(trace.unwrap(), clean[ep as usize], "{tag}: {what}"),
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
+    fs::remove_dir_all(&other).unwrap();
 }
