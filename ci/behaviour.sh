@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Behaviour manifest: run every deterministic artifact of the stack —
 # the paper's tables and figures, the extension reports, the event
-# traces, three soak journals and the replay tools — and write one
+# traces, four soak journals and the replay tools — and write one
 # `sha256sum` line per artifact to target/behaviour/manifest.sha256.
 #
 #     ci/behaviour.sh && diff ci/behaviour.sha256 target/behaviour/manifest.sha256
@@ -36,9 +36,9 @@ run trace-2 trace 2
 run trace-4 trace 4 --chrome "$out/trace-4.chrome.json"
 run hotpath-2 hotpath 2
 
-# Three soak campaigns at check_soak.py's shape, every one streamed:
-# clean, lossy (`stream`), and a lossier twin (loss 70 against 60) that
-# plants the divergence `replay diff` finds.
+# Three soak campaigns of one shape, every one streamed: clean, lossy
+# (`stream`), and a lossier twin (loss 70 against 60) that plants the
+# divergence `replay diff` finds.
 soak=(--episodes 6 --ranks 4 --messages 16 --payload 128 --snapshot-every 2 --stream 8 --decisions)
 lossy=(--loss 60 --ack-loss 25)
 campaign() {
@@ -52,11 +52,29 @@ campaign clean --loss 0 --ack-loss 0
 campaign stream "${lossy[@]}"
 campaign lossier --loss 70 --ack-loss 25
 
+# The fourth, `crashed`, is `stream` killed after 3 episodes: it tears
+# its journal mid-frame (what a SIGKILL between `write` and the frame's
+# end leaves) and SIGKILLs itself, which it must die of (exit 137).
+# `resume` truncates the torn tail and finishes the campaign; its report
+# and Chrome trace must equal `stream`'s byte for byte.
+status=0
+"$bin/soak" run --dir "$out/soak/crashed" "${soak[@]}" "${lossy[@]}" --crash-after 3 --torn \
+    >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 137 ]; then
+    echo "behaviour: the crashed campaign exited $status, not by SIGKILL (137)" >&2
+    exit 1
+fi
+"$bin/soak" resume --dir "$out/soak/crashed" \
+    --report "$out/soak/crashed.report" --chrome "$out/soak/crashed.chrome.json" >/dev/null 2>&1
+cmp "$out/soak/stream.report" "$out/soak/crashed.report"
+cmp "$out/soak/stream.chrome.json" "$out/soak/crashed.chrome.json"
+
 # The replay tools over the lossy pair. `diff` exits 1 on the
-# divergence it is meant to find.
+# divergence it is meant to find, and 0 on a journal against itself.
 "$bin/replay" trace --dir "$out/soak/stream" >"$out/replay-trace.txt"
 "$bin/replay" metrics --dir "$out/soak/stream" --at-episode 5 --json >"$out/replay-metrics.txt"
 "$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/lossier" >"$out/replay-diff.txt" || test $? -eq 1
+"$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/stream" >"$out/replay-self-diff.txt"
 
 cd "$out"
 find . -type f ! -name 'manifest.sha256*' | sed 's|^\./||' | LC_ALL=C sort | xargs sha256sum >manifest.sha256.tmp

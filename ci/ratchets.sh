@@ -171,9 +171,14 @@ r_planted_marker() {
 rule inline_recorder 0 crates/journal/src/planted.rs 'pub fn take_trace''_json(&mut self) -> Option<String> {'
 r_inline_recorder() { grep -rnE 'take_trace''_json|Writer''Lost|decision''_count' crates tests ci examples; }
 
-# The journal reads another crate's counts through that crate's reader, never by spelling its registry keys ("One flight recorder").
-rule journal_spelled_keys 0 crates/journal/src/planted.rs 'let failovers = metrics.counter("chmad/failovers");'
-r_journal_spelled_keys() { grep -rnE '"net/|"chmad/' crates/journal; }
+# A metric name is spelled once, where its owner registers it: channel, wire and rail counts in the channel, device counts in the session, queue gauges in the engine; everyone else holds handles, and the journal, tests included, reads counts through their owners ("One flight recorder"; "Metrics by handle").
+rule metric_names 0 crates/mpich/src/device/ch_mad.rs 'obs::counter_add("chmad/rndv_stale_chunks", 1);'
+r_metric_names() {
+    for f in $(find crates/*/src -name '*.rs'); do
+        nontest "$f" | grep -E '"(chan|net|rail|chmad|adi)/' | sed "s|^|$f: |"
+    done | grep -vE '^crates/madeleine/src/channel.rs: .*"(chan|net|rail)/|^crates/madeleine/src/session.rs: .*"chmad/|^crates/mpich/src/engine.rs: .*"adi/'
+    grep -rnE '"(chan|net|rail|chmad|adi)/' crates/journal
+}
 
 # The journal has one frame walker: only the store lists segments, reads them, checks headers and parses frames ("One journal reader").
 rule frame_walker 0 crates/journal/src/replay.rs 'let frame = scan_frame(&buf, pos, &recovery)?;'

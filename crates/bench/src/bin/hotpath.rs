@@ -1,12 +1,14 @@
 //! Hot-path bench: a many-rank all-to-all small-message storm driving
 //! the ADI matching engine and the madeleine eager path as hard as the
-//! simulator allows, counting the allocator traffic the O(1) matching
-//! store and the copy-free eager path are meant to keep down. Host
-//! time is the standalone benchmark's job (`storm_small`); everything
-//! printed here is exact, so the output repeats byte for byte.
+//! simulator allows, counting the allocations the O(1) matching store
+//! and the copy-free eager path are meant to keep down. It counts
+//! allocation calls, not bytes: the bytes move with struct layout, so
+//! a layout-only change would read as a behaviour change. Host time is
+//! the standalone benchmark's job (`storm_small`); everything printed
+//! here is exact, so the output repeats byte for byte.
 //!
 //! Output is line-oriented for `ci/check_hotpath.py`:
-//!   `hotpath: messages=<n> allocs=<a> alloc_bytes=<b>`
+//!   `hotpath: messages=<n> allocs=<a>`
 //! plus a JSON summary on the final line.
 //!
 //! `cargo run -p bench --bin hotpath --release [-- <iters>]`
@@ -26,8 +28,8 @@ const MSG: usize = 16;
 /// arrival order — so the unexpected queue grows to `rounds × (n-1)`
 /// entries and every match has to be dug out from the far end, the
 /// worst case for a linear scan.
-fn storm_once(rounds: usize) -> (u64, u64, u64, Vec<VirtualTime>) {
-    let (a0, b0) = (bench::alloc::allocs(), bench::alloc::alloc_bytes());
+fn storm_once(rounds: usize) -> (u64, u64, Vec<VirtualTime>) {
+    let a0 = bench::alloc::allocs();
     let ends = run_world(
         Topology::single_network(RANKS, Protocol::Sisci),
         Placement::OneRankPerNode,
@@ -60,23 +62,18 @@ fn storm_once(rounds: usize) -> (u64, u64, u64, Vec<VirtualTime>) {
     )
     .expect("storm world failed");
     let msgs = (RANKS * (RANKS - 1) * rounds) as u64;
-    (
-        msgs,
-        bench::alloc::allocs() - a0,
-        bench::alloc::alloc_bytes() - b0,
-        ends,
-    )
+    (msgs, bench::alloc::allocs() - a0, ends)
 }
 
 /// One warm-up storm, then the measured one: after the warm-up run,
 /// per-run allocation counts are deterministic. Both runs must end
 /// each rank at the same virtual time: no state carries over from one
 /// world to the next.
-fn storm(rounds: usize) -> (u64, u64, u64) {
-    let (_, _, _, warm_ends) = storm_once(rounds);
-    let (msgs, allocs, bytes, ends) = storm_once(rounds);
+fn storm(rounds: usize) -> (u64, u64) {
+    let (_, _, warm_ends) = storm_once(rounds);
+    let (msgs, allocs, ends) = storm_once(rounds);
     assert_eq!(ends, warm_ends, "a repeated storm ended elsewhere");
-    (msgs, allocs, bytes)
+    (msgs, allocs)
 }
 
 /// Steady-state SCI one-way ping-pong latency in µs: 32 warm-up
@@ -136,9 +133,9 @@ fn main() {
         .unwrap_or(4);
     let rounds = 12 * iters;
 
-    let (msgs, allocs, bytes) = storm(rounds);
+    let (msgs, allocs) = storm(rounds);
     println!("== hotpath — {RANKS}-rank all-to-all storm, {MSG} B x {rounds} rounds ==");
-    println!("hotpath: messages={msgs} allocs={allocs} alloc_bytes={bytes}");
+    println!("hotpath: messages={msgs} allocs={allocs}");
 
     println!("\n== §3.3 idle-channel impact — steady-state SCI one-way latency (us) ==");
     println!(
@@ -162,7 +159,5 @@ fn main() {
         );
     }
 
-    println!(
-        "\n{{\"messages\":{msgs},\"allocs\":{allocs},\"alloc_bytes\":{bytes},\"parking_tax_us\":{parked_tax:.3}}}"
-    );
+    println!("\n{{\"messages\":{msgs},\"allocs\":{allocs},\"parking_tax_us\":{parked_tax:.3}}}");
 }

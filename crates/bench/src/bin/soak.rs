@@ -20,10 +20,11 @@
 //! when `resume` finds the campaign already complete. An unknown or
 //! repeated flag exits 2.
 //!
-//! `--crash-after K` is `ci/check_soak.py`'s kill switch: after K
-//! episodes the process optionally tears the journal tail mid-frame (`--torn`,
-//! exactly what a SIGKILL between `write` and completion leaves behind)
-//! and then SIGKILLs itself — no destructors, no flushes. A subsequent
+//! `--crash-after K` is the kill switch of `ci/behaviour.sh`'s `crashed`
+//! campaign: after K episodes the process optionally tears the journal
+//! tail mid-frame (`--torn`, exactly what a SIGKILL between `write` and
+//! completion leaves behind) and then SIGKILLs itself — no destructors,
+//! no flushes. A subsequent
 //! `resume` must finish the campaign and emit a report and final-episode
 //! Chrome trace *byte-identical* to an uninterrupted baseline run.
 //!

@@ -5,6 +5,8 @@
 //!   failing resumes grows the journal.
 //! - A campaign killed after 3 of 6 episodes: replay reads every
 //!   complete episode, byte for byte as the uninterrupted run's.
+//! - A frame cut short in a segment that is not the last: corruption,
+//!   which `resume` refuses without touching a byte and replay reports.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -166,4 +168,74 @@ fn crashed_campaign_replays(tag: &str, shape: &[&str], segments: usize) {
         "{stderr}"
     );
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// The lossy streamed campaign of `ci/behaviour.sh` (four segments)
+/// with the first frame of `seg-000001.jrnl` declaring 0x7FFFFFF0
+/// bytes. Frames never span segments and every rotation is fsynced
+/// first, so no crash cuts a frame short in an earlier segment: this
+/// is corruption, not a torn tail. `resume` must refuse it, even with
+/// `--force`, and leave every segment as it was; a replay read that
+/// reaches the cut fails and names it.
+#[test]
+fn a_frame_cut_short_in_an_earlier_segment_is_corruption() {
+    let dir: PathBuf = std::env::temp_dir().join(format!("soak-cli-cut-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let flags = [
+        "--episodes",
+        "6",
+        "--ranks",
+        "4",
+        "--messages",
+        "16",
+        "--payload",
+        "128",
+        "--snapshot-every",
+        "2",
+        "--stream",
+        "8",
+        "--decisions",
+        "--loss",
+        "60",
+        "--ack-loss",
+        "25",
+    ];
+    assert!(soak(&[&["run", "--dir", d], &flags[..]].concat())
+        .status
+        .success());
+    let seg1 = dir.join("seg-000001.jrnl");
+    let mut bytes = fs::read(&seg1).unwrap();
+    bytes[33..37].copy_from_slice(&0x7FFF_FFF0u32.to_le_bytes());
+    fs::write(&seg1, &bytes).unwrap();
+    let segments = || {
+        let mut all: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), fs::read(p).unwrap()))
+            .collect();
+        all.sort();
+        all
+    };
+    let before = segments();
+    assert_eq!(before.len(), 4);
+
+    let named = |out: &Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!out.status.success(), "exit 0 on a cut segment");
+        assert!(
+            stderr.contains(
+                "inconsistent journal: frame cut short in a segment before the last; \
+                 recovery point: segment 1 offset 32"
+            ),
+            "{stderr}"
+        );
+    };
+    named(&soak(&["resume", "--dir", d]));
+    named(&soak(&["resume", "--dir", d, "--force"]));
+    assert!(segments() == before, "a refused resume rewrote the journal");
+    named(&replay(&["metrics", "--dir", d, "--at-episode", "5"]));
+    // Episode 1's stream runs across the rotation into segment 1.
+    named(&replay(&["trace", "--dir", d, "--episode", "1"]));
+    fs::remove_dir_all(&dir).unwrap();
 }

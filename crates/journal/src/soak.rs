@@ -444,9 +444,9 @@ fn run_episode(
     };
     let (results, kernel, session) = (report.results, report.kernel, report.session);
     let threads = thread_metas(&kernel, &session);
-    // Every count of the record comes from one registry snapshot.
+    // Counts come through the session's handles, the digest from a snapshot.
+    let counters = session.counters();
     let metrics = kernel.metrics_snapshot();
-    let counters = session.counters_in(&metrics);
     let mut result_digest = splitmix64(episode_seed);
     for r in &results {
         result_digest = splitmix64(result_digest ^ r);

@@ -26,8 +26,11 @@
 //! reads them, checks their headers and parses frames. Every segment's
 //! header must carry the magic, this format's version, its own index and
 //! segment 0's campaign fingerprint. Its one torn-tail rule: a frame cut
-//! short, or a later segment cut inside its header, ends the valid
-//! prefix at its real `(segment, offset)`. The strict reader
+//! short in the last segment, or a last segment after the first cut
+//! inside its header, ends the valid prefix at its real `(segment,
+//! offset)`. The same cut in any earlier segment is corruption (frames
+//! never span segments and every rotation is fsynced first), a hard
+//! error that names the segment and offset. The strict reader
 //! ([`read_journal`]) reports that as an error, [`read_journal_recovering`]
 //! returns it as the error that stopped the read, and replay's seeks
 //! treat it as the end of the journal.
@@ -160,7 +163,8 @@ impl Walker {
     /// Returns the point where the walk ended and, when the valid prefix
     /// ended first, the error that ended it: a torn tail
     /// (`TruncatedRecord`), a checksum mismatch, or `visit`'s own error.
-    /// A segment that cannot be read or has a bad header is `Err`.
+    /// A segment that cannot be read, has a bad header, or is not the
+    /// last and ends inside a frame (`Inconsistent`) is `Err`.
     pub(crate) fn walk(
         &self,
         from: (u32, u64),
@@ -176,10 +180,11 @@ impl Walker {
             let path = segment_path(&self.dir, seg);
             let buf = fs::read(&path).map_err(|e| JournalError::io(&path, "read", e))?;
             (at.segment, at.offset) = (seg, 0);
+            let last = seg + 1 == self.segments;
             match check_header(&path, &buf, seg, Some(self.campaign)) {
                 // Segment 0's was checked by `open`: this is a later
                 // segment cut inside its header, a torn rotation.
-                Err(JournalError::TruncatedHeader { .. }) => {
+                Err(JournalError::TruncatedHeader { .. }) if last => {
                     return Ok((at.clone(), Some(torn(&at))))
                 }
                 checked => checked?,
@@ -191,6 +196,10 @@ impl Walker {
                 match stopped {
                     Ok((true, end)) => (at.records, at.offset) = (at.records + 1, end as u64),
                     Ok((false, _)) => return Ok((at, None)),
+                    Err(JournalError::TruncatedRecord { .. }) if !last => {
+                        let why = "frame cut short in a segment before the last".into();
+                        return Err(JournalError::Inconsistent { recovery: at, why });
+                    }
                     Err(e) => return Ok((at, Some(e))),
                 }
             }

@@ -47,7 +47,7 @@
 //! updates the same accumulator, so the index entry written and the one
 //! rebuilt on read are one fold over the same chunks.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use marcel::{
@@ -597,25 +597,25 @@ pub struct MetricsDeltaRec {
     pub hists_removed: Vec<String>,
 }
 
-fn diff_u64_map(
-    prev: &std::collections::BTreeMap<String, u64>,
-    next: &std::collections::BTreeMap<String, u64>,
-) -> (Vec<(String, i64)>, Vec<String>) {
-    let mut changed = Vec::new();
-    let mut removed = Vec::new();
-    for (k, &v) in next {
-        // A key new to this episode must be emitted even with value 0,
-        // or a freshly created counter/gauge would vanish on replay.
-        let old = prev.get(k).copied();
-        if old != Some(v) {
-            changed.push((k.clone(), v.wrapping_sub(old.unwrap_or(0)) as i64));
-        }
-    }
-    for k in prev.keys() {
-        if !next.contains_key(k) {
-            removed.push(k.clone());
-        }
-    }
+/// The names whose value changed from `prev` to `next`, each with
+/// `delta(old, new)`, and the names gone from `next`. A name new to
+/// this episode is emitted even when its value equals the empty one,
+/// or a freshly created counter, gauge or histogram would vanish on
+/// replay.
+fn diff_map<V: PartialEq, D>(
+    prev: &BTreeMap<String, V>,
+    next: &BTreeMap<String, V>,
+    delta: impl Fn(Option<&V>, &V) -> D,
+) -> (Vec<(String, D)>, Vec<String>) {
+    let changed = next.iter().filter(|&(k, v)| prev.get(k) != Some(v));
+    let changed = changed
+        .map(|(k, v)| (k.clone(), delta(prev.get(k), v)))
+        .collect();
+    let removed = prev
+        .keys()
+        .filter(|k| !next.contains_key(*k))
+        .cloned()
+        .collect();
     (changed, removed)
 }
 
@@ -627,34 +627,19 @@ fn checked_apply(base: u64, delta: i64, what: &str) -> Result<u64, String> {
 impl MetricsDeltaRec {
     /// Delta taking `prev` to `next`.
     pub fn diff(episode: u32, prev: &MetricsSnapshot, next: &MetricsSnapshot) -> MetricsDeltaRec {
-        let (counters, counters_removed) = diff_u64_map(&prev.counters, &next.counters);
-        let (gauges, gauges_removed) = diff_u64_map(&prev.gauges, &next.gauges);
-        let mut hists = Vec::new();
-        let mut hists_removed = Vec::new();
-        for (k, h) in &next.hists {
-            // Same presence rule as diff_u64_map: a hist created this
-            // episode is emitted even while still empty.
-            let old = prev.hists.get(k);
-            if old != Some(h) {
-                let old = old.cloned().unwrap_or_default();
-                let mut delta = HistDelta {
-                    count: h.count.wrapping_sub(old.count) as i64,
-                    sum_ns: h.sum_ns.wrapping_sub(old.sum_ns) as i64,
-                    min_ns: h.min_ns.wrapping_sub(old.min_ns) as i64,
-                    max_ns: h.max_ns.wrapping_sub(old.max_ns) as i64,
-                    buckets: [0; 32],
-                };
-                for i in 0..32 {
-                    delta.buckets[i] = h.buckets[i].wrapping_sub(old.buckets[i]) as i64;
-                }
-                hists.push((k.clone(), delta));
+        let u64_delta = |old: Option<&u64>, v: &u64| v.wrapping_sub(*old.unwrap_or(&0)) as i64;
+        let (counters, counters_removed) = diff_map(&prev.counters, &next.counters, u64_delta);
+        let (gauges, gauges_removed) = diff_map(&prev.gauges, &next.gauges, u64_delta);
+        let (hists, hists_removed) = diff_map(&prev.hists, &next.hists, |old, h| {
+            let old = old.cloned().unwrap_or_default();
+            HistDelta {
+                count: h.count.wrapping_sub(old.count) as i64,
+                sum_ns: h.sum_ns.wrapping_sub(old.sum_ns) as i64,
+                min_ns: h.min_ns.wrapping_sub(old.min_ns) as i64,
+                max_ns: h.max_ns.wrapping_sub(old.max_ns) as i64,
+                buckets: std::array::from_fn(|i| h.buckets[i].wrapping_sub(old.buckets[i]) as i64),
             }
-        }
-        for k in prev.hists.keys() {
-            if !next.hists.contains_key(k) {
-                hists_removed.push(k.clone());
-            }
-        }
+        });
         MetricsDeltaRec {
             episode,
             counters,
@@ -669,21 +654,18 @@ impl MetricsDeltaRec {
     /// Fold this delta into `base`. Total: a corrupt delta yields a
     /// typed message, never a panic or a silently wrapped value.
     pub fn apply(&self, base: &mut MetricsSnapshot) -> Result<(), String> {
-        for (k, dv) in &self.counters {
-            let old = base.counters.get(k).copied().unwrap_or(0);
-            base.counters
-                .insert(k.clone(), checked_apply(old, *dv, "counter")?);
-        }
-        for k in &self.counters_removed {
-            base.counters.remove(k);
-        }
-        for (k, dv) in &self.gauges {
-            let old = base.gauges.get(k).copied().unwrap_or(0);
-            base.gauges
-                .insert(k.clone(), checked_apply(old, *dv, "gauge")?);
-        }
-        for k in &self.gauges_removed {
-            base.gauges.remove(k);
+        let (counters, gauges) = (&mut base.counters, &mut base.gauges);
+        for (map, changed, removed, what) in [
+            (counters, &self.counters, &self.counters_removed, "counter"),
+            (gauges, &self.gauges, &self.gauges_removed, "gauge"),
+        ] {
+            for (k, dv) in changed {
+                let old = map.get(k).copied().unwrap_or(0);
+                map.insert(k.clone(), checked_apply(old, *dv, what)?);
+            }
+            for k in removed {
+                map.remove(k);
+            }
         }
         for (k, dh) in &self.hists {
             let mut h = base.hists.get(k).cloned().unwrap_or_default();
@@ -705,23 +687,19 @@ impl MetricsDeltaRec {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.vu32(self.episode);
-        e.vu32(self.counters.len() as u32);
-        for (k, v) in &self.counters {
-            e.str(k);
-            e.vi64(*v);
-        }
-        e.vu32(self.counters_removed.len() as u32);
-        for k in &self.counters_removed {
-            e.str(k);
-        }
-        e.vu32(self.gauges.len() as u32);
-        for (k, v) in &self.gauges {
-            e.str(k);
-            e.vi64(*v);
-        }
-        e.vu32(self.gauges_removed.len() as u32);
-        for k in &self.gauges_removed {
-            e.str(k);
+        for (changed, removed) in [
+            (&self.counters, &self.counters_removed),
+            (&self.gauges, &self.gauges_removed),
+        ] {
+            e.vu32(changed.len() as u32);
+            for (k, v) in changed {
+                e.str(k);
+                e.vi64(*v);
+            }
+            e.vu32(removed.len() as u32);
+            for k in removed {
+                e.str(k);
+            }
         }
         e.vu32(self.hists.len() as u32);
         for (k, h) in &self.hists {

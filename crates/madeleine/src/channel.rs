@@ -49,7 +49,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
 use marcel::{
-    Kernel, MetricsSnapshot, OwnedCell, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime,
+    Counter, Hist, Kernel, OwnedCell, PollSource, ProcId, SimMutex, VirtualDuration, VirtualTime,
 };
 use simnet::{Fate, FaultPlan, LinkModel, Protocol};
 
@@ -110,7 +110,7 @@ struct PeerRecv {
 }
 
 /// A channel's reliable-delivery counters (all zero on a fault-free
-/// channel): a read-only view of its `chan/{name}/*` keys in the
+/// channel): a read-only view of its `chan/{name}/*` counters in the
 /// kernel's metrics registry, which is where they are counted.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FaultCounters {
@@ -161,9 +161,8 @@ pub struct Channel {
     /// The kernel the channel was built on: its metrics registry holds
     /// every count the channel keeps (see [`FaultCounters`]).
     kernel: Kernel,
-    /// Registry keys, interned at construction — per-message counting
-    /// must not pay a `format!` per call.
-    keys: MetricKeys,
+    /// The channel's handles in that registry.
+    counts: Counts,
 }
 
 /// A channel's host-side bookkeeping. Each access borrows it for one
@@ -186,38 +185,40 @@ struct HostState {
     dead: HashSet<(usize, usize)>,
 }
 
-/// Pre-built metrics-registry keys of one channel: its reliable-delivery
-/// counters, the wire totals of [`Channel::record_wire`] and the
-/// poll-detect histogram of `open_unpacking`. Keys are named after the
-/// channel, so the channels of one kernel need distinct names.
-struct MetricKeys {
-    messages: String,
-    bytes: String,
-    retransmits: String,
-    drops: String,
-    dedup_drops: String,
-    deferrals: String,
-    dead_pairs: String,
-    net_messages: String,
-    net_bytes: String,
-    poll_detect: String,
-    striped_bytes: String,
+/// One channel's handles in its kernel's metrics registry, registered
+/// with the channel: the reliable-delivery counters, the wire totals of
+/// [`Channel::record_wire`], the rendezvous bytes striped onto it, and
+/// the poll-detect histogram of `open_unpacking`. Counter names follow
+/// the channel, so the channels of one kernel need distinct names; the
+/// histogram is per protocol, one slot for all its channels.
+struct Counts {
+    messages: Counter,
+    bytes: Counter,
+    retransmits: Counter,
+    drops: Counter,
+    dedup_drops: Counter,
+    deferrals: Counter,
+    dead_pairs: Counter,
+    net_messages: Counter,
+    net_bytes: Counter,
+    striped_bytes: Counter,
+    poll_detect: Hist,
 }
 
-impl MetricKeys {
-    fn new(name: &str, label: &str) -> MetricKeys {
-        MetricKeys {
-            messages: format!("chan/{name}/messages"),
-            bytes: format!("chan/{name}/bytes"),
-            retransmits: format!("chan/{name}/retransmits"),
-            drops: format!("chan/{name}/drops"),
-            dedup_drops: format!("chan/{name}/dedup_drops"),
-            deferrals: format!("chan/{name}/deferrals"),
-            dead_pairs: format!("chan/{name}/dead_pairs"),
-            net_messages: format!("net/{name}/messages"),
-            net_bytes: format!("net/{name}/bytes"),
-            poll_detect: format!("poll_detect/{label}"),
-            striped_bytes: format!("rail/{name}/striped_bytes"),
+impl Counts {
+    fn register(kernel: &Kernel, name: &str, label: &str) -> Counts {
+        Counts {
+            messages: kernel.register_counter(format!("chan/{name}/messages")),
+            bytes: kernel.register_counter(format!("chan/{name}/bytes")),
+            retransmits: kernel.register_counter(format!("chan/{name}/retransmits")),
+            drops: kernel.register_counter(format!("chan/{name}/drops")),
+            dedup_drops: kernel.register_counter(format!("chan/{name}/dedup_drops")),
+            deferrals: kernel.register_counter(format!("chan/{name}/deferrals")),
+            dead_pairs: kernel.register_counter(format!("chan/{name}/dead_pairs")),
+            net_messages: kernel.register_counter(format!("net/{name}/messages")),
+            net_bytes: kernel.register_counter(format!("net/{name}/bytes")),
+            striped_bytes: kernel.register_counter(format!("rail/{name}/striped_bytes")),
+            poll_detect: kernel.register_hist(format!("poll_detect/{label}")),
         }
     }
 }
@@ -264,7 +265,7 @@ impl Channel {
         }
         let recv = lanes.iter().map(|_| RecvState::default()).collect();
         Arc::new(Channel {
-            keys: MetricKeys::new(&name, protocol.name()),
+            counts: Counts::register(kernel, &name, protocol.name()),
             name,
             protocol,
             model,
@@ -291,10 +292,10 @@ impl Channel {
         self.name.clone()
     }
 
-    /// Registry key of the rendezvous bytes striped onto this channel
-    /// (`rail/<name>/striped_bytes`), built once with the channel.
-    pub fn striped_bytes_key(&self) -> &str {
-        &self.keys.striped_bytes
+    /// Count `bytes` of a rendezvous striped onto this channel
+    /// (`rail/<name>/striped_bytes`).
+    pub fn note_striped(&self, bytes: usize) {
+        obs::counter_add(self.counts.striped_bytes, bytes as u64);
     }
 
     pub fn protocol(&self) -> Protocol {
@@ -344,32 +345,23 @@ impl Channel {
     }
 
     /// The reliable-delivery counters, summed over every lane, read
-    /// from one snapshot of the kernel's metrics registry.
+    /// through the channel's handles.
     pub fn counters(&self) -> FaultCounters {
-        self.counters_in(&self.kernel.metrics_snapshot())
-    }
-
-    /// This channel's reliable-delivery counters in `metrics`, a
-    /// snapshot of the channel's kernel.
-    pub fn counters_in(&self, metrics: &MetricsSnapshot) -> FaultCounters {
-        let k = &self.keys;
+        let (k, c) = (&self.kernel, &self.counts);
         FaultCounters {
-            retransmits: metrics.counter(&k.retransmits),
-            drops: metrics.counter(&k.drops),
-            duplicates: metrics.counter(&k.dedup_drops),
-            deferrals: metrics.counter(&k.deferrals),
-            dead_pairs: metrics.counter(&k.dead_pairs),
+            retransmits: k.counter(c.retransmits),
+            drops: k.counter(c.drops),
+            duplicates: k.counter(c.dedup_drops),
+            deferrals: k.counter(c.deferrals),
+            dead_pairs: k.counter(c.dead_pairs),
         }
     }
 
-    /// The messages and payload bytes this channel put on the wire, in
-    /// `metrics` (the `net/{name}/*` keys).
-    pub(crate) fn wire_in(&self, metrics: &MetricsSnapshot) -> (u64, u64) {
-        let k = &self.keys;
-        (
-            metrics.counter(&k.net_messages),
-            metrics.counter(&k.net_bytes),
-        )
+    /// The messages and payload bytes this channel put on the wire
+    /// (its `net/{name}/*` counters).
+    pub(crate) fn wire(&self) -> (u64, u64) {
+        let (k, c) = (&self.kernel, &self.counts);
+        (k.counter(c.net_messages), k.counter(c.net_bytes))
     }
 
     /// Whether the ordered pair `(from, to)` exhausted its retransmit
@@ -382,7 +374,7 @@ impl Channel {
 
     fn mark_dead(&self, from: usize, to: usize) {
         if self.host.with(|h| h.dead.insert((from, to))) {
-            obs::counter_add(&self.keys.dead_pairs, 1);
+            obs::counter_add(self.counts.dead_pairs, 1);
         }
     }
 
@@ -392,13 +384,24 @@ impl Channel {
     }
 
     /// Account one wire injection of `bytes` payload bytes, under both
-    /// the `chan/{name}/*` and the `net/{name}/*` registry keys.
+    /// the `chan/{name}/*` and the `net/{name}/*` counters.
     fn record_wire(&self, bytes: usize) {
-        let k = &self.keys;
-        obs::counter_add(&k.messages, 1);
-        obs::counter_add(&k.bytes, bytes as u64);
-        obs::counter_add(&k.net_messages, 1);
-        obs::counter_add(&k.net_bytes, bytes as u64);
+        let c = &self.counts;
+        obs::counter_add(c.messages, 1);
+        obs::counter_add(c.bytes, bytes as u64);
+        obs::counter_add(c.net_messages, 1);
+        obs::counter_add(c.net_bytes, bytes as u64);
+    }
+
+    /// Count and trace the sender's `attempt`-th re-send of `seq` to `to`.
+    fn note_retransmit(&self, to: usize, seq: u64, attempt: u32) {
+        obs::counter_add(self.counts.retransmits, 1);
+        obs::emit(|| Event::Retransmit {
+            channel: self.name.clone(),
+            to,
+            seq,
+            attempt,
+        });
     }
 
     /// The view of this channel from `rank` (VCI lane 0).
@@ -473,7 +476,7 @@ impl Channel {
     }
 
     fn note_dedup(&self, from: usize, seq: u64) {
-        obs::counter_add(&self.keys.dedup_drops, 1);
+        obs::counter_add(self.counts.dedup_drops, 1);
         obs::emit(|| Event::DedupDrop {
             channel: self.name.clone(),
             from,
@@ -580,7 +583,7 @@ impl Endpoint {
     fn open_unpacking(&self, message: WireMessage) -> UnpackingConnection {
         let channel = &self.channel;
         let detect = marcel::now().saturating_since(message.arrival);
-        obs::observe_ns(&channel.keys.poll_detect, detect.as_nanos());
+        obs::observe_ns(channel.counts.poll_detect, detect.as_nanos());
         let span = obs::span_begin(SpanKind::Unpack, channel.label());
         obs::emit(|| Event::Unpack {
             channel: channel.name.clone(),
@@ -741,13 +744,13 @@ impl PackingConnection {
                 Fate::Defer(until) => {
                     // Link down but coming back: no attempt consumed,
                     // nothing occupies the wire; wait the window out.
-                    obs::counter_add(&channel.keys.deferrals, 1);
+                    obs::counter_add(channel.counts.deferrals, 1);
                     marcel::sleep_until(until);
                 }
                 Fate::Drop => {
                     state.seq += 1;
                     attempts += 1;
-                    obs::counter_add(&channel.keys.drops, 1);
+                    obs::counter_add(channel.counts.drops, 1);
                     if attempts >= MAX_SEND_ATTEMPTS {
                         if delivered {
                             obs::span_end(span.take());
@@ -762,13 +765,7 @@ impl PackingConnection {
                             attempts,
                         });
                     }
-                    obs::counter_add(&channel.keys.retransmits, 1);
-                    obs::emit(|| Event::Retransmit {
-                        channel: channel.name.clone(),
-                        to,
-                        seq: msg_seq,
-                        attempt: attempts,
-                    });
+                    channel.note_retransmit(to, msg_seq, attempts);
                     marcel::sleep(rto_for(attempts));
                 }
                 Fate::Deliver => {
@@ -787,13 +784,7 @@ impl PackingConnection {
                         // The delivery's acknowledgement vanished: the
                         // sender cannot tell and retransmits a
                         // duplicate after the timeout.
-                        obs::counter_add(&channel.keys.retransmits, 1);
-                        obs::emit(|| Event::Retransmit {
-                            channel: channel.name.clone(),
-                            to,
-                            seq: msg_seq,
-                            attempt: attempts,
-                        });
+                        channel.note_retransmit(to, msg_seq, attempts);
                         marcel::sleep(rto_for(attempts));
                         continue;
                     }

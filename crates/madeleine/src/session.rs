@@ -7,7 +7,7 @@ use std::cmp::{Ordering as CmpOrdering, Reverse};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use marcel::{Kernel, MetricsSnapshot};
+use marcel::{Counter, Kernel};
 use simnet::{NetworkId, NodeId, Protocol, Topology};
 
 use crate::channel::{Channel, FaultCounters};
@@ -167,6 +167,9 @@ impl SessionBuilder {
             forwarding: self.forwarding,
             vcis: self.vcis,
             kernel: kernel.clone(),
+            failovers: kernel.register_counter("chmad/failovers"),
+            rndv_reissues: kernel.register_counter("chmad/rndv_reissues"),
+            rndv_stale_chunks: kernel.register_counter("chmad/rndv_stale_chunks"),
         }))
     }
 }
@@ -268,11 +271,16 @@ pub struct Session {
     /// VCI lanes every channel was built with.
     vcis: usize,
     /// The kernel the session was built on: its metrics registry holds
-    /// the device-level counts (`chmad/*`) and every channel's counts.
+    /// the device-level counts and every channel's counts.
     kernel: Kernel,
+    /// The device-level counts (`chmad/*`), which devices report
+    /// through the session's `note_*` methods.
+    failovers: Counter,
+    rndv_reissues: Counter,
+    rndv_stale_chunks: Counter,
 }
 
-/// What a session counted, as [`Session::counters_in`] reads it.
+/// What a session counted, as [`Session::counters`] reads it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SessionCounters {
     /// Reliable-delivery counters summed over every channel.
@@ -290,10 +298,6 @@ pub struct SessionCounters {
     /// the topology enumerated its networks.
     pub channels: Vec<(String, FaultCounters)>,
 }
-
-/// Registry keys of the device-level events a session counts.
-const FAILOVERS: &str = "chmad/failovers";
-const RNDV_REISSUES: &str = "chmad/rndv_reissues";
 
 impl Session {
     /// Shortcut: `n` ranks, one per node, over a single network of the
@@ -377,18 +381,17 @@ impl Session {
         self.vcis
     }
 
-    /// Every count the session keeps, read from `metrics`, a snapshot
-    /// of the session's kernel: one reader, so a caller that wants
-    /// several counts clones the registry once.
-    pub fn counters_in(&self, metrics: &MetricsSnapshot) -> SessionCounters {
+    /// Every count the session keeps, read through its and its channels'
+    /// handles, so [`marcel::obs::reset_metrics`] restarts them at zero.
+    pub fn counters(&self) -> SessionCounters {
         let mut counters = SessionCounters {
-            failovers: metrics.counter(FAILOVERS),
-            rndv_reissues: metrics.counter(RNDV_REISSUES),
+            failovers: self.kernel.counter(self.failovers),
+            rndv_reissues: self.kernel.counter(self.rndv_reissues),
             ..SessionCounters::default()
         };
         for c in &self.channels {
-            let faults = c.counters_in(metrics);
-            let (messages, bytes) = c.wire_in(metrics);
+            let faults = c.counters();
+            let (messages, bytes) = c.wire();
             counters.faults += faults;
             counters.wire_messages += messages;
             counters.wire_bytes += bytes;
@@ -398,21 +401,19 @@ impl Session {
         counters
     }
 
-    /// [`Session::counters_in`] a fresh snapshot of the session's
-    /// kernel — so [`marcel::obs::reset_metrics`] restarts them from
-    /// zero.
-    pub fn counters(&self) -> SessionCounters {
-        self.counters_in(&self.kernel.metrics_snapshot())
-    }
-
     /// Record that a device moved traffic off a dead rail.
     pub fn note_failover(&self) {
-        marcel::obs::counter_add(FAILOVERS, 1);
+        marcel::obs::counter_add(self.failovers, 1);
     }
 
     /// Record that an in-flight rendezvous REQUEST was re-issued.
     pub fn note_rndv_reissue(&self) {
-        marcel::obs::counter_add(RNDV_REISSUES, 1);
+        marcel::obs::counter_add(self.rndv_reissues, 1);
+    }
+
+    /// Record that a stale rendezvous DATA chunk was dropped.
+    pub fn note_rndv_stale_chunk(&self) {
+        marcel::obs::counter_add(self.rndv_stale_chunks, 1);
     }
 
     /// The rank path from `a` to `b`: `a, gateways..., b`. One rank per

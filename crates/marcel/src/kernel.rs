@@ -41,6 +41,7 @@
 //! poll cost to every detection on the SCI channel.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -48,7 +49,7 @@ use std::sync::Arc;
 
 use crate::cost::{CostModel, PARK_AFTER};
 use crate::fiber::{self, Context, Stack};
-use crate::obs::{Event, EventSink, Metrics, MetricsSnapshot};
+use crate::obs::{Counter, Event, EventSink, Gauge, Hist, Metrics, MetricsSnapshot};
 use crate::owned::{OwnedCell, OwnedMut};
 use crate::time::{SchedKey, VirtualDuration, VirtualTime};
 
@@ -976,13 +977,34 @@ impl Kernel {
         let hwm = hwm.max((sched.trace.bytes() + sched.decisions.bytes()) as u64);
         sched.trace.drain(&mut *sink, 1);
         sched.decisions.drain(&mut *sink, 1);
-        sched.metrics.gauge_max("journal.stream.hwm", hwm);
+        let gauge = sched.metrics.gauge("journal.stream.hwm".into());
+        sched.metrics.raise(gauge, hwm);
         Some(sink)
     }
 
     /// Copy of the kernel's metrics registry (see [`crate::obs`]).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.shared.state.borrow().metrics.snapshot()
+    }
+
+    /// The handle of counter `name`, registered untouched if new (see [`crate::obs`]).
+    pub fn register_counter(&self, name: impl Into<Cow<'static, str>>) -> Counter {
+        self.shared.state.borrow().metrics.counter(name.into())
+    }
+
+    /// The handle of high-water gauge `name` (see [`Kernel::register_counter`]).
+    pub fn register_gauge(&self, name: impl Into<Cow<'static, str>>) -> Gauge {
+        self.shared.state.borrow().metrics.gauge(name.into())
+    }
+
+    /// The handle of virtual-time histogram `name` (see [`Kernel::register_counter`]).
+    pub fn register_hist(&self, name: impl Into<Cow<'static, str>>) -> Hist {
+        self.shared.state.borrow().metrics.hist(name.into())
+    }
+
+    /// Counter `c`'s value (zero until its first touch), read by handle.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.shared.state.borrow().metrics.read(c)
     }
 
     /// Names of all simulated threads, indexed by tid — the Chrome

@@ -51,8 +51,8 @@ pub mod time;
 pub use cost::{CostModel, ExecPolicy, PollPolicy};
 pub use kernel::{Decision, Kernel, ProcId, SimError, TraceEvent};
 pub use obs::{
-    chrome_trace_json, validate_spans, ActiveSpan, Event, EventSink, HistSnapshot, Layer,
-    MetricsSnapshot, SpanKind, ThreadMeta,
+    chrome_trace_json, validate_spans, ActiveSpan, Counter, Event, EventSink, Gauge, Hist,
+    HistSnapshot, Layer, MetricsSnapshot, SpanKind, ThreadMeta,
 };
 pub use owned::OwnedCell;
 pub use poll::{PollSource, Polled};

@@ -23,7 +23,29 @@
 //! async ("b"/"e") events. Every finished span feeds a virtual-time
 //! histogram in the metrics registry — that is what `bench --bin
 //! overhead` measures the paper's §5 packing-vs-handling decomposition
-//! from.
+//! from. `span_begin` resolves the span's `(kind, label)` pair to its
+//! histogram's handle, so `span_end` touches the registry by index.
+//!
+//! # Metrics by handle
+//!
+//! Each kernel keeps one registry of counters, high-water gauges and
+//! virtual-time histograms. Every count is named once, by the owner
+//! that keeps it, when the owner is built: a Madeleine channel
+//! (`chan/`, `net/`, `rail/`, `poll_detect/`), the session (`chmad/`),
+//! an ADI engine (`adi/`), the collective engine (`coll.`) and the
+//! kernel's event stream (`journal.stream.hwm`). Registration
+//! ([`Kernel::register_counter`](crate::Kernel::register_counter) and
+//! its gauge and histogram twins) returns a `Copy` handle —
+//! [`Counter`], [`Gauge`], [`Hist`] — and registering a name twice
+//! returns the same handle. An update ([`counter_add`], [`gauge_max`],
+//! [`observe_ns`]) indexes a slot through its handle, and a live count
+//! is read the same way ([`Kernel::counter`](crate::Kernel::counter)):
+//! nothing spells a name or copies the registry to count. The name
+//! index is read only by registration and by [`MetricsSnapshot`], the
+//! one by-name view (sorted by name) that reports, journal deltas,
+//! digests and tests read. A slot enters snapshots on its first
+//! touch (even a zero one) and [`reset_metrics`] clears the values but
+//! keeps every handle.
 //!
 //! # Zero cost when disabled
 //!
@@ -40,8 +62,10 @@
 //! per cluster node, one *thread* per Marcel tid.
 //! [`MetricsSnapshot`]'s `Display` is the plain-text stats report.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use crate::kernel::{Decision, TraceEvent};
@@ -76,7 +100,7 @@ impl Layer {
 }
 
 /// The kind of a measured span (selects the histogram family).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum SpanKind {
     /// Madeleine packing: `begin_packing` → `end_packing` returns.
     Pack,
@@ -394,21 +418,69 @@ impl HistSnapshot {
         self.buckets[bucket.min(31)] += 1;
     }
 
-    pub fn mean_ns(&self) -> f64 {
+    pub fn mean_us(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.sum_ns as f64 / self.count as f64
+            self.sum_ns as f64 / self.count as f64 / 1_000.0
         }
-    }
-
-    pub fn mean_us(&self) -> f64 {
-        self.mean_ns() / 1_000.0
     }
 }
 
+/// A registered counter: its slot in one kernel's registry. `Copy`, so
+/// an owner keeps it by value and bumps it by index.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counter(u32);
+
+/// A registered high-water gauge (see [`Counter`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Gauge(u32);
+
+/// A registered virtual-time histogram (see [`Counter`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Hist(u32);
+
+/// One family's name index: registration looks a name's slot up in it,
+/// and a snapshot walks it, sorting the touched names into its maps.
+/// Sized up front, it costs a small world one allocation, where a
+/// B-tree paid a node per few names; its hasher's keys are fixed, so a
+/// snapshot's insertion order repeats from run to run.
+type Index = HashMap<Cow<'static, str>, u32, BuildHasherDefault<DefaultHasher>>;
+
+/// `name`'s slot in `index`, first adding an untouched slot to `slots`
+/// if the name is new.
+fn register<V: Default>(index: &mut Index, slots: &mut Vec<V>, name: Cow<'static, str>) -> u32 {
+    let slot = *index.entry(name).or_insert(slots.len() as u32);
+    if slot as usize == slots.len() {
+        slots.push(V::default());
+    }
+    slot
+}
+
+/// The touched slots of `index` by name (`value` is `None` for an
+/// untouched slot).
+fn touched<V>(index: &Index, value: impl Fn(usize) -> Option<V>) -> BTreeMap<String, V> {
+    let touched = index
+        .iter()
+        .filter_map(|(name, &slot)| Some((name, value(slot as usize)?)));
+    let mut out = BTreeMap::new();
+    out.extend(touched.map(|(name, v)| (name.to_string(), v)));
+    out
+}
+
 /// The per-kernel metrics registry: counters, high-water gauges and
-/// virtual-time histograms, keyed by `/`-separated string names.
+/// virtual-time histograms, each family an index of `/`-separated
+/// names over a `Vec` of slots.
+///
+/// An owner (a channel, a session, an engine, the collective engine,
+/// the kernel's stream) registers its names once, when it is built,
+/// and keeps the returned `Copy` handles; registering a name that
+/// already exists returns its handle, so every channel of one protocol
+/// shares `poll_detect/<protocol>`. An update indexes its slot through
+/// the handle, and a live count is read the same way: nothing walks an
+/// index but registration and [`Metrics::snapshot`]. A slot enters
+/// snapshots on its first touch, even a zero one, exactly as if the
+/// name were created then.
 ///
 /// All updates are pure host-side bookkeeping — they never advance
 /// virtual time or reschedule, so collection is always on and cannot
@@ -416,90 +488,99 @@ impl HistSnapshot {
 /// so the update order (and therefore every snapshot) is deterministic.
 /// The registry is a field of the kernel's scheduler: an update is one
 /// borrow of the scheduler's cell, and nothing is locked.
+#[derive(Default)]
 pub(crate) struct Metrics {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
-    hists: BTreeMap<String, HistSnapshot>,
-    next_span: u64,
+    counters: Index,
+    gauges: Index,
+    /// Counter and gauge slots, `None` until their first touch.
+    values: Vec<Option<u64>>,
+    hist_names: Index,
+    /// Histogram slots, untouched while their count is zero.
+    hists: Vec<HistSnapshot>,
+    /// The histogram of every `(kind, label)` span pair begun so far.
+    spans: BTreeMap<(SpanKind, &'static str), Hist>,
+    last_span: u64,
 }
 
 impl Metrics {
+    /// A registry sized for a small world's names (66 collective
+    /// counters, ten a channel, two gauges a rank, a histogram a span
+    /// kind and label), so registering them regrows nothing.
     pub(crate) fn new() -> Metrics {
+        let index = |n| Index::with_capacity_and_hasher(n, Default::default());
         Metrics {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            next_span: 1,
+            counters: index(128),
+            gauges: index(32),
+            values: Vec::with_capacity(160),
+            hist_names: index(16),
+            hists: Vec::with_capacity(16),
+            ..Metrics::default()
         }
     }
 
-    /// Add `delta` to the counter `name` (created at zero).
-    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.counters.get_mut(name) {
-            Some(v) => *v += delta,
-            None => {
-                self.counters.insert(name.to_string(), delta);
-            }
-        }
+    pub(crate) fn counter(&mut self, name: Cow<'static, str>) -> Counter {
+        Counter(register(&mut self.counters, &mut self.values, name))
     }
 
-    /// Raise the high-water gauge `name` to `v` if `v` exceeds it.
-    pub(crate) fn gauge_max(&mut self, name: &str, v: u64) {
-        match self.gauges.get_mut(name) {
-            Some(g) => *g = (*g).max(v),
-            None => {
-                self.gauges.insert(name.to_string(), v);
-            }
-        }
+    pub(crate) fn gauge(&mut self, name: Cow<'static, str>) -> Gauge {
+        Gauge(register(&mut self.gauges, &mut self.values, name))
     }
 
-    /// Record one observation into the histogram `name`.
-    fn observe_ns(&mut self, name: &str, ns: u64) {
-        match self.hists.get_mut(name) {
-            Some(h) => h.record(ns),
-            None => self.hists.entry(name.to_string()).or_default().record(ns),
-        }
+    pub(crate) fn hist(&mut self, name: Cow<'static, str>) -> Hist {
+        Hist(register(&mut self.hist_names, &mut self.hists, name))
     }
 
-    /// One observation into the `span/<kind>/<label>` histogram. The
-    /// name is spelled on the stack, so a span end allocates nothing
-    /// once its histogram exists, and needs no process-wide key table.
-    fn observe_span(&mut self, kind: SpanKind, label: &'static str, ns: u64) {
-        let parts = ["span/", kind.name(), "/", label];
-        let mut buf = [0u8; 64];
-        if parts.iter().map(|p| p.len()).sum::<usize>() > buf.len() {
-            return self.observe_ns(&parts.concat(), ns);
-        }
-        let mut len = 0;
-        for p in parts {
-            buf[len..len + p.len()].copy_from_slice(p.as_bytes());
-            len += p.len();
-        }
-        let name = std::str::from_utf8(&buf[..len]).expect("joined from whole strs");
-        self.observe_ns(name, ns)
+    /// Add `delta` to counter `c` (touched at zero first).
+    fn add(&mut self, c: Counter, delta: u64) {
+        *self.values[c.0 as usize].get_or_insert(0) += delta;
+    }
+
+    /// Raise gauge `g` to `v` if `v` exceeds it.
+    pub(crate) fn raise(&mut self, g: Gauge, v: u64) {
+        let high = self.values[g.0 as usize].get_or_insert(v);
+        *high = (*high).max(v);
+    }
+
+    /// Record one observation into histogram `h`.
+    fn observe(&mut self, h: Hist, ns: u64) {
+        self.hists[h.0 as usize].record(ns);
+    }
+
+    /// Counter `c`'s value (zero until its first touch).
+    pub(crate) fn read(&self, c: Counter) -> u64 {
+        self.values[c.0 as usize].unwrap_or(0)
+    }
+
+    /// The `span/<kind>/<label>` histogram, registered on the pair's
+    /// first span.
+    fn span_hist(&mut self, kind: SpanKind, label: &'static str) -> Hist {
+        *self.spans.entry((kind, label)).or_insert_with(|| {
+            let name = ["span/", kind.name(), "/", label].concat();
+            Hist(register(&mut self.hist_names, &mut self.hists, name.into()))
+        })
     }
 
     /// Allocate a fresh span id (deterministic: one simulated thread
     /// runs at a time).
     fn next_span_id(&mut self) -> u64 {
-        self.next_span += 1;
-        self.next_span - 1
+        self.last_span += 1;
+        self.last_span
     }
 
-    /// Clear all counters, gauges and histograms (span ids keep
-    /// counting).
+    /// Clear every counter, gauge and histogram; handles stay valid and
+    /// span ids keep counting.
     fn reset(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.hists.clear();
+        self.values.fill(None);
+        self.hists.fill(HistSnapshot::default());
     }
 
-    /// Copy the registry's current state.
+    /// Copy the registry's touched slots by name.
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let hist = |slot: usize| Some(&self.hists[slot]).filter(|h| h.count > 0).cloned();
         MetricsSnapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            hists: self.hists.clone(),
+            counters: touched(&self.counters, |slot| self.values[slot]),
+            gauges: touched(&self.gauges, |slot| self.values[slot]),
+            hists: touched(&self.hist_names, hist),
         }
     }
 }
@@ -529,77 +610,63 @@ impl MetricsSnapshot {
         self.hists.get(name)
     }
 
-    /// Counters whose name starts with `prefix`, in sorted order.
-    pub fn counters_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Machine-readable single-line JSON rendering. Key order is the
     /// `BTreeMap` iteration order, i.e. sorted and stable across runs —
     /// CI checkers and the replay tooling diff this byte-for-byte.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push(':');
-            push_u64(&mut out, *v);
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
-            out.push(':');
-            push_u64(&mut out, *v);
-        }
-        out.push_str("},\"hists\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(&mut out, k);
+        let mut out = String::from("{\"counters\":");
+        json_object(&mut out, &self.counters, |out, v| push_u64(out, *v));
+        out.push_str(",\"gauges\":");
+        json_object(&mut out, &self.gauges, |out, v| push_u64(out, *v));
+        out.push_str(",\"hists\":");
+        json_object(&mut out, &self.hists, |out, h| {
             for (field, v) in [
-                (":{\"count\":", h.count),
+                ("{\"count\":", h.count),
                 (",\"sum_ns\":", h.sum_ns),
                 (",\"min_ns\":", h.min_ns),
                 (",\"max_ns\":", h.max_ns),
             ] {
                 out.push_str(field);
-                push_u64(&mut out, v);
+                push_u64(out, v);
             }
             out.push_str(",\"buckets\":[");
             for (j, b) in h.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                push_u64(&mut out, *b);
+                push_u64(out, *b);
             }
             out.push_str("]}");
-        }
-        out.push_str("}}");
+        });
+        out.push('}');
         out
     }
 }
 
+/// `map` as a JSON object onto `out`, each value rendered by `value`.
+fn json_object<V>(out: &mut String, map: &BTreeMap<String, V>, value: impl Fn(&mut String, &V)) {
+    out.push('{');
+    for (i, (k, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(out, k);
+        out.push(':');
+        value(out, v);
+    }
+    out.push('}');
+}
+
 impl fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "-- counters --")?;
-        for (k, v) in &self.counters {
-            writeln!(f, "{k:<44} {v:>12}")?;
-        }
-        writeln!(f, "-- gauges (high-water) --")?;
-        for (k, v) in &self.gauges {
-            writeln!(f, "{k:<44} {v:>12}")?;
+        for (title, map) in [
+            ("counters", &self.counters),
+            ("gauges (high-water)", &self.gauges),
+        ] {
+            writeln!(f, "-- {title} --")?;
+            for (k, v) in map {
+                writeln!(f, "{k:<44} {v:>12}")?;
+            }
         }
         writeln!(f, "-- histograms (virtual time, us) --")?;
         writeln!(
@@ -682,27 +749,28 @@ fn with_registry(f: impl FnOnce(&mut Metrics)) {
     try_with_current(|shared, _| f(&mut shared.state.borrow().metrics));
 }
 
-/// Add `delta` to the counter `name` (created at zero).
-pub fn counter_add(name: &str, delta: u64) {
-    with_registry(|m| m.counter_add(name, delta));
+/// Add `delta` to counter `c` of the calling thread's kernel (the
+/// kernel that registered it).
+pub fn counter_add(c: Counter, delta: u64) {
+    with_registry(|m| m.add(c, delta));
 }
 
-/// Raise the high-water gauge `name` to `v` if `v` exceeds it.
-pub fn gauge_max(name: &str, v: u64) {
-    with_registry(|m| m.gauge_max(name, v));
+/// Raise gauge `g` to `v` if `v` exceeds it.
+pub fn gauge_max(g: Gauge, v: u64) {
+    with_registry(|m| m.raise(g, v));
 }
 
-/// Record one observation into the histogram `name`.
-pub fn observe_ns(name: &str, ns: u64) {
-    with_registry(|m| m.observe_ns(name, ns));
+/// Record one observation into histogram `h`.
+pub fn observe_ns(h: Hist, ns: u64) {
+    with_registry(|m| m.observe(h, ns));
 }
 
 /// Clear every counter, gauge and histogram of the calling thread's
-/// kernel (span ids keep counting) — benchmarks call this from inside
-/// the simulation between warm-up and the measured iterations. The
-/// registry is the only home of madeleine's channel and session counts
-/// (reliability counters, wire totals, failovers, rendezvous
-/// re-issues), so those restart from zero too.
+/// kernel (handles stay valid, span ids keep counting) — benchmarks
+/// call this from inside the simulation between warm-up and the
+/// measured iterations. The registry is the only home of madeleine's
+/// channel and session counts (reliability counters, wire totals,
+/// failovers, rendezvous re-issues), so those restart from zero too.
 pub fn reset_metrics() {
     with_registry(Metrics::reset);
 }
@@ -714,28 +782,26 @@ pub struct ActiveSpan {
     id: u64,
     kind: SpanKind,
     label: &'static str,
+    hist: Hist,
     begin: VirtualTime,
 }
 
-impl ActiveSpan {
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 /// Open a span at the calling thread's current virtual time. `label`
-/// selects the histogram (`span/<kind>/<label>`) — by convention the
-/// protocol name. `None` outside a simulated thread.
+/// selects the histogram (`span/<kind>/<label>`, resolved to its handle
+/// here) — by convention the protocol name. `None` outside a simulated
+/// thread.
 pub fn span_begin(kind: SpanKind, label: &'static str) -> Option<ActiveSpan> {
     try_with_current(|shared, me| {
         let mut sched = shared.state.borrow();
         let begin = sched.threads[me.index()].vtime;
         let id = sched.metrics.next_span_id();
+        let hist = sched.metrics.span_hist(kind, label);
         sched.record(me, || Event::SpanBegin { id, kind, label });
         ActiveSpan {
             id,
             kind,
             label,
+            hist,
             begin,
         }
     })
@@ -751,7 +817,7 @@ pub fn span_end(span: Option<ActiveSpan>) {
         let mut sched = shared.state.borrow();
         sched.record(me, || Event::SpanEnd { id, kind, label });
         let ns = sched.threads[me.index()].vtime.saturating_since(span.begin);
-        sched.metrics.observe_span(kind, label, ns.as_nanos());
+        sched.metrics.observe(span.hist, ns.as_nanos());
     });
 }
 
@@ -1049,53 +1115,93 @@ mod tests {
 
     #[test]
     fn metrics_registry_counts_and_observes() {
-        let mut m = Metrics::new();
-        m.counter_add("a/x", 2);
-        m.counter_add("a/x", 3);
-        m.gauge_max("g", 4);
-        m.gauge_max("g", 2);
-        m.observe_ns("h", 1_000);
-        m.observe_ns("h", 3_000);
+        let mut m = Metrics::default();
+        let (x, g, h) = (
+            m.counter("a/x".into()),
+            m.gauge("g".into()),
+            m.hist("h".into()),
+        );
+        m.add(x, 2);
+        m.add(x, 3);
+        m.raise(g, 4);
+        m.raise(g, 2);
+        m.observe(h, 1_000);
+        m.observe(h, 3_000);
         let s = m.snapshot();
         assert_eq!(s.counter("a/x"), 5);
+        assert_eq!(m.read(x), 5);
         assert_eq!(s.counter("a/missing"), 0);
         assert_eq!(s.gauge("g"), 4);
-        let h = s.hist("h").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.min_ns, 1_000);
-        assert_eq!(h.max_ns, 3_000);
-        assert!((h.mean_us() - 2.0).abs() < 1e-9);
+        let hs = s.hist("h").unwrap();
+        assert_eq!(hs.count, 2);
+        assert_eq!(hs.min_ns, 1_000);
+        assert_eq!(hs.max_ns, 3_000);
+        assert!((hs.mean_us() - 2.0).abs() < 1e-9);
         m.reset();
         assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        assert_eq!(m.read(x), 0);
+        // Reset keeps the handles: the same slot counts on.
+        m.add(x, 7);
+        assert_eq!(m.snapshot().counter("a/x"), 7);
         let text = s.to_string();
         assert!(text.contains("a/x"));
         assert!(text.contains("histograms"));
     }
 
     #[test]
+    fn untouched_registered_slots_stay_out_of_snapshots() {
+        let mut m = Metrics::default();
+        let c = m.counter("c".into());
+        let z = m.counter("z".into());
+        m.gauge("g".into());
+        m.hist("h".into());
+        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        // A name registered twice is one slot.
+        assert_eq!(m.counter(String::from("c").into()), c);
+        assert_ne!(c, z);
+        // A zero touch still enters the snapshot, as a created name did.
+        m.add(z, 0);
+        let s = m.snapshot();
+        assert_eq!(s.counters.keys().collect::<Vec<_>>(), ["z"]);
+        assert!(s.gauges.is_empty() && s.hists.is_empty());
+    }
+
+    #[test]
     fn ambient_snapshot_reads_the_callers_kernel() {
         assert!(metrics_snapshot().is_none());
         let k = crate::Kernel::new(crate::CostModel::free());
-        let h = k.spawn("t", || {
-            counter_add("seen", 2);
+        let seen = k.register_counter("seen");
+        let h = k.spawn("t", move || {
+            counter_add(seen, 2);
             metrics_snapshot().map(|s| s.counter("seen"))
         });
         k.run().unwrap();
         assert_eq!(h.join_outcome(), Some(Some(2)));
         assert_eq!(k.metrics_snapshot().counter("seen"), 2);
+        assert_eq!(k.counter(seen), 2);
     }
 
     #[test]
     fn prefix_iteration_is_sorted() {
-        let mut m = Metrics::new();
-        m.counter_add("chan/tcp#0/bytes", 10);
-        m.counter_add("chan/sisci#0/bytes", 20);
-        m.counter_add("other", 1);
+        let mut m = Metrics::default();
+        for (name, v) in [
+            ("chan/tcp#0/bytes", 10),
+            ("chan/sisci#0/bytes", 20),
+            ("other", 1),
+        ] {
+            let c = m.counter(name.into());
+            m.add(c, v);
+        }
+        // Name order, not registration order.
         let s = m.snapshot();
-        let got: Vec<(&str, u64)> = s.counters_with_prefix("chan/").collect();
+        let got: Vec<(&str, u64)> = s.counters.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         assert_eq!(
             got,
-            vec![("chan/sisci#0/bytes", 20), ("chan/tcp#0/bytes", 10)]
+            vec![
+                ("chan/sisci#0/bytes", 20),
+                ("chan/tcp#0/bytes", 10),
+                ("other", 1)
+            ]
         );
     }
 
@@ -1336,16 +1442,21 @@ mod tests {
 
     /// A snapshot with an escaped key in every section.
     fn metrics_fixture() -> MetricsSnapshot {
-        let mut m = Metrics::new();
-        m.counter_add("a/x", 5);
-        m.counter_add("q\"\\\n/é", u64::MAX);
-        m.counter_add("z", 0);
-        m.gauge_max("g\t", 4);
-        m.gauge_max("h", 17);
-        m.observe_ns("h\"", 0);
-        m.observe_ns("h\"", 1_000);
-        m.observe_ns("h\"", 3_000_000_007);
-        m.observe_ns("span/pack/tcp", 12);
+        let mut m = Metrics::default();
+        for (name, v) in [("z", 0), ("q\"\\\n/é", u64::MAX), ("a/x", 5)] {
+            let c = m.counter(name.into());
+            m.add(c, v);
+        }
+        for (name, v) in [("h", 17), ("g\t", 4)] {
+            let g = m.gauge(name.into());
+            m.raise(g, v);
+        }
+        let h = m.hist("h\"".into());
+        for ns in [0, 1_000, 3_000_000_007] {
+            m.observe(h, ns);
+        }
+        let pack = m.span_hist(SpanKind::Pack, "tcp");
+        m.observe(pack, 12);
         m.snapshot()
     }
 

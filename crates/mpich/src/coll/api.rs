@@ -106,7 +106,7 @@ impl Communicator {
     }
 
     fn coll_count(&self, op: CollOp, alg: CollAlgorithm) {
-        obs::counter_add(op.counter_key(alg), 1);
+        obs::counter_add(self.world().coll.counter(op, alg), 1);
     }
 
     // ------------------------------------------------------------------

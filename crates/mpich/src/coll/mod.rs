@@ -52,6 +52,8 @@ pub(crate) use vgroup::Vgroup;
 use std::fmt;
 use std::sync::Arc;
 
+use marcel::{Counter, Kernel};
+
 /// Which collective is being performed (selects the algorithm table
 /// row, the span label and the metrics counter family).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -85,39 +87,29 @@ impl CollOp {
             CollOp::ReduceScatter => "reduce_scatter",
         }
     }
-
-    /// The `coll.<op>.<algorithm>` metrics counter key, spelled at
-    /// compile time so a dispatched collective formats nothing.
-    pub(crate) fn counter_key(self, alg: CollAlgorithm) -> &'static str {
-        /// One operation's keys, in [`CollAlgorithm`] order.
-        macro_rules! keys {
-            ($op:literal) => {
-                [
-                    concat!("coll.", $op, ".binomial"),
-                    concat!("coll.", $op, ".hierarchical"),
-                    concat!("coll.", $op, ".recursive_doubling"),
-                    concat!("coll.", $op, ".rabenseifner"),
-                    concat!("coll.", $op, ".ring"),
-                    concat!("coll.", $op, ".scatter_gather"),
-                ]
-            };
-        }
-        const KEYS: [[&str; 6]; 11] = [
-            keys!("barrier"),
-            keys!("bcast"),
-            keys!("reduce"),
-            keys!("allreduce"),
-            keys!("gather"),
-            keys!("scatter"),
-            keys!("allgather"),
-            keys!("alltoall"),
-            keys!("scan"),
-            keys!("exscan"),
-            keys!("reduce_scatter"),
-        ];
-        KEYS[self as usize][alg as usize]
-    }
 }
+
+/// Every `coll.<op>.<algorithm>` counter name, by operation then
+/// algorithm, for the operations given in [`CollOp`] order.
+macro_rules! counter_names {
+    ($($op:literal),*) => {
+        [$([
+            concat!("coll.", $op, ".binomial"),
+            concat!("coll.", $op, ".hierarchical"),
+            concat!("coll.", $op, ".recursive_doubling"),
+            concat!("coll.", $op, ".rabenseifner"),
+            concat!("coll.", $op, ".ring"),
+            concat!("coll.", $op, ".scatter_gather"),
+        ]),*]
+    };
+}
+
+/// Every collective counter name, by [`CollOp`] then [`CollAlgorithm`]:
+/// spelled at compile time, so registering them allocates no name.
+const COUNTER_NAMES: [[&str; 6]; 11] = counter_names! {
+    "barrier", "bcast", "reduce", "allreduce", "gather", "scatter", "allgather", "alltoall",
+    "scan", "exscan", "reduce_scatter"
+};
 
 /// One entry of the algorithm catalog. Not every algorithm applies to
 /// every operation — see [`CollEngine::select`] for the fallback rules.
@@ -252,18 +244,21 @@ pub struct CollEngine {
     /// rebuilding O(n) cluster views per call — at 8k ranks that
     /// rebuild dominated peak memory per rank.
     world_chain: Arc<Vec<CommClusters>>,
+    /// The `coll.<op>.<algorithm>` counters, registered with the
+    /// engine, indexed like [`COUNTER_NAMES`].
+    counters: [[Counter; 6]; 11],
 }
 
 impl CollEngine {
-    pub fn new(policy: CollPolicy, rank_cluster: Vec<usize>) -> CollEngine {
-        CollEngine::with_levels(policy, vec![rank_cluster])
-    }
-
-    /// An engine with the full nesting chain, finest → coarsest. The
-    /// coarsest level must be the map [`CollEngine::new`] would get —
-    /// selection behaves identically, only the hierarchical kernels see
-    /// the inner levels.
-    pub fn with_levels(policy: CollPolicy, rank_levels: Vec<Vec<usize>>) -> CollEngine {
+    /// An engine with the full nesting chain of world-rank → cluster
+    /// maps, finest → coarsest: selection keys on the coarsest (the
+    /// classic cluster map), only the hierarchical kernels see the inner
+    /// levels. Its collective counters are registered in `kernel`.
+    pub fn with_levels(
+        kernel: &Kernel,
+        policy: CollPolicy,
+        rank_levels: Vec<Vec<usize>>,
+    ) -> CollEngine {
         assert!(
             !rank_levels.is_empty(),
             "CollEngine needs at least one cluster level"
@@ -280,17 +275,17 @@ impl CollEngine {
             policy,
             rank_levels,
             world_chain,
+            counters: COUNTER_NAMES.map(|op| op.map(|name| kernel.register_counter(name))),
         }
-    }
-
-    /// An engine for a flat (cluster-blind) world — unit tests and
-    /// manually assembled environments.
-    pub fn flat(policy: CollPolicy, n_ranks: usize) -> CollEngine {
-        CollEngine::new(policy, (0..n_ranks).collect())
     }
 
     pub fn policy(&self) -> CollPolicy {
         self.policy
+    }
+
+    /// The counter of `op` run with `alg`.
+    pub(crate) fn counter(&self, op: CollOp, alg: CollAlgorithm) -> Counter {
+        self.counters[op as usize][alg as usize]
     }
 
     /// Ranks in the world this engine was built for.
@@ -502,6 +497,15 @@ mod tests {
         CommClusters::from_ids(&[0, 0, 0, 1, 1, 1])
     }
 
+    fn kernel() -> Kernel {
+        Kernel::new(marcel::CostModel::free())
+    }
+
+    /// An engine for a flat (cluster-blind) world.
+    fn flat(policy: CollPolicy, n_ranks: usize) -> CollEngine {
+        CollEngine::with_levels(&kernel(), policy, vec![(0..n_ranks).collect()])
+    }
+
     fn flat_clusters(n: usize) -> CommClusters {
         CommClusters::from_ids(&(0..n).collect::<Vec<_>>())
     }
@@ -534,14 +538,14 @@ mod tests {
         for op in ops {
             for alg in algs {
                 let want = format!("coll.{}.{}", op.name(), alg.name());
-                assert_eq!(op.counter_key(alg), want);
+                assert_eq!(COUNTER_NAMES[op as usize][alg as usize], want);
             }
         }
     }
 
     #[test]
     fn seed_policy_always_binomial() {
-        let e = CollEngine::flat(CollPolicy::Seed, 6);
+        let e = flat(CollPolicy::Seed, 6);
         for op in [CollOp::Bcast, CollOp::Allreduce, CollOp::Allgather] {
             assert_eq!(
                 e.select(op, 1 << 20, 1 << 17, &meta_clusters()),
@@ -552,7 +556,7 @@ mod tests {
 
     #[test]
     fn adaptive_goes_hierarchical_on_the_meta_cluster() {
-        let e = CollEngine::flat(CollPolicy::Adaptive, 6);
+        let e = flat(CollPolicy::Adaptive, 6);
         for op in [
             CollOp::Bcast,
             CollOp::Reduce,
@@ -574,7 +578,7 @@ mod tests {
 
     #[test]
     fn adaptive_is_size_adaptive_on_flat_topologies() {
-        let e = CollEngine::flat(CollPolicy::Adaptive, 6);
+        let e = flat(CollPolicy::Adaptive, 6);
         let flat = flat_clusters(6);
         // Allreduce: recursive doubling small, Rabenseifner large.
         assert_eq!(
@@ -608,7 +612,7 @@ mod tests {
 
     #[test]
     fn fixed_falls_back_where_infeasible() {
-        let e = CollEngine::flat(CollPolicy::Fixed(CollAlgorithm::Hierarchical), 6);
+        let e = flat(CollPolicy::Fixed(CollAlgorithm::Hierarchical), 6);
         // Hierarchical on a flat communicator degrades to binomial.
         assert_eq!(
             e.select(CollOp::Allreduce, 64, 8, &flat_clusters(6)),
@@ -619,13 +623,13 @@ mod tests {
             CollAlgorithm::Hierarchical
         );
         // Rabenseifner with too few elements degrades to rec-doubling.
-        let e = CollEngine::flat(CollPolicy::Fixed(CollAlgorithm::Rabenseifner), 6);
+        let e = flat(CollPolicy::Fixed(CollAlgorithm::Rabenseifner), 6);
         assert_eq!(
             e.select(CollOp::Allreduce, 16, 2, &flat_clusters(6)),
             CollAlgorithm::RecursiveDoubling
         );
         // Ring on a reduce degrades to binomial.
-        let e = CollEngine::flat(CollPolicy::Fixed(CollAlgorithm::Ring), 6);
+        let e = flat(CollPolicy::Fixed(CollAlgorithm::Ring), 6);
         assert_eq!(
             e.select(CollOp::Reduce, 64, 8, &flat_clusters(6)),
             CollAlgorithm::Binomial
@@ -637,7 +641,11 @@ mod tests {
         // 8 ranks: 4 rails of 2 inside 2 pods of 4.
         let rails = vec![0, 0, 1, 1, 2, 2, 3, 3];
         let pods = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let e = CollEngine::with_levels(CollPolicy::Adaptive, vec![rails.clone(), pods.clone()]);
+        let e = CollEngine::with_levels(
+            &kernel(),
+            CollPolicy::Adaptive,
+            vec![rails.clone(), pods.clone()],
+        );
         assert_eq!(e.levels(), &[rails, pods.clone()]);
         // cluster_of (and thus selection) keys on the pod tier.
         assert_eq!(e.cluster_of(0), 0);

@@ -472,7 +472,7 @@ impl ChMad {
                 self.session.note_failover();
                 self.send_packet(from, hop, vci, header, Some(body));
             } else {
-                obs::counter_add(rail.striped_bytes_key(), (end - offset) as u64);
+                rail.note_striped(end - offset);
             }
             obs::span_end(stripe);
             offset = end;
@@ -649,7 +649,7 @@ impl ChMad {
                     // replay): count it and drop the chunk, mirroring
                     // the unknown-token OK_TO_SEND path above.
                     debug_assert!(self.has_faults, "rank {rank}: {e}");
-                    obs::counter_add("chmad/rndv_stale_chunks", 1);
+                    self.session.note_rndv_stale_chunk();
                 }
                 true
             }

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use marcel::obs::{self, ActiveSpan, Event, SpanKind};
-use marcel::{Kernel, OneShot, OwnedCell, SimCondvar, SimMutex, VirtualDuration};
+use marcel::{Gauge, Kernel, OneShot, OwnedCell, SimCondvar, SimMutex, VirtualDuration};
 
 use crate::adi::AdiCosts;
 use crate::matching::{Handle, PostedStore, UnexpectedStore};
@@ -266,10 +266,10 @@ pub struct Engine {
     /// Engine-global allocators, owned by the world's OS thread.
     next: OwnedCell<Allocators>,
     costs: AdiCosts,
-    /// High-water-mark gauge keys, interned at construction — the
-    /// post/arrival paths must not pay a `format!` per message.
-    posted_hwm_key: String,
-    unexpected_hwm_key: String,
+    /// The posted- and unexpected-queue high-water-mark gauges
+    /// (`adi/rank<r>/*_hwm`), registered with the engine.
+    posted_hwm: Gauge,
+    unexpected_hwm: Gauge,
 }
 
 /// Next values of the engine-global counters. The FIFO sequences are
@@ -303,8 +303,8 @@ impl Engine {
                 rhandle: 1,
             }),
             costs,
-            posted_hwm_key: format!("adi/rank{rank}/posted_hwm"),
-            unexpected_hwm_key: format!("adi/rank{rank}/unexpected_hwm"),
+            posted_hwm: kernel.register_gauge(format!("adi/rank{rank}/posted_hwm")),
+            unexpected_hwm: kernel.register_gauge(format!("adi/rank{rank}/unexpected_hwm")),
         }
     }
 
@@ -412,7 +412,7 @@ impl Engine {
             depth
         };
         let rank = self.rank;
-        obs::gauge_max(&self.posted_hwm_key, depth as u64);
+        obs::gauge_max(self.posted_hwm, depth as u64);
         obs::emit(move || Event::RecvPosted { rank, depth });
         obs::span_end(post_span);
     }
@@ -542,7 +542,7 @@ impl Engine {
             st.unexpected
                 .insert_at(seq, env, UnexpPayload::Eager(data, copy_ns, span));
             let depth = st.unexpected.len();
-            obs::gauge_max(&self.unexpected_hwm_key, depth as u64);
+            obs::gauge_max(self.unexpected_hwm, depth as u64);
             obs::emit(move || Event::UnexpectedQueued {
                 rank,
                 src,
@@ -602,7 +602,7 @@ impl Engine {
             st.unexpected
                 .insert_at(seq, env, UnexpPayload::Rndv(respond));
             let depth = st.unexpected.len();
-            obs::gauge_max(&self.unexpected_hwm_key, depth as u64);
+            obs::gauge_max(self.unexpected_hwm, depth as u64);
             obs::emit(move || Event::UnexpectedQueued {
                 rank,
                 src,

@@ -418,7 +418,7 @@ impl MpiWorld {
             remote,
             group: Group::world(n),
             ctx_alloc,
-            coll: CollEngine::with_levels(config.coll, rank_levels(&session)),
+            coll: CollEngine::with_levels(kernel, config.coll, rank_levels(&session)),
         };
         (session, Arc::new(world))
     }

@@ -297,7 +297,7 @@ fn dead_rail_leaves_the_live_rails_of_exactly_its_pair() {
         assert_eq!((*time, what.as_str()), (want_time, want_what));
     }
     let metrics = report.kernel.metrics_snapshot();
-    let counters = session.counters_in(&metrics);
+    let counters = session.counters();
     assert_eq!(counters.failovers, 2);
     // The counts are pinned too: a hard-down window drops every
     // attempt whatever the plan's seed, so they hold for any

@@ -126,8 +126,9 @@ fn retransmits_match_injected_losses() {
     // to the session's aggregate.
     let snap = kernel.metrics_snapshot();
     let metric_retransmits: u64 = snap
-        .counters_with_prefix("chan/")
-        .filter(|(k, _)| k.ends_with("/retransmits"))
+        .counters
+        .iter()
+        .filter(|(k, _)| k.starts_with("chan/") && k.ends_with("/retransmits"))
         .map(|(_, v)| v)
         .sum();
     assert_eq!(metric_retransmits, c.retransmits);
