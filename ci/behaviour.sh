@@ -4,7 +4,17 @@
 # traces, four soak journals and the replay tools — and write one
 # `sha256sum` line per artifact to target/behaviour/manifest.sha256.
 #
-#     ci/behaviour.sh && diff ci/behaviour.sha256 target/behaviour/manifest.sha256
+#     ci/behaviour.sh [BIN_DIR [OUT_DIR]]
+#     diff ci/behaviour.sha256 target/behaviour/manifest.sha256
+#
+# With no arguments it builds the release bench bins and works in the
+# repository root. Given BIN_DIR, it runs the bench bins found there and
+# builds nothing. Given OUT_DIR, it works there instead: the artifacts
+# and the manifest go to OUT_DIR/target/behaviour, since the bins print
+# their output paths relative to the working directory and the pin holds
+# those lines. Both paths are read relative to the caller's directory.
+# The tier-1 test `behaviour_manifest_is_unchanged`
+# (crates/bench/tests/behaviour.rs) runs it on the test-profile bins.
 #
 # A diff line names an artifact whose bytes moved. A change that moves
 # behaviour on purpose regenerates the pin with
@@ -12,29 +22,39 @@
 # every moved line, and why, in its change notes. Everything here is
 # virtual time or exact counts, so two runs on one commit agree.
 set -euo pipefail
+bin=${1:-} work=${2:-}
+[ -z "$bin" ] || bin=$(cd "$bin" && pwd)
+[ -z "$work" ] || work=$(mkdir -p "$work" && cd "$work" && pwd)
 cd "$(dirname "$0")/.."
 
-cargo build --release --quiet -p bench --bins
-bin=target/release
+if [ -z "$bin" ]; then
+    cargo build --release --quiet -p bench --bins
+    bin=$PWD/target/release
+fi
+[ -z "$work" ] || cd "$work"
 out=target/behaviour
 rm -rf "$out"
 mkdir -p "$out"
 export BENCH_JSON_DIR="$out/bench-results"
 
 # Bench bins at CI's arguments: stdout, plus their bench-results files.
+# `all` takes most of the run, so the others run beside it; `overhead`
+# rewrites the bench-results files of `all`'s overhead run, so it waits.
 run() {
     local name=$1
     shift
     "$bin/$1" "${@:2}" >"$out/$name.txt"
 }
-run all-1 all 1
-run overhead-2 overhead 2
+run all-1 all 1 &
+all=$!
 run collectives-2 collectives 2
 run forwarding-1 forwarding 1
 run vci vci
 run trace-2 trace 2
 run trace-4 trace 4 --chrome "$out/trace-4.chrome.json"
 run hotpath-2 hotpath 2
+wait $all
+run overhead-2 overhead 2
 
 # Three soak campaigns of one shape, every one streamed: clean, lossy
 # (`stream`), and a lossier twin (loss 70 against 60) that plants the
@@ -69,9 +89,12 @@ fi
 cmp "$out/soak/stream.report" "$out/soak/crashed.report"
 cmp "$out/soak/stream.chrome.json" "$out/soak/crashed.chrome.json"
 
-# The replay tools over the lossy pair. `diff` exits 1 on the
-# divergence it is meant to find, and 0 on a journal against itself.
+# The replay tools over the lossy pair. `trace` rebuilds the final
+# episode's Chrome trace from the journal alone: it must equal the live
+# export byte for byte. `diff` exits 1 on the divergence it is meant to
+# find, and 0 on a journal against itself.
 "$bin/replay" trace --dir "$out/soak/stream" >"$out/replay-trace.txt"
+cmp "$out/replay-trace.txt" "$out/soak/stream.chrome.json"
 "$bin/replay" metrics --dir "$out/soak/stream" --at-episode 5 --json >"$out/replay-metrics.txt"
 "$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/lossier" >"$out/replay-diff.txt" || test $? -eq 1
 "$bin/replay" diff --a "$out/soak/stream" --b "$out/soak/stream" >"$out/replay-self-diff.txt"

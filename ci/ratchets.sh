@@ -16,8 +16,9 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 # Non-test lines of a Rust file: those above its first #[cfg(test)],
-# comment lines skipped.
-nontest() { awk '/#\[cfg\(test\)\]/{exit} !/^\s*\/\//' "$1"; }
+# comment lines skipped, indented or not. POSIX classes only: mawk has
+# no `\s`.
+nontest() { awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$1"; }
 
 names=() ceilings=() plants=() examples=()
 rule() { names+=("$1") ceilings+=("$2") plants+=("$3") examples+=("$4"); }
@@ -201,6 +202,17 @@ for i in "${!names[@]}"; do
         status=1
     fi
 done
+# And the reverse for `nontest`: indented comment lines planted where
+# host_lock looks must not fire it.
+tree=$(mktemp -d)
+mkdir -p "$tree/crates/journal/src"
+printf '    // Mutex\n\t/// Mutex\n' >"$tree/crates/journal/src/planted.rs"
+n=$(hits "$tree" host_lock | wc -l)
+rm -rf "$tree"
+if [ "$n" -ne 0 ]; then
+    echo "ratchet self-test: nontest counts indented comment lines as code" >&2
+    status=1
+fi
 echo "ratchet self-test: ${#names[@]} rules, each planted in an empty tree"
 
 for i in "${!names[@]}"; do

@@ -9,9 +9,10 @@
 //! `Seed` policy (the seed's binomial trees, byte-identical to the
 //! historical numbers) vs `Adaptive` (two-level hierarchical
 //! collectives, recursive-doubling / Rabenseifner allreduce, ring
-//! allgather, scatter-gather bcast). CI pins the `Seed` rows to a
-//! committed baseline and requires the `Adaptive` rows to win at large
-//! payloads.
+//! allgather, scatter-gather bcast). The behaviour manifest pins every
+//! row, and the bin asserts that `Adaptive` is strictly faster than
+//! `Seed` for every operation at every payload of 256 KiB and up.
+//! Virtual time is deterministic, so strict inequality cannot flake.
 //!
 //! `cargo run --release -p bench --bin collectives [-- <iters>]`
 
@@ -143,14 +144,11 @@ fn main() {
         ("allreduce", allreduce as CollFn, 2.0),
         ("allgather", allgather as CollFn, 2.0),
     ] {
-        let mut at_1mb = [0.0f64; 2];
-        for (i, (pname, policy)) in [
+        let [seed, adaptive] = [
             ("seed", CollPolicy::Seed),
             ("adaptive", CollPolicy::Adaptive),
         ]
-        .into_iter()
-        .enumerate()
-        {
+        .map(|(pname, policy)| {
             let series: bench::Series = sizes
                 .iter()
                 .map(|&s| {
@@ -161,15 +159,22 @@ fn main() {
                     )
                 })
                 .collect();
-            at_1mb[i] = series.last().unwrap().1.as_secs_f64();
             p.add_series(format!("{name}/{pname}"), &series);
-        }
+            series
+        });
+        let at_1mb = |s: &bench::Series| s.last().unwrap().1.as_secs_f64();
         p.add_anchor(bench::Anchor::new(
             format!("{name} 1MB: seed / adaptive speedup"),
             expected,
-            at_1mb[0] / at_1mb[1],
+            at_1mb(&seed) / at_1mb(&adaptive),
             "x",
         ));
+        for (&(size, s), &(_, a)) in seed.iter().zip(&adaptive) {
+            assert!(
+                size < 256 * 1024 || a < s,
+                "{name} @ {size} B: adaptive ({a}) is not strictly faster than seed ({s})"
+            );
+        }
     }
     p.print_time_table();
     p.print_anchors();

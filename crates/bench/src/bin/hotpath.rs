@@ -7,9 +7,10 @@
 //! the standalone benchmark's job (`storm_small`); everything printed
 //! here is exact, so the output repeats byte for byte.
 //!
-//! Output is line-oriented for `ci/check_hotpath.py`:
-//!   `hotpath: messages=<n> allocs=<a>`
-//! plus a JSON summary on the final line.
+//! Output is line-oriented, `hotpath: messages=<n> allocs=<a>` plus a
+//! JSON summary on the final line, and the behaviour manifest pins it
+//! byte for byte. The parked idle-channel tax it prints is asserted
+//! exactly zero by `tests/hotpath.rs` on the same topology and warm-up.
 //!
 //! `cargo run -p bench --bin hotpath --release [-- <iters>]`
 

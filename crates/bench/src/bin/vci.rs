@@ -15,9 +15,11 @@
 //! thread, no scaling — the single-endpoint baseline of the VCI
 //! literature.
 //!
-//! Every figure is *virtual* time, so the output is bit-deterministic;
-//! `ci/check_vci.py` gates the scaling ratio, and the behaviour
-//! manifest (`ci/behaviour.sh`) pins every row.
+//! Every figure is *virtual* time, so the output is bit-deterministic:
+//! the behaviour manifest (`ci/behaviour.sh`) pins every row, and the
+//! bin itself asserts the headline after printing it — laned `vcis=4`
+//! at least 2x `vcis=1`, the shared series flat within 5% — so a pin
+//! regenerated without it fails the run.
 //!
 //! `cargo run -p bench --bin vci --release [-- <msgs-per-thread>]`
 
@@ -125,5 +127,20 @@ fn main() {
          \"laned\":{{\"1\":{:.1},\"2\":{:.1},\"4\":{:.1}}},\
          \"shared\":{{\"1\":{:.1},\"2\":{:.1},\"4\":{:.1}}}}}}}",
         rates[0][0], rates[0][1], rates[0][2], rates[1][0], rates[1][1], rates[1][2]
+    );
+
+    let [laned, shared] = rates;
+    let scaling = laned[2] / laned[0];
+    assert!(
+        scaling >= 2.0,
+        "laned vcis=4 rate is only {scaling:.2}x vcis=1 (needs >= 2x)"
+    );
+    let (lo, hi) = shared
+        .iter()
+        .fold((f64::MAX, 0.0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    assert!(
+        hi / lo <= 1.05,
+        "shared-endpoint series is not flat: max/min = {:.3}",
+        hi / lo
     );
 }

@@ -14,7 +14,7 @@
 //! | `degraded` | robustness (extension) | dual-rail striping with a lossy or hard-down Myrinet rail |
 //! | `overhead` | §5.2–5.4 | packing-vs-handling decomposition of the ch_mad gap, from span measurements |
 //! | `trace`  | Figure 4   | typed event timeline of one ping-pong; `--chrome` writes Perfetto JSON |
-//! | `all`    | everything | runs the nine experiments back to back |
+//! | `all`    | everything | runs the nine experiments side by side, prints them in order |
 //!
 //! The design-choice ablations of DESIGN.md §5 are a `#[test]`
 //! (`tests/devices.rs`), [`alloc`] is the counting allocator the

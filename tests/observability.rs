@@ -151,8 +151,8 @@ fn tracing_disabled_is_zero_cost() {
 
 /// The Chrome exporter emits one complete-or-instant event per trace
 /// entry plus one metadata record per thread, each carrying the fields
-/// `chrome://tracing` requires (CI re-validates with a real JSON
-/// parser).
+/// `chrome://tracing` requires. CI parses the `trace` bin's export with
+/// `python3 -m json.tool`, and the behaviour manifest pins its bytes.
 #[test]
 fn chrome_trace_export_is_well_formed() {
     let cfg = WorldConfig::builder().trace(true).build();
